@@ -1,5 +1,5 @@
 //! The CI bench-regression gate: runs a quick, fully deterministic
-//! subset of the benchmark surface (the `batch_pipeline` write path,
+//! subset of the benchmark surface (the batched write path,
 //! read-heavy cache-on/cache-off fio jobs, and the mixed randrw churn
 //! job), records the **simulated** median ns/op per group to
 //! `BENCH_results.json`, and fails if any group regresses more than
@@ -108,7 +108,7 @@ fn run_groups() -> BTreeMap<String, u64> {
     let object_end = EncryptionConfig::random_iv(MetaLayout::ObjectEnd);
     let omap = EncryptionConfig::random_iv(MetaLayout::Omap);
 
-    // batch_pipeline quick mode: the batched write path per layout.
+    // The batched write path per layout.
     let write_spec = JobSpec {
         pattern: IoPattern::RandWrite,
         io_size: 64 << 10,
@@ -224,8 +224,7 @@ fn run_groups() -> BTreeMap<String, u64> {
         );
     }
 
-    // Mixed 70/30 churn at QD 8 (the spec shared with the
-    // batch_pipeline bench group): the invalidation path under load.
+    // Mixed 70/30 churn at QD 8: the invalidation path under load.
     let mut disk = testbed::cached_bench_disk(&object_end, IMAGE, 41);
     fio::precondition(&mut disk).expect("precondition");
     let ns = job(&mut disk, &fio::CHURN_70_30_QD8);
@@ -345,7 +344,7 @@ fn run_groups() -> BTreeMap<String, u64> {
     drop(disk);
     let _ = std::fs::remove_dir_all(&scratch);
 
-    // Fault-plane smoke: the batch_pipeline randwrite spec again, on
+    // Fault-plane smoke: the randwrite spec above again, on
     // a cluster injecting transient shard errors at a low 2% rate.
     // The retry layer must absorb every injection — the job completes
     // and the row shows what transparent replay costs. Reported only

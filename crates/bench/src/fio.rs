@@ -63,9 +63,8 @@ pub struct JobSpec {
     pub seed: u64,
 }
 
-/// The 70/30 randrw churn job at QD 8 — shared by the
-/// `batch_pipeline` bench group and the CI bench gate so the gated
-/// baseline always measures exactly the published bench workload.
+/// The 70/30 randrw churn job at QD 8 — the workload the CI bench
+/// gate's churn group measures.
 pub const CHURN_70_30_QD8: JobSpec = JobSpec {
     pattern: IoPattern::RANDRW_70_30,
     io_size: 16 << 10,

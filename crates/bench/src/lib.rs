@@ -10,7 +10,6 @@
 //! | Fig. 4 (write overhead %) | `cargo bench -p vdisk-bench --bench fig4_write_overhead` |
 //! | §3.3 sector-count table | `cargo bench -p vdisk-bench --bench table_sector_overhead` |
 //! | extensions (MAC, GCM, EME2, QD, 512 B) | `cargo bench -p vdisk-bench --bench ablations` |
-//! | crypto primitive throughput | `cargo bench -p vdisk-bench --bench crypto_primitives` |
 //!
 //! Bandwidth numbers are **simulated time** (the cost model of
 //! `vdisk-rados::TestbedProfile`, calibrated to the paper's 3-node

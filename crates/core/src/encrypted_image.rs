@@ -1397,72 +1397,60 @@ impl EncryptedImage {
         seq_limit: Option<u64>,
         out: &mut [u8],
     ) -> Result<()> {
+        let layout = self.config().layout;
         for (idx, result) in results.iter().enumerate() {
             let extent = &span.batch.extents[idx];
             let dest = &mut out[extent.buf_start..extent.buf_end];
-            self.decrypt_extent_into(span, idx, result, seq_limit, dest)?;
-        }
-        Ok(())
-    }
-
-    /// Decrypts one extent of a read span into `dest` (the extent's
-    /// slice of the span buffer) — the per-extent unit behind
-    /// [`EncryptedImage::complete_read_span`], also driven
-    /// incrementally by the encrypted IO queue as each shard's data
-    /// lands. Carries the extent's reap-time cache fill.
-    pub(crate) fn decrypt_extent_into(
-        &self,
-        span: &ReadSpan,
-        idx: usize,
-        result: &Option<Vec<ReadResult>>,
-        seq_limit: Option<u64>,
-        dest: &mut [u8],
-    ) -> Result<()> {
-        let layout = self.config().layout;
-        let extent = &span.batch.extents[idx];
-        let source = &span.meta[idx];
-        let Some(results) = result else {
-            dest.fill(0);
-            return Ok(());
-        };
-        let base_lba = extent.base_lba;
-        match source {
-            ExtentMeta::Inline => match layout {
-                None => {
+            let Some(results) = result else {
+                dest.fill(0);
+                continue;
+            };
+            let base_lba = extent.base_lba;
+            match &span.meta[idx] {
+                ExtentMeta::Inline => match layout {
+                    None => {
+                        dest.copy_from_slice(results[0].as_data());
+                        self.chain
+                            .decrypt_sectors(base_lba, seq_limit, dest, &[], span.epochs)?;
+                    }
+                    Some(MetaLayout::Unaligned) => {
+                        let metas = self
+                            .geometry
+                            .deinterleave_unaligned_run(results[0].as_data(), dest);
+                        self.chain.decrypt_sectors(
+                            base_lba,
+                            seq_limit,
+                            dest,
+                            &metas,
+                            span.epochs,
+                        )?;
+                    }
+                    Some(MetaLayout::ObjectEnd | MetaLayout::Omap) => {
+                        unreachable!("separate-metadata layouts are never planned as inline")
+                    }
+                },
+                ExtentMeta::Cached(packed) => {
                     dest.copy_from_slice(results[0].as_data());
                     self.chain
-                        .decrypt_sectors(base_lba, seq_limit, dest, &[], span.epochs)?;
+                        .decrypt_sectors(base_lba, seq_limit, dest, packed, span.epochs)?;
                 }
-                Some(MetaLayout::Unaligned) => {
-                    let metas = self
-                        .geometry
-                        .deinterleave_unaligned_run(results[0].as_data(), dest);
+                ExtentMeta::Fetched { fill } => {
+                    dest.copy_from_slice(results[0].as_data());
+                    let packed: Cow<'_, [u8]> = match layout {
+                        Some(MetaLayout::ObjectEnd) => Cow::Borrowed(results[1].as_data()),
+                        Some(MetaLayout::Omap) => {
+                            Cow::Owned(self.pack_omap_metas(extent, results)?)
+                        }
+                        None | Some(MetaLayout::Unaligned) => {
+                            unreachable!("inline layouts are never planned as fetched")
+                        }
+                    };
                     self.chain
-                        .decrypt_sectors(base_lba, seq_limit, dest, &metas, span.epochs)?;
-                }
-                Some(MetaLayout::ObjectEnd | MetaLayout::Omap) => {
-                    unreachable!("separate-metadata layouts are never planned as inline")
-                }
-            },
-            ExtentMeta::Cached(packed) => {
-                dest.copy_from_slice(results[0].as_data());
-                self.chain
-                    .decrypt_sectors(base_lba, seq_limit, dest, packed, span.epochs)?;
-            }
-            ExtentMeta::Fetched { fill } => {
-                dest.copy_from_slice(results[0].as_data());
-                let packed: Cow<'_, [u8]> = match layout {
-                    Some(MetaLayout::ObjectEnd) => Cow::Borrowed(results[1].as_data()),
-                    Some(MetaLayout::Omap) => Cow::Owned(self.pack_omap_metas(extent, results)?),
-                    None | Some(MetaLayout::Unaligned) => {
-                        unreachable!("inline layouts are never planned as fetched")
-                    }
-                };
-                self.chain
-                    .decrypt_sectors(base_lba, seq_limit, dest, &packed, span.epochs)?;
-                if let Some((shard, epoch)) = fill {
-                    if self.image.cluster().shard_write_seq(*shard) == *epoch {
-                        self.meta_cache.fill(base_lba, &packed, span.generation);
+                        .decrypt_sectors(base_lba, seq_limit, dest, &packed, span.epochs)?;
+                    if let Some((shard, epoch)) = fill {
+                        if self.image.cluster().shard_write_seq(*shard) == *epoch {
+                            self.meta_cache.fill(base_lba, &packed, span.generation);
+                        }
                     }
                 }
             }

@@ -44,7 +44,7 @@ use crate::encrypted_image::{EncryptedImage, ReadSpan, SubmittedWrite};
 use crate::{CryptError, Result};
 use std::sync::Arc;
 use vdisk_rados::{Doorbell, ReadTicket};
-use vdisk_rbd::queue_engine::{PendingOp, ReapQueue};
+use vdisk_rbd::queue_engine::{readv_len, PendingOp, ReapQueue};
 use vdisk_rbd::{Completion, IoOp, IoPayload, IoResult};
 use vdisk_sim::Plan;
 
@@ -62,15 +62,6 @@ enum PendingState {
         len: u64,
         /// `Some` for scatter reads: the requested segment lengths.
         split: Option<Vec<u64>>,
-        /// The span's plaintext, assembled incrementally: each extent
-        /// decrypts into its slice as its shard's data lands — not
-        /// after the whole span reaps.
-        buf: Vec<u8>,
-        /// Per-request dispatch cost plans, filled as slots drain.
-        plans: Vec<Plan>,
-        /// Request slots whose results have not landed (and decrypted)
-        /// yet; the op completes when this reaches zero.
-        remaining: usize,
     },
 }
 
@@ -81,44 +72,11 @@ impl PendingOp for PendingState {
             PendingState::Read { ticket, .. } => ticket.subscribe(bell),
         }
     }
-}
 
-/// Makes whatever progress one pending op can without blocking: writes
-/// just report their ticket, reads drain every request slot whose
-/// shard has served it — decrypting each landed extent into its slice
-/// of the span buffer immediately (and performing its reap-time cache
-/// fill) — and report done once no slot remains. Idempotent once
-/// finished, as the reap engine requires.
-fn advance(disk: &EncryptedImage, state: &mut PendingState) -> Result<bool> {
-    match state {
-        PendingState::Write(write) => Ok(write.ticket.is_complete()),
-        PendingState::Read {
-            ticket,
-            span,
-            buf,
-            plans,
-            remaining,
-            ..
-        } => {
-            if *remaining == 0 {
-                return Ok(true);
-            }
-            for (idx, result, plan) in ticket.take_ready()? {
-                // vdisk-lint: allow(hot-path-index) reason="take_ready yields indices into this ticket's own extent table"
-                let extent = &span.batch.extents[idx];
-                disk.decrypt_extent_into(
-                    span,
-                    idx,
-                    &result,
-                    None,
-                    // vdisk-lint: allow(hot-path-index) reason="extent buf ranges were computed from this buf's layout at batch build"
-                    &mut buf[extent.buf_start..extent.buf_end],
-                )?;
-                // vdisk-lint: allow(hot-path-index) reason="plans was sized to the extent table this idx indexes"
-                plans[idx] = plan;
-                *remaining -= 1;
-            }
-            Ok(*remaining == 0)
+    fn is_complete(&self) -> bool {
+        match self {
+            PendingState::Write(write) => write.ticket.is_complete(),
+            PendingState::Read { ticket, .. } => ticket.is_complete(),
         }
     }
 }
@@ -166,8 +124,8 @@ impl<'d> EncryptedIoQueue<'d> {
         self.reap.in_flight()
     }
 
-    /// The queue's completion doorbell: shard workers ring it as parts
-    /// of submissions land, and the multi-tenant runtime rings it when
+    /// The queue's completion doorbell: shard workers ring it as
+    /// submissions complete, and the multi-tenant runtime rings it when
     /// a scheduling change should wake a parked owner.
     #[must_use]
     pub fn doorbell(&self) -> Arc<Doorbell> {
@@ -207,12 +165,24 @@ impl<'d> EncryptedIoQueue<'d> {
             }
             IoOp::Read { offset, len } => {
                 let (ticket, span) = self.disk.submit_read_span(None, offset, len)?;
-                pending_read(ticket, span, offset, len, None)
+                PendingState::Read {
+                    ticket,
+                    span,
+                    offset,
+                    len,
+                    split: None,
+                }
             }
             IoOp::Readv { offset, lens } => {
-                let len = lens.iter().sum();
+                let len = readv_len(&lens, self.disk.image().size())?;
                 let (ticket, span) = self.disk.submit_read_span(None, offset, len)?;
-                pending_read(ticket, span, offset, len, Some(lens))
+                PendingState::Read {
+                    ticket,
+                    span,
+                    offset,
+                    len,
+                    split: Some(lens),
+                }
             }
         };
         Ok(self.reap.push(state))
@@ -240,10 +210,8 @@ impl<'d> EncryptedIoQueue<'d> {
     /// by the next reap call.
     pub fn poll(&mut self) -> Result<Vec<IoResult>> {
         let disk: &EncryptedImage = self.disk;
-        self.reap.poll(
-            &mut |state| advance(disk, state),
-            &mut |completion, state| finalize(disk, completion, state),
-        )
+        self.reap
+            .poll(&mut |completion, state| finalize(disk, completion, state))
     }
 
     /// Blocks until at least one operation completes (the oldest
@@ -255,10 +223,8 @@ impl<'d> EncryptedIoQueue<'d> {
     /// As [`EncryptedIoQueue::poll`].
     pub fn wait(&mut self) -> Result<Vec<IoResult>> {
         let disk: &EncryptedImage = self.disk;
-        self.reap.wait(
-            &mut |state| advance(disk, state),
-            &mut |completion, state| finalize(disk, completion, state),
-        )
+        self.reap
+            .wait(&mut |completion, state| finalize(disk, completion, state))
     }
 
     /// Blocks until **any** in-flight operation has completed — the
@@ -274,10 +240,8 @@ impl<'d> EncryptedIoQueue<'d> {
     /// As [`EncryptedIoQueue::poll`].
     pub fn wait_any(&mut self) -> Result<Vec<IoResult>> {
         let disk: &EncryptedImage = self.disk;
-        self.reap.wait_any(
-            &mut |state| advance(disk, state),
-            &mut |completion, state| finalize(disk, completion, state),
-        )
+        self.reap
+            .wait_any(&mut |completion, state| finalize(disk, completion, state))
     }
 
     /// Full barrier: blocks until **every** submitted operation has
@@ -290,34 +254,8 @@ impl<'d> EncryptedIoQueue<'d> {
     /// As [`EncryptedIoQueue::poll`].
     pub fn fence(&mut self) -> Result<Vec<IoResult>> {
         let disk: &EncryptedImage = self.disk;
-        self.reap.fence(
-            &mut |state| advance(disk, state),
-            &mut |completion, state| finalize(disk, completion, state),
-        )
-    }
-}
-
-/// Builds a read's pending state: the span buffer its extents decrypt
-/// into incrementally, one dispatch-plan slot per request, and the
-/// count of slots still to land (zero-extent spans are born complete).
-fn pending_read(
-    ticket: ReadTicket,
-    span: ReadSpan,
-    offset: u64,
-    len: u64,
-    split: Option<Vec<u64>>,
-) -> PendingState {
-    let buf = vec![0u8; span.batch.len as usize];
-    let slots = span.batch.extents.len();
-    PendingState::Read {
-        ticket,
-        span,
-        offset,
-        len,
-        split,
-        buf,
-        plans: (0..slots).map(|_| Plan::Noop).collect(),
-        remaining: slots,
+        self.reap
+            .fence(&mut |completion, state| finalize(disk, completion, state))
     }
 }
 
@@ -355,18 +293,13 @@ fn finalize(
             offset,
             len,
             split,
-            buf,
-            plans,
-            remaining,
         } => {
-            debug_assert_eq!(remaining, 0, "finalize runs only after advance finished");
             let mut stats = ticket.stats_delta();
             stats.meta_cache_hits = span.hits;
             stats.meta_cache_misses = span.misses;
-            // Every extent already decrypted into `buf` as its shard's
-            // data landed (see `advance`); only assembly remains here.
-            drop(ticket);
-            let dispatch = Plan::par(plans);
+            let (results, dispatch) = ticket.wait().map_err(vdisk_rbd::RbdError::from)?;
+            let mut buf = vec![0u8; span.batch.len as usize];
+            disk.complete_read_span(&span, &results, None, &mut buf)?;
             let start = (offset - span.batch.offset) as usize;
             let data = if start == 0 && len == span.batch.len {
                 buf

@@ -753,9 +753,9 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     }
 
     /// Parks on the doorbell until something changes: a completion
-    /// (shard workers ring per landed part), a scheduling change (the
-    /// runtime rings on freed slots), or — for token-gated backlogs —
-    /// the refill ETA.
+    /// (shard workers ring per finished submission), a scheduling
+    /// change (the runtime rings on freed slots), or — for token-gated
+    /// backlogs — the refill ETA.
     fn park(&mut self, seen: u64, hint: ParkHint) -> Result<(), RuntimeError<Q::Error>> {
         if self.inner.in_flight() > 0 {
             self.bell.wait_past(seen);

@@ -6,9 +6,11 @@
 //! 2. unaligned writes read-modify-write **only the partially-written
 //!    boundary sectors**, never decrypting interior sectors that are
 //!    about to be fully overwritten;
-//! 3. out-of-bounds errors report the true requested end.
+//! 3. out-of-bounds errors report the true requested end;
+//! 4. a queued scatter read whose lengths overflow `u64` is refused at
+//!    submit instead of wrapping past the bounds check.
 
-use vdisk_core::{CryptError, EncryptedImage, EncryptionConfig, MetaLayout};
+use vdisk_core::{CryptError, EncryptedImage, EncryptionConfig, IoOp, MetaLayout};
 use vdisk_crypto::rng::SeededIvSource;
 use vdisk_rados::{Cluster, Transaction};
 use vdisk_rbd::{Image, RbdError};
@@ -164,6 +166,26 @@ fn out_of_bounds_reports_the_true_requested_end() {
         panic!("expected OutOfBounds, got {err:?}");
     };
     assert_eq!(offset, u64::MAX, "overflowing end saturates");
+}
+
+#[test]
+fn queued_readv_lengths_that_overflow_u64_are_out_of_bounds() {
+    // Regression: the u64 sum wrapped to 1, passed the bounds check
+    // in release builds, and panicked inside fence().
+    let (_cluster, mut disk) = make_disk(&EncryptionConfig::luks2_baseline(), 8 << 20);
+    let mut queue = disk.io_queue();
+    let err = queue
+        .submit(IoOp::Readv {
+            offset: 0,
+            lens: vec![u64::MAX, 2],
+        })
+        .unwrap_err();
+    assert!(
+        matches!(err, CryptError::Rbd(RbdError::OutOfBounds { .. })),
+        "expected OutOfBounds, got {err:?}"
+    );
+    assert_eq!(queue.in_flight(), 0, "nothing may stay queued");
+    assert!(queue.fence().unwrap().is_empty());
 }
 
 #[test]

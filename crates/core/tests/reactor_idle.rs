@@ -103,3 +103,49 @@ fn fence_parks_across_multiple_delayed_ops() {
         "fence must park per delayed completion, not spin: {idle} idle passes"
     );
 }
+
+#[test]
+fn a_multi_shard_read_parks_at_most_once() {
+    // Doorbells ring once per submission (when its last shard lands),
+    // not once per shard: a read fanned out over 4 held shards wakes
+    // its reaper a single time, however the releases are staggered.
+    let cluster = Cluster::builder().concurrent_apply(true).build();
+    let image =
+        Image::create_with_object_size(&cluster, "reactor-read", 16 << 20, 1 << 20).unwrap();
+    let mut disk = EncryptedImage::format_with_iv_source(
+        image,
+        &EncryptionConfig::random_iv(MetaLayout::ObjectEnd),
+        b"park",
+        Box::new(SeededIvSource::new(19)),
+    )
+    .unwrap();
+    let len = 4 << 20;
+    disk.write(0, &vec![0x5A; len]).unwrap();
+
+    let holds: Vec<_> = (0..cluster.shard_count())
+        .map(|shard| cluster.hold_shard(shard))
+        .collect();
+    let mut queue = disk.io_queue();
+    queue
+        .submit(IoOp::Read {
+            offset: 0,
+            len: len as u64,
+        })
+        .unwrap();
+    let releaser = std::thread::spawn(move || {
+        for hold in holds {
+            std::thread::sleep(Duration::from_millis(10));
+            drop(hold);
+        }
+    });
+    let done = queue.wait_any().unwrap();
+    releaser.join().unwrap();
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].stats.shard_fanout_max, 4, "the read spans 4 shards");
+    assert_eq!(done[0].payload.data(), &vec![0x5A; len][..]);
+    let idle = queue.idle_passes();
+    assert!(
+        idle <= 1,
+        "one ring per submission means one park: {idle} idle passes"
+    );
+}

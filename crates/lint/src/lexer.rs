@@ -1,6 +1,6 @@
 //! A small hand-rolled Rust lexer: just enough token structure for the
 //! analyses in this crate, in the same no-dependency spirit as the
-//! in-tree proptest/criterion shims.
+//! in-tree proptest shim.
 //!
 //! The scanner understands comments (line, block, doc), string
 //! literals (cooked, raw, byte), char literals vs lifetimes, numbers,

@@ -2,7 +2,7 @@
 //!
 //! Three analyses run over the workspace source, fed by a small
 //! hand-rolled lexer (no `syn`, no registry dependencies — the same
-//! offline discipline as the proptest/criterion shims):
+//! offline discipline as the proptest shim):
 //!
 //! 1. **Secret hygiene** ([`secrets`]): a registry of secret-bearing
 //!    types for which `#[derive(Debug)]`/`#[derive(Clone)]`,
@@ -172,8 +172,16 @@ pub struct Analysis {
     pub lock_graph: locks::LockGraph,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Allow directives that suppressed at least one finding.
-    pub allows_used: usize,
+    /// Findings suppressed by a reasoned allow directive, per rule —
+    /// the standing debt the clean exit status does not show.
+    pub allows_by_rule: std::collections::BTreeMap<Rule, usize>,
+}
+
+impl Analysis {
+    /// Total findings suppressed by allow directives.
+    pub fn allows_used(&self) -> usize {
+        self.allows_by_rule.values().sum()
+    }
 }
 
 /// One lexed+parsed file, shared by the analyses.
@@ -229,7 +237,7 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
     findings.extend(lock_graph.findings.clone());
 
     // Apply line-level suppression to the remaining findings.
-    let mut allows_used = 0usize;
+    let mut allows_by_rule = std::collections::BTreeMap::new();
     let mut kept: Vec<Finding> = Vec::new();
     for finding in findings {
         let suppressed = per_file.get(finding.file.as_str()).is_some_and(|dirs| {
@@ -238,7 +246,7 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
             })
         });
         if suppressed {
-            allows_used += 1;
+            *allows_by_rule.entry(finding.rule).or_insert(0) += 1;
         } else {
             kept.push(finding);
         }
@@ -249,7 +257,7 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
         findings: kept,
         lock_graph,
         files_scanned: prepared.len(),
-        allows_used,
+        allows_by_rule,
     }
 }
 

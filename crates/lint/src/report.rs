@@ -24,10 +24,16 @@ fn json_escape(s: &str) -> String {
 /// JSON document (scripts can `grep '"rule"'` it without a parser).
 pub fn findings_json(analysis: &Analysis) -> String {
     let mut out = String::from("{\n");
+    let by_rule: Vec<String> = analysis
+        .allows_by_rule
+        .iter()
+        .map(|(rule, n)| format!("\"{}\": {n}", rule.as_str()))
+        .collect();
     out.push_str(&format!(
-        "  \"files_scanned\": {},\n  \"allows_used\": {},\n  \"violations\": {},\n",
+        "  \"files_scanned\": {},\n  \"allows_used\": {},\n  \"allows_by_rule\": {{{}}},\n  \"violations\": {},\n",
         analysis.files_scanned,
-        analysis.allows_used,
+        analysis.allows_used(),
+        by_rule.join(", "),
         analysis.findings.len()
     ));
     out.push_str("  \"findings\": [\n");
@@ -76,8 +82,11 @@ pub fn summary(analysis: &Analysis) -> String {
         "vdisk-lint: {} files scanned, {} violations, {} allows in effect\n",
         analysis.files_scanned,
         analysis.findings.len(),
-        analysis.allows_used
+        analysis.allows_used()
     ));
+    for (rule, n) in &analysis.allows_by_rule {
+        out.push_str(&format!("  allow({}): {n}\n", rule.as_str()));
+    }
     out.push_str(&format!(
         "lock-order: {} classes, {} edges, {} cycles ({} edges suppressed)\n",
         analysis.lock_graph.classes.len(),

@@ -252,7 +252,16 @@ pub fn justified(v: &[u8]) -> u8 {
 ";
     let a = run(&[("crates/fix/src/hot.rs", src)], &fixture_config());
     assert!(a.findings.is_empty(), "{:?}", a.findings);
-    assert_eq!(a.allows_used, 2);
+    assert_eq!(a.allows_used(), 2);
+    // The suppression count is reported per rule, in both outputs.
+    let json = vdisk_lint::report::findings_json(&a);
+    assert!(
+        json.contains("\"allows_by_rule\": {\"hot-path-panic\": 1, \"hot-path-index\": 1}"),
+        "{json}"
+    );
+    let summary = vdisk_lint::report::summary(&a);
+    assert!(summary.contains("allow(hot-path-index): 1"), "{summary}");
+    assert!(summary.contains("allow(hot-path-panic): 1"), "{summary}");
 }
 
 #[test]
@@ -508,7 +517,7 @@ pub fn double(p: &Plain) -> u64 {
     let a = run(&[("crates/fix/src/cold.rs", src)], &fixture_config());
     assert!(a.findings.is_empty());
     assert_eq!(a.files_scanned, 1);
-    assert_eq!(a.allows_used, 0);
+    assert_eq!(a.allows_used(), 0);
     assert!(a.lock_graph.classes.is_empty());
 }
 

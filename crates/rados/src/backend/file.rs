@@ -105,31 +105,16 @@ impl FileStore {
     }
 
     /// One replica's durable write, with the fault plane's crash point
-    /// threaded through: the temp file is written and synced, then the
-    /// plane decides whether this commit is the one that dies — if so
-    /// the rename never happens and the torn `.tmp` stays on disk,
-    /// exactly what a host crash between those two syscalls leaves.
+    /// threaded through [`write_durable`]: when the plane decides this
+    /// commit is the one that dies, the rename never happens and the
+    /// torn `.tmp` stays on disk, exactly what a host crash between
+    /// those two syscalls leaves.
     fn commit_write(&self, path: &Path, bytes: &[u8]) -> Result<()> {
-        let Some(plane) = &self.faults else {
-            return write_durable(path, bytes)
-                .map_err(|e| RadosError::Io(format!("commit write: {e}")));
-        };
-        let dir = path.parent().expect("object paths have a parent");
-        let tmp = path.with_extension("tmp");
-        (|| -> io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()
-        })()
-        .map_err(|e| RadosError::Io(format!("commit write: {e}")))?;
-        if plane.commit_crashes() {
-            return Err(self.crash_error());
+        match write_durable(path, bytes, self.faults.as_deref()) {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(self.crash_error()),
+            Err(e) => Err(RadosError::Io(format!("commit write: {e}"))),
         }
-        (|| -> io::Result<()> {
-            fs::rename(&tmp, path)?;
-            sync_dir(dir)
-        })()
-        .map_err(|e| RadosError::Io(format!("commit write: {e}")))
     }
 }
 
@@ -246,8 +231,15 @@ fn unescape_name(escaped: &str) -> Option<String> {
 
 /// Writes `bytes` to `path` atomically and durably: temp file in the
 /// same directory, `fsync`, rename over the target, `fsync` the
-/// directory.
-pub(crate) fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// directory. A fault plane, when given, is consulted between the temp
+/// file's `fsync` and the rename: if this commit is its crash point the
+/// write stops there — `Ok(false)`, the synced `.tmp` left behind.
+/// `Ok(true)` means the new version is in place.
+pub(crate) fn write_durable(
+    path: &Path,
+    bytes: &[u8],
+    faults: Option<&FaultPlane>,
+) -> io::Result<bool> {
     let dir = path
         .parent()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path without a parent dir"))?;
@@ -257,8 +249,12 @@ pub(crate) fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
         f.write_all(bytes)?;
         f.sync_all()?;
     }
+    if faults.is_some_and(FaultPlane::commit_crashes) {
+        return Ok(false);
+    }
     fs::rename(&tmp, path)?;
-    sync_dir(dir)
+    sync_dir(dir)?;
+    Ok(true)
 }
 
 /// Unlinks `path` durably (`fsync` of the directory); absent files are
@@ -312,7 +308,7 @@ impl ClusterMeta {
 
     /// Durably writes the meta file under `root`.
     pub(crate) fn store(&self, root: &Path) -> io::Result<()> {
-        write_durable(Self::path(root).as_path(), self.render().as_bytes())
+        write_durable(Self::path(root).as_path(), self.render().as_bytes(), None).map(drop)
     }
 
     fn render(&self) -> String {

@@ -168,8 +168,6 @@ pub struct ClusterBuilder {
     shard_count: usize,
     concurrent_apply: Option<bool>,
     payload: PayloadMode,
-    testbed: TestbedProfile,
-    kv_cost: CostProfile,
     meta_cache_bytes: u64,
     crypto_lanes: Option<usize>,
     backend: BackendKind,
@@ -191,8 +189,6 @@ impl Default for ClusterBuilder {
             shard_count: 8,
             concurrent_apply: None,
             payload: PayloadMode::Stored,
-            testbed: TestbedProfile::default(),
-            kv_cost: CostProfile::default(),
             meta_cache_bytes: DEFAULT_META_CACHE_BYTES,
             crypto_lanes: None,
             backend,
@@ -275,20 +271,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn payload_mode(mut self, mode: PayloadMode) -> Self {
         self.payload = mode;
-        self
-    }
-
-    /// Overrides the hardware cost profile.
-    #[must_use]
-    pub fn testbed(mut self, testbed: TestbedProfile) -> Self {
-        self.testbed = testbed;
-        self
-    }
-
-    /// Overrides the OMAP KV cost profile.
-    #[must_use]
-    pub fn kv_cost(mut self, kv_cost: CostProfile) -> Self {
-        self.kv_cost = kv_cost;
         self
     }
 
@@ -414,8 +396,10 @@ impl ClusterBuilder {
         // The simulated client-crypto resource must have exactly as
         // many servers as the encryption layer has lanes, or simulated
         // crypto time would diverge from the real parallel work.
-        let mut testbed = self.testbed;
-        testbed.crypto_servers = crypto_lanes;
+        let testbed = TestbedProfile {
+            crypto_servers: crypto_lanes,
+            ..TestbedProfile::default()
+        };
         let handles = testbed.install(&mut sim, self.osd_count);
         let placement = PlacementMap::new(self.osd_count, self.replicas, self.pg_count);
 
@@ -494,7 +478,7 @@ impl ClusterBuilder {
             placement,
             handles,
             testbed,
-            self.kv_cost,
+            CostProfile::default(),
             self.payload,
             self.shard_count,
             workers,

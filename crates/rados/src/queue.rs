@@ -309,8 +309,8 @@ fn with_retries<T>(
 /// A parking/wakeup completion signal shared between a reaping client
 /// and the shard workers: a generation counter plus a condvar.
 ///
-/// Workers **ring** the bell every time a slot of a subscribed
-/// submission completes (see [`ApplyTicket::subscribe`] /
+/// Workers **ring** the bell once per subscribed submission, when its
+/// last slot completes (see [`ApplyTicket::subscribe`] /
 /// [`ReadTicket::subscribe`]). A reaper snapshots the
 /// [`generation`](Doorbell::generation) *before* scanning its pending
 /// operations for progress and, if nothing is ready, parks in
@@ -412,11 +412,9 @@ struct ProgressState<T> {
     slots: Vec<Option<T>>,
     remaining: usize,
     poisoned: bool,
-    /// Bells rung on every slot completion (and on poison), so reapers
-    /// parked on a [`Doorbell`] wake as each shard's part lands.
+    /// Bells rung once, when the last slot completes (or on poison),
+    /// so reapers parked on a [`Doorbell`] wake per finished submission.
     subscribers: Vec<Arc<Doorbell>>,
-    /// Slots already drained by [`Progress::take_ready`].
-    taken: usize,
 }
 
 impl<T> Progress<T> {
@@ -427,7 +425,6 @@ impl<T> Progress<T> {
                 remaining: items,
                 poisoned: false,
                 subscribers: Vec::new(),
-                taken: 0,
             }),
             cv: Condvar::new(),
         }
@@ -437,9 +434,9 @@ impl<T> Progress<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Fills completed slots; signals waiters when the last slot lands
-    /// and rings every subscribed doorbell on **each** call, so parked
-    /// reapers wake per shard rather than per submission.
+    /// Fills completed slots; when the last slot lands, signals waiters
+    /// and rings every subscribed doorbell — once per submission, since
+    /// completion is all a reaper can act on.
     pub(crate) fn complete(&self, items: Vec<(usize, T)>) {
         let mut guard = self.lock();
         for (i, item) in items {
@@ -449,10 +446,11 @@ impl<T> Progress<T> {
             guard.slots[i] = Some(item);
             guard.remaining -= 1;
         }
-        if guard.remaining == 0 {
-            self.cv.notify_all();
+        if guard.remaining > 0 {
+            return;
         }
-        let bells = guard.subscribers.clone();
+        self.cv.notify_all();
+        let bells = std::mem::take(&mut guard.subscribers);
         drop(guard);
         for bell in bells {
             bell.ring();
@@ -471,40 +469,17 @@ impl<T> Progress<T> {
         }
     }
 
-    /// Registers a bell to ring on every future slot completion. Rings
-    /// it immediately if the submission is already done, so a reaper
+    /// Registers a bell to ring when the submission completes. Rings it
+    /// immediately if the submission is already done, so a reaper
     /// subscribing late never parks past a finished op.
     pub(crate) fn subscribe(&self, bell: &Arc<Doorbell>) {
         let mut guard = self.lock();
-        guard.subscribers.push(Arc::clone(bell));
-        let done = guard.remaining == 0 || guard.poisoned;
-        drop(guard);
-        if done {
+        if guard.remaining == 0 || guard.poisoned {
+            drop(guard);
             bell.ring();
+        } else {
+            guard.subscribers.push(Arc::clone(bell));
         }
-    }
-
-    /// Drains every completed-but-undrained slot without blocking,
-    /// returning `(slot, item)` pairs plus the number of slots still
-    /// undrained. Use either this **or** [`Progress::wait`] on one
-    /// submission, never both.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard worker panicked while serving this submission
-    /// (as [`Progress::wait`]).
-    pub(crate) fn take_ready(&self) -> (Vec<(usize, T)>, usize) {
-        let mut guard = self.lock();
-        assert!(!guard.poisoned, "shard worker panicked");
-        let mut items = Vec::new();
-        for (i, slot) in guard.slots.iter_mut().enumerate() {
-            if let Some(item) = slot.take() {
-                items.push((i, item));
-            }
-        }
-        guard.taken += items.len();
-        let undrained = guard.slots.len() - guard.taken;
-        (items, undrained)
     }
 
     /// True once every slot has completed.
@@ -661,9 +636,9 @@ impl ApplyTicket {
         self.shared.progress.is_done()
     }
 
-    /// Registers `bell` to be rung each time a shard finishes its part
-    /// of this submission (and once more if it is already complete), so
-    /// a reaper can park on the bell instead of polling
+    /// Registers `bell` to be rung once, when the last shard finishes
+    /// its part of this submission (immediately if it is already
+    /// complete), so a reaper can park on the bell instead of polling
     /// [`ApplyTicket::is_complete`].
     pub fn subscribe(&self, bell: &Arc<Doorbell>) {
         self.shared.progress.subscribe(bell);
@@ -734,44 +709,12 @@ impl ReadTicket {
         self.shared.progress.is_done()
     }
 
-    /// Registers `bell` to be rung each time a shard finishes its part
-    /// of this submission (and once more if it is already complete), so
-    /// a reaper can park on the bell and drain landed results
-    /// incrementally via [`ReadTicket::take_ready`].
+    /// Registers `bell` to be rung once, when the last shard finishes
+    /// its part of this submission (immediately if it is already
+    /// complete), so a reaper can park on the bell instead of polling
+    /// [`ReadTicket::is_complete`].
     pub fn subscribe(&self, bell: &Arc<Doorbell>) {
         self.shared.progress.subscribe(bell);
-    }
-
-    /// Drains the request slots whose results have already landed,
-    /// without blocking: one `(slot, results, plan)` triple per newly
-    /// completed request, where `results` is `None` for objects absent
-    /// now or at the snapshot. Closes the queue-depth bracket once the
-    /// last slot is drained. Use either this **or**
-    /// [`ReadTicket::wait`] on one ticket, never both.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error other than a missing object/snapshot;
-    /// the submission should be abandoned then.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard worker panicked while serving.
-    #[allow(clippy::type_complexity)]
-    pub fn take_ready(&mut self) -> crate::Result<Vec<(usize, Option<Vec<ReadResult>>, Plan)>> {
-        let (items, undrained) = self.shared.progress.take_ready();
-        if undrained == 0 {
-            self.depth.close();
-        }
-        let mut out = Vec::with_capacity(items.len());
-        for (i, outcome) in items {
-            match outcome {
-                ReadOutcome::Hit(res, plan) => out.push((i, Some(res), plan)),
-                ReadOutcome::Miss(_, plan) => out.push((i, None, plan)),
-                ReadOutcome::Fail(e) => return Err(e),
-            }
-        }
-        Ok(out)
     }
 
     /// Blocks until the submission has fully completed. Returns one
@@ -859,22 +802,36 @@ mod tests {
     }
 
     #[test]
-    fn doorbell_rings_on_every_partial_completion() {
+    fn doorbell_rings_once_per_submission() {
         let p: Progress<u32> = Progress::new(2);
         let bell = Doorbell::new();
         p.subscribe(&bell);
         let g0 = bell.generation();
         p.complete(vec![(1, 10)]);
-        let g1 = bell.wait_past(g0);
-        assert!(g1 > g0, "each slot completion must ring the bell");
-        let (items, undrained) = p.take_ready();
-        assert_eq!(items, vec![(1, 10)]);
-        assert_eq!(undrained, 1);
+        assert_eq!(
+            bell.generation(),
+            g0,
+            "a partial completion is nothing a reaper can act on"
+        );
+        assert!(!p.is_done());
         p.complete(vec![(0, 0)]);
-        bell.wait_past(g1);
-        let (items, undrained) = p.take_ready();
-        assert_eq!(items, vec![(0, 0)]);
-        assert_eq!(undrained, 0);
+        assert_eq!(
+            bell.wait_past(g0),
+            g0 + 1,
+            "the last slot rings the bell exactly once"
+        );
+        assert_eq!(p.wait(), vec![0, 10]);
+    }
+
+    #[test]
+    fn poison_rings_subscribed_doorbells() {
+        let p: Progress<u32> = Progress::new(2);
+        let bell = Doorbell::new();
+        p.subscribe(&bell);
+        let g0 = bell.generation();
+        p.poison();
+        assert_eq!(bell.wait_past(g0), g0 + 1);
+        assert!(p.is_done(), "a poisoned submission reports done");
     }
 
     #[test]

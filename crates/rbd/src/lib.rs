@@ -40,7 +40,7 @@ pub use striping::{ObjectExtent, Striper};
 /// reap engine. Not part of the supported API surface.
 #[doc(hidden)]
 pub mod queue_engine {
-    pub use crate::queue::{PendingOp, ReapQueue};
+    pub use crate::queue::{readv_len, PendingOp, ReapQueue};
 }
 
 use std::error::Error as StdError;

@@ -87,6 +87,24 @@ pub enum IoOp {
     },
 }
 
+/// Total bytes of a scatter read over an image of `size` bytes. A sum
+/// that overflows `u64` exceeds any image, so it is reported the way
+/// an overflowing end offset is; shared with the encrypted queue in
+/// `vdisk-core`.
+///
+/// # Errors
+///
+/// Returns [`crate::RbdError::OutOfBounds`] on overflow.
+#[doc(hidden)]
+pub fn readv_len(lens: &[u64], size: u64) -> Result<u64> {
+    lens.iter()
+        .try_fold(0u64, |sum, &len| sum.checked_add(len))
+        .ok_or(crate::RbdError::OutOfBounds {
+            offset: u64::MAX,
+            size,
+        })
+}
+
 /// Token identifying a submitted operation; returned again in its
 /// [`IoResult`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,31 +209,37 @@ pub struct IoResult {
 }
 
 /// Per-op pending state usable with [`ReapQueue`]: at submission the
-/// engine subscribes each op's completion signal(s) to the queue's
-/// [`Doorbell`], so shard workers ring the reaper as parts land.
+/// engine subscribes the op's completion signal to the queue's
+/// [`Doorbell`], so the shard worker that lands its last part rings
+/// the reaper.
 #[doc(hidden)]
 pub trait PendingOp {
-    /// Subscribes the op's completion signal(s) to `bell`.
+    /// Subscribes the op's completion signal to `bell`.
     fn subscribe(&self, bell: &Arc<Doorbell>);
+
+    /// True once every part of the op has landed: `finalize` will not
+    /// block. Completion is one bit — there is no partial progress to
+    /// act on.
+    fn is_complete(&self) -> bool;
 }
 
 /// The submission-tracking/reap engine shared by this queue and the
 /// encrypted queue in `vdisk-core`, generic over the per-op pending
-/// state: completion-id allotment, the poll/wait/fence scan order, the
+/// state: completion-id allotment, the poll/wait/fence walk order, the
 /// parked (zero-spin) blocking protocol, and the error-retention rule
-/// (a failed advance or finalize consumes exactly one op; completions
-/// already finalized stay staged and are delivered by the next reap
-/// call) live in exactly one place.
+/// (a failed finalize consumes exactly one op; completions already
+/// finalized stay staged and are delivered by the next reap call) live
+/// in exactly one place.
 ///
 /// **Completion model**: every pushed op subscribes the queue's
-/// [`Doorbell`] (see [`PendingOp`]); shard workers ring it as each
-/// part of a submission completes. A blocking reap snapshots the
-/// bell's generation, runs `advance` over the candidate op(s) — which
-/// may make incremental progress, e.g. decrypting extents whose data
-/// has landed — and, if nothing finished, parks in
-/// [`Doorbell::wait_past`]. Rings after the snapshot bump the
-/// generation, so completions can never be slept through, and an idle
-/// wait burns no CPU.
+/// [`Doorbell`] (see [`PendingOp`]); shard workers ring it once per
+/// submission, when its last part lands. A reap walks the pending ops
+/// and finalizes those that are complete — all of an op's client-side
+/// work (assembly, decryption) happens in `finalize`. A blocking reap
+/// snapshots the bell's generation before it walks and, if nothing was
+/// complete, parks in [`Doorbell::wait_past`]. Rings after the snapshot
+/// bump the generation, so completions can never be slept through, and
+/// an idle wait burns no CPU.
 #[doc(hidden)]
 pub struct ReapQueue<P> {
     pending: VecDeque<(u64, P)>,
@@ -224,17 +248,13 @@ pub struct ReapQueue<P> {
     completed: Vec<IoResult>,
     next_id: u64,
     /// The queue's doorbell: every pending op is subscribed at push
-    /// time, and shard workers ring it as each part completes.
+    /// time, and shard workers ring it as each submission completes.
     bell: Arc<Doorbell>,
     /// Times a blocking reap found nothing finished and parked — the
     /// observable proof that waiting is event-driven, not a spin (a
     /// busy-wait implementation would count thousands of passes per
     /// delayed completion; parking counts one per wakeup).
     idle_passes: u64,
-    /// Where the next [`ReapQueue::wait_any`] pass starts its advance
-    /// scan; incremented every pass so service order rotates over the
-    /// pending set instead of always favouring the oldest submission.
-    scan_start: usize,
     /// Completion ids of ops consumed by a reap error and not yet
     /// collected via [`ReapQueue::take_failed`]. Runtimes layered
     /// above (the multi-tenant arbiter in `vdisk-core`) account
@@ -251,7 +271,6 @@ impl<P> Default for ReapQueue<P> {
             next_id: 0,
             bell: Doorbell::new(),
             idle_passes: 0,
-            scan_start: 0,
             failed: Vec::new(),
         }
     }
@@ -267,9 +286,7 @@ impl<P: PendingOp> ReapQueue<P> {
         self.pending.push_back((id, state));
         Completion(id)
     }
-}
 
-impl<P> ReapQueue<P> {
     /// Ops submitted and not yet reaped.
     #[must_use]
     pub fn in_flight(&self) -> usize {
@@ -285,8 +302,8 @@ impl<P> ReapQueue<P> {
         self.idle_passes
     }
 
-    /// The queue's completion doorbell. Shard workers ring it as parts
-    /// of submissions land; runtimes layered above (the multi-tenant
+    /// The queue's completion doorbell. Shard workers ring it as
+    /// submissions complete; runtimes layered above (the multi-tenant
     /// arbiter in `vdisk-core`) ring it to wake a reaper parked here
     /// when a scheduling decision — not a completion — changes what
     /// the owning thread should do next.
@@ -304,123 +321,71 @@ impl<P> ReapQueue<P> {
         std::mem::take(&mut self.failed)
     }
 
-    /// Reaps every op `advance` reports finished, without blocking, in
-    /// submission order. `advance` may make incremental progress on an
-    /// op (it is called repeatedly and must be idempotent once the op
-    /// has finished).
+    /// Reaps every complete op without blocking, in submission order.
     ///
     /// # Errors
     ///
-    /// Propagates the first advance or finalize error; that op is
-    /// consumed with it, while completions already finalized stay
-    /// staged for the next reap call.
+    /// Propagates the first finalize error; that op is consumed with
+    /// it, while completions already finalized stay staged for the
+    /// next reap call.
     pub fn poll<E>(
         &mut self,
-        advance: &mut impl FnMut(&mut P) -> std::result::Result<bool, E>,
         finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
     ) -> std::result::Result<Vec<IoResult>, E> {
-        let mut i = 0;
-        while i < self.pending.len() {
-            // vdisk-lint: allow(hot-path-index) reason="loop condition keeps i < pending.len(), and removals restart the check"
-            match advance(&mut self.pending[i].1) {
-                Ok(true) => {
-                    // vdisk-lint: allow(hot-path-panic) reason="i < pending.len() per the loop condition, so remove returns Some"
-                    let (id, state) = self.pending.remove(i).expect("index in range");
-                    match finalize(Completion(id), state) {
-                        Ok(result) => self.completed.push(result),
-                        Err(e) => {
-                            self.failed.push(id);
-                            return Err(e);
-                        }
-                    }
-                }
-                Ok(false) => i += 1,
-                Err(e) => {
-                    // vdisk-lint: allow(hot-path-panic) reason="i < pending.len() per the loop condition, so remove returns Some"
-                    let (id, _) = self.pending.remove(i).expect("index in range");
-                    self.failed.push(id);
-                    return Err(e);
-                }
-            }
-        }
+        self.walk(finalize)?;
         Ok(std::mem::take(&mut self.completed))
     }
 
-    /// Parks until the oldest outstanding op finishes, finalizes it,
-    /// then reaps everything else finished. Empty when idle.
+    /// Parks until the oldest outstanding op completes, then reaps it
+    /// and everything else complete. Empty when idle.
     ///
     /// # Errors
     ///
     /// As [`ReapQueue::poll`].
     pub fn wait<E>(
         &mut self,
-        advance: &mut impl FnMut(&mut P) -> std::result::Result<bool, E>,
         finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
     ) -> std::result::Result<Vec<IoResult>, E> {
-        if !self.pending.is_empty() {
-            self.park_until_front_finishes(advance)?;
-            // vdisk-lint: allow(hot-path-panic) reason="guarded by the is_empty check above; parking removes nothing"
-            let (id, state) = self.pending.pop_front().expect("checked non-empty");
-            match finalize(Completion(id), state) {
-                Ok(result) => self.completed.push(result),
-                Err(e) => {
-                    self.failed.push(id);
-                    return Err(e);
-                }
-            }
-        }
-        self.poll(advance, finalize)
+        self.park_until_front_completes();
+        self.poll(finalize)
     }
 
-    /// Parks until **any** outstanding op is finished — not
-    /// necessarily the oldest — then reaps everything finished. Where
+    /// Parks until **any** outstanding op is complete — not
+    /// necessarily the oldest — then reaps everything complete. Where
     /// [`ReapQueue::wait`] parks on the head of the FIFO (head-of-line
     /// blocking when a slow op leads faster ones), this reaps
     /// completions out of submission order as soon as they land — the
     /// primitive a pipelined driver needs to keep its window full at
     /// high queue depth. Empty when idle.
     ///
+    /// **One walk per doorbell generation**: `finalize` does real work
+    /// (an encrypted read decrypts there), so ops can land while a walk
+    /// is busy. Returning without them would leave each waiting a whole
+    /// extra driver cycle; re-walking unconditionally would take every
+    /// pending op's completion lock again for nothing. So the walk
+    /// repeats exactly when the bell rang during a walk that finalized
+    /// something.
+    ///
     /// # Errors
     ///
     /// As [`ReapQueue::poll`].
     pub fn wait_any<E>(
         &mut self,
-        advance: &mut impl FnMut(&mut P) -> std::result::Result<bool, E>,
         finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
     ) -> std::result::Result<Vec<IoResult>, E> {
-        if self.pending.is_empty() {
-            return Ok(std::mem::take(&mut self.completed));
-        }
-        loop {
+        while !self.pending.is_empty() {
             let seen = self.bell.generation();
-            let mut any_finished = false;
-            // Rotate the scan start each pass. `advance` may do real
-            // work (an encrypted read decrypts extents as they land),
-            // so a fixed submission-order scan would service a hot
-            // early ticket first on every pass while a fully-landed
-            // later ticket waits behind that work indefinitely.
-            let len = self.pending.len();
-            let start = self.scan_start % len;
-            self.scan_start = self.scan_start.wrapping_add(1);
-            for step in 0..len {
-                let i = (start + step) % len;
-                // vdisk-lint: allow(hot-path-index) reason="i is reduced modulo pending.len(), and nothing is removed until the loop exits"
-                match advance(&mut self.pending[i].1) {
-                    Ok(finished) => any_finished |= finished,
-                    Err(e) => {
-                        // vdisk-lint: allow(hot-path-panic) reason="i is reduced modulo pending.len(), so remove returns Some"
-                        let (id, _) = self.pending.remove(i).expect("index in range");
-                        self.failed.push(id);
-                        return Err(e);
-                    }
-                }
+            let finalized = self.walk(finalize)?;
+            if finalized > 0 && self.bell.generation() != seen {
+                continue;
             }
-            if any_finished {
-                return self.poll(advance, finalize);
+            if !self.completed.is_empty() {
+                break;
             }
             self.idle_passes += 1;
             self.bell.wait_past(seen);
         }
+        Ok(std::mem::take(&mut self.completed))
     }
 
     /// Finalizes every outstanding op in submission order — the full
@@ -432,45 +397,72 @@ impl<P> ReapQueue<P> {
     /// As [`ReapQueue::poll`].
     pub fn fence<E>(
         &mut self,
-        advance: &mut impl FnMut(&mut P) -> std::result::Result<bool, E>,
         finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
     ) -> std::result::Result<Vec<IoResult>, E> {
-        while !self.pending.is_empty() {
-            self.park_until_front_finishes(advance)?;
-            // vdisk-lint: allow(hot-path-panic) reason="guarded by the loop's is_empty check; parking removes nothing"
-            let (id, state) = self.pending.pop_front().expect("checked non-empty");
-            match finalize(Completion(id), state) {
-                Ok(result) => self.completed.push(result),
-                Err(e) => {
-                    self.failed.push(id);
-                    return Err(e);
-                }
+        loop {
+            self.park_until_front_completes();
+            let Some((id, state)) = self.pending.pop_front() else {
+                return Ok(std::mem::take(&mut self.completed));
+            };
+            self.finalize_one(id, state, finalize)?;
+        }
+    }
+
+    /// One pass over the pending ops in submission order, finalizing
+    /// (and staging) each one that is complete. Returns how many it
+    /// finalized.
+    fn walk<E>(
+        &mut self,
+        finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
+    ) -> std::result::Result<usize, E> {
+        let mut finalized = 0;
+        let mut i = 0;
+        while let Some((_, state)) = self.pending.get(i) {
+            if !state.is_complete() {
+                i += 1;
+                continue;
+            }
+            let Some((id, state)) = self.pending.remove(i) else {
+                break;
+            };
+            self.finalize_one(id, state, finalize)?;
+            finalized += 1;
+        }
+        Ok(finalized)
+    }
+
+    /// Finalizes one op removed from `pending`: its result is staged,
+    /// or its id recorded as failed and the error propagated.
+    fn finalize_one<E>(
+        &mut self,
+        id: u64,
+        state: P,
+        finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
+    ) -> std::result::Result<(), E> {
+        match finalize(Completion(id), state) {
+            Ok(result) => {
+                self.completed.push(result);
+                Ok(())
+            }
+            Err(e) => {
+                self.failed.push(id);
+                Err(e)
             }
         }
-        Ok(std::mem::take(&mut self.completed))
     }
 
     /// The parked blocking protocol on the FIFO head: snapshot the
-    /// bell, try to advance, park past the snapshot if unfinished.
-    fn park_until_front_finishes<E>(
-        &mut self,
-        advance: &mut impl FnMut(&mut P) -> std::result::Result<bool, E>,
-    ) -> std::result::Result<(), E> {
+    /// bell, check the head, park past the snapshot if it is still in
+    /// flight. Returns at once when idle.
+    fn park_until_front_completes(&mut self) {
         loop {
             let seen = self.bell.generation();
-            // vdisk-lint: allow(hot-path-index) reason="every caller checks pending is non-empty before parking on its front op"
-            match advance(&mut self.pending[0].1) {
-                Ok(true) => return Ok(()),
-                Ok(false) => {
+            match self.pending.front() {
+                Some((_, state)) if !state.is_complete() => {
                     self.idle_passes += 1;
                     self.bell.wait_past(seen);
                 }
-                Err(e) => {
-                    // vdisk-lint: allow(hot-path-panic) reason="every caller checks pending is non-empty before parking on its front op"
-                    let (id, _) = self.pending.pop_front().expect("checked non-empty");
-                    self.failed.push(id);
-                    return Err(e);
-                }
+                _ => return,
             }
         }
     }
@@ -487,20 +479,18 @@ enum PendingState {
     },
 }
 
-impl PendingState {
-    fn is_complete(&self) -> bool {
-        match self {
-            PendingState::Write(ticket) => ticket.is_complete(),
-            PendingState::Read { ticket, .. } => ticket.is_complete(),
-        }
-    }
-}
-
 impl PendingOp for PendingState {
     fn subscribe(&self, bell: &Arc<Doorbell>) {
         match self {
             PendingState::Write(ticket) => ticket.subscribe(bell),
             PendingState::Read { ticket, .. } => ticket.subscribe(bell),
+        }
+    }
+
+    fn is_complete(&self) -> bool {
+        match self {
+            PendingState::Write(ticket) => ticket.is_complete(),
+            PendingState::Read { ticket, .. } => ticket.is_complete(),
         }
     }
 }
@@ -544,8 +534,8 @@ impl IoQueue {
         self.reap.idle_passes()
     }
 
-    /// The queue's completion doorbell: shard workers ring it as parts
-    /// of submissions land, and runtimes layered above ring it when a
+    /// The queue's completion doorbell: shard workers ring it as
+    /// submissions complete, and runtimes layered above ring it when a
     /// scheduling change should wake a parked owner.
     #[must_use]
     pub fn doorbell(&self) -> Arc<Doorbell> {
@@ -585,7 +575,7 @@ impl IoQueue {
                 }
             }
             IoOp::Readv { offset, lens } => {
-                let len = lens.iter().sum();
+                let len = readv_len(&lens, self.image.size())?;
                 let (ticket, extents) = self.image.submit_read(None, offset, len)?;
                 PendingState::Read {
                     ticket,
@@ -642,7 +632,7 @@ impl IoQueue {
     /// finalized (in this pass or an earlier failed one) are retained
     /// and delivered by the next reap call.
     pub fn poll(&mut self) -> Result<Vec<IoResult>> {
-        self.reap.poll(&mut Self::advance, &mut Self::finalize)
+        self.reap.poll(&mut Self::finalize)
     }
 
     /// Blocks until at least one operation completes (the oldest
@@ -653,7 +643,7 @@ impl IoQueue {
     ///
     /// As [`IoQueue::poll`].
     pub fn wait(&mut self) -> Result<Vec<IoResult>> {
-        self.reap.wait(&mut Self::advance, &mut Self::finalize)
+        self.reap.wait(&mut Self::finalize)
     }
 
     /// Blocks until **any** in-flight operation has completed — the
@@ -668,7 +658,7 @@ impl IoQueue {
     ///
     /// As [`IoQueue::poll`].
     pub fn wait_any(&mut self) -> Result<Vec<IoResult>> {
-        self.reap.wait_any(&mut Self::advance, &mut Self::finalize)
+        self.reap.wait_any(&mut Self::finalize)
     }
 
     /// Full barrier: blocks until **every** submitted operation has
@@ -680,11 +670,7 @@ impl IoQueue {
     ///
     /// As [`IoQueue::poll`].
     pub fn fence(&mut self) -> Result<Vec<IoResult>> {
-        self.reap.fence(&mut Self::advance, &mut Self::finalize)
-    }
-
-    fn advance(state: &mut PendingState) -> Result<bool> {
-        Ok(state.is_complete())
+        self.reap.fence(&mut Self::finalize)
     }
 
     fn finalize(completion: Completion, state: PendingState) -> Result<IoResult> {
@@ -866,46 +852,56 @@ mod tests {
     }
 
     #[test]
-    fn wait_any_rotates_its_scan_start_across_passes() {
-        // Regression: wait_any used to scan strictly in submission
-        // order, so ticket 0 was always serviced first — a hot early
-        // ticket could shadow later completions forever. With the
-        // rotating start, the first-probed slot must cycle.
-        struct Slot(usize);
-        impl PendingOp for Slot {
+    fn wait_any_returns_ops_that_land_during_a_finalize() {
+        // Pins the one-walk-per-generation rule without a timer: B
+        // leads A in submission order and is still in flight when the
+        // walk passes it; A's finalize (standing in for a decrypt)
+        // takes long enough for B to land and ring the bell. A single
+        // walk would return A alone and leave B waiting a whole driver
+        // cycle — the re-walk on a moved generation returns both.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        struct Fake {
+            done: Arc<AtomicBool>,
+            /// Completed (and rung) during this op's finalize.
+            lands_during_finalize: Option<Arc<AtomicBool>>,
+        }
+        impl PendingOp for Fake {
             fn subscribe(&self, _bell: &Arc<Doorbell>) {}
-        }
-        let mut q: ReapQueue<Slot> = ReapQueue::default();
-        let mut first_probed = Vec::new();
-        for _ in 0..4 {
-            for slot in 0..3 {
-                q.push(Slot(slot));
+            fn is_complete(&self) -> bool {
+                self.done.load(Ordering::SeqCst)
             }
-            let mut first = None;
-            let done = q
-                .wait_any::<()>(
-                    &mut |p| {
-                        first.get_or_insert(p.0);
-                        Ok(true)
-                    },
-                    &mut |completion, _| {
-                        Ok(IoResult {
-                            completion,
-                            plan: Plan::seq([]),
-                            payload: IoPayload::None,
-                            stats: ExecStats::default(),
-                        })
-                    },
-                )
-                .unwrap();
-            assert_eq!(done.len(), 3);
-            first_probed.push(first.unwrap());
         }
-        assert_eq!(
-            first_probed,
-            vec![0, 1, 2, 0],
-            "the wait_any scan start must rotate over the pending set"
-        );
+        let mut q: ReapQueue<Fake> = ReapQueue::default();
+        let bell = q.doorbell();
+        let b_done = Arc::new(AtomicBool::new(false));
+        let b = q.push(Fake {
+            done: Arc::clone(&b_done),
+            lands_during_finalize: None,
+        });
+        let a = q.push(Fake {
+            done: Arc::new(AtomicBool::new(true)),
+            lands_during_finalize: Some(b_done),
+        });
+        let mut finalize_calls = 0;
+        let done = q
+            .wait_any::<()>(&mut |completion, op| {
+                finalize_calls += 1;
+                if let Some(other) = op.lands_during_finalize {
+                    other.store(true, Ordering::SeqCst);
+                    bell.ring();
+                }
+                Ok(IoResult {
+                    completion,
+                    plan: Plan::seq([]),
+                    payload: IoPayload::None,
+                    stats: ExecStats::default(),
+                })
+            })
+            .unwrap();
+        let ids: Vec<Completion> = done.iter().map(|r| r.completion).collect();
+        assert_eq!(ids, vec![a, b], "one wait_any call must return both ops");
+        assert_eq!(finalize_calls, 2);
+        assert_eq!(q.idle_passes(), 0, "nothing here ever parks");
     }
 
     #[test]
@@ -925,6 +921,22 @@ mod tests {
             })
             .is_err());
         assert_eq!(q.in_flight(), 0);
+    }
+
+    #[test]
+    fn readv_lengths_that_overflow_u64_are_out_of_bounds() {
+        // Regression: the u64 sum wrapped to 1, passed the bounds
+        // check in release builds, and panicked at reap.
+        let mut q = queue();
+        let err = q
+            .submit(IoOp::Readv {
+                offset: 0,
+                lens: vec![u64::MAX, 2],
+            })
+            .unwrap_err();
+        assert!(matches!(err, crate::RbdError::OutOfBounds { .. }), "{err}");
+        assert_eq!(q.in_flight(), 0, "nothing may stay queued");
+        assert!(q.fence().unwrap().is_empty());
     }
 
     #[test]
