@@ -63,8 +63,8 @@ fn pattern() -> Vec<u8> {
     data
 }
 
-/// One replica so each transaction is exactly one durable commit: the
-/// crash ordinal then addresses transactions, deterministically.
+/// One replica, so a checkpoint rewrites each dirty object once and
+/// the commit-point count stays small enough to sweep exhaustively.
 fn file_cluster(dir: &Path, faults: Option<FaultConfig>) -> Cluster {
     let mut builder = Cluster::builder()
         .backend(BackendKind::File {
@@ -78,7 +78,7 @@ fn file_cluster(dir: &Path, faults: Option<FaultConfig>) -> Cluster {
 }
 
 /// The crash-at-any-point scenario: precondition fault-free, rekey
-/// under a cluster that dies at durable commit `n`, then reopen the
+/// under a cluster that dies at commit point `n`, then reopen the
 /// store directory from scratch, resume the rekey, and demand byte
 /// identity with the preconditioned image. Exercised for every `n`
 /// a full rekey can reach, so the crash lands on the intent persist,
@@ -167,14 +167,16 @@ fn crash_resume_is_byte_identical(
     );
 }
 
-/// Every commit ordinal a full rekey reaches, exhaustively: ~26
-/// commits cover `rekey_begin`, four windows' intent + chunk + water-
-/// mark commits, and `finish`; larger ordinals prove the no-crash path
-/// through the same harness.
+/// Every commit point a full rekey reaches, exhaustively: 26 log
+/// appends cover `rekey_begin`, four windows' intent + chunk + water-
+/// mark commits, and `finish`, and the closing flush's checkpoint adds
+/// 9 more (a rewrite per dirty object, then the log truncation) — 35
+/// in all; larger ordinals prove the no-crash path through the same
+/// harness.
 #[test]
 fn rekey_crash_at_every_commit_point_resumes_byte_identical() {
     let config = EncryptionConfig::random_iv(MetaLayout::ObjectEnd);
-    for crash_at in 0..30 {
+    for crash_at in 0..40 {
         crash_resume_is_byte_identical(&config, crash_at, 16, 4);
     }
 }
@@ -186,7 +188,7 @@ fn rekey_crash_at_every_commit_point_resumes_byte_identical() {
 #[test]
 fn baseline_rekey_crash_recovery_without_sector_tags() {
     let config = EncryptionConfig::luks2_baseline();
-    for crash_at in [0, 3, 7, 11, 15, 19, 23, 27] {
+    for crash_at in [0, 3, 7, 11, 15, 19, 23, 27, 31, 34] {
         crash_resume_is_byte_identical(&config, crash_at, 16, 4);
     }
 }
@@ -199,7 +201,7 @@ proptest! {
     /// boundary, so the crash lands between different protocol steps.
     #[test]
     fn rekey_crash_recovery_property(
-        crash_at in 0u64..40,
+        crash_at in 0u64..64,
         layout in 0usize..3,
         chunk in prop_oneof![Just(8u64), Just(16u64), Just(32u64)],
         depth in 2usize..5,

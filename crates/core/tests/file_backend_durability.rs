@@ -161,3 +161,40 @@ fn secure_erase_leaves_on_disk_objects_undecryptable() {
         "a shredded image must never open again, even with the right passphrase"
     );
 }
+
+/// The same shred with **no flush after it**: `secure_erase` must be
+/// final on return. The header's earlier transactions (wrapped
+/// keyslots, LUKS magic) went through the shard's redo log like any
+/// other; a log that kept them until some later checkpoint would keep
+/// the image recoverable from `shard.log` after the erase reported
+/// success. The delete forces the checkpoint that empties it.
+#[test]
+fn secure_erase_without_a_flush_leaves_no_header_bytes_in_any_file() {
+    let dir = scratch("crypt-shred-noflush");
+    let cluster = file_cluster(&dir);
+    let image = Image::create_with_object_size(&cluster, "vm0", IMAGE_SIZE, OBJECT_SIZE).unwrap();
+    let mut disk = EncryptedImage::format_with_iv_source(
+        image,
+        &EncryptionConfig::random_iv(MetaLayout::Omap),
+        PASS,
+        Box::new(SeededIvSource::new(13)),
+    )
+    .unwrap();
+    disk.write(0, &marker_sector()).unwrap();
+    assert!(
+        any_file_contains(&dir, b"VLUKS2"),
+        "sanity: unflushed, the header's bytes are on disk — in the redo log"
+    );
+
+    disk.secure_erase().unwrap();
+    // No flush, no drop: the cluster is still open, exactly as it was
+    // when the erase returned.
+    assert!(
+        !any_file_contains(&dir, b"VLUKS2"),
+        "header bytes outlived the shred (redo log included)"
+    );
+    assert!(
+        !any_file_contains(&dir, MARKER),
+        "no plaintext may be recoverable from the shredded store"
+    );
+}

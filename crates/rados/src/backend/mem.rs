@@ -4,13 +4,13 @@
 use super::ObjectStore;
 use crate::object::Object;
 use crate::placement::OsdId;
-use crate::transaction::SnapContext;
+use crate::transaction::{AppliedTx, SnapContext};
 use crate::Result;
 use std::collections::HashMap;
 
 /// One shard's objects kept per OSD in plain hash maps, exactly as the
-/// engine kept them before the backend seam existed. Commit and flush
-/// are free: memory *is* the acknowledged state.
+/// engine kept them before the backend seam existed. Commit, persist
+/// and flush are free: memory *is* the acknowledged state.
 #[derive(Debug)]
 pub(crate) struct MemStore {
     /// `osds[i]` holds this shard's objects stored on OSD `i`.
@@ -65,7 +65,11 @@ impl ObjectStore for MemStore {
         names
     }
 
-    fn commit(&mut self, _name: &str, _acting: &[OsdId]) -> Result<()> {
+    fn commit(&mut self, _tx: &AppliedTx<'_>) -> Result<()> {
+        Ok(())
+    }
+
+    fn persist(&mut self, _name: &str, _osds: &[OsdId]) -> Result<()> {
         Ok(())
     }
 

@@ -307,8 +307,8 @@ impl ClusterBuilder {
     /// or whatever the `VDISK_BACKEND` environment override picked —
     /// an explicit call here always wins over the environment).
     /// [`BackendKind::File`] makes every transaction commit durable
-    /// (`fsync`) under the given directory and reopens a directory
-    /// formatted by an earlier cluster, provided the geometry
+    /// (logged and `fsync`ed) under the given directory and reopens a
+    /// directory formatted by an earlier cluster, provided the geometry
     /// (`osd_count`, `replicas`, `pg_count`, `shard_count`, payload
     /// mode) matches.
     #[must_use]
@@ -462,6 +462,7 @@ impl ClusterBuilder {
                             dir.join(format!("shard-{s}")),
                             self.osd_count,
                             s,
+                            self.payload == PayloadMode::Stored,
                             faults.clone(),
                         )
                         .map_err(|e| RadosError::Io(format!("open shard {s}: {e}")))?,
@@ -945,15 +946,18 @@ impl Cluster {
     /// covered.
     ///
     /// On a durable backend ([`BackendKind::File`]) this is also the
-    /// store-wide durability point: after draining the queues it syncs
-    /// every shard's store directory and rewrites `cluster.meta`, so a
-    /// process that stops after `flush` returns can reopen the
-    /// directory and see everything it wrote. With the in-memory
-    /// backend in inline mode this remains a no-op.
+    /// store-wide checkpoint: after draining the queues every shard
+    /// folds its redo log into the object files and truncates it, the
+    /// store directories are synced and `cluster.meta` is rewritten —
+    /// afterwards the directory holds object files only (and empty
+    /// logs). Acknowledged transactions never needed this to be
+    /// durable; a process that stops *without* flushing reopens to the
+    /// same state by replaying the logs. With the in-memory backend in
+    /// inline mode this remains a no-op.
     ///
     /// # Panics
     ///
-    /// Panics if a durable backend fails to sync its directories — at
+    /// Panics if a durable backend fails to checkpoint or sync — at
     /// that point durability can no longer be promised.
     pub fn flush(&self) {
         if let Some(queues) = self.runtime.queues() {
@@ -1223,7 +1227,7 @@ impl Cluster {
         obj.head.poke(offset, 0xFF);
         // Make the corruption durable too, so a reopened cluster still
         // sees (and can scrub) the damaged replica.
-        shard.store.commit(object, std::slice::from_ref(&osd))?;
+        shard.store.persist(object, std::slice::from_ref(&osd))?;
         Ok(())
     }
 
@@ -1248,7 +1252,7 @@ impl Cluster {
             shard.store.insert(osd.0, object, primary_copy.clone());
         }
         // vdisk-lint: allow(hot-path-index) reason="acting is non-empty (primary copy was just read), so the [1..] slice is in range"
-        shard.store.commit(object, &acting[1..])?;
+        shard.store.persist(object, &acting[1..])?;
         Ok(())
     }
 

@@ -16,12 +16,13 @@
 //!   cluster's [`RetryPolicy`]; only exhaustion surfaces to the client.
 //! - **Persistent** errors ([`FaultKind::Persistent`]): never retried,
 //!   surfaced immediately — the "this disk is gone" class.
-//! - **Crashes** ([`FaultKind::Crash`]): the Nth durable commit stops
-//!   the world *between the temp-file write and the rename*, leaving a
-//!   genuinely torn transaction on disk (some replicas renamed, some
-//!   still `.tmp`). Every subsequent operation on the crashed cluster
-//!   fails fast, modelling a dead process; recovery is reopening the
-//!   directory with a fresh cluster.
+//! - **Crashes** ([`FaultKind::Crash`]): the Nth durable commit point
+//!   stops the world mid-way — half a record appended to a shard's redo
+//!   log, a checkpoint's temp file written but never renamed, or every
+//!   object file patched but the log not yet truncated. Every
+//!   subsequent operation on the crashed cluster fails fast, modelling
+//!   a dead process; recovery is reopening the directory with a fresh
+//!   cluster.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
@@ -113,11 +114,22 @@ impl FaultConfig {
         self
     }
 
-    /// Crash the cluster at the `n`th durable replica commit (0-based,
-    /// cluster-wide): that commit writes and syncs its temp file but
-    /// never renames it, and every later operation fails fast with
-    /// [`FaultKind::Crash`]. Only meaningful on the file backend — the
-    /// in-memory store has no commit point to tear.
+    /// Crash the cluster at its `n`th durable commit point (0-based,
+    /// cluster-wide, counted in the order the store reaches them), and
+    /// fail every later operation fast with [`FaultKind::Crash`]. The
+    /// file backend has three kinds of commit point, each dying at its
+    /// honest tear:
+    ///
+    /// - a transaction's **log append** — half the record is written,
+    ///   never synced, never acknowledged;
+    /// - inside a checkpoint, each **whole-object rewrite** — the temp
+    ///   file is written and synced but never renamed;
+    /// - the **end of a checkpoint** — every object file is patched and
+    ///   synced, the log not yet truncated.
+    ///
+    /// [`FaultPlane::commit_points`] reports how many a run passed, so
+    /// a sweep can visit every one. Only meaningful on the file backend
+    /// — the in-memory store has no commit point to tear.
     #[must_use]
     pub fn crash_at_commit(mut self, n: u64) -> Self {
         self.crash_at_commit = Some(n);
@@ -216,7 +228,7 @@ pub struct FaultPlane {
     /// Per-shard consecutive-transient counters backing
     /// [`FaultConfig::max_consecutive`].
     streak: Vec<AtomicU64>,
-    /// Cluster-wide durable-commit ordinal (file backend only).
+    /// Cluster-wide commit-point ordinal (file backend only).
     commits: AtomicU64,
     crashed: AtomicBool,
     transients: AtomicU64,
@@ -248,6 +260,14 @@ impl FaultPlane {
     #[must_use]
     pub fn injected_transients(&self) -> u64 {
         self.transients.load(Ordering::Relaxed)
+    }
+
+    /// Durable commit points the file backend has reached so far (see
+    /// [`FaultConfig::crash_at_commit`] for what counts as one). Only
+    /// counted while a crash ordinal is configured.
+    #[must_use]
+    pub fn commit_points(&self) -> u64 {
+        self.commits.load(Ordering::Acquire)
     }
 
     /// Delayed completions injected so far.
@@ -318,11 +338,11 @@ impl FaultPlane {
         None
     }
 
-    /// Called by the durable backend once per replica commit, **after**
-    /// the temp file is written and synced but **before** the rename.
-    /// Returns `true` when this commit is the configured crash point:
-    /// the caller must skip the rename (leaving the torn `.tmp` on
-    /// disk) and fail; the crash latches for every later operation.
+    /// Called by the durable backend at each commit point (see
+    /// [`FaultConfig::crash_at_commit`]), just before the step that
+    /// would complete it. Returns `true` when this is the configured
+    /// crash point: the caller must stop there, leaving the tear on
+    /// disk, and fail; the crash latches for every later operation.
     pub(crate) fn commit_crashes(&self) -> bool {
         let Some(at) = self.config.crash_at_commit else {
             return false;
@@ -342,7 +362,7 @@ impl FaultPlane {
 /// `splitmix64`: the classic 64-bit finalizer — tiny, stateless, and
 /// well-distributed, which is all a deterministic decision stream
 /// needs.
-fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -56,6 +56,7 @@
 
 mod backend;
 pub mod cluster;
+mod codec;
 pub mod cost;
 pub mod fault;
 pub mod object;

@@ -1,6 +1,7 @@
 //! Objects: sparse byte data over 4 KB physical blocks, OMAP metadata,
 //! xattrs, and snapshot clones.
 
+use crate::codec::{put_bytes, Cursor};
 use crate::transaction::SnapContext;
 use crate::SnapId;
 use std::collections::BTreeMap;
@@ -129,6 +130,11 @@ impl ObjectContent {
         out
     }
 
+    /// The stored payload bytes (empty when the payload is discarded).
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.data
+    }
+
     pub(crate) fn truncate(&mut self, size: u64) {
         if self.store_payload {
             self.data.resize(size as usize, 0);
@@ -164,9 +170,22 @@ impl ObjectContent {
     /// internal layering is an in-memory cost-model artifact, not
     /// durable state).
     fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_header(out);
+        self.encode_body(out);
+    }
+
+    /// The fixed-size start of an encoded content version: payload
+    /// flag, logical size, payload length.
+    fn encode_header(&self, out: &mut Vec<u8>) {
         out.push(u8::from(self.store_payload));
         out.extend_from_slice(&self.size.to_le_bytes());
-        put_bytes(out, &self.data);
+        out.extend_from_slice(&(self.data.len() as u64).to_le_bytes());
+    }
+
+    /// Everything after [`ObjectContent::encode_header`]: the payload
+    /// bytes themselves, then xattrs and OMAP entries.
+    fn encode_body(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.data);
         out.extend_from_slice(&(self.xattrs.len() as u32).to_le_bytes());
         for (k, v) in &self.xattrs {
             put_bytes(out, k.as_bytes());
@@ -214,46 +233,6 @@ impl ObjectContent {
 /// ([`Object::encode`] / [`Object::decode`]).
 const OBJECT_MAGIC: &[u8; 4] = b"VDOB";
 const OBJECT_VERSION: u32 = 1;
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-/// A bounds-checked little-endian reader over codec bytes; every
-/// accessor returns `None` on truncation instead of panicking, so a
-/// corrupt or torn file surfaces as a decode error.
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.buf.len() < n {
-            return None;
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Some(head)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let len = usize::try_from(self.u64()?).ok()?;
-        Some(self.take(len)?.to_vec())
-    }
-}
 
 /// An object with its head version and snapshot clones.
 #[derive(Debug, Clone)]
@@ -325,15 +304,30 @@ impl Object {
         }
     }
 
-    /// Serializes the whole object — head, snapshot clones, and
-    /// lineage seqs — with magic/version framing, for durable backends.
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.head.size() as usize);
+    /// Length of [`Object::encode_prefix`]: the head's payload sits at
+    /// this fixed offset of every encoded object.
+    pub(crate) const PAYLOAD_OFFSET: usize = 4 + 4 + 8 + 8 + 1 + 8 + 8;
+
+    /// The first [`Object::PAYLOAD_OFFSET`] bytes of [`Object::encode`]:
+    /// framing, lineage seqs, and the head's payload flag, logical size
+    /// and payload length. Two versions of an object with equal
+    /// prefixes and untouched xattrs, OMAP and clones differ only in
+    /// payload bytes — which is what lets a checkpoint patch those in
+    /// place instead of rewriting the file.
+    pub(crate) fn encode_prefix(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(OBJECT_MAGIC);
         out.extend_from_slice(&OBJECT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.snap_seq.to_le_bytes());
         out.extend_from_slice(&self.born_at.to_le_bytes());
-        self.head.encode(&mut out);
+        self.head.encode_header(out);
+    }
+
+    /// Serializes the whole object — head, snapshot clones, and
+    /// lineage seqs — with magic/version framing, for durable backends.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64 + self.head.size() as usize);
+        self.encode_prefix(&mut out);
+        self.head.encode_body(&mut out);
         out.extend_from_slice(&(self.clones.len() as u32).to_le_bytes());
         for (upper, content) in &self.clones {
             out.extend_from_slice(&upper.to_le_bytes());
@@ -345,7 +339,7 @@ impl Object {
     /// Rebuilds an object from [`Object::encode`] bytes. `None` on any
     /// framing mismatch or truncation (a torn or foreign file).
     pub(crate) fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = Cursor { buf: bytes };
+        let mut r = Cursor::new(bytes);
         if r.take(OBJECT_MAGIC.len())? != OBJECT_MAGIC || r.u32()? != OBJECT_VERSION {
             return None;
         }
@@ -537,6 +531,20 @@ mod tests {
             "clone content survives the roundtrip"
         );
         assert_eq!(back.head.fingerprint(), obj.head.fingerprint());
+    }
+
+    #[test]
+    fn payload_sits_at_the_fixed_offset_after_the_prefix() {
+        let mut obj = Object::new(true, snapc(3));
+        obj.head.write(5, b"payload bytes");
+        obj.head.xattrs.insert("x".into(), vec![1]);
+        let encoded = obj.encode();
+        let mut prefix = Vec::new();
+        obj.encode_prefix(&mut prefix);
+        assert_eq!(prefix.len(), Object::PAYLOAD_OFFSET);
+        assert_eq!(encoded[..Object::PAYLOAD_OFFSET], prefix[..]);
+        let payload = obj.head.payload();
+        assert_eq!(&encoded[Object::PAYLOAD_OFFSET..][..payload.len()], payload);
     }
 
     #[test]

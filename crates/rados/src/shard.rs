@@ -8,15 +8,15 @@
 //! single-shard operations, and lets [`crate::Cluster::execute_batch`]
 //! apply disjoint shard groups genuinely concurrently.
 
-use crate::backend::ObjectStore;
+use crate::backend::{apply_ops, ObjectStore, OpEffect};
 use crate::cost::{self, OsdWork};
 use crate::object::{Object, ObjectStat, PHYS_BLOCK};
 use crate::state::ControlPlane;
 use crate::state::StatCounters;
-use crate::transaction::{ReadOp, ReadResult, SnapContext, Transaction, TxOp};
+use crate::transaction::{AppliedTx, ReadOp, ReadResult, SnapContext, Transaction, TxOp};
 use crate::{RadosError, Result, SnapId};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use vdisk_sim::{Plan, SimDuration};
+use vdisk_sim::Plan;
 
 /// A shard: one lock over one placement-disjoint slice of the object
 /// space, plus its work-queue admission counter.
@@ -66,6 +66,28 @@ impl Shard {
         *pending -= 1;
         if *pending == 0 {
             stats.exit_shard_apply();
+        }
+    }
+}
+
+/// Folds the physical work of one applied op into its OSD's cost-model
+/// input.
+fn charge(cp: &ControlPlane, work: &mut OsdWork, effect: OpEffect) {
+    match effect {
+        OpEffect::Write { len, profile } => {
+            if len <= cp.testbed.deferred_write_threshold {
+                // Small overwrite: the deferred/journal path absorbs it
+                // without a foreground RMW.
+                work.deferred_writes.push(profile.write_bytes);
+            } else {
+                work.rmw_reads.0 += profile.rmw_read_ops;
+                work.rmw_reads.1 += profile.rmw_read_bytes;
+                work.disk_writes.push(profile.write_bytes);
+            }
+        }
+        OpEffect::Omap(receipt) => {
+            work.kv_time += cp.kv_cost.write_time(&receipt);
+            work.kv_wal_bytes += receipt.wal_bytes;
         }
     }
 }
@@ -122,69 +144,25 @@ impl ShardState {
             }
         }
 
-        let deferred_threshold = cp.testbed.deferred_write_threshold;
+        let store_payload = cp.payload == crate::cluster::PayloadMode::Stored;
+        let applied = AppliedTx {
+            object: &tx.object,
+            snapc,
+            acting: &acting,
+            ops: &tx.ops,
+        };
         let mut work: Vec<OsdWork> = Vec::with_capacity(acting.len());
         for osd in &acting {
-            let store_payload = cp.payload == crate::cluster::PayloadMode::Stored;
-            let object = self.store.entry(osd.0, &tx.object, store_payload, snapc);
-            object.prepare_write(snapc);
-
             let mut osd_work = OsdWork::default();
-            let mut kv_time = SimDuration::ZERO;
-            let mut deleted = false;
-            for op in &tx.ops {
-                match op {
-                    TxOp::Write { offset, data } => {
-                        let profile = object.head.write(*offset, data);
-                        if data.len() as u64 <= deferred_threshold {
-                            // Small overwrite: the deferred/journal path
-                            // absorbs it without a foreground RMW.
-                            osd_work.deferred_writes.push(profile.write_bytes);
-                        } else {
-                            osd_work.rmw_reads.0 += profile.rmw_read_ops;
-                            osd_work.rmw_reads.1 += profile.rmw_read_bytes;
-                            osd_work.disk_writes.push(profile.write_bytes);
-                        }
-                    }
-                    TxOp::Truncate(size) => {
-                        object.head.truncate(*size);
-                    }
-                    TxOp::OmapSet(entries) => {
-                        let batch: Vec<(Vec<u8>, Option<Vec<u8>>)> = entries
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Some(v.clone())))
-                            .collect();
-                        let receipt = object.head.omap.write_batch(batch);
-                        kv_time += cp.kv_cost.write_time(&receipt);
-                        osd_work.kv_wal_bytes += receipt.wal_bytes;
-                    }
-                    TxOp::OmapRemove(keys) => {
-                        let batch: Vec<(Vec<u8>, Option<Vec<u8>>)> =
-                            keys.iter().map(|k| (k.clone(), None)).collect();
-                        let receipt = object.head.omap.write_batch(batch);
-                        kv_time += cp.kv_cost.write_time(&receipt);
-                        osd_work.kv_wal_bytes += receipt.wal_bytes;
-                    }
-                    TxOp::SetXattr(name, value) => {
-                        object.head.xattrs.insert(name.clone(), value.clone());
-                    }
-                    // Checked above, before any mutation.
-                    TxOp::CompareXattr { .. } => {}
-                    TxOp::Delete => {
-                        deleted = true;
-                    }
-                }
-            }
-            osd_work.kv_time = kv_time;
-            if deleted {
-                self.store.remove(osd.0, &tx.object);
-            }
+            apply_ops(&mut *self.store, osd.0, store_payload, &applied, |effect| {
+                charge(cp, &mut osd_work, effect);
+            });
             work.push(osd_work);
         }
-        // The durability point: a durable backend fsyncs the object on
-        // every acting OSD before the transaction is acknowledged; the
-        // in-memory backend acknowledges immediately.
-        self.store.commit(&tx.object, &acting)?;
+        // The durability point: a durable backend logs and syncs the
+        // transaction before it is acknowledged; the in-memory backend
+        // acknowledges immediately.
+        self.store.commit(&applied)?;
 
         Ok(cost::write_plan(
             &cp.handles,

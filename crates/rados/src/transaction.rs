@@ -5,6 +5,8 @@
 //! to keep a sector and its IV consistent ("the Ceph RADOS protocol
 //! \[supports\] atomically writing multiple IOs", §3.1).
 
+use crate::codec::{put_bytes, Cursor};
+use crate::placement::OsdId;
 use crate::SnapId;
 use std::ops::Range;
 use std::sync::Arc;
@@ -279,6 +281,153 @@ impl Transaction {
     }
 }
 
+/// A transaction as the shard engine hands it to the backend's commit:
+/// already applied to the working state, snapshot context resolved,
+/// acting set computed. Durable backends log it — see
+/// [`AppliedTx::encode`] for the record format.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AppliedTx<'a> {
+    pub(crate) object: &'a str,
+    pub(crate) snapc: SnapContext,
+    pub(crate) acting: &'a [OsdId],
+    /// The transaction's ops as submitted. [`TxOp::CompareXattr`]
+    /// preconditions are decided before anything applies and change
+    /// nothing, so the codec leaves them out.
+    pub(crate) ops: &'a [TxOp],
+}
+
+/// An [`AppliedTx`] decoded from a log record, owning its parts.
+#[derive(Debug, PartialEq)]
+pub(crate) struct TxRecord {
+    pub(crate) object: String,
+    pub(crate) snapc: SnapContext,
+    pub(crate) acting: Vec<OsdId>,
+    pub(crate) ops: Vec<TxOp>,
+}
+
+const OP_WRITE: u8 = 1;
+const OP_TRUNCATE: u8 = 2;
+const OP_OMAP_SET: u8 = 3;
+const OP_OMAP_REMOVE: u8 = 4;
+const OP_SET_XATTR: u8 = 5;
+const OP_DELETE: u8 = 6;
+
+impl AppliedTx<'_> {
+    /// Appends this transaction's redo record to `out`:
+    ///
+    /// ```text
+    /// object name   u64 length + bytes
+    /// snap seq      u64
+    /// acting set    u32 count, then one u32 OSD index each
+    /// ops           u32 count, then per op a u8 tag and its fields
+    ///               (offsets/sizes u64, byte strings u64 length + bytes,
+    ///               key/entry lists u32 count)
+    /// ```
+    ///
+    /// All integers little-endian. Framing (length, checksum) is the
+    /// log's business, not the record's.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self.object.as_bytes());
+        out.extend_from_slice(&self.snapc.seq.0.to_le_bytes());
+        out.extend_from_slice(&(self.acting.len() as u32).to_le_bytes());
+        for osd in self.acting {
+            out.extend_from_slice(&(osd.0 as u32).to_le_bytes());
+        }
+        let logged = self
+            .ops
+            .iter()
+            .filter(|op| !matches!(op, TxOp::CompareXattr { .. }));
+        out.extend_from_slice(&(logged.clone().count() as u32).to_le_bytes());
+        for op in logged {
+            match op {
+                TxOp::Write { offset, data } => {
+                    out.push(OP_WRITE);
+                    out.extend_from_slice(&offset.to_le_bytes());
+                    put_bytes(out, data);
+                }
+                TxOp::Truncate(size) => {
+                    out.push(OP_TRUNCATE);
+                    out.extend_from_slice(&size.to_le_bytes());
+                }
+                TxOp::OmapSet(entries) => {
+                    out.push(OP_OMAP_SET);
+                    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+                    for (k, v) in entries {
+                        put_bytes(out, k);
+                        put_bytes(out, v);
+                    }
+                }
+                TxOp::OmapRemove(keys) => {
+                    out.push(OP_OMAP_REMOVE);
+                    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+                    for k in keys {
+                        put_bytes(out, k);
+                    }
+                }
+                TxOp::SetXattr(name, value) => {
+                    out.push(OP_SET_XATTR);
+                    put_bytes(out, name.as_bytes());
+                    put_bytes(out, value);
+                }
+                TxOp::Delete => out.push(OP_DELETE),
+                TxOp::CompareXattr { .. } => {}
+            }
+        }
+    }
+}
+
+impl TxRecord {
+    pub(crate) fn as_applied(&self) -> AppliedTx<'_> {
+        AppliedTx {
+            object: &self.object,
+            snapc: self.snapc,
+            acting: &self.acting,
+            ops: &self.ops,
+        }
+    }
+
+    /// Rebuilds a transaction from [`AppliedTx::encode`] bytes; `None`
+    /// on truncation, an unknown op tag, or trailing bytes.
+    pub(crate) fn decode(bytes: &[u8]) -> Option<TxRecord> {
+        let mut r = Cursor::new(bytes);
+        let object = String::from_utf8(r.bytes()?).ok()?;
+        let snapc = SnapContext {
+            seq: SnapId(r.u64()?),
+        };
+        let acting = (0..r.u32()?)
+            .map(|_| Some(OsdId(r.u32()? as usize)))
+            .collect::<Option<Vec<_>>>()?;
+        let op_count = r.u32()?;
+        let mut ops = Vec::new();
+        for _ in 0..op_count {
+            ops.push(match r.u8()? {
+                OP_WRITE => TxOp::Write {
+                    offset: r.u64()?,
+                    data: r.bytes()?.into(),
+                },
+                OP_TRUNCATE => TxOp::Truncate(r.u64()?),
+                OP_OMAP_SET => TxOp::OmapSet(
+                    (0..r.u32()?)
+                        .map(|_| Some((r.bytes()?, r.bytes()?)))
+                        .collect::<Option<_>>()?,
+                ),
+                OP_OMAP_REMOVE => {
+                    TxOp::OmapRemove((0..r.u32()?).map(|_| r.bytes()).collect::<Option<_>>()?)
+                }
+                OP_SET_XATTR => TxOp::SetXattr(String::from_utf8(r.bytes()?).ok()?, r.bytes()?),
+                OP_DELETE => TxOp::Delete,
+                _ => return None,
+            });
+        }
+        r.is_empty().then_some(TxRecord {
+            object,
+            snapc,
+            acting,
+            ops,
+        })
+    }
+}
+
 /// One object's worth of read operations inside a vectored read (see
 /// `Cluster::read_batch`): the read-side analog of a [`Transaction`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -423,6 +572,38 @@ mod tests {
     fn shared_buf_slice_bounds_checked() {
         let buf = SharedBuf::from_vec(vec![0u8; 4]);
         let _ = buf.slice(2..8);
+    }
+
+    #[test]
+    fn record_codec_roundtrips_every_op_and_drops_preconditions() {
+        let mut tx = Transaction::new("rbd_data.img.0000000000000001");
+        tx.compare_xattr("version", Some(vec![1]))
+            .write(4096, vec![0xAB; 100])
+            .truncate(8192)
+            .omap_set(vec![(b"iv.0".to_vec(), vec![7; 16]), (vec![0xFF], vec![])])
+            .omap_remove(vec![b"iv.9".to_vec()])
+            .set_xattr("version", vec![2])
+            .delete();
+        let acting = [OsdId(2), OsdId(0), OsdId(1)];
+        let applied = AppliedTx {
+            object: &tx.object,
+            snapc: SnapContext { seq: SnapId(7) },
+            acting: &acting,
+            ops: &tx.ops,
+        };
+        let mut bytes = Vec::new();
+        applied.encode(&mut bytes);
+        let record = TxRecord::decode(&bytes).expect("roundtrip");
+        assert_eq!(record.object, tx.object);
+        assert_eq!(record.snapc.seq, SnapId(7));
+        assert_eq!(record.acting, acting);
+        assert_eq!(record.ops, tx.ops[1..], "everything but the precondition");
+
+        for cut in 0..bytes.len() {
+            assert!(TxRecord::decode(&bytes[..cut]).is_none(), "cut at {cut}");
+        }
+        bytes.push(0);
+        assert!(TxRecord::decode(&bytes).is_none(), "trailing bytes");
     }
 
     #[test]

@@ -11,7 +11,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use vdisk_rados::{
-    BackendKind, Cluster, FaultConfig, FaultKind, RadosError, ReadOp, RetryPolicy, Transaction,
+    BackendKind, Cluster, FaultConfig, FaultKind, ObjectReads, RadosError, ReadOp, ReadResult,
+    RetryPolicy, SnapId, Transaction,
 };
 
 /// The matrix seed: every cluster in this suite derives its fault
@@ -226,23 +227,21 @@ fn fault_schedule_is_deterministic_per_seed() {
     );
 }
 
-/// The durable backend's torn-commit crash: the crash point sits
-/// between the temp-file write and the rename, so the store directory
-/// is left with the *pre-crash* object content plus a stray `.tmp` —
-/// exactly what a kill -9 between those syscalls leaves. A reopened
-/// cluster sees the last fully renamed state.
+/// The durable backend's torn-commit crash: the crash point sits in
+/// the middle of the transaction's log append, so the shard's redo log
+/// is left with the acknowledged records plus half of the one that
+/// died — exactly what a kill -9 inside that `write` leaves. A
+/// reopened cluster sees the acknowledged prefix and nothing of the
+/// torn record.
 #[test]
 fn file_backend_crash_leaves_torn_commit_and_recovers_prior_state() {
     let dir = scratch("crash-commit");
     {
-        // One replica, so each transaction is exactly one durable
-        // commit and the crash ordinal addresses transactions.
         let cluster = Cluster::builder()
             .backend(BackendKind::File { dir: dir.clone() })
-            .replicas(1)
             .fault_plane(FaultConfig::new(matrix_seed()).crash_at_commit(1))
             .build();
-        cluster.execute(write_tx("obj", 0xAA)).unwrap(); // commit #0 lands
+        cluster.execute(write_tx("obj", 0xAA)).unwrap(); // commit point #0 lands
         let err = cluster.execute(write_tx("obj", 0xBB)).unwrap_err(); // #1 crashes
         assert!(
             matches!(
@@ -259,14 +258,19 @@ fn file_backend_crash_leaves_torn_commit_and_recovers_prior_state() {
         assert!(cluster.execute(write_tx("other", 1)).is_err());
         cluster.flush();
     }
-    // Evidence of the tear on disk, then recovery to state #0.
-    let torn = walk(&dir)
+    // Evidence of the tear on disk: one whole record and half of the
+    // next (a record of a 4 KiB write is a little over 4 KiB).
+    let log_bytes: u64 = walk(&dir)
         .into_iter()
-        .any(|p| p.extension().is_some_and(|e| e == "tmp"));
-    assert!(torn, "the crashed commit must leave its temp file behind");
+        .filter(|p| p.file_name().is_some_and(|n| n == "shard.log"))
+        .map(|p| std::fs::metadata(p).unwrap().len())
+        .sum();
+    assert!(
+        (4096 + 2048..2 * 4096).contains(&log_bytes),
+        "the crashed append must leave half a record behind, log holds {log_bytes} bytes"
+    );
     let cluster = Cluster::builder()
-        .backend(BackendKind::File { dir })
-        .replicas(1)
+        .backend(BackendKind::File { dir: dir.clone() })
         .build();
     let (results, _) = cluster
         .read(
@@ -281,8 +285,213 @@ fn file_backend_crash_leaves_torn_commit_and_recovers_prior_state() {
     assert_eq!(
         results[0].as_data()[0],
         0xAA,
-        "recovery must surface the last renamed commit, not the torn one"
+        "recovery must surface the last acknowledged commit, not the torn one"
     );
+    assert!(
+        cluster.scrub().is_clean(),
+        "one record covers every replica"
+    );
+    assert!(
+        walk(&dir).into_iter().all(|p| {
+            p.file_name().is_some_and(|n| n != "shard.log")
+                || std::fs::metadata(&p).unwrap().len() == 0
+        }),
+        "recovery checkpoints: the torn tail is gone and the logs are empty"
+    );
+}
+
+/// What a client can observe of a cluster: every object's payload,
+/// OMAP, xattr and size at the head, and its payload at each snapshot.
+type Observation = Vec<(String, Vec<Option<Vec<ReadResult>>>)>;
+
+fn observe(cluster: &Cluster, snaps: &[SnapId]) -> Observation {
+    let ops = vec![
+        ReadOp::Stat,
+        ReadOp::Read {
+            offset: 0,
+            len: 1 << 20,
+        },
+        ReadOp::OmapGetRange {
+            start: vec![],
+            end: vec![0xFF, 0xFF],
+        },
+        ReadOp::GetXattr("tag".into()),
+    ];
+    (0..SWEEP_OBJECTS)
+        .map(|obj| {
+            let name = format!("sweep.{obj}");
+            let views = std::iter::once(None)
+                .chain(snaps.iter().copied().map(Some))
+                .map(|snap| {
+                    let request = vec![ObjectReads::new(name.clone(), ops.clone())];
+                    let (mut results, _) = cluster.read_batch(snap, request).unwrap();
+                    results.pop().unwrap()
+                })
+                .collect();
+            (name, views)
+        })
+        .collect()
+}
+
+const SWEEP_OBJECTS: u64 = 4;
+
+/// One step of the crash sweep's workload.
+#[derive(Debug, Clone)]
+enum Step {
+    Tx(Transaction),
+    Snapshot,
+}
+
+/// A seeded mixed workload: in-range overwrites, growth, OMAP and
+/// xattr updates, truncates, one snapshot mid-way, one delete (and a
+/// later re-creation), and enough bulk to carry a shard's log past its
+/// checkpoint threshold — so the sweep crosses every kind of commit
+/// point: appends, both checkpoint branches, and the truncation.
+fn sweep_workload(seed: u64) -> Vec<Step> {
+    let mut state = seed;
+    let mut next = move |n: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % n
+    };
+    let mut steps = Vec::new();
+    for obj in 0..SWEEP_OBJECTS {
+        let mut tx = Transaction::new(format!("sweep.{obj}"));
+        tx.write(0, vec![obj as u8; 64 << 10]);
+        steps.push(Step::Tx(tx));
+    }
+    for i in 0..40u64 {
+        if i == 18 {
+            steps.push(Step::Snapshot);
+        }
+        let mut tx = Transaction::new(format!("sweep.{}", next(SWEEP_OBJECTS)));
+        match if i == 26 { 5 } else { next(5) } {
+            0 | 1 => {
+                tx.write(next(15) * 4096, vec![i as u8; 4096]);
+                tx.write((60 << 10) + next(64) * 16, vec![!i as u8; 16]);
+            }
+            2 => {
+                tx.write(
+                    (64 << 10) + next(8) * 4096,
+                    vec![i as u8; 1 + next(4096) as usize],
+                );
+            }
+            3 => {
+                tx.omap_set(vec![(vec![next(4) as u8], vec![i as u8; 16])]);
+                tx.set_xattr("tag", vec![i as u8]);
+            }
+            4 => {
+                tx.truncate((32 << 10) + next(64 << 10));
+                tx.omap_remove(vec![vec![next(4) as u8]]);
+            }
+            _ => {
+                tx.delete();
+            }
+        }
+        steps.push(Step::Tx(tx));
+    }
+    // Bulk: five 512 KiB writes to one object pass the 2 MiB log cap.
+    for i in 0..5u64 {
+        let mut tx = Transaction::new("sweep.0");
+        tx.write(0, vec![0xB0 + i as u8; 512 << 10]);
+        steps.push(Step::Tx(tx));
+    }
+    steps
+}
+
+/// Runs `steps` until one fails; returns how many succeeded and the
+/// snapshots taken.
+fn drive(cluster: &Cluster, steps: &[Step]) -> (usize, Vec<SnapId>) {
+    let mut snaps = Vec::new();
+    for (done, step) in steps.iter().enumerate() {
+        match step {
+            Step::Snapshot => snaps.push(cluster.create_snap()),
+            Step::Tx(tx) => {
+                if cluster.execute(tx.clone()).is_err() {
+                    return (done, snaps);
+                }
+            }
+        }
+    }
+    (steps.len(), snaps)
+}
+
+/// Crash at **every** commit point of the mixed workload — each log
+/// append, each whole-object rewrite inside a checkpoint, each
+/// "files patched, log not yet truncated" — then reopen the directory
+/// and compare what a client sees with an in-memory cluster that ran
+/// exactly the acknowledged prefix. The transaction in flight at the
+/// crash may have reached the log whole (a crash inside the checkpoint
+/// that follows its append) and then survives; nothing else may differ,
+/// and every replica must agree.
+#[test]
+fn file_backend_crash_at_every_commit_point_reopens_to_the_acknowledged_prefix() {
+    let steps = sweep_workload(matrix_seed());
+    let build = |dir: &std::path::Path, crash_at: Option<u64>| {
+        let mut builder = Cluster::builder()
+            .backend(BackendKind::File {
+                dir: dir.to_path_buf(),
+            })
+            .shard_count(2);
+        if let Some(n) = crash_at {
+            builder = builder.fault_plane(FaultConfig::new(matrix_seed()).crash_at_commit(n));
+        }
+        builder.build()
+    };
+    let model = |prefix: &[Step]| {
+        let mem = Cluster::builder()
+            .backend(BackendKind::Memory)
+            .shard_count(2)
+            .build();
+        let (_, snaps) = drive(&mem, prefix);
+        observe(&mem, &snaps)
+    };
+
+    // A run that never crashes counts the commit points there are.
+    let total = {
+        let dir = scratch("crash-sweep-count");
+        let cluster = build(&dir, Some(u64::MAX));
+        assert_eq!(drive(&cluster, &steps).0, steps.len());
+        cluster.flush();
+        let total = cluster.fault_plane().unwrap().commit_points();
+        let snaps = (1..=cluster.snap_seq().0).map(SnapId).collect::<Vec<_>>();
+        assert_eq!(observe(&cluster, &snaps), model(&steps));
+        total
+    };
+    let txs = steps.iter().filter(|s| matches!(s, Step::Tx(_))).count() as u64;
+    assert!(
+        total > txs + 4,
+        "{total} commit points for {txs} transactions: checkpoints must add theirs"
+    );
+
+    for crash_at in 0..total {
+        let dir = scratch("crash-sweep");
+        let acked = {
+            let cluster = build(&dir, Some(crash_at));
+            let (acked, _) = drive(&cluster, &steps);
+            cluster.flush(); // crashes too, or is a no-op once crashed
+            assert!(
+                cluster.fault_plane().unwrap().crashed(),
+                "ordinal {crash_at}"
+            );
+            acked
+        };
+        let cluster = build(&dir, None);
+        let snaps = (1..=cluster.snap_seq().0).map(SnapId).collect::<Vec<_>>();
+        let seen = observe(&cluster, &snaps);
+        let in_flight = (acked + 1).min(steps.len());
+        assert!(
+            seen == model(&steps[..acked]) || seen == model(&steps[..in_flight]),
+            "crash at commit point {crash_at}: reopened state is neither the {acked} \
+             acknowledged steps nor those plus the one in flight"
+        );
+        assert!(
+            cluster.scrub().is_clean(),
+            "ordinal {crash_at}: replicas diverged"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 fn walk(dir: &std::path::Path) -> Vec<PathBuf> {

@@ -133,10 +133,12 @@ fn reopen_with_different_geometry_is_refused() {
 
 #[test]
 fn unflushed_commits_are_still_durable() {
-    // Per-transaction commit (fsync) is the durability point, not
-    // flush: a store dropped right after `execute` returns must still
-    // reopen complete. (`flush` additionally syncs directories and the
-    // meta file; object data never waits for it.)
+    // The per-transaction log append (and its fsync) is the durability
+    // point, not flush: a store dropped right after `execute` returns
+    // must still reopen complete — the reopen replays the log. (`flush`
+    // additionally checkpoints the log into the object files and syncs
+    // directories and the meta file; acknowledgement never waits for
+    // it.)
     let dir = scratch("noflush");
     {
         let c = file_builder(&dir).build();

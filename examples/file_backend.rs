@@ -29,9 +29,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let config = EncryptionConfig::random_iv_object_end();
         let mut disk = EncryptedImage::format(image, &config, passphrase)?;
 
-        // Every transaction commit fsyncs the object's replicas; the
-        // flush below additionally syncs directories and the meta
-        // file. Data and its per-sector IVs ride the same commit.
+        // Every transaction commit appends one record to its shard's
+        // redo log and fsyncs it; the flush below additionally
+        // checkpoints the logs into the object files and syncs
+        // directories and the meta file. Data and its per-sector IVs
+        // ride the same record.
         disk.write(0, b"MBR: definitely not secret")?;
         disk.write(8 << 20, &vec![0xDB; 16384])?;
 
