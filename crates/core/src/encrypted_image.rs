@@ -16,7 +16,8 @@ use std::sync::{Mutex, PoisonError};
 use vdisk_crypto::mem::SecretBytes;
 use vdisk_crypto::rng::{IvSource, OsIvSource};
 use vdisk_rados::{
-    ObjectReads, RadosError, ReadOp, ReadResult, ReadTicket, SharedBuf, SnapId, Transaction,
+    ApplyTicket, ExecStats, ObjectReads, RadosError, ReadOp, ReadResult, ReadTicket, SharedBuf,
+    SnapId, Transaction,
 };
 use vdisk_rbd::{Image, RbdError};
 use vdisk_sim::Plan;
@@ -87,25 +88,25 @@ impl std::fmt::Debug for EncryptedImage {
     }
 }
 
-/// An asynchronously submitted write: everything
-/// [`crate::EncryptedIoQueue`] needs to finalize it at reap time.
-pub(crate) struct SubmittedWrite {
-    pub(crate) ticket: vdisk_rados::ApplyTicket,
+/// A write between preparation and completion: what
+/// [`EncryptedImage::prepare_write`] hands — past the dispatch of the
+/// transactions it built — to [`EncryptedImage::complete_write`].
+/// (`pub` because the queue backend's pending state holds one; the
+/// type is not exported.)
+pub struct PreparedWrite {
     /// Client-side encryption cost, sequenced before the dispatch.
-    pub(crate) crypto: Plan,
-    /// Boundary-sector RMW reads of an unaligned write (already
-    /// performed at submit), sequenced before the crypto.
-    pub(crate) rmw: Option<Plan>,
-    /// Cached IV/metadata sectors this write invalidated at submit.
-    pub(crate) invalidated: u64,
-    /// Cache hits/misses of the RMW boundary reads, so per-op
-    /// `IoResult` deltas reconcile with the cluster-wide counters.
-    pub(crate) rmw_hits: u64,
-    pub(crate) rmw_misses: u64,
+    crypto: Plan,
+    /// Boundary-sector reads of an unaligned write (already performed
+    /// at prepare time), sequenced before the crypto; their cache
+    /// hits/misses belong to this op so per-op `IoResult` deltas
+    /// reconcile with the cluster-wide counters.
+    rmw: RmwReads,
+    /// Cached IV/metadata sectors this write invalidated.
+    invalidated: u64,
     /// Write-through cache fills: the metadata entries this write
-    /// persisted, installable at reap time if the extent's shard
+    /// persists, installable at completion if the extent's shard
     /// epoch is unchanged (see [`EncryptedImage::apply_write_fills`]).
-    pub(crate) fills: Vec<WriteFill>,
+    fills: Vec<WriteFill>,
 }
 
 /// One extent's write-through cache fill, captured at submit: the
@@ -115,16 +116,16 @@ pub(crate) struct SubmittedWrite {
 /// proves no later overwrite or snapshot was submitted for the shard,
 /// so the entries are current and may enter the cache — the same rule
 /// read fills follow.
-pub(crate) struct WriteFill {
-    pub(crate) base_lba: u64,
-    pub(crate) metas: SharedBuf,
-    pub(crate) shard: usize,
-    pub(crate) epoch: u64,
-    pub(crate) generation: u64,
+struct WriteFill {
+    base_lba: u64,
+    metas: SharedBuf,
+    shard: usize,
+    epoch: u64,
+    generation: u64,
 }
 
 /// How one extent of a read span obtains its per-sector metadata.
-pub(crate) enum ExtentMeta {
+enum ExtentMeta {
     /// No separate metadata fetch exists for this layout: the baseline
     /// stores none, the unaligned layout interleaves it into the data
     /// extent. Nothing to cache, nothing to save.
@@ -146,10 +147,10 @@ pub(crate) enum ExtentMeta {
 /// Accumulates an unaligned write's boundary-sector reads: their cost
 /// plans and the cache hit/miss deltas they recorded.
 #[derive(Default)]
-pub(crate) struct RmwReads {
-    pub(crate) plans: Vec<Plan>,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
+struct RmwReads {
+    plans: Vec<Plan>,
+    hits: u64,
+    misses: u64,
 }
 
 impl RmwReads {
@@ -164,20 +165,22 @@ impl RmwReads {
 
 /// A read's aligned-span plan: the extent mapping plus the per-extent
 /// metadata sourcing and cache accounting decided at submit time.
-pub(crate) struct ReadSpan {
-    pub(crate) batch: IoBatch,
+/// (`pub` because the queue backend's pending state holds one; the
+/// type is not exported.)
+pub struct ReadSpan {
+    batch: IoBatch,
     /// Parallel to `batch.extents`.
-    pub(crate) meta: Vec<ExtentMeta>,
+    meta: Vec<ExtentMeta>,
     /// IV/metadata cache generation at submit; fills re-validate
     /// against it so they never span a snapshot's wholesale
     /// invalidation.
-    pub(crate) generation: u64,
+    generation: u64,
     /// Key-epoch map captured at submit (the baseline layout's only
     /// epoch source; tagged layouts route by entry). Per-shard FIFO
     /// pins the fetched data to the same submission point, so the
     /// captured map matches the fetched ciphertext even while the
     /// rekey driver advances the watermark in between.
-    pub(crate) epochs: EpochMap,
+    epochs: EpochMap,
     /// Sectors whose metadata round trip the cache absorbed.
     pub(crate) hits: u64,
     /// Sectors that had to fetch metadata despite the cache.
@@ -713,9 +716,10 @@ impl EncryptedImage {
 
     /// Driver-only: arms a migration-proof marker for the chunk write
     /// the driver is about to submit at `(offset, len)`. When that
-    /// exact write reaches [`EncryptedImage::submit_write_owned`] it
-    /// stamps the marker xattr into the same transaction as the chunk
-    /// data — the driver clamps chunks to object boundaries, so the
+    /// exact write — queued or synchronous — reaches
+    /// [`EncryptedImage::prepare_write`] it stamps the marker xattr
+    /// into the same transaction as the chunk data — the driver clamps
+    /// chunks to object boundaries, so the
     /// chunk is one transaction and marker + ciphertext commit (or
     /// tear) together. The marker name is epoch-keyed, so stale
     /// markers from an earlier rekey can never vouch for this one.
@@ -860,15 +864,7 @@ impl EncryptedImage {
     /// failures, and decryption errors if an unaligned write has to
     /// read back tampered boundary sectors.
     pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<Plan> {
-        self.check_bounds(offset, data.len() as u64)?;
-        if data.is_empty() {
-            return Ok(Plan::Noop);
-        }
-        if self.is_sector_aligned(offset, data.len() as u64) {
-            self.write_aligned_owned(offset, data.to_vec())
-        } else {
-            self.write_unaligned(offset, data)
-        }
+        self.write_sync(offset, Cow::Borrowed(data))
     }
 
     /// Encrypt-on-ingest owned-buffer write: ciphertext is produced
@@ -884,28 +880,107 @@ impl EncryptedImage {
     ///
     /// As [`EncryptedImage::write`].
     pub fn write_owned(&mut self, offset: u64, data: Vec<u8>) -> Result<Plan> {
+        self.write_sync(offset, Cow::Owned(data))
+    }
+
+    /// The synchronous write: the queue's write at depth 1, with
+    /// [`vdisk_rados::Cluster::execute_batch`] (idle shards served
+    /// inline, then waited for) where the queue backend calls
+    /// `submit_batch` and waits at reap.
+    fn write_sync(&mut self, offset: u64, data: Cow<'_, [u8]>) -> Result<Plan> {
+        let (txs, write) = self.prepare_write(offset, data)?;
+        let dispatch = self.image.cluster().execute_batch(txs)?;
+        Ok(self.complete_write(write, dispatch, ExecStats::default()).0)
+    }
+
+    /// The write primitive behind [`crate::EncryptedIoQueue`]:
+    /// prepares the write, submits its batch to the shard work queues
+    /// and returns without waiting.
+    pub(crate) fn submit_write(
+        &mut self,
+        offset: u64,
+        data: Vec<u8>,
+    ) -> Result<(ApplyTicket, PreparedWrite)> {
+        let (txs, write) = self.prepare_write(offset, Cow::Owned(data))?;
+        Ok((self.image.cluster().submit_batch(txs)?, write))
+    }
+
+    /// Everything a write does before its transactions dispatch — the
+    /// one write-preparation path, shared by the sync wrappers and the
+    /// queue: bounds check; take the rekey migration-proof marker armed
+    /// for this `(offset, len)`, if any; read-modify-write the
+    /// partially-covered boundary sectors of an unaligned request
+    /// (synchronously — the reads ride the same shard FIFOs, so they
+    /// observe every previously queued write); encrypt
+    /// ([`EncryptedImage::encrypt_batch`]); stamp the marker; capture
+    /// the write-through fills' shard epochs; cost the encryption.
+    fn prepare_write(
+        &mut self,
+        offset: u64,
+        data: Cow<'_, [u8]>,
+    ) -> Result<(Vec<Transaction>, PreparedWrite)> {
         self.check_bounds(offset, data.len() as u64)?;
-        if data.is_empty() {
-            return Ok(Plan::Noop);
+        let armed_marker = self.armed_markers.remove(&(offset, data.len()));
+        let (aligned_off, owned, rmw) =
+            if data.is_empty() || self.is_sector_aligned(offset, data.len() as u64) {
+                (offset, data.into_owned(), RmwReads::default())
+            } else {
+                self.rmw_span(offset, &data)?
+            };
+        let (mut txs, len, invalidated, fills) = self.encrypt_batch(aligned_off, owned)?;
+        if let Some(marker) = armed_marker {
+            // Rekey migration proof: ride the chunk's own transaction
+            // (the driver clamps chunks to one object, so `txs` is a
+            // single atomic commit of ciphertext + marker).
+            if let Some(tx) = txs.first_mut() {
+                tx.set_xattr(marker, vec![1]);
+            }
         }
-        if self.is_sector_aligned(offset, data.len() as u64) {
-            self.write_aligned_owned(offset, data)
+        let fills = self.capture_fill_epochs(fills);
+        // Spread over the lanes the encrypt actually used; an empty
+        // write encrypts nothing and charges nothing, like an empty
+        // read.
+        let crypto = if len == 0 {
+            Plan::Noop
         } else {
-            self.write_unaligned(offset, &data)
-        }
+            self.image
+                .cluster()
+                .crypto_plan_parallel(len as u64, self.effective_crypto_lanes(len))
+        };
+        Ok((
+            txs,
+            PreparedWrite {
+                crypto,
+                rmw,
+                invalidated,
+                fills,
+            },
+        ))
+    }
+
+    /// Everything a write does once its batch has applied — the one
+    /// write-completion path: install the write-through fills (the
+    /// completion is the reap point, whichever caller waited), fold
+    /// the op's cache accounting into `stats` (the ticket's delta for
+    /// a queued write), and sequence the cost plan: boundary reads,
+    /// then encryption, then `dispatch`.
+    pub(crate) fn complete_write(
+        &self,
+        write: PreparedWrite,
+        dispatch: Plan,
+        mut stats: ExecStats,
+    ) -> (Plan, ExecStats) {
+        stats.meta_cache_invalidations = write.invalidated;
+        stats.meta_cache_hits = write.rmw.hits;
+        stats.meta_cache_misses = write.rmw.misses;
+        stats.meta_cache_write_fills = self.apply_write_fills(&write.fills);
+        let plan = Plan::seq([Plan::par(write.rmw.plans), write.crypto, dispatch]);
+        (plan, stats)
     }
 
     fn is_sector_aligned(&self, offset: u64, len: u64) -> bool {
         let ss = self.geometry.sector_size;
         offset.is_multiple_of(ss) && len.is_multiple_of(ss)
-    }
-
-    /// The unaligned write tail shared by both write entry points:
-    /// RMW the boundary sectors, then write the aligned span.
-    fn write_unaligned(&mut self, offset: u64, data: &[u8]) -> Result<Plan> {
-        let (aligned_off, span, rmw) = self.rmw_span(offset, data)?;
-        let write_plan = self.write_aligned_owned(aligned_off, span)?;
-        Ok(Plan::seq([Plan::par(rmw.plans), write_plan]))
     }
 
     /// Client-side RMW for an unaligned write: fetches only the
@@ -953,25 +1028,6 @@ impl EncryptedImage {
         }
     }
 
-    /// The synchronous aligned write over
-    /// [`EncryptedImage::encrypt_batch`] (idle shards served inline).
-    fn write_aligned_owned(&mut self, offset: u64, data: Vec<u8>) -> Result<Plan> {
-        let (txs, len, _, fills) = self.encrypt_batch(offset, data)?;
-        let fills = self.capture_fill_epochs(fills);
-        let dispatch = self.image.cluster().execute_batch(txs)?;
-        // The synchronous path completes here, which is its reap point:
-        // install the write-through fills under the same epoch rule as
-        // the queued path.
-        self.apply_write_fills(&fills);
-        // Client-side encryption cost precedes the dispatch, spread
-        // over the lanes the encrypt actually used.
-        let crypto = self
-            .image
-            .cluster()
-            .crypto_plan_parallel(len as u64, self.effective_crypto_lanes(len));
-        Ok(Plan::seq([crypto, dispatch]))
-    }
-
     /// Stamps each pending fill with the shard write-submission epoch
     /// it expects to observe at reap: the value read **immediately
     /// before this write submits, plus one** (the submission itself
@@ -1002,7 +1058,7 @@ impl EncryptedImage {
     /// or snapshot intervened — and the cache generation still
     /// matches. The first read after a write then hits without ever
     /// paying a miss.
-    pub(crate) fn apply_write_fills(&self, fills: &[WriteFill]) -> u64 {
+    fn apply_write_fills(&self, fills: &[WriteFill]) -> u64 {
         let mut filled = 0;
         for fill in fills {
             if self.image.cluster().shard_write_seq(fill.shard) != fill.epoch {
@@ -1140,58 +1196,6 @@ impl EncryptedImage {
         Ok((txs, len, invalidated, fills))
     }
 
-    /// The asynchronous write primitive behind
-    /// [`crate::EncryptedIoQueue`]: encrypts on ingest (in the
-    /// submitted buffer), submits the batch to the shard work queues,
-    /// and returns without waiting. Yields the ticket, the client-side
-    /// crypto cost plan, the boundary read plan of an unaligned write
-    /// (which RMWs its partially-covered boundary sectors synchronously
-    /// before dispatch), and the number of cached IV/metadata sectors
-    /// the write invalidated at submit.
-    pub(crate) fn submit_write_owned(
-        &mut self,
-        offset: u64,
-        data: Vec<u8>,
-    ) -> Result<SubmittedWrite> {
-        self.check_bounds(offset, data.len() as u64)?;
-        let armed_marker = self.armed_markers.remove(&(offset, data.len()));
-        let aligned = self.is_sector_aligned(offset, data.len() as u64);
-        let (aligned_off, owned, rmw) = if aligned || data.is_empty() {
-            (offset, data, None)
-        } else {
-            let (aligned_off, span, rmw) = self.rmw_span(offset, &data)?;
-            (aligned_off, span, Some(rmw))
-        };
-        let (rmw_plan, rmw_hits, rmw_misses) = match rmw {
-            Some(rmw) => (Some(Plan::par(rmw.plans)), rmw.hits, rmw.misses),
-            None => (None, 0, 0),
-        };
-        let (mut txs, len, invalidated, fills) = self.encrypt_batch(aligned_off, owned)?;
-        if let Some(marker) = armed_marker {
-            // Rekey migration proof: ride the chunk's own transaction
-            // (the driver clamps chunks to one object, so `txs` is a
-            // single atomic commit of ciphertext + marker).
-            if let Some(tx) = txs.first_mut() {
-                tx.set_xattr(marker, vec![1]);
-            }
-        }
-        let fills = self.capture_fill_epochs(fills);
-        let ticket = self.image.cluster().submit_batch(txs)?;
-        let crypto = self
-            .image
-            .cluster()
-            .crypto_plan_parallel(len as u64, self.effective_crypto_lanes(len));
-        Ok(SubmittedWrite {
-            ticket,
-            crypto,
-            rmw: rmw_plan,
-            invalidated,
-            rmw_hits,
-            rmw_misses,
-            fills,
-        })
-    }
-
     /// Reads and decrypts into `buf` from the image head. Sectors
     /// whose IV/metadata is resident in the client-side cache skip the
     /// metadata half of the store round trip (visible in the returned
@@ -1219,36 +1223,60 @@ impl EncryptedImage {
     /// aligned) span up front ([`IoBatch`]), every extent's
     /// data+metadata ops go out in one vectored submission, and each
     /// extent decrypts **in place in the destination buffer** (no
-    /// per-sector allocations). Submit-then-wait over
-    /// [`EncryptedImage::submit_read_span`]. Returns the cost plan
-    /// plus the cache hit/miss deltas, so callers embedding this read
-    /// in a larger op (the unaligned-write RMW) can account it.
+    /// per-sector allocations). The queue's read at depth 1: submit
+    /// ([`EncryptedImage::span_requests`]), wait, then
+    /// [`EncryptedImage::complete_read`]. Returns the cost plan plus
+    /// the cache hit/miss deltas, so callers embedding this read in a
+    /// larger op (the unaligned-write RMW) can account it.
     fn read_common(
         &self,
         snap: Option<SnapId>,
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(Plan, u64, u64)> {
-        self.check_bounds(offset, buf.len() as u64)?;
-        if buf.is_empty() {
-            return Ok((Plan::Noop, 0, 0));
-        }
         let (requests, span) = self.span_requests(snap, offset, buf.len() as u64)?;
         let (results, dispatch) = self.image.cluster().read_batch(snap, requests)?;
-        let seq_limit = snap.map(|s| s.0);
-        if span.batch.offset == offset && span.batch.len == buf.len() as u64 {
-            self.complete_read_span(&span, &results, seq_limit, buf)?;
+        let plan = self.complete_read(&span, &results, dispatch, snap.map(|s| s.0), offset, buf)?;
+        Ok((plan, span.hits, span.misses))
+    }
+
+    /// Everything a read does once its span submission has landed —
+    /// the one read-completion path, shared by the sync wrappers and
+    /// the queue: decrypt the span ([`EncryptedImage::complete_read_span`])
+    /// so that `out` receives the requested range starting at byte
+    /// `offset`, and sequence the cost plan (`dispatch`, then the
+    /// decryption). A sector-aligned request decrypts in place in
+    /// `out`; an unaligned one decrypts its aligned span and slices
+    /// (`check_sector_multiple` guarantees the span cannot round past
+    /// the image end).
+    pub(crate) fn complete_read(
+        &self,
+        span: &ReadSpan,
+        results: &[Option<Vec<ReadResult>>],
+        dispatch: Plan,
+        seq_limit: Option<u64>,
+        offset: u64,
+        out: &mut [u8],
+    ) -> Result<Plan> {
+        if span.batch.offset == offset && span.batch.len == out.len() as u64 {
+            self.complete_read_span(span, results, seq_limit, out)?;
         } else {
-            // Unaligned request: decrypt the aligned span, then slice.
-            // (`check_sector_multiple` guarantees the span cannot
-            // round past the image end.)
             let mut aligned = vec![0u8; span.batch.len as usize];
-            self.complete_read_span(&span, &results, seq_limit, &mut aligned)?;
+            self.complete_read_span(span, results, seq_limit, &mut aligned)?;
             let start = (offset - span.batch.offset) as usize;
-            buf.copy_from_slice(&aligned[start..start + buf.len()]);
+            let requested = aligned.get(start..start + out.len()).ok_or_else(|| {
+                CryptError::Internal("read span does not cover the requested range".into())
+            })?;
+            out.copy_from_slice(requested);
         }
-        let crypto = self.image.cluster().crypto_plan(span.batch.len);
-        Ok((Plan::seq([dispatch, crypto]), span.hits, span.misses))
+        // An empty read fetched and decrypted nothing: it charges
+        // nothing.
+        let crypto = if span.batch.len == 0 {
+            Plan::Noop
+        } else {
+            self.image.cluster().crypto_plan(span.batch.len)
+        };
+        Ok(Plan::seq([dispatch, crypto]))
     }
 
     /// The asynchronous read primitive behind
@@ -1390,7 +1418,7 @@ impl EncryptedImage {
     /// epoch (captured at submit) and the cache generation are both
     /// unchanged: per-shard FIFO then guarantees no overwrite or
     /// snapshot was even submitted inside the submit→reap window.
-    pub(crate) fn complete_read_span(
+    fn complete_read_span(
         &self,
         span: &ReadSpan,
         results: &[Option<Vec<ReadResult>>],

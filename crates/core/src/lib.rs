@@ -36,6 +36,13 @@
 //!   [`vdisk_rados::ClusterBuilder::meta_cache_bytes`], observe it via
 //!   `ExecStats::{meta_cache_hits, meta_cache_misses,
 //!   meta_cache_invalidations}`.
+//! - [`EncryptedIoQueue`]: the aio-style IO surface. One engine —
+//!   [`vdisk_rbd::Queue`], which owns completion ids, every reap call,
+//!   the doorbell and the error-retention rule — over two backends:
+//!   the raw [`vdisk_rbd::Image`] in `vdisk-rbd`, and this crate's
+//!   `&mut EncryptedImage` (encrypt on ingest, decrypt at reap). The
+//!   synchronous `write`/`write_owned`/`read` are the same
+//!   preparation and completion routines at depth 1.
 //! - [`audit`]: the adversary's view — raw ciphertext observation and
 //!   sub-block diffing — used to *demonstrate* the leaks the paper
 //!   describes and their elimination.

@@ -1,7 +1,9 @@
 //! The online rekey driver: migrates every sector of an
 //! [`EncryptedImage`] from one key epoch to the next, through the
-//! image's own [`crate::EncryptedIoQueue`], while client IO keeps
-//! flowing between steps.
+//! image's own [`crate::EncryptedIoQueue`] under a
+//! [`crate::TenantQueue`] (the caller's runtime tenant, or a private
+//! runtime sized to the window), while client IO keeps flowing between
+//! steps.
 //!
 //! One [`RekeyDriver::step`] processes a bounded **window** of the
 //! image (`queue_depth × chunk_sectors` sectors past the watermark):
@@ -10,9 +12,9 @@
 //!    each captures the pre-step epoch map, and per-shard FIFO orders
 //!    it after every previously queued client write, so the reaped
 //!    plaintext is exact;
-//! 2. the in-memory watermark advances to the window end, so the
-//!    rewrites encrypt under the new epoch;
-//! 3. completions are reaped with [`crate::EncryptedIoQueue::wait_any`]
+//! 2. once every read has dispatched, the in-memory watermark advances
+//!    to the window end, so the rewrites encrypt under the new epoch;
+//! 3. completions are reaped with [`crate::TenantQueue::wait_any`]
 //!    — whichever chunk's read lands first is immediately resubmitted
 //!    as a write, keeping the pipeline full instead of head-of-line
 //!    blocking on the window's slowest chunk;
@@ -53,7 +55,7 @@
 
 use crate::encrypted_image::EncryptedImage;
 use crate::luks::WindowIntent;
-use crate::runtime::{RuntimeError, TenantHandle};
+use crate::runtime::{Runtime, RuntimeError, TenantHandle, TenantSpec};
 use crate::{CryptError, IoOp, IoPayload, Result};
 use std::collections::HashMap;
 
@@ -305,11 +307,7 @@ impl RekeyDriver {
         // (not yet consumed) markers; the persisted intent stays, so a
         // retried step recovers the window through the proof markers
         // instead of silently skipping it.
-        let migrated = match self.tenant.clone() {
-            Some(tenant) => self.migrate_window_tenant(disk, start, window_end, &tenant),
-            None => self.migrate_window(disk, start, window_end),
-        };
-        if let Err(e) = migrated {
+        if let Err(e) = self.migrate_window(disk, start, window_end) {
             disk.rollback_rekey_boundary(start);
             disk.clear_rekey_markers();
             return Err(e);
@@ -330,49 +328,6 @@ impl RekeyDriver {
     /// ciphertext and its migration-proof marker commit atomically.
     fn chunk_span(chunk_sectors: u64, spo: u64, chunk: u64, end: u64) -> u64 {
         chunk_sectors.min(end - chunk).min(spo - (chunk % spo))
-    }
-
-    /// Phases 1–3 of one [`RekeyDriver::step`] window.
-    fn migrate_window(&self, disk: &mut EncryptedImage, start: u64, window_end: u64) -> Result<()> {
-        let ss = disk.sector_size();
-        let spo = disk.geometry().sectors_per_object;
-        let mut queue = disk.io_queue();
-        // Phase 1: submit every chunk's read. Each captures the
-        // pre-advance epoch map; FIFO pins it to the right data.
-        let mut chunk_offsets: HashMap<u64, u64> = HashMap::new();
-        let mut chunk = start;
-        while chunk < window_end {
-            let sectors = Self::chunk_span(self.chunk_sectors, spo, chunk, window_end);
-            let completion = queue.submit(IoOp::Read {
-                offset: chunk * ss,
-                len: sectors * ss,
-            })?;
-            chunk_offsets.insert(completion.id(), chunk * ss);
-            chunk += sectors;
-        }
-        // Phase 2: the window's rewrites encrypt under the new epoch.
-        queue.disk_mut().advance_rekey_boundary(window_end);
-        // Phase 3: pipeline — whichever read lands first is rewritten
-        // first; writes drain alongside the remaining reads. Each
-        // rewrite is armed with its chunk's migration-proof marker.
-        while queue.in_flight() > 0 {
-            for result in queue.wait_any()? {
-                let Some(offset) = chunk_offsets.remove(&result.completion.id()) else {
-                    continue; // a rewrite completing
-                };
-                let IoPayload::Data(plaintext) = result.payload else {
-                    return Err(CryptError::Internal(
-                        "chunk read completed without a data payload".into(),
-                    ));
-                };
-                queue.disk_mut().arm_rekey_marker(offset, plaintext.len());
-                queue.submit(IoOp::Write {
-                    offset,
-                    data: plaintext,
-                })?;
-            }
-        }
-        Ok(())
     }
 
     /// Replays a window a prior attempt left in doubt (its intent
@@ -415,59 +370,59 @@ impl RekeyDriver {
                 disk.read(offset, &mut plaintext)?;
                 disk.advance_rekey_boundary(chunk + sectors);
                 disk.arm_rekey_marker(offset, len);
-                let mut queue = disk.io_queue();
-                queue.submit(IoOp::Write {
-                    offset,
-                    data: plaintext,
-                })?;
-                queue.wait()?;
+                disk.write_owned(offset, plaintext)?;
             }
             chunk += sectors;
         }
         Ok(())
     }
 
-    /// [`RekeyDriver::migrate_window`] with the window's IO flowing
-    /// through the driver's runtime tenant: submissions pass admission
-    /// control and dispatch only as the fair scheduler grants slots,
-    /// so a low-weight rekey tenant is damped exactly like any other
-    /// tenant while client queues are busy.
-    fn migrate_window_tenant(
-        &self,
-        disk: &mut EncryptedImage,
-        start: u64,
-        window_end: u64,
-        tenant: &TenantHandle,
-    ) -> Result<()> {
+    /// Phases 1–3 of one [`RekeyDriver::step`] window, always through
+    /// a [`crate::TenantQueue`]: submissions pass admission control and
+    /// dispatch only as the fair scheduler grants slots, so a
+    /// low-weight rekey tenant is damped exactly like any other tenant
+    /// while client queues are busy. With no tenant configured the
+    /// driver registers on a private runtime sized to the window —
+    /// every grant is immediate, and the pipeline below is still the
+    /// only one.
+    fn migrate_window(&self, disk: &mut EncryptedImage, start: u64, window_end: u64) -> Result<()> {
         let ss = disk.sector_size();
         let spo = disk.geometry().sectors_per_object;
+        let mut chunks: Vec<(u64, u64)> = Vec::new();
+        let mut chunk = start;
+        while chunk < window_end {
+            let sectors = Self::chunk_span(self.chunk_sectors, spo, chunk, window_end);
+            chunks.push((chunk * ss, sectors * ss));
+            chunk += sectors;
+        }
+        let tenant = self.tenant.clone().unwrap_or_else(|| {
+            let depth = chunks.len();
+            Runtime::new(depth).register(TenantSpec::new("rekey").qd_cap(depth).backlog_cap(depth))
+        });
         let mut queue = tenant.attach(disk.io_queue());
         // Phase 1: queue every chunk's read, blocking (and reaping)
         // at the tenant's backlog cap rather than failing.
         let mut chunk_offsets: HashMap<u64, u64> = HashMap::new();
-        let mut chunk = start;
-        while chunk < window_end {
-            let sectors = Self::chunk_span(self.chunk_sectors, spo, chunk, window_end);
+        for (offset, len) in chunks {
             let completion = queue
-                .submit_blocking(IoOp::Read {
-                    offset: chunk * ss,
-                    len: sectors * ss,
-                })
+                .submit_blocking(IoOp::Read { offset, len })
                 .map_err(flatten)?;
-            chunk_offsets.insert(completion.id(), chunk * ss);
-            chunk += sectors;
+            chunk_offsets.insert(completion.id(), offset);
         }
         // Phase 2: every read must *dispatch* (capturing the
-        // pre-advance epoch map at the inner queue) before the
-        // boundary moves — an arbitrated read still queued when the
-        // epoch advanced would decrypt with the wrong keys.
+        // pre-advance epoch map at the inner queue; FIFO pins it to
+        // the right data) before the boundary moves — an arbitrated
+        // read still queued when the epoch advanced would decrypt with
+        // the wrong keys. From here the window's rewrites encrypt
+        // under the new epoch.
         queue.dispatch_backlog().map_err(flatten)?;
         queue
             .inner_mut()
-            .disk_mut()
+            .backend_mut()
             .advance_rekey_boundary(window_end);
-        // Phase 3: the same land-first-rewrite-first pipeline, paced
-        // by the scheduler's grants.
+        // Phase 3: pipeline — whichever read lands first is rewritten
+        // first; writes drain alongside the remaining reads, paced by
+        // the scheduler's grants.
         while !chunk_offsets.is_empty() || queue.backlog() > 0 || queue.in_flight() > 0 {
             for result in queue.wait_any().map_err(flatten)? {
                 let Some(offset) = chunk_offsets.remove(&result.completion.id()) else {
@@ -484,7 +439,7 @@ impl RekeyDriver {
                 // only when the write actually submits.
                 queue
                     .inner_mut()
-                    .disk_mut()
+                    .backend_mut()
                     .arm_rekey_marker(offset, plaintext.len());
                 queue
                     .submit_blocking(IoOp::Write {

@@ -66,7 +66,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 use vdisk_rados::{Doorbell, ExecStats};
-use vdisk_rbd::{Completion, IoOp, IoResult};
+use vdisk_rbd::{Completion, IoOp, IoResult, Queue, QueueBackend};
 
 mod sched;
 
@@ -251,9 +251,9 @@ impl<E> From<E> for RuntimeError<E> {
 
 /// A queue the runtime can arbitrate: non-blocking submit and reap,
 /// an in-flight count, and the completion doorbell the runtime rings
-/// when a scheduling change should wake the owner. Implemented by the
-/// raw [`vdisk_rbd::IoQueue`] and the encrypted
-/// [`EncryptedIoQueue`](crate::EncryptedIoQueue).
+/// when a scheduling change should wake the owner. Implemented once,
+/// for every [`Queue`] — the raw [`vdisk_rbd::IoQueue`] and the
+/// encrypted [`EncryptedIoQueue`](crate::EncryptedIoQueue) alike.
 pub trait ArbitratedQueue {
     /// The queue's error type.
     type Error;
@@ -279,16 +279,13 @@ pub trait ArbitratedQueue {
     fn doorbell(&self) -> Arc<Doorbell>;
 
     /// Drains the completion ids of ops consumed by reap errors since
-    /// the last call, so the runtime can refund their budget. The
-    /// default (for queues that never consume ops on error) reports
-    /// none.
-    fn take_failed(&mut self) -> Vec<u64> {
-        Vec::new()
-    }
+    /// the last call, so the runtime can refund their budget.
+    fn take_failed(&mut self) -> Vec<u64>;
 }
 
-impl ArbitratedQueue for vdisk_rbd::IoQueue {
-    type Error = vdisk_rbd::RbdError;
+/// Every [`Queue`] is arbitrable, whatever its backend.
+impl<B: QueueBackend> ArbitratedQueue for Queue<B> {
+    type Error = B::Error;
 
     fn submit_direct(&mut self, op: IoOp) -> Result<Completion, Self::Error> {
         self.submit(op)
@@ -299,39 +296,15 @@ impl ArbitratedQueue for vdisk_rbd::IoQueue {
     }
 
     fn in_flight(&self) -> usize {
-        self.in_flight()
+        Queue::in_flight(self)
     }
 
     fn doorbell(&self) -> Arc<Doorbell> {
-        vdisk_rbd::IoQueue::doorbell(self)
+        Queue::doorbell(self)
     }
 
     fn take_failed(&mut self) -> Vec<u64> {
-        self.take_failed()
-    }
-}
-
-impl ArbitratedQueue for crate::EncryptedIoQueue<'_> {
-    type Error = crate::CryptError;
-
-    fn submit_direct(&mut self, op: IoOp) -> Result<Completion, Self::Error> {
-        self.submit(op)
-    }
-
-    fn poll_direct(&mut self) -> Result<Vec<IoResult>, Self::Error> {
-        self.poll()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.in_flight()
-    }
-
-    fn doorbell(&self) -> Arc<Doorbell> {
-        crate::EncryptedIoQueue::doorbell(self)
-    }
-
-    fn take_failed(&mut self) -> Vec<u64> {
-        self.take_failed()
+        Queue::take_failed(self)
     }
 }
 
@@ -484,13 +457,15 @@ impl fmt::Debug for TenantHandle {
 }
 
 /// The payload cost of an op in bytes (min 1, so zero-length ops
-/// still advance the fairness clock).
+/// still advance the fairness clock). Only a scheduling weight: a
+/// scatter read whose lengths overflow `u64` saturates here, and its
+/// dispatch then reports it out of bounds.
 fn op_cost(op: &IoOp) -> u64 {
     let bytes = match op {
         IoOp::Write { data, .. } => data.len() as u64,
         IoOp::Writev { buffers, .. } => buffers.iter().map(|b| b.len() as u64).sum(),
         IoOp::Read { len, .. } => *len,
-        IoOp::Readv { lens, .. } => lens.iter().sum(),
+        IoOp::Readv { lens, .. } => lens.iter().fold(0u64, |sum, &len| sum.saturating_add(len)),
     };
     bytes.max(1)
 }

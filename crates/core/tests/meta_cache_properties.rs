@@ -146,7 +146,7 @@ fn run_case(layout: MetaLayout, actions: &[Action]) {
             }
             Action::Snapshot => {
                 let name = format!("s{i}");
-                let id_cached = queue.disk().snap_create(&name).unwrap();
+                let id_cached = queue.backend().snap_create(&name).unwrap();
                 let id_plain = plain.snap_create(&name).unwrap();
                 snaps.push((id_cached, id_plain, mirror.clone()));
             }
@@ -160,7 +160,7 @@ fn run_case(layout: MetaLayout, actions: &[Action]) {
                 let mut a = vec![0u8; *len];
                 let mut b = vec![0u8; *len];
                 queue
-                    .disk()
+                    .backend()
                     .read_at_snap(*id_cached, *offset, &mut a)
                     .unwrap();
                 plain.read_at_snap(*id_plain, *offset, &mut b).unwrap();

@@ -511,7 +511,7 @@ fn run_interleaving(config: &EncryptionConfig, actions: &[Action], seed: u64) {
                 queue = live.io_queue();
             }
             Action::Snapshot => {
-                let snap = queue.disk().snap_create(&format!("s{i}")).unwrap();
+                let snap = queue.backend().snap_create(&format!("s{i}")).unwrap();
                 snaps.push((snap, mirror.clone()));
             }
             Action::SnapRead { offset, len } => {
@@ -519,7 +519,10 @@ fn run_interleaving(config: &EncryptionConfig, actions: &[Action], seed: u64) {
                     continue;
                 };
                 let mut buf = vec![0u8; *len];
-                queue.disk().read_at_snap(*snap, *offset, &mut buf).unwrap();
+                queue
+                    .backend()
+                    .read_at_snap(*snap, *offset, &mut buf)
+                    .unwrap();
                 assert_eq!(
                     buf,
                     frozen[*offset as usize..*offset as usize + len],

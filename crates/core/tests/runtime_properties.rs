@@ -16,13 +16,14 @@
 //!    completes with data intact.
 
 use proptest::prelude::*;
+use vdisk_core::runtime::ArbitratedQueue;
 use vdisk_core::{
-    EncryptedImage, EncryptionConfig, IoOp, IoPayload, MetaLayout, RateLimit, Runtime,
+    CryptError, EncryptedImage, EncryptionConfig, IoOp, IoPayload, MetaLayout, RateLimit, Runtime,
     RuntimeError, TenantSpec,
 };
 use vdisk_crypto::rng::SeededIvSource;
 use vdisk_rados::Cluster;
-use vdisk_rbd::Image;
+use vdisk_rbd::{Image, RbdError};
 
 const IMAGE_SIZE: u64 = 4 << 20;
 const OBJECT_SIZE: u64 = 1 << 20;
@@ -462,6 +463,62 @@ fn submit_error_for_an_earlier_op_unadmits_the_fresh_op() {
     assert_eq!(results.len(), 1);
     assert_eq!(results[0].completion.id(), token.id());
     assert_eq!(tenant.stats().completed_ops, 5);
+}
+
+/// Regression: a scatter read whose lengths overflow `u64` used to
+/// panic in the tenant queue's cost computation ("attempt to add with
+/// overflow"; a 1-byte cost in release builds) — one layer above the
+/// inner queues, which already refuse it with a typed error. The cost
+/// is only a scheduling weight: it saturates, the dispatch reports
+/// `OutOfBounds`, and every slot is refunded.
+#[test]
+fn tenant_readv_lengths_that_overflow_u64_are_out_of_bounds() {
+    fn check<Q: ArbitratedQueue>(
+        kind: &str,
+        runtime: &Runtime,
+        inner: Q,
+        is_out_of_bounds: fn(&Q::Error) -> bool,
+    ) where
+        Q::Error: std::fmt::Debug,
+    {
+        let tenant = runtime.register(TenantSpec::new(kind));
+        let mut queue = tenant.attach(inner);
+        let err = queue.submit(IoOp::Readv {
+            offset: 0,
+            lens: vec![u64::MAX, 2],
+        });
+        let Err(RuntimeError::Queue(e)) = err else {
+            panic!("{kind}: expected a typed dispatch error, got {err:?}");
+        };
+        assert!(is_out_of_bounds(&e), "{kind}: got {e:?}");
+        assert_eq!(runtime.in_flight(), 0, "{kind}: the slot must be refunded");
+        assert_eq!(tenant.stats().backlog_ops, 0, "{kind}");
+        assert_eq!(queue.backlog(), 0, "{kind}");
+
+        // The tenant's next valid op completes.
+        let token = queue
+            .submit(IoOp::Readv {
+                offset: 0,
+                lens: vec![SECTOR, SECTOR],
+            })
+            .unwrap();
+        let results = queue.fence().unwrap();
+        assert_eq!(results.len(), 1, "{kind}");
+        assert_eq!(results[0].completion.id(), token.id(), "{kind}");
+        assert_eq!(results[0].payload.segments().len(), 2, "{kind}");
+        assert_eq!(runtime.in_flight(), 0, "{kind}");
+    }
+
+    let cluster = Cluster::builder().concurrent_apply(false).build();
+    let runtime = Runtime::new(4);
+    let image = Image::create(&cluster, "overflow-raw", 1 << 20).unwrap();
+    check("raw", &runtime, vdisk_rbd::IoQueue::new(&image), |e| {
+        matches!(e, RbdError::OutOfBounds { .. })
+    });
+    let mut disk = encrypted_disk(&cluster, "overflow-enc", 7);
+    check("encrypted", &runtime, disk.io_queue(), |e| {
+        matches!(e, CryptError::Rbd(RbdError::OutOfBounds { .. }))
+    });
 }
 
 /// A zero-rate bucket grants its burst and then starves: waiting on

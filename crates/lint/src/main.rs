@@ -11,8 +11,9 @@
 //! ```
 //!
 //! Artifacts land in `<out>/` (default `target/vdisk-lint/`):
-//! `findings.json` (machine-readable), `lock-order.dot` (graphviz),
-//! `lock-order.txt` (human lock report).
+//! `findings.json` (machine-readable), `loc.json` (code lines per
+//! crate), `lock-order.dot` (graphviz), `lock-order.txt` (human lock
+//! report).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -119,6 +120,7 @@ fn run() -> Result<bool, String> {
         .map_err(|e| format!("cannot create {}: {e}", args.out.display()))?;
     let artifacts = [
         ("findings.json", report::findings_json(&analysis)),
+        ("loc.json", report::loc_json(&analysis)),
         ("lock-order.dot", analysis.lock_graph.to_dot()),
         ("lock-order.txt", analysis.lock_graph.report()),
     ];

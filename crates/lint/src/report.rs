@@ -62,6 +62,18 @@ pub fn findings_json(analysis: &Analysis) -> String {
     out
 }
 
+/// Code lines per crate (see [`Analysis::code_lines_by_crate`]) as a
+/// flat JSON object with a `total`, for the CI artifact.
+pub fn loc_json(analysis: &Analysis) -> String {
+    let mut out = String::from("{\n");
+    for (name, lines) in &analysis.code_lines_by_crate {
+        out.push_str(&format!("  \"{}\": {lines},\n", json_escape(name)));
+    }
+    let total: usize = analysis.code_lines_by_crate.values().sum();
+    out.push_str(&format!("  \"total\": {total}\n}}\n"));
+    out
+}
+
 /// One finding, `file:line: [rule] message` (the compiler-ish form
 /// terminals and CI logs expect).
 pub fn render_finding(f: &Finding) -> String {
@@ -94,6 +106,10 @@ pub fn summary(analysis: &Analysis) -> String {
         analysis.lock_graph.cycles.len(),
         analysis.lock_graph.suppressed_edges.len()
     ));
+    out.push_str("code lines (non-blank, non-comment, outside cfg(test)):\n");
+    for (name, lines) in &analysis.code_lines_by_crate {
+        out.push_str(&format!("  {name:<8} {lines:>6}\n"));
+    }
     out
 }
 

@@ -7,6 +7,12 @@
 //! image-level snapshots, and the raw read/write path the encryption
 //! layer in `vdisk-core` builds on.
 //!
+//! It also owns the stack's one submission-queue engine: [`Queue`],
+//! generic over a [`QueueBackend`]. [`IoQueue`] is that engine over an
+//! [`Image`] (the raw backend); `vdisk-core` supplies the encrypting
+//! backend and gets every reap call, the completion doorbell and the
+//! error-retention rule from here.
+//!
 //! # Example
 //!
 //! ```
@@ -32,16 +38,8 @@ mod queue;
 mod striping;
 
 pub use image::{Image, ImageStat, SnapshotInfo};
-pub use queue::{Completion, IoOp, IoPayload, IoQueue, IoResult};
+pub use queue::{Completion, IoOp, IoPayload, IoQueue, IoResult, PendingOp, Queue, QueueBackend};
 pub use striping::{ObjectExtent, Striper};
-
-/// Internal plumbing for queues layered over this crate's (the
-/// encrypted queue in `vdisk-core`): the shared submission-tracking /
-/// reap engine. Not part of the supported API surface.
-#[doc(hidden)]
-pub mod queue_engine {
-    pub use crate::queue::{readv_len, PendingOp, ReapQueue};
-}
 
 use std::error::Error as StdError;
 use std::fmt;

@@ -1,13 +1,20 @@
 //! The aio-style submission-queue IO API (librbd/io_uring-shaped).
 //!
-//! An [`IoQueue`] wraps an [`Image`] and accepts **owned-buffer**
-//! operations: [`IoOp::Write`] hands its `Vec<u8>` straight down the
-//! stack (each touched object's transaction receives a slice view of
-//! the submitted allocation — no request copy), [`IoOp::Read`] returns
-//! its payload in the completion. Submissions return immediately with
-//! a [`Completion`] token; results are reaped with [`IoQueue::poll`]
-//! (non-blocking), [`IoQueue::wait`] (blocks for at least one
-//! completion) or [`IoQueue::fence`] (full barrier).
+//! One engine, [`Queue`], generic over a small [`QueueBackend`] (put
+//! an op in flight → pending state; finalize a completed pending state
+//! → [`IoResult`]) and statically dispatched. This crate provides the
+//! raw backend: an [`IoQueue`] is a `Queue` over the [`Image`] itself.
+//! The encrypting backend lives in `vdisk-core`, whose
+//! `EncryptedIoQueue` is the same engine over `&mut EncryptedImage`.
+//!
+//! A queue accepts **owned-buffer** operations: [`IoOp::Write`] hands
+//! its `Vec<u8>` straight down the stack (each touched object's
+//! transaction receives a slice view of the submitted allocation — no
+//! request copy), [`IoOp::Read`] returns its payload in the
+//! completion. Submissions return immediately with a [`Completion`]
+//! token; results are reaped with [`Queue::poll`] (non-blocking),
+//! [`Queue::wait`] / [`Queue::wait_any`] (block for at least one
+//! completion) or [`Queue::fence`] (full barrier).
 //!
 //! Keeping many operations in flight is the point: the paper's
 //! bandwidth argument (fio at queue depth 32, §3.3) depends on the
@@ -18,7 +25,7 @@
 //! **Ordering**: operations touching the same object are applied in
 //! submission order (per-shard FIFO, single consumer); operations on
 //! disjoint objects may complete in any order. A
-//! [`fence`](IoQueue::fence) orders everything before it against
+//! [`fence`](Queue::fence) orders everything before it against
 //! everything after it.
 //!
 //! # Example
@@ -44,7 +51,7 @@
 
 use crate::image::Image;
 use crate::striping::ObjectExtent;
-use crate::Result;
+use crate::{RbdError, Result};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use vdisk_rados::{ApplyTicket, Doorbell, ExecStats, ReadTicket, SharedBuf, Transaction};
@@ -87,24 +94,6 @@ pub enum IoOp {
     },
 }
 
-/// Total bytes of a scatter read over an image of `size` bytes. A sum
-/// that overflows `u64` exceeds any image, so it is reported the way
-/// an overflowing end offset is; shared with the encrypted queue in
-/// `vdisk-core`.
-///
-/// # Errors
-///
-/// Returns [`crate::RbdError::OutOfBounds`] on overflow.
-#[doc(hidden)]
-pub fn readv_len(lens: &[u64], size: u64) -> Result<u64> {
-    lens.iter()
-        .try_fold(0u64, |sum, &len| sum.checked_add(len))
-        .ok_or(crate::RbdError::OutOfBounds {
-            offset: u64::MAX,
-            size,
-        })
-}
-
 /// Token identifying a submitted operation; returned again in its
 /// [`IoResult`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,9 +106,10 @@ impl Completion {
         self.0
     }
 
-    /// Builds a token from a sequence number — for queue
-    /// implementations layering over this one (e.g. the encrypted
-    /// queue in `vdisk-core`); tokens carry no authority.
+    /// Builds a token from a sequence number — for wrappers that
+    /// allot their own ids and rewrite the wrapped queue's tokens
+    /// (`vdisk_core::TenantQueue`) and for test harnesses; tokens
+    /// carry no authority.
     #[must_use]
     pub fn from_id(id: u64) -> Completion {
         Completion(id)
@@ -152,29 +142,21 @@ impl IoPayload {
         }
     }
 
-    /// Packs a completed contiguous read: the whole buffer for a
-    /// plain read, or one segment per requested length for a scatter
-    /// read. Shared by this queue and the encrypted queue in
-    /// `vdisk-core` so the split logic lives in one place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segment lengths exceed the buffer.
-    #[must_use]
-    pub fn from_read(data: Vec<u8>, split: Option<Vec<u64>>) -> IoPayload {
-        match split {
-            None => IoPayload::Data(data),
-            Some(lens) => {
-                let mut segments = Vec::with_capacity(lens.len());
-                let mut cursor = 0usize;
-                for len in lens {
-                    // vdisk-lint: allow(hot-path-index) reason="documented panicking packer: segment lengths exceeding the buffer are a caller bug"
-                    segments.push(data[cursor..cursor + len as usize].to_vec());
-                    cursor += len as usize;
-                }
-                IoPayload::Segments(segments)
-            }
+    /// Splits a completed contiguous read into one segment per
+    /// requested length (a scatter read's payload); other payloads
+    /// pass through.
+    fn into_segments(self, lens: &[u64]) -> IoPayload {
+        let IoPayload::Data(data) = self else {
+            return self;
+        };
+        let mut segments = Vec::with_capacity(lens.len());
+        let mut cursor = 0usize;
+        for &len in lens {
+            // vdisk-lint: allow(hot-path-index) reason="the engine read exactly lens.iter().sum() bytes for this op; a shorter payload is a backend bug"
+            segments.push(data[cursor..cursor + len as usize].to_vec());
+            cursor += len as usize;
         }
+        IoPayload::Segments(segments)
     }
 
     /// Unwraps scatter-read segments.
@@ -208,11 +190,10 @@ pub struct IoResult {
     pub stats: ExecStats,
 }
 
-/// Per-op pending state usable with [`ReapQueue`]: at submission the
+/// Per-op pending state of a [`QueueBackend`]: at submission the
 /// engine subscribes the op's completion signal to the queue's
 /// [`Doorbell`], so the shard worker that lands its last part rings
 /// the reaper.
-#[doc(hidden)]
 pub trait PendingOp {
     /// Subscribes the op's completion signal to `bell`.
     fn subscribe(&self, bell: &Arc<Doorbell>);
@@ -223,32 +204,110 @@ pub trait PendingOp {
     fn is_complete(&self) -> bool;
 }
 
-/// The submission-tracking/reap engine shared by this queue and the
-/// encrypted queue in `vdisk-core`, generic over the per-op pending
-/// state: completion-id allotment, the poll/wait/fence walk order, the
-/// parked (zero-spin) blocking protocol, and the error-retention rule
-/// (a failed finalize consumes exactly one op; completions already
+/// What a [`Queue`] drives: how one op is put in flight and how its
+/// completed pending state becomes an [`IoResult`]. Everything else —
+/// completion ids, the reap surface, parking, error retention, scatter
+/// reads — is the engine's. Two backends exist: [`Image`] (the raw
+/// [`IoQueue`]) and `&mut EncryptedImage` in `vdisk-core` (its
+/// `EncryptedIoQueue`).
+pub trait QueueBackend {
+    /// What the backend keeps per op between submit and reap.
+    type Pending: PendingOp;
+    /// The backend's error type.
+    type Error: From<RbdError>;
+
+    /// Name of the image behind the queue (for `Debug`).
+    fn name(&self) -> &str;
+
+    /// Size in bytes of the image behind the queue.
+    fn size(&self) -> u64;
+
+    /// Puts an owned-buffer write in flight.
+    ///
+    /// # Errors
+    ///
+    /// Out-of-bounds and other synchronous submit errors; nothing is
+    /// in flight then.
+    fn queue_write(
+        &mut self,
+        offset: u64,
+        data: Vec<u8>,
+    ) -> std::result::Result<Self::Pending, Self::Error>;
+
+    /// Puts a gather-write in flight: `buffers` back to back at
+    /// `offset`.
+    ///
+    /// # Errors
+    ///
+    /// As [`QueueBackend::queue_write`].
+    fn queue_writev(
+        &mut self,
+        offset: u64,
+        buffers: Vec<Vec<u8>>,
+    ) -> std::result::Result<Self::Pending, Self::Error>;
+
+    /// Puts a contiguous read in flight. Scatter reads arrive here as
+    /// one read of their total length; the engine splits the payload.
+    ///
+    /// # Errors
+    ///
+    /// As [`QueueBackend::queue_write`].
+    fn queue_read(
+        &mut self,
+        offset: u64,
+        len: u64,
+    ) -> std::result::Result<Self::Pending, Self::Error>;
+
+    /// Turns a completed pending state into its result; all of an
+    /// op's client-side completion work (assembly, decryption) happens
+    /// here. A read returns [`IoPayload::Data`].
+    ///
+    /// # Errors
+    ///
+    /// Store or decryption errors of the completed op, which is
+    /// consumed with them.
+    fn finalize(
+        &self,
+        completion: Completion,
+        pending: Self::Pending,
+    ) -> std::result::Result<IoResult, Self::Error>;
+}
+
+/// One op in flight: its completion id, the backend's pending state,
+/// and — for a scatter read — the segment lengths to split the payload
+/// into at reap.
+struct InFlight<P> {
+    id: u64,
+    state: P,
+    split: Option<Vec<u64>>,
+}
+
+/// The aio-style submission queue: owned buffers, many IOs in flight,
+/// completions reaped by `poll`/`wait`/`wait_any`/`fence`. One engine,
+/// statically dispatched over its [`QueueBackend`]: completion-id
+/// allotment, scatter-read lowering, the reap walk order, the parked
+/// (zero-spin) blocking protocol, and the error-retention rule (a
+/// failed finalize consumes exactly one op; completions already
 /// finalized stay staged and are delivered by the next reap call) live
-/// in exactly one place.
+/// here and nowhere else.
 ///
-/// **Completion model**: every pushed op subscribes the queue's
+/// **Completion model**: every submitted op subscribes the queue's
 /// [`Doorbell`] (see [`PendingOp`]); shard workers ring it once per
 /// submission, when its last part lands. A reap walks the pending ops
-/// and finalizes those that are complete — all of an op's client-side
-/// work (assembly, decryption) happens in `finalize`. A blocking reap
-/// snapshots the bell's generation before it walks and, if nothing was
-/// complete, parks in [`Doorbell::wait_past`]. Rings after the snapshot
-/// bump the generation, so completions can never be slept through, and
-/// an idle wait burns no CPU.
-#[doc(hidden)]
-pub struct ReapQueue<P> {
-    pending: VecDeque<(u64, P)>,
-    /// Finalized results not yet delivered (see the module docs on
-    /// reap errors).
+/// and finalizes those that are complete. A blocking reap snapshots
+/// the bell's generation before it walks and, if nothing was complete,
+/// parks in [`Doorbell::wait_past`]. Rings after the snapshot bump the
+/// generation, so completions can never be slept through, and an idle
+/// wait burns no CPU.
+pub struct Queue<B: QueueBackend> {
+    backend: B,
+    pending: VecDeque<InFlight<B::Pending>>,
+    /// Finalized results not yet delivered (see the error-retention
+    /// rule above).
     completed: Vec<IoResult>,
     next_id: u64,
-    /// The queue's doorbell: every pending op is subscribed at push
-    /// time, and shard workers ring it as each submission completes.
+    /// Every pending op is subscribed at submit time, and shard
+    /// workers ring it as each submission completes.
     bell: Arc<Doorbell>,
     /// Times a blocking reap found nothing finished and parked — the
     /// observable proof that waiting is event-driven, not a spin (a
@@ -256,16 +315,27 @@ pub struct ReapQueue<P> {
     /// delayed completion; parking counts one per wakeup).
     idle_passes: u64,
     /// Completion ids of ops consumed by a reap error and not yet
-    /// collected via [`ReapQueue::take_failed`]. Runtimes layered
-    /// above (the multi-tenant arbiter in `vdisk-core`) account
-    /// in-flight budget per op, so they need to know exactly which
-    /// ops died with an error to refund their slots.
+    /// collected via [`Queue::take_failed`].
     failed: Vec<u64>,
 }
 
-impl<P> Default for ReapQueue<P> {
-    fn default() -> Self {
-        ReapQueue {
+/// The raw queue: a [`Queue`] whose backend is the [`Image`] itself.
+pub type IoQueue = Queue<Image>;
+
+impl Queue<Image> {
+    /// Opens a queue over `image` (cheap: the image handle is shared).
+    #[must_use]
+    pub fn new(image: &Image) -> IoQueue {
+        Queue::over(image.clone())
+    }
+}
+
+impl<B: QueueBackend> Queue<B> {
+    /// Opens a queue over `backend`.
+    #[must_use]
+    pub fn over(backend: B) -> Queue<B> {
+        Queue {
+            backend,
             pending: VecDeque::new(),
             completed: Vec::new(),
             next_id: 0,
@@ -274,29 +344,32 @@ impl<P> Default for ReapQueue<P> {
             failed: Vec::new(),
         }
     }
-}
 
-impl<P: PendingOp> ReapQueue<P> {
-    /// Tracks a newly submitted op, subscribing it to the queue's
-    /// doorbell and returning its completion token.
-    pub fn push(&mut self, state: P) -> Completion {
-        state.subscribe(&self.bell);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push_back((id, state));
-        Completion(id)
+    /// What this queue drives (the [`Image`] of an [`IoQueue`]).
+    #[must_use]
+    pub fn backend(&self) -> &B {
+        &self.backend
     }
 
-    /// Ops submitted and not yet reaped.
+    /// Mutable access to the backend, for drivers that change backend
+    /// state between submissions. Ops already in flight keep whatever
+    /// they captured at submit.
+    #[must_use]
+    pub fn backend_mut(&mut self) -> &mut B {
+        &mut self.backend
+    }
+
+    /// Operations submitted and not yet reaped.
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.pending.len()
     }
 
     /// How many times a blocking reap (`wait`/`wait_any`/`fence`)
-    /// found nothing finished and parked on the doorbell. Stays ~0
-    /// for completions that land before the reap; increments once per
-    /// park-and-wakeup, never per spin iteration.
+    /// parked on the queue's doorbell because nothing had finished
+    /// yet. One count per park-and-wakeup — never per loop iteration —
+    /// so it stays ~0 unless completions are genuinely outpaced, even
+    /// while a wait blocks for a long time.
     #[must_use]
     pub fn idle_passes(&self) -> u64 {
         self.idle_passes
@@ -312,51 +385,83 @@ impl<P: PendingOp> ReapQueue<P> {
         Arc::clone(&self.bell)
     }
 
-    /// Drains the completion ids of ops consumed by reap errors since
-    /// the last call (each reap error consumes exactly one op — see
-    /// the error-retention rule in the type docs). A runtime that
-    /// accounts per-op budget calls this after a failed reap to refund
-    /// exactly the ops that died.
+    /// Drains the completion ids of operations consumed by reap errors
+    /// since the last call (each failed reap consumes exactly one op).
+    /// Runtimes that account per-op budget use this to refund exactly
+    /// the ops that died.
     pub fn take_failed(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.failed)
     }
 
-    /// Reaps every complete op without blocking, in submission order.
+    /// Submits one operation; returns its completion token
+    /// immediately, with the work in flight on the shard queues.
     ///
     /// # Errors
     ///
-    /// Propagates the first finalize error; that op is consumed with
-    /// it, while completions already finalized stay staged for the
-    /// next reap call.
-    pub fn poll<E>(
-        &mut self,
-        finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
-    ) -> std::result::Result<Vec<IoResult>, E> {
-        self.walk(finalize)?;
+    /// [`RbdError::OutOfBounds`] (in the backend's error type) if the
+    /// op exceeds the image — including a scatter read whose lengths
+    /// overflow `u64` — plus the backend's own submit errors; nothing
+    /// stays queued then.
+    pub fn submit(&mut self, op: IoOp) -> std::result::Result<Completion, B::Error> {
+        let (state, split) = match op {
+            IoOp::Write { offset, data } => (self.backend.queue_write(offset, data)?, None),
+            IoOp::Writev { offset, buffers } => (self.backend.queue_writev(offset, buffers)?, None),
+            IoOp::Read { offset, len } => (self.backend.queue_read(offset, len)?, None),
+            IoOp::Readv { offset, lens } => {
+                // A sum past u64 exceeds any image: report it the way
+                // an overflowing end offset is.
+                let len = lens
+                    .iter()
+                    .try_fold(0u64, |sum, &len| sum.checked_add(len))
+                    .ok_or(RbdError::OutOfBounds {
+                        offset: u64::MAX,
+                        size: self.backend.size(),
+                    })?;
+                (self.backend.queue_read(offset, len)?, Some(lens))
+            }
+        };
+        state.subscribe(&self.bell);
+        let id = self.next_id;
+        self.next_id += 1;
+        self.pending.push_back(InFlight { id, state, split });
+        Ok(Completion(id))
+    }
+
+    /// Reaps every already-finished operation without blocking, in
+    /// submission order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first finalize error (store errors, and for an
+    /// encrypting backend decryption errors, of a completed op). The
+    /// failed op is consumed with the error; completions already
+    /// finalized (in this pass or an earlier failed one) are retained
+    /// and delivered by the next reap call.
+    pub fn poll(&mut self) -> std::result::Result<Vec<IoResult>, B::Error> {
+        self.walk()?;
         Ok(std::mem::take(&mut self.completed))
     }
 
-    /// Parks until the oldest outstanding op completes, then reaps it
-    /// and everything else complete. Empty when idle.
+    /// Blocks until at least one operation completes (the oldest
+    /// outstanding one), then reaps everything finished. Returns an
+    /// empty vector when nothing is in flight.
     ///
     /// # Errors
     ///
-    /// As [`ReapQueue::poll`].
-    pub fn wait<E>(
-        &mut self,
-        finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
-    ) -> std::result::Result<Vec<IoResult>, E> {
+    /// As [`Queue::poll`].
+    pub fn wait(&mut self) -> std::result::Result<Vec<IoResult>, B::Error> {
         self.park_until_front_completes();
-        self.poll(finalize)
+        self.poll()
     }
 
-    /// Parks until **any** outstanding op is complete — not
-    /// necessarily the oldest — then reaps everything complete. Where
-    /// [`ReapQueue::wait`] parks on the head of the FIFO (head-of-line
-    /// blocking when a slow op leads faster ones), this reaps
-    /// completions out of submission order as soon as they land — the
-    /// primitive a pipelined driver needs to keep its window full at
-    /// high queue depth. Empty when idle.
+    /// Blocks until **any** in-flight operation has completed — the
+    /// first available one, not the oldest — then reaps everything
+    /// finished. Where [`Queue::wait`] parks on the head of the FIFO
+    /// (head-of-line blocking when a slow op leads faster ones), this
+    /// reaps completions out of submission order as soon as they land
+    /// — the primitive a pipelined driver needs to keep its window
+    /// full at high queue depth. Returns an empty vector when nothing
+    /// is in flight.
     ///
     /// **One walk per doorbell generation**: `finalize` does real work
     /// (an encrypted read decrypts there), so ops can land while a walk
@@ -368,14 +473,11 @@ impl<P: PendingOp> ReapQueue<P> {
     ///
     /// # Errors
     ///
-    /// As [`ReapQueue::poll`].
-    pub fn wait_any<E>(
-        &mut self,
-        finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
-    ) -> std::result::Result<Vec<IoResult>, E> {
+    /// As [`Queue::poll`].
+    pub fn wait_any(&mut self) -> std::result::Result<Vec<IoResult>, B::Error> {
         while !self.pending.is_empty() {
             let seen = self.bell.generation();
-            let finalized = self.walk(finalize)?;
+            let finalized = self.walk()?;
             if finalized > 0 && self.bell.generation() != seen {
                 continue;
             }
@@ -388,64 +490,58 @@ impl<P: PendingOp> ReapQueue<P> {
         Ok(std::mem::take(&mut self.completed))
     }
 
-    /// Finalizes every outstanding op in submission order — the full
-    /// barrier — parking (never spinning) while ops are still in
-    /// flight.
+    /// Full barrier: blocks (parking, never spinning) until **every**
+    /// submitted operation has completed and returns their results in
+    /// submission order. Everything submitted afterwards is ordered
+    /// after everything reaped here.
     ///
     /// # Errors
     ///
-    /// As [`ReapQueue::poll`].
-    pub fn fence<E>(
-        &mut self,
-        finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
-    ) -> std::result::Result<Vec<IoResult>, E> {
+    /// As [`Queue::poll`].
+    pub fn fence(&mut self) -> std::result::Result<Vec<IoResult>, B::Error> {
         loop {
             self.park_until_front_completes();
-            let Some((id, state)) = self.pending.pop_front() else {
+            let Some(op) = self.pending.pop_front() else {
                 return Ok(std::mem::take(&mut self.completed));
             };
-            self.finalize_one(id, state, finalize)?;
+            self.finalize_one(op)?;
         }
     }
 
     /// One pass over the pending ops in submission order, finalizing
     /// (and staging) each one that is complete. Returns how many it
     /// finalized.
-    fn walk<E>(
-        &mut self,
-        finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
-    ) -> std::result::Result<usize, E> {
+    fn walk(&mut self) -> std::result::Result<usize, B::Error> {
         let mut finalized = 0;
         let mut i = 0;
-        while let Some((_, state)) = self.pending.get(i) {
-            if !state.is_complete() {
+        while let Some(op) = self.pending.get(i) {
+            if !op.state.is_complete() {
                 i += 1;
                 continue;
             }
-            let Some((id, state)) = self.pending.remove(i) else {
+            let Some(op) = self.pending.remove(i) else {
                 break;
             };
-            self.finalize_one(id, state, finalize)?;
+            self.finalize_one(op)?;
             finalized += 1;
         }
         Ok(finalized)
     }
 
-    /// Finalizes one op removed from `pending`: its result is staged,
-    /// or its id recorded as failed and the error propagated.
-    fn finalize_one<E>(
-        &mut self,
-        id: u64,
-        state: P,
-        finalize: &mut impl FnMut(Completion, P) -> std::result::Result<IoResult, E>,
-    ) -> std::result::Result<(), E> {
-        match finalize(Completion(id), state) {
-            Ok(result) => {
+    /// Finalizes one op removed from `pending`: its result is staged
+    /// (a scatter read's payload split into its segments first), or
+    /// its id recorded as failed and the error propagated.
+    fn finalize_one(&mut self, op: InFlight<B::Pending>) -> std::result::Result<(), B::Error> {
+        match self.backend.finalize(Completion(op.id), op.state) {
+            Ok(mut result) => {
+                if let Some(lens) = op.split {
+                    result.payload = result.payload.into_segments(&lens);
+                }
                 self.completed.push(result);
                 Ok(())
             }
             Err(e) => {
-                self.failed.push(id);
+                self.failed.push(op.id);
                 Err(e)
             }
         }
@@ -458,7 +554,7 @@ impl<P: PendingOp> ReapQueue<P> {
         loop {
             let seen = self.bell.generation();
             match self.pending.front() {
-                Some((_, state)) if !state.is_complete() => {
+                Some(op) if !op.state.is_complete() => {
                     self.idle_passes += 1;
                     self.bell.wait_past(seen);
                 }
@@ -468,133 +564,73 @@ impl<P: PendingOp> ReapQueue<P> {
     }
 }
 
-enum PendingState {
+impl<B: QueueBackend> std::fmt::Debug for Queue<B> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "Queue({}, {} in flight)",
+            self.backend.name(),
+            self.pending.len()
+        )
+    }
+}
+
+/// Pending state of the raw backend.
+pub enum ImagePending {
+    /// A write's batch ticket.
     Write(ApplyTicket),
+    /// A read's ticket, with what reassembling its payload needs.
     Read {
+        /// The vectored read's ticket.
         ticket: ReadTicket,
+        /// Where each object extent lands in the payload.
         extents: Vec<ObjectExtent>,
+        /// Payload length.
         len: u64,
-        /// `Some` for scatter reads: the requested segment lengths.
-        split: Option<Vec<u64>>,
     },
 }
 
-impl PendingOp for PendingState {
+impl PendingOp for ImagePending {
     fn subscribe(&self, bell: &Arc<Doorbell>) {
         match self {
-            PendingState::Write(ticket) => ticket.subscribe(bell),
-            PendingState::Read { ticket, .. } => ticket.subscribe(bell),
+            ImagePending::Write(ticket) => ticket.subscribe(bell),
+            ImagePending::Read { ticket, .. } => ticket.subscribe(bell),
         }
     }
 
     fn is_complete(&self) -> bool {
         match self {
-            PendingState::Write(ticket) => ticket.is_complete(),
-            PendingState::Read { ticket, .. } => ticket.is_complete(),
+            ImagePending::Write(ticket) => ticket.is_complete(),
+            ImagePending::Read { ticket, .. } => ticket.is_complete(),
         }
     }
 }
 
-/// An aio-style submission queue over one [`Image`]: owned buffers,
-/// many IOs in flight, completions reaped by `poll`/`wait`/`fence`.
-pub struct IoQueue {
-    image: Image,
-    reap: ReapQueue<PendingState>,
-}
+/// The raw backend: striping, shard hand-off and reassembly, no
+/// cipher.
+impl QueueBackend for Image {
+    type Pending = ImagePending;
+    type Error = RbdError;
 
-impl IoQueue {
-    /// Opens a queue over `image` (cheap: the image handle is shared).
-    #[must_use]
-    pub fn new(image: &Image) -> IoQueue {
-        IoQueue {
-            image: image.clone(),
-            reap: ReapQueue::default(),
-        }
+    fn name(&self) -> &str {
+        Image::name(self)
     }
 
-    /// The image this queue drives.
-    #[must_use]
-    pub fn image(&self) -> &Image {
-        &self.image
+    fn size(&self) -> u64 {
+        Image::size(self)
     }
 
-    /// Operations submitted and not yet reaped.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.reap.in_flight()
+    fn queue_write(&mut self, offset: u64, data: Vec<u8>) -> Result<ImagePending> {
+        Ok(ImagePending::Write(self.submit_write(offset, data)?))
     }
 
-    /// How many times a blocking reap (`wait`/`wait_any`/`fence`)
-    /// parked on the queue's doorbell because nothing had finished
-    /// yet. One count per park-and-wakeup — never per loop iteration —
-    /// so it stays ~0 unless completions are genuinely outpaced, even
-    /// while a wait blocks for a long time.
-    #[must_use]
-    pub fn idle_passes(&self) -> u64 {
-        self.reap.idle_passes()
-    }
-
-    /// The queue's completion doorbell: shard workers ring it as
-    /// submissions complete, and runtimes layered above ring it when a
-    /// scheduling change should wake a parked owner.
-    #[must_use]
-    pub fn doorbell(&self) -> Arc<Doorbell> {
-        self.reap.doorbell()
-    }
-
-    /// Drains the completion ids of operations consumed by reap errors
-    /// since the last call (each failed reap consumes exactly one op).
-    /// Runtimes that account per-op budget use this to refund exactly
-    /// the ops that died.
-    pub fn take_failed(&mut self) -> Vec<u64> {
-        self.reap.take_failed()
-    }
-
-    /// Submits one operation; returns its completion token
-    /// immediately, with the work in flight on the shard queues.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::RbdError::OutOfBounds`] if the op exceeds the
-    /// image; nothing has been submitted then.
-    pub fn submit(&mut self, op: IoOp) -> Result<Completion> {
-        let state = match op {
-            IoOp::Write { offset, data } => {
-                PendingState::Write(self.image.submit_write(offset, data)?)
-            }
-            IoOp::Writev { offset, buffers } => {
-                PendingState::Write(self.submit_writev(offset, buffers)?)
-            }
-            IoOp::Read { offset, len } => {
-                let (ticket, extents) = self.image.submit_read(None, offset, len)?;
-                PendingState::Read {
-                    ticket,
-                    extents,
-                    len,
-                    split: None,
-                }
-            }
-            IoOp::Readv { offset, lens } => {
-                let len = readv_len(&lens, self.image.size())?;
-                let (ticket, extents) = self.image.submit_read(None, offset, len)?;
-                PendingState::Read {
-                    ticket,
-                    extents,
-                    len,
-                    split: Some(lens),
-                }
-            }
-        };
-        Ok(self.reap.push(state))
-    }
-
-    /// Gather-write: one batch whose transactions view slices of every
-    /// source buffer in place — an object spanning two buffers gets
-    /// two write ops in its (single, atomic) transaction.
-    fn submit_writev(&self, offset: u64, buffers: Vec<Vec<u8>>) -> Result<ApplyTicket> {
+    /// One batch whose transactions view slices of every source
+    /// buffer in place — an object spanning two buffers gets two write
+    /// ops in its (single, atomic) transaction.
+    fn queue_writev(&mut self, offset: u64, buffers: Vec<Vec<u8>>) -> Result<ImagePending> {
         let total: u64 = buffers.iter().map(|b| b.len() as u64).sum();
-        self.image.check_bounds(offset, total)?;
-        let striper = self.image.striper();
+        self.check_bounds(offset, total)?;
+        let striper = self.striper();
         let mut writes: BTreeMap<u64, Vec<(u64, SharedBuf)>> = BTreeMap::new();
         let mut cursor = offset;
         for buffer in buffers {
@@ -612,70 +648,28 @@ impl IoQueue {
         let txs: Vec<Transaction> = writes
             .into_iter()
             .map(|(object_no, ops)| {
-                let mut tx = Transaction::new(self.image.object_name(object_no));
+                let mut tx = Transaction::new(self.object_name(object_no));
                 for (object_offset, slice) in ops {
                     tx.write(object_offset, slice);
                 }
                 tx
             })
             .collect();
-        Ok(self.image.cluster().submit_batch(txs)?)
+        Ok(ImagePending::Write(self.cluster().submit_batch(txs)?))
     }
 
-    /// Reaps every already-finished operation without blocking, in
-    /// submission order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store errors surfaced by completed reads. The failed
-    /// op's result is consumed with the error; completions already
-    /// finalized (in this pass or an earlier failed one) are retained
-    /// and delivered by the next reap call.
-    pub fn poll(&mut self) -> Result<Vec<IoResult>> {
-        self.reap.poll(&mut Self::finalize)
+    fn queue_read(&mut self, offset: u64, len: u64) -> Result<ImagePending> {
+        let (ticket, extents) = self.submit_read(None, offset, len)?;
+        Ok(ImagePending::Read {
+            ticket,
+            extents,
+            len,
+        })
     }
 
-    /// Blocks until at least one operation completes (the oldest
-    /// outstanding one), then reaps everything finished. Returns an
-    /// empty vector when nothing is in flight.
-    ///
-    /// # Errors
-    ///
-    /// As [`IoQueue::poll`].
-    pub fn wait(&mut self) -> Result<Vec<IoResult>> {
-        self.reap.wait(&mut Self::finalize)
-    }
-
-    /// Blocks until **any** in-flight operation has completed — the
-    /// first available one, not the oldest — then reaps everything
-    /// finished. Avoids the head-of-line blocking of
-    /// [`IoQueue::wait`]: a slow multi-object op at the queue head no
-    /// longer delays reaping faster ops behind it, so a driver can
-    /// resubmit and keep the pipeline full. Returns an empty vector
-    /// when nothing is in flight.
-    ///
-    /// # Errors
-    ///
-    /// As [`IoQueue::poll`].
-    pub fn wait_any(&mut self) -> Result<Vec<IoResult>> {
-        self.reap.wait_any(&mut Self::finalize)
-    }
-
-    /// Full barrier: blocks until **every** submitted operation has
-    /// completed and returns their results in submission order.
-    /// Everything submitted afterwards is ordered after everything
-    /// reaped here.
-    ///
-    /// # Errors
-    ///
-    /// As [`IoQueue::poll`].
-    pub fn fence(&mut self) -> Result<Vec<IoResult>> {
-        self.reap.fence(&mut Self::finalize)
-    }
-
-    fn finalize(completion: Completion, state: PendingState) -> Result<IoResult> {
-        match state {
-            PendingState::Write(ticket) => {
+    fn finalize(&self, completion: Completion, pending: ImagePending) -> Result<IoResult> {
+        match pending {
+            ImagePending::Write(ticket) => {
                 let stats = ticket.stats_delta();
                 Ok(IoResult {
                     completion,
@@ -684,21 +678,19 @@ impl IoQueue {
                     stats,
                 })
             }
-            PendingState::Read {
+            ImagePending::Read {
                 ticket,
                 extents,
                 len,
-                split,
             } => {
                 let stats = ticket.stats_delta();
                 let (results, plan) = ticket.wait()?;
                 let mut buf = vec![0u8; len as usize];
                 Image::assemble_read(&extents, &results, &mut buf);
-                let payload = IoPayload::from_read(buf, split);
                 Ok(IoResult {
                     completion,
                     plan,
-                    payload,
+                    payload: IoPayload::Data(buf),
                     stats,
                 })
             }
@@ -706,20 +698,10 @@ impl IoQueue {
     }
 }
 
-impl std::fmt::Debug for IoQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "IoQueue({}, {} in flight)",
-            self.image.name(),
-            self.reap.in_flight()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use vdisk_rados::Cluster;
 
     fn queue() -> IoQueue {
@@ -851,6 +833,102 @@ mod tests {
         assert_eq!(q.wait_any().unwrap().len(), 0, "idle queue returns empty");
     }
 
+    /// A scripted backend with no cluster behind it: each submitted op
+    /// takes the next [`FakeOp`] off the script as its pending state.
+    #[derive(Default)]
+    struct FakeBackend {
+        script: VecDeque<FakeOp>,
+        finalize_calls: std::cell::Cell<usize>,
+    }
+
+    #[derive(Default)]
+    struct FakeOp {
+        done: Arc<AtomicBool>,
+        /// Another op that completes (and rings) during this op's
+        /// finalize.
+        lands_during_finalize: Option<Arc<AtomicBool>>,
+        /// Finalize fails with `SnapshotNotFound(this)`.
+        fails: Option<&'static str>,
+        /// Read payload returned by finalize.
+        data: Option<Vec<u8>>,
+        bell: std::sync::OnceLock<Arc<Doorbell>>,
+    }
+
+    impl FakeOp {
+        fn complete() -> FakeOp {
+            FakeOp {
+                done: Arc::new(AtomicBool::new(true)),
+                ..FakeOp::default()
+            }
+        }
+    }
+
+    impl PendingOp for FakeOp {
+        fn subscribe(&self, bell: &Arc<Doorbell>) {
+            assert!(self.bell.set(Arc::clone(bell)).is_ok(), "subscribed once");
+        }
+        fn is_complete(&self) -> bool {
+            self.done.load(Ordering::SeqCst)
+        }
+    }
+
+    impl FakeBackend {
+        fn next(&mut self) -> Result<FakeOp> {
+            Ok(self.script.pop_front().expect("script covers every submit"))
+        }
+    }
+
+    impl QueueBackend for FakeBackend {
+        type Pending = FakeOp;
+        type Error = RbdError;
+
+        fn name(&self) -> &str {
+            "fake"
+        }
+        fn size(&self) -> u64 {
+            1 << 20
+        }
+        fn queue_write(&mut self, _: u64, _: Vec<u8>) -> Result<FakeOp> {
+            self.next()
+        }
+        fn queue_writev(&mut self, _: u64, _: Vec<Vec<u8>>) -> Result<FakeOp> {
+            self.next()
+        }
+        fn queue_read(&mut self, _: u64, _: u64) -> Result<FakeOp> {
+            self.next()
+        }
+        fn finalize(&self, completion: Completion, op: FakeOp) -> Result<IoResult> {
+            self.finalize_calls.set(self.finalize_calls.get() + 1);
+            if let Some(other) = op.lands_during_finalize {
+                other.store(true, Ordering::SeqCst);
+                op.bell.get().expect("subscribed at submit").ring();
+            }
+            if let Some(name) = op.fails {
+                return Err(RbdError::SnapshotNotFound(name.into()));
+            }
+            Ok(IoResult {
+                completion,
+                plan: Plan::Noop,
+                payload: op.data.map_or(IoPayload::None, IoPayload::Data),
+                stats: ExecStats::default(),
+            })
+        }
+    }
+
+    fn fake_queue(script: impl IntoIterator<Item = FakeOp>) -> Queue<FakeBackend> {
+        Queue::over(FakeBackend {
+            script: script.into_iter().collect(),
+            ..FakeBackend::default()
+        })
+    }
+
+    fn write_op() -> IoOp {
+        IoOp::Write {
+            offset: 0,
+            data: Vec::new(),
+        }
+    }
+
     #[test]
     fn wait_any_returns_ops_that_land_during_a_finalize() {
         // Pins the one-walk-per-generation rule without a timer: B
@@ -859,55 +937,108 @@ mod tests {
         // takes long enough for B to land and ring the bell. A single
         // walk would return A alone and leave B waiting a whole driver
         // cycle — the re-walk on a moved generation returns both.
-        use std::sync::atomic::{AtomicBool, Ordering};
-        struct Fake {
-            done: Arc<AtomicBool>,
-            /// Completed (and rung) during this op's finalize.
-            lands_during_finalize: Option<Arc<AtomicBool>>,
-        }
-        impl PendingOp for Fake {
-            fn subscribe(&self, _bell: &Arc<Doorbell>) {}
-            fn is_complete(&self) -> bool {
-                self.done.load(Ordering::SeqCst)
-            }
-        }
-        let mut q: ReapQueue<Fake> = ReapQueue::default();
-        let bell = q.doorbell();
         let b_done = Arc::new(AtomicBool::new(false));
-        let b = q.push(Fake {
-            done: Arc::clone(&b_done),
-            lands_during_finalize: None,
-        });
-        let a = q.push(Fake {
-            done: Arc::new(AtomicBool::new(true)),
-            lands_during_finalize: Some(b_done),
-        });
-        let mut finalize_calls = 0;
-        let done = q
-            .wait_any::<()>(&mut |completion, op| {
-                finalize_calls += 1;
-                if let Some(other) = op.lands_during_finalize {
-                    other.store(true, Ordering::SeqCst);
-                    bell.ring();
-                }
-                Ok(IoResult {
-                    completion,
-                    plan: Plan::seq([]),
-                    payload: IoPayload::None,
-                    stats: ExecStats::default(),
-                })
-            })
-            .unwrap();
+        let mut q = fake_queue([
+            FakeOp {
+                done: Arc::clone(&b_done),
+                ..FakeOp::default()
+            },
+            FakeOp {
+                lands_during_finalize: Some(b_done),
+                ..FakeOp::complete()
+            },
+        ]);
+        let b = q.submit(write_op()).unwrap();
+        let a = q.submit(write_op()).unwrap();
+        let done = q.wait_any().unwrap();
         let ids: Vec<Completion> = done.iter().map(|r| r.completion).collect();
         assert_eq!(ids, vec![a, b], "one wait_any call must return both ops");
-        assert_eq!(finalize_calls, 2);
+        assert_eq!(q.backend().finalize_calls.get(), 2);
         assert_eq!(q.idle_passes(), 0, "nothing here ever parks");
+    }
+
+    #[test]
+    fn a_failed_finalize_consumes_one_op_and_keeps_the_rest_staged() {
+        // The error-retention rule, for every reap call: ops A, B, C
+        // are all complete and B's finalize fails. The failing call
+        // consumes exactly B (reported by take_failed); A, finalized
+        // before it, stays staged and is delivered — with C — by the
+        // next reap call.
+        type Reap = fn(&mut Queue<FakeBackend>) -> Result<Vec<IoResult>>;
+        let reaps: [(&str, Reap); 4] = [
+            ("poll", Queue::poll),
+            ("wait", Queue::wait),
+            ("wait_any", Queue::wait_any),
+            ("fence", Queue::fence),
+        ];
+        for (name, reap) in reaps {
+            let mut q = fake_queue([
+                FakeOp::complete(),
+                FakeOp {
+                    fails: Some("b"),
+                    ..FakeOp::complete()
+                },
+                FakeOp::complete(),
+            ]);
+            let a = q.submit(write_op()).unwrap();
+            let b = q.submit(write_op()).unwrap();
+            let c = q.submit(write_op()).unwrap();
+            assert_eq!(
+                reap(&mut q).unwrap_err(),
+                RbdError::SnapshotNotFound("b".into()),
+                "{name}"
+            );
+            assert_eq!(q.in_flight(), 1, "{name}: only C is still pending");
+            assert_eq!(q.take_failed(), vec![b.id()], "{name}");
+            assert!(q.take_failed().is_empty(), "{name}: take_failed drains");
+            let ids: Vec<Completion> = reap(&mut q).unwrap().iter().map(|r| r.completion).collect();
+            assert_eq!(ids, vec![a, c], "{name}: staged A is delivered with C");
+            assert_eq!(q.in_flight(), 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn scatter_reads_are_lowered_and_split_by_the_engine() {
+        // The backend sees one contiguous read and returns one buffer;
+        // the segments are the engine's.
+        let mut q = fake_queue([FakeOp {
+            data: Some(vec![1, 2, 3, 4, 5, 6]),
+            ..FakeOp::complete()
+        }]);
+        q.submit(IoOp::Readv {
+            offset: 0,
+            lens: vec![1, 0, 3, 2],
+        })
+        .unwrap();
+        let done = q.fence().unwrap();
+        assert_eq!(
+            done[0].payload,
+            IoPayload::Segments(vec![vec![1], vec![], vec![2, 3, 4], vec![5, 6]])
+        );
+
+        // A sum past u64 never reaches the backend (the script is
+        // empty: a backend call would panic) and queues nothing.
+        let err = q
+            .submit(IoOp::Readv {
+                offset: 0,
+                lens: vec![u64::MAX, 2],
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RbdError::OutOfBounds {
+                offset: u64::MAX,
+                size: 1 << 20
+            }
+        );
+        assert_eq!(q.in_flight(), 0);
+        assert_eq!(format!("{q:?}"), "Queue(fake, 0 in flight)");
     }
 
     #[test]
     fn out_of_bounds_submission_fails_synchronously() {
         let mut q = queue();
-        let size = q.image().size();
+        let size = q.backend().size();
         assert!(q
             .submit(IoOp::Write {
                 offset: size,
