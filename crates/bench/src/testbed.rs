@@ -87,13 +87,6 @@ pub fn bench_cluster() -> Cluster {
     bench_builder().build()
 }
 
-/// A fresh cluster that stores payloads (for integrity/GCM ablations,
-/// which must decrypt real bytes).
-#[must_use]
-pub fn functional_cluster() -> Cluster {
-    Cluster::builder().build()
-}
-
 /// Builds an encrypted disk of `size` bytes on a fresh bench cluster.
 ///
 /// # Panics

@@ -1570,17 +1570,8 @@ impl EncryptedImage {
         let object = self.image.object_name(object_no);
         let layout = self.config().layout;
 
-        let mut ops: Vec<ReadOp> = Vec::new();
-        match layout {
-            None | Some(MetaLayout::ObjectEnd) | Some(MetaLayout::Omap) => {
-                let (off, len) = self.geometry.data_extent(layout, k, 1);
-                ops.push(ReadOp::Read { offset: off, len });
-            }
-            Some(MetaLayout::Unaligned) => {
-                let (off, len) = self.geometry.data_extent(layout, k, 1);
-                ops.push(ReadOp::Read { offset: off, len });
-            }
-        }
+        let (offset, len) = self.geometry.data_extent(layout, k, 1);
+        let mut ops = vec![ReadOp::Read { offset, len }];
         match layout {
             Some(MetaLayout::ObjectEnd) => {
                 let (off, len) = self

@@ -70,15 +70,6 @@ pub enum KeySize {
 }
 
 impl KeySize {
-    /// Key length in bytes.
-    #[must_use]
-    pub fn key_len(self) -> usize {
-        match self {
-            KeySize::Aes128 => 16,
-            KeySize::Aes256 => 32,
-        }
-    }
-
     /// Number of rounds (Nr).
     #[must_use]
     pub fn rounds(self) -> usize {
@@ -173,12 +164,6 @@ impl Aes {
             round_keys.push(rk);
         }
         Ok(Aes { round_keys, size })
-    }
-
-    /// The key size this schedule was built for.
-    #[must_use]
-    pub fn key_size(&self) -> KeySize {
-        self.size
     }
 
     /// Encrypts one 16-byte block in place.

@@ -68,6 +68,9 @@ impl Default for Config {
                 "rados/src/queue.rs".into(),
                 "rados/src/shard.rs".into(),
                 "rados/src/cluster.rs".into(),
+                "rados/src/builder.rs".into(),
+                "rados/src/maintenance.rs".into(),
+                "rados/src/simglue.rs".into(),
                 "rbd/src/queue.rs".into(),
                 "core/src/queue.rs".into(),
                 "core/src/rekey.rs".into(),
@@ -198,7 +201,7 @@ pub struct PreparedFile {
 
 /// Runs every analysis over `files` and applies allow directives.
 pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
-    let prepared: Vec<PreparedFile> = files
+    let mut prepared: Vec<PreparedFile> = files
         .iter()
         .map(|f| {
             let lexed = lexer::lex(&f.text);
@@ -212,6 +215,23 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
             }
         })
         .collect();
+    // A file declared by `#[cfg(test)] mod name;` is test code as a
+    // whole, though nothing inside it says so.
+    let test_only: std::collections::HashSet<String> = prepared
+        .iter()
+        .flat_map(|pf| {
+            pf.shape
+                .test_mod_decls
+                .iter()
+                .map(|name| child_module_path(&pf.path, name))
+        })
+        .collect();
+    for pf in prepared
+        .iter_mut()
+        .filter(|pf| test_only.contains(&pf.path))
+    {
+        pf.shape = parse::parse_as(&pf.lexed.tokens, true);
+    }
 
     // Directives are parsed first: `allow(lock-order)` sites must
     // remove their edges from the lock graph *before* cycle
@@ -269,6 +289,17 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
         files_scanned: prepared.len(),
         allows_by_rule,
         code_lines_by_crate,
+    }
+}
+
+/// The file `mod name;` declared in the file at `parent` names: beside
+/// a `mod.rs`/`lib.rs`/`main.rs`, else in the directory named after the
+/// declaring file (the workspace has no `name/mod.rs` test modules).
+fn child_module_path(parent: &str, name: &str) -> String {
+    let (dir, file) = parent.rsplit_once('/').unwrap_or(("", parent));
+    match file.strip_suffix(".rs").unwrap_or(file) {
+        "mod" | "lib" | "main" => format!("{dir}/{name}.rs"),
+        stem => format!("{dir}/{stem}/{name}.rs"),
     }
 }
 
@@ -438,7 +469,11 @@ mod tests {
             },
             SourceFile {
                 path: "crates/a/src/deep/m.rs".into(),
-                text: "fn g() {}\n".into(),
+                text: "fn g() {}\n#[cfg(test)]\nmod tests;\n".into(),
+            },
+            SourceFile {
+                path: "crates/a/src/deep/m/tests.rs".into(),
+                text: "use super::*;\n\n#[test]\nfn t() { g().unwrap(); }\n".into(),
             },
             SourceFile {
                 path: "src/lib.rs".into(),
@@ -447,8 +482,9 @@ mod tests {
         ];
         let analysis = analyze(&files, &Config::default());
         // fn line, `1`, `}` and the `#[cfg(test)]` attribute line
-        // (ranges start at the item), plus the second file's one line.
-        assert_eq!(analysis.code_lines_by_crate["a"], 4 + 1);
+        // (ranges start at the item), plus the second file's fn and
+        // attribute lines; the file its `mod tests;` names adds none.
+        assert_eq!(analysis.code_lines_by_crate["a"], 4 + 2);
         assert_eq!(analysis.code_lines_by_crate["(root)"], 2);
     }
 }

@@ -92,6 +92,9 @@ pub struct FileShape {
     /// 1-indexed line ranges (inclusive) covered by `#[cfg(test)]`
     /// items — used to exempt test code from hot-path rules.
     pub test_line_ranges: Vec<(usize, usize)>,
+    /// Names of out-of-line `#[cfg(test)] mod name;` declarations: the
+    /// file each names is test code from its first line to its last.
+    pub test_mod_decls: Vec<String>,
 }
 
 impl FileShape {
@@ -105,8 +108,17 @@ impl FileShape {
 
 /// Parses the item structure of one token stream.
 pub fn parse(tokens: &[Token]) -> FileShape {
+    parse_as(tokens, false)
+}
+
+/// [`parse`], for a file that is `test_only` as a whole — the target of
+/// a `#[cfg(test)] mod name;` declaration in another file.
+pub fn parse_as(tokens: &[Token], test_only: bool) -> FileShape {
     let mut shape = FileShape::default();
-    scan_items(tokens, 0, tokens.len(), None, false, &mut shape);
+    if test_only {
+        shape.test_line_ranges.push((1, usize::MAX));
+    }
+    scan_items(tokens, 0, tokens.len(), None, test_only, &mut shape);
     shape
 }
 
@@ -337,6 +349,14 @@ fn scan_items(
                     scan_items(tokens, j + 1, close, None, item_test, shape);
                     i = close + 1;
                 } else {
+                    if item_test {
+                        if let Some(name) = tokens[i + 1].ident() {
+                            shape.test_mod_decls.push(name.to_string());
+                        }
+                        if !in_test {
+                            mark_test_range(tokens, i, j, shape);
+                        }
+                    }
                     i = j + 1;
                 }
             }
@@ -534,6 +554,16 @@ mod tests {
         let helper = s.fns.iter().find(|f| f.name == "helper").unwrap();
         assert!(helper.in_test);
         assert!(!s.fns.iter().find(|f| f.name == "hot").unwrap().in_test);
+    }
+
+    #[test]
+    fn out_of_line_test_mods_are_recorded_and_their_files_are_test_only() {
+        let s =
+            shape_of("mod a;\n#[cfg(test)]\nmod tests;\n#[cfg(test)]\nmod inline { fn f() {} }");
+        assert_eq!(s.test_mod_decls, vec!["tests".to_string()]);
+        let lexed = crate::lexer::lex("fn helper() { y.unwrap(); }\n");
+        let whole = parse_as(&lexed.tokens, true);
+        assert!(whole.line_in_test(1) && whole.fns[0].in_test);
     }
 
     #[test]

@@ -10,17 +10,20 @@
 //!     <escaped-name>.obj         one codec blob per object
 //! ```
 //!
-//! Three tiers hold a shard's state: an in-memory [`MemStore`] mirror
-//! that serves every read (so read behavior and cost stay bit-identical
-//! to the simulator backend), the **redo log** that makes transactions
-//! durable, and the **object files** that checkpoints fold the log
-//! into. The files alone are the state whenever the log is empty —
-//! which is how [`crate::Cluster::flush`] leaves the directory.
+//! Three tiers hold a shard's state: the in-memory [`MemStore`] mirror
+//! its [`crate::shard::ShardState`] owns, which serves every read (so
+//! read behavior and cost stay bit-identical to an in-memory cluster),
+//! the **redo log** that makes transactions durable, and the **object
+//! files** that checkpoints fold the log into. [`FileStore`] is the
+//! last two: it owns no objects, and every call that writes files
+//! borrows the mirror to copy from. The files alone are the state
+//! whenever the log is empty — which is how [`crate::Cluster::flush`]
+//! leaves the directory.
 //!
 //! # Commit: one append, one sync
 //!
 //! A transaction has been applied to the mirror on every OSD of its
-//! acting set when [`ObjectStore::commit`] runs. Commit frames one
+//! acting set when [`FileStore::commit`] runs. Commit frames one
 //! record — object name, resolved snapshot seq, acting set, the ops
 //! ([`crate::transaction::AppliedTx::encode`]) behind a length and a
 //! CRC-32 — appends it to `shard.log` and `fdatasync`s. **That sync
@@ -38,7 +41,7 @@
 //!
 //! 1. after the append that carries the log to [`LOG_CAP`] bytes;
 //! 2. on [`crate::Cluster::flush`];
-//! 3. inside [`ObjectStore::persist`] — a mutation that bypassed the
+//! 3. inside [`FileStore::persist`] — a mutation that bypassed the
 //!    log (`damage_replica`, `repair`) is made durable by checkpointing
 //!    with the named replicas marked for rewrite;
 //! 4. after any record containing [`TxOp::Delete`]. Nothing needs this
@@ -75,7 +78,7 @@
 //!
 //! Open removes stray `*.tmp` files (a crash between temp write and
 //! rename), loads every object file into the mirror, replays the
-//! log's intact records through [`apply_ops`] — the same routine that
+//! log's intact records through [`MemStore::apply_ops`] — the same routine that
 //! applied them live — and checkpoints. A short or bad-checksum tail is
 //! a transaction that was never acknowledged; the log cuts it off.
 //!
@@ -92,12 +95,12 @@
 //! holds the clone it cannot fire again.
 
 use super::log::ShardLog;
-use super::{apply_ops, MemStore, ObjectStore};
+use super::MemStore;
 use crate::cluster::PayloadMode;
 use crate::fault::{FaultKind, FaultPlane};
 use crate::object::Object;
 use crate::placement::OsdId;
-use crate::transaction::{AppliedTx, SnapContext, TxOp, TxRecord};
+use crate::transaction::{AppliedTx, TxOp, TxRecord};
 use crate::{RadosError, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -152,15 +155,15 @@ struct IoCount {
     checkpoints: u64,
 }
 
-/// One shard's durable object store: an in-memory mirror for reads, a
-/// redo log for commits, one file per (OSD, object) for checkpoints.
+/// One shard's durability half: a redo log for commits, one file per
+/// (OSD, object) for checkpoints. The objects themselves live in the
+/// shard's [`MemStore`] mirror, which every writing call borrows.
 #[derive(Debug)]
 pub(crate) struct FileStore {
     /// This shard's directory (holds `shard.log` and one `osd-<o>`
     /// subdir per OSD).
     dir: PathBuf,
     osd_count: usize,
-    mem: MemStore,
     log: ShardLog,
     /// Objects the log is ahead of the files on, by name (ordered, so
     /// checkpoints write — and injected crashes land — reproducibly).
@@ -176,9 +179,10 @@ pub(crate) struct FileStore {
 
 impl FileStore {
     /// Opens (or creates) the store for one shard at `dir`: loads
-    /// every object file into the in-memory mirror, replays the redo
-    /// log over it, and checkpoints, so the store starts with an empty
-    /// log. `store_payload` is the cluster's payload mode: replay
+    /// every object file into a fresh mirror, replays the redo log
+    /// over it, and checkpoints, so the store starts with an empty log;
+    /// returns the mirror beside it. `store_payload` is the cluster's
+    /// payload mode: replay
     /// creates objects the way the live apply did. Recovery itself
     /// never consults the fault plane; commits and checkpoints after it
     /// do.
@@ -188,7 +192,7 @@ impl FileStore {
         shard: usize,
         store_payload: bool,
         faults: Option<Arc<FaultPlane>>,
-    ) -> io::Result<Self> {
+    ) -> io::Result<(MemStore, Self)> {
         let mut mem = MemStore::new(osd_count);
         for osd in 0..osd_count {
             let osd_dir = dir.join(format!("osd-{osd}"));
@@ -225,7 +229,6 @@ impl FileStore {
         let mut store = FileStore {
             dir,
             osd_count,
-            mem,
             log,
             dirty: BTreeMap::new(),
             io: IoCount::default(),
@@ -238,15 +241,15 @@ impl FileStore {
                 .ok_or_else(|| corrupt(format!("redo record {i} of shard {shard}")))?;
             let tx = record.as_applied();
             for osd in tx.acting {
-                apply_ops(&mut store.mem, osd.0, store_payload, &tx, |_| {});
+                mem.apply_ops(osd.0, store_payload, &tx, |_| {});
             }
             store.note(&tx);
         }
         store
-            .checkpoint()
+            .checkpoint(&mem)
             .map_err(|e| io::Error::other(format!("recovery of shard {shard}: {e}")))?;
         store.faults = faults;
-        Ok(store)
+        Ok((mem, store))
     }
 
     fn object_path(&self, osd: usize, name: &str) -> PathBuf {
@@ -294,15 +297,16 @@ impl FileStore {
         }
     }
 
-    /// Folds the log into the object files and empties it (see the
+    /// Folds the log into the object files — copied from `mem`, which
+    /// holds everything the log does — and empties it (see the
     /// [module docs](self)). A no-op when the log is empty and nothing
     /// is marked dirty.
-    fn checkpoint(&mut self) -> Result<()> {
+    fn checkpoint(&mut self, mem: &MemStore) -> Result<()> {
         if self.dirty.is_empty() && self.log.len() == 0 {
             return Ok(());
         }
         let dirty = std::mem::take(&mut self.dirty);
-        match self.write_back(&dirty) {
+        match self.write_back(mem, &dirty) {
             Ok(true) => {
                 self.io.checkpoints += 1;
                 Ok(())
@@ -321,7 +325,7 @@ impl FileStore {
     /// crashed it: either inside a rewrite (temp file synced, rename
     /// never issued) or at the end — every file written and synced,
     /// the log not yet truncated.
-    fn write_back(&mut self, dirty: &BTreeMap<String, Dirty>) -> io::Result<bool> {
+    fn write_back(&mut self, mem: &MemStore, dirty: &BTreeMap<String, Dirty>) -> io::Result<bool> {
         let faults = self.faults.clone();
         for (name, entry) in dirty {
             let patch = match &entry.change {
@@ -330,7 +334,7 @@ impl FileStore {
             };
             for &osd in &entry.osds {
                 let path = self.object_path(osd, name);
-                let Some(object) = self.mem.get(osd, name) else {
+                let Some(object) = mem.get(osd, name) else {
                     self.io.syncs += u64::from(remove_durable(&path)?);
                     continue;
                 };
@@ -357,42 +361,18 @@ impl FileStore {
     }
 }
 
-impl ObjectStore for FileStore {
-    fn get(&self, osd: usize, name: &str) -> Option<&Object> {
-        self.mem.get(osd, name)
-    }
-
-    fn get_mut(&mut self, osd: usize, name: &str) -> Option<&mut Object> {
-        self.mem.get_mut(osd, name)
-    }
-
-    fn entry(
-        &mut self,
-        osd: usize,
-        name: &str,
-        store_payload: bool,
-        snapc: SnapContext,
-    ) -> &mut Object {
-        self.mem.entry(osd, name, store_payload, snapc)
-    }
-
-    fn insert(&mut self, osd: usize, name: &str, object: Object) {
-        self.mem.insert(osd, name, object);
-    }
-
-    fn remove(&mut self, osd: usize, name: &str) {
-        self.mem.remove(osd, name);
-    }
-
-    fn contains(&self, osd: usize, name: &str) -> bool {
-        self.mem.contains(osd, name)
-    }
-
-    fn names(&self) -> Vec<String> {
-        self.mem.names()
-    }
-
-    fn commit(&mut self, tx: &AppliedTx<'_>) -> Result<()> {
+impl FileStore {
+    /// The per-transaction durability point: `tx` has just been applied
+    /// to `mem` on every OSD of its acting set and must be durable
+    /// before it is acknowledged — one redo record appended to the
+    /// shard's log and synced.
+    ///
+    /// # Errors
+    ///
+    /// [`RadosError::Io`] when the host filesystem fails; the mirror is
+    /// already updated then (crash semantics: the acknowledged prefix
+    /// is durable, this transaction is not).
+    pub(crate) fn commit(&mut self, mem: &MemStore, tx: &AppliedTx<'_>) -> Result<()> {
         // A crashed cluster writes nothing more — the process is dead;
         // fail fast before touching any file.
         if self.crashed() {
@@ -425,26 +405,40 @@ impl ObjectStore for FileStore {
         }
         self.note(tx);
         if self.log.len() >= LOG_CAP || tx.ops.iter().any(|op| matches!(op, TxOp::Delete)) {
-            self.checkpoint()?;
+            self.checkpoint(mem)?;
         }
         Ok(())
     }
 
-    fn persist(&mut self, name: &str, osds: &[OsdId]) -> Result<()> {
+    /// Persists `mem`'s current copy of `name` on the given OSDs after
+    /// a mutation that was *not* a transaction (fault-injection damage,
+    /// repair). An OSD that no longer holds the object persists the
+    /// deletion. Durable on return.
+    ///
+    /// # Errors
+    ///
+    /// [`RadosError::Io`] when the host filesystem fails.
+    pub(crate) fn persist(&mut self, mem: &MemStore, name: &str, osds: &[OsdId]) -> Result<()> {
         if self.crashed() {
             return Err(self.crash_error());
         }
         self.dirty(name, osds).change = Change::Rewrite;
-        self.checkpoint()
+        self.checkpoint(mem)
     }
 
-    fn flush(&mut self) -> Result<()> {
+    /// The whole-shard durability point behind [`crate::Cluster::flush`]:
+    /// checkpoints the log into the object files.
+    ///
+    /// # Errors
+    ///
+    /// [`RadosError::Io`] when the host filesystem fails.
+    pub(crate) fn flush(&mut self, mem: &MemStore) -> Result<()> {
         // A crashed cluster has nothing left to promise; flushing it is
         // a no-op so teardown paths never panic on an injected crash.
         if self.crashed() {
             return Ok(());
         }
-        if let Err(e) = self.checkpoint() {
+        if let Err(e) = self.checkpoint(mem) {
             // Crashed mid-flush is crashed all the same.
             return if self.crashed() { Ok(()) } else { Err(e) };
         }
@@ -704,29 +698,39 @@ pub(crate) mod tests {
         dir
     }
 
-    fn snapc(seq: u64) -> SnapContext {
-        SnapContext { seq: SnapId(seq) }
-    }
-
     const ACTING: [OsdId; 3] = [OsdId(0), OsdId(1), OsdId(2)];
 
-    fn open(dir: &Path) -> FileStore {
-        FileStore::open_faulted(dir.to_path_buf(), ACTING.len(), 0, true, None).unwrap()
+    /// A shard's two halves, as `ShardState` holds them.
+    struct Store {
+        mem: MemStore,
+        disk: FileStore,
+    }
+
+    impl Store {
+        fn flush(&mut self) {
+            self.disk.flush(&self.mem).unwrap();
+        }
+    }
+
+    fn open(dir: &Path) -> Store {
+        let (mem, disk) =
+            FileStore::open_faulted(dir.to_path_buf(), ACTING.len(), 0, true, None).unwrap();
+        Store { mem, disk }
     }
 
     /// What the shard engine does with a transaction: apply it on
     /// every acting OSD, then commit.
-    fn run(store: &mut FileStore, seq: u64, tx: &Transaction) {
+    fn run(store: &mut Store, seq: u64, tx: &Transaction) {
         let applied = AppliedTx {
             object: &tx.object,
-            snapc: snapc(seq),
+            snap_seq: SnapId(seq),
             acting: &ACTING,
             ops: &tx.ops,
         };
         for osd in &ACTING {
-            apply_ops(store, osd.0, true, &applied, |_| {});
+            store.mem.apply_ops(osd.0, true, &applied, |_| {});
         }
-        store.commit(&applied).unwrap();
+        store.disk.commit(&store.mem, &applied).unwrap();
     }
 
     fn write_tx(name: &str, offset: u64, data: Vec<u8>) -> Transaction {
@@ -736,11 +740,11 @@ pub(crate) mod tests {
     }
 
     /// Every replica of every object, encoded: the store's whole state.
-    fn image(store: &FileStore) -> Vec<(usize, String, Vec<u8>)> {
+    fn image(store: &Store) -> Vec<(usize, String, Vec<u8>)> {
         let mut out = Vec::new();
-        for name in store.names() {
+        for name in store.mem.names() {
             for osd in 0..ACTING.len() {
-                if let Some(object) = store.get(osd, &name) {
+                if let Some(object) = store.mem.get(osd, &name) {
                     out.push((osd, name.clone(), object.encode()));
                 }
             }
@@ -749,10 +753,10 @@ pub(crate) mod tests {
     }
 
     /// The same, read from the object files alone.
-    fn files(store: &FileStore) -> Vec<(usize, String, Vec<u8>)> {
+    fn files(store: &Store) -> Vec<(usize, String, Vec<u8>)> {
         let mut out = Vec::new();
         for osd in 0..ACTING.len() {
-            for entry in fs::read_dir(store.dir.join(format!("osd-{osd}"))).unwrap() {
+            for entry in fs::read_dir(store.disk.dir.join(format!("osd-{osd}"))).unwrap() {
                 let path = entry.unwrap().path();
                 let name = object_name_of(&path).expect("only object files after a checkpoint");
                 out.push((osd, name, fs::read(&path).unwrap()));
@@ -791,10 +795,10 @@ pub(crate) mod tests {
     /// A workload touching every kind of op and both checkpoint
     /// branches: creation, in-range overwrites, growth, OMAP and xattr
     /// changes, a copy-on-write clone, a truncate.
-    fn mixed_workload(store: &mut FileStore) {
+    fn mixed_workload(store: &mut Store) {
         run(store, 0, &write_tx("a/b c", 0, vec![1; 8192]));
         run(store, 0, &write_tx("other", 0, vec![2; 4096]));
-        store.flush().unwrap();
+        store.flush();
         run(store, 0, &write_tx("a/b c", 100, vec![3; 50]));
         run(store, 0, &write_tx("a/b c", 8000, vec![4; 1000]));
         let mut tx = Transaction::new("a/b c");
@@ -815,7 +819,7 @@ pub(crate) mod tests {
             let mut store = open(&dir);
             mixed_workload(&mut store);
             assert!(log_len(&dir) > 0, "commits go to the log");
-            store.flush().unwrap();
+            store.flush();
             assert_eq!(log_len(&dir), 0, "a flush empties the log");
             let mut mirror = image(&store);
             mirror.sort();
@@ -843,7 +847,7 @@ pub(crate) mod tests {
         let mut mirror = image(&store);
         mirror.sort();
         assert_eq!(files(&store), mirror);
-        let clone = store.get(0, "a/b c").unwrap();
+        let clone = store.mem.get(0, "a/b c").unwrap();
         assert_eq!(
             clone.content_at(Some(SnapId(1))).unwrap().read(0, 4),
             vec![1; 4],
@@ -861,7 +865,7 @@ pub(crate) mod tests {
             let mut store = open(&dir);
             mixed_workload(&mut store);
             let log = fs::read(dir.join("shard.log")).unwrap();
-            store.flush().unwrap();
+            store.flush();
             (image(&store), log)
         };
         fs::write(dir.join("shard.log"), log).unwrap();
@@ -884,8 +888,8 @@ pub(crate) mod tests {
             assert!(files(&store).iter().all(|(_, name, _)| name == "kept"));
         }
         let store = open(&dir);
-        assert!(!store.contains(0, "gone"));
-        assert_eq!(store.names(), vec!["kept".to_string()]);
+        assert!(store.mem.get(0, "gone").is_none());
+        assert_eq!(store.mem.names(), vec!["kept".to_string()]);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -895,13 +899,13 @@ pub(crate) mod tests {
         {
             let mut store = open(&dir);
             run(&mut store, 0, &write_tx("obj", 0, vec![7; 64]));
-            store.get_mut(2, "obj").unwrap().head.poke(3, 0xFF);
-            store.persist("obj", &[OsdId(2)]).unwrap();
+            store.mem.get_mut(2, "obj").unwrap().head.poke(3, 0xFF);
+            store.disk.persist(&store.mem, "obj", &[OsdId(2)]).unwrap();
             assert_eq!(log_len(&dir), 0);
         }
         let store = open(&dir);
-        assert_eq!(store.get(2, "obj").unwrap().head.read(3, 1), vec![0xFF]);
-        assert_eq!(store.get(0, "obj").unwrap().head.read(3, 1), vec![7]);
+        assert_eq!(store.mem.get(2, "obj").unwrap().head.read(3, 1), vec![0xFF]);
+        assert_eq!(store.mem.get(0, "obj").unwrap().head.read(3, 1), vec![7]);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -933,8 +937,8 @@ pub(crate) mod tests {
         fs::create_dir_all(dir.join("osd-0")).unwrap();
         // A crash between temp-write and rename leaves a .tmp behind.
         fs::write(dir.join("osd-0/torn.tmp"), b"half a write").unwrap();
-        let store = FileStore::open_faulted(dir.clone(), 1, 0, true, None).unwrap();
-        assert!(store.names().is_empty());
+        let (mem, _disk) = FileStore::open_faulted(dir.clone(), 1, 0, true, None).unwrap();
+        assert!(mem.names().is_empty());
         assert!(
             !dir.join("osd-0/torn.tmp").exists(),
             "open must not leave the dead copy on disk to be counted forever"
@@ -959,8 +963,8 @@ pub(crate) mod tests {
             let fill = vec![obj as u8; OBJECT_BYTES as usize];
             run(&mut store, 0, &write_tx(&format!("obj.{obj}"), 0, fill));
         }
-        store.flush().unwrap();
-        let before = store.io;
+        store.flush();
+        let before = store.disk.io;
 
         for op in 0..OPS {
             let draw = crate::fault::splitmix64(op);
@@ -973,8 +977,8 @@ pub(crate) mod tests {
                 &write_tx(&format!("obj.{obj}"), offset, data),
             );
         }
-        store.flush().unwrap();
-        let io = store.io;
+        store.flush();
+        let io = store.disk.io;
 
         assert_eq!(
             io.rewritten, before.rewritten,

@@ -1,20 +1,35 @@
-//! The in-memory backend: the original simulator state, unchanged —
-//! per-OSD hash maps with no durability and no host IO.
+//! The in-memory mirror: one shard's objects, per OSD, in plain hash
+//! maps. It is the working state of every cluster — reads are served
+//! from it on either backend — and the whole state of an in-memory one.
 
-use super::ObjectStore;
-use crate::object::Object;
-use crate::placement::OsdId;
-use crate::transaction::{AppliedTx, SnapContext};
-use crate::Result;
+use crate::object::{ExtentProfile, Object};
+use crate::transaction::{AppliedTx, TxOp};
 use std::collections::HashMap;
+use vdisk_kv::WriteReceipt;
 
-/// One shard's objects kept per OSD in plain hash maps, exactly as the
-/// engine kept them before the backend seam existed. Commit, persist
-/// and flush are free: memory *is* the acknowledged state.
+/// One shard's objects kept per OSD. `osd` indices are cluster-wide OSD
+/// numbers; a shard's store only ever sees the objects whose placement
+/// lands in that shard (the engine guarantees it, the store need not
+/// check).
 #[derive(Debug)]
 pub(crate) struct MemStore {
     /// `osds[i]` holds this shard's objects stored on OSD `i`.
     osds: Vec<HashMap<String, Object>>,
+}
+
+/// The physical work one applied op caused on one replica — what the
+/// cost model charges for. Log replay has nobody to charge and drops
+/// these.
+pub(crate) enum OpEffect {
+    /// A payload write of `len` bytes with this disk profile.
+    Write {
+        /// Bytes the op carried.
+        len: u64,
+        /// Blocks read (RMW) and written.
+        profile: ExtentProfile,
+    },
+    /// An OMAP batch (set or remove).
+    Omap(WriteReceipt),
 }
 
 impl MemStore {
@@ -23,57 +38,81 @@ impl MemStore {
             osds: (0..osd_count).map(|_| HashMap::new()).collect(),
         }
     }
-}
 
-impl ObjectStore for MemStore {
-    fn get(&self, osd: usize, name: &str) -> Option<&Object> {
+    /// The object `name` on OSD `osd`, if present.
+    pub(crate) fn get(&self, osd: usize, name: &str) -> Option<&Object> {
         self.osds[osd].get(name)
     }
 
-    fn get_mut(&mut self, osd: usize, name: &str) -> Option<&mut Object> {
+    /// Mutable access to `name` on OSD `osd` (callers persist after).
+    pub(crate) fn get_mut(&mut self, osd: usize, name: &str) -> Option<&mut Object> {
         self.osds[osd].get_mut(name)
     }
 
-    fn entry(
-        &mut self,
-        osd: usize,
-        name: &str,
-        store_payload: bool,
-        snapc: SnapContext,
-    ) -> &mut Object {
-        self.osds[osd]
-            .entry(name.to_string())
-            .or_insert_with(|| Object::new(store_payload, snapc))
-    }
-
-    fn insert(&mut self, osd: usize, name: &str, object: Object) {
+    /// Inserts (or replaces) `name` on OSD `osd`.
+    pub(crate) fn insert(&mut self, osd: usize, name: &str, object: Object) {
         self.osds[osd].insert(name.to_string(), object);
     }
 
-    fn remove(&mut self, osd: usize, name: &str) {
-        self.osds[osd].remove(name);
-    }
-
-    fn contains(&self, osd: usize, name: &str) -> bool {
-        self.osds[osd].contains_key(name)
-    }
-
-    fn names(&self) -> Vec<String> {
+    /// Every object name this store holds, sorted and deduplicated
+    /// across OSDs.
+    pub(crate) fn names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.osds.iter().flat_map(|m| m.keys().cloned()).collect();
         names.sort_unstable();
         names.dedup();
         names
     }
 
-    fn commit(&mut self, _tx: &AppliedTx<'_>) -> Result<()> {
-        Ok(())
-    }
-
-    fn persist(&mut self, _name: &str, _osds: &[OsdId]) -> Result<()> {
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        Ok(())
+    /// Applies `tx`'s ops to the replica on OSD `osd` — **the**
+    /// mutation routine: the shard engine runs it per acting OSD when a
+    /// transaction applies, and the file backend runs it again, per
+    /// logged record, when a store reopens. One routine means a
+    /// replayed record cannot drift from what the live apply did.
+    ///
+    /// Creates the object if absent, takes the copy-on-write clone the
+    /// snapshot context calls for, applies the ops in order, and
+    /// removes the object if any op was a [`TxOp::Delete`].
+    /// Preconditions ([`TxOp::CompareXattr`]) are the caller's to check
+    /// beforehand.
+    pub(crate) fn apply_ops(
+        &mut self,
+        osd: usize,
+        store_payload: bool,
+        tx: &AppliedTx<'_>,
+        mut effect: impl FnMut(OpEffect),
+    ) {
+        let object = self.osds[osd]
+            .entry(tx.object.to_string())
+            .or_insert_with(|| Object::new(store_payload, tx.snap_seq));
+        object.prepare_write(tx.snap_seq);
+        let mut deleted = false;
+        for op in tx.ops {
+            match op {
+                TxOp::Write { offset, data } => effect(OpEffect::Write {
+                    len: data.len() as u64,
+                    profile: object.head.write(*offset, data),
+                }),
+                TxOp::Truncate(size) => object.head.truncate(*size),
+                TxOp::OmapSet(entries) => {
+                    let batch = entries
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Some(v.clone())))
+                        .collect();
+                    effect(OpEffect::Omap(object.head.omap.write_batch(batch)));
+                }
+                TxOp::OmapRemove(keys) => {
+                    let batch = keys.iter().map(|k| (k.clone(), None)).collect();
+                    effect(OpEffect::Omap(object.head.omap.write_batch(batch)));
+                }
+                TxOp::SetXattr(name, value) => {
+                    object.head.xattrs.insert(name.clone(), value.clone());
+                }
+                TxOp::CompareXattr { .. } => {}
+                TxOp::Delete => deleted = true,
+            }
+        }
+        if deleted {
+            self.osds[osd].remove(tx.object);
+        }
     }
 }

@@ -1,0 +1,409 @@
+//! Configuring and building a [`Cluster`]: the builder's knobs, the
+//! `VDISK_BACKEND` environment selection, and the root of a file-backed
+//! store (`cluster.meta`: format-or-reopen, geometry check, snapshot
+//! sequence).
+
+use crate::backend::{BackendKind, ClusterMeta, FileStore, MemStore};
+use crate::cluster::Cluster;
+use crate::cost::TestbedProfile;
+use crate::fault::{FaultConfig, FaultPlane, RetryPolicy};
+use crate::placement::PlacementMap;
+use crate::queue::Shards;
+use crate::shard::Shard;
+use crate::state::{ControlPlane, StatCounters};
+use crate::{RadosError, Result};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use vdisk_kv::CostProfile;
+use vdisk_sim::Simulator;
+
+/// Whether object payload bytes are materialized in memory.
+///
+/// `Discarded` keeps only sizes and OMAP content — identical cost
+/// plans at a fraction of the memory — and exists for the benchmark
+/// harness, which sweeps up to 4 MB IOs and never re-reads plaintext.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PayloadMode {
+    /// Store every byte (functional tests, examples).
+    #[default]
+    Stored,
+    /// Track sizes only; reads return zeros.
+    Discarded,
+}
+
+/// Default client-side metadata cache budget: 4 MiB of sector
+/// metadata (256 Ki cached IV entries at 16 bytes each — enough for
+/// 1 GiB of hot data at a 4 KiB sector size).
+pub const DEFAULT_META_CACHE_BYTES: u64 = 4 << 20;
+
+/// Configures and builds a [`Cluster`].
+#[derive(Debug, Clone)]
+pub struct ClusterBuilder {
+    osd_count: usize,
+    replicas: usize,
+    pg_count: u64,
+    shard_count: usize,
+    concurrent_apply: Option<bool>,
+    payload: PayloadMode,
+    meta_cache_bytes: u64,
+    crypto_lanes: Option<usize>,
+    backend: BackendKind,
+    /// True when the backend came from the `VDISK_BACKEND` environment
+    /// override: the store directory is session scratch, removed when
+    /// the last [`Cluster`] handle drops.
+    scratch: bool,
+    faults: Option<FaultConfig>,
+    retry: RetryPolicy,
+}
+
+impl Default for ClusterBuilder {
+    fn default() -> Self {
+        let (backend, scratch) = backend_from_env();
+        ClusterBuilder {
+            osd_count: 3,
+            replicas: 3,
+            pg_count: 128,
+            shard_count: 8,
+            concurrent_apply: None,
+            payload: PayloadMode::Stored,
+            meta_cache_bytes: DEFAULT_META_CACHE_BYTES,
+            crypto_lanes: None,
+            backend,
+            scratch,
+            faults: None,
+            retry: RetryPolicy::default(),
+        }
+    }
+}
+
+/// The `VDISK_BACKEND` environment override: `file` (with an optional
+/// `VDISK_BACKEND_DIR` base directory) makes every
+/// default-constructed builder target a fresh scratch
+/// [`BackendKind::File`] directory — how the existing test suites run unmodified against the
+/// durable backend. Anything else (or unset) keeps the in-memory
+/// default. An explicit [`ClusterBuilder::backend`] call always wins.
+fn backend_from_env() -> (BackendKind, bool) {
+    match std::env::var("VDISK_BACKEND") {
+        Ok(v) if v.eq_ignore_ascii_case("file") => {
+            static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
+            let base = std::env::var_os("VDISK_BACKEND_DIR")
+                .map_or_else(std::env::temp_dir, PathBuf::from);
+            let dir = base.join(format!(
+                "vdisk-scratch-{}-{}",
+                std::process::id(),
+                SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            (BackendKind::File { dir }, true)
+        }
+        _ => (BackendKind::Memory, false),
+    }
+}
+
+impl ClusterBuilder {
+    /// Number of OSD nodes (default 3, as in the paper).
+    #[must_use]
+    pub fn osd_count(mut self, n: usize) -> Self {
+        self.osd_count = n;
+        self
+    }
+
+    /// Replication factor (default 3, Ceph's default, as in the paper).
+    #[must_use]
+    pub fn replicas(mut self, n: usize) -> Self {
+        self.replicas = n;
+        self
+    }
+
+    /// Placement-group count (default 128).
+    #[must_use]
+    pub fn pg_count(mut self, n: u64) -> Self {
+        self.pg_count = n;
+        self
+    }
+
+    /// Number of state shards batches fan out over (default 8; must be
+    /// at least 1 — validated at build). `1` reproduces the old
+    /// single-lock behaviour.
+    #[must_use]
+    pub fn shard_count(mut self, n: usize) -> Self {
+        self.shard_count = n;
+        self
+    }
+
+    /// Whether submissions are served by per-shard worker threads (one
+    /// dedicated worker per state shard, draining that shard's FIFO
+    /// work queue). Defaults to auto: workers on a multi-core host,
+    /// inline on a single core (worker threads cannot overlap in
+    /// wall-clock there, so the queue degenerates to synchronous
+    /// execution with identical semantics). `true` forces workers —
+    /// the hook tests use to exercise the queued path regardless of
+    /// host; `false` forces inline application at submit time.
+    #[must_use]
+    pub fn concurrent_apply(mut self, enabled: bool) -> Self {
+        self.concurrent_apply = Some(enabled);
+        self
+    }
+
+    /// Payload retention mode.
+    #[must_use]
+    pub fn payload_mode(mut self, mode: PayloadMode) -> Self {
+        self.payload = mode;
+        self
+    }
+
+    /// Budget (in bytes of sector metadata) for the client-side
+    /// IV/metadata cache layered above this cluster — the knob behind
+    /// `vdisk-core`'s read cache. `0` disables the cache. Defaults to
+    /// [`DEFAULT_META_CACHE_BYTES`] (4 MiB). Advisory: the store
+    /// itself never caches; upper layers read it via
+    /// [`Cluster::meta_cache_bytes`] when opening an image.
+    #[must_use]
+    pub fn meta_cache_bytes(mut self, bytes: u64) -> Self {
+        self.meta_cache_bytes = bytes;
+        self
+    }
+
+    /// Number of client-side crypto lanes: how many sector-crypto jobs
+    /// the encryption layer above this cluster may run in parallel,
+    /// and how many servers the simulated client-crypto resource gets
+    /// (the two must agree or simulated time would diverge from the
+    /// real work). Clamped to at least 1. Defaults to the host's
+    /// available parallelism capped at
+    /// [`TestbedProfile::default`]'s crypto worker count (4), so a
+    /// multi-core host keeps the calibrated resource while a
+    /// single-core host degenerates to serial crypto. Must be at least
+    /// 1 (validated at build). Advisory for upper layers, read via
+    /// [`Cluster::crypto_lanes`].
+    #[must_use]
+    pub fn crypto_lanes(mut self, lanes: usize) -> Self {
+        self.crypto_lanes = Some(lanes);
+        self
+    }
+
+    /// Selects the storage backend (default: [`BackendKind::Memory`],
+    /// or whatever the `VDISK_BACKEND` environment override picked —
+    /// an explicit call here always wins over the environment).
+    /// [`BackendKind::File`] makes every transaction commit durable
+    /// (logged and `fsync`ed) under the given directory and reopens a
+    /// directory formatted by an earlier cluster, provided the geometry
+    /// (`osd_count`, `replicas`, `pg_count`, `shard_count`, payload
+    /// mode) matches.
+    #[must_use]
+    pub fn backend(mut self, backend: BackendKind) -> Self {
+        self.backend = backend;
+        self.scratch = false;
+        self
+    }
+
+    /// Installs a deterministic fault plane: the cluster injects
+    /// per-shard transient/persistent errors, delayed completions, and
+    /// (file backend) torn-commit crashes exactly as the seeded
+    /// [`FaultConfig`] dictates. Default: no fault plane — nothing is
+    /// ever injected and [`crate::ExecStats::retries`] stays zero.
+    #[must_use]
+    pub fn fault_plane(mut self, config: FaultConfig) -> Self {
+        self.faults = Some(config);
+        self
+    }
+
+    /// How the shard workers replay attempts that drew a retryable
+    /// injected fault (see [`RetryPolicy`]; default: 4 replays with
+    /// exponential backoff). Only consulted when a fault plane is
+    /// installed — without one there is nothing to retry.
+    #[must_use]
+    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
+        self.retry = retry;
+        self
+    }
+
+    /// Builds the cluster, panicking on invalid configuration — the
+    /// ergonomic entry point for tests and examples whose knobs are
+    /// literals. Fallible callers use [`ClusterBuilder::try_build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics whenever [`ClusterBuilder::try_build`] would return an
+    /// error (zero-valued knobs, replicas exceeding OSDs, or a file
+    /// backend that cannot be opened).
+    #[must_use]
+    pub fn build(self) -> Cluster {
+        self.try_build()
+            // vdisk-lint: allow(hot-path-panic) reason="documented panicking constructor for literal-knob tests; fallible callers use try_build"
+            .unwrap_or_else(|e| panic!("invalid cluster configuration: {e}"))
+    }
+
+    /// Builds the cluster, validating every knob first.
+    ///
+    /// # Errors
+    ///
+    /// - [`RadosError::InvalidConfig`] if `osd_count`, `replicas`,
+    ///   `pg_count`, `shard_count` or `crypto_lanes` is zero, if
+    ///   `replicas > osd_count`, or if a file backend's directory was
+    ///   formatted with a different geometry.
+    /// - [`RadosError::Io`] if a file backend's directory cannot be
+    ///   created, read, or written.
+    pub fn try_build(self) -> Result<Cluster> {
+        for (knob, value) in [
+            ("osd_count", self.osd_count as u64),
+            ("replicas", self.replicas as u64),
+            ("pg_count", self.pg_count),
+            ("shard_count", self.shard_count as u64),
+            ("crypto_lanes", self.crypto_lanes.unwrap_or(1) as u64),
+        ] {
+            if value == 0 {
+                return Err(RadosError::InvalidConfig(format!(
+                    "{knob} must be at least 1"
+                )));
+            }
+        }
+        if self.replicas > self.osd_count {
+            return Err(RadosError::InvalidConfig(format!(
+                "replicas ({}) cannot exceed osd_count ({})",
+                self.replicas, self.osd_count
+            )));
+        }
+
+        let mut sim = Simulator::new();
+        let crypto_lanes = self.crypto_lanes.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map_or(1, usize::from)
+                .min(TestbedProfile::default().crypto_servers)
+                .max(1)
+        });
+        // The simulated client-crypto resource must have exactly as
+        // many servers as the encryption layer has lanes, or simulated
+        // crypto time would diverge from the real parallel work.
+        let testbed = TestbedProfile {
+            crypto_servers: crypto_lanes,
+            ..TestbedProfile::default()
+        };
+        let handles = testbed.install(&mut sim, self.osd_count);
+        let placement = PlacementMap::new(self.osd_count, self.replicas, self.pg_count);
+
+        // A file backend roots itself before the shards open: the meta
+        // file decides whether this is a format or a reopen, and a
+        // reopen must resume the snapshot sequence.
+        let (durable, initial_snap_seq) = match &self.backend {
+            BackendKind::Memory => (None, 0),
+            BackendKind::File { dir } => {
+                let geometry = ClusterMeta {
+                    osd_count: self.osd_count,
+                    replicas: self.replicas,
+                    pg_count: self.pg_count,
+                    shard_count: self.shard_count,
+                    payload: self.payload,
+                    snap_seq: 0,
+                };
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| RadosError::Io(format!("create store root: {e}")))?;
+                let snap_seq = match ClusterMeta::load(dir)
+                    .map_err(|e| RadosError::Io(format!("read cluster.meta: {e}")))?
+                {
+                    Some(existing) => {
+                        let mut requested = geometry.clone();
+                        requested.snap_seq = existing.snap_seq;
+                        if existing != requested {
+                            return Err(RadosError::InvalidConfig(format!(
+                                "store at {} was formatted with a different geometry \
+                                 ({existing:?}; this builder requests {requested:?})",
+                                dir.display()
+                            )));
+                        }
+                        existing.snap_seq
+                    }
+                    None => {
+                        geometry
+                            .store(dir)
+                            .map_err(|e| RadosError::Io(format!("write cluster.meta: {e}")))?;
+                        0
+                    }
+                };
+                let root = DurableRoot {
+                    root: dir.clone(),
+                    geometry,
+                    scratch: self.scratch,
+                };
+                (Some(Arc::new(root)), snap_seq)
+            }
+        };
+
+        let faults = self
+            .faults
+            .map(|config| Arc::new(FaultPlane::new(config, self.shard_count)));
+        let shards = (0..self.shard_count)
+            .map(|s| -> Result<Shard> {
+                let (store, disk) = match &self.backend {
+                    BackendKind::Memory => (MemStore::new(self.osd_count), None),
+                    BackendKind::File { dir } => {
+                        let (store, disk) = FileStore::open_faulted(
+                            dir.join(format!("shard-{s}")),
+                            self.osd_count,
+                            s,
+                            self.payload == PayloadMode::Stored,
+                            faults.clone(),
+                        )
+                        .map_err(|e| RadosError::Io(format!("open shard {s}: {e}")))?;
+                        (store, Some(disk))
+                    }
+                };
+                Ok(Shard::new(s, store, disk))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let workers = self
+            .concurrent_apply
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from) > 1);
+        let control = Arc::new(ControlPlane {
+            placement,
+            handles,
+            testbed,
+            kv_cost: CostProfile::default(),
+            payload: self.payload,
+            shard_count: self.shard_count,
+            workers,
+            meta_cache_bytes: self.meta_cache_bytes,
+            crypto_lanes,
+            snap_seq: AtomicU64::new(initial_snap_seq),
+            write_seqs: (0..self.shard_count).map(|_| AtomicU64::new(0)).collect(),
+            faults,
+            retry: self.retry,
+            stats: StatCounters::default(),
+        });
+        let shards = Arc::new(Shards::start(&control, shards));
+        Ok(Cluster {
+            control,
+            shards,
+            sim: Arc::new(Mutex::new(sim)),
+            durable,
+        })
+    }
+}
+
+/// The root of a file-backed cluster: where `cluster.meta` lives, the
+/// geometry it was opened with, and whether the directory is session
+/// scratch (an environment-selected store removed with the last
+/// cluster handle).
+pub(crate) struct DurableRoot {
+    root: PathBuf,
+    geometry: ClusterMeta,
+    scratch: bool,
+}
+
+impl DurableRoot {
+    /// Durably rewrites `cluster.meta` with the given snapshot seq.
+    pub(crate) fn persist(&self, snap_seq: u64) -> std::io::Result<()> {
+        let mut meta = self.geometry.clone();
+        meta.snap_seq = snap_seq;
+        meta.store(&self.root)
+    }
+}
+
+impl Drop for DurableRoot {
+    fn drop(&mut self) {
+        if self.scratch {
+            // Best effort: scratch stores are test conveniences, and a
+            // shutdown race with an external cleaner must not panic.
+            let _ = std::fs::remove_dir_all(&self.root);
+        }
+    }
+}

@@ -55,14 +55,17 @@
 #![warn(missing_docs)]
 
 mod backend;
+mod builder;
 pub mod cluster;
 mod codec;
 pub mod cost;
 pub mod fault;
+mod maintenance;
 pub mod object;
 pub mod placement;
 mod queue;
 mod shard;
+mod simglue;
 mod state;
 pub mod transaction;
 
@@ -74,8 +77,8 @@ pub use cost::{ResourceHandles, TestbedProfile};
 pub use fault::{FaultConfig, FaultKind, FaultPlane, RetryPolicy};
 pub use object::{ObjectStat, PHYS_BLOCK};
 pub use placement::{OsdId, PlacementMap};
-pub use queue::{ApplyTicket, Doorbell, ReadTicket, ShardHold};
-pub use transaction::{ObjectReads, ReadOp, ReadResult, SharedBuf, SnapContext, Transaction, TxOp};
+pub use queue::{ApplyTicket, Doorbell, ReadTicket, ShardHold, Ticket};
+pub use transaction::{ObjectReads, ReadOp, ReadResult, SharedBuf, Transaction, TxOp};
 
 use std::error::Error as StdError;
 use std::fmt;

@@ -2,7 +2,6 @@
 //! xattrs, and snapshot clones.
 
 use crate::codec::{put_bytes, Cursor};
-use crate::transaction::SnapContext;
 use crate::SnapId;
 use std::collections::BTreeMap;
 use vdisk_kv::{LsmConfig, LsmStore};
@@ -250,23 +249,23 @@ pub(crate) struct Object {
 }
 
 impl Object {
-    pub(crate) fn new(store_payload: bool, snapc: SnapContext) -> Self {
+    pub(crate) fn new(store_payload: bool, seq: SnapId) -> Self {
         Object {
             head: ObjectContent::new(store_payload),
-            snap_seq: snapc.seq.0,
+            snap_seq: seq.0,
             clones: Vec::new(),
-            born_at: snapc.seq.0,
+            born_at: seq.0,
         }
     }
 
     /// Copy-on-write: called before any mutation. If snapshots were
     /// taken since the last clone, preserve the current head.
     /// Returns the bytes cloned (0 if no clone was needed).
-    pub(crate) fn prepare_write(&mut self, snapc: SnapContext) -> u64 {
-        if snapc.seq.0 > self.snap_seq {
+    pub(crate) fn prepare_write(&mut self, seq: SnapId) -> u64 {
+        if seq.0 > self.snap_seq {
             let cloned_bytes = self.head.size();
-            self.clones.push((snapc.seq.0, self.head.clone()));
-            self.snap_seq = snapc.seq.0;
+            self.clones.push((seq.0, self.head.clone()));
+            self.snap_seq = seq.0;
             cloned_bytes
         } else {
             0
@@ -365,8 +364,8 @@ impl Object {
 mod tests {
     use super::*;
 
-    fn snapc(seq: u64) -> SnapContext {
-        SnapContext { seq: SnapId(seq) }
+    fn snapc(seq: u64) -> SnapId {
+        SnapId(seq)
     }
 
     #[test]

@@ -1,13 +1,25 @@
-//! Per-shard work queues: the asynchronous dispatch engine behind
-//! [`crate::Cluster::submit_batch`] / [`crate::Cluster::submit_read_batch`].
+//! The submission path: everything between a `Cluster::submit_*` call
+//! and the ticket that reaps it, written once.
 //!
-//! Every shard owns one FIFO job queue served by one dedicated worker
-//! thread (when workers are enabled — see
-//! [`crate::ClusterBuilder::concurrent_apply`]). A submission validates
-//! up front, splits into per-shard jobs, and enqueues them all before
-//! returning a ticket; the caller overlaps further submissions with the
-//! apply and reaps completions via [`ApplyTicket::wait`] /
-//! [`ReadTicket::wait`].
+//! A **submission** is a vector of items of one [`Kind`] — transactions
+//! ([`Apply`]) or per-object read requests ([`Read`]). The kind names
+//! the item type, what serving one item yields, which object an item
+//! addresses and how a locked shard serves it; everything else is
+//! generic and statically dispatched:
+//!
+//! - `Cluster::submit` splits the items by shard into [`Part`]s and
+//!   either enqueues each on its shard's FIFO ([`ShardQueue`], drained
+//!   by one worker thread per shard — see
+//!   [`crate::ClusterBuilder::concurrent_apply`]) or serves it on the
+//!   spot;
+//! - [`Part::run`] is the one serve loop: lock the shard, serve each
+//!   item under the fault plane's retry policy, leave the shard, fill
+//!   the submission's [`Progress`] slots (or poison them if serving
+//!   panicked);
+//! - [`Ticket`] is the caller's handle: `is_complete`, `subscribe`,
+//!   `stats_delta` and `Debug` are shared; only `wait` — what the
+//!   per-item results fold into — differs between [`ApplyTicket`] and
+//!   [`ReadTicket`].
 //!
 //! **Ordering rule** (the fence/sequence contract of the queue API):
 //! one queue per shard, one consumer per shard, FIFO. An object maps to
@@ -17,6 +29,7 @@
 //! Operations on disjoint shards interleave freely; that is the
 //! cross-batch concurrency the paper's queue-depth argument needs.
 
+use crate::cluster::ExecStats;
 use crate::shard::{Shard, ShardState};
 use crate::state::ControlPlane;
 use crate::transaction::{ObjectReads, ReadResult, Transaction};
@@ -28,31 +41,278 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use vdisk_sim::Plan;
 
-/// One per-shard unit of work: the indices of a submission's items
-/// that landed on this shard.
-pub(crate) enum Job {
-    /// Apply transactions `idxs` of `shared`.
-    Apply {
-        shared: Arc<ApplyShared>,
-        idxs: Vec<usize>,
-    },
-    /// Serve read requests `idxs` of `shared`.
-    Read {
-        shared: Arc<ReadShared>,
-        idxs: Vec<usize>,
-    },
+/// What a submission is made of. Implemented by [`Apply`] and [`Read`]
+/// only; public because [`Ticket`] is, not exported.
+pub trait Kind: Sized + 'static {
+    /// One unit of the submission, addressed to one object.
+    type Item: Send + Sync;
+    /// What serving one item yields.
+    type Served: Send;
+    /// Captured once at submit and shown to every item.
+    type Context: Send + Sync;
+    /// The ticket's and the items' names in `Debug` output.
+    const NAMES: (&'static str, &'static str);
+    /// Whether accepting a submission advances the touched shards'
+    /// write epochs.
+    const WRITES: bool;
+
+    /// The object `item` addresses (which decides its shard).
+    fn object(item: &Self::Item) -> &str;
+
+    /// The operation counts a submission of `items` items adds.
+    fn stats(items: u64, batch: bool) -> ExecStats;
+
+    /// Serves one item against its locked shard.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the shard reports; the error fills the item's slot.
+    fn serve(
+        state: &mut ShardState,
+        cp: &ControlPlane,
+        context: &Self::Context,
+        item: &Self::Item,
+    ) -> crate::Result<Self::Served>;
+
+    /// Wraps one shard's part of a submission for that shard's queue.
+    fn job(part: Part<Self>) -> Job;
+}
+
+/// The write kind: items are transactions, each yields its cost plan —
+/// or the dynamic-precondition error ([`RadosError::CompareFailed`])
+/// that stopped that one transaction.
+pub struct Apply;
+
+impl Kind for Apply {
+    type Item = Transaction;
+    type Served = Plan;
+    /// The snapshot sequence, so every transaction of the submission
+    /// sees one consistent snapshot context.
+    type Context = SnapId;
+    const NAMES: (&'static str, &'static str) = ("ApplyTicket", "txs");
+    const WRITES: bool = true;
+
+    fn object(tx: &Transaction) -> &str {
+        &tx.object
+    }
+
+    fn stats(items: u64, batch: bool) -> ExecStats {
+        ExecStats {
+            transactions: items,
+            batches: u64::from(batch),
+            ..ExecStats::default()
+        }
+    }
+
+    fn serve(
+        state: &mut ShardState,
+        cp: &ControlPlane,
+        snap_seq: &SnapId,
+        tx: &Transaction,
+    ) -> crate::Result<Plan> {
+        state.apply_tx(cp, *snap_seq, tx)
+    }
+
+    fn job(part: Part<Self>) -> Job {
+        Job::Apply(part)
+    }
+}
+
+/// The read kind: items are per-object read requests, each yields its
+/// results and cost plan.
+pub struct Read;
+
+impl Kind for Read {
+    type Item = ObjectReads;
+    type Served = (Vec<ReadResult>, Plan);
+    /// The snapshot to read at (`None` = head).
+    type Context = Option<SnapId>;
+    const NAMES: (&'static str, &'static str) = ("ReadTicket", "requests");
+    const WRITES: bool = false;
+
+    fn object(request: &ObjectReads) -> &str {
+        &request.object
+    }
+
+    fn stats(items: u64, _batch: bool) -> ExecStats {
+        ExecStats {
+            read_ops: items,
+            ..ExecStats::default()
+        }
+    }
+
+    fn serve(
+        state: &mut ShardState,
+        cp: &ControlPlane,
+        snap: &Option<SnapId>,
+        request: &ObjectReads,
+    ) -> crate::Result<Self::Served> {
+        state.read_one(cp, &request.object, *snap, &request.ops)
+    }
+
+    fn job(part: Part<Self>) -> Job {
+        Job::Read(part)
+    }
+}
+
+/// State shared between a submission's parts and its ticket.
+pub struct Submission<K: Kind> {
+    context: K::Context,
+    /// The submitted items, in submission order. They stay here — and
+    /// are freed by whichever thread drops the submission last, as a
+    /// rule the submitter's — while the shards serve them by slot.
+    items: Vec<K::Item>,
+    /// One slot per submitted item, filled as the shards serve them.
+    progress: Progress<crate::Result<K::Served>>,
+    /// In-worker replays of this submission's items under the fault
+    /// plane; folded into the ticket's `stats_delta`.
+    retries: AtomicU64,
+}
+
+impl<K: Kind> Submission<K> {
+    pub(crate) fn new(context: K::Context, items: Vec<K::Item>) -> Self {
+        Submission {
+            context,
+            progress: Progress::new(items.len()),
+            items,
+            retries: AtomicU64::new(0),
+        }
+    }
+
+    /// The submitted items, in slot order.
+    pub(crate) fn items(&self) -> &[K::Item] {
+        &self.items
+    }
+}
+
+/// The items of one submission that landed on one shard, by slot.
+pub struct Part<K: Kind> {
+    pub(crate) shared: Arc<Submission<K>>,
+    pub(crate) slots: Vec<usize>,
+}
+
+impl<K: Kind> Part<K> {
+    /// Serves this part against its shard — the body of a worker
+    /// thread, also called directly by the inline path. The shard's
+    /// pending-job bracket (entered at admission by the submitter) is
+    /// *exited* here, after the shard's work completes.
+    pub(crate) fn run(self, cp: &ControlPlane, shard: &Shard) {
+        // Injected delayed completion: the worker sleeps before serving
+        // the job. Per-shard FIFO is preserved — everything queued
+        // behind simply waits — so a delay slows a completion without
+        // reordering.
+        if let Some(delay) = cp.faults.as_ref().and_then(|f| f.job_delay(shard.index)) {
+            std::thread::sleep(delay);
+        }
+        let shared = &self.shared;
+        let served = {
+            let mut state = shard.lock();
+            catch_unwind(AssertUnwindSafe(|| {
+                self.slots
+                    .iter()
+                    .filter_map(|&slot| {
+                        let item = shared.items.get(slot)?;
+                        let served =
+                            with_retries(cp, shard.index, K::object(item), &shared.retries, || {
+                                K::serve(&mut state, cp, &shared.context, item)
+                            });
+                        Some((slot, served))
+                    })
+                    .collect::<Vec<_>>()
+            }))
+        };
+        shard.job_done(&cp.stats);
+        match served {
+            Ok(slots) => shared.progress.complete(slots),
+            Err(_) => shared.progress.poison(),
+        }
+    }
+}
+
+/// Runs one item's attempt under the cluster's fault plane and retry
+/// policy — the retryable-IO core. The fault check happens **before**
+/// `attempt` touches any state, so replaying a failed draw is
+/// idempotent: nothing of the failed attempt ever applied, and the job
+/// never leaves the worker, so per-shard FIFO order (and the
+/// write-epoch protocol client caches rely on) is untouched. A
+/// retryable draw replays in place with bounded exponential backoff;
+/// budget exhaustion and non-retryable faults surface as
+/// [`RadosError::Injected`]. Real errors from `attempt` itself (e.g. a
+/// torn durable commit) are never replayed — they may have partially
+/// applied.
+fn with_retries<T>(
+    cp: &ControlPlane,
+    shard_idx: usize,
+    object: &str,
+    retries: &AtomicU64,
+    mut attempt: impl FnMut() -> crate::Result<T>,
+) -> crate::Result<T> {
+    let mut replays: u32 = 0;
+    loop {
+        let fault = cp
+            .faults
+            .as_ref()
+            .and_then(|f| f.fault_for(shard_idx, object));
+        match fault {
+            None => return attempt(),
+            Some(kind) => {
+                let err = RadosError::Injected {
+                    kind,
+                    shard: shard_idx,
+                };
+                if !err.is_retryable() || replays >= cp.retry.budget() {
+                    return Err(err);
+                }
+                replays += 1;
+                retries.fetch_add(1, Ordering::Relaxed);
+                cp.stats.record_retries(1);
+                let backoff = cp.retry.backoff_for(replays);
+                if !backoff.is_zero() {
+                    std::thread::sleep(backoff);
+                }
+            }
+        }
+    }
+}
+
+/// One entry of a shard's work queue.
+pub enum Job {
+    /// Transactions of one write submission.
+    Apply(Part<Apply>),
+    /// Requests of one read submission.
+    Read(Part<Read>),
     /// A barrier marker (see `Cluster::flush`): completes slot `slot`
     /// of `shared` once every job enqueued before it on this shard has
-    /// been applied.
+    /// been served.
     Flush {
+        /// The barrier's completion state, one slot per shard.
         shared: Arc<Progress<()>>,
+        /// This shard's slot.
         slot: usize,
     },
     /// A deliberate stall (see `Cluster::hold_shard`): the worker parks
     /// on the gate until the corresponding [`ShardHold`] is released.
     /// Like `Flush`, it carries no work and stays invisible to the
     /// admission/concurrency counters.
-    Hold { gate: Arc<Progress<()>> },
+    Hold {
+        /// Completed by the hold's release.
+        gate: Arc<Progress<()>>,
+    },
+}
+
+impl Job {
+    fn run(self, cp: &ControlPlane, shard: &Shard) {
+        match self {
+            Job::Apply(part) => part.run(cp, shard),
+            Job::Read(part) => part.run(cp, shard),
+            // FIFO per shard: reaching this marker means everything
+            // enqueued before it on this shard has been served.
+            Job::Flush { shared, slot } => shared.complete(vec![(slot, ())]),
+            Job::Hold { gate } => {
+                let _ = gate.wait();
+            }
+        }
+    }
 }
 
 /// A FIFO job queue with blocking pop — one per shard.
@@ -88,7 +348,7 @@ impl ShardQueue {
 
     /// Blocks for the next job; `None` once closed **and** drained, so
     /// in-flight work always completes before a worker exits.
-    pub(crate) fn pop(&self) -> Option<Job> {
+    fn pop(&self) -> Option<Job> {
         let mut guard = self.lock();
         loop {
             if let Some(job) = guard.jobs.pop_front() {
@@ -107,201 +367,55 @@ impl ShardQueue {
     }
 }
 
-/// The worker threads (one per shard) and their queues. Held by every
-/// [`crate::Cluster`] clone via `Arc`; when the last handle drops, the
-/// queues close and the workers drain and exit.
-pub(crate) struct WorkerRuntime {
-    /// `None` in inline mode (single-core hosts or an explicit
-    /// opt-out): submissions apply synchronously at submit time.
-    queues: Option<Arc<Vec<ShardQueue>>>,
-    handles: Vec<JoinHandle<()>>,
+/// The shard table and the worker threads — one per shard — draining
+/// its queues. Held by every [`crate::Cluster`] clone via `Arc`; when
+/// the last handle drops, the queues close and the workers drain and
+/// exit.
+pub(crate) struct Shards {
+    table: Arc<[Shard]>,
+    workers: Vec<JoinHandle<()>>,
 }
 
-impl WorkerRuntime {
-    /// Inline mode: no threads, submissions apply at submit.
-    pub(crate) fn inline() -> Self {
-        WorkerRuntime {
-            queues: None,
-            handles: Vec::new(),
-        }
-    }
-
-    /// Spawns one worker per shard.
-    pub(crate) fn spawn(cp: &Arc<ControlPlane>, shards: &Arc<[Shard]>) -> Self {
-        let queues: Arc<Vec<ShardQueue>> =
-            Arc::new((0..shards.len()).map(|_| ShardQueue::new()).collect());
-        let handles = (0..shards.len())
+impl Shards {
+    /// Spawns one worker per shard when the control plane asks for
+    /// workers; none in inline mode (single-core hosts or an explicit
+    /// opt-out), where submissions are served at submit time.
+    pub(crate) fn start(cp: &Arc<ControlPlane>, table: Vec<Shard>) -> Self {
+        let table: Arc<[Shard]> = table.into();
+        let workers = if cp.workers { table.len() } else { 0 };
+        let workers = (0..workers)
             .map(|i| {
-                let queues = Arc::clone(&queues);
                 let cp = Arc::clone(cp);
-                let shards = Arc::clone(shards);
+                let table = Arc::clone(&table);
                 std::thread::spawn(move || {
-                    // vdisk-lint: allow(hot-path-index) reason="one queue per shard; i ranges over 0..shards.len() which sized the vec"
-                    while let Some(job) = queues[i].pop() {
-                        run_job(&cp, &shards, i, job);
+                    let Some(shard) = table.get(i) else { return };
+                    while let Some(job) = shard.queue.pop() {
+                        job.run(&cp, shard);
                     }
                 })
             })
             .collect();
-        WorkerRuntime {
-            queues: Some(queues),
-            handles,
-        }
-    }
-
-    /// The shard queues, or `None` in inline mode.
-    pub(crate) fn queues(&self) -> Option<&[ShardQueue]> {
-        self.queues.as_deref().map(Vec::as_slice)
+        Shards { table, workers }
     }
 }
 
-impl Drop for WorkerRuntime {
+impl std::ops::Deref for Shards {
+    type Target = [Shard];
+
+    fn deref(&self) -> &[Shard] {
+        &self.table
+    }
+}
+
+impl Drop for Shards {
     fn drop(&mut self) {
-        if let Some(queues) = &self.queues {
-            for queue in queues.iter() {
-                queue.close();
-            }
+        for shard in self.table.iter() {
+            shard.queue.close();
         }
-        for handle in self.handles.drain(..) {
+        for worker in self.workers.drain(..) {
             // A worker that panicked has already poisoned its ticket;
             // nothing useful to propagate here.
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Executes one job against its shard — the body of a worker thread,
-/// also called directly by the inline path. Bracketing of the
-/// per-shard pending counter (entered at enqueue time by the
-/// submitter) is *exited* here, after the shard's work completes.
-pub(crate) fn run_job(cp: &ControlPlane, shards: &[Shard], shard_idx: usize, job: Job) {
-    // Injected delayed completion: the worker sleeps before serving
-    // the job. Per-shard FIFO is preserved — everything queued behind
-    // simply waits — so a delay slows a completion without reordering.
-    if matches!(job, Job::Apply { .. } | Job::Read { .. }) {
-        if let Some(delay) = cp.faults.as_ref().and_then(|f| f.job_delay(shard_idx)) {
-            std::thread::sleep(delay);
-        }
-    }
-    match job {
-        Job::Apply { shared, idxs } => {
-            let result = {
-                // vdisk-lint: allow(hot-path-index) reason="shard_idx is this worker thread's own spawn index into the shard table"
-                let mut guard = shards[shard_idx].lock();
-                catch_unwind(AssertUnwindSafe(|| {
-                    idxs.iter()
-                        .map(|&i| {
-                            // vdisk-lint: allow(hot-path-index) reason="idxs were recorded against shared.txs when the batch was split by shard"
-                            let tx = &shared.txs[i];
-                            let applied =
-                                with_retries(cp, shard_idx, &tx.object, &shared.retries, || {
-                                    guard.apply_tx(cp, shared.default_seq, tx)
-                                });
-                            (i, applied)
-                        })
-                        .collect::<Vec<_>>()
-                }))
-            };
-            exit_shard(cp, shards, shard_idx);
-            match result {
-                Ok(items) => shared.progress.complete(items),
-                Err(_) => shared.progress.poison(),
-            }
-        }
-        Job::Read { shared, idxs } => {
-            let result = {
-                // vdisk-lint: allow(hot-path-index) reason="shard_idx is this worker thread's own spawn index into the shard table"
-                let guard = shards[shard_idx].lock();
-                catch_unwind(AssertUnwindSafe(|| {
-                    idxs.iter()
-                        .map(|&i| {
-                            // vdisk-lint: allow(hot-path-index) reason="idxs were recorded against shared.requests when the batch was split by shard"
-                            let request = &shared.requests[i];
-                            let served = with_retries(
-                                cp,
-                                shard_idx,
-                                &request.object,
-                                &shared.retries,
-                                || guard.read_one(cp, &request.object, shared.snap, &request.ops),
-                            );
-                            let outcome = match served {
-                                Ok((results, plan)) => ReadOutcome::Hit(results, plan),
-                                Err(
-                                    e @ (RadosError::NoSuchObject(_)
-                                    | RadosError::NoSuchSnapshot { .. }),
-                                ) => {
-                                    // A miss still costs a round trip.
-                                    ReadOutcome::Miss(e, ShardState::miss_plan(cp, &request.object))
-                                }
-                                Err(e) => ReadOutcome::Fail(e),
-                            };
-                            (i, outcome)
-                        })
-                        .collect::<Vec<_>>()
-                }))
-            };
-            exit_shard(cp, shards, shard_idx);
-            match result {
-                Ok(items) => shared.progress.complete(items),
-                Err(_) => shared.progress.poison(),
-            }
-        }
-        Job::Flush { shared, slot } => {
-            // FIFO per shard: reaching this marker means everything
-            // enqueued before it on this shard has applied. Markers
-            // carry no work, so they stay invisible to the
-            // admission/concurrency counters.
-            shared.complete(vec![(slot, ())]);
-        }
-        Job::Hold { gate } => {
-            let _ = gate.wait();
-        }
-    }
-}
-
-fn exit_shard(cp: &ControlPlane, shards: &[Shard], shard_idx: usize) {
-    // vdisk-lint: allow(hot-path-index) reason="shard_idx is the calling worker's own spawn index into the shard table"
-    shards[shard_idx].job_done(&cp.stats);
-}
-
-/// Runs one item's attempt under the cluster's fault plane and retry
-/// policy — the retryable-IO core. The fault check happens **before**
-/// `attempt` touches any state, so replaying a failed draw is
-/// idempotent: nothing of the failed attempt ever applied, and the job
-/// never leaves the worker, so per-shard FIFO order (and the
-/// write-epoch protocol client caches rely on) is untouched. A
-/// retryable draw replays in place with bounded exponential backoff;
-/// budget exhaustion and non-retryable faults surface as
-/// [`RadosError::Injected`]. Real errors from `attempt` itself (e.g. a
-/// torn durable commit) are never replayed — they may have partially
-/// applied.
-fn with_retries<T>(
-    cp: &ControlPlane,
-    shard_idx: usize,
-    object: &str,
-    retries: &AtomicU64,
-    mut attempt: impl FnMut() -> crate::Result<T>,
-) -> crate::Result<T> {
-    let mut replays: u32 = 0;
-    loop {
-        match cp.fault_for(shard_idx, object) {
-            None => return attempt(),
-            Some(kind) => {
-                let err = RadosError::Injected {
-                    kind,
-                    shard: shard_idx,
-                };
-                if !err.is_retryable() || replays >= cp.retry.budget() {
-                    return Err(err);
-                }
-                replays += 1;
-                retries.fetch_add(1, Ordering::Relaxed);
-                cp.stats.record_retries(1);
-                let backoff = cp.retry.backoff_for(replays);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
+            let _ = worker.join();
         }
     }
 }
@@ -310,8 +424,7 @@ fn with_retries<T>(
 /// and the shard workers: a generation counter plus a condvar.
 ///
 /// Workers **ring** the bell once per subscribed submission, when its
-/// last slot completes (see [`ApplyTicket::subscribe`] /
-/// [`ReadTicket::subscribe`]). A reaper snapshots the
+/// last slot completes (see [`Ticket::subscribe`]). A reaper snapshots the
 /// [`generation`](Doorbell::generation) *before* scanning its pending
 /// operations for progress and, if nothing is ready, parks in
 /// [`wait_past`](Doorbell::wait_past). Any ring after the snapshot
@@ -336,8 +449,11 @@ impl Doorbell {
     /// completed work, then hand it to [`Doorbell::wait_past`].
     #[must_use]
     pub fn generation(&self) -> u64 {
-        *self
-            .generation
+        *self.lock()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, u64> {
+        self.generation
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
@@ -345,10 +461,7 @@ impl Doorbell {
     /// Rings the bell: bumps the generation and wakes every parked
     /// waiter.
     pub fn ring(&self) {
-        let mut generation = self
-            .generation
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut generation = self.lock();
         *generation += 1;
         drop(generation);
         self.cv.notify_all();
@@ -358,10 +471,7 @@ impl Doorbell {
     /// immediately if it already has. Returns the generation observed
     /// on wakeup.
     pub fn wait_past(&self, seen: u64) -> u64 {
-        let mut generation = self
-            .generation
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut generation = self.lock();
         while *generation == seen {
             generation = self
                 .cv
@@ -379,10 +489,7 @@ impl Doorbell {
     /// as its deadline. Returns the generation observed on wakeup.
     pub fn wait_past_for(&self, seen: u64, timeout: std::time::Duration) -> u64 {
         let deadline = std::time::Instant::now() + timeout;
-        let mut generation = self
-            .generation
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut generation = self.lock();
         while *generation == seen {
             let now = std::time::Instant::now();
             let Some(left) = deadline
@@ -403,7 +510,7 @@ impl Doorbell {
 
 /// Completion state shared between a submission's jobs and its ticket:
 /// one slot per submitted item, a remaining count, and a condvar.
-pub(crate) struct Progress<T> {
+pub struct Progress<T> {
     state: Mutex<ProgressState<T>>,
     cv: Condvar,
 }
@@ -439,12 +546,13 @@ impl<T> Progress<T> {
     /// completion is all a reaper can act on.
     pub(crate) fn complete(&self, items: Vec<(usize, T)>) {
         let mut guard = self.lock();
+        let state = &mut *guard;
         for (i, item) in items {
-            // vdisk-lint: allow(hot-path-index) reason="slot indices were issued by this Progress at submit and sized its slots vec"
-            debug_assert!(guard.slots[i].is_none(), "slot {i} completed twice");
-            // vdisk-lint: allow(hot-path-index) reason="slot indices were issued by this Progress at submit and sized its slots vec"
-            guard.slots[i] = Some(item);
-            guard.remaining -= 1;
+            if let Some(slot) = state.slots.get_mut(i) {
+                debug_assert!(slot.is_none(), "slot {i} completed twice");
+                *slot = Some(item);
+                state.remaining -= 1;
+            }
         }
         if guard.remaining > 0 {
             return;
@@ -472,7 +580,7 @@ impl<T> Progress<T> {
     /// Registers a bell to ring when the submission completes. Rings it
     /// immediately if the submission is already done, so a reaper
     /// subscribing late never parks past a finished op.
-    pub(crate) fn subscribe(&self, bell: &Arc<Doorbell>) {
+    pub(crate) fn ring_when_done(&self, bell: &Arc<Doorbell>) {
         let mut guard = self.lock();
         if guard.remaining == 0 || guard.poisoned {
             drop(guard);
@@ -510,76 +618,6 @@ impl<T> Progress<T> {
     }
 }
 
-/// Shared state of one write submission. Each slot completes with the
-/// transaction's cost plan, or with the dynamic-precondition error
-/// ([`RadosError::CompareFailed`]) that stopped that one transaction.
-pub(crate) struct ApplyShared {
-    pub(crate) txs: Vec<Transaction>,
-    /// Snapshot sequence captured once at submit, so every transaction
-    /// of the submission sees one consistent snapshot context.
-    pub(crate) default_seq: u64,
-    pub(crate) progress: Progress<crate::Result<Plan>>,
-    /// In-worker replays of this submission's items under the fault
-    /// plane; folded into the ticket's `stats_delta`.
-    pub(crate) retries: AtomicU64,
-}
-
-/// Shared state of one read submission.
-pub(crate) struct ReadShared {
-    pub(crate) requests: Vec<ObjectReads>,
-    pub(crate) snap: Option<SnapId>,
-    pub(crate) progress: Progress<ReadOutcome>,
-    /// In-worker replays of this submission's items under the fault
-    /// plane; folded into the ticket's `stats_delta`.
-    pub(crate) retries: AtomicU64,
-}
-
-/// What one object's read request produced.
-pub(crate) enum ReadOutcome {
-    /// The object exists; its results and cost plan.
-    Hit(Vec<ReadResult>, Plan),
-    /// The object is absent (now, or at the snapshot). Carries the
-    /// original error (for single-object callers that must fail) and
-    /// the miss cost plan (for batched callers that zero-fill).
-    Miss(RadosError, Plan),
-    /// A non-miss error; fails the whole submission.
-    Fail(RadosError),
-}
-
-/// Tracks the "issued but not yet reaped" bracket of one submission
-/// against the cluster-wide queue-depth counter. Decrements exactly
-/// once — on `wait` or on drop.
-pub(crate) struct DepthGuard {
-    cp: Arc<ControlPlane>,
-    open: bool,
-}
-
-impl DepthGuard {
-    pub(crate) fn open(cp: Arc<ControlPlane>) -> Self {
-        cp.stats.enter_submission();
-        DepthGuard { cp, open: true }
-    }
-
-    /// A guard for submissions that dispatch nothing (empty batches):
-    /// never counts against the queue depth.
-    pub(crate) fn noop(cp: Arc<ControlPlane>) -> Self {
-        DepthGuard { cp, open: false }
-    }
-
-    fn close(&mut self) {
-        if self.open {
-            self.open = false;
-            self.cp.stats.exit_submission();
-        }
-    }
-}
-
-impl Drop for DepthGuard {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
-
 /// Keeps one shard's worker deliberately parked until released (or
 /// dropped) — the test hook behind [`crate::Cluster::hold_shard`] for
 /// proving that client-side waits park instead of spinning while a
@@ -587,15 +625,11 @@ impl Drop for DepthGuard {
 /// shard's FIFO until release. In inline mode (no workers) there is
 /// nothing to hold and the handle is a pre-released no-op.
 pub struct ShardHold {
-    gate: Arc<Progress<()>>,
-    released: bool,
+    pub(crate) gate: Arc<Progress<()>>,
+    pub(crate) released: bool,
 }
 
 impl ShardHold {
-    pub(crate) fn new(gate: Arc<Progress<()>>, released: bool) -> ShardHold {
-        ShardHold { gate, released }
-    }
-
     /// Releases the held worker. Idempotent; also runs on drop, so a
     /// leaked hold cannot wedge the cluster's shutdown.
     pub fn release(&mut self) {
@@ -618,19 +652,32 @@ impl std::fmt::Debug for ShardHold {
     }
 }
 
-/// An in-flight write submission (from [`crate::Cluster::submit_batch`]).
+/// An in-flight submission: [`ApplyTicket`] from
+/// [`crate::Cluster::submit_batch`], [`ReadTicket`] from
+/// [`crate::Cluster::submit_read_batch`].
 ///
-/// Holding the ticket keeps the submission's buffers alive; dropping it
-/// without waiting abandons the results (the writes still apply).
-#[must_use = "a submission completes in the background; wait() reaps its cost plan"]
-pub struct ApplyTicket {
-    pub(crate) shared: Arc<ApplyShared>,
-    pub(crate) stats: crate::cluster::ExecStats,
-    pub(crate) depth: DepthGuard,
+/// Dropping a ticket without waiting abandons the results (writes
+/// still apply).
+#[must_use = "a submission completes in the background; wait() reaps its results"]
+pub struct Ticket<K: Kind> {
+    pub(crate) shared: Arc<Submission<K>>,
+    pub(crate) stats: ExecStats,
+    pub(crate) cp: Arc<ControlPlane>,
+    /// Whether this submission still counts against the cluster-wide
+    /// queue depth: the "issued but not yet reaped" bracket, entered at
+    /// submit (unless the submission was empty) and left exactly once —
+    /// on `wait` or on drop.
+    pub(crate) open: bool,
 }
 
-impl ApplyTicket {
-    /// True once every shard has applied its part.
+/// An in-flight write submission.
+pub type ApplyTicket = Ticket<Apply>;
+
+/// An in-flight read submission.
+pub type ReadTicket = Ticket<Read>;
+
+impl<K: Kind> Ticket<K> {
+    /// True once every shard has served its part.
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.shared.progress.is_done()
@@ -639,11 +686,43 @@ impl ApplyTicket {
     /// Registers `bell` to be rung once, when the last shard finishes
     /// its part of this submission (immediately if it is already
     /// complete), so a reaper can park on the bell instead of polling
-    /// [`ApplyTicket::is_complete`].
+    /// [`Ticket::is_complete`].
     pub fn subscribe(&self, bell: &Arc<Doorbell>) {
-        self.shared.progress.subscribe(bell);
+        self.shared.progress.ring_when_done(bell);
     }
 
+    /// Exact operation counts attributable to this submission (the
+    /// cluster-wide high-water marks are not per-op quantities and stay
+    /// zero here; read them from [`crate::Cluster::exec_stats`]).
+    #[must_use]
+    pub fn stats_delta(&self) -> ExecStats {
+        let mut stats = self.stats;
+        stats.retries = self.shared.retries.load(Ordering::Relaxed);
+        stats
+    }
+
+    /// Blocks for completion, closes the queue-depth bracket and hands
+    /// back the per-item results in submission order.
+    pub(crate) fn reap(&mut self) -> Vec<crate::Result<K::Served>> {
+        let outcomes = self.shared.progress.wait();
+        self.close();
+        outcomes
+    }
+
+    fn close(&mut self) {
+        if std::mem::take(&mut self.open) {
+            self.cp.stats.exit_submission();
+        }
+    }
+}
+
+impl<K: Kind> Drop for Ticket<K> {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+impl Ticket<Apply> {
     /// Blocks until the submission has fully applied and returns
     /// [`Plan::par`] of the per-transaction cost plans, in submission
     /// order — exactly what the synchronous
@@ -662,61 +741,12 @@ impl ApplyTicket {
     ///
     /// Panics if a shard worker panicked while applying.
     pub fn wait(mut self) -> crate::Result<Plan> {
-        let outcomes = self.shared.progress.wait();
-        self.depth.close();
-        let mut plans = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            plans.push(outcome?);
-        }
+        let plans = self.reap().into_iter().collect::<crate::Result<Vec<_>>>()?;
         Ok(Plan::par(plans))
     }
-
-    /// Exact operation counts attributable to this submission (the
-    /// cluster-wide high-water marks are not per-op quantities and stay
-    /// zero here; read them from [`crate::Cluster::exec_stats`]).
-    #[must_use]
-    pub fn stats_delta(&self) -> crate::cluster::ExecStats {
-        let mut stats = self.stats;
-        stats.retries = self.shared.retries.load(Ordering::Relaxed);
-        stats
-    }
 }
 
-impl std::fmt::Debug for ApplyTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ApplyTicket({} txs, complete: {})",
-            self.shared.txs.len(),
-            self.is_complete()
-        )
-    }
-}
-
-/// An in-flight read submission (from
-/// [`crate::Cluster::submit_read_batch`]).
-#[must_use = "a submission completes in the background; wait() reaps its results"]
-pub struct ReadTicket {
-    pub(crate) shared: Arc<ReadShared>,
-    pub(crate) stats: crate::cluster::ExecStats,
-    pub(crate) depth: DepthGuard,
-}
-
-impl ReadTicket {
-    /// True once every shard has served its part.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.shared.progress.is_done()
-    }
-
-    /// Registers `bell` to be rung once, when the last shard finishes
-    /// its part of this submission (immediately if it is already
-    /// complete), so a reaper can park on the bell instead of polling
-    /// [`ReadTicket::is_complete`].
-    pub fn subscribe(&self, bell: &Arc<Doorbell>) {
-        self.shared.progress.subscribe(bell);
-    }
-
+impl Ticket<Read> {
     /// Blocks until the submission has fully completed. Returns one
     /// result slot per request (in submission order; `None` for objects
     /// absent now or at the snapshot) plus [`Plan::par`] of the
@@ -731,49 +761,37 @@ impl ReadTicket {
     ///
     /// Panics if a shard worker panicked while serving.
     #[allow(clippy::type_complexity)]
-    pub fn wait(self) -> crate::Result<(Vec<Option<Vec<ReadResult>>>, Plan)> {
-        let outcomes = self.into_outcomes();
+    pub fn wait(mut self) -> crate::Result<(Vec<Option<Vec<ReadResult>>>, Plan)> {
+        let outcomes = self.reap();
         let mut results = Vec::with_capacity(outcomes.len());
         let mut plans = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
             match outcome {
-                ReadOutcome::Hit(res, plan) => {
+                Ok((res, plan)) => {
                     results.push(Some(res));
                     plans.push(plan);
                 }
-                ReadOutcome::Miss(_, plan) => {
+                Err(
+                    RadosError::NoSuchObject(object) | RadosError::NoSuchSnapshot { object, .. },
+                ) => {
+                    // A miss still costs a round trip.
                     results.push(None);
-                    plans.push(plan);
+                    plans.push(ShardState::miss_plan(&self.cp, &object));
                 }
-                ReadOutcome::Fail(e) => return Err(e),
+                Err(e) => return Err(e),
             }
         }
         Ok((results, Plan::par(plans)))
     }
-
-    /// Exact operation counts attributable to this submission.
-    #[must_use]
-    pub fn stats_delta(&self) -> crate::cluster::ExecStats {
-        let mut stats = self.stats;
-        stats.retries = self.shared.retries.load(Ordering::Relaxed);
-        stats
-    }
-
-    /// Blocks for completion and hands back the raw per-request
-    /// outcomes (single-object callers distinguish miss kinds).
-    pub(crate) fn into_outcomes(mut self) -> Vec<ReadOutcome> {
-        let outcomes = self.shared.progress.wait();
-        self.depth.close();
-        outcomes
-    }
 }
 
-impl std::fmt::Debug for ReadTicket {
+impl<K: Kind> std::fmt::Debug for Ticket<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (ticket, items) = K::NAMES;
         write!(
             f,
-            "ReadTicket({} requests, complete: {})",
-            self.shared.requests.len(),
+            "{ticket}({} {items}, complete: {})",
+            self.shared.items.len(),
             self.is_complete()
         )
     }
@@ -805,7 +823,7 @@ mod tests {
     fn doorbell_rings_once_per_submission() {
         let p: Progress<u32> = Progress::new(2);
         let bell = Doorbell::new();
-        p.subscribe(&bell);
+        p.ring_when_done(&bell);
         let g0 = bell.generation();
         p.complete(vec![(1, 10)]);
         assert_eq!(
@@ -827,7 +845,7 @@ mod tests {
     fn poison_rings_subscribed_doorbells() {
         let p: Progress<u32> = Progress::new(2);
         let bell = Doorbell::new();
-        p.subscribe(&bell);
+        p.ring_when_done(&bell);
         let g0 = bell.generation();
         p.poison();
         assert_eq!(bell.wait_past(g0), g0 + 1);
@@ -839,7 +857,7 @@ mod tests {
         let p: Progress<u32> = Progress::new(0);
         let bell = Doorbell::new();
         let g0 = bell.generation();
-        p.subscribe(&bell);
+        p.ring_when_done(&bell);
         assert!(
             bell.generation() > g0,
             "late subscription to a finished submission must not park"
@@ -849,22 +867,17 @@ mod tests {
     #[test]
     fn queue_is_fifo_and_drains_on_close() {
         let q = ShardQueue::new();
-        let shared = Arc::new(ApplyShared {
-            txs: Vec::new(),
-            default_seq: 0,
-            progress: Progress::new(0),
-            retries: AtomicU64::new(0),
-        });
-        for i in 0..3 {
-            q.push(Job::Apply {
+        let shared = Arc::new(Progress::new(3));
+        for slot in 0..3 {
+            q.push(Job::Flush {
                 shared: Arc::clone(&shared),
-                idxs: vec![i],
+                slot,
             });
         }
         q.close();
         let mut seen = Vec::new();
-        while let Some(Job::Apply { idxs, .. }) = q.pop() {
-            seen.extend(idxs);
+        while let Some(Job::Flush { slot, .. }) = q.pop() {
+            seen.push(slot);
         }
         assert_eq!(seen, vec![0, 1, 2], "closed queues still drain FIFO");
     }

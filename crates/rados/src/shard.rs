@@ -1,6 +1,6 @@
 //! One shard of cluster state: the per-OSD object maps for every
 //! object whose placement group lands in this shard, behind its own
-//! lock.
+//! lock, with the FIFO work queue that feeds it.
 //!
 //! An object's whole acting set (primary and replicas) lives in one
 //! shard — placement is a pure function of the object name, so the
@@ -8,20 +8,27 @@
 //! single-shard operations, and lets [`crate::Cluster::execute_batch`]
 //! apply disjoint shard groups genuinely concurrently.
 
-use crate::backend::{apply_ops, ObjectStore, OpEffect};
+use crate::backend::{FileStore, MemStore, OpEffect};
 use crate::cost::{self, OsdWork};
-use crate::object::{Object, ObjectStat, PHYS_BLOCK};
+use crate::object::PHYS_BLOCK;
+use crate::queue::ShardQueue;
 use crate::state::ControlPlane;
 use crate::state::StatCounters;
-use crate::transaction::{AppliedTx, ReadOp, ReadResult, SnapContext, Transaction, TxOp};
+use crate::transaction::{AppliedTx, ReadOp, ReadResult, Transaction, TxOp};
 use crate::{RadosError, Result, SnapId};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use vdisk_sim::Plan;
 
 /// A shard: one lock over one placement-disjoint slice of the object
-/// space, plus its work-queue admission counter.
+/// space, its work queue, and the queue's admission counter.
 pub(crate) struct Shard {
+    /// This shard's position in the cluster's shard table — the key
+    /// fault schedules, write epochs and injected errors name it by.
+    pub(crate) index: usize,
     state: Mutex<ShardState>,
+    /// Jobs waiting for this shard's worker (unused in inline mode,
+    /// where submissions are served in the submitting thread).
+    pub(crate) queue: ShardQueue,
     /// Jobs admitted to this shard (enqueued or applying) and not yet
     /// complete. The 0↔1 transitions drive the cluster-wide
     /// shard-concurrency high-water mark; the global update happens
@@ -32,9 +39,11 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(store: Box<dyn ObjectStore>) -> Self {
+    pub(crate) fn new(index: usize, store: MemStore, disk: Option<FileStore>) -> Self {
         Shard {
-            state: Mutex::new(ShardState { store }),
+            index,
+            state: Mutex::new(ShardState { store, disk }),
+            queue: ShardQueue::new(),
             pending: Mutex::new(0),
         }
     }
@@ -92,18 +101,32 @@ fn charge(cp: &ControlPlane, work: &mut OsdWork, effect: OpEffect) {
     }
 }
 
-/// The objects of one shard, kept per OSD behind the backend seam (a
-/// shard is a restriction of the old global maps to this shard's
-/// placement groups; which medium holds the objects is the store's
-/// business — see [`crate::backend`]).
-pub(crate) struct ShardState {
-    /// This shard's object storage, selected at cluster build time.
-    pub(crate) store: Box<dyn ObjectStore>,
+/// The objects of one shard: the in-memory mirror every read is served
+/// from and, on a file-backed cluster, the redo log and object files
+/// that make it durable (see [`crate::backend`]).
+pub struct ShardState {
+    /// This shard's objects, per OSD.
+    pub(crate) store: MemStore,
+    /// `Some` on a file-backed cluster.
+    disk: Option<FileStore>,
 }
 
 impl ShardState {
+    /// Runs `f` against the durability half and the mirror it writes
+    /// back from. Without a durability half there is nothing to do:
+    /// memory *is* the acknowledged state.
+    pub(crate) fn durably(
+        &mut self,
+        f: impl FnOnce(&mut FileStore, &MemStore) -> Result<()>,
+    ) -> Result<()> {
+        match &mut self.disk {
+            Some(disk) => f(disk, &self.store),
+            None => Ok(()),
+        }
+    }
+
     /// Applies one already-validated transaction on every replica and
-    /// builds its cost plan. `default_seq` is the snapshot sequence
+    /// builds its cost plan. `snap_seq` is the snapshot sequence
     /// captured once at batch entry, so every transaction of a batch
     /// sees one consistent snapshot context.
     ///
@@ -117,12 +140,9 @@ impl ShardState {
     pub(crate) fn apply_tx(
         &mut self,
         cp: &ControlPlane,
-        default_seq: u64,
+        snap_seq: SnapId,
         tx: &Transaction,
     ) -> Result<Plan> {
-        let snapc = tx.snapc.unwrap_or(SnapContext {
-            seq: SnapId(default_seq),
-        });
         let acting = cp.placement.acting_set(&tx.object);
         let payload = tx.payload_bytes();
 
@@ -130,10 +150,9 @@ impl ShardState {
         // are identical, so the primary's view decides.
         for op in &tx.ops {
             if let TxOp::CompareXattr { name, expected } = op {
-                let actual = self
-                    .store
-                    // vdisk-lint: allow(hot-path-index) reason="acting_set always places at least the primary; an empty acting set is unconstructible"
-                    .get(acting[0].0, &tx.object)
+                let actual = acting
+                    .first()
+                    .and_then(|primary| self.store.get(primary.0, &tx.object))
                     .and_then(|o| o.head.xattrs.get(name));
                 if actual != expected.as_ref() {
                     return Err(RadosError::CompareFailed {
@@ -147,22 +166,22 @@ impl ShardState {
         let store_payload = cp.payload == crate::cluster::PayloadMode::Stored;
         let applied = AppliedTx {
             object: &tx.object,
-            snapc,
+            snap_seq,
             acting: &acting,
             ops: &tx.ops,
         };
         let mut work: Vec<OsdWork> = Vec::with_capacity(acting.len());
         for osd in &acting {
             let mut osd_work = OsdWork::default();
-            apply_ops(&mut *self.store, osd.0, store_payload, &applied, |effect| {
-                charge(cp, &mut osd_work, effect);
-            });
+            self.store
+                .apply_ops(osd.0, store_payload, &applied, |effect| {
+                    charge(cp, &mut osd_work, effect);
+                });
             work.push(osd_work);
         }
-        // The durability point: a durable backend logs and syncs the
-        // transaction before it is acknowledged; the in-memory backend
-        // acknowledges immediately.
-        self.store.commit(&applied)?;
+        // The durability point: a file-backed shard logs and syncs the
+        // transaction before it is acknowledged.
+        self.durably(|disk, mirror| disk.commit(mirror, &applied))?;
 
         Ok(cost::write_plan(
             &cp.handles,
@@ -258,14 +277,5 @@ impl ShardState {
     pub(crate) fn miss_plan(cp: &ControlPlane, object: &str) -> Plan {
         let primary = cp.placement.primary(object);
         cost::read_plan(&cp.handles, &cp.testbed, primary, 0, &OsdWork::default())
-    }
-
-    /// Object metadata from the primary.
-    pub(crate) fn stat(&self, cp: &ControlPlane, object: &str) -> Result<ObjectStat> {
-        let primary = cp.placement.primary(object);
-        self.store
-            .get(primary.0, object)
-            .map(Object::stat)
-            .ok_or_else(|| RadosError::NoSuchObject(object.to_string()))
     }
 }

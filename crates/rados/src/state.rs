@@ -10,7 +10,7 @@
 
 use crate::cluster::{ExecStats, PayloadMode};
 use crate::cost::{ResourceHandles, TestbedProfile};
-use crate::fault::{FaultKind, FaultPlane, RetryPolicy};
+use crate::fault::{FaultPlane, RetryPolicy};
 use crate::placement::PlacementMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use vdisk_kv::CostProfile;
 /// Immutable cluster configuration plus the atomic counters. One
 /// instance per cluster, shared (via `Arc`) by every handle and every
 /// shard worker.
-pub(crate) struct ControlPlane {
+pub struct ControlPlane {
     pub(crate) placement: PlacementMap,
     pub(crate) handles: ResourceHandles,
     pub(crate) testbed: TestbedProfile,
@@ -39,9 +39,13 @@ pub(crate) struct ControlPlane {
     /// time, always ≥ 1, and equal to the simulated client-crypto
     /// resource's server count. Advisory for upper layers.
     pub(crate) crypto_lanes: usize,
-    /// Cluster-wide self-managed snapshot sequence.
-    snap_seq: AtomicU64,
-    /// Per-shard write-submission epochs: `write_seqs[s]` advances
+    /// Cluster-wide self-managed snapshot sequence. Non-zero at build
+    /// when a durable backend reopens a directory that already took
+    /// snapshots: clone visibility is defined by seqs, so the sequence
+    /// must continue, not restart.
+    pub(crate) snap_seq: AtomicU64,
+    /// Per-shard write-submission epochs (one per shard, zero at
+    /// build): `write_seqs[s]` advances
     /// every time a write submission touching shard `s` is accepted
     /// (before any of its jobs can apply) and on every snapshot. A
     /// client that captures a shard's epoch before submitting a read
@@ -50,7 +54,7 @@ pub(crate) struct ControlPlane {
     /// validity window client-side metadata caches need, keyed by
     /// submission order rather than wall clock (per-shard FIFO makes
     /// submission order the apply order).
-    write_seqs: Vec<AtomicU64>,
+    pub(crate) write_seqs: Vec<AtomicU64>,
     /// The installed fault plane, if any (see
     /// [`crate::ClusterBuilder::fault_plane`]): consulted by every
     /// shard worker before each apply/read attempt.
@@ -62,50 +66,6 @@ pub(crate) struct ControlPlane {
 }
 
 impl ControlPlane {
-    // One parameter per builder field; a config struct would only
-    // mirror `ClusterBuilder` without the defaults.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        placement: PlacementMap,
-        handles: ResourceHandles,
-        testbed: TestbedProfile,
-        kv_cost: CostProfile,
-        payload: PayloadMode,
-        shard_count: usize,
-        workers: bool,
-        meta_cache_bytes: u64,
-        crypto_lanes: usize,
-        initial_snap_seq: u64,
-        faults: Option<Arc<FaultPlane>>,
-        retry: RetryPolicy,
-    ) -> Self {
-        ControlPlane {
-            placement,
-            handles,
-            testbed,
-            kv_cost,
-            payload,
-            shard_count,
-            workers,
-            meta_cache_bytes,
-            crypto_lanes,
-            // Non-zero when a durable backend reopens a directory that
-            // already took snapshots: clone visibility is defined by
-            // seqs, so the sequence must continue, not restart.
-            snap_seq: AtomicU64::new(initial_snap_seq),
-            write_seqs: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-            faults,
-            retry,
-            stats: StatCounters::default(),
-        }
-    }
-
-    /// The fault (if any) governing one apply/read attempt on `shard`
-    /// against `object`; `None` on clusters without a fault plane.
-    pub(crate) fn fault_for(&self, shard: usize, object: &str) -> Option<FaultKind> {
-        self.faults.as_ref()?.fault_for(shard, object)
-    }
-
     /// The shard an object's placement group maps to.
     pub(crate) fn shard_of(&self, object: &str) -> usize {
         self.placement.shard_of(object, self.shard_count)
@@ -172,22 +132,24 @@ pub(crate) struct StatCounters {
     retries: AtomicU64,
 }
 
+/// Adds `n` to a counter, leaving its cache line alone when there is
+/// nothing to add.
+fn add(counter: &AtomicU64, n: u64) {
+    if n > 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 impl StatCounters {
-    pub(crate) fn record_transactions(&self, n: u64) {
-        self.transactions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_read_ops(&self, n: u64) {
-        self.read_ops.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records how many distinct shards one batch touched.
-    pub(crate) fn record_shard_fanout(&self, shards: u64) {
-        self.shard_fanout_max.fetch_max(shards, Ordering::Relaxed);
+    /// Accumulates one accepted submission: its operation counts and
+    /// how many distinct shards it touched (its ticket's [`ExecStats`]
+    /// delta).
+    pub(crate) fn record_submission(&self, delta: &ExecStats) {
+        add(&self.transactions, delta.transactions);
+        add(&self.batches, delta.batches);
+        add(&self.read_ops, delta.read_ops);
+        self.shard_fanout_max
+            .fetch_max(delta.shard_fanout_max, Ordering::Relaxed);
     }
 
     /// Marks one shard going from idle to holding in-flight work and
@@ -234,32 +196,20 @@ impl StatCounters {
     /// Accumulates client-side metadata-cache observations (see
     /// [`crate::Cluster::record_meta_cache`]).
     pub(crate) fn record_meta_cache(&self, hits: u64, misses: u64, invalidations: u64) {
-        if hits > 0 {
-            self.meta_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses > 0 {
-            self.meta_cache_misses.fetch_add(misses, Ordering::Relaxed);
-        }
-        if invalidations > 0 {
-            self.meta_cache_invalidations
-                .fetch_add(invalidations, Ordering::Relaxed);
-        }
+        add(&self.meta_cache_hits, hits);
+        add(&self.meta_cache_misses, misses);
+        add(&self.meta_cache_invalidations, invalidations);
     }
 
     /// Accumulates attempts replayed after a retryable injected fault.
     pub(crate) fn record_retries(&self, n: u64) {
-        if n > 0 {
-            self.retries.fetch_add(n, Ordering::Relaxed);
-        }
+        add(&self.retries, n);
     }
 
     /// Accumulates write-through cache fills (see
     /// [`crate::Cluster::record_meta_cache_write_fills`]).
     pub(crate) fn record_meta_cache_write_fills(&self, fills: u64) {
-        if fills > 0 {
-            self.meta_cache_write_fills
-                .fetch_add(fills, Ordering::Relaxed);
-        }
+        add(&self.meta_cache_write_fills, fills);
     }
 
     pub(crate) fn snapshot(&self) -> ExecStats {
@@ -286,11 +236,18 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let s = StatCounters::default();
-        s.record_batch();
-        s.record_transactions(4);
-        s.record_read_ops(2);
-        s.record_shard_fanout(3);
-        s.record_shard_fanout(2); // lower fanout must not regress the max
+        s.record_submission(&ExecStats {
+            transactions: 4,
+            batches: 1,
+            shard_fanout_max: 3,
+            ..ExecStats::default()
+        });
+        // A lower fanout must not regress the max.
+        s.record_submission(&ExecStats {
+            read_ops: 2,
+            shard_fanout_max: 2,
+            ..ExecStats::default()
+        });
         let snap = s.snapshot();
         assert_eq!(snap.batches, 1);
         assert_eq!(snap.transactions, 4);

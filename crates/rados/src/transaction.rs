@@ -7,7 +7,7 @@
 
 use crate::codec::{put_bytes, Cursor};
 use crate::placement::OsdId;
-use crate::SnapId;
+use crate::{RadosError, Result, SnapId};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -115,15 +115,6 @@ impl PartialEq for SharedBuf {
 
 impl Eq for SharedBuf {}
 
-/// The snapshot context sent with every write: the most recent
-/// snapshot id the client knows about. An object whose last
-/// copy-on-write is older than `seq` clones itself before mutating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SnapContext {
-    /// Highest snapshot id visible to the writer.
-    pub seq: SnapId,
-}
-
 /// One mutation within a transaction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TxOp {
@@ -179,8 +170,6 @@ pub enum TxOp {
 pub struct Transaction {
     /// Target object name.
     pub object: String,
-    /// Snapshot context (filled in by the cluster when left default).
-    pub snapc: Option<SnapContext>,
     /// Mutations, applied in order, atomically.
     pub ops: Vec<TxOp>,
 }
@@ -191,7 +180,6 @@ impl Transaction {
     pub fn new(object: impl Into<String>) -> Self {
         Transaction {
             object: object.into(),
-            snapc: None,
             ops: Vec::new(),
         }
     }
@@ -251,13 +239,6 @@ impl Transaction {
         self
     }
 
-    /// Overrides the snapshot context (the cluster fills in its
-    /// current sequence when this is `None`).
-    pub fn with_snapc(&mut self, snapc: SnapContext) -> &mut Self {
-        self.snapc = Some(snapc);
-        self
-    }
-
     /// Total payload bytes carried by this transaction (data + omap),
     /// used for network cost accounting.
     #[must_use]
@@ -279,6 +260,42 @@ impl Transaction {
             })
             .sum()
     }
+
+    /// Checks the transaction without touching any replica, so a
+    /// submission can reject malformed input before **any** mutation
+    /// (all-or-nothing).
+    pub(crate) fn validate(&self) -> Result<()> {
+        let invalid = |what: &str| Err(RadosError::InvalidArgument(what.into()));
+        if self.object.is_empty() {
+            return invalid("empty object name");
+        }
+        for op in &self.ops {
+            match op {
+                TxOp::OmapSet(entries) => {
+                    if entries.iter().any(|(k, _)| k.is_empty()) {
+                        return invalid("empty omap key");
+                    }
+                }
+                TxOp::OmapRemove(keys) => {
+                    if keys.iter().any(Vec::is_empty) {
+                        return invalid("empty omap key");
+                    }
+                }
+                TxOp::Write { data, .. } => {
+                    if data.is_empty() {
+                        return invalid("empty write");
+                    }
+                }
+                TxOp::CompareXattr { name, .. } => {
+                    if name.is_empty() {
+                        return invalid("empty xattr name");
+                    }
+                }
+                TxOp::Truncate(_) | TxOp::SetXattr(..) | TxOp::Delete => {}
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A transaction as the shard engine hands it to the backend's commit:
@@ -288,7 +305,9 @@ impl Transaction {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AppliedTx<'a> {
     pub(crate) object: &'a str,
-    pub(crate) snapc: SnapContext,
+    /// The snapshot sequence the writer saw: an object whose last
+    /// copy-on-write is older clones itself before mutating.
+    pub(crate) snap_seq: SnapId,
     pub(crate) acting: &'a [OsdId],
     /// The transaction's ops as submitted. [`TxOp::CompareXattr`]
     /// preconditions are decided before anything applies and change
@@ -300,7 +319,7 @@ pub(crate) struct AppliedTx<'a> {
 #[derive(Debug, PartialEq)]
 pub(crate) struct TxRecord {
     pub(crate) object: String,
-    pub(crate) snapc: SnapContext,
+    pub(crate) snap_seq: SnapId,
     pub(crate) acting: Vec<OsdId>,
     pub(crate) ops: Vec<TxOp>,
 }
@@ -328,7 +347,7 @@ impl AppliedTx<'_> {
     /// log's business, not the record's.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         put_bytes(out, self.object.as_bytes());
-        out.extend_from_slice(&self.snapc.seq.0.to_le_bytes());
+        out.extend_from_slice(&self.snap_seq.0.to_le_bytes());
         out.extend_from_slice(&(self.acting.len() as u32).to_le_bytes());
         for osd in self.acting {
             out.extend_from_slice(&(osd.0 as u32).to_le_bytes());
@@ -380,7 +399,7 @@ impl TxRecord {
     pub(crate) fn as_applied(&self) -> AppliedTx<'_> {
         AppliedTx {
             object: &self.object,
-            snapc: self.snapc,
+            snap_seq: self.snap_seq,
             acting: &self.acting,
             ops: &self.ops,
         }
@@ -391,9 +410,7 @@ impl TxRecord {
     pub(crate) fn decode(bytes: &[u8]) -> Option<TxRecord> {
         let mut r = Cursor::new(bytes);
         let object = String::from_utf8(r.bytes()?).ok()?;
-        let snapc = SnapContext {
-            seq: SnapId(r.u64()?),
-        };
+        let snap_seq = SnapId(r.u64()?);
         let acting = (0..r.u32()?)
             .map(|_| Some(OsdId(r.u32()? as usize)))
             .collect::<Option<Vec<_>>>()?;
@@ -421,7 +438,7 @@ impl TxRecord {
         }
         r.is_empty().then_some(TxRecord {
             object,
-            snapc,
+            snap_seq,
             acting,
             ops,
         })
@@ -587,7 +604,7 @@ mod tests {
         let acting = [OsdId(2), OsdId(0), OsdId(1)];
         let applied = AppliedTx {
             object: &tx.object,
-            snapc: SnapContext { seq: SnapId(7) },
+            snap_seq: SnapId(7),
             acting: &acting,
             ops: &tx.ops,
         };
@@ -595,7 +612,7 @@ mod tests {
         applied.encode(&mut bytes);
         let record = TxRecord::decode(&bytes).expect("roundtrip");
         assert_eq!(record.object, tx.object);
-        assert_eq!(record.snapc.seq, SnapId(7));
+        assert_eq!(record.snap_seq, SnapId(7));
         assert_eq!(record.acting, acting);
         assert_eq!(record.ops, tx.ops[1..], "everything but the precondition");
 

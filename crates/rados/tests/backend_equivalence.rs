@@ -1,7 +1,7 @@
 //! Backend equivalence: the durable file backend must be
 //! observationally identical to the in-memory one. Identical queued
 //! action sequences (writes, snapshots, deletes, reads at head and at
-//! snapshots) driven through a `MemStore` cluster and a `FileStore`
+//! snapshots) driven through an in-memory cluster and a file-backed
 //! cluster must produce byte-identical read results and identical
 //! [`ExecStats`] op counts — durability is allowed to cost host IO,
 //! never to change what the store *means*.
@@ -10,7 +10,10 @@
 //! **without** flushing — and rebuilds it from its directory: whatever
 //! the store acknowledged must come back from the redo log and the
 //! object files alone, indistinguishable from the memory cluster that
-//! never went away.
+//! never went away. Injected replica damage and its repair — the two
+//! mutations that bypass transactions and reach the files through
+//! `persist` instead of the log — are each followed by such a drop, so
+//! the reopened directory must scrub exactly like the memory cluster.
 //!
 //! Both clusters run in inline mode (`concurrent_apply(false)`): the
 //! comparison is of functional behaviour and deterministic counters,
@@ -68,6 +71,12 @@ enum Action {
     },
     /// Drop the file cluster unflushed and reopen its directory.
     Reopen,
+    /// Corrupt one byte on replica 1, drop and reopen; repair, drop and
+    /// reopen again.
+    DamageRepair {
+        obj: u8,
+        offset: usize,
+    },
 }
 
 fn arb_action() -> impl Strategy<Value = Action> {
@@ -95,6 +104,7 @@ fn arb_action() -> impl Strategy<Value = Action> {
         }),
         (any::<u8>(), 0u8..4).prop_map(|(idx, obj)| Action::ReadSnap { idx, obj }),
         Just(Action::Reopen),
+        (0u8..4, 0usize..8192).prop_map(|(obj, offset)| Action::DamageRepair { obj, offset }),
     ]
 }
 
@@ -139,6 +149,12 @@ proptest! {
         let mut file = open_file();
         // Counters die with a cluster handle; carry them across reopens.
         let mut file_stats = ExecStats::default();
+        let reopen = |file: Cluster, stats: &mut ExecStats| {
+            stats.absorb(&file.exec_stats());
+            // The old handle must be gone before its directory reopens.
+            drop(file);
+            open_file()
+        };
         let mut snaps: Vec<(SnapId, SnapId)> = Vec::new();
 
         for action in actions {
@@ -195,10 +211,26 @@ proptest! {
                         ReadOp::Stat,
                     ]);
                 }
-                Action::Reopen => {
-                    file_stats.absorb(&file.exec_stats());
-                    drop(file);
-                    file = open_file();
+                Action::Reopen => file = reopen(file, &mut file_stats),
+                Action::DamageRepair { obj, offset } => {
+                    let name = obj_name(obj);
+                    // Damaging an absent object is an error on both
+                    // sides; only damage what both stores hold.
+                    if !mem.object_exists(&name) {
+                        continue;
+                    }
+                    mem.damage_replica(&name, 1, offset).unwrap();
+                    file.damage_replica(&name, 1, offset).unwrap();
+                    file = reopen(file, &mut file_stats);
+                    prop_assert_eq!(
+                        mem.scrub().divergent, file.scrub().divergent,
+                        "persisted damage must survive a reopen exactly"
+                    );
+                    mem.repair(&name).unwrap();
+                    file.repair(&name).unwrap();
+                    file = reopen(file, &mut file_stats);
+                    prop_assert!(mem.scrub().is_clean());
+                    prop_assert!(file.scrub().is_clean(), "persisted repair must survive a reopen");
                 }
                 Action::ReadSnap { idx, obj } => {
                     if snaps.is_empty() {

@@ -79,9 +79,10 @@ fn transient_faults_are_retried_and_visible_in_stats() {
     );
 }
 
-/// Per-ticket stats carry the retries their own op absorbed: a
-/// submitted batch against a high transient rate replays in the
-/// worker and reports those replays in its `stats_delta`.
+/// Per-ticket stats carry the retries their own op absorbed, whichever
+/// kind of ticket it is: submitted writes and reads against a high
+/// transient rate replay in the worker and report those replays in
+/// their `stats_delta`.
 #[test]
 fn ticket_stats_count_their_own_retries() {
     let cluster = Cluster::builder()
@@ -91,24 +92,38 @@ fn ticket_stats_count_their_own_retries() {
                 .max_consecutive(3),
         )
         .build();
-    let mut ticket_retries = 0;
+    let (mut write_retries, mut read_retries) = (0, 0);
     for i in 0..16 {
+        let object = format!("hot-{i}");
         let ticket = cluster
-            .submit_batch(vec![write_tx(&format!("hot-{i}"), i as u8)])
+            .submit_batch(vec![write_tx(&object, i as u8)])
             .unwrap();
         while !ticket.is_complete() {
             std::thread::yield_now();
         }
-        ticket_retries += ticket.stats_delta().retries;
+        write_retries += ticket.stats_delta().retries;
         ticket.wait().unwrap();
+
+        let ops = vec![ReadOp::Read {
+            offset: 0,
+            len: 4096,
+        }];
+        let ticket = cluster.submit_read_batch(None, vec![ObjectReads::new(object, ops)]);
+        while !ticket.is_complete() {
+            std::thread::yield_now();
+        }
+        read_retries += ticket.stats_delta().retries;
+        let (results, _) = ticket.wait().unwrap();
+        assert_eq!(results[0].as_ref().unwrap()[0].as_data()[0], i as u8);
     }
     assert!(
-        ticket_retries > 0,
-        "a 90% transient rate must replay at least one of 16 batches"
+        write_retries > 0 && read_retries > 0,
+        "a 90% transient rate must replay at least one of 16 submissions of each kind \
+         (writes {write_retries}, reads {read_retries})"
     );
     assert_eq!(
         cluster.exec_stats().retries,
-        ticket_retries,
+        write_retries + read_retries,
         "the cluster-wide counter is the sum of the tickets'"
     );
 }

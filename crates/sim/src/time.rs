@@ -47,12 +47,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// As fractional microseconds.
-    #[must_use]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction.
     #[must_use]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
