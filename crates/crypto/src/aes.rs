@@ -1,64 +1,50 @@
-//! The AES block cipher (FIPS 197), key sizes 128 and 256 bits.
+//! The AES block cipher (FIPS 197), key sizes 128 and 256 bits,
+//! bitsliced and constant-time by construction.
 //!
-//! Portable byte-oriented implementation: the state is kept in the
-//! FIPS column-major layout (`state[4*c + r]` = row r, column c, which
-//! coincides with the natural byte order of the 16-byte block), and the
-//! round transforms operate on bytes. The inverse S-box is derived from
-//! the forward S-box at first use, so only one table is hand-written
-//! (and it is validated by the FIPS-197 known-answer tests below).
+//! There is one S-box: a Boolean circuit (`aes/circuit.rs`) evaluated on
+//! words of independent one-bit lanes. No table is indexed, and no
+//! index or branch anywhere depends on key or data bytes, so the
+//! cipher has no cache-timing channel to harden; decryption runs the
+//! same circuit between two linear maps and costs what encryption
+//! costs. Two layouts feed it:
+//!
+//! - **wide** (`aes/wide.rs`): 128 bit planes whose lanes are whole
+//!   blocks, a pass of 64·k at a time — [`Aes::encrypt_blocks`] /
+//!   [`Aes::decrypt_blocks`], and through them a whole XTS sector, the
+//!   GCM keystream, CBC decryption and EME2's ECB layers;
+//! - **packed** (`aes/packed.rs`): eight planes whose lanes are the 16
+//!   bytes of one block — [`Aes::encrypt_block`] /
+//!   [`Aes::decrypt_block`], for callers that are serial by nature (a
+//!   tweak block, a CBC encryption chain) and for the key schedule.
+//!
+//! The byte-at-a-time table implementation this replaced lives on as
+//! the test oracle (`src/reference.rs`). On the 2-core x86-64 host,
+//! `wallbench trace` reads `crypto.xts_enc_4k_mibs` 202.9 and
+//! `crypto.xts_dec_4k_mibs` 201.5 for AES-256-XTS over 4 KiB sectors
+//! (the table cipher, same session: 50.5 / 26.8).
 
+mod circuit;
+mod packed;
+mod wide;
+
+use crate::mem::{xor_in_place, zeroize};
 use crate::{CryptoError, Result};
-use std::sync::OnceLock;
+use packed::RoundKey;
 
-/// The AES S-box (FIPS 197 figure 7).
-const SBOX: [u8; 256] = [
-    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
-    0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
-    0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-    0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2, 0xeb, 0x27, 0xb2, 0x75,
-    0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0, 0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84,
-    0x53, 0xd1, 0x00, 0xed, 0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-    0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f, 0x50, 0x3c, 0x9f, 0xa8,
-    0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5, 0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2,
-    0xcd, 0x0c, 0x13, 0xec, 0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-    0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14, 0xde, 0x5e, 0x0b, 0xdb,
-    0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c, 0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79,
-    0xe7, 0xc8, 0x37, 0x6d, 0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-    0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f, 0x4b, 0xbd, 0x8b, 0x8a,
-    0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e, 0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e,
-    0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
-];
+/// Blocks one wide pass holds. Callers that batch (XTS tweaks, CTR
+/// counters) size their scratch to it.
+pub(crate) const WIDE_BLOCKS: usize = wide::BLOCKS;
 
-fn inv_sbox() -> &'static [u8; 256] {
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let mut inv = [0u8; 256];
-        for (i, &s) in SBOX.iter().enumerate() {
-            inv[s as usize] = i as u8;
-        }
-        inv
-    })
-}
+/// At or below this many blocks the packed path, one block at a time,
+/// is cheaper than a mostly empty wide pass.
+const PACKED_MAX_BLOCKS: usize = 12;
 
-#[inline]
-fn xtime(b: u8) -> u8 {
-    (b << 1) ^ (((b >> 7) & 1) * 0x1b)
-}
+/// The S-box's affine constant, folded into round keys 1..=Nr so the
+/// circuit needs no NOT gates (see [`circuit`]).
+const AFFINE: u8 = 0x63;
 
-/// Multiplication in AES's GF(2^8).
-#[inline]
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
-}
+/// Longest schedule: AES-256's 14 rounds + 1.
+const MAX_ROUND_KEYS: usize = 15;
 
 /// Supported AES key sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,9 +83,10 @@ impl KeySize {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    /// Round keys in the packed path's plane form, keys 1..=Nr XORed
+    /// with [`AFFINE`]; entries past Nr stay zero.
+    round_keys: [RoundKey; MAX_ROUND_KEYS],
     size: KeySize,
 }
 
@@ -108,6 +95,24 @@ impl std::fmt::Debug for Aes {
         // Never print key material.
         write!(f, "Aes({:?})", self.size)
     }
+}
+
+impl Drop for Aes {
+    fn drop(&mut self) {
+        zeroize(self.round_keys.as_flattened_mut());
+    }
+}
+
+/// FIPS 197 SubWord through the circuit (the packed layout with four
+/// lanes in use): the key schedule indexes no table either.
+fn sub_word(word: [u8; 4]) -> [u8; 4] {
+    let mut block = [0u8; 16];
+    block[..4].copy_from_slice(&word);
+    let mut out = packed::unpack(&circuit::sub(packed::pack(&block)));
+    let word = std::array::from_fn(|i| out[i] ^ AFFINE);
+    zeroize(&mut block);
+    zeroize(&mut out);
+    word
 }
 
 impl Aes {
@@ -125,75 +130,63 @@ impl Aes {
             got => return Err(CryptoError::InvalidKeyLength { got }),
         };
         let nk = key.len() / 4; // words in key
-        let nr = size.rounds();
-        let total_words = 4 * (nr + 1);
+        let total_words = 4 * (size.rounds() + 1);
 
-        let mut w = vec![[0u8; 4]; total_words];
-        for (i, chunk) in key.chunks(4).enumerate() {
-            w[i].copy_from_slice(chunk);
+        let mut w = [[0u8; 4]; 4 * MAX_ROUND_KEYS];
+        for (word, chunk) in w.iter_mut().zip(key.chunks_exact(4)) {
+            word.copy_from_slice(chunk);
         }
         let mut rcon: u8 = 1;
         for i in nk..total_words {
             let mut temp = w[i - 1];
             if i % nk == 0 {
                 // RotWord + SubWord + Rcon
-                temp = [
-                    SBOX[temp[1] as usize] ^ rcon,
-                    SBOX[temp[2] as usize],
-                    SBOX[temp[3] as usize],
-                    SBOX[temp[0] as usize],
-                ];
-                rcon = xtime(rcon);
+                temp = sub_word([temp[1], temp[2], temp[3], temp[0]]);
+                temp[0] ^= rcon;
+                rcon = (rcon << 1) ^ ((rcon >> 7) * 0x1b);
             } else if nk > 6 && i % nk == 4 {
                 // AES-256 extra SubWord
-                for b in temp.iter_mut() {
-                    *b = SBOX[*b as usize];
-                }
+                temp = sub_word(temp);
             }
             for j in 0..4 {
                 w[i][j] = w[i - nk][j] ^ temp[j];
             }
         }
 
-        let mut round_keys = Vec::with_capacity(nr + 1);
-        for r in 0..=nr {
-            let mut rk = [0u8; 16];
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
-            round_keys.push(rk);
+        // Filled in place, so no second copy of the schedule is left
+        // behind in this frame.
+        let mut aes = Aes {
+            round_keys: [[0u8; 16]; MAX_ROUND_KEYS],
+            size,
+        };
+        let words = &w.as_flattened()[..4 * total_words];
+        for (r, (stored, bytes)) in aes
+            .round_keys
+            .iter_mut()
+            .zip(words.chunks_exact(16))
+            .enumerate()
+        {
+            let fold = if r == 0 { 0 } else { AFFINE };
+            let mut rk: [u8; 16] = std::array::from_fn(|i| bytes[i] ^ fold);
+            *stored = packed::to_round_key(&packed::pack(&rk));
+            zeroize(&mut rk);
         }
-        Ok(Aes { round_keys, size })
+        zeroize(w.as_flattened_mut());
+        Ok(aes)
+    }
+
+    fn keys(&self) -> &[RoundKey] {
+        &self.round_keys[..=self.size.rounds()]
     }
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let nr = self.size.rounds();
-        add_round_key(block, &self.round_keys[0]);
-        for r in 1..nr {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[r]);
-        }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[nr]);
+        packed::encrypt(self.keys(), block);
     }
 
     /// Decrypts one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        let nr = self.size.rounds();
-        add_round_key(block, &self.round_keys[nr]);
-        for r in (1..nr).rev() {
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-            add_round_key(block, &self.round_keys[r]);
-            inv_mix_columns(block);
-        }
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        add_round_key(block, &self.round_keys[0]);
+        packed::decrypt(self.keys(), block);
     }
 
     /// Convenience: encrypts a copy of `block` and returns it.
@@ -211,74 +204,56 @@ impl Aes {
         self.decrypt_block(&mut out);
         out
     }
-}
 
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
+    /// Encrypts any number of whole 16-byte blocks in place, each
+    /// independently (ECB), a wide pass at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not a multiple of 16.
+    pub fn encrypt_blocks(&self, data: &mut [u8]) {
+        self.crypt_blocks::<false>(data, |_| 0);
     }
-}
 
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
+    /// Decrypts any number of whole 16-byte blocks in place; the
+    /// inverse of [`Aes::encrypt_blocks`], at the same cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not a multiple of 16.
+    pub fn decrypt_blocks(&self, data: &mut [u8]) {
+        self.crypt_blocks::<true>(data, |_| 0);
     }
-}
 
-#[inline]
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    let inv = inv_sbox();
-    for b in state.iter_mut() {
-        *b = inv[*b as usize];
-    }
-}
-
-// State layout: state[4*c + r] is row r, column c. Row r consists of
-// indices r, r+4, r+8, r+12. ShiftRows rotates row r left by r.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * c + r] = s[4 * ((c + r) % 4) + r];
+    /// The batch engine behind the two calls above and XTS: block `i`
+    /// becomes `E(block ^ mask(i)) ^ mask(i)` (or `D`), the whitening
+    /// riding on the transposes in and out of the wide layout. Which
+    /// layout a run of blocks takes depends on its length alone.
+    pub(crate) fn crypt_blocks<const DECRYPT: bool>(
+        &self,
+        data: &mut [u8],
+        mask: impl Fn(usize) -> u128 + Copy,
+    ) {
+        assert!(data.len().is_multiple_of(16), "whole 16-byte blocks only");
+        let keys = self.keys();
+        for (pass, run) in data.chunks_mut(16 * WIDE_BLOCKS).enumerate() {
+            let mask = |i: usize| mask(pass * WIDE_BLOCKS + i);
+            if run.len() > 16 * PACKED_MAX_BLOCKS {
+                wide::crypt::<DECRYPT>(keys, run, mask);
+                continue;
+            }
+            for (i, block) in run.chunks_exact_mut(16).enumerate() {
+                let block: &mut [u8; 16] = block.try_into().expect("chunks_exact_mut(16)");
+                let whitening = mask(i).to_le_bytes();
+                xor_in_place(block, &whitening);
+                if DECRYPT {
+                    packed::decrypt(keys, block);
+                } else {
+                    packed::encrypt(keys, block);
+                }
+                xor_in_place(block, &whitening);
+            }
         }
-    }
-}
-
-#[inline]
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * ((c + r) % 4) + r] = s[4 * c + r];
-        }
-    }
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = &mut state[4 * c..4 * c + 4];
-        let (s0, s1, s2, s3) = (col[0], col[1], col[2], col[3]);
-        let t = s0 ^ s1 ^ s2 ^ s3;
-        col[0] = s0 ^ t ^ xtime(s0 ^ s1);
-        col[1] = s1 ^ t ^ xtime(s1 ^ s2);
-        col[2] = s2 ^ t ^ xtime(s2 ^ s3);
-        col[3] = s3 ^ t ^ xtime(s3 ^ s0);
-    }
-}
-
-#[inline]
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = &mut state[4 * c..4 * c + 4];
-        let (s0, s1, s2, s3) = (col[0], col[1], col[2], col[3]);
-        col[0] = gmul(s0, 14) ^ gmul(s1, 11) ^ gmul(s2, 13) ^ gmul(s3, 9);
-        col[1] = gmul(s0, 9) ^ gmul(s1, 14) ^ gmul(s2, 11) ^ gmul(s3, 13);
-        col[2] = gmul(s0, 13) ^ gmul(s1, 9) ^ gmul(s2, 14) ^ gmul(s3, 11);
-        col[3] = gmul(s0, 11) ^ gmul(s1, 13) ^ gmul(s2, 9) ^ gmul(s3, 14);
     }
 }
 
@@ -286,6 +261,7 @@ fn inv_mix_columns(state: &mut [u8; 16]) {
 mod tests {
     use super::*;
     use crate::mem::from_hex;
+    use crate::reference::{gmul, inv_mix_columns, inv_shift_rows, mix_columns, shift_rows, SBOX};
 
     fn block(hex: &str) -> [u8; 16] {
         let v = from_hex(hex).unwrap();
@@ -396,5 +372,11 @@ mod tests {
     fn debug_hides_keys() {
         let aes = Aes::new(&[0xEE; 16]).unwrap();
         assert_eq!(format!("{aes:?}"), "Aes(Aes128)");
+    }
+
+    #[test]
+    #[should_panic(expected = "whole 16-byte blocks only")]
+    fn batch_calls_reject_partial_blocks() {
+        Aes::new(&[0u8; 16]).unwrap().encrypt_blocks(&mut [0u8; 17]);
     }
 }

@@ -6,7 +6,8 @@
 //! ESSIV sector IV — `IV = AES_{SHA256(K)}(sector_number)` — which hides
 //! sector numbers but remains deterministic across overwrites.
 
-use crate::aes::Aes;
+use crate::aes::{Aes, WIDE_BLOCKS};
+use crate::mem::xor_in_place;
 use crate::sha256::sha256;
 use crate::{CryptoError, Result};
 
@@ -25,10 +26,16 @@ use crate::{CryptoError, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
 pub struct CbcEssiv {
     data_cipher: Aes,
     essiv_cipher: Aes,
+}
+
+impl std::fmt::Debug for CbcEssiv {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The key size only; `Aes` prints no key material.
+        f.debug_tuple("CbcEssiv").field(&self.data_cipher).finish()
+    }
 }
 
 impl CbcEssiv {
@@ -66,16 +73,14 @@ impl CbcEssiv {
         if data.is_empty() || !data.len().is_multiple_of(16) {
             return Err(CryptoError::InvalidDataLength { got: data.len() });
         }
+        // Each block's input is the previous ciphertext block: a serial
+        // chain, one block at a time.
         let mut prev = self.essiv(sector);
-        for chunk in data.chunks_mut(16) {
-            for (c, p) in chunk.iter_mut().zip(prev.iter()) {
-                *c ^= p;
-            }
-            let mut block = [0u8; 16];
-            block.copy_from_slice(chunk);
-            self.data_cipher.encrypt_block(&mut block);
-            chunk.copy_from_slice(&block);
-            prev = block;
+        for chunk in data.chunks_exact_mut(16) {
+            let block: &mut [u8; 16] = chunk.try_into().expect("chunks_exact_mut(16)");
+            xor_in_place(block, &prev);
+            self.data_cipher.encrypt_block(block);
+            prev = *block;
         }
         Ok(())
     }
@@ -90,17 +95,19 @@ impl CbcEssiv {
         if data.is_empty() || !data.len().is_multiple_of(16) {
             return Err(CryptoError::InvalidDataLength { got: data.len() });
         }
+        // P_j = Dec(C_j) ^ C_{j-1}: the block decryptions are
+        // independent, so they go through in wide passes; only the
+        // ciphertext each pass overwrites has to be kept for the XOR.
         let mut prev = self.essiv(sector);
-        for chunk in data.chunks_mut(16) {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(chunk);
-            let cipher_block = block;
-            self.data_cipher.decrypt_block(&mut block);
-            for (b, p) in block.iter_mut().zip(prev.iter()) {
-                *b ^= p;
-            }
-            chunk.copy_from_slice(&block);
-            prev = cipher_block;
+        let mut ciphertext = [0u8; 16 * WIDE_BLOCKS];
+        for pass in data.chunks_mut(16 * WIDE_BLOCKS) {
+            let ciphertext = &mut ciphertext[..pass.len()];
+            ciphertext.copy_from_slice(pass);
+            self.data_cipher.decrypt_blocks(pass);
+            let (first, rest) = pass.split_at_mut(16);
+            xor_in_place(first, &prev);
+            xor_in_place(rest, &ciphertext[..rest.len()]);
+            prev.copy_from_slice(&ciphertext[rest.len()..]);
         }
         Ok(())
     }

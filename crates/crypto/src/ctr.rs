@@ -1,21 +1,27 @@
 //! AES-CTR keystream generation (NIST SP 800-38A), the confidentiality
 //! half of GCM.
 
-use crate::aes::Aes;
+use crate::aes::{Aes, WIDE_BLOCKS};
 
 /// Applies the CTR keystream generated from `initial_counter` to `data`
 /// in place (encryption and decryption are the same operation).
 ///
 /// The counter is the full 16-byte block; only the final 32 bits are
-/// incremented (big-endian, wrapping), exactly as GCM requires.
+/// incremented (big-endian, wrapping), exactly as GCM requires. The
+/// keystream is produced a wide pass of counter blocks at a time.
 pub fn ctr_xor(aes: &Aes, initial_counter: &[u8; 16], data: &mut [u8]) {
     let mut counter = *initial_counter;
-    for chunk in data.chunks_mut(16) {
-        let keystream = aes.encrypt_block_copy(&counter);
-        for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
+    let mut keystream = [0u8; 16 * WIDE_BLOCKS];
+    for pass in data.chunks_mut(16 * WIDE_BLOCKS) {
+        let keystream = &mut keystream[..16 * pass.len().div_ceil(16)];
+        for block in keystream.chunks_exact_mut(16) {
+            block.copy_from_slice(&counter);
+            increment_counter(&mut counter);
+        }
+        aes.encrypt_blocks(keystream);
+        for (d, k) in pass.iter_mut().zip(keystream.iter()) {
             *d ^= k;
         }
-        increment_counter(&mut counter);
     }
 }
 

@@ -22,6 +22,7 @@
 
 use crate::aes::Aes;
 use crate::gf128::{be_double, xor_block, Block};
+use crate::mem::{xor_in_place, zeroize};
 use crate::{CryptoError, Result};
 
 /// A wide-block cipher over whole sectors (multiples of 16 bytes,
@@ -41,11 +42,23 @@ use crate::{CryptoError, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
 pub struct Eme2 {
     aes: Aes,
     /// L = 2 · AES_K(0^128): the ECB whitening mask seed.
     l: Block,
+}
+
+impl std::fmt::Debug for Eme2 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The key size only; `Aes` prints no key material.
+        f.debug_tuple("Eme2").field(&self.aes).finish()
+    }
+}
+
+impl Drop for Eme2 {
+    fn drop(&mut self) {
+        zeroize(&mut self.l);
+    }
 }
 
 /// Maximum sector size accepted (64 KiB = 4096 blocks).
@@ -71,55 +84,7 @@ impl Eme2 {
     /// Returns [`CryptoError::InvalidDataLength`] unless
     /// `32 <= data.len() <= 65536` and `data.len() % 16 == 0`.
     pub fn encrypt_sector(&self, tweak: &[u8; 16], data: &mut [u8]) -> Result<()> {
-        self.check_len(data.len())?;
-        let t_star = self.hash_tweak(tweak);
-        let m = data.len() / 16;
-
-        // Pass 1: PPP_j = E(P_j xor 2^j L)
-        let mut mask = self.l;
-        let mut ppp: Vec<Block> = Vec::with_capacity(m);
-        for j in 0..m {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(&data[16 * j..16 * j + 16]);
-            let whitened = xor_block(&block, &mask);
-            ppp.push(self.aes.encrypt_block_copy(&whitened));
-            be_double(&mut mask);
-        }
-
-        // Mixing: MP = PPP_1 xor SP xor T*, MC = E(MP), M = MP xor MC.
-        let mut sp = [0u8; 16];
-        for block in ppp.iter().skip(1) {
-            sp = xor_block(&sp, block);
-        }
-        let mp = xor_block(&xor_block(&ppp[0], &sp), &t_star);
-        let mc = self.aes.encrypt_block_copy(&mp);
-        let m_mask_seed = xor_block(&mp, &mc);
-
-        // CCC_j = PPP_j xor 2^{j-1} M (j >= 2, so the first applied
-        // mask is 2M; starting at M itself would make the j=2 delta
-        // cancel against the mixing block for 2-block messages).
-        let mut ccc: Vec<Block> = vec![[0u8; 16]; m];
-        let mut mmask = m_mask_seed;
-        be_double(&mut mmask);
-        for j in 1..m {
-            ccc[j] = xor_block(&ppp[j], &mmask);
-            be_double(&mut mmask);
-        }
-        let mut sc = [0u8; 16];
-        for block in ccc.iter().skip(1) {
-            sc = xor_block(&sc, block);
-        }
-        ccc[0] = xor_block(&xor_block(&mc, &sc), &t_star);
-
-        // Pass 2: C_j = E(CCC_j) xor 2^j L
-        let mut mask = self.l;
-        for (j, block) in ccc.iter().enumerate() {
-            let enc = self.aes.encrypt_block_copy(block);
-            let out = xor_block(&enc, &mask);
-            data[16 * j..16 * j + 16].copy_from_slice(&out);
-            be_double(&mut mask);
-        }
-        Ok(())
+        self.process_sector::<false>(tweak, data)
     }
 
     /// Decrypts a sector in place under a 16-byte tweak.
@@ -128,52 +93,63 @@ impl Eme2 {
     ///
     /// Returns [`CryptoError::InvalidDataLength`] for unsupported sizes.
     pub fn decrypt_sector(&self, tweak: &[u8; 16], data: &mut [u8]) -> Result<()> {
+        self.process_sector::<true>(tweak, data)
+    }
+
+    /// ECB-Mix-ECB. Decryption is the same walk with `D` for `E`: the
+    /// construction is an involution up to the direction of the block
+    /// cipher. Both ECB layers are batch calls over the whole sector;
+    /// only the middle block is a single-block call.
+    fn process_sector<const DECRYPT: bool>(&self, tweak: &[u8; 16], data: &mut [u8]) -> Result<()> {
         self.check_len(data.len())?;
         let t_star = self.hash_tweak(tweak);
-        let m = data.len() / 16;
 
-        // Invert pass 2: CCC_j = D(C_j xor 2^j L)
-        let mut mask = self.l;
-        let mut ccc: Vec<Block> = Vec::with_capacity(m);
-        for j in 0..m {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(&data[16 * j..16 * j + 16]);
-            let whitened = xor_block(&block, &mask);
-            ccc.push(self.aes.decrypt_block_copy(&whitened));
-            be_double(&mut mask);
+        // Pass 1: PPP_j = E(P_j xor 2^j L)
+        self.whiten(data);
+        self.ecb::<DECRYPT>(data);
+
+        // Mixing: MP = PPP_1 xor SP xor T*, MC = E(MP), M = MP xor MC.
+        let (head, rest) = data.split_at_mut(16);
+        let head: &mut [u8; 16] = head.try_into().expect("split at 16 bytes");
+        let mp = xor_block(&xor_block(head, &xor_of_blocks(rest)), &t_star);
+        let mut mc = mp;
+        if DECRYPT {
+            self.aes.decrypt_block(&mut mc);
+        } else {
+            self.aes.encrypt_block(&mut mc);
         }
 
-        // Invert mixing.
-        let mut sc = [0u8; 16];
-        for block in ccc.iter().skip(1) {
-            sc = xor_block(&sc, block);
-        }
-        let mc = xor_block(&xor_block(&ccc[0], &sc), &t_star);
-        let mp = self.aes.decrypt_block_copy(&mc);
-        let m_mask_seed = xor_block(&mp, &mc);
-
-        let mut ppp: Vec<Block> = vec![[0u8; 16]; m];
-        let mut mmask = m_mask_seed;
-        be_double(&mut mmask);
-        for j in 1..m {
-            ppp[j] = xor_block(&ccc[j], &mmask);
+        // CCC_j = PPP_j xor 2^{j-1} M (j >= 2, so the first applied
+        // mask is 2M; starting at M itself would make the j=2 delta
+        // cancel against the mixing block for 2-block messages).
+        let mut mmask = xor_block(&mp, &mc);
+        for block in rest.chunks_exact_mut(16) {
             be_double(&mut mmask);
+            xor_in_place(block, &mmask);
         }
-        let mut sp = [0u8; 16];
-        for block in ppp.iter().skip(1) {
-            sp = xor_block(&sp, block);
-        }
-        ppp[0] = xor_block(&xor_block(&mp, &sp), &t_star);
+        *head = xor_block(&xor_block(&mc, &xor_of_blocks(rest)), &t_star);
 
-        // Invert pass 1: P_j = D(PPP_j) xor 2^j L
+        // Pass 2: C_j = E(CCC_j) xor 2^j L
+        self.ecb::<DECRYPT>(data);
+        self.whiten(data);
+        Ok(())
+    }
+
+    /// XORs `2^j L` into block `j`.
+    fn whiten(&self, data: &mut [u8]) {
         let mut mask = self.l;
-        for (j, block) in ppp.iter().enumerate() {
-            let dec = self.aes.decrypt_block_copy(block);
-            let out = xor_block(&dec, &mask);
-            data[16 * j..16 * j + 16].copy_from_slice(&out);
+        for block in data.chunks_exact_mut(16) {
+            xor_in_place(block, &mask);
             be_double(&mut mask);
         }
-        Ok(())
+    }
+
+    fn ecb<const DECRYPT: bool>(&self, data: &mut [u8]) {
+        if DECRYPT {
+            self.aes.decrypt_blocks(data);
+        } else {
+            self.aes.encrypt_blocks(data);
+        }
     }
 
     fn hash_tweak(&self, tweak: &[u8; 16]) -> Block {
@@ -187,6 +163,15 @@ impl Eme2 {
         }
         Ok(())
     }
+}
+
+/// The XOR of all 16-byte blocks of `data`.
+fn xor_of_blocks(data: &[u8]) -> Block {
+    let mut sum = [0u8; 16];
+    for block in data.chunks_exact(16) {
+        xor_in_place(&mut sum, block);
+    }
+    sum
 }
 
 #[cfg(test)]

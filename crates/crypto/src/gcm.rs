@@ -9,7 +9,7 @@
 use crate::aes::Aes;
 use crate::ctr::{ctr_xor, increment_counter};
 use crate::gf128::ghash_mul;
-use crate::mem::ct_eq;
+use crate::mem::{ct_eq, zeroize};
 use crate::{CryptoError, Result};
 
 /// GCM tag length in bytes (full 128-bit tags only).
@@ -33,10 +33,22 @@ pub const NONCE_LEN: usize = 12;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
 pub struct AesGcm {
     aes: Aes,
     h: [u8; 16],
+}
+
+impl std::fmt::Debug for AesGcm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The key size only; `Aes` prints no key material.
+        f.debug_tuple("AesGcm").field(&self.aes).finish()
+    }
+}
+
+impl Drop for AesGcm {
+    fn drop(&mut self) {
+        zeroize(&mut self.h);
+    }
 }
 
 impl AesGcm {

@@ -33,28 +33,16 @@ pub type Block = [u8; 16];
 /// assert_eq!(t[1], 0x01); // the bit carried into the next byte
 /// ```
 pub fn xts_mul_alpha(tweak: &mut Block) {
-    let mut carry = 0u8;
-    for byte in tweak.iter_mut() {
-        let next_carry = *byte >> 7;
-        *byte = (*byte << 1) | carry;
-        carry = next_carry;
-    }
-    if carry != 0 {
-        tweak[0] ^= 0x87;
-    }
+    *tweak = xts_double(u128::from_le_bytes(*tweak)).to_le_bytes();
 }
 
-/// Multiplies an XTS tweak by α^n (n sequential doublings).
-///
-/// Used to jump to the tweak of the j-th 16-byte sub-block of a sector
-/// without recomputing the whole chain.
+/// The same doubling on the tweak as a little-endian `u128`, without
+/// a branch on the carried-out bit: the reduction constant is ANDed
+/// with an all-ones or all-zeros word made from it.
+#[inline]
 #[must_use]
-pub fn xts_mul_alpha_pow(tweak: &Block, n: usize) -> Block {
-    let mut t = *tweak;
-    for _ in 0..n {
-        xts_mul_alpha(&mut t);
-    }
-    t
+pub fn xts_double(t: u128) -> u128 {
+    (t << 1) ^ (0x87 & 0u128.wrapping_sub(t >> 127))
 }
 
 /// GHASH multiplication `x * y` in GCM's reflected-bit convention.
@@ -123,9 +111,11 @@ mod tests {
         xts_mul_alpha(&mut t);
         assert_eq!(t[0], 2);
         // 64 doublings move the bit to byte 8.
-        let t2 = xts_mul_alpha_pow(&t, 63);
-        assert_eq!(t2[8], 1);
-        assert!(t2.iter().enumerate().all(|(i, &b)| b == 0 || i == 8));
+        for _ in 0..63 {
+            xts_mul_alpha(&mut t);
+        }
+        assert_eq!(t[8], 1);
+        assert!(t.iter().enumerate().all(|(i, &b)| b == 0 || i == 8));
     }
 
     #[test]
@@ -139,14 +129,18 @@ mod tests {
         assert_eq!(t, expected);
     }
 
+    /// The branch-free `u128` step against the byte-wise doubling it
+    /// replaced, chained so every carry pattern of a long run occurs.
     #[test]
-    fn xts_alpha_pow_matches_iteration() {
-        let mut t = [0xA5u8; 16];
-        let jumped = xts_mul_alpha_pow(&t, 37);
-        for _ in 0..37 {
-            xts_mul_alpha(&mut t);
+    fn xts_double_matches_bytewise_reference_over_a_long_chain() {
+        let mut bytes = [0u8; 16];
+        crate::rng::SeededRng::new(0x1619).fill_bytes(&mut bytes);
+        let mut word = u128::from_le_bytes(bytes);
+        for step in 0..10_000 {
+            crate::reference::xts_mul_alpha(&mut bytes);
+            word = xts_double(word);
+            assert_eq!(word.to_le_bytes(), bytes, "diverged at doubling {step}");
         }
-        assert_eq!(t, jumped);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Storage Encryption with Virtual Disks"* (HotStorage '22) depends on,
 //! with no external crypto dependencies:
 //!
-//! - [`aes`]: the AES-128 / AES-256 block cipher (FIPS 197),
+//! - [`aes`]: the AES-128 / AES-256 block cipher (FIPS 197), bitsliced
+//!   and constant-time by construction,
 //! - [`xts`]: the XTS tweakable mode used by LUKS2 / dm-crypt / BitLocker
 //!   (IEEE 1619, NIST SP 800-38E), including ciphertext stealing,
 //! - [`gcm`]: AES-GCM authenticated encryption (NIST SP 800-38D) for the
@@ -40,10 +41,14 @@
 //!
 //! # Security note
 //!
-//! The AES implementation is table-free but **not** hardened against
-//! cache-timing side channels (it is a portable byte-oriented reference
-//! implementation). That is acceptable for this research reproduction;
-//! a production deployment would use AES-NI.
+//! The AES core is bitsliced ([`aes`]): no table lookup, index or
+//! branch depends on key, tweak or data bytes, in either direction or
+//! in the key schedule, and XTS's tweak chain is branch-free. What is
+//! **not** constant-time is GHASH ([`gf128::ghash_mul`] branches on
+//! the bits of its operand), so [`gcm`] still has a timing channel on
+//! `H`. Key wiping ([`mem::zeroize`], the `Drop` of every cipher type)
+//! is best-effort: the crate forbids `unsafe`, so it cannot use
+//! volatile writes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,6 +62,8 @@ pub mod gf128;
 pub mod hmac;
 pub mod kdf;
 pub mod mem;
+#[cfg(test)]
+mod reference;
 pub mod rng;
 pub mod sha256;
 pub mod xts;

@@ -9,8 +9,8 @@
 //! ciphertext (see [`XtsCipher::encrypt_sector`] and the sub-block
 //! locality tests below, which demonstrate the leak of §2.1).
 
-use crate::aes::Aes;
-use crate::gf128::xts_mul_alpha;
+use crate::aes::{Aes, WIDE_BLOCKS};
+use crate::gf128::xts_double;
 use crate::{CryptoError, Result};
 
 /// An XTS cipher instance: two independent AES keys (K1 for data,
@@ -28,10 +28,16 @@ use crate::{CryptoError, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
 pub struct XtsCipher {
     data_cipher: Aes,
     tweak_cipher: Aes,
+}
+
+impl std::fmt::Debug for XtsCipher {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The key size only; `Aes` prints no key material.
+        f.debug_tuple("XtsCipher").field(&self.data_cipher).finish()
+    }
 }
 
 impl XtsCipher {
@@ -70,7 +76,7 @@ impl XtsCipher {
     /// shorter than one cipher block (16 bytes). Lengths that are not a
     /// multiple of 16 are handled with ciphertext stealing.
     pub fn encrypt_sector(&self, tweak: &[u8; 16], data: &mut [u8]) -> Result<()> {
-        self.process_sector(tweak, data, Direction::Encrypt)
+        self.process_sector::<false>(tweak, data)
     }
 
     /// Decrypts one sector in place under the given 16-byte tweak.
@@ -80,100 +86,49 @@ impl XtsCipher {
     /// Returns [`CryptoError::InvalidDataLength`] if the sector is
     /// shorter than one cipher block.
     pub fn decrypt_sector(&self, tweak: &[u8; 16], data: &mut [u8]) -> Result<()> {
-        self.process_sector(tweak, data, Direction::Decrypt)
+        self.process_sector::<true>(tweak, data)
     }
 
-    fn process_sector(&self, tweak: &[u8; 16], data: &mut [u8], dir: Direction) -> Result<()> {
+    fn process_sector<const DECRYPT: bool>(&self, tweak: &[u8; 16], data: &mut [u8]) -> Result<()> {
         if data.len() < 16 {
             return Err(CryptoError::InvalidDataLength { got: data.len() });
         }
         // T_0 = AES_enc(K2, tweak); T_{j+1} = T_j * alpha.
-        let mut t = self.tweak_cipher.encrypt_block_copy(tweak);
+        let mut t = u128::from_le_bytes(self.tweak_cipher.encrypt_block_copy(tweak));
 
-        let full_blocks = data.len() / 16;
+        // A partial last block takes the full block before it into the
+        // stealing step; everything ahead of that is independent blocks.
         let tail = data.len() % 16;
+        let stolen = if tail == 0 { 0 } else { 16 + tail };
+        let (body, steal) = data.split_at_mut(data.len() - stolen);
 
-        if tail == 0 {
-            for j in 0..full_blocks {
-                self.xts_block(&t, &mut data[16 * j..16 * j + 16], dir);
-                xts_mul_alpha(&mut t);
+        let mut tweaks = [0u128; WIDE_BLOCKS];
+        for pass in body.chunks_mut(16 * WIDE_BLOCKS) {
+            for slot in &mut tweaks[..pass.len() / 16] {
+                *slot = t;
+                t = xts_double(t);
             }
+            self.data_cipher
+                .crypt_blocks::<DECRYPT>(pass, |i| tweaks[i]);
+        }
+        if tail == 0 {
             return Ok(());
         }
 
-        // Ciphertext stealing: process all but the last full block
-        // normally, then swap-and-steal across the final partial block.
-        for j in 0..full_blocks - 1 {
-            self.xts_block(&t, &mut data[16 * j..16 * j + 16], dir);
-            xts_mul_alpha(&mut t);
+        // Ciphertext stealing. Encrypting: CC = Enc(T_{m-1}, P_{m-1});
+        // C_m = the first `tail` bytes of CC, and the last full block
+        // is Enc(T_m, P_m || rest of CC). Decrypting is the same walk
+        // with the two tweaks exchanged.
+        let t_next = xts_double(t);
+        let (t_first, t_second) = if DECRYPT { (t_next, t) } else { (t, t_next) };
+        let (full, partial) = steal.split_at_mut(16);
+        self.data_cipher.crypt_blocks::<DECRYPT>(full, |_| t_first);
+        for (f, p) in full.iter_mut().zip(partial) {
+            std::mem::swap(f, p);
         }
-        let t_second_last = t;
-        let mut t_last = t;
-        xts_mul_alpha(&mut t_last);
-
-        let last_full_start = 16 * (full_blocks - 1);
-        let partial_start = 16 * full_blocks;
-
-        match dir {
-            Direction::Encrypt => {
-                // CC = Enc(T_{m-1}, P_{m-1})
-                let mut cc = [0u8; 16];
-                cc.copy_from_slice(&data[last_full_start..last_full_start + 16]);
-                self.xts_block_owned(&t_second_last, &mut cc, dir);
-                // C_m (partial) = first `tail` bytes of CC;
-                // final full block = Enc(T_m, P_m || tail of CC).
-                let mut last = [0u8; 16];
-                last[..tail].copy_from_slice(&data[partial_start..]);
-                last[tail..].copy_from_slice(&cc[tail..]);
-                self.xts_block_owned(&t_last, &mut last, dir);
-                data[last_full_start..last_full_start + 16].copy_from_slice(&last);
-                data[partial_start..].copy_from_slice(&cc[..tail]);
-            }
-            Direction::Decrypt => {
-                // PP = Dec(T_m, C_{m-1})
-                let mut pp = [0u8; 16];
-                pp.copy_from_slice(&data[last_full_start..last_full_start + 16]);
-                self.xts_block_owned(&t_last, &mut pp, dir);
-                // P_m (partial) = first `tail` bytes of PP;
-                // final full block = Dec(T_{m-1}, C_m || tail of PP).
-                let mut last = [0u8; 16];
-                last[..tail].copy_from_slice(&data[partial_start..]);
-                last[tail..].copy_from_slice(&pp[tail..]);
-                self.xts_block_owned(&t_second_last, &mut last, dir);
-                data[last_full_start..last_full_start + 16].copy_from_slice(&last);
-                data[partial_start..].copy_from_slice(&pp[..tail]);
-            }
-        }
+        self.data_cipher.crypt_blocks::<DECRYPT>(full, |_| t_second);
         Ok(())
     }
-
-    #[inline]
-    fn xts_block(&self, t: &[u8; 16], block: &mut [u8], dir: Direction) {
-        let mut b = [0u8; 16];
-        b.copy_from_slice(block);
-        self.xts_block_owned(t, &mut b, dir);
-        block.copy_from_slice(&b);
-    }
-
-    #[inline]
-    fn xts_block_owned(&self, t: &[u8; 16], block: &mut [u8; 16], dir: Direction) {
-        for i in 0..16 {
-            block[i] ^= t[i];
-        }
-        match dir {
-            Direction::Encrypt => self.data_cipher.encrypt_block(block),
-            Direction::Decrypt => self.data_cipher.decrypt_block(block),
-        }
-        for i in 0..16 {
-            block[i] ^= t[i];
-        }
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    Encrypt,
-    Decrypt,
 }
 
 #[cfg(test)]

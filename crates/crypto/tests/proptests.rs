@@ -1,5 +1,8 @@
 //! Property-based tests over the crypto primitives: round-trip
-//! identities, diffusion/locality contracts, and tamper detection.
+//! identities, diffusion/locality contracts, tamper detection — and
+//! the differential properties that pin the bitsliced AES and the
+//! whole-sector XTS to the byte-at-a-time implementation they
+//! replaced (`src/reference.rs`, compiled into this test by path).
 
 use proptest::prelude::*;
 use vdisk_crypto::aes::Aes;
@@ -10,6 +13,22 @@ use vdisk_crypto::hmac::hmac_sha256;
 use vdisk_crypto::mem::{from_hex, to_hex};
 use vdisk_crypto::sha256::{sha256, Sha256};
 use vdisk_crypto::xts::XtsCipher;
+
+#[path = "../src/reference.rs"]
+mod reference;
+
+/// Cases per differential property: a smoke count in the dev profile
+/// (`cargo test`), the real count under `--release` (CI's `stress`
+/// job runs this file that way).
+const DIFFERENTIAL_CASES: u32 = if cfg!(debug_assertions) { 32 } else { 512 };
+
+/// Deterministic filler for buffers too large to draw byte by byte.
+fn fill(seed: u64, len: usize) -> Vec<u8> {
+    let mut rng = vdisk_crypto::rng::SeededRng::new(seed);
+    let mut buf = vec![0u8; len];
+    rng.fill_bytes(&mut buf);
+    buf
+}
 
 fn arb_key16() -> impl Strategy<Value = [u8; 16]> {
     any::<[u8; 16]>()
@@ -199,5 +218,92 @@ proptest! {
         xts.encrypt_sector(&tweak, &mut a).unwrap();
         eme.encrypt_sector(&tweak, &mut b).unwrap();
         prop_assert_ne!(a, b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(DIFFERENTIAL_CASES))]
+
+    /// The packed single-block path, both key sizes, both directions.
+    #[test]
+    fn aes_block_calls_match_reference(
+        key in arb_key32(),
+        aes256 in any::<bool>(),
+        block in any::<[u8; 16]>(),
+    ) {
+        let key = &key[..if aes256 { 32 } else { 16 }];
+        let ours = Aes::new(key).unwrap();
+        let theirs = reference::Aes::new(key);
+        let (mut a, mut b) = (block, block);
+        ours.encrypt_block(&mut a);
+        theirs.encrypt_block(&mut b);
+        prop_assert_eq!(a, b);
+        let (mut a, mut b) = (block, block);
+        ours.decrypt_block(&mut a);
+        theirs.decrypt_block(&mut b);
+        prop_assert_eq!(a, b);
+    }
+
+    /// Whole sectors: every stealing-tail length around the first
+    /// blocks, the packed/wide boundary, one 512-byte and one 4 KiB
+    /// sector, and a 4 KiB sector with a stolen tail.
+    #[test]
+    fn xts_matches_reference(
+        key in any::<[u8; 64]>(),
+        aes256 in any::<bool>(),
+        tweak in any::<[u8; 16]>(),
+        seed in any::<u64>(),
+        tail in 1usize..16,
+    ) {
+        let key = &key[..if aes256 { 64 } else { 32 }];
+        let ours = XtsCipher::new(key).unwrap();
+        let theirs = reference::XtsCipher::new(key);
+        for len in (16..=80).chain([512, 4096, 4096 + tail]) {
+            let data = fill(seed ^ len as u64, len);
+            let (mut a, mut b) = (data.clone(), data.clone());
+            ours.encrypt_sector(&tweak, &mut a).unwrap();
+            theirs.encrypt_sector(&tweak, &mut b);
+            prop_assert_eq!(&a, &b, "encrypt, {} bytes", len);
+            let (mut a, mut b) = (data.clone(), data);
+            ours.decrypt_sector(&tweak, &mut a).unwrap();
+            theirs.decrypt_sector(&tweak, &mut b);
+            prop_assert_eq!(&a, &b, "decrypt, {} bytes", len);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(DIFFERENTIAL_CASES / 16))]
+
+    /// The batch calls at every block count from one block to one past
+    /// two wide passes: packed runs, short wide passes, full passes and
+    /// every ragged remainder.
+    #[test]
+    fn aes_batch_calls_match_reference_at_every_count(
+        key in arb_key32(),
+        aes256 in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let key = &key[..if aes256 { 32 } else { 16 }];
+        let ours = Aes::new(key).unwrap();
+        let theirs = reference::Aes::new(key);
+        for count in 1..=257usize {
+            let data = fill(seed ^ count as u64, 16 * count);
+            let mut expected = data.clone();
+            for block in expected.chunks_exact_mut(16) {
+                theirs.encrypt_block(block.try_into().unwrap());
+            }
+            let mut got = data.clone();
+            ours.encrypt_blocks(&mut got);
+            prop_assert_eq!(&got, &expected, "encrypt_blocks, {} blocks", count);
+
+            let mut expected = data.clone();
+            for block in expected.chunks_exact_mut(16) {
+                theirs.decrypt_block(block.try_into().unwrap());
+            }
+            let mut got = data;
+            ours.decrypt_blocks(&mut got);
+            prop_assert_eq!(&got, &expected, "decrypt_blocks, {} blocks", count);
+        }
     }
 }

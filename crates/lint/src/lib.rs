@@ -85,6 +85,11 @@ impl Default for Config {
                 "DerivedKeys".into(),
                 "KeyChain".into(),
                 "SectorCodec".into(),
+                "Aes".into(),
+                "XtsCipher".into(),
+                "AesGcm".into(),
+                "Eme2".into(),
+                "CbcEssiv".into(),
             ],
             expose_methods: vec!["expose".into(), "expose_mut".into()],
         }
