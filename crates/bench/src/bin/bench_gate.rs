@@ -71,7 +71,7 @@ fn record(results: &mut BTreeMap<String, u64>, group: String, ns: f64) {
     results.insert(group, ns.round() as u64);
 }
 
-/// The acceptance check for the cache, asserted at the Plan level
+/// The acceptance check for the cache, asserted on the priced plan
 /// where it cannot be diluted by whatever resource happens to bound
 /// the closed loop. With write-through fills, even the **first** read
 /// after a write is warm: it must issue strictly fewer store ops and
@@ -83,7 +83,8 @@ fn assert_plan_drops_meta_round_trip(label: &str, config: &EncryptionConfig) {
         .write(0, &vec![0xA5u8; 64 << 10])
         .expect("seed write");
     let mut buf = vec![0u8; 64 << 10];
-    let warm = cached.read(0, &mut buf).expect("warm read");
+    let warm = testbed::simulated(cached.image().cluster())
+        .plan_of(&cached.read(0, &mut buf).expect("warm read"));
     assert!(
         cached.image().cluster().exec_stats().meta_cache_write_fills > 0,
         "{label}: the seed write must fill its own entries"
@@ -92,10 +93,11 @@ fn assert_plan_drops_meta_round_trip(label: &str, config: &EncryptionConfig) {
     uncached
         .write(0, &vec![0xA5u8; 64 << 10])
         .expect("seed write");
-    let cold = uncached.read(0, &mut buf).expect("cold read");
+    let cold = testbed::simulated(uncached.image().cluster())
+        .plan_of(&uncached.read(0, &mut buf).expect("cold read"));
     assert!(
         warm.op_count() < cold.op_count() && warm.total_op_bytes() < cold.total_op_bytes(),
-        "{label}: a cache hit must drop the metadata op from the Plan \
+        "{label}: a cache hit must drop the metadata op from the plan \
          ({} -> {} ops)",
         cold.op_count(),
         warm.op_count()
@@ -141,7 +143,7 @@ fn run_groups() -> BTreeMap<String, u64> {
         seed: 11,
     };
     for (label, config) in [("object-end", &object_end), ("omap", &omap)] {
-        // The round trip's disappearance is asserted on the Plan
+        // The round trip's disappearance is asserted on the plan
         // itself (robust); the makespan comparison below is kept
         // non-strict because whichever resource bounds the closed
         // loop can legitimately absorb the parallel meta fetch.

@@ -5,15 +5,18 @@
 //! ([`vdisk_core::EncryptedIoQueue`]): up to `queue_depth` operations
 //! are genuinely in flight against the cluster's shard workers while
 //! further IOs are generated — actual cross-submission concurrency,
-//! not a notional fan-out. The per-op cost plans reaped from the
+//! not a notional fan-out. The per-op receipts reaped from the
 //! completions are then replayed in the calibrated closed-loop
-//! simulator at the same depth to produce bandwidth numbers.
+//! simulator at the same depth, priced as the loop issues them, to
+//! produce bandwidth numbers.
 
+use crate::testbed;
 use vdisk_core::{
     CryptError, EncryptedImage, IoOp, Result, Runtime, RuntimeError, TenantSpec, TenantStats,
 };
 use vdisk_crypto::rng::SeededRng;
-use vdisk_sim::{ClosedLoopStats, Plan};
+use vdisk_rados::Receipt;
+use vdisk_sim::ClosedLoopStats;
 
 /// Access pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +76,63 @@ pub const CHURN_70_30_QD8: JobSpec = JobSpec {
     seed: 37,
 };
 
+/// A job's IO stream: offsets, read/write choices and write payloads,
+/// drawn from the job's seed.
+struct OpGen {
+    rng: SeededRng,
+    /// fio-style payload pattern: a random head stamped on every
+    /// write's owned buffer (the cost model is content-independent;
+    /// encryption still runs on every byte).
+    pattern: Vec<u8>,
+    slots: u64,
+    issued: u64,
+}
+
+impl OpGen {
+    fn new(spec: &JobSpec, image_size: u64) -> OpGen {
+        assert!(spec.io_size > 0, "io_size must be positive");
+        assert!(spec.io_size <= image_size, "io_size exceeds image");
+        let mut rng = SeededRng::new(spec.seed);
+        let mut pattern = vec![0u8; spec.io_size as usize];
+        let head = pattern.len().min(8192);
+        rng.fill_bytes(&mut pattern[..head]);
+        OpGen {
+            rng,
+            pattern,
+            slots: image_size / spec.io_size,
+            issued: 0,
+        }
+    }
+
+    /// The next IO of `spec`.
+    fn next_op(&mut self, spec: &JobSpec) -> IoOp {
+        let offset = match spec.pattern {
+            IoPattern::RandRead | IoPattern::RandWrite | IoPattern::RandRw { .. } => {
+                self.rng.gen_below(self.slots) * spec.io_size
+            }
+            IoPattern::SeqRead | IoPattern::SeqWrite => (self.issued % self.slots) * spec.io_size,
+        };
+        let is_write = match spec.pattern {
+            IoPattern::RandRw { read_pct } => {
+                self.rng.gen_below(100) >= u64::from(read_pct.min(100))
+            }
+            pattern => pattern.is_write(),
+        };
+        self.issued += 1;
+        if is_write {
+            IoOp::Write {
+                offset,
+                data: self.pattern.clone(),
+            }
+        } else {
+            IoOp::Read {
+                offset,
+                len: spec.io_size,
+            }
+        }
+    }
+}
+
 /// Sizes each sweep point so small IOs see steady state while large
 /// IOs stay within the software-crypto wall-clock budget.
 #[must_use]
@@ -105,9 +165,9 @@ pub fn precondition(disk: &mut EncryptedImage) -> Result<()> {
 
 /// Runs one job through the real submission queue: keeps up to
 /// `queue_depth` operations in flight on the cluster's shard workers
-/// (every IO runs the full encrypt/layout path), reaps per-op cost
-/// plans from the completions, and finally replays the plans in a
-/// closed loop at the same depth on the calibrated simulated hardware.
+/// (every IO runs the full encrypt/layout path), reaps per-op receipts
+/// from the completions, and finally replays them in a closed loop at
+/// the same depth on the calibrated simulated hardware.
 ///
 /// # Errors
 ///
@@ -117,47 +177,15 @@ pub fn precondition(disk: &mut EncryptedImage) -> Result<()> {
 ///
 /// Panics if `io_size` is zero or larger than the image.
 pub fn run_job(disk: &mut EncryptedImage, spec: &JobSpec) -> Result<ClosedLoopStats> {
-    assert!(spec.io_size > 0, "io_size must be positive");
-    let image_size = disk.image().size();
-    assert!(spec.io_size <= image_size, "io_size exceeds image");
-    let slots = image_size / spec.io_size;
+    let mut gen = OpGen::new(spec, disk.image().size());
     let queue_depth = spec.queue_depth.max(1);
-    let mut rng = SeededRng::new(spec.seed);
 
-    // fio-style payload pattern: a random head stamped on every IO's
-    // owned buffer (the cost model is content-independent; encryption
-    // still runs on every byte).
-    let mut pattern = vec![0u8; spec.io_size as usize];
-    let head = pattern.len().min(8192);
-    rng.fill_bytes(&mut pattern[..head]);
-
-    // Completions may be reaped out of submission order; key plans by
-    // completion id so the closed-loop replay is deterministic.
-    let mut done: Vec<(u64, Plan)> = Vec::with_capacity(spec.ops as usize);
+    // Completions may be reaped out of submission order; key receipts
+    // by completion id so the closed-loop replay is deterministic.
+    let mut done: Vec<(u64, Receipt)> = Vec::with_capacity(spec.ops as usize);
     let mut queue = disk.io_queue();
-    for i in 0..spec.ops {
-        let offset = match spec.pattern {
-            IoPattern::RandRead | IoPattern::RandWrite | IoPattern::RandRw { .. } => {
-                rng.gen_below(slots) * spec.io_size
-            }
-            IoPattern::SeqRead | IoPattern::SeqWrite => (i % slots) * spec.io_size,
-        };
-        let is_write = match spec.pattern {
-            IoPattern::RandRw { read_pct } => rng.gen_below(100) >= u64::from(read_pct.min(100)),
-            pattern => pattern.is_write(),
-        };
-        let op = if is_write {
-            IoOp::Write {
-                offset,
-                data: pattern.clone(),
-            }
-        } else {
-            IoOp::Read {
-                offset,
-                len: spec.io_size,
-            }
-        };
-        queue.submit(op)?;
+    for _ in 0..spec.ops {
+        queue.submit(gen.next_op(spec))?;
         while queue.in_flight() >= queue_depth {
             for result in queue.wait()? {
                 done.push((result.completion.id(), result.plan));
@@ -170,11 +198,8 @@ pub fn run_job(disk: &mut EncryptedImage, spec: &JobSpec) -> Result<ClosedLoopSt
     drop(queue);
 
     done.sort_unstable_by_key(|(id, _)| *id);
-    let plans: Vec<(Plan, u64)> = done
-        .into_iter()
-        .map(|(_, plan)| (plan, spec.io_size))
-        .collect();
-    Ok(disk.image().cluster().run_closed_loop(queue_depth, plans))
+    let ops = done.iter().map(|(_, receipt)| (receipt, spec.io_size));
+    Ok(testbed::simulated(disk.image().cluster()).run_closed_loop(queue_depth, ops))
 }
 
 /// One tenant of a multi-tenant run: a fio job plus its QoS terms.
@@ -196,7 +221,7 @@ pub struct MultiTenantOutcome {
     pub completed_at_stop: Vec<u64>,
     /// Final per-tenant runtime stats (after the full drain).
     pub tenants: Vec<TenantStats>,
-    /// Closed-loop replay of every completed op's cost plan at the
+    /// Closed-loop replay of every completed op's receipt at the
     /// runtime's inflight budget — the combined simulated metric.
     pub combined: ClosedLoopStats,
 }
@@ -241,14 +266,13 @@ pub fn run_multi_tenant(
     let runtime = Runtime::new(inflight_budget);
     let mut handles = Vec::with_capacity(jobs.len());
     let mut queues = Vec::with_capacity(jobs.len());
-    let mut sizes = Vec::with_capacity(jobs.len());
+    // Per tenant: its IO stream and its reaped (completion id, receipt)s.
+    let mut gens: Vec<(OpGen, Vec<(u64, Receipt)>)> = Vec::with_capacity(jobs.len());
     for ((i, job), disk) in jobs.iter().enumerate().zip(disks.iter_mut()) {
-        assert!(job.spec.io_size > 0, "io_size must be positive");
-        assert!(
-            job.spec.io_size <= disk.image().size(),
-            "io_size exceeds image"
-        );
-        sizes.push(disk.image().size());
+        gens.push((
+            OpGen::new(&job.spec, disk.image().size()),
+            Vec::with_capacity(job.spec.ops as usize),
+        ));
         let handle = runtime.register(
             TenantSpec::new(format!("tenant-{i}"))
                 .weight(job.weight)
@@ -259,76 +283,24 @@ pub fn run_multi_tenant(
         handles.push(handle);
     }
 
-    struct Gen {
-        rng: SeededRng,
-        pattern: Vec<u8>,
-        slots: u64,
-        issued: u64,
-        plans: Vec<(u64, Plan)>,
-    }
-    let mut gens: Vec<Gen> = jobs
-        .iter()
-        .zip(&sizes)
-        .map(|(job, &size)| {
-            let mut rng = SeededRng::new(job.spec.seed);
-            let mut pattern = vec![0u8; job.spec.io_size as usize];
-            let head = pattern.len().min(8192);
-            rng.fill_bytes(&mut pattern[..head]);
-            Gen {
-                rng,
-                pattern,
-                slots: size / job.spec.io_size,
-                issued: 0,
-                plans: Vec::with_capacity(job.spec.ops as usize),
-            }
-        })
-        .collect();
-
     let mut total_completed = 0u64;
     let mut completed_at_stop: Option<Vec<u64>> = None;
     loop {
         let stopped = stop_after.is_some_and(|target| total_completed >= target);
         let mut all_drained = true;
-        for (i, queue) in queues.iter_mut().enumerate() {
-            let (job, gen) = (&jobs[i], &mut gens[i]);
+        for ((queue, job), (gen, done)) in queues.iter_mut().zip(jobs).zip(&mut gens) {
             while !stopped && gen.issued < job.spec.ops && queue.backlog() < job.qd_cap.max(1) {
-                let offset = match job.spec.pattern {
-                    IoPattern::RandRead | IoPattern::RandWrite | IoPattern::RandRw { .. } => {
-                        gen.rng.gen_below(gen.slots) * job.spec.io_size
-                    }
-                    IoPattern::SeqRead | IoPattern::SeqWrite => {
-                        (gen.issued % gen.slots) * job.spec.io_size
-                    }
-                };
-                let is_write = match job.spec.pattern {
-                    IoPattern::RandRw { read_pct } => {
-                        gen.rng.gen_below(100) >= u64::from(read_pct.min(100))
-                    }
-                    pattern => pattern.is_write(),
-                };
-                let op = if is_write {
-                    IoOp::Write {
-                        offset,
-                        data: gen.pattern.clone(),
-                    }
-                } else {
-                    IoOp::Read {
-                        offset,
-                        len: job.spec.io_size,
-                    }
-                };
-                gen.issued += 1;
-                queue.submit(op).map_err(flatten)?;
+                queue.submit(gen.next_op(&job.spec)).map_err(flatten)?;
             }
             for result in queue.poll().map_err(flatten)? {
-                gen.plans.push((result.completion.id(), result.plan));
+                done.push((result.completion.id(), result.plan));
                 total_completed += 1;
             }
             let issuing_done = stopped || gen.issued >= job.spec.ops;
             all_drained &= issuing_done && queue.backlog() == 0 && queue.in_flight() == 0;
         }
         if completed_at_stop.is_none() && stop_after.is_some_and(|t| total_completed >= t) {
-            completed_at_stop = Some(gens.iter().map(|g| g.plans.len() as u64).collect());
+            completed_at_stop = Some(gens.iter().map(|(_, done)| done.len() as u64).collect());
         }
         if all_drained {
             break;
@@ -337,22 +309,17 @@ pub fn run_multi_tenant(
     }
     drop(queues);
 
-    let completed_at_stop =
-        completed_at_stop.unwrap_or_else(|| gens.iter().map(|g| g.plans.len() as u64).collect());
+    let completed_at_stop = completed_at_stop
+        .unwrap_or_else(|| gens.iter().map(|(_, done)| done.len() as u64).collect());
     let tenants = handles.iter().map(|h| h.stats()).collect();
-    let mut plans: Vec<(Plan, u64)> = Vec::new();
-    for (job, gen) in jobs.iter().zip(&mut gens) {
-        gen.plans.sort_unstable_by_key(|(id, _)| *id);
-        plans.extend(
-            gen.plans
-                .drain(..)
-                .map(|(_, plan)| (plan, job.spec.io_size)),
-        );
+    // Tenant by tenant, each in completion-id order.
+    let mut ops: Vec<(&Receipt, u64)> = Vec::new();
+    for (job, (_, done)) in jobs.iter().zip(&mut gens) {
+        done.sort_unstable_by_key(|(id, _)| *id);
+        ops.extend(done.iter().map(|(_, receipt)| (receipt, job.spec.io_size)));
     }
-    let combined = disks[0]
-        .image()
-        .cluster()
-        .run_closed_loop(inflight_budget, plans);
+    let combined = testbed::simulated(disks[0].image().cluster())
+        .run_closed_loop(inflight_budget, ops.into_iter());
     Ok(MultiTenantOutcome {
         completed_at_stop,
         tenants,

@@ -3,7 +3,7 @@
 
 use vdisk_core::{EncryptedImage, EncryptionConfig, MetaLayout};
 use vdisk_crypto::rng::SeededIvSource;
-use vdisk_rados::{Cluster, PayloadMode};
+use vdisk_rados::{Cluster, PayloadMode, Testbed, TestbedProfile};
 use vdisk_rbd::Image;
 
 /// The paper's IO-size sweep: 4 KB to 4 MB (Fig. 3/4 x-axis).
@@ -56,7 +56,7 @@ pub fn paper_variants() -> Vec<Variant> {
 }
 
 /// The shared configuration of every bench cluster (payloads
-/// discarded: identical cost plans, bounded memory). Both cluster
+/// discarded: identical receipts, bounded memory). Both cluster
 /// flavours derive from this builder so calibration changes apply to
 /// all benchmark rows at once.
 ///
@@ -85,6 +85,17 @@ fn bench_builder() -> vdisk_rados::ClusterBuilder {
 #[must_use]
 pub fn bench_cluster() -> Cluster {
     bench_builder().build()
+}
+
+/// The paper's simulated testbed sized to `cluster` — its OSDs, and one
+/// client-crypto server per crypto lane — to price its receipts.
+#[must_use]
+pub fn simulated(cluster: &Cluster) -> Testbed {
+    Testbed::new(
+        TestbedProfile::default(),
+        cluster.osd_count(),
+        cluster.crypto_lanes(),
+    )
 }
 
 /// Builds an encrypted disk of `size` bytes on a fresh bench cluster.
@@ -118,7 +129,7 @@ pub fn queued_bench_disk(config: &EncryptionConfig, size: u64, seed: u64) -> Enc
 /// Builds an encrypted disk with the client-side IV/metadata cache
 /// **enabled** at its default 4 MiB budget, on an inline-mode bench
 /// cluster (submissions apply at submit, so the reap-time cache fills
-/// happen at deterministic points — identical cost plans to the
+/// happen at deterministic points — identical receipts to the
 /// worker-thread mode, but hit patterns and therefore simulated
 /// results are exactly reproducible across hosts; the bench gate
 /// depends on that).
@@ -191,8 +202,8 @@ pub fn uncached_bench_disk(config: &EncryptionConfig, size: u64, seed: u64) -> E
 
 /// Builds an encrypted disk on a **file-backed** bench cluster rooted
 /// at `dir` (inline apply, like [`cached_bench_disk`], so results stay
-/// deterministic). The simulated cost plans are identical to the
-/// in-memory backend's by construction — what this measures is that
+/// deterministic). Its receipts are identical to the in-memory
+/// backend's by construction — what this measures is that
 /// the durable commit path stays functional under a bench workload;
 /// its wall-clock is reported, never regression-gated.
 ///

@@ -4,7 +4,8 @@
 //! Both halves of the encrypted IO path share this plan. The write
 //! path encrypts the whole request into one contiguous buffer and
 //! emits one transaction per [`SectorExtent`], dispatched as a single
-//! batch (`Cluster::execute_batch` → `Plan::par`); the read path
+//! batch (`Cluster::execute_batch`, one receipt record per
+//! transaction); the read path
 //! issues one vectored `read_batch` over the same extents and
 //! decrypts each one in place in the destination buffer.
 

@@ -16,11 +16,10 @@ use std::sync::{Mutex, PoisonError};
 use vdisk_crypto::mem::SecretBytes;
 use vdisk_crypto::rng::{IvSource, OsIvSource};
 use vdisk_rados::{
-    ApplyTicket, ExecStats, ObjectReads, RadosError, ReadOp, ReadResult, ReadTicket, SharedBuf,
-    SnapId, Transaction,
+    ApplyTicket, ExecStats, ObjectReads, RadosError, ReadOp, ReadResult, ReadTicket, Receipt,
+    SharedBuf, SnapId, Transaction,
 };
 use vdisk_rbd::{Image, RbdError};
-use vdisk_sim::Plan;
 
 /// Xattr on the crypt-header object carrying the header generation —
 /// the CAS token serializing concurrent header updates.
@@ -75,8 +74,7 @@ pub struct EncryptedImage {
 }
 
 /// Requests below this size encrypt serially: thread-spawn overhead
-/// dominates the codec work, and the simulated cost model likewise
-/// charges them as one crypto op.
+/// dominates the codec work (their receipts record one crypto lane).
 const CRYPTO_PARALLEL_MIN_BYTES: usize = 128 << 10;
 
 impl std::fmt::Debug for EncryptedImage {
@@ -94,12 +92,13 @@ impl std::fmt::Debug for EncryptedImage {
 /// (`pub` because the queue backend's pending state holds one; the
 /// type is not exported.)
 pub struct PreparedWrite {
-    /// Client-side encryption cost, sequenced before the dispatch.
-    crypto: Plan,
+    /// Client-side encryption work as the receipt records it: bytes
+    /// and the lanes they were split over.
+    crypto: (u64, usize),
     /// Boundary-sector reads of an unaligned write (already performed
-    /// at prepare time), sequenced before the crypto; their cache
-    /// hits/misses belong to this op so per-op `IoResult` deltas
-    /// reconcile with the cluster-wide counters.
+    /// at prepare time); their cache hits/misses belong to this op so
+    /// per-op `IoResult` deltas reconcile with the cluster-wide
+    /// counters.
     rmw: RmwReads,
     /// Cached IV/metadata sectors this write invalidated.
     invalidated: u64,
@@ -144,19 +143,19 @@ enum ExtentMeta {
     Fetched { fill: Option<(usize, u64)> },
 }
 
-/// Accumulates an unaligned write's boundary-sector reads: their cost
-/// plans and the cache hit/miss deltas they recorded.
+/// Accumulates an unaligned write's boundary-sector reads: their
+/// receipts and the cache hit/miss deltas they recorded.
 #[derive(Default)]
 struct RmwReads {
-    plans: Vec<Plan>,
+    receipts: Vec<Receipt>,
     hits: u64,
     misses: u64,
 }
 
 impl RmwReads {
     fn read(&mut self, disk: &EncryptedImage, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let (plan, hits, misses) = disk.read_common(None, offset, buf)?;
-        self.plans.push(plan);
+        let (receipt, hits, misses) = disk.read_common(None, offset, buf)?;
+        self.receipts.push(receipt);
         self.hits += hits;
         self.misses += misses;
         Ok(())
@@ -851,7 +850,7 @@ impl EncryptedImage {
     }
 
     /// Encrypts and writes `data` at byte `offset`; returns the IO's
-    /// cost plan. The borrowing convenience wrapper: an aligned
+    /// receipt. The borrowing convenience wrapper: an aligned
     /// request copies `data` once into the owned zero-copy path; an
     /// unaligned one splices it straight into the RMW span (no extra
     /// copy). Hot paths that can hand over their buffer should call
@@ -863,7 +862,7 @@ impl EncryptedImage {
     /// Returns [`CryptError::Rbd`] for out-of-bounds IO or store
     /// failures, and decryption errors if an unaligned write has to
     /// read back tampered boundary sectors.
-    pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<Plan> {
+    pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<Receipt> {
         self.write_sync(offset, Cow::Borrowed(data))
     }
 
@@ -879,7 +878,7 @@ impl EncryptedImage {
     /// # Errors
     ///
     /// As [`EncryptedImage::write`].
-    pub fn write_owned(&mut self, offset: u64, data: Vec<u8>) -> Result<Plan> {
+    pub fn write_owned(&mut self, offset: u64, data: Vec<u8>) -> Result<Receipt> {
         self.write_sync(offset, Cow::Owned(data))
     }
 
@@ -887,7 +886,7 @@ impl EncryptedImage {
     /// [`vdisk_rados::Cluster::execute_batch`] (idle shards served
     /// inline, then waited for) where the queue backend calls
     /// `submit_batch` and waits at reap.
-    fn write_sync(&mut self, offset: u64, data: Cow<'_, [u8]>) -> Result<Plan> {
+    fn write_sync(&mut self, offset: u64, data: Cow<'_, [u8]>) -> Result<Receipt> {
         let (txs, write) = self.prepare_write(offset, data)?;
         let dispatch = self.image.cluster().execute_batch(txs)?;
         Ok(self.complete_write(write, dispatch, ExecStats::default()).0)
@@ -913,7 +912,7 @@ impl EncryptedImage {
     /// (synchronously — the reads ride the same shard FIFOs, so they
     /// observe every previously queued write); encrypt
     /// ([`EncryptedImage::encrypt_batch`]); stamp the marker; capture
-    /// the write-through fills' shard epochs; cost the encryption.
+    /// the write-through fills' shard epochs.
     fn prepare_write(
         &mut self,
         offset: u64,
@@ -937,15 +936,12 @@ impl EncryptedImage {
             }
         }
         let fills = self.capture_fill_epochs(fills);
-        // Spread over the lanes the encrypt actually used; an empty
-        // write encrypts nothing and charges nothing, like an empty
-        // read.
+        // The lanes the encrypt actually used; an empty write encrypts
+        // nothing, like an empty read.
         let crypto = if len == 0 {
-            Plan::Noop
+            (0, 0)
         } else {
-            self.image
-                .cluster()
-                .crypto_plan_parallel(len as u64, self.effective_crypto_lanes(len))
+            (len as u64, self.effective_crypto_lanes(len))
         };
         Ok((
             txs,
@@ -962,20 +958,24 @@ impl EncryptedImage {
     /// write-completion path: install the write-through fills (the
     /// completion is the reap point, whichever caller waited), fold
     /// the op's cache accounting into `stats` (the ticket's delta for
-    /// a queued write), and sequence the cost plan: boundary reads,
-    /// then encryption, then `dispatch`.
+    /// a queued write), and add the boundary reads and the encryption
+    /// to `dispatch`'s receipt.
     pub(crate) fn complete_write(
         &self,
         write: PreparedWrite,
-        dispatch: Plan,
+        dispatch: Receipt,
         mut stats: ExecStats,
-    ) -> (Plan, ExecStats) {
+    ) -> (Receipt, ExecStats) {
         stats.meta_cache_invalidations = write.invalidated;
         stats.meta_cache_hits = write.rmw.hits;
         stats.meta_cache_misses = write.rmw.misses;
         stats.meta_cache_write_fills = self.apply_write_fills(&write.fills);
-        let plan = Plan::seq([Plan::par(write.rmw.plans), write.crypto, dispatch]);
-        (plan, stats)
+        let receipt = Receipt {
+            crypto: write.crypto,
+            rmw: write.rmw.receipts,
+            ..dispatch
+        };
+        (receipt, stats)
     }
 
     fn is_sector_aligned(&self, offset: u64, len: u64) -> bool {
@@ -986,7 +986,7 @@ impl EncryptedImage {
     /// Client-side RMW for an unaligned write: fetches only the
     /// boundary sectors the write partially covers, splices the new
     /// bytes over them, and returns the aligned span to write (plus
-    /// the boundary reads' cost plans and cache accounting).
+    /// the boundary reads' receipts and cache accounting).
     /// (`check_sector_multiple` guarantees the span cannot round past
     /// the image end.)
     fn rmw_span(&mut self, offset: u64, data: &[u8]) -> Result<(u64, Vec<u8>, RmwReads)> {
@@ -1018,8 +1018,8 @@ impl EncryptedImage {
 
     /// How many crypto lanes a request of `len` bytes encrypts over:
     /// the cluster's lane count for large requests, one (serial) below
-    /// [`CRYPTO_PARALLEL_MIN_BYTES`]. Drives both the real scoped-
-    /// thread split and the simulated cost plan, so they always agree.
+    /// [`CRYPTO_PARALLEL_MIN_BYTES`]. Drives the real scoped-thread
+    /// split, and the receipt records it.
     fn effective_crypto_lanes(&self, len: usize) -> usize {
         if self.crypto_lanes > 1 && len >= CRYPTO_PARALLEL_MIN_BYTES {
             self.crypto_lanes
@@ -1199,14 +1199,14 @@ impl EncryptedImage {
     /// Reads and decrypts into `buf` from the image head. Sectors
     /// whose IV/metadata is resident in the client-side cache skip the
     /// metadata half of the store round trip (visible in the returned
-    /// [`Plan`] and in `ExecStats::meta_cache_hits`).
+    /// [`Receipt`] and in `ExecStats::meta_cache_hits`).
     ///
     /// # Errors
     ///
     /// Returns [`CryptError::IntegrityViolation`] /
     /// [`CryptError::ReplayDetected`] per the configuration, or
     /// [`CryptError::Rbd`] for out-of-bounds IO.
-    pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<Plan> {
+    pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<Receipt> {
         Ok(self.read_common(None, offset, buf)?.0)
     }
 
@@ -1215,7 +1215,7 @@ impl EncryptedImage {
     /// # Errors
     ///
     /// As [`EncryptedImage::read`].
-    pub fn read_at_snap(&self, snap: SnapId, offset: u64, buf: &mut [u8]) -> Result<Plan> {
+    pub fn read_at_snap(&self, snap: SnapId, offset: u64, buf: &mut [u8]) -> Result<Receipt> {
         Ok(self.read_common(Some(snap), offset, buf)?.0)
     }
 
@@ -1225,7 +1225,7 @@ impl EncryptedImage {
     /// extent decrypts **in place in the destination buffer** (no
     /// per-sector allocations). The queue's read at depth 1: submit
     /// ([`EncryptedImage::span_requests`]), wait, then
-    /// [`EncryptedImage::complete_read`]. Returns the cost plan plus
+    /// [`EncryptedImage::complete_read`]. Returns the receipt plus
     /// the cache hit/miss deltas, so callers embedding this read in a
     /// larger op (the unaligned-write RMW) can account it.
     fn read_common(
@@ -1233,19 +1233,20 @@ impl EncryptedImage {
         snap: Option<SnapId>,
         offset: u64,
         buf: &mut [u8],
-    ) -> Result<(Plan, u64, u64)> {
+    ) -> Result<(Receipt, u64, u64)> {
         let (requests, span) = self.span_requests(snap, offset, buf.len() as u64)?;
         let (results, dispatch) = self.image.cluster().read_batch(snap, requests)?;
-        let plan = self.complete_read(&span, &results, dispatch, snap.map(|s| s.0), offset, buf)?;
-        Ok((plan, span.hits, span.misses))
+        let receipt =
+            self.complete_read(&span, &results, dispatch, snap.map(|s| s.0), offset, buf)?;
+        Ok((receipt, span.hits, span.misses))
     }
 
     /// Everything a read does once its span submission has landed —
     /// the one read-completion path, shared by the sync wrappers and
     /// the queue: decrypt the span ([`EncryptedImage::complete_read_span`])
     /// so that `out` receives the requested range starting at byte
-    /// `offset`, and sequence the cost plan (`dispatch`, then the
-    /// decryption). A sector-aligned request decrypts in place in
+    /// `offset`, and add the decryption to `dispatch`'s receipt. A
+    /// sector-aligned request decrypts in place in
     /// `out`; an unaligned one decrypts its aligned span and slices
     /// (`check_sector_multiple` guarantees the span cannot round past
     /// the image end).
@@ -1253,11 +1254,11 @@ impl EncryptedImage {
         &self,
         span: &ReadSpan,
         results: &[Option<Vec<ReadResult>>],
-        dispatch: Plan,
+        dispatch: Receipt,
         seq_limit: Option<u64>,
         offset: u64,
         out: &mut [u8],
-    ) -> Result<Plan> {
+    ) -> Result<Receipt> {
         if span.batch.offset == offset && span.batch.len == out.len() as u64 {
             self.complete_read_span(span, results, seq_limit, out)?;
         } else {
@@ -1269,14 +1270,14 @@ impl EncryptedImage {
             })?;
             out.copy_from_slice(requested);
         }
-        // An empty read fetched and decrypted nothing: it charges
-        // nothing.
+        // The span decrypts serially on the reaping thread; an empty
+        // read decrypted nothing.
         let crypto = if span.batch.len == 0 {
-            Plan::Noop
+            (0, 0)
         } else {
-            self.image.cluster().crypto_plan(span.batch.len)
+            (span.batch.len, 1)
         };
-        Ok(Plan::seq([dispatch, crypto]))
+        Ok(Receipt { crypto, ..dispatch })
     }
 
     /// The asynchronous read primitive behind
@@ -1323,7 +1324,7 @@ impl EncryptedImage {
         };
         if len == 0 {
             // Match the synchronous path's no-op: no sector is fetched
-            // or decrypted, and the op charges nothing.
+            // or decrypted.
             return Ok((
                 Vec::new(),
                 ReadSpan {
@@ -1656,7 +1657,7 @@ fn decode_epoch_map(bytes: &[u8]) -> Option<EpochMap> {
 mod tests {
     use super::*;
     use vdisk_crypto::rng::SeededIvSource;
-    use vdisk_rados::{Cluster, TxOp};
+    use vdisk_rados::{Cluster, Testbed, TestbedProfile, TxOp};
 
     fn zc_disk(config: &EncryptionConfig) -> EncryptedImage {
         let cluster = Cluster::builder().build();
@@ -1733,7 +1734,8 @@ mod tests {
     /// (write-through), so even the **first** read of freshly written
     /// sectors skips the metadata op and costs strictly less than on
     /// an uncached twin — the paper's "metadata round trip" measurably
-    /// gone from the Plan without ever paying a cold miss.
+    /// gone from the receipt, and from its plan, without ever paying a
+    /// cold miss.
     #[test]
     fn write_through_fills_make_first_reads_hit_and_drop_the_meta_round_trip() {
         for config in [
@@ -1776,6 +1778,12 @@ mod tests {
             .unwrap();
             uncached.write(0, &vec![0x5Au8; 64 << 10]).unwrap();
             let cold = uncached.read(0, &mut buf).unwrap();
+            assert!(
+                warm.reads[0].effects.len() < cold.reads[0].effects.len(),
+                "{config:?}: a hit reads no metadata"
+            );
+            let testbed = Testbed::new(TestbedProfile::default(), cluster.osd_count(), 1);
+            let (warm, cold) = (testbed.plan_of(&warm), testbed.plan_of(&cold));
             assert!(
                 warm.op_count() < cold.op_count(),
                 "{config:?}: cache hit must drop ops ({} -> {})",
@@ -1896,3 +1904,6 @@ mod tests {
         assert_eq!(ra, rb);
     }
 }
+
+#[cfg(test)]
+mod composition;

@@ -149,10 +149,10 @@ impl QueueBackend for &mut EncryptedImage {
             PendingState::Write(ticket, write) => {
                 let stats = ticket.stats_delta();
                 let dispatch = ticket.wait()?;
-                let (plan, stats) = self.complete_write(write, dispatch, stats);
+                let (receipt, stats) = self.complete_write(write, dispatch, stats);
                 Ok(IoResult {
                     completion,
-                    plan,
+                    plan: receipt,
                     payload: IoPayload::None,
                     stats,
                 })
@@ -168,11 +168,11 @@ impl QueueBackend for &mut EncryptedImage {
                 stats.meta_cache_misses = span.misses;
                 let (results, dispatch) = ticket.wait()?;
                 let mut data = vec![0u8; len as usize];
-                let plan =
+                let receipt =
                     self.complete_read(&span, &results, dispatch, None, offset, &mut data)?;
                 Ok(IoResult {
                     completion,
-                    plan,
+                    plan: receipt,
                     payload: IoPayload::Data(data),
                     stats,
                 })

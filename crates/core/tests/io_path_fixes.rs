@@ -12,10 +12,16 @@
 
 use vdisk_core::{CryptError, EncryptedImage, EncryptionConfig, IoOp, MetaLayout};
 use vdisk_crypto::rng::SeededIvSource;
-use vdisk_rados::{Cluster, Transaction};
+use vdisk_rados::{Cluster, Receipt, Transaction};
 use vdisk_rbd::{Image, RbdError};
 
 const SS: u64 = 4096;
+
+/// Bytes the client cipher processed for one IO: its own span plus its
+/// boundary reads'.
+fn crypto_bytes(receipt: &Receipt) -> u64 {
+    receipt.crypto.0 + receipt.rmw.iter().map(crypto_bytes).sum::<u64>()
+}
 
 fn make_disk(config: &EncryptionConfig, image_size: u64) -> (Cluster, EncryptedImage) {
     let cluster = Cluster::builder().build();
@@ -70,7 +76,7 @@ fn unaligned_io_at_the_image_tail_round_trips() {
 
 #[test]
 fn rmw_reads_only_the_boundary_sectors() {
-    let (cluster, mut disk) =
+    let (_cluster, mut disk) =
         make_disk(&EncryptionConfig::random_iv(MetaLayout::ObjectEnd), 8 << 20);
     // Prefill eight sectors so the RMW has real data to preserve.
     disk.write(0, &vec![0x11u8; (8 * SS) as usize]).unwrap();
@@ -80,14 +86,13 @@ fn rmw_reads_only_the_boundary_sectors() {
     // fully overwritten and must NOT be.
     let offset = SS + 16;
     let len = 4 * SS;
-    let plan = disk.write(offset, &vec![0x22u8; len as usize]).unwrap();
+    let receipt = disk.write(offset, &vec![0x22u8; len as usize]).unwrap();
 
-    // Client crypto cost proves what got decrypted: 2 boundary sectors
+    // Client crypto work proves what got decrypted: 2 boundary sectors
     // read back + the 5-sector aligned span encrypted. The old
     // whole-span RMW decrypted all 5.
-    let crypto = cluster.resources().client_crypto;
     assert_eq!(
-        plan.bytes_on(crypto),
+        crypto_bytes(&receipt),
         2 * SS + 5 * SS,
         "RMW must decrypt exactly the two partially-written boundary sectors"
     );
@@ -133,15 +138,14 @@ fn rmw_skips_interior_sectors_even_when_tampered() {
 
 #[test]
 fn aligned_head_unaligned_tail_reads_one_boundary_sector() {
-    let (cluster, mut disk) =
+    let (_cluster, mut disk) =
         make_disk(&EncryptionConfig::random_iv(MetaLayout::ObjectEnd), 8 << 20);
     disk.write(0, &vec![0x55u8; (4 * SS) as usize]).unwrap();
     // Aligned start, tail ends mid-sector 2: only sector 2 is read.
-    let plan = disk
+    let receipt = disk
         .write(0, &vec![0x66u8; (2 * SS + 100) as usize])
         .unwrap();
-    let crypto = cluster.resources().client_crypto;
-    assert_eq!(plan.bytes_on(crypto), SS + 3 * SS);
+    assert_eq!(crypto_bytes(&receipt), SS + 3 * SS);
     let mut buf = vec![0u8; (4 * SS) as usize];
     disk.read(0, &mut buf).unwrap();
     let mut expected = vec![0x55u8; (4 * SS) as usize];
@@ -192,7 +196,7 @@ fn queued_readv_lengths_that_overflow_u64_are_out_of_bounds() {
 fn zero_length_io_is_a_noop_anywhere_in_bounds() {
     let size = 8 << 20;
     let (_cluster, mut disk) = make_disk(&EncryptionConfig::luks2_baseline(), size);
-    assert_eq!(disk.write(size, &[]).unwrap(), vdisk_sim::Plan::Noop);
+    assert_eq!(disk.write(size, &[]).unwrap(), Receipt::default());
     let mut empty = [0u8; 0];
-    assert_eq!(disk.read(size, &mut empty).unwrap(), vdisk_sim::Plan::Noop);
+    assert_eq!(disk.read(size, &mut empty).unwrap(), Receipt::default());
 }

@@ -3,9 +3,11 @@
 //! Twin images — same layout, same seeded IV source, each on its own
 //! inline-apply cluster — run the same operation sequence: one through
 //! `write`/`write_owned`/`read`, the other through
-//! `io_queue().submit` + `fence`. Every op must return the same cost
-//! [`Plan`] and move the cluster's [`ExecStats`](vdisk_rados::ExecStats)
-//! identically, and at the end every touched sector must hold the same
+//! `io_queue().submit` + `fence`. Every op must return the same
+//! [`Receipt`] — the whole record of its physical work, so the same
+//! priced plan — and move the cluster's
+//! [`ExecStats`](vdisk_rados::ExecStats) identically, and at the end
+//! every touched sector must hold the same
 //! ciphertext and metadata and the images the same plaintext. This is
 //! what lets `bench_gate` (which drives the queue) speak for the sync
 //! API too.
@@ -13,9 +15,8 @@
 use proptest::prelude::*;
 use vdisk_core::{EncryptedImage, EncryptionConfig, IoOp, IoPayload, MetaLayout};
 use vdisk_crypto::rng::SeededIvSource;
-use vdisk_rados::Cluster;
+use vdisk_rados::{Cluster, Receipt};
 use vdisk_rbd::Image;
-use vdisk_sim::Plan;
 
 const IMAGE_SIZE: u64 = 4 << 20;
 const OBJECT_SIZE: u64 = 1 << 20;
@@ -80,7 +81,7 @@ fn make_disk(config: &EncryptionConfig) -> EncryptedImage {
 }
 
 /// Submits `op` alone and fences: the queue at depth 1.
-fn queued(disk: &mut EncryptedImage, op: IoOp) -> (Plan, IoPayload) {
+fn queued(disk: &mut EncryptedImage, op: IoOp) -> (Receipt, IoPayload) {
     let mut queue = disk.io_queue();
     queue.submit(op).unwrap();
     let mut done = queue.fence().unwrap();
@@ -103,27 +104,33 @@ fn run_case(config: &EncryptionConfig, actions: &[Action]) {
                 owned,
             } => {
                 let data = vec![fill; len];
-                let sync_plan = if owned {
+                let sync_receipt = if owned {
                     sync.write_owned(offset, data.clone()).unwrap()
                 } else {
                     sync.write(offset, &data).unwrap()
                 };
-                let (aio_plan, payload) = queued(&mut aio, IoOp::Write { offset, data });
+                let (aio_receipt, payload) = queued(&mut aio, IoOp::Write { offset, data });
                 assert_eq!(payload, IoPayload::None);
-                assert_eq!(sync_plan, aio_plan, "step {step}: {action:?} plans differ");
+                assert_eq!(
+                    sync_receipt, aio_receipt,
+                    "step {step}: {action:?} receipts differ"
+                );
                 touched.extend(offset / SS..(offset + len as u64).div_ceil(SS));
             }
             Action::Read { offset, len } => {
                 let mut buf = vec![0u8; len];
-                let sync_plan = sync.read(offset, &mut buf).unwrap();
-                let (aio_plan, payload) = queued(
+                let sync_receipt = sync.read(offset, &mut buf).unwrap();
+                let (aio_receipt, payload) = queued(
                     &mut aio,
                     IoOp::Read {
                         offset,
                         len: len as u64,
                     },
                 );
-                assert_eq!(sync_plan, aio_plan, "step {step}: {action:?} plans differ");
+                assert_eq!(
+                    sync_receipt, aio_receipt,
+                    "step {step}: {action:?} receipts differ"
+                );
                 assert_eq!(payload.data(), &buf[..], "step {step}: {action:?}");
             }
         }

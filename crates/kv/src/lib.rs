@@ -18,7 +18,9 @@
 //!
 //! Every operation returns a *receipt* describing the physical work it
 //! caused (WAL bytes, keys touched, runs scanned, flush/compaction
-//! bytes); the RADOS layer turns receipts into cost [`vdisk_sim::Plan`]s.
+//! bytes). The RADOS layer carries them, unpriced, in its own IO
+//! receipts; only its simulated testbed prices them, each on its own,
+//! with [`CostProfile`], into cost [`vdisk_sim::Plan`]s.
 //!
 //! # Example
 //!

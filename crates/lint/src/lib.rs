@@ -8,11 +8,13 @@
 //!    types for which `#[derive(Debug)]`/`#[derive(Clone)]`,
 //!    format-macro interpolation, and missing `zeroize` coverage on
 //!    raw key-byte fields are violations.
-//! 2. **Panic freedom** ([`panics`]): `.unwrap()`, `.expect(...)`,
+//! 2. **Hot-path rules** ([`panics`]): `.unwrap()`, `.expect(...)`,
 //!    `panic!`, `unreachable!`, `todo!`, `unimplemented!` and direct
 //!    slice indexing are denied inside the designated hot-path
 //!    modules (shard workers, queues, the rekey driver, the tenant
-//!    runtime). `#[cfg(test)]` code is exempt; the
+//!    runtime), and so is any `vdisk_sim` path: the simulated clock
+//!    prices receipts after the fact and never rides the IO path.
+//!    `#[cfg(test)]` code is exempt; the
 //!    `unwrap_or_else(PoisonError::into_inner)` poison-recovery idiom
 //!    is recognized as safe (it is not an `unwrap`).
 //! 3. **Lock order** ([`locks`]): guard-acquisition sites per
@@ -70,7 +72,6 @@ impl Default for Config {
                 "rados/src/cluster.rs".into(),
                 "rados/src/builder.rs".into(),
                 "rados/src/maintenance.rs".into(),
-                "rados/src/simglue.rs".into(),
                 "rbd/src/queue.rs".into(),
                 "core/src/queue.rs".into(),
                 "core/src/rekey.rs".into(),
@@ -110,6 +111,8 @@ pub enum Rule {
     HotPathPanic,
     /// Direct slice/array indexing in a hot-path module.
     HotPathIndex,
+    /// A `vdisk_sim` path in a hot-path module.
+    HotPathSim,
     /// A lock-order cycle (or a malformed lock annotation).
     LockOrder,
     /// A malformed allow directive (no reason, or an unknown rule).
@@ -125,6 +128,7 @@ impl Rule {
             Rule::SecretZeroize => "secret-zeroize",
             Rule::HotPathPanic => "hot-path-panic",
             Rule::HotPathIndex => "hot-path-index",
+            Rule::HotPathSim => "hot-path-sim",
             Rule::LockOrder => "lock-order",
             Rule::LintAllow => "lint-allow",
         }
@@ -138,6 +142,7 @@ impl Rule {
             "secret-zeroize" => Some(Rule::SecretZeroize),
             "hot-path-panic" => Some(Rule::HotPathPanic),
             "hot-path-index" => Some(Rule::HotPathIndex),
+            "hot-path-sim" => Some(Rule::HotPathSim),
             "lock-order" => Some(Rule::LockOrder),
             "lint-allow" => Some(Rule::LintAllow),
             _ => None,
@@ -442,6 +447,7 @@ mod tests {
             Rule::SecretZeroize,
             Rule::HotPathPanic,
             Rule::HotPathIndex,
+            Rule::HotPathSim,
             Rule::LockOrder,
             Rule::LintAllow,
         ] {

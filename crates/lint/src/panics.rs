@@ -1,12 +1,15 @@
-//! Hot-path panic freedom: a panicking shard worker, reactor, or
-//! arbiter poisons a shard FIFO and strands every tenant, so the
+//! Hot-path rules. Panic freedom: a panicking shard worker, reactor,
+//! or arbiter poisons a shard FIFO and strands every tenant, so the
 //! modules on the IO submit/apply/reap path must not contain latent
-//! panic sites.
+//! panic sites. And no simulated clock: the IO path returns unpriced
+//! receipts, and a `vdisk_sim` type there would put cost-model work
+//! back on every wall-clock IO.
 //!
 //! Denied inside hot-path modules (outside `#[cfg(test)]`):
 //! `.unwrap()`, `.expect(...)`, `panic!`, `unreachable!`, `todo!`,
-//! `unimplemented!` ([`Rule::HotPathPanic`]) and direct slice/array
-//! indexing ([`Rule::HotPathIndex`]).
+//! `unimplemented!` ([`Rule::HotPathPanic`]), direct slice/array
+//! indexing ([`Rule::HotPathIndex`]), and any path through the
+//! `vdisk_sim` crate ([`Rule::HotPathSim`]).
 //!
 //! Explicitly **not** flagged: the workspace's poison-recovery idiom
 //! `lock().unwrap_or_else(PoisonError::into_inner)` (it is
@@ -20,8 +23,8 @@ use crate::{Finding, PreparedFile, Rule};
 /// Macro names that unconditionally panic when reached.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Runs the panic-freedom rules over one file (no-op unless the file
-/// is in the hot-path registry).
+/// Runs the hot-path rules over one file (no-op unless the file is in
+/// the hot-path registry).
 pub fn check(pf: &PreparedFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     if !pf.is_hot {
@@ -61,6 +64,14 @@ pub fn check(pf: &PreparedFile) -> Vec<Finding> {
                     });
                 }
             }
+            TokenKind::Ident(id) if id == "vdisk_sim" => findings.push(Finding {
+                rule: Rule::HotPathSim,
+                file: pf.path.clone(),
+                line: tok.line,
+                message: "`vdisk_sim` in a hot-path module — return a receipt and let \
+                          `vdisk_rados::Testbed` price it off the IO path"
+                    .into(),
+            }),
             TokenKind::Punct('[') if is_index_site(toks, i) => {
                 findings.push(Finding {
                     rule: Rule::HotPathIndex,

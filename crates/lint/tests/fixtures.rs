@@ -238,6 +238,50 @@ mod tests {
     assert!(a.findings.is_empty(), "{:?}", a.findings);
 }
 
+#[test]
+fn sim_paths_flagged_only_in_hot_non_test_code() {
+    let src = "\
+use vdisk_sim::Plan;
+
+pub fn cost() -> vdisk_sim::SimDuration {
+    vdisk_sim::SimDuration::ZERO
+}
+
+#[cfg(test)]
+mod tests {
+    use vdisk_sim::Plan;
+}
+";
+    let hot = run(&[("crates/fix/src/hot.rs", src)], &fixture_config());
+    assert_eq!(
+        rules_and_lines(&hot),
+        vec![
+            (Rule::HotPathSim, 1),
+            (Rule::HotPathSim, 3),
+            (Rule::HotPathSim, 4)
+        ],
+        "{:?}",
+        hot.findings
+    );
+    let cold = run(&[("crates/fix/src/cold.rs", src)], &fixture_config());
+    assert!(
+        cold.findings.is_empty(),
+        "the pricing module may name the simulator: {:?}",
+        cold.findings
+    );
+}
+
+#[test]
+fn sim_path_allow_suppresses() {
+    let src = "\
+// vdisk-lint: allow(hot-path-sim) reason=\"fixture: a deliberate exception\"
+use vdisk_sim::Plan;
+";
+    let a = run(&[("crates/fix/src/hot.rs", src)], &fixture_config());
+    assert!(a.findings.is_empty(), "{:?}", a.findings);
+    assert_eq!(a.allows_used(), 1);
+}
+
 // --------------------------------------------------------- allow directives
 
 #[test]

@@ -2,10 +2,10 @@
 //! maps. It is the working state of every cluster — reads are served
 //! from it on either backend — and the whole state of an in-memory one.
 
-use crate::object::{ExtentProfile, Object};
+use crate::object::Object;
+use crate::receipt::OpEffect;
 use crate::transaction::{AppliedTx, TxOp};
 use std::collections::HashMap;
-use vdisk_kv::WriteReceipt;
 
 /// One shard's objects kept per OSD. `osd` indices are cluster-wide OSD
 /// numbers; a shard's store only ever sees the objects whose placement
@@ -15,21 +15,6 @@ use vdisk_kv::WriteReceipt;
 pub(crate) struct MemStore {
     /// `osds[i]` holds this shard's objects stored on OSD `i`.
     osds: Vec<HashMap<String, Object>>,
-}
-
-/// The physical work one applied op caused on one replica — what the
-/// cost model charges for. Log replay has nobody to charge and drops
-/// these.
-pub(crate) enum OpEffect {
-    /// A payload write of `len` bytes with this disk profile.
-    Write {
-        /// Bytes the op carried.
-        len: u64,
-        /// Blocks read (RMW) and written.
-        profile: ExtentProfile,
-    },
-    /// An OMAP batch (set or remove).
-    Omap(WriteReceipt),
 }
 
 impl MemStore {
@@ -68,6 +53,8 @@ impl MemStore {
     /// transaction applies, and the file backend runs it again, per
     /// logged record, when a store reopens. One routine means a
     /// replayed record cannot drift from what the live apply did.
+    /// `effect` hears what each op did physically — the live apply
+    /// records it in the transaction's receipt; replay drops it.
     ///
     /// Creates the object if absent, takes the copy-on-write clone the
     /// snapshot context calls for, applies the ops in order, and

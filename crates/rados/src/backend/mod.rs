@@ -27,18 +27,17 @@
 //! [`FileStore`] half never owns objects: every call borrows the
 //! mirror it writes back from.
 //!
-//! The **cost model is backend-independent**: plans are built from
-//! extent profiles and KV receipts, never from host-IO timing, so a
-//! workload replayed against both backends produces identical
-//! simulated costs — the property the backend-equivalence suite
-//! asserts.
+//! **Receipts are backend-independent**: they record extent profiles
+//! and KV receipts, never host-IO timing, so a workload replayed
+//! against both backends produces identical receipts — the property
+//! the backend-equivalence suite asserts.
 
 mod file;
 mod log;
 mod mem;
 
 pub(crate) use file::{ClusterMeta, FileStore};
-pub(crate) use mem::{MemStore, OpEffect};
+pub(crate) use mem::MemStore;
 
 use std::path::PathBuf;
 

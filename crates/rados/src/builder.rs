@@ -14,14 +14,12 @@ use crate::state::{ControlPlane, StatCounters};
 use crate::{RadosError, Result};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use vdisk_kv::CostProfile;
-use vdisk_sim::Simulator;
+use std::sync::Arc;
 
 /// Whether object payload bytes are materialized in memory.
 ///
-/// `Discarded` keeps only sizes and OMAP content — identical cost
-/// plans at a fraction of the memory — and exists for the benchmark
+/// `Discarded` keeps only sizes and OMAP content — identical receipts
+/// at a fraction of the memory — and exists for the benchmark
 /// harness, which sweeps up to 4 MB IOs and never re-reads plaintext.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PayloadMode {
@@ -165,11 +163,10 @@ impl ClusterBuilder {
     }
 
     /// Number of client-side crypto lanes: how many sector-crypto jobs
-    /// the encryption layer above this cluster may run in parallel,
-    /// and how many servers the simulated client-crypto resource gets
-    /// (the two must agree or simulated time would diverge from the
-    /// real work). Clamped to at least 1. Defaults to the host's
-    /// available parallelism capped at
+    /// the encryption layer above this cluster may run in parallel
+    /// (a [`crate::cost::Testbed`] pricing this cluster's receipts gives
+    /// its simulated client-crypto resource as many servers). Defaults
+    /// to the host's available parallelism capped at
     /// [`TestbedProfile::default`]'s crypto worker count (4), so a
     /// multi-core host keeps the calibrated resource while a
     /// single-core host degenerates to serial crypto. Must be at least
@@ -264,21 +261,12 @@ impl ClusterBuilder {
             )));
         }
 
-        let mut sim = Simulator::new();
         let crypto_lanes = self.crypto_lanes.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map_or(1, usize::from)
                 .min(TestbedProfile::default().crypto_servers)
                 .max(1)
         });
-        // The simulated client-crypto resource must have exactly as
-        // many servers as the encryption layer has lanes, or simulated
-        // crypto time would diverge from the real parallel work.
-        let testbed = TestbedProfile {
-            crypto_servers: crypto_lanes,
-            ..TestbedProfile::default()
-        };
-        let handles = testbed.install(&mut sim, self.osd_count);
         let placement = PlacementMap::new(self.osd_count, self.replicas, self.pg_count);
 
         // A file backend roots itself before the shards open: the meta
@@ -355,9 +343,6 @@ impl ClusterBuilder {
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from) > 1);
         let control = Arc::new(ControlPlane {
             placement,
-            handles,
-            testbed,
-            kv_cost: CostProfile::default(),
             payload: self.payload,
             shard_count: self.shard_count,
             workers,
@@ -373,7 +358,6 @@ impl ClusterBuilder {
         Ok(Cluster {
             control,
             shards,
-            sim: Arc::new(Mutex::new(sim)),
             durable,
         })
     }

@@ -1,19 +1,21 @@
 //! The cluster handle: submission and reads over the shard work
 //! queues, snapshots, the flush barrier, and the accessors upper layers
 //! read. Building one is in `builder.rs`, scrub/repair in
-//! `maintenance.rs`, the simulated-clock glue in `simglue.rs`.
+//! `maintenance.rs`.
 //!
-//! State is split three ways:
+//! State is split two ways:
 //!
-//! - an immutable control plane (`ControlPlane`):
-//!   placement, cost profiles, resource handles, plus atomic counters —
-//!   read by every worker with no lock;
+//! - an immutable control plane (`ControlPlane`): placement and
+//!   configuration, plus atomic counters — read by every worker with
+//!   no lock;
 //! - N object `Shard`s keyed by placement group, each
 //!   behind its own lock **and owning its own FIFO work queue** — an
 //!   object's whole acting set lives in one shard, so per-object
-//!   transactions and reads touch exactly one lock;
-//! - the simulator, behind its own lock (only the closed-loop harness
-//!   mutates it).
+//!   transactions and reads touch exactly one lock.
+//!
+//! Every operation returns a [`Receipt`] of the physical work it did;
+//! nothing here keeps or advances a simulated clock (pricing receipts
+//! is [`crate::cost::Testbed`]'s job).
 //!
 //! IO dispatch is **submission-based** and written once, for both
 //! kinds of submission (`Cluster::submit`): [`Cluster::submit_batch`]
@@ -37,12 +39,12 @@ use crate::queue::{
     Apply, ApplyTicket, Job, Kind, Part, Progress, Read, ReadTicket, ShardHold, Shards, Submission,
     Ticket,
 };
+use crate::receipt::Receipt;
 use crate::shard::Shard;
 use crate::state::ControlPlane;
 use crate::transaction::{ObjectReads, ReadOp, ReadResult, Transaction};
 use crate::{RadosError, Result, SnapId};
-use std::sync::{Arc, Mutex};
-use vdisk_sim::{Plan, Simulator};
+use std::sync::Arc;
 
 /// Counters of client-visible operations the cluster has served.
 /// Tests and tooling use them to observe batching and sharding
@@ -132,7 +134,6 @@ pub struct Cluster {
     /// The shards, their queues and their worker threads; the last
     /// handle's drop closes the queues and joins the workers.
     pub(crate) shards: Arc<Shards>,
-    pub(crate) sim: Arc<Mutex<Simulator>>,
     /// `Some` for file-backed clusters: the store root and its
     /// `cluster.meta` bookkeeping. Declared after `shards` so that,
     /// on the last handle's drop, workers join before any scratch
@@ -166,7 +167,7 @@ impl Cluster {
     }
 
     /// Applies a transaction atomically on every replica and returns
-    /// its cost plan. A thin submit-then-wait wrapper over the shard
+    /// its receipt. A thin submit-then-wait wrapper over the shard
     /// work queues, so it orders correctly after any asynchronous
     /// submissions already in flight on the same objects.
     ///
@@ -177,13 +178,14 @@ impl Cluster {
     /// [`crate::TxOp::CompareXattr`] precondition did not hold at apply
     /// time; in either case **no** op has been applied
     /// (all-or-nothing).
-    pub fn execute(&self, tx: Transaction) -> Result<Plan> {
+    pub fn execute(&self, tx: Transaction) -> Result<Receipt> {
         self.submit_txs(vec![tx], false, true)?.wait()
     }
 
     /// Applies many transactions under one cluster round trip and
-    /// returns [`Plan::par`] of their costs (in submission order):
-    /// [`Cluster::submit_batch`] followed by [`ApplyTicket::wait`].
+    /// returns their receipt (one entry per transaction, in submission
+    /// order): [`Cluster::submit_batch`] followed by
+    /// [`ApplyTicket::wait`].
     ///
     /// # Errors
     ///
@@ -192,7 +194,7 @@ impl Cluster {
     /// or the first [`RadosError::CompareFailed`] if a dynamic
     /// precondition failed at apply time (only that transaction is
     /// skipped).
-    pub fn execute_batch(&self, txs: Vec<Transaction>) -> Result<Plan> {
+    pub fn execute_batch(&self, txs: Vec<Transaction>) -> Result<Receipt> {
         self.submit_txs(txs, true, true)?.wait()
     }
 
@@ -351,6 +353,12 @@ impl Cluster {
         self.shards.len()
     }
 
+    /// Number of OSDs objects are placed on.
+    #[must_use]
+    pub fn osd_count(&self) -> usize {
+        self.control.placement.osd_count()
+    }
+
     /// The state shard `object` maps to (deterministic, derived from
     /// its placement group). Upper layers use this for shard-aware
     /// naming — spreading one image's consecutive objects over shards
@@ -368,9 +376,10 @@ impl Cluster {
         self.control.workers
     }
 
-    /// Executes read operations against the primary replica. A thin
-    /// submit-then-wait wrapper over the shard work queues, so it sees
-    /// every previously submitted write to the same object.
+    /// Executes read operations against the primary replica and returns
+    /// the results plus the read's receipt. A thin submit-then-wait
+    /// wrapper over the shard work queues, so it sees every previously
+    /// submitted write to the same object.
     ///
     /// # Errors
     ///
@@ -382,23 +391,29 @@ impl Cluster {
         object: &str,
         snap: Option<SnapId>,
         ops: &[ReadOp],
-    ) -> Result<(Vec<ReadResult>, Plan)> {
+    ) -> Result<(Vec<ReadResult>, Receipt)> {
         let requests = vec![ObjectReads::new(object, ops.to_vec())];
         let served = self
             .submit::<Read>(requests, snap, false, true)
             .reap()
             .pop();
         // One request went in, so one result comes out.
-        served.unwrap_or_else(|| Err(RadosError::NoSuchObject(object.to_string())))
+        let (results, work) =
+            served.unwrap_or_else(|| Err(RadosError::NoSuchObject(object.to_string())))?;
+        let receipt = Receipt {
+            reads: vec![work],
+            ..Receipt::default()
+        };
+        Ok((results, receipt))
     }
 
     /// Serves many per-object read requests in one round trip:
     /// [`Cluster::submit_read_batch`] followed by [`ReadTicket::wait`].
-    /// Returns one result slot per request plus [`Plan::par`] of the
-    /// per-request costs (in submission order). Objects absent (now,
-    /// or at `snap`) yield `None` so striped callers can zero-fill
-    /// sparse extents without failing the whole batch — but still cost
-    /// a round trip to the primary, so the plan keeps **one child per
+    /// Returns one result slot per request plus the receipt, one entry
+    /// per request (in submission order). Objects absent (now, or at
+    /// `snap`) yield `None` so striped callers can zero-fill sparse
+    /// extents without failing the whole batch — but still made the
+    /// round trip to the primary, so the receipt keeps **one entry per
     /// request**.
     ///
     /// # Errors
@@ -409,7 +424,7 @@ impl Cluster {
         &self,
         snap: Option<SnapId>,
         requests: Vec<ObjectReads>,
-    ) -> Result<(Vec<Option<Vec<ReadResult>>>, Plan)> {
+    ) -> Result<(Vec<Option<Vec<ReadResult>>>, Receipt)> {
         self.submit::<Read>(requests, snap, false, true).wait()
     }
 
@@ -517,8 +532,7 @@ impl Cluster {
     }
 
     /// The client-side crypto parallelism resolved at build time (see
-    /// [`ClusterBuilder::crypto_lanes`]); always ≥ 1, and equal to the
-    /// simulated client-crypto resource's server count.
+    /// [`ClusterBuilder::crypto_lanes`]); always ≥ 1.
     #[must_use]
     pub fn crypto_lanes(&self) -> usize {
         self.control.crypto_lanes

@@ -1,7 +1,15 @@
 use super::*;
+use crate::cost::{Testbed, TestbedProfile};
+use crate::receipt::ReadEffect;
+use vdisk_sim::Plan;
 
 fn cluster() -> Cluster {
     Cluster::builder().build()
+}
+
+/// The paper's testbed sized for `c`, to price its receipts.
+fn testbed(c: &Cluster) -> Testbed {
+    Testbed::new(TestbedProfile::default(), c.osd_count(), c.crypto_lanes())
 }
 
 #[test]
@@ -10,7 +18,7 @@ fn write_then_read_round_trips() {
     let mut tx = Transaction::new("obj");
     tx.write(100, b"hello world".to_vec());
     c.execute(tx).unwrap();
-    let (results, plan) = c
+    let (results, receipt) = c
         .read(
             "obj",
             None,
@@ -21,7 +29,9 @@ fn write_then_read_round_trips() {
         )
         .unwrap();
     assert_eq!(results[0].as_data(), b"hello world");
-    assert!(plan.op_count() > 0);
+    assert_eq!(receipt.reads.len(), 1);
+    assert_eq!(receipt.reads[0].response_bytes, 11);
+    assert_eq!(receipt.reads[0].effects, vec![ReadEffect::Blocks(4096)]);
 }
 
 #[test]
@@ -280,17 +290,15 @@ fn discarded_payload_mode_keeps_sizes() {
 #[test]
 fn closed_loop_runs_plans() {
     let c = cluster();
-    let mut plans = Vec::new();
+    let mut receipts = Vec::new();
     for i in 0..64 {
         let mut tx = Transaction::new(format!("obj{i}"));
         tx.write(0, vec![0u8; 4096]);
-        plans.push((c.execute(tx).unwrap(), 4096));
+        receipts.push(c.execute(tx).unwrap());
     }
-    let stats = c.run_closed_loop(8, plans);
+    let stats = testbed(&c).run_closed_loop(8, receipts.iter().map(|r| (r, 4096)));
     assert_eq!(stats.ops, 64);
     assert!(stats.bandwidth_mb_s() > 0.0);
-    let report = c.utilization_report();
-    assert!(report.iter().any(|r| r.ops > 0));
 }
 
 #[test]
@@ -315,8 +323,9 @@ fn execute_batch_applies_all_and_fans_out() {
             tx
         })
         .collect();
-    let plan = c.execute_batch(txs).unwrap();
-    match &plan {
+    let receipt = c.execute_batch(txs).unwrap();
+    assert_eq!(receipt.txs.len(), 4, "one record per transaction");
+    match testbed(&c).plan_of(&receipt) {
         Plan::Par(children) => assert_eq!(children.len(), 4),
         other => panic!("batch dispatch must be parallel, got {other:?}"),
     }
@@ -366,8 +375,9 @@ fn single_shard_cluster_still_serves_batches() {
             tx
         })
         .collect();
-    let plan = c.execute_batch(txs).unwrap();
-    assert!(matches!(&plan, Plan::Par(children) if children.len() == 4));
+    let receipt = c.execute_batch(txs).unwrap();
+    assert_eq!(receipt.txs.len(), 4);
+    assert!(matches!(testbed(&c).plan_of(&receipt), Plan::Par(children) if children.len() == 4));
     assert_eq!(c.exec_stats().shard_fanout_max, 1);
     for i in 0..4 {
         assert!(c.object_exists(&format!("obj{i}")));
@@ -395,7 +405,7 @@ fn execute_batch_is_all_or_nothing_across_transactions() {
 #[test]
 fn empty_batch_is_a_noop() {
     let c = cluster();
-    assert_eq!(c.execute_batch(Vec::new()).unwrap(), Plan::Noop);
+    assert_eq!(c.execute_batch(Vec::new()).unwrap(), Receipt::default());
 }
 
 #[test]
@@ -404,7 +414,7 @@ fn read_batch_zero_fills_missing_objects() {
     let mut tx = Transaction::new("present");
     tx.write(0, b"here".to_vec());
     c.execute(tx).unwrap();
-    let (results, plan) = c
+    let (results, receipt) = c
         .read_batch(
             None,
             vec![
@@ -415,7 +425,11 @@ fn read_batch_zero_fills_missing_objects() {
         .unwrap();
     assert_eq!(results[0].as_ref().unwrap()[0].as_data(), b"here");
     assert!(results[1].is_none(), "missing object reads as a hole");
-    assert!(plan.op_count() > 0);
+    assert_eq!(
+        receipt.reads.len(),
+        2,
+        "one record per request, misses included"
+    );
     assert_eq!(c.exec_stats().read_ops, 2);
 }
 
@@ -425,7 +439,8 @@ fn read_batch_charges_a_round_trip_per_miss() {
     let mut tx = Transaction::new("present");
     tx.write(0, vec![1u8; 4096]);
     c.execute(tx).unwrap();
-    let (_, plan) = c
+    let testbed = testbed(&c);
+    let (_, receipt) = c
         .read_batch(
             None,
             vec![
@@ -447,7 +462,13 @@ fn read_batch_charges_a_round_trip_per_miss() {
             ],
         )
         .unwrap();
-    // One plan child per request, misses included.
+    // One record per request, misses included; a miss did nothing on
+    // its primary but the round trip.
+    assert_eq!(receipt.reads.len(), 3);
+    for miss in &receipt.reads[1..] {
+        assert!(miss.effects.is_empty() && miss.response_bytes == 0);
+    }
+    let plan = testbed.plan_of(&receipt);
     match &plan {
         Plan::Par(children) => {
             assert_eq!(children.len(), 3, "sparse misses must keep their cost slot")
@@ -468,13 +489,13 @@ fn read_batch_charges_a_round_trip_per_miss() {
             )],
         )
         .unwrap();
-    assert!(plan.total_op_bytes() > lone.total_op_bytes());
+    assert!(plan.total_op_bytes() > testbed.plan_of(&lone).total_op_bytes());
     // And a miss costs no disk op on any OSD.
-    let handles = c.resources();
     let (_, miss_only) = c
         .read_batch(None, vec![ObjectReads::new("ghost-c", vec![ReadOp::Stat])])
         .unwrap();
-    for disk in &handles.osd_disk {
+    let miss_only = testbed.plan_of(&miss_only);
+    for disk in &testbed.handles().osd_disk {
         assert_eq!(
             miss_only.op_count_on(*disk),
             0,
@@ -490,12 +511,14 @@ fn zero_length_read_extent_charges_no_disk_block() {
     let mut tx = Transaction::new("obj");
     tx.write(0, vec![7u8; 4096]);
     c.execute(tx).unwrap();
-    let handles = c.resources();
-    let (results, plan) = c
+    let (results, receipt) = c
         .read("obj", None, &[ReadOp::Read { offset: 0, len: 0 }])
         .unwrap();
     assert!(results[0].as_data().is_empty());
-    for disk in &handles.osd_disk {
+    assert!(receipt.reads[0].effects.is_empty());
+    let testbed = testbed(&c);
+    let plan = testbed.plan_of(&receipt);
+    for disk in &testbed.handles().osd_disk {
         assert_eq!(
             plan.op_count_on(*disk),
             0,
@@ -561,7 +584,7 @@ fn async_submissions_overlap_and_record_queue_depth() {
         assert_eq!(delta.transactions, 1);
         assert_eq!(delta.batches, 1);
         assert_eq!(delta.shard_fanout_max, 1);
-        assert!(ticket.wait().unwrap().op_count() > 0);
+        assert_eq!(ticket.wait().unwrap().txs.len(), 1);
     }
     for i in 0..8 {
         assert!(c.object_exists(&format!("qd{i}")));
@@ -634,7 +657,7 @@ fn inline_mode_serves_submissions_synchronously() {
     tx.write(0, vec![7u8; 1024]);
     let ticket = c.submit_batch(vec![tx]).unwrap();
     assert!(ticket.is_complete(), "inline submissions apply at submit");
-    assert!(ticket.wait().unwrap().op_count() > 0);
+    assert_eq!(ticket.wait().unwrap().txs.len(), 1);
     let read = c.submit_read_batch(
         None,
         vec![ObjectReads::new(

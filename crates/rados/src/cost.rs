@@ -1,6 +1,10 @@
 //! The testbed cost model: resources calibrated to the paper's cluster
-//! (§3.2) and the plan builders that compile RADOS operations into
-//! [`vdisk_sim::Plan`]s.
+//! (§3.2), and [`Testbed`], which prices the [`Receipt`]s the IO path
+//! returns into [`vdisk_sim::Plan`]s and replays them in a closed loop.
+//! Every pricing decision lives here — message sizes, the replication
+//! fan-out, the deferred-write threshold, RMW reads, OMAP engine time,
+//! the client cipher's lane split — and nothing on the IO path builds a
+//! plan: only the figure harnesses, `bench_gate` and tests price.
 //!
 //! Calibration sources, from the paper:
 //! - 3 OSD nodes, Xeon E5-2650 v4, 9 × 1.8 TB NVMe each;
@@ -16,7 +20,9 @@
 //! these constants.
 
 use crate::placement::OsdId;
-use vdisk_sim::{Plan, ResourceId, ResourceSpec, SimDuration, Simulator};
+use crate::receipt::{OpEffect, ReadEffect, ReadWork, Receipt, TxWork};
+use vdisk_kv::CostProfile;
+use vdisk_sim::{ClosedLoopStats, Plan, ResourceId, ResourceSpec, SimDuration, Simulator};
 
 /// Hardware constants of the simulated testbed.
 #[derive(Debug, Clone)]
@@ -120,64 +126,6 @@ pub struct ResourceHandles {
 }
 
 impl TestbedProfile {
-    /// Registers the testbed's resources with a simulator.
-    #[must_use]
-    pub fn install(&self, sim: &mut Simulator, osd_count: usize) -> ResourceHandles {
-        let client_nic_tx = sim.add_resource(ResourceSpec::pipe(
-            "client-nic-tx",
-            self.client_nic_tx,
-            self.nic_per_op,
-        ));
-        let client_nic_rx = sim.add_resource(ResourceSpec::pipe(
-            "client-nic-rx",
-            self.client_nic_rx,
-            self.nic_per_op,
-        ));
-        let client_crypto = sim.add_resource(ResourceSpec::servers(
-            "client-crypto",
-            self.crypto_servers,
-            self.crypto_rate,
-            self.crypto_per_op,
-        ));
-        let mut osd_link = Vec::new();
-        let mut osd_cpu = Vec::new();
-        let mut osd_disk = Vec::new();
-        let mut osd_kv = Vec::new();
-        for i in 0..osd_count {
-            osd_link.push(sim.add_resource(ResourceSpec::pipe(
-                &format!("osd{i}-link"),
-                self.link_rate,
-                self.link_per_op,
-            )));
-            osd_cpu.push(sim.add_resource(ResourceSpec::latency_only(
-                &format!("osd{i}-cpu"),
-                self.osd_cpu_servers,
-                self.osd_cpu_per_op,
-            )));
-            // A single per-OSD NVMe array; service times are computed
-            // per op type (read/write/deferred) and charged as `Busy`.
-            osd_disk.push(sim.add_resource(ResourceSpec::latency_only(
-                &format!("osd{i}-disk"),
-                self.disk_servers,
-                SimDuration::ZERO,
-            )));
-            osd_kv.push(sim.add_resource(ResourceSpec::latency_only(
-                &format!("osd{i}-kv"),
-                self.kv_servers,
-                SimDuration::ZERO,
-            )));
-        }
-        ResourceHandles {
-            client_nic_tx,
-            client_nic_rx,
-            client_crypto,
-            osd_link,
-            osd_cpu,
-            osd_disk,
-            osd_kv,
-        }
-    }
-
     /// Disk service time of a full-path read of `bytes`.
     #[must_use]
     pub fn disk_read_time(&self, bytes: u64) -> SimDuration {
@@ -203,226 +151,381 @@ impl TestbedProfile {
     }
 }
 
-/// Physical work one OSD performs for a transaction or read.
-#[derive(Debug, Clone, Default)]
-pub struct OsdWork {
-    /// Read ops forced by read-modify-write, as (ops, total bytes).
-    pub rmw_reads: (u64, u64),
-    /// Bytes of each full-path disk write op.
-    pub disk_writes: Vec<u64>,
-    /// Bytes of each deferred (journaled) small write op.
-    pub deferred_writes: Vec<u64>,
-    /// Bytes of each disk read op (read path).
-    pub disk_reads: Vec<u64>,
-    /// Time the OMAP engine is busy for this op.
-    pub kv_time: SimDuration,
-    /// OMAP WAL bytes committed (charged to the disk).
-    pub kv_wal_bytes: u64,
+/// A simulated testbed: a [`TestbedProfile`]'s resources installed for
+/// one cluster geometry, and the prices that turn a [`Receipt`] into a
+/// [`Plan`] over them.
+pub struct Testbed {
+    profile: TestbedProfile,
+    /// The OMAP engine's cost model.
+    kv: CostProfile,
+    handles: ResourceHandles,
+    /// Reset at the start of every closed-loop run.
+    sim: Simulator,
 }
 
-impl OsdWork {
-    fn disk_plan(&self, handles: &ResourceHandles, profile: &TestbedProfile, osd: OsdId) -> Plan {
-        let disk = handles.osd_disk[osd.0];
-        let kv_res = handles.osd_kv[osd.0];
+impl Testbed {
+    /// Installs `profile`'s resources for `osd_count` OSDs, giving the
+    /// client-crypto resource one server per crypto lane: the
+    /// encryption layer runs that many sector-crypto jobs at once (see
+    /// `ClusterBuilder::crypto_lanes`), and simulated crypto time must
+    /// not diverge from that real parallel work.
+    #[must_use]
+    pub fn new(profile: TestbedProfile, osd_count: usize, crypto_lanes: usize) -> Testbed {
+        let p = profile;
+        let mut sim = Simulator::new();
+        let client_nic_tx = sim.add_resource(ResourceSpec::pipe(
+            "client-nic-tx",
+            p.client_nic_tx,
+            p.nic_per_op,
+        ));
+        let client_nic_rx = sim.add_resource(ResourceSpec::pipe(
+            "client-nic-rx",
+            p.client_nic_rx,
+            p.nic_per_op,
+        ));
+        let client_crypto = sim.add_resource(ResourceSpec::servers(
+            "client-crypto",
+            crypto_lanes,
+            p.crypto_rate,
+            p.crypto_per_op,
+        ));
+        let mut osd_link = Vec::new();
+        let mut osd_cpu = Vec::new();
+        let mut osd_disk = Vec::new();
+        let mut osd_kv = Vec::new();
+        for i in 0..osd_count {
+            osd_link.push(sim.add_resource(ResourceSpec::pipe(
+                &format!("osd{i}-link"),
+                p.link_rate,
+                p.link_per_op,
+            )));
+            osd_cpu.push(sim.add_resource(ResourceSpec::latency_only(
+                &format!("osd{i}-cpu"),
+                p.osd_cpu_servers,
+                p.osd_cpu_per_op,
+            )));
+            // A single per-OSD NVMe array; service times are computed
+            // per op type (read/write/deferred) and charged as `Busy`.
+            osd_disk.push(sim.add_resource(ResourceSpec::latency_only(
+                &format!("osd{i}-disk"),
+                p.disk_servers,
+                SimDuration::ZERO,
+            )));
+            osd_kv.push(sim.add_resource(ResourceSpec::latency_only(
+                &format!("osd{i}-kv"),
+                p.kv_servers,
+                SimDuration::ZERO,
+            )));
+        }
+        let handles = ResourceHandles {
+            client_nic_tx,
+            client_nic_rx,
+            client_crypto,
+            osd_link,
+            osd_cpu,
+            osd_disk,
+            osd_kv,
+        };
+        Testbed {
+            profile: TestbedProfile {
+                crypto_servers: crypto_lanes,
+                ..p
+            },
+            kv: CostProfile::default(),
+            handles,
+            sim,
+        }
+    }
 
-        let mut rmw = Vec::new();
-        let (rmw_ops, rmw_bytes) = self.rmw_reads;
-        if let Some(per) = rmw_bytes.checked_div(rmw_ops) {
-            for _ in 0..rmw_ops {
-                rmw.push(Plan::busy(disk, profile.disk_read_time(per)));
+    /// The installed resources, in the order registered (to inspect
+    /// plans by resource).
+    #[must_use]
+    pub fn handles(&self) -> &ResourceHandles {
+        &self.handles
+    }
+
+    /// The cost plan of the IO `receipt` records: the boundary reads an
+    /// unaligned write performed, then the client cipher and the
+    /// dispatch — the cipher before a write's transactions, after a
+    /// read's fetches. The dispatch runs every transaction or
+    /// per-object read in parallel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the receipt names an OSD this testbed was not
+    /// installed for.
+    #[must_use]
+    pub fn plan_of(&self, receipt: &Receipt) -> Plan {
+        let crypto = self.crypto_plan(receipt.crypto);
+        let dispatch = Plan::par(
+            receipt
+                .txs
+                .iter()
+                .map(|tx| self.tx_plan(tx))
+                .chain(receipt.reads.iter().map(|read| self.read_plan(read))),
+        );
+        let rmw = Plan::par(receipt.rmw.iter().map(|read| self.plan_of(read)));
+        // A read decrypts what it fetched; a write dispatches what it
+        // encrypted.
+        if receipt.txs.is_empty() {
+            Plan::seq([rmw, dispatch, crypto])
+        } else {
+            Plan::seq([rmw, crypto, dispatch])
+        }
+    }
+
+    /// Runs `ops` — each a receipt and the payload bytes it is credited
+    /// with — in a closed loop at `queue_depth` (fio-style) on this
+    /// testbed's hardware, pricing each receipt as the loop issues it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` is empty or `queue_depth` is zero.
+    pub fn run_closed_loop<'r>(
+        &mut self,
+        queue_depth: usize,
+        ops: impl ExactSizeIterator<Item = (&'r Receipt, u64)>,
+    ) -> ClosedLoopStats {
+        let total = ops.len() as u64;
+        let mut sim = std::mem::take(&mut self.sim);
+        let stats = {
+            let mut plans = ops.map(|(receipt, bytes)| (self.plan_of(receipt), bytes));
+            // `total` is `ops.len()`, so the loop asks for exactly as
+            // many plans as there are.
+            sim.run_closed_loop(queue_depth, total, |_| {
+                plans.next().unwrap_or((Plan::Noop, 0))
+            })
+        };
+        self.sim = sim;
+        stats
+    }
+
+    /// `bytes` of client cipher work split over `lanes` near-equal
+    /// parallel chunks — one op at one lane, or when the split would
+    /// produce empty chunks; nothing for no bytes.
+    fn crypto_plan(&self, (bytes, lanes): (u64, usize)) -> Plan {
+        let crypto = self.handles.client_crypto;
+        let lanes = lanes as u64;
+        if bytes == 0 {
+            return Plan::Noop;
+        }
+        if lanes <= 1 || bytes < lanes {
+            return Plan::op(crypto, bytes);
+        }
+        let (chunk, remainder) = (bytes / lanes, bytes % lanes);
+        Plan::par((0..lanes).map(|lane| Plan::op(crypto, chunk + u64::from(lane < remainder))))
+    }
+
+    /// A replicated write: client NIC → primary link → primary CPU →
+    /// in parallel {primary disk work; per replica: link → CPU → disk
+    /// work} → ack.
+    fn tx_plan(&self, tx: &TxWork) -> Plan {
+        let h = &self.handles;
+        let msg = tx.payload_bytes + self.profile.msg_header_bytes;
+        let Some((&primary, replicas)) = tx.acting.split_first() else {
+            return Plan::Noop;
+        };
+        let fanout =
+            std::iter::once(self.osd_write_plan(primary, tx)).chain(replicas.iter().map(|&osd| {
+                Plan::seq([
+                    Plan::op(h.osd_link[osd.0], msg),
+                    Plan::op(h.osd_cpu[osd.0], 0),
+                    self.osd_write_plan(osd, tx),
+                ])
+            }));
+        Plan::seq([
+            Plan::op(h.client_nic_tx, msg),
+            Plan::op(h.osd_link[primary.0], msg),
+            Plan::op(h.osd_cpu[primary.0], 0),
+            Plan::par(fanout),
+            Plan::delay(self.profile.ack_delay),
+        ])
+    }
+
+    /// One replica's disk and OMAP work for `tx`. Writes up to the
+    /// deferred threshold ride the journal without a foreground RMW;
+    /// larger ones read their partial blocks first (the summed RMW
+    /// reads split evenly) and are sequenced before the deferred ones.
+    fn osd_write_plan(&self, osd: OsdId, tx: &TxWork) -> Plan {
+        let p = &self.profile;
+        let disk = self.handles.osd_disk[osd.0];
+        let (mut rmw_ops, mut rmw_bytes) = (0u64, 0u64);
+        let mut full = Vec::new();
+        let mut deferred = Vec::new();
+        let (mut kv_time, mut wal_bytes) = (SimDuration::ZERO, 0u64);
+        for (_, effect) in tx.effects.iter().filter(|(on, _)| *on == osd) {
+            match *effect {
+                OpEffect::Write { len, profile } if len <= p.deferred_write_threshold => {
+                    deferred.push(Plan::busy(disk, p.disk_deferred_time(profile.write_bytes)));
+                }
+                OpEffect::Write { profile, .. } => {
+                    rmw_ops += profile.rmw_read_ops;
+                    rmw_bytes += profile.rmw_read_bytes;
+                    full.push(Plan::busy(disk, p.disk_write_time(profile.write_bytes)));
+                }
+                // Each receipt priced on its own: the sum of rounded
+                // times is the engine's time.
+                OpEffect::Omap(receipt) => {
+                    kv_time += self.kv.write_time(&receipt);
+                    wal_bytes += receipt.wal_bytes;
+                }
             }
         }
-        let reads = Plan::par(
-            self.disk_reads
-                .iter()
-                .map(|&bytes| Plan::busy(disk, profile.disk_read_time(bytes))),
-        );
-        let writes = Plan::seq(
-            self.disk_writes
-                .iter()
-                .map(|&bytes| Plan::busy(disk, profile.disk_write_time(bytes)))
-                .chain(
-                    self.deferred_writes
-                        .iter()
-                        .map(|&bytes| Plan::busy(disk, profile.disk_deferred_time(bytes))),
-                ),
-        );
-        let kv = if self.kv_time == SimDuration::ZERO && self.kv_wal_bytes == 0 {
-            Plan::Noop
-        } else {
-            // The KV engine works while its WAL commit rides the disk.
-            Plan::par([
-                Plan::busy(kv_res, self.kv_time),
-                Plan::busy(disk, profile.kv_wal_time(self.kv_wal_bytes)),
-            ])
-        };
-        // RMW reads gate the writes; the KV engine and plain reads run
-        // beside the data path.
-        Plan::par([Plan::seq([Plan::par(rmw), writes]), reads, kv])
+        let rmw_read = rmw_bytes
+            .checked_div(rmw_ops)
+            .map(|per| Plan::busy(disk, p.disk_read_time(per)));
+        let rmw = std::iter::repeat_n(rmw_read, rmw_ops as usize).flatten();
+        // RMW reads gate the writes; the OMAP engine runs beside them.
+        Plan::par([
+            Plan::seq([Plan::par(rmw), Plan::seq(full.into_iter().chain(deferred))]),
+            self.kv_plan(osd, kv_time, wal_bytes),
+        ])
+    }
+
+    /// A read served by the primary: request in, disk and OMAP work,
+    /// response out.
+    fn read_plan(&self, read: &ReadWork) -> Plan {
+        let (p, h) = (&self.profile, &self.handles);
+        let osd = read.primary;
+        let mut blocks = Vec::new();
+        let mut kv_time = SimDuration::ZERO;
+        for effect in &read.effects {
+            match effect {
+                ReadEffect::Blocks(bytes) => {
+                    blocks.push(Plan::busy(h.osd_disk[osd.0], p.disk_read_time(*bytes)));
+                }
+                ReadEffect::Omap(receipt) => kv_time += self.kv.read_time(receipt),
+            }
+        }
+        let req = p.msg_header_bytes;
+        let resp = read.response_bytes + p.msg_header_bytes;
+        Plan::seq([
+            Plan::op(h.client_nic_tx, req),
+            Plan::op(h.osd_link[osd.0], req),
+            Plan::op(h.osd_cpu[osd.0], 0),
+            Plan::par([Plan::par(blocks), self.kv_plan(osd, kv_time, 0)]),
+            Plan::op(h.osd_link[osd.0], resp),
+            Plan::op(h.client_nic_rx, resp),
+        ])
+    }
+
+    /// The OMAP engine busy for `kv_time` while its WAL commit of
+    /// `wal_bytes` rides the OSD's disk; nothing when there was no
+    /// OMAP work.
+    fn kv_plan(&self, osd: OsdId, kv_time: SimDuration, wal_bytes: u64) -> Plan {
+        if kv_time == SimDuration::ZERO && wal_bytes == 0 {
+            return Plan::Noop;
+        }
+        Plan::par([
+            Plan::busy(self.handles.osd_kv[osd.0], kv_time),
+            Plan::busy(
+                self.handles.osd_disk[osd.0],
+                self.profile.kv_wal_time(wal_bytes),
+            ),
+        ])
     }
 }
 
-/// Builds the cost plan of a replicated write.
-///
-/// Shape: client NIC → primary link → primary CPU → in parallel
-/// {primary disk work; for each replica: link → CPU → disk work} →
-/// ack.
-#[must_use]
-pub fn write_plan(
-    handles: &ResourceHandles,
-    profile: &TestbedProfile,
-    payload_bytes: u64,
-    acting: &[OsdId],
-    work: &[OsdWork],
-) -> Plan {
-    assert_eq!(acting.len(), work.len(), "one work item per acting OSD");
-    let msg = payload_bytes + profile.msg_header_bytes;
-    let primary = acting[0];
-
-    let mut fanout: Vec<Plan> = Vec::with_capacity(acting.len());
-    fanout.push(work[0].disk_plan(handles, profile, primary));
-    for (osd, w) in acting.iter().zip(work.iter()).skip(1) {
-        fanout.push(Plan::seq([
-            Plan::op(handles.osd_link[osd.0], msg),
-            Plan::op(handles.osd_cpu[osd.0], 0),
-            w.disk_plan(handles, profile, *osd),
-        ]));
-    }
-
-    Plan::seq([
-        Plan::op(handles.client_nic_tx, msg),
-        Plan::op(handles.osd_link[primary.0], msg),
-        Plan::op(handles.osd_cpu[primary.0], 0),
-        Plan::par(fanout),
-        Plan::delay(profile.ack_delay),
-    ])
-}
-
-/// Builds the cost plan of a read served by the primary.
-#[must_use]
-pub fn read_plan(
-    handles: &ResourceHandles,
-    profile: &TestbedProfile,
-    primary: OsdId,
-    response_bytes: u64,
-    work: &OsdWork,
-) -> Plan {
-    let req = profile.msg_header_bytes;
-    let resp = response_bytes + profile.msg_header_bytes;
-    Plan::seq([
-        Plan::op(handles.client_nic_tx, req),
-        Plan::op(handles.osd_link[primary.0], req),
-        Plan::op(handles.osd_cpu[primary.0], 0),
-        work.disk_plan(handles, profile, primary),
-        Plan::op(handles.osd_link[primary.0], resp),
-        Plan::op(handles.client_nic_rx, resp),
-    ])
-}
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::ExtentProfile;
+    use vdisk_sim::SimTime;
 
-    fn setup() -> (Simulator, ResourceHandles, TestbedProfile) {
-        let profile = TestbedProfile::default();
-        let mut sim = Simulator::new();
-        let handles = profile.install(&mut sim, 3);
-        (sim, handles, profile)
+    fn setup() -> Testbed {
+        Testbed::new(TestbedProfile::default(), 3, 4)
+    }
+
+    /// A transaction on `acting` whose every replica applied the same
+    /// ops.
+    fn tx(payload_bytes: u64, acting: &[usize], ops: &[OpEffect]) -> Receipt {
+        let acting: Vec<OsdId> = acting.iter().map(|&osd| OsdId(osd)).collect();
+        let effects = acting
+            .iter()
+            .flat_map(|&osd| ops.iter().map(move |&op| (osd, op)))
+            .collect();
+        Receipt {
+            txs: vec![TxWork {
+                acting,
+                payload_bytes,
+                effects,
+            }],
+            ..Receipt::default()
+        }
+    }
+
+    /// A full-path write of `bytes` with no RMW.
+    fn write(bytes: u64) -> OpEffect {
+        OpEffect::Write {
+            len: bytes,
+            profile: ExtentProfile {
+                write_bytes: bytes,
+                ..ExtentProfile::default()
+            },
+        }
     }
 
     #[test]
     fn install_registers_all_resources() {
-        let (sim, handles, _) = setup();
+        let testbed = setup();
+        let handles = testbed.handles();
         assert_eq!(handles.osd_link.len(), 3);
         assert_eq!(handles.osd_kv.len(), 3);
-        assert_eq!(sim.spec(handles.client_crypto).servers, 4);
-        assert_eq!(sim.spec(handles.osd_disk[0]).servers, 9);
+        assert_eq!(testbed.sim.spec(handles.client_crypto).servers, 4);
+        assert_eq!(testbed.sim.spec(handles.osd_disk[0]).servers, 9);
     }
 
     #[test]
     fn write_plan_touches_every_replica() {
-        let (mut sim, handles, profile) = setup();
-        let acting = vec![OsdId(0), OsdId(1), OsdId(2)];
-        let work: Vec<OsdWork> = (0..3)
-            .map(|_| OsdWork {
-                disk_writes: vec![4096],
-                ..OsdWork::default()
-            })
-            .collect();
-        let plan = write_plan(&handles, &profile, 4096, &acting, &work);
+        let mut testbed = setup();
+        let plan = testbed.plan_of(&tx(4096, &[0, 1, 2], &[write(4096)]));
         for osd in 0..3 {
             assert_eq!(
-                plan.op_count_on(handles.osd_disk[osd]),
+                plan.op_count_on(testbed.handles().osd_disk[osd]),
                 1,
                 "osd {osd} must take one disk write"
             );
         }
         // Replicas get the payload over their links; the primary's link
         // carries it once from the client.
-        assert!(plan.bytes_on(handles.osd_link[1]) >= 4096);
-        let done = sim.execute(&plan, vdisk_sim::SimTime::ZERO);
+        assert!(plan.bytes_on(testbed.handles().osd_link[1]) >= 4096);
+        let done = testbed.sim.execute(&plan, SimTime::ZERO);
         assert!(done.as_nanos() > 0);
     }
 
     #[test]
     fn replication_makes_writes_slower_than_single_copy() {
-        let (mut sim, handles, profile) = setup();
-        let single = write_plan(
-            &handles,
-            &profile,
-            1 << 20,
-            &[OsdId(0)],
-            &[OsdWork {
-                disk_writes: vec![1 << 20],
-                ..OsdWork::default()
-            }],
-        );
-        let t1 = sim.execute(&single, vdisk_sim::SimTime::ZERO);
-        sim.reset();
-        let triple_work: Vec<OsdWork> = (0..3)
-            .map(|_| OsdWork {
-                disk_writes: vec![1 << 20],
-                ..OsdWork::default()
-            })
-            .collect();
-        let triple = write_plan(
-            &handles,
-            &profile,
-            1 << 20,
-            &[OsdId(0), OsdId(1), OsdId(2)],
-            &triple_work,
-        );
-        let t3 = sim.execute(&triple, vdisk_sim::SimTime::ZERO);
+        let mut testbed = setup();
+        let single = testbed.plan_of(&tx(1 << 20, &[0], &[write(1 << 20)]));
+        let t1 = testbed.sim.execute(&single, SimTime::ZERO);
+        testbed.sim.reset();
+        let triple = testbed.plan_of(&tx(1 << 20, &[0, 1, 2], &[write(1 << 20)]));
+        let t3 = testbed.sim.execute(&triple, SimTime::ZERO);
         assert!(t3 > t1, "replication must add latency: {t1:?} vs {t3:?}");
     }
 
     #[test]
     fn rmw_reads_gate_disk_writes() {
-        let (mut sim, handles, profile) = setup();
-        let no_rmw = write_plan(
-            &handles,
-            &profile,
+        let mut testbed = setup();
+        let no_rmw = testbed.plan_of(&tx(4096, &[0], &[write(4096)]));
+        let t_plain = testbed.sim.execute(&no_rmw, SimTime::ZERO);
+        testbed.sim.reset();
+        let with_rmw = testbed.plan_of(&tx(
             4096,
-            &[OsdId(0)],
-            &[OsdWork {
-                disk_writes: vec![4096],
-                ..OsdWork::default()
+            &[0],
+            &[OpEffect::Write {
+                len: 4096,
+                profile: ExtentProfile {
+                    rmw_read_ops: 2,
+                    rmw_read_bytes: 8192,
+                    write_bytes: 12288,
+                },
             }],
-        );
-        let t_plain = sim.execute(&no_rmw, vdisk_sim::SimTime::ZERO);
-        sim.reset();
-        let with_rmw = write_plan(
-            &handles,
-            &profile,
-            4096,
-            &[OsdId(0)],
-            &[OsdWork {
-                rmw_reads: (2, 8192),
-                disk_writes: vec![12288],
-                ..OsdWork::default()
-            }],
-        );
-        let t_rmw = sim.execute(&with_rmw, vdisk_sim::SimTime::ZERO);
+        ));
+        let t_rmw = testbed.sim.execute(&with_rmw, SimTime::ZERO);
         assert!(
             t_rmw.as_nanos() > t_plain.as_nanos() + 50_000,
             "RMW must add at least a disk read: {t_plain:?} vs {t_rmw:?}"
@@ -431,37 +534,33 @@ mod tests {
 
     #[test]
     fn read_plan_returns_payload_over_rx_nic() {
-        let (mut sim, handles, profile) = setup();
-        let plan = read_plan(
-            &handles,
-            &profile,
-            OsdId(1),
-            65536,
-            &OsdWork {
-                disk_reads: vec![65536],
-                ..OsdWork::default()
-            },
-        );
+        let mut testbed = setup();
+        let read = Receipt {
+            reads: vec![ReadWork {
+                primary: OsdId(1),
+                response_bytes: 65536,
+                effects: vec![ReadEffect::Blocks(65536)],
+            }],
+            ..Receipt::default()
+        };
+        let plan = testbed.plan_of(&read);
+        let handles = testbed.handles();
         assert!(plan.bytes_on(handles.client_nic_rx) >= 65536);
         assert_eq!(plan.op_count_on(handles.osd_disk[1]), 1);
         assert_eq!(plan.op_count_on(handles.osd_disk[0]), 0);
-        let done = sim.execute(&plan, vdisk_sim::SimTime::ZERO);
+        let done = testbed.sim.execute(&plan, SimTime::ZERO);
         assert!(done.as_nanos() > 0);
     }
 
     #[test]
     fn kv_busy_time_charged_on_kv_resource() {
-        let (_, handles, profile) = setup();
-        let plan = write_plan(
-            &handles,
-            &profile,
-            64,
-            &[OsdId(2)],
-            &[OsdWork {
-                kv_time: SimDuration::from_micros(100),
-                ..OsdWork::default()
-            }],
-        );
-        assert_eq!(plan.op_count_on(handles.osd_kv[2]), 1);
+        let testbed = setup();
+        let omap = OpEffect::Omap(vdisk_kv::WriteReceipt {
+            keys_written: 1,
+            wal_bytes: 64,
+            ..vdisk_kv::WriteReceipt::default()
+        });
+        let plan = testbed.plan_of(&tx(64, &[2], &[omap]));
+        assert_eq!(plan.op_count_on(testbed.handles().osd_kv[2]), 1);
     }
 }

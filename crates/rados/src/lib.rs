@@ -24,10 +24,15 @@
 //!   same-object ops keep submission order.
 //! - **Replication**: writes go to the primary and fan out to replicas;
 //!   scrub/repair utilities detect and fix divergence.
-//! - **Cost model** ([`cost`]): every operation compiles to a
-//!   [`vdisk_sim::Plan`] over the testbed's resources (client NIC,
+//! - **Receipts** ([`Receipt`]): every operation returns an unpriced
+//!   record of the physical work it did — per replica, the blocks
+//!   written and read-modify-written and the OMAP batches; per read,
+//!   the blocks and OMAP lookups and the bytes returned.
+//! - **Cost model** ([`cost`]): a [`Testbed`] prices receipts into
+//!   `vdisk-sim` plans over the testbed's resources (client NIC,
 //!   per-OSD links, OSD CPUs, NVMe arrays, the OMAP KV engine),
-//!   calibrated to §3.2's hardware.
+//!   calibrated to §3.2's hardware, after the fact — the IO path never
+//!   builds a plan.
 //!
 //! # Example
 //!
@@ -41,7 +46,7 @@
 //! tx.omap_set(vec![(b"lang".to_vec(), b"en".to_vec())]);
 //! cluster.execute(tx)?;
 //!
-//! let (results, _plan) = cluster.read(
+//! let (results, _receipt) = cluster.read(
 //!     "greeting",
 //!     None,
 //!     &[ReadOp::Read { offset: 0, len: 5 }],
@@ -64,8 +69,8 @@ mod maintenance;
 pub mod object;
 pub mod placement;
 mod queue;
+mod receipt;
 mod shard;
-mod simglue;
 mod state;
 pub mod transaction;
 
@@ -73,11 +78,12 @@ pub use backend::BackendKind;
 pub use cluster::{
     Cluster, ClusterBuilder, ExecStats, PayloadMode, ScrubReport, DEFAULT_META_CACHE_BYTES,
 };
-pub use cost::{ResourceHandles, TestbedProfile};
+pub use cost::{ResourceHandles, Testbed, TestbedProfile};
 pub use fault::{FaultConfig, FaultKind, FaultPlane, RetryPolicy};
 pub use object::{ObjectStat, PHYS_BLOCK};
 pub use placement::{OsdId, PlacementMap};
 pub use queue::{ApplyTicket, Doorbell, ReadTicket, ShardHold, Ticket};
+pub use receipt::{OpEffect, ReadEffect, ReadWork, Receipt, TxWork};
 pub use transaction::{ObjectReads, ReadOp, ReadResult, SharedBuf, Transaction, TxOp};
 
 use std::error::Error as StdError;

@@ -30,6 +30,7 @@
 //! cross-batch concurrency the paper's queue-depth argument needs.
 
 use crate::cluster::ExecStats;
+use crate::receipt::{ReadWork, Receipt, TxWork};
 use crate::shard::{Shard, ShardState};
 use crate::state::ControlPlane;
 use crate::transaction::{ObjectReads, ReadResult, Transaction};
@@ -39,7 +40,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use vdisk_sim::Plan;
 
 /// What a submission is made of. Implemented by [`Apply`] and [`Read`]
 /// only; public because [`Ticket`] is, not exported.
@@ -78,14 +78,14 @@ pub trait Kind: Sized + 'static {
     fn job(part: Part<Self>) -> Job;
 }
 
-/// The write kind: items are transactions, each yields its cost plan —
-/// or the dynamic-precondition error ([`RadosError::CompareFailed`])
-/// that stopped that one transaction.
+/// The write kind: items are transactions, each yields the record of
+/// what it did — or the dynamic-precondition error
+/// ([`RadosError::CompareFailed`]) that stopped that one transaction.
 pub struct Apply;
 
 impl Kind for Apply {
     type Item = Transaction;
-    type Served = Plan;
+    type Served = TxWork;
     /// The snapshot sequence, so every transaction of the submission
     /// sees one consistent snapshot context.
     type Context = SnapId;
@@ -109,7 +109,7 @@ impl Kind for Apply {
         cp: &ControlPlane,
         snap_seq: &SnapId,
         tx: &Transaction,
-    ) -> crate::Result<Plan> {
+    ) -> crate::Result<TxWork> {
         state.apply_tx(cp, *snap_seq, tx)
     }
 
@@ -119,12 +119,12 @@ impl Kind for Apply {
 }
 
 /// The read kind: items are per-object read requests, each yields its
-/// results and cost plan.
+/// results and the record of what serving them did.
 pub struct Read;
 
 impl Kind for Read {
     type Item = ObjectReads;
-    type Served = (Vec<ReadResult>, Plan);
+    type Served = (Vec<ReadResult>, ReadWork);
     /// The snapshot to read at (`None` = head).
     type Context = Option<SnapId>;
     const NAMES: (&'static str, &'static str) = ("ReadTicket", "requests");
@@ -723,10 +723,10 @@ impl<K: Kind> Drop for Ticket<K> {
 }
 
 impl Ticket<Apply> {
-    /// Blocks until the submission has fully applied and returns
-    /// [`Plan::par`] of the per-transaction cost plans, in submission
-    /// order — exactly what the synchronous
-    /// [`crate::Cluster::execute_batch`] returns.
+    /// Blocks until the submission has fully applied and returns its
+    /// receipt: one [`TxWork`] per transaction, in submission order —
+    /// exactly what the synchronous [`crate::Cluster::execute_batch`]
+    /// returns.
     ///
     /// # Errors
     ///
@@ -740,17 +740,20 @@ impl Ticket<Apply> {
     /// # Panics
     ///
     /// Panics if a shard worker panicked while applying.
-    pub fn wait(mut self) -> crate::Result<Plan> {
-        let plans = self.reap().into_iter().collect::<crate::Result<Vec<_>>>()?;
-        Ok(Plan::par(plans))
+    pub fn wait(mut self) -> crate::Result<Receipt> {
+        let txs = self.reap().into_iter().collect::<crate::Result<Vec<_>>>()?;
+        Ok(Receipt {
+            txs,
+            ..Receipt::default()
+        })
     }
 }
 
 impl Ticket<Read> {
     /// Blocks until the submission has fully completed. Returns one
     /// result slot per request (in submission order; `None` for objects
-    /// absent now or at the snapshot) plus [`Plan::par`] of the
-    /// per-request costs — exactly what the synchronous
+    /// absent now or at the snapshot) plus the receipt, one
+    /// [`ReadWork`] per request — exactly what the synchronous
     /// [`crate::Cluster::read_batch`] returns.
     ///
     /// # Errors
@@ -761,27 +764,37 @@ impl Ticket<Read> {
     ///
     /// Panics if a shard worker panicked while serving.
     #[allow(clippy::type_complexity)]
-    pub fn wait(mut self) -> crate::Result<(Vec<Option<Vec<ReadResult>>>, Plan)> {
+    pub fn wait(mut self) -> crate::Result<(Vec<Option<Vec<ReadResult>>>, Receipt)> {
         let outcomes = self.reap();
         let mut results = Vec::with_capacity(outcomes.len());
-        let mut plans = Vec::with_capacity(outcomes.len());
+        let mut reads = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
             match outcome {
-                Ok((res, plan)) => {
+                Ok((res, work)) => {
                     results.push(Some(res));
-                    plans.push(plan);
+                    reads.push(work);
                 }
                 Err(
                     RadosError::NoSuchObject(object) | RadosError::NoSuchSnapshot { object, .. },
                 ) => {
-                    // A miss still costs a round trip.
+                    // A miss still made the round trip to the primary.
                     results.push(None);
-                    plans.push(ShardState::miss_plan(&self.cp, &object));
+                    reads.push(ReadWork {
+                        primary: self.cp.placement.primary(&object),
+                        response_bytes: 0,
+                        effects: Vec::new(),
+                    });
                 }
                 Err(e) => return Err(e),
             }
         }
-        Ok((results, Plan::par(plans)))
+        Ok((
+            results,
+            Receipt {
+                reads,
+                ..Receipt::default()
+            },
+        ))
     }
 }
 

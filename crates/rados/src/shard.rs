@@ -8,16 +8,15 @@
 //! single-shard operations, and lets [`crate::Cluster::execute_batch`]
 //! apply disjoint shard groups genuinely concurrently.
 
-use crate::backend::{FileStore, MemStore, OpEffect};
-use crate::cost::{self, OsdWork};
+use crate::backend::{FileStore, MemStore};
 use crate::object::PHYS_BLOCK;
 use crate::queue::ShardQueue;
+use crate::receipt::{ReadEffect, ReadWork, TxWork};
 use crate::state::ControlPlane;
 use crate::state::StatCounters;
 use crate::transaction::{AppliedTx, ReadOp, ReadResult, Transaction, TxOp};
 use crate::{RadosError, Result, SnapId};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use vdisk_sim::Plan;
 
 /// A shard: one lock over one placement-disjoint slice of the object
 /// space, its work queue, and the queue's admission counter.
@@ -79,28 +78,6 @@ impl Shard {
     }
 }
 
-/// Folds the physical work of one applied op into its OSD's cost-model
-/// input.
-fn charge(cp: &ControlPlane, work: &mut OsdWork, effect: OpEffect) {
-    match effect {
-        OpEffect::Write { len, profile } => {
-            if len <= cp.testbed.deferred_write_threshold {
-                // Small overwrite: the deferred/journal path absorbs it
-                // without a foreground RMW.
-                work.deferred_writes.push(profile.write_bytes);
-            } else {
-                work.rmw_reads.0 += profile.rmw_read_ops;
-                work.rmw_reads.1 += profile.rmw_read_bytes;
-                work.disk_writes.push(profile.write_bytes);
-            }
-        }
-        OpEffect::Omap(receipt) => {
-            work.kv_time += cp.kv_cost.write_time(&receipt);
-            work.kv_wal_bytes += receipt.wal_bytes;
-        }
-    }
-}
-
 /// The objects of one shard: the in-memory mirror every read is served
 /// from and, on a file-backed cluster, the redo log and object files
 /// that make it durable (see [`crate::backend`]).
@@ -126,7 +103,7 @@ impl ShardState {
     }
 
     /// Applies one already-validated transaction on every replica and
-    /// builds its cost plan. `snap_seq` is the snapshot sequence
+    /// records what it did. `snap_seq` is the snapshot sequence
     /// captured once at batch entry, so every transaction of a batch
     /// sees one consistent snapshot context.
     ///
@@ -142,9 +119,8 @@ impl ShardState {
         cp: &ControlPlane,
         snap_seq: SnapId,
         tx: &Transaction,
-    ) -> Result<Plan> {
+    ) -> Result<TxWork> {
         let acting = cp.placement.acting_set(&tx.object);
-        let payload = tx.payload_bytes();
 
         // Evaluate every precondition before any mutation — replicas
         // are identical, so the primary's view decides.
@@ -170,29 +146,26 @@ impl ShardState {
             acting: &acting,
             ops: &tx.ops,
         };
-        let mut work: Vec<OsdWork> = Vec::with_capacity(acting.len());
-        for osd in &acting {
-            let mut osd_work = OsdWork::default();
+        let mut effects = Vec::with_capacity(acting.len() * tx.ops.len());
+        for &osd in &acting {
             self.store
                 .apply_ops(osd.0, store_payload, &applied, |effect| {
-                    charge(cp, &mut osd_work, effect);
+                    effects.push((osd, effect));
                 });
-            work.push(osd_work);
         }
         // The durability point: a file-backed shard logs and syncs the
         // transaction before it is acknowledged.
         self.durably(|disk, mirror| disk.commit(mirror, &applied))?;
 
-        Ok(cost::write_plan(
-            &cp.handles,
-            &cp.testbed,
-            payload,
-            &acting,
-            &work,
-        ))
+        Ok(TxWork {
+            acting,
+            payload_bytes: tx.payload_bytes(),
+            effects,
+        })
     }
 
-    /// Serves one object's read operations from the primary replica.
+    /// Serves one object's read operations from the primary replica
+    /// and records what they did.
     ///
     /// # Errors
     ///
@@ -205,7 +178,7 @@ impl ShardState {
         object: &str,
         snap: Option<SnapId>,
         ops: &[ReadOp],
-    ) -> Result<(Vec<ReadResult>, Plan)> {
+    ) -> Result<(Vec<ReadResult>, ReadWork)> {
         let primary = cp.placement.primary(object);
         let obj = self
             .store
@@ -219,8 +192,11 @@ impl ShardState {
             })?;
 
         let mut results = Vec::with_capacity(ops.len());
-        let mut work = OsdWork::default();
-        let mut response_bytes = 0u64;
+        let mut work = ReadWork {
+            primary,
+            response_bytes: 0,
+            effects: Vec::new(),
+        };
         for op in ops {
             match op {
                 ReadOp::Read { offset, len } => {
@@ -230,24 +206,25 @@ impl ShardState {
                     if *len > 0 {
                         let start_block = offset / PHYS_BLOCK;
                         let end_block = (offset + len).div_ceil(PHYS_BLOCK);
-                        work.disk_reads.push((end_block - start_block) * PHYS_BLOCK);
+                        work.effects
+                            .push(ReadEffect::Blocks((end_block - start_block) * PHYS_BLOCK));
                     }
-                    response_bytes += *len;
+                    work.response_bytes += *len;
                     results.push(ReadResult::Data(data));
                 }
                 ReadOp::OmapGetRange { start, end } => {
                     let (entries, receipt) = content.omap.range(start, end);
-                    work.kv_time += cp.kv_cost.read_time(&receipt);
-                    response_bytes += receipt.bytes_returned;
+                    work.effects.push(ReadEffect::Omap(receipt));
+                    work.response_bytes += receipt.bytes_returned;
                     results.push(ReadResult::OmapEntries(entries));
                 }
                 ReadOp::OmapGetKeys(keys) => {
                     let mut entries = Vec::new();
                     for key in keys {
                         let (value, receipt) = content.omap.get(key);
-                        work.kv_time += cp.kv_cost.read_time(&receipt);
+                        work.effects.push(ReadEffect::Omap(receipt));
                         if let Some(value) = value {
-                            response_bytes += (key.len() + value.len()) as u64;
+                            work.response_bytes += (key.len() + value.len()) as u64;
                             entries.push((key.clone(), value));
                         }
                     }
@@ -255,7 +232,7 @@ impl ShardState {
                 }
                 ReadOp::GetXattr(name) => {
                     let value = content.xattrs.get(name).cloned();
-                    response_bytes += value.as_ref().map_or(0, Vec::len) as u64;
+                    work.response_bytes += value.as_ref().map_or(0, Vec::len) as u64;
                     results.push(ReadResult::Xattr(value));
                 }
                 ReadOp::Stat => {
@@ -265,17 +242,6 @@ impl ShardState {
                 }
             }
         }
-        let plan = cost::read_plan(&cp.handles, &cp.testbed, primary, response_bytes, &work);
-        Ok((results, plan))
-    }
-
-    /// The cost of discovering an object is absent: the request still
-    /// makes the round trip to the primary and through its CPU — only
-    /// the disk stays idle. Sparse batched reads charge one of these
-    /// per hole so [`crate::Cluster::read_batch`]'s `Plan::par` keeps
-    /// one child per request.
-    pub(crate) fn miss_plan(cp: &ControlPlane, object: &str) -> Plan {
-        let primary = cp.placement.primary(object);
-        cost::read_plan(&cp.handles, &cp.testbed, primary, 0, &OsdWork::default())
+        Ok((results, work))
     }
 }

@@ -2,28 +2,23 @@
 //! time and shared by every shard, plus the lock-free counters.
 //!
 //! The split matters for scale: [`ControlPlane`] is read-only after
-//! construction (placement, cost profiles, resource handles), so shard
-//! workers use it without any lock. The only mutable control-plane
+//! construction (placement and configuration), so shard workers use it
+//! without any lock. The only mutable control-plane
 //! state — the snapshot sequence and the operation counters — is
 //! atomic. Everything that *does* need mutual exclusion (the objects
 //! themselves) lives in the per-placement [`crate::shard::Shard`]s.
 
 use crate::cluster::{ExecStats, PayloadMode};
-use crate::cost::{ResourceHandles, TestbedProfile};
 use crate::fault::{FaultPlane, RetryPolicy};
 use crate::placement::PlacementMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vdisk_kv::CostProfile;
 
 /// Immutable cluster configuration plus the atomic counters. One
 /// instance per cluster, shared (via `Arc`) by every handle and every
 /// shard worker.
 pub struct ControlPlane {
     pub(crate) placement: PlacementMap,
-    pub(crate) handles: ResourceHandles,
-    pub(crate) testbed: TestbedProfile,
-    pub(crate) kv_cost: CostProfile,
     pub(crate) payload: PayloadMode,
     pub(crate) shard_count: usize,
     /// Whether per-shard worker threads serve submissions (resolved at
@@ -36,8 +31,7 @@ pub struct ControlPlane {
     pub(crate) meta_cache_bytes: u64,
     /// Client-side crypto parallelism (see
     /// [`crate::ClusterBuilder::crypto_lanes`]): resolved at build
-    /// time, always ≥ 1, and equal to the simulated client-crypto
-    /// resource's server count. Advisory for upper layers.
+    /// time, always ≥ 1. Advisory for upper layers.
     pub(crate) crypto_lanes: usize,
     /// Cluster-wide self-managed snapshot sequence. Non-zero at build
     /// when a durable backend reopens a directory that already took

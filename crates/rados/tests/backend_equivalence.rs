@@ -116,7 +116,7 @@ fn obj_name(obj: u8) -> String {
 /// (data bytes, omap entries, xattrs, stat) are identical.
 fn compare_read(mem: &Cluster, file: &Cluster, snap: Option<SnapId>, obj: u8, ops: Vec<ReadOp>) {
     let request = |c: &Cluster| -> Vec<Option<Vec<ReadResult>>> {
-        let (results, _plan) = c
+        let (results, _receipt) = c
             .read_batch(
                 snap,
                 vec![ObjectReads {
@@ -165,9 +165,9 @@ proptest! {
                         tx.write(offset, vec![fill; len as usize]);
                         tx
                     };
-                    let p1 = mem.submit_batch(vec![tx()]).unwrap().wait().unwrap();
-                    let p2 = file.submit_batch(vec![tx()]).unwrap().wait().unwrap();
-                    prop_assert_eq!(p1.op_count(), p2.op_count(), "write cost plans diverged");
+                    let r1 = mem.submit_batch(vec![tx()]).unwrap().wait().unwrap();
+                    let r2 = file.submit_batch(vec![tx()]).unwrap().wait().unwrap();
+                    prop_assert_eq!(r1, r2, "write receipts diverged");
                 }
                 Action::OmapSet { obj, key, value } => {
                     let tx = || {

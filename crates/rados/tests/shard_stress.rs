@@ -77,7 +77,7 @@ fn run_streams(cluster: &Cluster, concurrent: bool) {
     let work = |thread: usize| {
         for batch in 0..BATCHES_PER_THREAD {
             cluster.execute_batch(batch_txs(thread, batch)).unwrap();
-            let (results, plan) = cluster
+            let (results, receipt) = cluster
                 .read_batch(None, read_requests(thread, batch))
                 .unwrap();
             assert_eq!(results.len(), OBJS_PER_BATCH);
@@ -91,8 +91,8 @@ fn run_streams(cluster: &Cluster, concurrent: bool) {
                     "thread {thread} batch {batch} slot {slot} read back wrong bytes"
                 );
             }
-            // One plan child per request even if some were misses.
-            assert!(plan.op_count() > 0);
+            // One record per request even if some were misses.
+            assert_eq!(receipt.reads.len(), OBJS_PER_BATCH);
         }
     };
     if concurrent {
@@ -261,8 +261,8 @@ fn async_submission_storm_matches_sequential_replay() {
                             cluster.submit_read_batch(None, read_requests(thread, batch)),
                         ));
                         if write_tickets.len() >= DEPTH {
-                            let plan = write_tickets.remove(0).wait().unwrap();
-                            assert!(plan.op_count() > 0);
+                            let receipt = write_tickets.remove(0).wait().unwrap();
+                            assert_eq!(receipt.txs.len(), OBJS_PER_BATCH);
                         }
                         if read_tickets.len() >= DEPTH {
                             let (batch, ticket) = read_tickets.remove(0);
@@ -328,9 +328,9 @@ fn async_submission_storm_matches_sequential_replay() {
 /// A read ticket submitted immediately after its batch's write must
 /// see exactly that batch's bytes, even reaped depth-8 later.
 fn verify_read(thread: usize, batch: usize, ticket: vdisk_rados::ReadTicket) {
-    let (results, plan) = ticket.wait().unwrap();
+    let (results, receipt) = ticket.wait().unwrap();
     assert_eq!(results.len(), OBJS_PER_BATCH);
-    assert!(plan.op_count() > 0);
+    assert_eq!(receipt.reads.len(), OBJS_PER_BATCH);
     for (slot, result) in results.iter().enumerate() {
         let data = result.as_ref().expect("just-written object exists")[0].as_data();
         let expected = payload(thread, batch, slot);

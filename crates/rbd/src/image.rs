@@ -5,9 +5,8 @@ use crate::{RbdError, Result, DEFAULT_OBJECT_SIZE};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use vdisk_rados::{
-    ApplyTicket, Cluster, ObjectReads, ReadOp, ReadTicket, SharedBuf, SnapId, Transaction,
+    ApplyTicket, Cluster, ObjectReads, ReadOp, ReadTicket, Receipt, SharedBuf, SnapId, Transaction,
 };
-use vdisk_sim::Plan;
 
 /// `stat()` output for an image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -269,8 +268,8 @@ impl Image {
         Ok(())
     }
 
-    /// Writes raw bytes (no encryption) and returns the IO's cost
-    /// plan: a borrowing convenience wrapper that copies `data` once
+    /// Writes raw bytes (no encryption) and returns the IO's receipt:
+    /// a borrowing convenience wrapper that copies `data` once
     /// into an owned buffer and delegates to [`Image::write_owned`].
     /// Hot paths that can hand over the buffer should prefer
     /// `write_owned` (zero-copy) or a [`crate::IoQueue`].
@@ -278,24 +277,24 @@ impl Image {
     /// # Errors
     ///
     /// Returns [`RbdError::OutOfBounds`] if the write exceeds the image.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<Plan> {
+    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<Receipt> {
         self.write_owned(offset, data.to_vec())
     }
 
-    /// Writes an owned buffer and returns the IO's cost plan —
+    /// Writes an owned buffer and returns the IO's receipt —
     /// submit-then-wait over the cluster's shard work queues (idle
     /// shards are served inline). The request is striped up front and
     /// every touched object's transaction receives a **slice view of
     /// the submitted buffer** (one shared allocation, zero copies),
-    /// dispatched as one batch (`Plan::par`).
+    /// dispatched as one batch.
     ///
     /// # Errors
     ///
     /// Returns [`RbdError::OutOfBounds`] if the write exceeds the image.
-    pub fn write_owned(&self, offset: u64, data: Vec<u8>) -> Result<Plan> {
+    pub fn write_owned(&self, offset: u64, data: Vec<u8>) -> Result<Receipt> {
         if data.is_empty() {
             self.check_bounds(offset, 0)?;
-            return Ok(Plan::Noop);
+            return Ok(Receipt::default());
         }
         let txs = self.write_txs(offset, data)?;
         Ok(self.cluster.execute_batch(txs)?)
@@ -337,12 +336,12 @@ impl Image {
     }
 
     /// Reads raw bytes from the image head into `buf`; unwritten space
-    /// reads as zeros. Returns the IO's cost plan.
+    /// reads as zeros. Returns the IO's receipt.
     ///
     /// # Errors
     ///
     /// Returns [`RbdError::OutOfBounds`] if the read exceeds the image.
-    pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<Plan> {
+    pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<Receipt> {
         self.read_common(None, offset, buf)
     }
 
@@ -351,15 +350,15 @@ impl Image {
     /// # Errors
     ///
     /// Returns [`RbdError::OutOfBounds`] if the read exceeds the image.
-    pub fn read_at_snap(&self, snap: SnapId, offset: u64, buf: &mut [u8]) -> Result<Plan> {
+    pub fn read_at_snap(&self, snap: SnapId, offset: u64, buf: &mut [u8]) -> Result<Receipt> {
         self.read_common(Some(snap), offset, buf)
     }
 
-    fn read_common(&self, snap: Option<SnapId>, offset: u64, buf: &mut [u8]) -> Result<Plan> {
+    fn read_common(&self, snap: Option<SnapId>, offset: u64, buf: &mut [u8]) -> Result<Receipt> {
         let (requests, extents) = self.read_requests(offset, buf.len() as u64)?;
-        let (results, plan) = self.cluster.read_batch(snap, requests)?;
+        let (results, receipt) = self.cluster.read_batch(snap, requests)?;
         Self::assemble_read(&extents, &results, buf);
-        Ok(plan)
+        Ok(receipt)
     }
 
     /// Submits a vectored read of `[offset, offset + len)` and returns
@@ -534,9 +533,9 @@ mod tests {
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         image.write_at(offset, &data).unwrap();
         let mut buf = vec![0u8; 8192];
-        let plan = image.read_at(offset, &mut buf).unwrap();
+        let receipt = image.read_at(offset, &mut buf).unwrap();
         assert_eq!(buf, data);
-        assert!(plan.op_count() > 0);
+        assert_eq!(receipt.reads.len(), 2, "one read per object");
         assert_eq!(image.stat().unwrap().objects_written, 2);
     }
 
@@ -570,8 +569,11 @@ mod tests {
     fn empty_writes_are_noops() {
         let (cluster, image) = setup();
         let before = cluster.exec_stats();
-        assert_eq!(image.write_at(0, &[]).unwrap(), Plan::Noop);
-        assert_eq!(image.write_owned(10, Vec::new()).unwrap(), Plan::Noop);
+        assert_eq!(image.write_at(0, &[]).unwrap(), Receipt::default());
+        assert_eq!(
+            image.write_owned(10, Vec::new()).unwrap(),
+            Receipt::default()
+        );
         assert_eq!(
             cluster.exec_stats(),
             before,

@@ -54,8 +54,7 @@ use crate::striping::ObjectExtent;
 use crate::{RbdError, Result};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use vdisk_rados::{ApplyTicket, Doorbell, ExecStats, ReadTicket, SharedBuf, Transaction};
-use vdisk_sim::Plan;
+use vdisk_rados::{ApplyTicket, Doorbell, ExecStats, ReadTicket, Receipt, SharedBuf, Transaction};
 
 /// One submitted operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,14 +173,16 @@ impl IoPayload {
     }
 }
 
-/// One reaped completion: the op's cost plan, its payload (for reads),
+/// One reaped completion: the op's receipt, its payload (for reads),
 /// and the exact [`ExecStats`] delta it contributed.
 #[derive(Debug)]
 pub struct IoResult {
     /// The token returned at submission.
     pub completion: Completion,
-    /// The IO's cost plan (same shape the synchronous API returns).
-    pub plan: Plan,
+    /// The IO's receipt, the record the synchronous API returns. (The
+    /// field keeps the name it had when completions carried priced
+    /// plans; [`vdisk_rados::Testbed::plan_of`] prices it.)
+    pub plan: Receipt,
     /// Read payload, if any.
     pub payload: IoPayload,
     /// Exact per-op operation counts (transactions, batches, read ops,
@@ -684,12 +685,12 @@ impl QueueBackend for Image {
                 len,
             } => {
                 let stats = ticket.stats_delta();
-                let (results, plan) = ticket.wait()?;
+                let (results, receipt) = ticket.wait()?;
                 let mut buf = vec![0u8; len as usize];
                 Image::assemble_read(&extents, &results, &mut buf);
                 Ok(IoResult {
                     completion,
-                    plan,
+                    plan: receipt,
                     payload: IoPayload::Data(buf),
                     stats,
                 })
@@ -731,7 +732,8 @@ mod tests {
         assert_eq!(done.len(), 2);
         assert_eq!(done[0].completion, w);
         assert_eq!(done[0].payload, IoPayload::None);
-        assert!(done[0].plan.op_count() > 0);
+        assert_eq!(done[0].plan.txs.len(), 1);
+        assert_eq!(done[1].plan.reads.len(), 1);
         assert_eq!(done[0].stats.transactions, 1);
         assert_eq!(done[1].completion, r);
         assert_eq!(done[1].payload.data(), &[0xAB; 8192][..]);
@@ -908,7 +910,7 @@ mod tests {
             }
             Ok(IoResult {
                 completion,
-                plan: Plan::Noop,
+                plan: Receipt::default(),
                 payload: op.data.map_or(IoPayload::None, IoPayload::Data),
                 stats: ExecStats::default(),
             })

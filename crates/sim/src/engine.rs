@@ -19,8 +19,6 @@ pub(crate) struct ResourceState {
     /// Earliest-free instant of each server (persists across
     /// [`Simulator::execute`] calls; cleared by [`Simulator::reset`]).
     free_at: Vec<SimTime>,
-    busy: SimDuration,
-    ops_served: u64,
 }
 
 impl ResourceState {
@@ -29,8 +27,6 @@ impl ResourceState {
         ResourceState {
             spec,
             free_at: vec![SimTime::ZERO; servers],
-            busy: SimDuration::ZERO,
-            ops_served: 0,
         }
     }
 
@@ -46,30 +42,12 @@ impl ResourceState {
         let start = self.free_at[idx].max(ready);
         let done = start + service;
         self.free_at[idx] = done;
-        self.busy += service;
-        self.ops_served += 1;
         done
     }
 
     fn reset(&mut self) {
         self.free_at.fill(SimTime::ZERO);
-        self.busy = SimDuration::ZERO;
-        self.ops_served = 0;
     }
-}
-
-/// Per-resource utilization snapshot (see
-/// [`Simulator::utilization_report`]).
-#[derive(Debug, Clone)]
-pub struct ResourceUsage {
-    /// Resource name.
-    pub name: String,
-    /// Total busy time across all servers.
-    pub busy: SimDuration,
-    /// Ops served.
-    pub ops: u64,
-    /// Servers configured.
-    pub servers: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -316,25 +294,11 @@ impl Simulator {
         done.max(start)
     }
 
-    /// Clears all occupancy and counters (the resource set is kept).
+    /// Clears all occupancy (the resource set is kept).
     pub fn reset(&mut self) {
         for r in &mut self.resources {
             r.reset();
         }
-    }
-
-    /// Utilization and op counts per resource, for diagnostics.
-    #[must_use]
-    pub fn utilization_report(&self) -> Vec<ResourceUsage> {
-        self.resources
-            .iter()
-            .map(|r| ResourceUsage {
-                name: r.spec.name.clone(),
-                busy: r.busy,
-                ops: r.ops_served,
-                servers: r.spec.servers,
-            })
-            .collect()
     }
 
     /// The spec a resource was registered with.
@@ -443,19 +407,6 @@ mod tests {
         ]);
         let done = sim.execute(&p, SimTime::ZERO);
         assert_eq!(done.as_nanos(), 102_000);
-    }
-
-    #[test]
-    fn utilization_report_counts() {
-        let mut sim = Simulator::new();
-        let r = sim.add_resource(ResourceSpec::pipe("disk", 1e9, micros(1)));
-        sim.execute(&Plan::op(r, 1000), SimTime::ZERO);
-        sim.execute(&Plan::op(r, 1000), SimTime::ZERO);
-        let report = sim.utilization_report();
-        assert_eq!(report.len(), 1);
-        assert_eq!(report[0].ops, 2);
-        assert_eq!(report[0].busy.as_nanos(), 4_000);
-        assert_eq!(report[0].name, "disk");
     }
 
     #[test]

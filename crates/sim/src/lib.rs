@@ -40,7 +40,7 @@ mod resource;
 mod time;
 
 pub use closed_loop::{ClosedLoopStats, LatencyStats};
-pub use engine::{ResourceUsage, Simulator};
+pub use engine::Simulator;
 pub use plan::Plan;
 pub use resource::{ResourceId, ResourceSpec};
 pub use time::{SimDuration, SimTime};

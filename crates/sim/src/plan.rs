@@ -4,9 +4,10 @@
 use crate::resource::ResourceId;
 use crate::time::SimDuration;
 
-/// A cost plan. Composable with [`Plan::seq`] and [`Plan::par`]; every
-/// storage operation in the stack (RADOS ops, OMAP updates, crypto
-/// work, replication fan-out) compiles to one of these.
+/// A cost plan. Composable with [`Plan::seq`] and [`Plan::par`]; the
+/// receipt of every storage operation in the stack (RADOS ops, OMAP
+/// updates, crypto work, replication fan-out) prices into one of these
+/// (`vdisk_rados::Testbed::plan_of`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Occupy one server of `resource` for its per-op cost plus the
@@ -31,11 +32,8 @@ pub enum Plan {
     /// Children run one after another.
     Seq(Vec<Plan>),
     /// Children all start together; the plan completes when the last
-    /// child completes (fork/join). The cluster's batched dispatch
-    /// returns one of these per batch — and since the sharded cluster
-    /// applies shard groups on real threads, the modeled concurrency
-    /// now mirrors genuinely concurrent application, not just a
-    /// notional fan-out.
+    /// child completes (fork/join). A batched dispatch prices to one of
+    /// these per batch, one child per transaction or object read.
     Par(Vec<Plan>),
     /// Completes immediately.
     Noop,

@@ -16,7 +16,7 @@ pub struct ResourceId(pub(crate) usize);
 /// per-op-cost resource.
 #[derive(Debug, Clone)]
 pub struct ResourceSpec {
-    /// Human-readable name (appears in utilization reports).
+    /// Human-readable name.
     pub name: String,
     /// Number of independent servers/channels.
     pub servers: usize,

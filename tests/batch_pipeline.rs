@@ -1,12 +1,14 @@
 //! The batched-pipeline contract:
 //!
 //! 1. a write spanning N objects issues exactly N transactions,
-//!    dispatched in **one** batch whose cost plan is `Plan::par` over
-//!    the N transactions (no sequential per-extent execution), and
+//!    dispatched in **one** batch: its receipt holds the N transactions
+//!    and its priced plan is `Plan::par` over them (no sequential
+//!    per-extent execution), and
 //! 2. the batched path leaves **byte-identical** object contents (data
 //!    and OMAP metadata) to a legacy-style per-sector write loop, for
 //!    the baseline and all three metadata layouts.
 
+use vdisk::bench::testbed;
 use vdisk::core::{EncryptedImage, EncryptionConfig, MetaLayout};
 use vdisk::crypto::rng::{SeededIvSource, SeededRng};
 use vdisk::rados::{Cluster, ReadOp};
@@ -50,7 +52,7 @@ fn spanning_write_dispatches_n_transactions_in_one_parallel_batch() {
         let offset = OBJECT - 4096;
         let data = vec![0x5C_u8; (2 * OBJECT + 8192) as usize];
         let before = cluster.exec_stats();
-        let plan = disk.write(offset, &data).unwrap();
+        let receipt = disk.write(offset, &data).unwrap();
         let stats = cluster.exec_stats();
 
         assert_eq!(
@@ -64,8 +66,13 @@ fn spanning_write_dispatches_n_transactions_in_one_parallel_batch() {
             "config {config:?}: all transactions ride one batch"
         );
 
+        // The receipt: the whole aligned span encrypted, one record per
+        // transaction.
+        assert_eq!(receipt.crypto.0, data.len() as u64, "config {config:?}");
+        assert_eq!(receipt.txs.len(), 4, "config {config:?}");
         // Plan shape: client-side crypto, then a parallel dispatch
         // stage with one child per transaction.
+        let plan = testbed::simulated(&cluster).plan_of(&receipt);
         let Plan::Seq(stages) = &plan else {
             panic!("config {config:?}: expected crypto → dispatch, got {plan:?}");
         };
@@ -171,10 +178,13 @@ fn batched_reads_fan_out_like_batched_writes() {
 
     let before = cluster.exec_stats();
     let mut buf = vec![0u8; data.len()];
-    let plan = disk.read(offset, &mut buf).unwrap();
+    let receipt = disk.read(offset, &mut buf).unwrap();
     assert_eq!(buf, data);
     // Three objects fetched as three read ops in one vectored call.
     assert_eq!(cluster.exec_stats().read_ops - before.read_ops, 3);
+    assert_eq!(receipt.reads.len(), 3);
+    assert_eq!(receipt.crypto.0, data.len() as u64);
+    let plan = testbed::simulated(&cluster).plan_of(&receipt);
     let Plan::Seq(stages) = &plan else {
         panic!("expected dispatch → crypto, got {plan:?}");
     };

@@ -164,9 +164,10 @@ fn mac_catches_whole_stack_tampering() {
 
 #[test]
 fn discarded_payload_mode_produces_identical_plans() {
-    // The bench harness depends on this: the cost plan of an IO must
-    // not depend on whether payload bytes are materialized.
-    for mode in [PayloadMode::Stored, PayloadMode::Discarded] {
+    // The bench harness depends on this: the receipt of an IO — and so
+    // its priced plan — must not depend on whether payload bytes are
+    // materialized.
+    let receipts = [PayloadMode::Stored, PayloadMode::Discarded].map(|mode| {
         let cluster = Cluster::builder().payload_mode(mode).build();
         let image = Image::create(&cluster, "plans", 8 << 20).unwrap();
         let mut disk = EncryptedImage::format_with_iv_source(
@@ -176,12 +177,22 @@ fn discarded_payload_mode_produces_identical_plans() {
             Box::new(SeededIvSource::new(1)),
         )
         .unwrap();
-        let plan = disk.write(0, &vec![1; 16384]).unwrap();
+        let mut buf = vec![0u8; 16384];
+        let write = disk.write(0, &vec![1; 16384]).unwrap();
+        let read = disk.read(0, &mut buf).unwrap();
         // 3 replicas × (1 full data write + 1 deferred meta write).
-        let handles = cluster.resources();
-        let disk_ops: usize = handles.osd_disk.iter().map(|&r| plan.op_count_on(r)).sum();
+        let testbed = vdisk::bench::testbed::simulated(&cluster);
+        let plan = testbed.plan_of(&write);
+        let disk_ops: usize = testbed
+            .handles()
+            .osd_disk
+            .iter()
+            .map(|&r| plan.op_count_on(r))
+            .sum();
         assert_eq!(disk_ops, 6, "mode {mode:?}");
-    }
+        (write, read)
+    });
+    assert_eq!(receipts[0], receipts[1]);
 }
 
 #[test]
