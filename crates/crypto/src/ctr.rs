@@ -53,12 +53,18 @@ mod tests {
     #[test]
     fn sp800_38a_f51() {
         let key = from_hex("2b7e151628aed2a6abf7158809cf4f3c").unwrap();
-        let aes = Aes::new(&key).unwrap();
         let mut counter = [0u8; 16];
         counter.copy_from_slice(&from_hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").unwrap());
-        let mut data = from_hex("6bc1bee22e409f96e93d7e117393172a").unwrap();
-        ctr_xor(&aes, &counter, &mut data);
-        assert_eq!(data, from_hex("874d6191b620e3261bef6864990db6ce").unwrap());
+        for (name, new) in crate::aes::BACKENDS {
+            let aes = new(&key).unwrap();
+            let mut data = from_hex("6bc1bee22e409f96e93d7e117393172a").unwrap();
+            ctr_xor(&aes, &counter, &mut data);
+            assert_eq!(
+                data,
+                from_hex("874d6191b620e3261bef6864990db6ce").unwrap(),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! Storage Encryption with Virtual Disks"* (HotStorage '22) depends on,
 //! with no external crypto dependencies:
 //!
-//! - [`aes`]: the AES-128 / AES-256 block cipher (FIPS 197), bitsliced
-//!   and constant-time by construction,
+//! - [`aes`]: the AES-128 / AES-256 block cipher (FIPS 197) on AES-NI
+//!   where the CPU has it and bitsliced everywhere else, constant-time
+//!   either way,
 //! - [`xts`]: the XTS tweakable mode used by LUKS2 / dm-crypt / BitLocker
 //!   (IEEE 1619, NIST SP 800-38E), including ciphertext stealing,
 //! - [`gcm`]: AES-GCM authenticated encryption (NIST SP 800-38D) for the
@@ -41,16 +42,22 @@
 //!
 //! # Security note
 //!
-//! The AES core is bitsliced ([`aes`]): no table lookup, index or
-//! branch depends on key, tweak or data bytes, in either direction or
-//! in the key schedule, and XTS's tweak chain is branch-free. What is
-//! **not** constant-time is GHASH ([`gf128::ghash_mul`] branches on
-//! the bits of its operand), so [`gcm`] still has a timing channel on
-//! `H`. Key wiping ([`mem::zeroize`], the `Drop` of every cipher type)
-//! is best-effort: the crate forbids `unsafe`, so it cannot use
-//! volatile writes.
+//! The AES core runs in data-independent time on both backends
+//! ([`aes`]): the AES-NI instructions take the same time whatever the
+//! key and data, and the bitsliced cipher looks up, indexes and
+//! branches on nothing derived from key, tweak or data bytes. The key
+//! schedule is expanded through the S-box circuit on either backend,
+//! with no table, and XTS's tweak chain and EME2's doubling are
+//! branch-free. What is **not** constant-time is GHASH
+//! ([`gf128::ghash_mul`] branches on the bits of its operand), so
+//! [`gcm`] still has a timing channel on `H`. Key wiping
+//! ([`mem::zeroize`], the `Drop` of every cipher type) is best-effort:
+//! plain writes kept observable with `std::hint::black_box`, not
+//! volatile ones. `unsafe` is denied crate-wide and allowed in exactly
+//! one module, the AES-NI backend (`aes/ni.rs`), where every block
+//! carries its `SAFETY` argument.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

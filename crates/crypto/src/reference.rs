@@ -1,5 +1,6 @@
-//! The oracle: the byte-at-a-time, table-driven AES and the byte-wise
-//! XTS this crate shipped before the bitsliced kernel, kept under
+//! The oracle: the byte-at-a-time, table-driven AES, the byte-wise XTS
+//! and the branching GF(2^128) doublings this crate shipped before the
+//! constant-time kernels (bitsliced and AES-NI), kept under
 //! `cfg(test)` so every fast path is pinned to the slow one it
 //! replaced (`tests/proptests.rs` includes this file by path).
 //!
@@ -228,6 +229,19 @@ pub fn xts_mul_alpha(tweak: &mut [u8; 16]) {
     }
     if carry != 0 {
         tweak[0] ^= 0x87;
+    }
+}
+
+/// The byte-wise EME2 doubling: shift the big-endian 128-bit value
+/// left by one, on carry XOR `0x87` into the last byte.
+pub fn be_double(block: &mut [u8; 16]) {
+    let carry = block[0] >> 7;
+    for i in 0..15 {
+        block[i] = (block[i] << 1) | (block[i + 1] >> 7);
+    }
+    block[15] <<= 1;
+    if carry != 0 {
+        block[15] ^= 0x87;
     }
 }
 

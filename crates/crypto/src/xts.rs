@@ -48,13 +48,19 @@ impl XtsCipher {
     ///
     /// Returns [`CryptoError::InvalidKeyLength`] for other lengths.
     pub fn new(key: &[u8]) -> Result<Self> {
+        Self::with_aes(key, Aes::new)
+    }
+
+    /// [`XtsCipher::new`] with both halves keyed by `aes`, so the
+    /// tests can pin a backend.
+    fn with_aes(key: &[u8], aes: fn(&[u8]) -> Result<Aes>) -> Result<Self> {
         if key.len() != 32 && key.len() != 64 {
             return Err(CryptoError::InvalidKeyLength { got: key.len() });
         }
         let half = key.len() / 2;
         Ok(XtsCipher {
-            data_cipher: Aes::new(&key[..half])?,
-            tweak_cipher: Aes::new(&key[half..])?,
+            data_cipher: aes(&key[..half])?,
+            tweak_cipher: aes(&key[half..])?,
         })
     }
 
@@ -134,21 +140,27 @@ impl XtsCipher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aes::{BACKENDS, DIFFERENTIAL_CASES};
     use crate::mem::{from_hex, to_hex};
+    use crate::rng::SeededRng;
+    use proptest::prelude::*;
 
     /// IEEE 1619 Vector 1: all-zero keys, zero tweak, 32 zero bytes.
     #[test]
     fn ieee1619_vector_1() {
-        let xts = XtsCipher::new(&[0u8; 32]).unwrap();
-        let tweak = [0u8; 16];
-        let mut data = vec![0u8; 32];
-        xts.encrypt_sector(&tweak, &mut data).unwrap();
-        assert_eq!(
-            to_hex(&data),
-            "917cf69ebd68b2ec9b9fe9a3eadda692cd43d2f59598ed858c02c2652fbf922e"
-        );
-        xts.decrypt_sector(&tweak, &mut data).unwrap();
-        assert_eq!(data, vec![0u8; 32]);
+        for (name, aes) in BACKENDS {
+            let xts = XtsCipher::with_aes(&[0u8; 32], aes).unwrap();
+            let tweak = [0u8; 16];
+            let mut data = vec![0u8; 32];
+            xts.encrypt_sector(&tweak, &mut data).unwrap();
+            assert_eq!(
+                to_hex(&data),
+                "917cf69ebd68b2ec9b9fe9a3eadda692cd43d2f59598ed858c02c2652fbf922e",
+                "{name}"
+            );
+            xts.decrypt_sector(&tweak, &mut data).unwrap();
+            assert_eq!(data, vec![0u8; 32], "{name}");
+        }
     }
 
     /// IEEE 1619 Vector 2: repeated 0x11/0x22 keys, tweak 0x33...,
@@ -158,17 +170,20 @@ mod tests {
         let mut key = Vec::new();
         key.extend_from_slice(&[0x11u8; 16]);
         key.extend_from_slice(&[0x22u8; 16]);
-        let xts = XtsCipher::new(&key).unwrap();
         let mut tweak = [0u8; 16];
         tweak[..8].copy_from_slice(&0x3333333333u64.to_le_bytes());
-        let mut data = vec![0x44u8; 32];
-        xts.encrypt_sector(&tweak, &mut data).unwrap();
-        assert_eq!(
-            to_hex(&data),
-            "c454185e6a16936e39334038acef838bfb186fff7480adc4289382ecd6d394f0"
-        );
-        xts.decrypt_sector(&tweak, &mut data).unwrap();
-        assert_eq!(data, vec![0x44u8; 32]);
+        for (name, aes) in BACKENDS {
+            let xts = XtsCipher::with_aes(&key, aes).unwrap();
+            let mut data = vec![0x44u8; 32];
+            xts.encrypt_sector(&tweak, &mut data).unwrap();
+            assert_eq!(
+                to_hex(&data),
+                "c454185e6a16936e39334038acef838bfb186fff7480adc4289382ecd6d394f0",
+                "{name}"
+            );
+            xts.decrypt_sector(&tweak, &mut data).unwrap();
+            assert_eq!(data, vec![0x44u8; 32], "{name}");
+        }
     }
 
     #[test]
@@ -276,5 +291,41 @@ mod tests {
         assert_eq!(&t[..8], &[8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(&t[8..], &[0; 8]);
         let _ = from_hex("00"); // keep helper linked in this module
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(DIFFERENTIAL_CASES))]
+
+        /// Whole sectors on both backends against the byte-wise
+        /// reference: every stealing-tail length around the first
+        /// blocks, one 512-byte and one 4 KiB sector, and a 4 KiB
+        /// sector with a stolen tail.
+        #[test]
+        fn both_backends_match_reference_xts(
+            key in any::<[u8; 64]>(),
+            aes256 in any::<bool>(),
+            tweak in any::<[u8; 16]>(),
+            seed in any::<u64>(),
+            tail in 1usize..16,
+        ) {
+            let key = &key[..if aes256 { 64 } else { 32 }];
+            let theirs = crate::reference::XtsCipher::new(key);
+            let backends = BACKENDS.map(|(name, aes)| (name, XtsCipher::with_aes(key, aes).unwrap()));
+            for len in (16..=80).chain([512, 4096, 4096 + tail]) {
+                let mut data = vec![0u8; len];
+                SeededRng::new(seed ^ len as u64).fill_bytes(&mut data);
+                let (mut encrypted, mut decrypted) = (data.clone(), data.clone());
+                theirs.encrypt_sector(&tweak, &mut encrypted);
+                theirs.decrypt_sector(&tweak, &mut decrypted);
+                for (name, ours) in &backends {
+                    let mut got = data.clone();
+                    ours.encrypt_sector(&tweak, &mut got).unwrap();
+                    prop_assert_eq!(&got, &encrypted, "{} encrypt, {} bytes", name, len);
+                    let mut got = data.clone();
+                    ours.decrypt_sector(&tweak, &mut got).unwrap();
+                    prop_assert_eq!(&got, &decrypted, "{} decrypt, {} bytes", name, len);
+                }
+            }
+        }
     }
 }

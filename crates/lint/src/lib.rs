@@ -26,6 +26,8 @@
 //! `// vdisk-lint: allow(<rule>) reason="..."` — a bare allow without
 //! a reason is itself a violation ([`Rule::LintAllow`]).
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod locks;
 pub mod panics;
@@ -87,6 +89,7 @@ impl Default for Config {
                 "KeyChain".into(),
                 "SectorCodec".into(),
                 "Aes".into(),
+                "NiSchedule".into(),
                 "XtsCipher".into(),
                 "AesGcm".into(),
                 "Eme2".into(),

@@ -13,6 +13,8 @@
 //!
 //! [`proptest`]: https://crates.io/crates/proptest
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Runner configuration; only the case count is honoured.

@@ -32,6 +32,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use vdisk_bench as bench;
 pub use vdisk_core as core;
 pub use vdisk_crypto as crypto;
