@@ -53,6 +53,10 @@ pub struct ClusterBuilder {
     scratch: bool,
     faults: Option<FaultConfig>,
     retry: RetryPolicy,
+    /// Forces the worker count past [`worker_count`]'s rule, so the
+    /// tests run every geometry on every host.
+    #[cfg(test)]
+    forced_workers: Option<usize>,
 }
 
 impl Default for ClusterBuilder {
@@ -71,6 +75,8 @@ impl Default for ClusterBuilder {
             scratch,
             faults: None,
             retry: RetryPolicy::default(),
+            #[cfg(test)]
+            forced_workers: None,
         }
     }
 }
@@ -129,14 +135,25 @@ impl ClusterBuilder {
         self
     }
 
-    /// Whether submissions are served by per-shard worker threads (one
-    /// dedicated worker per state shard, draining that shard's FIFO
-    /// work queue). Defaults to auto: workers on a multi-core host,
-    /// inline on a single core (worker threads cannot overlap in
-    /// wall-clock there, so the queue degenerates to synchronous
-    /// execution with identical semantics). `true` forces workers —
-    /// the hook tests use to exercise the queued path regardless of
-    /// host; `false` forces inline application at submit time.
+    /// Whether submissions are served by worker threads, each draining
+    /// one FIFO work queue; shard `s` is served by worker `s mod W`.
+    /// Defaults to auto: workers on a multi-core host, inline on a
+    /// single core (worker threads cannot overlap in wall-clock there,
+    /// so the queue degenerates to synchronous execution with identical
+    /// semantics). `true` forces workers — the hook tests use to
+    /// exercise the queued path regardless of host; `false` forces
+    /// inline application at submit time (`W = 0`).
+    ///
+    /// With workers on, `W` follows from the backend and the host, with
+    /// no knob of its own (read it back via
+    /// [`Cluster::worker_threads`]):
+    ///
+    /// - in memory, `W = min(shard_count, max(1, cores − 1))`: one core
+    ///   is left for the submitting client, and an apply that never
+    ///   blocks needs no more threads than there are cores to run them
+    ///   — an idle worker per shard only adds a futex wake per submit;
+    /// - on the file backend, `W = shard_count`: an apply blocks in
+    ///   `fdatasync`, so IO concurrency needs one thread per shard.
     #[must_use]
     pub fn concurrent_apply(mut self, enabled: bool) -> Self {
         self.concurrent_apply = Some(enabled);
@@ -228,6 +245,16 @@ impl ClusterBuilder {
         self.try_build()
             // vdisk-lint: allow(hot-path-panic) reason="documented panicking constructor for literal-knob tests; fallible callers use try_build"
             .unwrap_or_else(|e| panic!("invalid cluster configuration: {e}"))
+    }
+
+    /// Forces the worker count to `workers` (clamped to the shard
+    /// count; `0` means inline), whatever the backend and host: how the
+    /// tests run `W = 1` and `W = shard_count` on every machine.
+    #[cfg(test)]
+    #[must_use]
+    pub(crate) fn force_workers(mut self, workers: usize) -> Self {
+        self.forced_workers = Some(workers);
+        self
     }
 
     /// Builds the cluster, validating every knob first.
@@ -338,14 +365,20 @@ impl ClusterBuilder {
                 Ok(Shard::new(s, store, disk))
             })
             .collect::<Result<Vec<_>>>()?;
+        let workers = worker_count(
+            self.concurrent_apply,
+            &self.backend,
+            self.shard_count,
+            std::thread::available_parallelism().map_or(1, usize::from),
+        );
+        #[cfg(test)]
         let workers = self
-            .concurrent_apply
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from) > 1);
+            .forced_workers
+            .map_or(workers, |forced| forced.min(self.shard_count));
         let control = Arc::new(ControlPlane {
             placement,
             payload: self.payload,
             shard_count: self.shard_count,
-            workers,
             meta_cache_bytes: self.meta_cache_bytes,
             crypto_lanes,
             snap_seq: AtomicU64::new(initial_snap_seq),
@@ -354,12 +387,33 @@ impl ClusterBuilder {
             retry: self.retry,
             stats: StatCounters::default(),
         });
-        let shards = Arc::new(Shards::start(&control, shards));
+        let shards = Shards::start(&control, shards, workers)
+            .map_err(|e| RadosError::Io(format!("spawn shard worker: {e}")))?;
         Ok(Cluster {
             control,
-            shards,
+            shards: Arc::new(shards),
             durable,
         })
+    }
+}
+
+/// The worker-thread count `W` a cluster starts with (see
+/// [`ClusterBuilder::concurrent_apply`]): `0` (inline) when workers are
+/// off — forced, or auto on a single core — otherwise one worker per
+/// spare core in memory and one per shard on the file backend.
+pub(crate) fn worker_count(
+    concurrent_apply: Option<bool>,
+    backend: &BackendKind,
+    shards: usize,
+    cores: usize,
+) -> usize {
+    let spare = cores.saturating_sub(1);
+    if !concurrent_apply.unwrap_or(spare > 0) {
+        return 0;
+    }
+    match backend {
+        BackendKind::Memory => shards.min(spare.max(1)),
+        BackendKind::File { .. } => shards,
     }
 }
 

@@ -8,10 +8,12 @@
 //! - an immutable control plane (`ControlPlane`): placement and
 //!   configuration, plus atomic counters — read by every worker with
 //!   no lock;
-//! - N object `Shard`s keyed by placement group, each
-//!   behind its own lock **and owning its own FIFO work queue** — an
-//!   object's whole acting set lives in one shard, so per-object
-//!   transactions and reads touch exactly one lock.
+//! - N object `Shard`s keyed by placement group, each behind its own
+//!   lock — an object's whole acting set lives in one shard, so
+//!   per-object transactions and reads touch exactly one lock;
+//! - W worker threads, each draining one FIFO work queue; shard `s` is
+//!   served by worker `s mod W` (how W is chosen:
+//!   [`ClusterBuilder::concurrent_apply`]).
 //!
 //! Every operation returns a [`Receipt`] of the physical work it did;
 //! nothing here keeps or advances a simulated clock (pricing receipts
@@ -20,15 +22,15 @@
 //! IO dispatch is **submission-based** and written once, for both
 //! kinds of submission (`Cluster::submit`): [`Cluster::submit_batch`]
 //! and [`Cluster::submit_read_batch`] split the submission into
-//! per-shard parts, enqueue them on the shard work queues (served by
-//! one worker thread per shard), and return a ticket immediately — so
-//! parts of *different* submissions interleave on the shard workers,
-//! and one client overlaps many IOs. Writes are validated up front
-//! (all-or-nothing). The synchronous [`Cluster::execute_batch`] /
-//! [`Cluster::read_batch`] / [`Cluster::execute`] / [`Cluster::read`]
-//! are thin submit-then-wait wrappers. Per-shard FIFO with a single
-//! consumer is the ordering rule: ops touching the same object always
-//! apply in submission order.
+//! per-shard parts, enqueue each on the FIFO of the worker serving its
+//! shard, and return a ticket immediately — so parts of *different*
+//! submissions interleave on the workers, and one client overlaps many
+//! IOs. Writes are validated up front (all-or-nothing). The synchronous
+//! [`Cluster::execute_batch`] / [`Cluster::read_batch`] /
+//! [`Cluster::execute`] / [`Cluster::read`] are thin submit-then-wait
+//! wrappers. Per-shard FIFO with a single consumer is the ordering
+//! rule: every job of a shard passes through one worker's FIFO, so ops
+//! touching the same object always apply in submission order.
 
 pub use crate::builder::{ClusterBuilder, PayloadMode, DEFAULT_META_CACHE_BYTES};
 pub use crate::maintenance::ScrubReport;
@@ -100,6 +102,11 @@ pub struct ExecStats {
     /// is one extra apply/read attempt that never surfaced to the
     /// client. Always zero on clusters without a fault plane.
     pub retries: u64,
+    /// Pushes onto a worker's FIFO that found the worker parked and had
+    /// to wake it (a futex wake of a sleeping thread); pushes landing
+    /// while the worker is busy do not count. Cluster-wide only — zero
+    /// in per-ticket deltas — and always zero in inline mode.
+    pub worker_wakes: u64,
 }
 
 impl ExecStats {
@@ -121,6 +128,7 @@ impl ExecStats {
         self.meta_cache_invalidations += delta.meta_cache_invalidations;
         self.meta_cache_write_fills += delta.meta_cache_write_fills;
         self.retries += delta.retries;
+        self.worker_wakes += delta.worker_wakes;
     }
 }
 
@@ -131,7 +139,7 @@ impl ExecStats {
 #[derive(Clone)]
 pub struct Cluster {
     pub(crate) control: Arc<ControlPlane>,
-    /// The shards, their queues and their worker threads; the last
+    /// The shards, the worker queues and the worker threads; the last
     /// handle's drop closes the queues and joins the workers.
     pub(crate) shards: Arc<Shards>,
     /// `Some` for file-backed clusters: the store root and its
@@ -199,19 +207,19 @@ impl Cluster {
     }
 
     /// Submits a batch of transactions to the shard work queues and
-    /// returns immediately with an [`ApplyTicket`]; the per-shard
-    /// worker threads apply the jobs while the caller goes on to
-    /// submit more IO. The asynchronous half of the aio/submission-
-    /// queue API — keeping many submissions in flight is what realizes
+    /// returns immediately with an [`ApplyTicket`]; the shard workers
+    /// apply the jobs while the caller goes on to submit more IO. The
+    /// asynchronous half of the aio/submission-queue API — keeping many submissions in flight is what realizes
     /// the paper's queue-depth bandwidth argument.
     ///
     /// Validation runs over the **whole batch** before anything is
     /// enqueued, extending the single-transaction all-or-nothing
     /// guarantee to the batch — a malformed transaction anywhere
     /// leaves every shard untouched. Ordering: per-shard FIFO with one
-    /// consumer per shard, so two submissions touching the same object
-    /// (same shard, by construction) apply in submission order, while
-    /// disjoint shards interleave freely across submissions.
+    /// consumer per shard (its worker), so two submissions touching the
+    /// same object (same shard, by construction) apply in submission
+    /// order, while disjoint shards interleave freely across
+    /// submissions.
     ///
     /// # Errors
     ///
@@ -251,8 +259,10 @@ impl Cluster {
     /// calling thread, skipping two thread handoffs. This cannot
     /// reorder anything: an idle shard's queue is empty, so there is
     /// nothing to jump ahead of, and any job admitted concurrently is
-    /// from an unordered independent submission. Asynchronous
-    /// submissions never use it — their point is not to block.
+    /// from an unordered independent submission. (The shard's worker
+    /// may be busy with other shards' jobs; those are unordered with
+    /// this one too.) Asynchronous submissions never use it — their
+    /// point is not to block.
     fn submit<K: Kind>(
         &self,
         items: Vec<K::Item>,
@@ -298,9 +308,10 @@ impl Cluster {
         if counted {
             cp.stats.record_submission(&stats);
         }
+        let queued = self.workers_enabled();
         for (shard, part, was_idle) in admitted {
-            if cp.workers && !(inline_if_idle && was_idle) {
-                shard.queue.push(K::job(part));
+            if queued && !(inline_if_idle && was_idle) {
+                self.shards.push(&cp.stats, shard.index, K::job(part));
             } else {
                 part.run(cp, shard);
             }
@@ -368,12 +379,20 @@ impl Cluster {
         self.control.shard_of(object)
     }
 
-    /// Whether submissions are served by per-shard worker threads
-    /// (true) or applied inline at submit time (false) — see
+    /// Whether submissions are served by worker threads (true) or
+    /// applied inline at submit time (false) — see
     /// [`ClusterBuilder::concurrent_apply`].
     #[must_use]
     pub fn workers_enabled(&self) -> bool {
-        self.control.workers
+        self.worker_threads() > 0
+    }
+
+    /// How many worker threads serve the shard queues (`0` in inline
+    /// mode); shard `s` is served by worker `s mod worker_threads()`.
+    /// Resolved at build time — see [`ClusterBuilder::concurrent_apply`].
+    #[must_use]
+    pub fn worker_threads(&self) -> usize {
+        self.shards.worker_count()
     }
 
     /// Executes read operations against the primary replica and returns
@@ -441,12 +460,14 @@ impl Cluster {
         self.submit::<Read>(requests, snap, false, false)
     }
 
-    /// Drains the shard work queues: blocks until every job submitted
-    /// **before** this call has been applied. The barrier for callers
-    /// about to inspect cluster state directly (object listing, image
-    /// removal, scrub) while asynchronous submissions may be in
-    /// flight; jobs submitted concurrently with the flush are not
-    /// covered.
+    /// Drains the worker queues: blocks until every job submitted
+    /// **before** this call has been applied. It queues one barrier
+    /// marker per worker FIFO; every shard's jobs pass through exactly
+    /// one of them, so once every marker is served, so is every earlier
+    /// job. The barrier for callers about to inspect cluster state
+    /// directly (object listing, image removal, scrub) while
+    /// asynchronous submissions may be in flight; jobs submitted
+    /// concurrently with the flush are not covered.
     ///
     /// On a durable backend ([`crate::BackendKind::File`]) this is also the
     /// store-wide checkpoint: after draining the queues every shard
@@ -463,16 +484,18 @@ impl Cluster {
     /// Panics if a durable backend fails to checkpoint or sync — at
     /// that point durability can no longer be promised.
     pub fn flush(&self) {
-        if self.control.workers {
-            let progress = Arc::new(Progress::new(self.shards.len()));
-            for (slot, shard) in self.shards.iter().enumerate() {
-                shard.queue.push(Job::Flush {
-                    shared: Arc::clone(&progress),
-                    slot,
-                });
-            }
-            progress.wait();
+        let workers = self.worker_threads();
+        let barrier = Arc::new(Progress::new(workers));
+        for worker in 0..workers {
+            // `W` never exceeds the shard count, so worker `w` serves
+            // shard `w`: a marker for shard `w` lands on worker `w`.
+            let marker = Job::Flush {
+                shared: Arc::clone(&barrier),
+                slot: worker,
+            };
+            self.shards.push(&self.control.stats, worker, marker);
         }
+        barrier.wait();
         if self.durable.is_some() {
             for shard in self.shards.iter() {
                 shard
@@ -538,12 +561,14 @@ impl Cluster {
         self.control.crypto_lanes
     }
 
-    /// Parks the worker of state shard `shard` until the returned
+    /// Parks the worker serving state shard `shard` until the returned
     /// [`ShardHold`] is released (or dropped). Jobs enqueued behind the
-    /// hold sit on the shard's FIFO in the meantime — the hook tests
+    /// hold sit on that worker's FIFO in the meantime — the hook tests
     /// use to delay a completion deliberately and prove that a client
-    /// wait parks instead of spinning. In inline mode (no workers)
-    /// there is nothing to hold and the returned handle is a
+    /// wait parks instead of spinning. The hold stalls **every** shard
+    /// sharing that worker (all of them when [`Cluster::worker_threads`]
+    /// is 1); per-shard FIFO order is unchanged. In inline mode (no
+    /// workers) there is nothing to hold and the returned handle is a
     /// pre-released no-op.
     ///
     /// # Panics
@@ -551,14 +576,15 @@ impl Cluster {
     /// Panics if `shard >= shard_count()`.
     #[must_use]
     pub fn hold_shard(&self, shard: usize) -> ShardHold {
-        let target = self.shards.get(shard);
-        assert!(target.is_some(), "shard index out of range");
+        assert!(shard < self.shards.len(), "shard index out of range");
         let gate = Arc::new(Progress::new(1));
-        let held = target.filter(|_| self.control.workers).map(|target| {
-            let gate = Arc::clone(&gate);
-            target.queue.push(Job::Hold { gate });
-        });
-        let released = held.is_none();
+        let released = !self.workers_enabled();
+        if !released {
+            let hold = Job::Hold {
+                gate: Arc::clone(&gate),
+            };
+            self.shards.push(&self.control.stats, shard, hold);
+        }
         ShardHold { gate, released }
     }
 
@@ -630,5 +656,7 @@ impl Cluster {
     }
 }
 
+#[cfg(test)]
+mod geometry;
 #[cfg(test)]
 mod tests;

@@ -1,3 +1,4 @@
+use super::geometry::{queued, GEOMETRIES};
 use super::*;
 use crate::cost::{Testbed, TestbedProfile};
 use crate::receipt::ReadEffect;
@@ -593,37 +594,44 @@ fn async_submissions_overlap_and_record_queue_depth() {
 
 #[test]
 fn queued_ops_on_one_object_apply_in_submission_order() {
-    let c = Cluster::builder().concurrent_apply(true).build();
-    // 32 overlapping writes to one object, all in flight at once.
-    let tickets: Vec<_> = (0..32u8)
-        .map(|round| {
-            let mut tx = Transaction::new("hot");
-            tx.write(0, vec![round; 4096]);
-            c.submit_batch(vec![tx]).unwrap()
-        })
-        .collect();
-    // A read submitted after them rides the same shard FIFO, so it
-    // must observe exactly the last write — while everything is
-    // still in flight.
-    let read = c.submit_read_batch(
-        None,
-        vec![ObjectReads::new(
-            "hot",
-            vec![ReadOp::Read {
-                offset: 0,
-                len: 4096,
-            }],
-        )],
-    );
-    let (results, _) = read.wait().unwrap();
-    let data = results[0].as_ref().unwrap()[0].as_data();
-    assert!(
-        data.iter().all(|&b| b == 31),
-        "a queued read must see every previously submitted write"
-    );
-    // Reaping after the read is fine; order of reaping is free.
-    for ticket in tickets {
-        let _ = ticket.wait();
+    for workers in GEOMETRIES {
+        let c = queued(workers);
+        // 32 overlapping writes to each of 16 objects (over several
+        // shards), all in flight at once.
+        let objects: Vec<String> = (0..16).map(|i| format!("hot{i}")).collect();
+        let tickets: Vec<_> = (0..32u8)
+            .flat_map(|round| objects.iter().map(move |o| (o, round)))
+            .map(|(object, round)| {
+                let mut tx = Transaction::new(object.as_str());
+                tx.write(0, vec![round; 4096]);
+                c.submit_batch(vec![tx]).unwrap()
+            })
+            .collect();
+        // A read submitted after them rides the same shard FIFO, so it
+        // must observe exactly the last write — while everything is
+        // still in flight.
+        for object in &objects {
+            let read = c.submit_read_batch(
+                None,
+                vec![ObjectReads::new(
+                    object.as_str(),
+                    vec![ReadOp::Read {
+                        offset: 0,
+                        len: 4096,
+                    }],
+                )],
+            );
+            let (results, _) = read.wait().unwrap();
+            let data = results[0].as_ref().unwrap()[0].as_data();
+            assert!(
+                data.iter().all(|&b| b == 31),
+                "W = {workers}: a queued read must see every previously submitted write"
+            );
+        }
+        // Reaping after the read is fine; order of reaping is free.
+        for ticket in tickets {
+            let _ = ticket.wait();
+        }
     }
 }
 
@@ -696,15 +704,20 @@ fn abandoned_tickets_still_apply_and_release_depth() {
 
 #[test]
 fn flush_drains_abandoned_submissions() {
-    let c = Cluster::builder().concurrent_apply(true).build();
-    for i in 0..16u8 {
-        let mut tx = Transaction::new(format!("flush{i}"));
-        tx.write(0, vec![i + 1; 1024]);
-        drop(c.submit_batch(vec![tx]).unwrap());
+    for workers in GEOMETRIES {
+        let c = queued(workers);
+        for i in 0..16u8 {
+            let mut tx = Transaction::new(format!("flush{i}"));
+            tx.write(0, vec![i + 1; 1024]);
+            drop(c.submit_batch(vec![tx]).unwrap());
+        }
+        c.flush();
+        // Direct state inspection is safe after the barrier.
+        assert_eq!(c.list_objects().len(), 16, "W = {workers}");
+        for i in 0..16u8 {
+            assert_eq!(c.stat(&format!("flush{i}")).unwrap().size, 1024);
+        }
     }
-    c.flush();
-    // Direct state inspection is safe after the barrier.
-    assert_eq!(c.list_objects().len(), 16);
 }
 
 #[test]

@@ -104,9 +104,11 @@ impl FaultConfig {
     }
 
     /// Probability (0..=1) that a shard worker sleeps for `delay`
-    /// before serving a job — a delayed completion. Per-shard FIFO is
-    /// preserved (the whole queue behind the job waits), so delays
-    /// reorder nothing; they exercise the reactor's parking paths.
+    /// before serving a job — a delayed completion. The sleep stalls
+    /// the worker's whole FIFO, so every shard sharing that worker
+    /// waits behind it (see [`crate::Cluster::worker_threads`]);
+    /// per-shard FIFO is preserved, so delays reorder nothing. They
+    /// exercise the reactor's parking paths.
     #[must_use]
     pub fn delay(mut self, rate: f64, delay: Duration) -> Self {
         self.delay_rate = rate.clamp(0.0, 1.0);

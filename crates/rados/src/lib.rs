@@ -17,8 +17,10 @@
 //!   copy-on-write clones, so "overwritten data remains accessible"
 //!   (§1) exactly as in the paper's threat model.
 //! - **Submission queues** ([`Cluster::submit_batch`] /
-//!   [`Cluster::submit_read_batch`]): per-shard FIFO work queues served
-//!   by one worker thread per shard; submissions return tickets
+//!   [`Cluster::submit_read_batch`]): FIFO work queues drained by
+//!   [`Cluster::worker_threads`] workers, shard `s` always on worker
+//!   `s mod W` (one per spare core in memory, one per shard on disk);
+//!   submissions return tickets
 //!   immediately so a client keeps many IOs in flight, with ops from
 //!   different submissions interleaving on the shard workers while
 //!   same-object ops keep submission order.

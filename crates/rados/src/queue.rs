@@ -8,10 +8,10 @@
 //! generic and statically dispatched:
 //!
 //! - `Cluster::submit` splits the items by shard into [`Part`]s and
-//!   either enqueues each on its shard's FIFO ([`ShardQueue`], drained
-//!   by one worker thread per shard — see
-//!   [`crate::ClusterBuilder::concurrent_apply`]) or serves it on the
-//!   spot;
+//!   either enqueues each on the FIFO of the worker thread serving its
+//!   shard ([`WorkerQueue`]; how many workers a cluster runs is
+//!   [`crate::ClusterBuilder::concurrent_apply`]'s rule) or serves it
+//!   on the spot;
 //! - [`Part::run`] is the one serve loop: lock the shard, serve each
 //!   item under the fault plane's retry policy, leave the shard, fill
 //!   the submission's [`Progress`] slots (or poison them if serving
@@ -22,17 +22,29 @@
 //!   [`ReadTicket`].
 //!
 //! **Ordering rule** (the fence/sequence contract of the queue API):
-//! one queue per shard, one consumer per shard, FIFO. An object maps to
+//! shard `s` is served by worker `s mod W` alone, through that worker's
+//! one FIFO, so every job of a shard passes through one queue in
+//! submission order and is served by one consumer. An object maps to
 //! exactly one shard, so two operations on overlapping extents — which
 //! necessarily touch the same objects — are applied in submission
 //! order, even when their submissions were concurrent in flight.
 //! Operations on disjoint shards interleave freely; that is the
 //! cross-batch concurrency the paper's queue-depth argument needs.
+//! Shards that share a worker also share its stalls: a
+//! [`ShardHold`] or an injected delay holds up every shard of that
+//! worker, never the order within one.
+//!
+//! **Wakes.** A worker marks itself parked, under its FIFO's mutex,
+//! before it waits; a push notifies only a parked worker. A push that
+//! lands while the worker is busy costs an uncontended lock instead of
+//! a futex wake. [`Doorbell`] and [`Progress`] count their parked
+//! waiters the same way, so a completion nobody waits for signals
+//! nobody.
 
 use crate::cluster::ExecStats;
 use crate::receipt::{ReadWork, Receipt, TxWork};
 use crate::shard::{Shard, ShardState};
-use crate::state::ControlPlane;
+use crate::state::{ControlPlane, StatCounters};
 use crate::transaction::{ObjectReads, ReadResult, Transaction};
 use crate::{RadosError, SnapId};
 use std::collections::VecDeque;
@@ -198,9 +210,9 @@ impl<K: Kind> Part<K> {
     /// *exited* here, after the shard's work completes.
     pub(crate) fn run(self, cp: &ControlPlane, shard: &Shard) {
         // Injected delayed completion: the worker sleeps before serving
-        // the job. Per-shard FIFO is preserved — everything queued
-        // behind simply waits — so a delay slows a completion without
-        // reordering.
+        // the job. FIFO is preserved — everything queued behind simply
+        // waits, including the jobs of every other shard this worker
+        // serves — so a delay slows completions without reordering.
         if let Some(delay) = cp.faults.as_ref().and_then(|f| f.job_delay(shard.index)) {
             std::thread::sleep(delay);
         }
@@ -275,25 +287,29 @@ fn with_retries<T>(
     }
 }
 
-/// One entry of a shard's work queue.
+/// One entry of a worker's work queue.
 pub enum Job {
     /// Transactions of one write submission.
     Apply(Part<Apply>),
     /// Requests of one read submission.
     Read(Part<Read>),
+    /// A test submission that reports which thread served it, or
+    /// panics to poison its ticket on a live worker.
+    #[cfg(test)]
+    Probe(Part<tests::Probe>),
     /// A barrier marker (see `Cluster::flush`): completes slot `slot`
-    /// of `shared` once every job enqueued before it on this shard has
-    /// been served.
+    /// of `shared` once every job enqueued before it on this worker's
+    /// FIFO has been served.
     Flush {
-        /// The barrier's completion state, one slot per shard.
+        /// The barrier's completion state, one slot per worker.
         shared: Arc<Progress<()>>,
-        /// This shard's slot.
+        /// This worker's slot.
         slot: usize,
     },
     /// A deliberate stall (see `Cluster::hold_shard`): the worker parks
-    /// on the gate until the corresponding [`ShardHold`] is released.
-    /// Like `Flush`, it carries no work and stays invisible to the
-    /// admission/concurrency counters.
+    /// on the gate until the corresponding [`ShardHold`] is released,
+    /// stalling every shard it serves. Like `Flush`, it carries no work
+    /// and stays invisible to the admission/concurrency counters.
     Hold {
         /// Completed by the hold's release.
         gate: Arc<Progress<()>>,
@@ -305,8 +321,10 @@ impl Job {
         match self {
             Job::Apply(part) => part.run(cp, shard),
             Job::Read(part) => part.run(cp, shard),
-            // FIFO per shard: reaching this marker means everything
-            // enqueued before it on this shard has been served.
+            #[cfg(test)]
+            Job::Probe(part) => part.run(cp, shard),
+            // FIFO per worker: reaching this marker means everything
+            // enqueued before it on this worker has been served.
             Job::Flush { shared, slot } => shared.complete(vec![(slot, ())]),
             Job::Hold { gate } => {
                 let _ = gate.wait();
@@ -315,23 +333,28 @@ impl Job {
     }
 }
 
-/// A FIFO job queue with blocking pop — one per shard.
-pub(crate) struct ShardQueue {
+/// A FIFO job queue with blocking pop — one per worker thread, each
+/// entry tagged with the shard it is for.
+pub(crate) struct WorkerQueue {
     inner: Mutex<QueueInner>,
     cv: Condvar,
 }
 
 struct QueueInner {
-    jobs: VecDeque<Job>,
+    jobs: VecDeque<(usize, Job)>,
     closed: bool,
+    /// Set under this mutex right before the worker waits on the
+    /// condvar, so a push knows whether a wake is needed at all.
+    parked: bool,
 }
 
-impl ShardQueue {
+impl WorkerQueue {
     pub(crate) fn new() -> Self {
-        ShardQueue {
+        WorkerQueue {
             inner: Mutex::new(QueueInner {
                 jobs: VecDeque::new(),
                 closed: false,
+                parked: false,
             }),
             cv: Condvar::new(),
         }
@@ -341,23 +364,38 @@ impl ShardQueue {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    pub(crate) fn push(&self, job: Job) {
-        self.lock().jobs.push_back(job);
-        self.cv.notify_one();
+    /// Appends `job` for shard `shard`. Notifies the worker only if it
+    /// is parked, and returns whether it was. The flag is cleared here,
+    /// so pushes landing before the woken worker runs do not notify
+    /// again: it drains everything queued once it holds the lock.
+    pub(crate) fn push(&self, shard: usize, job: Job) -> bool {
+        let mut inner = self.lock();
+        inner.jobs.push_back((shard, job));
+        let parked = std::mem::take(&mut inner.parked);
+        drop(inner);
+        if parked {
+            self.cv.notify_one();
+        }
+        parked
     }
 
-    /// Blocks for the next job; `None` once closed **and** drained, so
-    /// in-flight work always completes before a worker exits.
-    fn pop(&self) -> Option<Job> {
+    /// Blocks for the next job and the shard it is for; `None` once
+    /// closed **and** drained, so in-flight work always completes
+    /// before a worker exits.
+    fn pop(&self) -> Option<(usize, Job)> {
         let mut guard = self.lock();
         loop {
-            if let Some(job) = guard.jobs.pop_front() {
-                return Some(job);
+            if let Some(entry) = guard.jobs.pop_front() {
+                return Some(entry);
             }
             if guard.closed {
                 return None;
             }
+            guard.parked = true;
             guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            // A spurious wakeup must not leave the flag set for a
+            // worker that is about to run.
+            guard.parked = false;
         }
     }
 
@@ -367,35 +405,79 @@ impl ShardQueue {
     }
 }
 
-/// The shard table and the worker threads — one per shard — draining
-/// its queues. Held by every [`crate::Cluster`] clone via `Arc`; when
-/// the last handle drops, the queues close and the workers drain and
-/// exit.
+/// The shard table, the worker FIFOs and the worker threads draining
+/// them — `W` workers, shard `s` served by worker `s mod W` (see
+/// [`crate::ClusterBuilder::concurrent_apply`] for how `W` is chosen).
+/// Held by every [`crate::Cluster`] clone via `Arc`; when the last
+/// handle drops, the queues close and the workers drain and exit.
 pub(crate) struct Shards {
     table: Arc<[Shard]>,
+    /// One FIFO per worker; empty in inline mode.
+    queues: Arc<[WorkerQueue]>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Shards {
-    /// Spawns one worker per shard when the control plane asks for
-    /// workers; none in inline mode (single-core hosts or an explicit
-    /// opt-out), where submissions are served at submit time.
-    pub(crate) fn start(cp: &Arc<ControlPlane>, table: Vec<Shard>) -> Self {
-        let table: Arc<[Shard]> = table.into();
-        let workers = if cp.workers { table.len() } else { 0 };
-        let workers = (0..workers)
-            .map(|i| {
-                let cp = Arc::clone(cp);
-                let table = Arc::clone(&table);
-                std::thread::spawn(move || {
-                    let Some(shard) = table.get(i) else { return };
-                    while let Some(job) = shard.queue.pop() {
-                        job.run(&cp, shard);
+    /// Spawns `workers` worker threads, named `vdisk-worker-{i}`, over
+    /// the shard table; none in inline mode (`workers == 0`), where
+    /// submissions are served at submit time.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the OS refuses a thread; the workers already started
+    /// are closed and joined first.
+    pub(crate) fn start(
+        cp: &Arc<ControlPlane>,
+        table: Vec<Shard>,
+        workers: usize,
+    ) -> std::io::Result<Self> {
+        let mut shards = Shards {
+            table: table.into(),
+            queues: (0..workers).map(|_| WorkerQueue::new()).collect(),
+            workers: Vec::with_capacity(workers),
+        };
+        for i in 0..workers {
+            let cp = Arc::clone(cp);
+            let table = Arc::clone(&shards.table);
+            let queues = Arc::clone(&shards.queues);
+            let worker = std::thread::Builder::new()
+                .name(format!("vdisk-worker-{i}"))
+                .spawn(move || {
+                    let Some(queue) = queues.get(i) else { return };
+                    while let Some((index, job)) = queue.pop() {
+                        if let Some(shard) = table.get(index) {
+                            job.run(&cp, shard);
+                        }
                     }
-                })
-            })
-            .collect();
-        Shards { table, workers }
+                })?;
+            shards.workers.push(worker);
+        }
+        Ok(shards)
+    }
+
+    /// Whether worker `worker` is parked on its empty FIFO.
+    #[cfg(test)]
+    pub(crate) fn worker_parked(&self, worker: usize) -> bool {
+        self.queues[worker].lock().parked
+    }
+
+    /// Number of worker threads (`0` in inline mode).
+    pub(crate) fn worker_count(&self) -> usize {
+        self.queues.len()
+    }
+
+    /// Queues `job` on the FIFO of the worker serving shard `shard`,
+    /// counting a wake if that worker was parked. In inline mode there
+    /// is no FIFO: callers serve the job themselves instead.
+    pub(crate) fn push(&self, stats: &StatCounters, shard: usize, job: Job) {
+        let queue = shard
+            .checked_rem(self.queues.len())
+            .and_then(|worker| self.queues.get(worker));
+        if let Some(queue) = queue {
+            if queue.push(shard, job) {
+                stats.record_worker_wake();
+            }
+        }
     }
 }
 
@@ -409,8 +491,8 @@ impl std::ops::Deref for Shards {
 
 impl Drop for Shards {
     fn drop(&mut self) {
-        for shard in self.table.iter() {
-            shard.queue.close();
+        for queue in self.queues.iter() {
+            queue.close();
         }
         for worker in self.workers.drain(..) {
             // A worker that panicked has already poisoned its ticket;
@@ -431,8 +513,15 @@ impl Drop for Shards {
 /// bumps the generation, so the reaper can never sleep through a
 /// completion (no lost wakeups) — and never spins while idle.
 pub struct Doorbell {
-    generation: Mutex<u64>,
+    state: Mutex<Bell>,
     cv: Condvar,
+}
+
+struct Bell {
+    generation: u64,
+    /// Threads parked in `wait_past`/`wait_past_for`; a ring with none
+    /// skips the notify.
+    waiters: usize,
 }
 
 impl Doorbell {
@@ -440,7 +529,10 @@ impl Doorbell {
     #[must_use]
     pub fn new() -> Arc<Doorbell> {
         Arc::new(Doorbell {
-            generation: Mutex::new(0),
+            state: Mutex::new(Bell {
+                generation: 0,
+                waiters: 0,
+            }),
             cv: Condvar::new(),
         })
     }
@@ -449,36 +541,36 @@ impl Doorbell {
     /// completed work, then hand it to [`Doorbell::wait_past`].
     #[must_use]
     pub fn generation(&self) -> u64 {
-        *self.lock()
+        self.lock().generation
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, u64> {
-        self.generation
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> std::sync::MutexGuard<'_, Bell> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Rings the bell: bumps the generation and wakes every parked
-    /// waiter.
+    /// waiter, if there is one.
     pub fn ring(&self) {
-        let mut generation = self.lock();
-        *generation += 1;
-        drop(generation);
-        self.cv.notify_all();
+        let mut bell = self.lock();
+        bell.generation += 1;
+        let parked = bell.waiters > 0;
+        drop(bell);
+        if parked {
+            self.cv.notify_all();
+        }
     }
 
     /// Parks until the generation moves past `seen`; returns
     /// immediately if it already has. Returns the generation observed
     /// on wakeup.
     pub fn wait_past(&self, seen: u64) -> u64 {
-        let mut generation = self.lock();
-        while *generation == seen {
-            generation = self
-                .cv
-                .wait(generation)
-                .unwrap_or_else(PoisonError::into_inner);
+        let mut bell = self.lock();
+        while bell.generation == seen {
+            bell.waiters += 1;
+            bell = self.cv.wait(bell).unwrap_or_else(PoisonError::into_inner);
+            bell.waiters -= 1;
         }
-        *generation
+        bell.generation
     }
 
     /// [`Doorbell::wait_past`] with a deadline: parks until the
@@ -489,8 +581,8 @@ impl Doorbell {
     /// as its deadline. Returns the generation observed on wakeup.
     pub fn wait_past_for(&self, seen: u64, timeout: std::time::Duration) -> u64 {
         let deadline = std::time::Instant::now() + timeout;
-        let mut generation = self.lock();
-        while *generation == seen {
+        let mut bell = self.lock();
+        while bell.generation == seen {
             let now = std::time::Instant::now();
             let Some(left) = deadline
                 .checked_duration_since(now)
@@ -498,13 +590,15 @@ impl Doorbell {
             else {
                 break;
             };
+            bell.waiters += 1;
             let (guard, _timed_out) = self
                 .cv
-                .wait_timeout(generation, left)
+                .wait_timeout(bell, left)
                 .unwrap_or_else(PoisonError::into_inner);
-            generation = guard;
+            bell = guard;
+            bell.waiters -= 1;
         }
-        *generation
+        bell.generation
     }
 }
 
@@ -519,6 +613,9 @@ struct ProgressState<T> {
     slots: Vec<Option<T>>,
     remaining: usize,
     poisoned: bool,
+    /// Threads parked in [`Progress::wait`]; completion notifies only
+    /// when there is one.
+    waiters: usize,
     /// Bells rung once, when the last slot completes (or on poison),
     /// so reapers parked on a [`Doorbell`] wake per finished submission.
     subscribers: Vec<Arc<Doorbell>>,
@@ -531,6 +628,7 @@ impl<T> Progress<T> {
                 slots: (0..items).map(|_| None).collect(),
                 remaining: items,
                 poisoned: false,
+                waiters: 0,
                 subscribers: Vec::new(),
             }),
             cv: Condvar::new(),
@@ -557,7 +655,9 @@ impl<T> Progress<T> {
         if guard.remaining > 0 {
             return;
         }
-        self.cv.notify_all();
+        if guard.waiters > 0 {
+            self.cv.notify_all();
+        }
         let bells = std::mem::take(&mut guard.subscribers);
         drop(guard);
         for bell in bells {
@@ -569,7 +669,9 @@ impl<T> Progress<T> {
     fn poison(&self) {
         let mut guard = self.lock();
         guard.poisoned = true;
-        self.cv.notify_all();
+        if guard.waiters > 0 {
+            self.cv.notify_all();
+        }
         let bells = std::mem::take(&mut guard.subscribers);
         drop(guard);
         for bell in bells {
@@ -606,7 +708,9 @@ impl<T> Progress<T> {
     pub(crate) fn wait(&self) -> Vec<T> {
         let mut guard = self.lock();
         while guard.remaining > 0 && !guard.poisoned {
+            guard.waiters += 1;
             guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            guard.waiters -= 1;
         }
         assert!(!guard.poisoned, "shard worker panicked");
         guard
@@ -622,8 +726,10 @@ impl<T> Progress<T> {
 /// dropped) — the test hook behind [`crate::Cluster::hold_shard`] for
 /// proving that client-side waits park instead of spinning while a
 /// completion is delayed. Jobs enqueued behind the hold sit in the
-/// shard's FIFO until release. In inline mode (no workers) there is
-/// nothing to hold and the handle is a pre-released no-op.
+/// worker's FIFO until release — those of every shard that worker
+/// serves, not only the held one; per-shard FIFO order is unchanged.
+/// In inline mode (no workers) there is nothing to hold and the handle
+/// is a pre-released no-op.
 pub struct ShardHold {
     pub(crate) gate: Arc<Progress<()>>,
     pub(crate) released: bool,
@@ -811,8 +917,44 @@ impl<K: Kind> std::fmt::Debug for Ticket<K> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A kind whose items name an object (and so the shard they go
+    /// to); serving one yields the name of the thread serving it, or
+    /// panics when the context says so.
+    pub struct Probe;
+
+    impl Kind for Probe {
+        type Item = String;
+        type Served = Option<String>;
+        /// Whether serving panics.
+        type Context = bool;
+        const NAMES: (&'static str, &'static str) = ("ProbeTicket", "items");
+        const WRITES: bool = false;
+
+        fn object(item: &String) -> &str {
+            item
+        }
+
+        fn stats(_items: u64, _batch: bool) -> ExecStats {
+            ExecStats::default()
+        }
+
+        fn serve(
+            _: &mut ShardState,
+            _: &ControlPlane,
+            panics: &bool,
+            item: &String,
+        ) -> crate::Result<Option<String>> {
+            assert!(!panics, "serving {item} panicked on purpose");
+            Ok(std::thread::current().name().map(String::from))
+        }
+
+        fn job(part: Part<Self>) -> Job {
+            Job::Probe(part)
+        }
+    }
 
     #[test]
     fn progress_completes_out_of_order() {
@@ -879,19 +1021,128 @@ mod tests {
 
     #[test]
     fn queue_is_fifo_and_drains_on_close() {
-        let q = ShardQueue::new();
+        let q = WorkerQueue::new();
         let shared = Arc::new(Progress::new(3));
+        // Entries for different shards share the one FIFO.
         for slot in 0..3 {
-            q.push(Job::Flush {
-                shared: Arc::clone(&shared),
-                slot,
-            });
+            let woke = q.push(
+                2 - slot,
+                Job::Flush {
+                    shared: Arc::clone(&shared),
+                    slot,
+                },
+            );
+            assert!(!woke, "nobody is parked on the queue");
         }
         q.close();
         let mut seen = Vec::new();
-        while let Some(Job::Flush { slot, .. }) = q.pop() {
-            seen.push(slot);
+        while let Some((shard, Job::Flush { slot, .. })) = q.pop() {
+            seen.push((shard, slot));
         }
-        assert_eq!(seen, vec![0, 1, 2], "closed queues still drain FIFO");
+        assert_eq!(
+            seen,
+            vec![(2, 0), (1, 1), (0, 2)],
+            "closed queues still drain FIFO"
+        );
+    }
+
+    #[test]
+    fn push_wakes_a_parked_worker_once() {
+        let q = Arc::new(WorkerQueue::new());
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut shards = Vec::new();
+                while let Some((shard, job)) = q.pop() {
+                    shards.push(shard);
+                    if let Job::Hold { gate } = job {
+                        let _ = gate.wait();
+                    }
+                }
+                shards
+            })
+        };
+        // Wait until the consumer has parked on the empty queue.
+        while !q.lock().parked {
+            std::thread::yield_now();
+        }
+        let gates: Vec<Arc<Progress<()>>> = (0..3).map(|_| Arc::new(Progress::new(1))).collect();
+        let hold = |i: usize| Job::Hold {
+            gate: Arc::clone(&gates[i]),
+        };
+        assert!(q.push(0, hold(0)), "a push onto a parked worker wakes it");
+        // The flag was taken by the first push, and the worker cannot
+        // park again before the first gate opens: later pushes, whether
+        // the worker has run yet or sits on the gate, notify nobody.
+        assert!(!q.push(1, hold(1)));
+        assert!(!q.push(2, hold(2)));
+        for gate in &gates {
+            gate.complete(vec![(0, ())]);
+        }
+        q.close();
+        assert_eq!(consumer.join().unwrap(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_ring_nobody_waits_for_still_moves_the_generation() {
+        let bell = Doorbell::new();
+        let seen = bell.generation();
+        bell.ring();
+        assert_eq!(bell.lock().waiters, 0);
+        assert_eq!(
+            bell.wait_past(seen),
+            seen + 1,
+            "a later wait_past(seen) returns at once"
+        );
+        assert_eq!(
+            bell.wait_past_for(seen, std::time::Duration::from_secs(60)),
+            seen + 1
+        );
+    }
+
+    #[test]
+    fn a_parked_doorbell_waiter_is_woken() {
+        let bell = Doorbell::new();
+        let seen = bell.generation();
+        let waiter = {
+            let bell = Arc::clone(&bell);
+            std::thread::spawn(move || bell.wait_past(seen))
+        };
+        while bell.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        bell.ring();
+        assert_eq!(waiter.join().unwrap(), seen + 1);
+        assert_eq!(bell.lock().waiters, 0, "the woken waiter left the count");
+    }
+
+    #[test]
+    fn a_parked_timed_doorbell_waiter_is_woken() {
+        let bell = Doorbell::new();
+        let seen = bell.generation();
+        let waiter = {
+            let bell = Arc::clone(&bell);
+            std::thread::spawn(move || bell.wait_past_for(seen, std::time::Duration::from_secs(60)))
+        };
+        while bell.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        bell.ring();
+        assert_eq!(waiter.join().unwrap(), seen + 1);
+    }
+
+    #[test]
+    fn a_parked_progress_waiter_is_woken() {
+        let p: Arc<Progress<u32>> = Arc::new(Progress::new(2));
+        let waiter = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || p.wait())
+        };
+        while p.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        p.complete(vec![(1, 10)]);
+        p.complete(vec![(0, 0)]);
+        assert_eq!(waiter.join().unwrap(), vec![0, 10]);
     }
 }

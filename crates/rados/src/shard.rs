@@ -1,6 +1,11 @@
 //! One shard of cluster state: the per-OSD object maps for every
 //! object whose placement group lands in this shard, behind its own
-//! lock, with the FIFO work queue that feeds it.
+//! lock, with the admission counter of the work queued for it.
+//!
+//! A shard owns no thread and no queue: its jobs ride the FIFO of the
+//! worker that serves it (worker `s mod W`, see [`crate::queue`]), so
+//! one worker may serve several shards. Each shard still has exactly
+//! one consumer, which is what keeps per-shard order.
 //!
 //! An object's whole acting set (primary and replicas) lives in one
 //! shard — placement is a pure function of the object name, so the
@@ -10,7 +15,6 @@
 
 use crate::backend::{FileStore, MemStore};
 use crate::object::PHYS_BLOCK;
-use crate::queue::ShardQueue;
 use crate::receipt::{ReadEffect, ReadWork, TxWork};
 use crate::state::ControlPlane;
 use crate::state::StatCounters;
@@ -19,15 +23,12 @@ use crate::{RadosError, Result, SnapId};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A shard: one lock over one placement-disjoint slice of the object
-/// space, its work queue, and the queue's admission counter.
+/// space and the admission counter of its queued work.
 pub(crate) struct Shard {
     /// This shard's position in the cluster's shard table — the key
     /// fault schedules, write epochs and injected errors name it by.
     pub(crate) index: usize,
     state: Mutex<ShardState>,
-    /// Jobs waiting for this shard's worker (unused in inline mode,
-    /// where submissions are served in the submitting thread).
-    pub(crate) queue: ShardQueue,
     /// Jobs admitted to this shard (enqueued or applying) and not yet
     /// complete. The 0↔1 transitions drive the cluster-wide
     /// shard-concurrency high-water mark; the global update happens
@@ -42,7 +43,6 @@ impl Shard {
         Shard {
             index,
             state: Mutex::new(ShardState { store, disk }),
-            queue: ShardQueue::new(),
             pending: Mutex::new(0),
         }
     }

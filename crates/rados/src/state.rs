@@ -21,10 +21,6 @@ pub struct ControlPlane {
     pub(crate) placement: PlacementMap,
     pub(crate) payload: PayloadMode,
     pub(crate) shard_count: usize,
-    /// Whether per-shard worker threads serve submissions (resolved at
-    /// build time — see [`crate::ClusterBuilder::concurrent_apply`]).
-    /// When false, submissions apply inline in the submitting thread.
-    pub(crate) workers: bool,
     /// Suggested client-side metadata cache size in bytes (see
     /// [`crate::ClusterBuilder::meta_cache_bytes`]); advisory for upper
     /// layers, unused inside the store.
@@ -124,6 +120,8 @@ pub(crate) struct StatCounters {
     /// Attempts replayed in the shard workers after a retryable
     /// injected fault (see [`crate::fault::RetryPolicy`]).
     retries: AtomicU64,
+    /// Pushes that found their worker parked and had to wake it.
+    worker_wakes: AtomicU64,
 }
 
 /// Adds `n` to a counter, leaving its cache line alone when there is
@@ -200,6 +198,11 @@ impl StatCounters {
         add(&self.retries, n);
     }
 
+    /// Counts one push that had to wake a parked worker.
+    pub(crate) fn record_worker_wake(&self) {
+        self.worker_wakes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Accumulates write-through cache fills (see
     /// [`crate::Cluster::record_meta_cache_write_fills`]).
     pub(crate) fn record_meta_cache_write_fills(&self, fills: u64) {
@@ -219,6 +222,7 @@ impl StatCounters {
             meta_cache_invalidations: self.meta_cache_invalidations.load(Ordering::Relaxed),
             meta_cache_write_fills: self.meta_cache_write_fills.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
+            worker_wakes: self.worker_wakes.load(Ordering::Relaxed),
         }
     }
 }
