@@ -33,6 +33,7 @@ use std::process::ExitCode;
 use vdisk_bench::fio::{self, IoPattern, JobSpec};
 use vdisk_bench::testbed;
 use vdisk_core::{EncryptedImage, EncryptionConfig, MetaLayout};
+use vdisk_rados::{Testbed, TestbedProfile};
 use vdisk_sim::ClosedLoopStats;
 
 /// Regression tolerance: a group failing `result > baseline * 1.15`
@@ -179,15 +180,16 @@ fn run_groups() -> BTreeMap<String, u64> {
     }
 
     // Large-block parallel-crypto group: 256 KiB random writes at the
-    // paper's QD 32, cache on. Each write's client-side encryption
-    // splits across 4 crypto lanes; the serial twin (1 lane) is the
-    // old single-threaded pipeline. Both sides are recorded and gated,
-    // and the multi-core scaling the pipeline exists for is asserted
-    // outright — in simulated time, so the check is host-independent.
-    // A larger image than the small-IO groups (64 objects) lets the
-    // dispatch fan out across OSDs; client-side crypto then bounds the
-    // serial pipeline, which is exactly the bottleneck the lanes
-    // remove.
+    // paper's QD 32, cache on. The job runs once; its receipts are
+    // priced on the paper's client, whose 4 crypto workers split each
+    // write's encryption, and on a serial twin with one worker (the
+    // old single-threaded pipeline). Both sides are recorded and
+    // gated, and the multi-core scaling the split exists for is
+    // asserted outright — in simulated time, so the check is
+    // host-independent. A larger image than the small-IO groups (64
+    // objects) on a 12-OSD map lets the dispatch fan out; client-side
+    // crypto then bounds the serial pipeline, which is exactly the
+    // bottleneck the workers remove.
     let qd32_image: u64 = 256 << 20;
     let qd32_spec = JobSpec {
         pattern: IoPattern::RandWrite,
@@ -200,12 +202,20 @@ fn run_groups() -> BTreeMap<String, u64> {
         ("luks2", EncryptionConfig::luks2_baseline()),
         ("object-end", object_end.clone()),
     ] {
-        let mut serial = testbed::cached_bench_disk_with_lanes(&config, qd32_image, 19, 1);
-        fio::precondition(&mut serial).expect("precondition");
-        let serial_ns = job(&mut serial, &qd32_spec);
-        let mut wide = testbed::cached_bench_disk_with_lanes(&config, qd32_image, 19, 4);
-        fio::precondition(&mut wide).expect("precondition");
-        let wide_ns = job(&mut wide, &qd32_spec);
+        let mut disk = testbed::wide_cached_bench_disk(&config, qd32_image, 19);
+        fio::precondition(&mut disk).expect("precondition");
+        let receipts = fio::job_receipts(&mut disk, &qd32_spec).expect("gate job");
+        let osds = disk.image().cluster().osd_count();
+        let price = |crypto_servers| {
+            let profile = TestbedProfile {
+                crypto_servers,
+                ..TestbedProfile::default()
+            };
+            let ops = receipts.iter().map(|receipt| (receipt, qd32_spec.io_size));
+            ns_per_op(&Testbed::new(profile, osds).run_closed_loop(qd32_spec.queue_depth, ops))
+        };
+        let serial_ns = price(1);
+        let wide_ns = price(TestbedProfile::default().crypto_servers);
         let scaling = serial_ns / wide_ns;
         assert!(
             scaling > 1.3,

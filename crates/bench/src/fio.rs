@@ -177,6 +177,23 @@ pub fn precondition(disk: &mut EncryptedImage) -> Result<()> {
 ///
 /// Panics if `io_size` is zero or larger than the image.
 pub fn run_job(disk: &mut EncryptedImage, spec: &JobSpec) -> Result<ClosedLoopStats> {
+    let receipts = job_receipts(disk, spec)?;
+    let ops = receipts.iter().map(|receipt| (receipt, spec.io_size));
+    Ok(testbed::simulated(disk.image().cluster()).run_closed_loop(spec.queue_depth.max(1), ops))
+}
+
+/// The IO half of [`run_job`]: drives the job through the real
+/// submission queue and returns its receipts in completion-id order,
+/// so one run can be priced on more than one testbed.
+///
+/// # Errors
+///
+/// Propagates any IO-path error.
+///
+/// # Panics
+///
+/// Panics if `io_size` is zero or larger than the image.
+pub fn job_receipts(disk: &mut EncryptedImage, spec: &JobSpec) -> Result<Vec<Receipt>> {
     let mut gen = OpGen::new(spec, disk.image().size());
     let queue_depth = spec.queue_depth.max(1);
 
@@ -198,8 +215,7 @@ pub fn run_job(disk: &mut EncryptedImage, spec: &JobSpec) -> Result<ClosedLoopSt
     drop(queue);
 
     done.sort_unstable_by_key(|(id, _)| *id);
-    let ops = done.iter().map(|(_, receipt)| (receipt, spec.io_size));
-    Ok(testbed::simulated(disk.image().cluster()).run_closed_loop(queue_depth, ops))
+    Ok(done.into_iter().map(|(_, receipt)| receipt).collect())
 }
 
 /// One tenant of a multi-tenant run: a fio job plus its QoS terms.

@@ -68,11 +68,6 @@ fn bench_builder() -> vdisk_rados::ClusterBuilder {
     Cluster::builder()
         .payload_mode(PayloadMode::Discarded)
         .meta_cache_bytes(0)
-        // Pinned, not host-derived: large-block write plans split over
-        // the crypto lanes, so the lane count must not vary with the
-        // runner's core count for the simulated numbers to be
-        // bit-identical across hosts (the bench gate depends on that).
-        .crypto_lanes(4)
         // Pinned to the in-memory backend, overriding any
         // `VDISK_BACKEND` environment selection: the figure harnesses
         // and the gated bench groups measure the simulated cost model,
@@ -87,15 +82,11 @@ pub fn bench_cluster() -> Cluster {
     bench_builder().build()
 }
 
-/// The paper's simulated testbed sized to `cluster` — its OSDs, and one
-/// client-crypto server per crypto lane — to price its receipts.
+/// The paper's simulated testbed sized to `cluster`'s OSDs, to price
+/// its receipts.
 #[must_use]
 pub fn simulated(cluster: &Cluster) -> Testbed {
-    Testbed::new(
-        TestbedProfile::default(),
-        cluster.osd_count(),
-        cluster.crypto_lanes(),
-    )
+    Testbed::new(TestbedProfile::default(), cluster.osd_count())
 }
 
 /// Builds an encrypted disk of `size` bytes on a fresh bench cluster.
@@ -150,36 +141,28 @@ pub fn cached_bench_disk(config: &EncryptionConfig, size: u64, seed: u64) -> Enc
     )
 }
 
-/// A [`cached_bench_disk`] with an explicit crypto-lane count — the
-/// serial-vs-parallel crypto comparison of the large-block QD 32
-/// bench group pins both sides instead of inheriting the builder's
-/// default (`lanes = 1` is the serial-crypto baseline).
+/// A [`cached_bench_disk`] on a cluster widened to 12 OSDs
+/// (replication factor unchanged), for the serial-vs-parallel crypto
+/// comparison of the large-block QD 32 bench group.
 ///
-/// The cluster is widened to 12 OSDs (replication factor unchanged):
-/// on the default 3-OSD map every write's payload crosses **all
+/// On the default 3-OSD map every write's payload crosses **all
 /// three** single-stream links, and at 1.55 GB/s per link that floor
 /// sits above the 1.70 GB/s serial-crypto rate — the network would
 /// hide the crypto pipeline entirely. Fanned out over 12 OSDs the
 /// links drop below the client NIC, which is where the paper's
 /// testbed actually saturates, and client-side crypto becomes the
-/// serial bottleneck the lanes exist to remove.
+/// serial bottleneck the crypto workers exist to remove.
 ///
 /// # Panics
 ///
 /// Panics if image creation or formatting fails (benchmark setup).
 #[must_use]
-pub fn cached_bench_disk_with_lanes(
-    config: &EncryptionConfig,
-    size: u64,
-    seed: u64,
-    lanes: usize,
-) -> EncryptedImage {
+pub fn wide_cached_bench_disk(config: &EncryptionConfig, size: u64, seed: u64) -> EncryptedImage {
     disk_on(
         bench_builder()
             .meta_cache_bytes(vdisk_rados::DEFAULT_META_CACHE_BYTES)
             .concurrent_apply(false)
             .osd_count(12)
-            .crypto_lanes(lanes)
             .build(),
         config,
         size,

@@ -27,17 +27,7 @@ const QD: usize = 8;
 /// A stored-payload disk (so read-back verification sees real bytes)
 /// with shard workers forced on.
 fn stored_queued_disk() -> EncryptedImage {
-    stored_queued_disk_with_lanes(None)
-}
-
-/// [`stored_queued_disk`] with an explicit crypto-lane count (None
-/// inherits the host-derived default).
-fn stored_queued_disk_with_lanes(lanes: Option<usize>) -> EncryptedImage {
-    let mut builder = Cluster::builder().concurrent_apply(true);
-    if let Some(lanes) = lanes {
-        builder = builder.crypto_lanes(lanes);
-    }
-    let cluster = builder.build();
+    let cluster = Cluster::builder().concurrent_apply(true).build();
     let image = Image::create(&cluster, "qd-stress", IMAGE_SIZE).expect("create image");
     EncryptedImage::format_with_iv_source(
         image,
@@ -155,17 +145,15 @@ fn deep_encrypted_queue_round_trips_under_overlap() {
     assert!(exec.queue_depth_peak >= 80);
 }
 
-/// QD 32 at the bench gate's large-block size, with the parallel
-/// crypto pipeline forced to 4 lanes: every 256 KiB write crosses the
-/// scoped-thread encrypt path (the size is above the parallel
-/// threshold) while 32 submissions stay open, and the queued reads
-/// that follow decrypt incrementally as each shard's data lands. The
-/// read-back proves the lanes reassemble ciphertext, metadata, and
-/// epoch tags exactly like the serial pipeline under real overlap.
+/// QD 32 at the bench gate's large-block size: every 256 KiB write
+/// encrypts at submit while 96 submissions stay open, and the queued
+/// reads that follow decrypt as each shard's data lands. The read-back
+/// proves ciphertext, metadata, and epoch tags round-trip under real
+/// overlap.
 #[test]
-fn qd32_large_block_parallel_crypto_round_trips() {
+fn qd32_large_block_round_trips() {
     const IO: u64 = 256 << 10;
-    let mut disk = stored_queued_disk_with_lanes(Some(4));
+    let mut disk = stored_queued_disk();
     let mut queue = disk.io_queue();
     // Two full QD-32 waves of writes over 32 distinct slots (the
     // second wave overwrites the first in flight), then reads.
@@ -202,7 +190,7 @@ fn qd32_large_block_parallel_crypto_round_trips() {
             let expected = (32 + slot + 1) as u8; // wave-2 fill
             assert!(
                 data.iter().all(|&b| b == expected),
-                "slot {slot}: parallel-crypto read must see the second-wave write"
+                "slot {slot}: large-block read must see the second-wave write"
             );
             verified += 1;
         }

@@ -59,10 +59,6 @@ pub struct EncryptedImage {
     /// creation), mirrored from the crypt-header object's OMAP.
     /// Interior-mutable: `snap_create` records through `&self`.
     snap_epochs: Mutex<BTreeMap<u64, EpochMap>>,
-    /// Crypto lane count, captured from the cluster at open: large
-    /// writes split their sector run across this many scoped encrypt
-    /// threads (see [`crate::crypto_pool`]); small IOs stay serial.
-    crypto_lanes: usize,
     /// Rekey-migration proof markers armed by [`crate::RekeyDriver`]:
     /// the next write matching `(offset, len)` stamps the named xattr
     /// onto its (single) transaction, so the chunk's data and its
@@ -72,10 +68,6 @@ pub struct EncryptedImage {
     /// dispatch time, keeps the marker glued to the right write.
     armed_markers: HashMap<(u64, usize), String>,
 }
-
-/// Requests below this size encrypt serially: thread-spawn overhead
-/// dominates the codec work (their receipts record one crypto lane).
-const CRYPTO_PARALLEL_MIN_BYTES: usize = 128 << 10;
 
 impl std::fmt::Debug for EncryptedImage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -92,9 +84,9 @@ impl std::fmt::Debug for EncryptedImage {
 /// (`pub` because the queue backend's pending state holds one; the
 /// type is not exported.)
 pub struct PreparedWrite {
-    /// Client-side encryption work as the receipt records it: bytes
-    /// and the lanes they were split over.
-    crypto: (u64, usize),
+    /// Client-side encryption work as the receipt records it: the
+    /// bytes encrypted.
+    crypto: u64,
     /// Boundary-sector reads of an unaligned write (already performed
     /// at prepare time); their cache hits/misses belong to this op so
     /// per-op `IoResult` deltas reconcile with the cluster-wide
@@ -253,7 +245,6 @@ impl EncryptedImage {
 
         let mut masters = BTreeMap::new();
         masters.insert(0, master);
-        let crypto_lanes = image.cluster().crypto_lanes();
         Ok(EncryptedImage {
             image,
             header,
@@ -263,7 +254,6 @@ impl EncryptedImage {
             geometry,
             meta_cache,
             snap_epochs: Mutex::new(BTreeMap::new()),
-            crypto_lanes,
             armed_markers: HashMap::new(),
         })
     }
@@ -362,7 +352,6 @@ impl EncryptedImage {
             u64::from(config.meta_entry_len()),
         );
         let meta_cache = Self::build_meta_cache(&image, &config);
-        let crypto_lanes = image.cluster().crypto_lanes();
         Ok(EncryptedImage {
             image,
             header,
@@ -372,7 +361,6 @@ impl EncryptedImage {
             geometry,
             meta_cache,
             snap_epochs: Mutex::new(snap_epochs),
-            crypto_lanes,
             armed_markers: HashMap::new(),
         })
     }
@@ -936,17 +924,10 @@ impl EncryptedImage {
             }
         }
         let fills = self.capture_fill_epochs(fills);
-        // The lanes the encrypt actually used; an empty write encrypts
-        // nothing, like an empty read.
-        let crypto = if len == 0 {
-            (0, 0)
-        } else {
-            (len as u64, self.effective_crypto_lanes(len))
-        };
         Ok((
             txs,
             PreparedWrite {
-                crypto,
+                crypto: len as u64,
                 rmw,
                 invalidated,
                 fills,
@@ -1014,18 +995,6 @@ impl EncryptedImage {
         }
         span[head_len..head_len + data.len()].copy_from_slice(data);
         Ok((aligned_off, span, rmw))
-    }
-
-    /// How many crypto lanes a request of `len` bytes encrypts over:
-    /// the cluster's lane count for large requests, one (serial) below
-    /// [`CRYPTO_PARALLEL_MIN_BYTES`]. Drives the real scoped-thread
-    /// split, and the receipt records it.
-    fn effective_crypto_lanes(&self, len: usize) -> usize {
-        if self.crypto_lanes > 1 && len >= CRYPTO_PARALLEL_MIN_BYTES {
-            self.crypto_lanes
-        } else {
-            1
-        }
     }
 
     /// Stamps each pending fill with the shard write-submission epoch
@@ -1117,14 +1086,10 @@ impl EncryptedImage {
         // metadata run packed in sector order alongside. The epoch map
         // picks the key per sector (tagged layouts always write the
         // current epoch; the baseline splits at the rekey watermark).
-        // The span is one contiguous LBA run (extents abut), so large
-        // requests split it across the cluster's crypto lanes — the
-        // pre-drawn IV stream keeps the ciphertext identical to a
-        // serial encode (see [`crate::crypto_pool`]).
+        // The span is one contiguous LBA run (extents abut), encrypted
+        // on the submitting thread whatever its size.
         let mut metas = Vec::with_capacity(batch.sector_count() as usize * me);
-        let lanes = self.effective_crypto_lanes(len);
-        crate::crypto_pool::encrypt_run_parallel(
-            &self.chain,
+        self.chain.encrypt_sectors(
             offset / self.geometry.sector_size,
             write_seq,
             &mut data,
@@ -1132,7 +1097,6 @@ impl EncryptedImage {
             self.iv_source.as_mut(),
             epochs,
             tagged,
-            lanes,
         )?;
         let cipher = SharedBuf::from_vec(data);
         let metas = SharedBuf::from_vec(metas);
@@ -1270,14 +1234,12 @@ impl EncryptedImage {
             })?;
             out.copy_from_slice(requested);
         }
-        // The span decrypts serially on the reaping thread; an empty
-        // read decrypted nothing.
-        let crypto = if span.batch.len == 0 {
-            (0, 0)
-        } else {
-            (span.batch.len, 1)
-        };
-        Ok(Receipt { crypto, ..dispatch })
+        // The span decrypts on the reaping thread; an empty read
+        // decrypted nothing.
+        Ok(Receipt {
+            crypto: span.batch.len,
+            ..dispatch
+        })
     }
 
     /// The asynchronous read primitive behind
@@ -1782,7 +1744,7 @@ mod tests {
                 warm.reads[0].effects.len() < cold.reads[0].effects.len(),
                 "{config:?}: a hit reads no metadata"
             );
-            let testbed = Testbed::new(TestbedProfile::default(), cluster.osd_count(), 1);
+            let testbed = Testbed::new(TestbedProfile::default(), cluster.osd_count());
             let (warm, cold) = (testbed.plan_of(&warm), testbed.plan_of(&cold));
             assert!(
                 warm.op_count() < cold.op_count(),

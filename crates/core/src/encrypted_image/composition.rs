@@ -1,15 +1,16 @@
 //! The encryption layer's part of a receipt, pinned against the inline
 //! composition receipts replaced. A write's plan was its boundary-sector
 //! reads (each a read's plan), then the encryption of the aligned span
-//! split over the lanes the encrypt used, then the dispatch; a read's
-//! was the dispatch, then one decryption of the aligned span. The
-//! oracle rebuilds that from the request alone — the aligned span, the
+//! split over the crypto lanes, then the dispatch; a read's was the
+//! dispatch, then one decryption of the aligned span. The oracle
+//! rebuilds that from the request alone — the aligned span, the
 //! boundary sectors, the lane rule — with the crypto-plan builders as
 //! they were, prices only the store's part of the receipt (pinned by
 //! `vdisk-rados`' own oracle), and asserts the result equals what
-//! [`Testbed::plan_of`] makes of the whole receipt.
+//! [`Testbed::plan_of`] makes of the whole receipt. The lane count is
+//! the testbed's crypto worker count, so the oracle also pins how
+//! [`Testbed::plan_of`] splits a large write's cipher over them.
 
-use super::CRYPTO_PARALLEL_MIN_BYTES;
 use crate::{EncryptedImage, EncryptionConfig, IoOp, MetaLayout, RekeyDriver};
 use proptest::prelude::*;
 use vdisk_crypto::rng::SeededIvSource;
@@ -23,6 +24,8 @@ use vdisk_sim::Plan;
 const SS: u64 = 4096;
 const OBJECT: u64 = 1 << 20;
 const IMAGE: u64 = 4 * OBJECT;
+/// Writes at least this large split their encryption over the lanes.
+const PARALLEL_MIN: u64 = 128 << 10;
 
 /// A plan occupying the client crypto workers for `bytes` of work.
 fn crypto_plan(handles: &ResourceHandles, bytes: u64) -> Plan {
@@ -77,7 +80,7 @@ fn read_oracle(testbed: &Testbed, receipt: &Receipt, offset: u64, len: u64) -> P
     Plan::seq([dispatch(testbed, receipt), crypto])
 }
 
-/// The inline plan of a write of `len` bytes at `offset` on a cluster
+/// The inline plan of a write of `len` bytes at `offset` on a client
 /// with `lanes` crypto lanes.
 fn write_oracle(testbed: &Testbed, receipt: &Receipt, offset: u64, len: u64, lanes: usize) -> Plan {
     let (start, end) = aligned(offset, len);
@@ -102,7 +105,7 @@ fn write_oracle(testbed: &Testbed, receipt: &Receipt, offset: u64, len: u64, lan
         .zip(&boundary)
         .map(|(read, &sector)| read_oracle(testbed, read, sector, SS));
     let bytes = end - start;
-    let lanes = if lanes > 1 && bytes >= CRYPTO_PARALLEL_MIN_BYTES as u64 {
+    let lanes = if lanes > 1 && bytes >= PARALLEL_MIN {
         lanes
     } else {
         1
@@ -199,7 +202,6 @@ fn run_program(layout: usize, cache: bool, lanes: usize, actions: &[Action]) {
         .concurrent_apply(false)
         .backend(BackendKind::Memory)
         .meta_cache_bytes(if cache { DEFAULT_META_CACHE_BYTES } else { 0 })
-        .crypto_lanes(lanes)
         .build();
     let image = Image::create_with_object_size(&cluster, "composition", IMAGE, OBJECT).unwrap();
     let mut disk = EncryptedImage::format_with_iv_source(
@@ -209,7 +211,11 @@ fn run_program(layout: usize, cache: bool, lanes: usize, actions: &[Action]) {
         Box::new(SeededIvSource::new(0xC0)),
     )
     .unwrap();
-    let testbed = Testbed::new(TestbedProfile::default(), cluster.osd_count(), lanes);
+    let profile = TestbedProfile {
+        crypto_servers: lanes,
+        ..TestbedProfile::default()
+    };
+    let testbed = Testbed::new(profile, cluster.osd_count());
     let mut snaps: Vec<SnapId> = Vec::new();
     let mut rekey: Option<RekeyDriver> = None;
     let mut passphrase = 0u32;

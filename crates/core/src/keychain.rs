@@ -132,23 +132,6 @@ impl KeyChain {
             .meta_entry_len()
     }
 
-    /// IV-source bytes drawn per encrypted sector (uniform across
-    /// epochs) — see `SectorCodec::iv_draw_len`. The quantity parallel
-    /// encryption pre-draws serially so the IV stream stays identical
-    /// to a serial encode.
-    pub(crate) fn iv_draw_len(&self) -> usize {
-        self.codecs
-            .values()
-            .next()
-            .expect("chain is never empty")
-            .iv_draw_len()
-    }
-
-    /// Sector size in bytes (uniform across epochs).
-    pub(crate) fn sector_size(&self) -> usize {
-        sector_size(self)
-    }
-
     /// Encrypts a contiguous run of sectors in place, appending each
     /// sector's metadata entry (epoch-tagged) to `metas`. `epochs`
     /// picks the key per sector: tagged layouts always encrypt under

@@ -73,7 +73,6 @@
 pub mod audit;
 pub mod batch;
 mod config;
-mod crypto_pool;
 mod encrypted_image;
 mod keychain;
 pub mod layout;

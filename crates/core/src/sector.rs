@@ -319,25 +319,6 @@ impl SectorCodec {
         }
     }
 
-    /// How many IV-source bytes [`SectorCodec::encrypt_into`] draws per
-    /// sector — exactly one `fill` of this length (or none when zero).
-    /// Parallel encryption pre-draws `sectors × iv_draw_len()` bytes
-    /// serially and replays disjoint slices per lane, reproducing the
-    /// serial IV stream bit for bit.
-    pub(crate) fn iv_draw_len(&self) -> usize {
-        match &self.instance {
-            CipherInstance::Gcm(_) => 12,
-            CipherInstance::Xts(_) | CipherInstance::Eme2(_) => {
-                if self.config.random_iv {
-                    16
-                } else {
-                    0
-                }
-            }
-            CipherInstance::Cbc(_) => 0,
-        }
-    }
-
     fn split_iv<'a>(&self, entry: &'a [u8]) -> (Option<[u8; 16]>, &'a [u8]) {
         if self.config.random_iv {
             let mut iv = [0u8; 16];

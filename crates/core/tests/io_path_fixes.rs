@@ -20,7 +20,7 @@ const SS: u64 = 4096;
 /// Bytes the client cipher processed for one IO: its own span plus its
 /// boundary reads'.
 fn crypto_bytes(receipt: &Receipt) -> u64 {
-    receipt.crypto.0 + receipt.rmw.iter().map(crypto_bytes).sum::<u64>()
+    receipt.crypto + receipt.rmw.iter().map(crypto_bytes).sum::<u64>()
 }
 
 fn make_disk(config: &EncryptionConfig, image_size: u64) -> (Cluster, EncryptedImage) {

@@ -5,7 +5,6 @@
 
 use crate::backend::{BackendKind, ClusterMeta, FileStore, MemStore};
 use crate::cluster::Cluster;
-use crate::cost::TestbedProfile;
 use crate::fault::{FaultConfig, FaultPlane, RetryPolicy};
 use crate::placement::PlacementMap;
 use crate::queue::Shards;
@@ -45,7 +44,7 @@ pub struct ClusterBuilder {
     concurrent_apply: Option<bool>,
     payload: PayloadMode,
     meta_cache_bytes: u64,
-    crypto_lanes: Option<usize>,
+    crypto_lanes: usize,
     backend: BackendKind,
     /// True when the backend came from the `VDISK_BACKEND` environment
     /// override: the store directory is session scratch, removed when
@@ -70,7 +69,7 @@ impl Default for ClusterBuilder {
             concurrent_apply: None,
             payload: PayloadMode::Stored,
             meta_cache_bytes: DEFAULT_META_CACHE_BYTES,
-            crypto_lanes: None,
+            crypto_lanes: 1,
             backend,
             scratch,
             faults: None,
@@ -179,19 +178,15 @@ impl ClusterBuilder {
         self
     }
 
-    /// Number of client-side crypto lanes: how many sector-crypto jobs
-    /// the encryption layer above this cluster may run in parallel
-    /// (a [`crate::cost::Testbed`] pricing this cluster's receipts gives
-    /// its simulated client-crypto resource as many servers). Defaults
-    /// to the host's available parallelism capped at
-    /// [`TestbedProfile::default`]'s crypto worker count (4), so a
-    /// multi-core host keeps the calibrated resource while a
-    /// single-core host degenerates to serial crypto. Must be at least
-    /// 1 (validated at build). Advisory for upper layers, read via
-    /// [`Cluster::crypto_lanes`].
+    /// A recorded crypto-lane count (default 1, must be at least 1,
+    /// validated at build), read back by [`Cluster::crypto_lanes`].
+    /// Nothing reads the value: the encryption layer runs its cipher on
+    /// the submitting thread, and a [`crate::cost::Testbed`] takes its
+    /// crypto workers from its profile. It stays for callers that still
+    /// set it; ROADMAP G(4) deletes it.
     #[must_use]
     pub fn crypto_lanes(mut self, lanes: usize) -> Self {
-        self.crypto_lanes = Some(lanes);
+        self.crypto_lanes = lanes;
         self
     }
 
@@ -273,7 +268,7 @@ impl ClusterBuilder {
             ("replicas", self.replicas as u64),
             ("pg_count", self.pg_count),
             ("shard_count", self.shard_count as u64),
-            ("crypto_lanes", self.crypto_lanes.unwrap_or(1) as u64),
+            ("crypto_lanes", self.crypto_lanes as u64),
         ] {
             if value == 0 {
                 return Err(RadosError::InvalidConfig(format!(
@@ -288,12 +283,6 @@ impl ClusterBuilder {
             )));
         }
 
-        let crypto_lanes = self.crypto_lanes.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map_or(1, usize::from)
-                .min(TestbedProfile::default().crypto_servers)
-                .max(1)
-        });
         let placement = PlacementMap::new(self.osd_count, self.replicas, self.pg_count);
 
         // A file backend roots itself before the shards open: the meta
@@ -380,7 +369,7 @@ impl ClusterBuilder {
             payload: self.payload,
             shard_count: self.shard_count,
             meta_cache_bytes: self.meta_cache_bytes,
-            crypto_lanes,
+            crypto_lanes: self.crypto_lanes,
             snap_seq: AtomicU64::new(initial_snap_seq),
             write_seqs: (0..self.shard_count).map(|_| AtomicU64::new(0)).collect(),
             faults,

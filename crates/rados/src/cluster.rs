@@ -554,8 +554,9 @@ impl Cluster {
         self.control.meta_cache_bytes
     }
 
-    /// The client-side crypto parallelism resolved at build time (see
-    /// [`ClusterBuilder::crypto_lanes`]); always ≥ 1.
+    /// The crypto-lane count recorded by
+    /// [`ClusterBuilder::crypto_lanes`] (default 1). Nothing reads it;
+    /// ROADMAP G(4) deletes it.
     #[must_use]
     pub fn crypto_lanes(&self) -> usize {
         self.control.crypto_lanes

@@ -10,7 +10,7 @@ fn cluster() -> Cluster {
 
 /// The paper's testbed sized for `c`, to price its receipts.
 fn testbed(c: &Cluster) -> Testbed {
-    Testbed::new(TestbedProfile::default(), c.osd_count(), c.crypto_lanes())
+    Testbed::new(TestbedProfile::default(), c.osd_count())
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //! returns into [`vdisk_sim::Plan`]s and replays them in a closed loop.
 //! Every pricing decision lives here — message sizes, the replication
 //! fan-out, the deferred-write threshold, RMW reads, OMAP engine time,
-//! the client cipher's lane split — and nothing on the IO path builds a
-//! plan: only the figure harnesses, `bench_gate` and tests price.
+//! the client cipher's split over the crypto workers — and nothing on
+//! the IO path builds a plan: only the figure harnesses, `bench_gate`
+//! and tests price.
 //!
 //! Calibration sources, from the paper:
 //! - 3 OSD nodes, Xeon E5-2650 v4, 9 × 1.8 TB NVMe each;
@@ -23,6 +24,11 @@ use crate::placement::OsdId;
 use crate::receipt::{OpEffect, ReadEffect, ReadWork, Receipt, TxWork};
 use vdisk_kv::CostProfile;
 use vdisk_sim::{ClosedLoopStats, Plan, ResourceId, ResourceSpec, SimDuration, Simulator};
+
+/// Writes at least this large spread their cipher work over all of the
+/// client's crypto workers; the paper's client split them, and left
+/// smaller IOs on one worker.
+const PARALLEL_CRYPTO_MIN_BYTES: u64 = 128 << 10;
 
 /// Hardware constants of the simulated testbed.
 #[derive(Debug, Clone)]
@@ -66,7 +72,9 @@ pub struct TestbedProfile {
     pub kv_servers: usize,
     /// Client-side encryption throughput (bytes/s per thread).
     pub crypto_rate: f64,
-    /// Client crypto worker threads.
+    /// Client crypto worker threads. A write of at least 128 KiB
+    /// splits its cipher work evenly over all of them; smaller writes
+    /// and every read use one.
     pub crypto_servers: usize,
     /// Per-IO crypto setup cost.
     pub crypto_per_op: SimDuration,
@@ -164,13 +172,11 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Installs `profile`'s resources for `osd_count` OSDs, giving the
-    /// client-crypto resource one server per crypto lane: the
-    /// encryption layer runs that many sector-crypto jobs at once (see
-    /// `ClusterBuilder::crypto_lanes`), and simulated crypto time must
-    /// not diverge from that real parallel work.
+    /// Installs `profile`'s resources for `osd_count` OSDs. The
+    /// client-crypto resource gets `profile.crypto_servers` servers: the
+    /// paper's client, whatever the host running the simulation has.
     #[must_use]
-    pub fn new(profile: TestbedProfile, osd_count: usize, crypto_lanes: usize) -> Testbed {
+    pub fn new(profile: TestbedProfile, osd_count: usize) -> Testbed {
         let p = profile;
         let mut sim = Simulator::new();
         let client_nic_tx = sim.add_resource(ResourceSpec::pipe(
@@ -185,7 +191,7 @@ impl Testbed {
         ));
         let client_crypto = sim.add_resource(ResourceSpec::servers(
             "client-crypto",
-            crypto_lanes,
+            p.crypto_servers,
             p.crypto_rate,
             p.crypto_per_op,
         ));
@@ -227,10 +233,7 @@ impl Testbed {
             osd_kv,
         };
         Testbed {
-            profile: TestbedProfile {
-                crypto_servers: crypto_lanes,
-                ..p
-            },
+            profile: p,
             kv: CostProfile::default(),
             handles,
             sim,
@@ -256,7 +259,8 @@ impl Testbed {
     /// installed for.
     #[must_use]
     pub fn plan_of(&self, receipt: &Receipt) -> Plan {
-        let crypto = self.crypto_plan(receipt.crypto);
+        let write = !receipt.txs.is_empty();
+        let crypto = self.crypto_plan(receipt.crypto, write);
         let dispatch = Plan::par(
             receipt
                 .txs
@@ -267,10 +271,10 @@ impl Testbed {
         let rmw = Plan::par(receipt.rmw.iter().map(|read| self.plan_of(read)));
         // A read decrypts what it fetched; a write dispatches what it
         // encrypted.
-        if receipt.txs.is_empty() {
-            Plan::seq([rmw, dispatch, crypto])
-        } else {
+        if write {
             Plan::seq([rmw, crypto, dispatch])
+        } else {
+            Plan::seq([rmw, dispatch, crypto])
         }
     }
 
@@ -300,20 +304,21 @@ impl Testbed {
         stats
     }
 
-    /// `bytes` of client cipher work split over `lanes` near-equal
-    /// parallel chunks — one op at one lane, or when the split would
-    /// produce empty chunks; nothing for no bytes.
-    fn crypto_plan(&self, (bytes, lanes): (u64, usize)) -> Plan {
+    /// `bytes` of client cipher work: a write of at least
+    /// [`PARALLEL_CRYPTO_MIN_BYTES`] split over the crypto servers in
+    /// near-equal parallel chunks, anything else one op; nothing for no
+    /// bytes.
+    fn crypto_plan(&self, bytes: u64, write: bool) -> Plan {
         let crypto = self.handles.client_crypto;
-        let lanes = lanes as u64;
+        let servers = self.profile.crypto_servers as u64;
         if bytes == 0 {
             return Plan::Noop;
         }
-        if lanes <= 1 || bytes < lanes {
+        if !write || bytes < PARALLEL_CRYPTO_MIN_BYTES || servers <= 1 {
             return Plan::op(crypto, bytes);
         }
-        let (chunk, remainder) = (bytes / lanes, bytes % lanes);
-        Plan::par((0..lanes).map(|lane| Plan::op(crypto, chunk + u64::from(lane < remainder))))
+        let (chunk, remainder) = (bytes / servers, bytes % servers);
+        Plan::par((0..servers).map(|i| Plan::op(crypto, chunk + u64::from(i < remainder))))
     }
 
     /// A replicated write: client NIC → primary link → primary CPU →
@@ -436,7 +441,7 @@ mod tests {
     use vdisk_sim::SimTime;
 
     fn setup() -> Testbed {
-        Testbed::new(TestbedProfile::default(), 3, 4)
+        Testbed::new(TestbedProfile::default(), 3)
     }
 
     /// A transaction on `acting` whose every replica applied the same

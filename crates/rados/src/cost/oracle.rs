@@ -426,7 +426,7 @@ fn run_program(osds: usize, replicas: usize, actions: &[Action]) {
             .build()
     };
     let (priced, inline) = (twin(), twin());
-    let testbed = Testbed::new(TestbedProfile::default(), osds, 1);
+    let testbed = Testbed::new(TestbedProfile::default(), osds);
     let mut snaps: Vec<SnapId> = Vec::new();
     for (step, action) in actions.iter().enumerate() {
         match action {

@@ -21,10 +21,10 @@ pub struct Receipt {
     pub txs: Vec<TxWork>,
     /// Per-object reads served, in submission order (a read).
     pub reads: Vec<ReadWork>,
-    /// Client-side cipher work as `(bytes, lanes)`: encrypted before a
-    /// write dispatched, or decrypted after a read landed, split over
-    /// `lanes` parallel jobs. `(0, 0)` when the IO ran no cipher.
-    pub crypto: (u64, usize),
+    /// Client-side cipher work in bytes: encrypted before a write
+    /// dispatched, or decrypted after a read landed. `0` when the IO ran
+    /// no cipher. How many workers shared it is the testbed's to say.
+    pub crypto: u64,
     /// The boundary-sector reads an unaligned write performed before
     /// it encrypted, one receipt each.
     pub rmw: Vec<Receipt>,

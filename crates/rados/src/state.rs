@@ -25,9 +25,8 @@ pub struct ControlPlane {
     /// [`crate::ClusterBuilder::meta_cache_bytes`]); advisory for upper
     /// layers, unused inside the store.
     pub(crate) meta_cache_bytes: u64,
-    /// Client-side crypto parallelism (see
-    /// [`crate::ClusterBuilder::crypto_lanes`]): resolved at build
-    /// time, always ≥ 1. Advisory for upper layers.
+    /// The recorded crypto-lane count (see
+    /// [`crate::ClusterBuilder::crypto_lanes`]); nothing reads it.
     pub(crate) crypto_lanes: usize,
     /// Cluster-wide self-managed snapshot sequence. Non-zero at build
     /// when a durable backend reopens a directory that already took

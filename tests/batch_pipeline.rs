@@ -68,7 +68,7 @@ fn spanning_write_dispatches_n_transactions_in_one_parallel_batch() {
 
         // The receipt: the whole aligned span encrypted, one record per
         // transaction.
-        assert_eq!(receipt.crypto.0, data.len() as u64, "config {config:?}");
+        assert_eq!(receipt.crypto, data.len() as u64, "config {config:?}");
         assert_eq!(receipt.txs.len(), 4, "config {config:?}");
         // Plan shape: client-side crypto, then a parallel dispatch
         // stage with one child per transaction.
@@ -183,7 +183,7 @@ fn batched_reads_fan_out_like_batched_writes() {
     // Three objects fetched as three read ops in one vectored call.
     assert_eq!(cluster.exec_stats().read_ops - before.read_ops, 3);
     assert_eq!(receipt.reads.len(), 3);
-    assert_eq!(receipt.crypto.0, data.len() as u64);
+    assert_eq!(receipt.crypto, data.len() as u64);
     let plan = testbed::simulated(&cluster).plan_of(&receipt);
     let Plan::Seq(stages) = &plan else {
         panic!("expected dispatch → crypto, got {plan:?}");

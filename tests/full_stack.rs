@@ -196,6 +196,33 @@ fn discarded_payload_mode_produces_identical_plans() {
 }
 
 #[test]
+fn large_write_plans_do_not_depend_on_the_lane_knob_or_the_host() {
+    // The simulated client has its own crypto workers: a 256 KiB write
+    // prices to the same plan whatever lane count the cluster recorded,
+    // and whatever cores the host running the simulation has.
+    let builders = [
+        Cluster::builder().crypto_lanes(1),
+        Cluster::builder().crypto_lanes(4),
+        Cluster::builder(),
+    ];
+    let plans = builders.map(|builder| {
+        let cluster = builder.build();
+        let image = Image::create(&cluster, "lanes", 8 << 20).unwrap();
+        let mut disk = EncryptedImage::format_with_iv_source(
+            image,
+            &EncryptionConfig::random_iv_object_end(),
+            b"pw",
+            Box::new(SeededIvSource::new(3)),
+        )
+        .unwrap();
+        let write = disk.write(0, &vec![7; 256 << 10]).unwrap();
+        vdisk::bench::testbed::simulated(&cluster).plan_of(&write)
+    });
+    assert_eq!(plans[0], plans[1]);
+    assert_eq!(plans[0], plans[2]);
+}
+
+#[test]
 fn cross_lba_ciphertext_replay_decrypts_to_garbage() {
     // Move sector 0's (ciphertext, IV) to sector 1 via raw transactions;
     // the LBA binding in the tweak makes it decrypt to noise, not the
