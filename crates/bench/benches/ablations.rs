@@ -6,16 +6,14 @@ use vdisk_bench::fio::{self, IoPattern, JobSpec};
 use vdisk_bench::testbed;
 use vdisk_core::{Cipher, EncryptedImage, EncryptionConfig, MetaLayout};
 use vdisk_crypto::rng::SeededIvSource;
-use vdisk_rados::{Cluster, PayloadMode};
+use vdisk_rados::Cluster;
 use vdisk_rbd::Image;
 
 const IMAGE: u64 = 64 << 20;
 const SIZES: [u64; 4] = [4 << 10, 64 << 10, 512 << 10, 4 << 20];
 
 fn disk_for(config: &EncryptionConfig) -> EncryptedImage {
-    let cluster = Cluster::builder()
-        .payload_mode(PayloadMode::Discarded)
-        .build();
+    let cluster = Cluster::builder().build();
     let image = Image::create(&cluster, "ablate", IMAGE).expect("image");
     EncryptedImage::format_with_iv_source(image, config, b"pass", Box::new(SeededIvSource::new(11)))
         .expect("format")

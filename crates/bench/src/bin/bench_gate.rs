@@ -87,7 +87,7 @@ fn assert_plan_drops_meta_round_trip(label: &str, config: &EncryptionConfig) {
     let warm = testbed::simulated(cached.image().cluster())
         .plan_of(&cached.read(0, &mut buf).expect("warm read"));
     assert!(
-        cached.image().cluster().exec_stats().meta_cache_write_fills > 0,
+        cached.meta_cache_stats().meta_cache_write_fills > 0,
         "{label}: the seed write must fill its own entries"
     );
     let mut uncached = testbed::uncached_bench_disk(config, 1 << 20, 13);
@@ -170,7 +170,7 @@ fn run_groups() -> BTreeMap<String, u64> {
             on,
         );
 
-        let hits = disk.image().cluster().exec_stats().meta_cache_hits;
+        let hits = disk.meta_cache_stats().meta_cache_hits;
         assert!(hits > 0, "{label}: warmed read job must register hits");
         assert!(
             on <= off,

@@ -418,7 +418,7 @@ mod tests {
         assert!(delta_tx < 128, "the mix must contain reads");
         // Churn exercises the invalidation path: overwrites landed on
         // sectors the reads had cached.
-        let stats = disk.image().cluster().exec_stats();
+        let stats = disk.meta_cache_stats();
         assert!(stats.meta_cache_hits > 0, "re-read sectors must hit");
         assert!(stats.meta_cache_invalidations > 0, "overwrites must purge");
     }
@@ -441,7 +441,7 @@ mod tests {
         run_job(&mut warm, &spec).unwrap(); // warm the cache
         let cached = run_job(&mut warm, &spec).unwrap();
         assert!(
-            warm.image().cluster().exec_stats().meta_cache_hits > 0,
+            warm.meta_cache_stats().meta_cache_hits > 0,
             "warmed rerun must hit"
         );
         let mut cold = testbed::uncached_bench_disk(&config, 16 << 20, 3);

@@ -3,7 +3,7 @@
 
 use vdisk_core::{EncryptedImage, EncryptionConfig, MetaLayout};
 use vdisk_crypto::rng::SeededIvSource;
-use vdisk_rados::{Cluster, PayloadMode, Testbed, TestbedProfile};
+use vdisk_rados::{Cluster, Testbed, TestbedProfile};
 use vdisk_rbd::Image;
 
 /// The paper's IO-size sweep: 4 KB to 4 MB (Fig. 3/4 x-axis).
@@ -55,10 +55,11 @@ pub fn paper_variants() -> Vec<Variant> {
     ]
 }
 
-/// The shared configuration of every bench cluster (payloads
-/// discarded: identical receipts, bounded memory). Both cluster
+/// The shared configuration of every bench cluster. Both cluster
 /// flavours derive from this builder so calibration changes apply to
-/// all benchmark rows at once.
+/// all benchmark rows at once. Receipts record what each op did, not
+/// the bytes it stored, so the priced figures do not depend on the
+/// payload; the cost of storing it is harness memory.
 ///
 /// The client-side IV/metadata cache is **off** here: the paper's
 /// figures measure the layouts' *inherent* per-sector metadata costs,
@@ -66,7 +67,6 @@ pub fn paper_variants() -> Vec<Variant> {
 /// [`cached_bench_disk`].
 fn bench_builder() -> vdisk_rados::ClusterBuilder {
     Cluster::builder()
-        .payload_mode(PayloadMode::Discarded)
         .meta_cache_bytes(0)
         // Pinned to the in-memory backend, overriding any
         // `VDISK_BACKEND` environment selection: the figure harnesses

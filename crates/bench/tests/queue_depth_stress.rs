@@ -16,27 +16,10 @@
 
 use vdisk_bench::fio::{self, IoPattern, JobSpec};
 use vdisk_bench::testbed;
-use vdisk_core::{EncryptedImage, EncryptionConfig, IoOp, IoPayload};
-use vdisk_crypto::rng::SeededIvSource;
-use vdisk_rados::Cluster;
-use vdisk_rbd::Image;
+use vdisk_core::{EncryptionConfig, IoOp, IoPayload};
 
 const IMAGE_SIZE: u64 = 64 << 20;
 const QD: usize = 8;
-
-/// A stored-payload disk (so read-back verification sees real bytes)
-/// with shard workers forced on.
-fn stored_queued_disk() -> EncryptedImage {
-    let cluster = Cluster::builder().concurrent_apply(true).build();
-    let image = Image::create(&cluster, "qd-stress", IMAGE_SIZE).expect("create image");
-    EncryptedImage::format_with_iv_source(
-        image,
-        &EncryptionConfig::random_iv_object_end(),
-        b"qd-stress",
-        Box::new(SeededIvSource::new(11)),
-    )
-    .expect("format image")
-}
 
 #[test]
 fn qd8_randwrite_keeps_submissions_in_flight_across_shards() {
@@ -101,7 +84,8 @@ fn qd8_randwrite_keeps_submissions_in_flight_across_shards() {
 
 #[test]
 fn deep_encrypted_queue_round_trips_under_overlap() {
-    let mut disk = stored_queued_disk();
+    let mut disk =
+        testbed::queued_bench_disk(&EncryptionConfig::random_iv_object_end(), IMAGE_SIZE, 11);
     let mut queue = disk.io_queue();
     // 64 writes with distinct fills over 16 slots — heavy same-sector
     // overlap, all in flight together — then 16 reads, then a fence.
@@ -153,7 +137,8 @@ fn deep_encrypted_queue_round_trips_under_overlap() {
 #[test]
 fn qd32_large_block_round_trips() {
     const IO: u64 = 256 << 10;
-    let mut disk = stored_queued_disk();
+    let mut disk =
+        testbed::queued_bench_disk(&EncryptionConfig::random_iv_object_end(), IMAGE_SIZE, 11);
     let mut queue = disk.io_queue();
     // Two full QD-32 waves of writes over 32 distinct slots (the
     // second wave overwrites the first in flight), then reads.

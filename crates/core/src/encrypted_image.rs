@@ -772,8 +772,7 @@ impl EncryptedImage {
     /// As [`Image::snap_create`].
     pub fn snap_create(&self, name: &str) -> Result<SnapId> {
         let snap = self.image.snap_create(name)?;
-        let invalidated = self.meta_cache.invalidate_all();
-        self.image.cluster().record_meta_cache(0, 0, invalidated);
+        self.meta_cache.invalidate_all();
         if !self.tagged_layout() {
             // The baseline layout has no per-sector epoch tags, so a
             // snapshot must remember which sectors carried which key
@@ -808,6 +807,17 @@ impl EncryptedImage {
     #[must_use]
     pub fn meta_cache_capacity_sectors(&self) -> usize {
         self.meta_cache.capacity_sectors()
+    }
+
+    /// This image's IV/metadata cache totals since it was opened: the
+    /// sums of the per-op `meta_cache_*` deltas its reads and writes
+    /// return, plus the invalidations of [`EncryptedImage::snap_create`].
+    /// Only the four `meta_cache_*` fields are set; every other field
+    /// is 0 (the store's own counters are
+    /// [`vdisk_rados::Cluster::exec_stats`], which leaves these four 0).
+    #[must_use]
+    pub fn meta_cache_stats(&self) -> ExecStats {
+        self.meta_cache.stats()
     }
 
     /// Encryption operates on whole sectors, so an image whose size is
@@ -1038,7 +1048,7 @@ impl EncryptedImage {
                 .fill(fill.base_lba, &fill.metas, fill.generation);
         }
         if filled > 0 {
-            self.image.cluster().record_meta_cache_write_fills(filled);
+            self.meta_cache.count_write_fills(filled);
         }
         filled
     }
@@ -1080,7 +1090,6 @@ impl EncryptedImage {
                 .meta_cache
                 .invalidate_range(extent.base_lba, extent.sector_count);
         }
-        self.image.cluster().record_meta_cache(0, 0, invalidated);
 
         // Encrypt the whole request in the submitted buffer: one
         // metadata run packed in sector order alongside. The epoch map
@@ -1358,7 +1367,6 @@ impl EncryptedImage {
                 ObjectReads::new(object, ops)
             })
             .collect();
-        self.image.cluster().record_meta_cache(hits, misses, 0);
         Ok((
             requests,
             ReadSpan {
@@ -1706,7 +1714,7 @@ mod tests {
         ] {
             let mut disk = zc_disk(&config);
             disk.write(0, &vec![0x5Au8; 64 << 10]).unwrap();
-            let stats = disk.image().cluster().exec_stats();
+            let stats = disk.meta_cache_stats();
             assert_eq!(
                 stats.meta_cache_write_fills, 16,
                 "{config:?}: the write installs its own entries"
@@ -1720,7 +1728,7 @@ mod tests {
             let mut buf = vec![0u8; 64 << 10];
             let warm = disk.read(0, &mut buf).unwrap();
             assert_eq!(buf, vec![0x5Au8; 64 << 10]);
-            let stats = disk.image().cluster().exec_stats();
+            let stats = disk.meta_cache_stats();
             assert_eq!(
                 stats.meta_cache_hits, 16,
                 "{config:?}: the first read hits write-filled entries"
@@ -1769,7 +1777,7 @@ mod tests {
         // absent) — invalidated at submit, then write-through refilled
         // with the fresh entries at completion.
         disk.write(5 * 4096, &vec![2u8; 4 * 4096]).unwrap();
-        let stats = disk.image().cluster().exec_stats();
+        let stats = disk.meta_cache_stats();
         assert_eq!(
             stats.meta_cache_invalidations, 3,
             "every overwritten cached sector is accounted, absent ones are not"
@@ -1797,18 +1805,15 @@ mod tests {
 
         let snap = disk.snap_create("s1").unwrap();
         assert_eq!(disk.meta_cache_resident_sectors(), 0, "snapshot wipes");
-        assert_eq!(
-            disk.image().cluster().exec_stats().meta_cache_invalidations,
-            4
-        );
+        assert_eq!(disk.meta_cache_stats().meta_cache_invalidations, 4);
 
         disk.write(0, &vec![8u8; 16 << 10]).unwrap();
         disk.read(0, &mut buf).unwrap(); // refill from the new head
-        let hits_before = disk.image().cluster().exec_stats().meta_cache_hits;
+        let hits_before = disk.meta_cache_stats().meta_cache_hits;
         disk.read_at_snap(snap, 0, &mut buf).unwrap();
         assert_eq!(buf, vec![7u8; 16 << 10], "snapshot content preserved");
         assert_eq!(
-            disk.image().cluster().exec_stats().meta_cache_hits,
+            disk.meta_cache_stats().meta_cache_hits,
             hits_before,
             "snapshot reads must not consult head-state cache entries"
         );
@@ -1827,7 +1832,7 @@ mod tests {
             let mut buf = vec![0u8; 8192];
             disk.read(0, &mut buf).unwrap();
             disk.read(0, &mut buf).unwrap();
-            let stats = disk.image().cluster().exec_stats();
+            let stats = disk.meta_cache_stats();
             assert_eq!(stats.meta_cache_hits + stats.meta_cache_misses, 0);
         }
         // Explicitly disabled via the builder knob.
@@ -1845,7 +1850,7 @@ mod tests {
         let mut buf = vec![0u8; 8192];
         disk.read(0, &mut buf).unwrap();
         disk.read(0, &mut buf).unwrap();
-        let stats = cluster.exec_stats();
+        let stats = disk.meta_cache_stats();
         assert_eq!(stats.meta_cache_hits + stats.meta_cache_misses, 0);
     }
 

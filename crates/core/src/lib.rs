@@ -33,9 +33,11 @@
 //!   ([`vdisk_rados::Cluster::shard_write_seq`]) so queued overwrites
 //!   and snapshots landing between a read's submit and reap can never
 //!   leave stale entries; size or disable it with
-//!   [`vdisk_rados::ClusterBuilder::meta_cache_bytes`], observe it via
+//!   [`vdisk_rados::ClusterBuilder::meta_cache_bytes`]. The cache
+//!   counts itself: each op's `IoResult::stats` carries its
 //!   `ExecStats::{meta_cache_hits, meta_cache_misses,
-//!   meta_cache_invalidations}`.
+//!   meta_cache_invalidations, meta_cache_write_fills}` deltas, and
+//!   [`EncryptedImage::meta_cache_stats`] returns the image's totals.
 //! - [`EncryptedIoQueue`]: the aio-style IO surface. One engine —
 //!   [`vdisk_rbd::Queue`], which owns completion ids, every reap call,
 //!   the doorbell and the error-retention rule — over two backends:

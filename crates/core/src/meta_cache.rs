@@ -36,6 +36,11 @@
 //! reflects every write submitted before this read — and per-shard
 //! FIFO orders the read's data fetch before any later write.
 //!
+//! The cache counts itself: every hit, miss, invalidation and
+//! write-through fill adds to running totals kept under its lock,
+//! which [`crate::EncryptedImage::meta_cache_stats`] returns. The
+//! store below keeps no cache counters.
+//!
 //! Eviction is CLOCK (second chance): one referenced bit per resident
 //! sector, a hand that sweeps on insert. Hot IV entries of a
 //! read-heavy working set survive scans of cold ranges at a fraction
@@ -50,6 +55,7 @@
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use vdisk_rados::ExecStats;
 
 /// One resident sector's entry.
 struct Slot {
@@ -71,6 +77,9 @@ struct CacheInner {
     /// Bumped by [`MetaCache::invalidate_all`] (snapshots): fills
     /// captured before the wipe are rejected.
     generation: u64,
+    /// Running totals since the cache was built; only the four
+    /// `meta_cache_*` fields move.
+    totals: ExecStats,
 }
 
 /// A read-only, sector-granular cache of persisted IV/metadata entries
@@ -101,6 +110,7 @@ impl MetaCache {
                     slots: Vec::new(),
                     hand: 0,
                     generation: 0,
+                    totals: ExecStats::default(),
                 })
             }),
             entry_len,
@@ -136,11 +146,19 @@ impl MetaCache {
         self.lock().map_or(0, |inner| inner.map.len())
     }
 
+    /// The hit, miss, invalidation and write-fill totals since the
+    /// cache was built (all 0 when disabled); every other field is 0.
+    pub(crate) fn stats(&self) -> ExecStats {
+        self.lock()
+            .map_or_else(ExecStats::default, |inner| inner.totals)
+    }
+
     /// Looks up a whole extent (`count` sectors from `base_lba`):
     /// returns the packed metadata run — the exact shape
     /// `SectorCodec::decrypt_sectors` takes — only if **every** sector
-    /// is resident. Partial hits return `None`: the extent's metadata
-    /// is fetched in one store op either way, so a partial hit saves
+    /// is resident, counting the extent's sectors as hits. Partial hits
+    /// return `None` and count as misses: the extent's metadata is
+    /// fetched in one store op either way, so a partial hit saves
     /// nothing.
     pub(crate) fn lookup_extent(&self, base_lba: u64, count: u64) -> Option<Vec<u8>> {
         let mut inner = self.lock()?;
@@ -149,8 +167,10 @@ impl MetaCache {
         // make cold, never-served extents outlive genuinely hit
         // sectors) nor pack entries it is about to discard.
         if (base_lba..base_lba + count).any(|lba| !inner.map.contains_key(&lba)) {
+            inner.totals.meta_cache_misses += count;
             return None;
         }
+        inner.totals.meta_cache_hits += count;
         let mut packed = Vec::with_capacity(count as usize * self.entry_len);
         for lba in base_lba..base_lba + count {
             let slot_idx = inner.map[&lba];
@@ -185,6 +205,15 @@ impl MetaCache {
         installed
     }
 
+    /// Counts `fills` entries a write installed through
+    /// [`MetaCache::fill`] at its reap (write-through fills); read
+    /// fills are not counted.
+    pub(crate) fn count_write_fills(&self, fills: u64) {
+        if let Some(mut inner) = self.lock() {
+            inner.totals.meta_cache_write_fills += fills;
+        }
+    }
+
     /// Drops every cached entry in `[base_lba, base_lba + count)` —
     /// the write-submit hook. Returns how many sectors were actually
     /// resident (the `meta_cache_invalidations` delta).
@@ -198,6 +227,7 @@ impl MetaCache {
                 removed += 1;
             }
         }
+        inner.totals.meta_cache_invalidations += removed;
         removed
     }
 
@@ -212,6 +242,7 @@ impl MetaCache {
         inner.slots.clear();
         inner.hand = 0;
         inner.generation += 1;
+        inner.totals.meta_cache_invalidations += removed;
         removed
     }
 }

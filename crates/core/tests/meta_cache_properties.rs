@@ -199,7 +199,7 @@ fn run_case(layout: MetaLayout, actions: &[Action]) {
     // or miss; every resident or invalidated entry traces to a missed
     // fetch or a write-through fill (the capacity exceeds the image,
     // so eviction never hides one).
-    let stats = cached.image().cluster().exec_stats();
+    let stats = cached.meta_cache_stats();
     assert_eq!(
         stats.meta_cache_hits + stats.meta_cache_misses,
         cacheable_sectors,
@@ -222,7 +222,7 @@ fn run_case(layout: MetaLayout, actions: &[Action]) {
     cached
         .write_owned(0, vec![0xEE; IMAGE_SIZE as usize])
         .unwrap();
-    let stats = cached.image().cluster().exec_stats();
+    let stats = cached.meta_cache_stats();
     assert_eq!(
         stats.meta_cache_invalidations - inv_before,
         resident,
@@ -236,11 +236,12 @@ fn run_case(layout: MetaLayout, actions: &[Action]) {
 }
 
 /// The per-op contract: summing the `meta_cache_*` deltas over every
-/// reaped `IoResult` reconciles exactly with the cluster-wide
-/// counters — including the boundary-sector RMW reads a queued
-/// unaligned write performs at submit.
+/// reaped `IoResult` reconciles exactly with the image's own totals
+/// (`EncryptedImage::meta_cache_stats`) — including the
+/// boundary-sector RMW reads a queued unaligned write performs at
+/// submit.
 #[test]
-fn per_op_deltas_reconcile_with_cluster_totals() {
+fn per_op_deltas_reconcile_with_image_totals() {
     let mut disk = make_disk(MetaLayout::ObjectEnd, true, 0xACC7);
     let mut queue = disk.io_queue();
     let (mut hits, mut misses, mut invalidations, mut fills) = (0u64, 0u64, 0u64, 0u64);
@@ -289,7 +290,7 @@ fn per_op_deltas_reconcile_with_cluster_totals() {
     tally(queue.fence().unwrap());
     drop(queue);
 
-    let stats = disk.image().cluster().exec_stats();
+    let stats = disk.meta_cache_stats();
     assert!(hits > 0, "the RMW boundary read must have hit the cache");
     assert!(invalidations > 0);
     assert!(
@@ -304,7 +305,7 @@ fn per_op_deltas_reconcile_with_cluster_totals() {
             stats.meta_cache_invalidations,
             stats.meta_cache_write_fills
         ),
-        "per-op IoResult deltas must sum to the cluster-wide counters"
+        "per-op IoResult deltas must sum to the image totals"
     );
 }
 

@@ -6,7 +6,8 @@
 //! `io_queue().submit` + `fence`. Every op must return the same
 //! [`Receipt`] — the whole record of its physical work, so the same
 //! priced plan — and move the cluster's
-//! [`ExecStats`](vdisk_rados::ExecStats) identically, and at the end
+//! [`ExecStats`](vdisk_rados::ExecStats) and the image's cache totals
+//! (`EncryptedImage::meta_cache_stats`) identically, and at the end
 //! every touched sector must hold the same
 //! ciphertext and metadata and the images the same plaintext. This is
 //! what lets `bench_gate` (which drives the queue) speak for the sync
@@ -138,6 +139,11 @@ fn run_case(config: &EncryptionConfig, actions: &[Action]) {
             sync.image().cluster().exec_stats(),
             aio.image().cluster().exec_stats(),
             "step {step}: {action:?} moved the cluster counters differently"
+        );
+        assert_eq!(
+            sync.meta_cache_stats(),
+            aio.meta_cache_stats(),
+            "step {step}: {action:?} moved the cache totals differently"
         );
     }
 

@@ -96,7 +96,6 @@
 
 use super::log::ShardLog;
 use super::MemStore;
-use crate::cluster::PayloadMode;
 use crate::fault::{FaultKind, FaultPlane};
 use crate::object::Object;
 use crate::placement::OsdId;
@@ -181,16 +180,12 @@ impl FileStore {
     /// Opens (or creates) the store for one shard at `dir`: loads
     /// every object file into a fresh mirror, replays the redo log
     /// over it, and checkpoints, so the store starts with an empty log;
-    /// returns the mirror beside it. `store_payload` is the cluster's
-    /// payload mode: replay
-    /// creates objects the way the live apply did. Recovery itself
-    /// never consults the fault plane; commits and checkpoints after it
-    /// do.
+    /// returns the mirror beside it. Recovery itself never consults
+    /// the fault plane; commits and checkpoints after it do.
     pub(crate) fn open_faulted(
         dir: PathBuf,
         osd_count: usize,
         shard: usize,
-        store_payload: bool,
         faults: Option<Arc<FaultPlane>>,
     ) -> io::Result<(MemStore, Self)> {
         let mut mem = MemStore::new(osd_count);
@@ -241,7 +236,7 @@ impl FileStore {
                 .ok_or_else(|| corrupt(format!("redo record {i} of shard {shard}")))?;
             let tx = record.as_applied();
             for osd in tx.acting {
-                mem.apply_ops(osd.0, store_payload, &tx, |_| {});
+                mem.apply_ops(osd.0, &tx, |_| {});
             }
             store.note(&tx);
         }
@@ -607,7 +602,6 @@ pub(crate) struct ClusterMeta {
     pub(crate) replicas: usize,
     pub(crate) pg_count: u64,
     pub(crate) shard_count: usize,
-    pub(crate) payload: PayloadMode,
     pub(crate) snap_seq: u64,
 }
 
@@ -636,18 +630,19 @@ impl ClusterMeta {
         write_durable(Self::path(root).as_path(), self.render().as_bytes(), None).map(drop)
     }
 
+    /// The meta file's text. Its `payload=stored` line is the only
+    /// value the line ever takes; it stays so the format does not
+    /// change.
     fn render(&self) -> String {
-        let payload = match self.payload {
-            PayloadMode::Stored => "stored",
-            PayloadMode::Discarded => "discarded",
-        };
         format!(
             "{META_MAGIC}\nosd_count={}\nreplicas={}\npg_count={}\nshard_count={}\n\
-             payload={payload}\nsnap_seq={}\n",
+             payload=stored\nsnap_seq={}\n",
             self.osd_count, self.replicas, self.pg_count, self.shard_count, self.snap_seq
         )
     }
 
+    /// Parses [`ClusterMeta::render`] text; `None` when it is malformed
+    /// or names a payload mode other than `stored`.
     fn parse(text: &str) -> Option<ClusterMeta> {
         let mut lines = text.lines();
         if lines.next()? != META_MAGIC {
@@ -661,16 +656,14 @@ impl ClusterMeta {
             let (key, value) = line.split_once('=')?;
             fields.insert(key, value);
         }
+        if *fields.get("payload")? != "stored" {
+            return None;
+        }
         Some(ClusterMeta {
             osd_count: fields.get("osd_count")?.parse().ok()?,
             replicas: fields.get("replicas")?.parse().ok()?,
             pg_count: fields.get("pg_count")?.parse().ok()?,
             shard_count: fields.get("shard_count")?.parse().ok()?,
-            payload: match *fields.get("payload")? {
-                "stored" => PayloadMode::Stored,
-                "discarded" => PayloadMode::Discarded,
-                _ => return None,
-            },
             snap_seq: fields.get("snap_seq")?.parse().ok()?,
         })
     }
@@ -714,7 +707,7 @@ pub(crate) mod tests {
 
     fn open(dir: &Path) -> Store {
         let (mem, disk) =
-            FileStore::open_faulted(dir.to_path_buf(), ACTING.len(), 0, true, None).unwrap();
+            FileStore::open_faulted(dir.to_path_buf(), ACTING.len(), 0, None).unwrap();
         Store { mem, disk }
     }
 
@@ -728,7 +721,7 @@ pub(crate) mod tests {
             ops: &tx.ops,
         };
         for osd in &ACTING {
-            store.mem.apply_ops(osd.0, true, &applied, |_| {});
+            store.mem.apply_ops(osd.0, &applied, |_| {});
         }
         store.disk.commit(&store.mem, &applied).unwrap();
     }
@@ -914,7 +907,7 @@ pub(crate) mod tests {
         let dir = scratch("corrupt");
         fs::create_dir_all(dir.join("osd-0")).unwrap();
         fs::write(dir.join("osd-0/bad.obj"), b"not a codec blob").unwrap();
-        let err = FileStore::open_faulted(dir.clone(), 1, 0, true, None).unwrap_err();
+        let err = FileStore::open_faulted(dir.clone(), 1, 0, None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(dir).unwrap();
     }
@@ -926,7 +919,7 @@ pub(crate) mod tests {
             let mut store = open(&dir);
             run(&mut store, 0, &write_tx("obj", 0, vec![1]));
         }
-        let err = FileStore::open_faulted(dir.clone(), 2, 0, true, None).unwrap_err();
+        let err = FileStore::open_faulted(dir.clone(), 2, 0, None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(dir).unwrap();
     }
@@ -937,7 +930,7 @@ pub(crate) mod tests {
         fs::create_dir_all(dir.join("osd-0")).unwrap();
         // A crash between temp-write and rename leaves a .tmp behind.
         fs::write(dir.join("osd-0/torn.tmp"), b"half a write").unwrap();
-        let (mem, _disk) = FileStore::open_faulted(dir.clone(), 1, 0, true, None).unwrap();
+        let (mem, _disk) = FileStore::open_faulted(dir.clone(), 1, 0, None).unwrap();
         assert!(mem.names().is_empty());
         assert!(
             !dir.join("osd-0/torn.tmp").exists(),
@@ -1016,7 +1009,6 @@ pub(crate) mod tests {
             replicas: 3,
             pg_count: 128,
             shard_count: 8,
-            payload: PayloadMode::Discarded,
             snap_seq: 42,
         };
         meta.store(&dir).unwrap();
@@ -1024,5 +1016,33 @@ pub(crate) mod tests {
         fs::write(dir.join("cluster.meta"), "something else\n").unwrap();
         assert!(ClusterMeta::load(&dir).is_err());
         fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The text a freshly formatted default store writes, byte for byte:
+    /// directories formatted by earlier builds must keep reopening.
+    const FORMATTED_META: &str = "vdisk-cluster v1\nosd_count=3\nreplicas=3\npg_count=128\n\
+                                  shard_count=8\npayload=stored\nsnap_seq=0\n";
+
+    #[test]
+    fn a_fresh_store_writes_the_golden_cluster_meta() {
+        let dir = scratch("meta-golden");
+        let cluster = crate::Cluster::builder()
+            .backend(crate::BackendKind::File { dir: dir.clone() })
+            .build();
+        drop(cluster);
+        assert_eq!(
+            fs::read_to_string(dir.join("cluster.meta")).unwrap(),
+            FORMATTED_META
+        );
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn cluster_meta_rejects_any_payload_mode_but_stored() {
+        assert!(ClusterMeta::parse(FORMATTED_META).is_some());
+        for line in ["payload=discarded\n", "payload=\n", ""] {
+            let text = FORMATTED_META.replace("payload=stored\n", line);
+            assert_eq!(ClusterMeta::parse(&text), None, "{line:?}");
+        }
     }
 }

@@ -64,13 +64,12 @@ impl MemStore {
     pub(crate) fn apply_ops(
         &mut self,
         osd: usize,
-        store_payload: bool,
         tx: &AppliedTx<'_>,
         mut effect: impl FnMut(OpEffect),
     ) {
         let object = self.osds[osd]
             .entry(tx.object.to_string())
-            .or_insert_with(|| Object::new(store_payload, tx.snap_seq));
+            .or_insert_with(|| Object::new(tx.snap_seq));
         object.prepare_write(tx.snap_seq);
         let mut deleted = false;
         for op in tx.ops {

@@ -15,18 +15,17 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Whether object payload bytes are materialized in memory.
+/// How object payload bytes are kept: there is one mode, and every
+/// cluster stores every byte.
 ///
-/// `Discarded` keeps only sizes and OMAP content — identical receipts
-/// at a fraction of the memory — and exists for the benchmark
-/// harness, which sweeps up to 4 MB IOs and never re-reads plaintext.
+/// The type and [`ClusterBuilder::payload_mode`] stay only because the
+/// wall-clock benchmark's rig pins `PayloadMode::Stored`; ROADMAP G
+/// deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PayloadMode {
-    /// Store every byte (functional tests, examples).
+    /// Store every byte.
     #[default]
     Stored,
-    /// Track sizes only; reads return zeros.
-    Discarded,
 }
 
 /// Default client-side metadata cache budget: 4 MiB of sector
@@ -42,7 +41,6 @@ pub struct ClusterBuilder {
     pg_count: u64,
     shard_count: usize,
     concurrent_apply: Option<bool>,
-    payload: PayloadMode,
     meta_cache_bytes: u64,
     crypto_lanes: usize,
     backend: BackendKind,
@@ -67,7 +65,6 @@ impl Default for ClusterBuilder {
             pg_count: 128,
             shard_count: 8,
             concurrent_apply: None,
-            payload: PayloadMode::Stored,
             meta_cache_bytes: DEFAULT_META_CACHE_BYTES,
             crypto_lanes: 1,
             backend,
@@ -159,10 +156,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Payload retention mode.
+    /// Accepts the one [`PayloadMode`] and changes nothing: every
+    /// cluster stores its payload bytes. It stays for callers that
+    /// still set it; ROADMAP G deletes it.
     #[must_use]
-    pub fn payload_mode(mut self, mode: PayloadMode) -> Self {
-        self.payload = mode;
+    pub fn payload_mode(self, _mode: PayloadMode) -> Self {
         self
     }
 
@@ -196,8 +194,7 @@ impl ClusterBuilder {
     /// [`BackendKind::File`] makes every transaction commit durable
     /// (logged and `fsync`ed) under the given directory and reopens a
     /// directory formatted by an earlier cluster, provided the geometry
-    /// (`osd_count`, `replicas`, `pg_count`, `shard_count`, payload
-    /// mode) matches.
+    /// (`osd_count`, `replicas`, `pg_count`, `shard_count`) matches.
     #[must_use]
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
@@ -296,7 +293,6 @@ impl ClusterBuilder {
                     replicas: self.replicas,
                     pg_count: self.pg_count,
                     shard_count: self.shard_count,
-                    payload: self.payload,
                     snap_seq: 0,
                 };
                 std::fs::create_dir_all(dir)
@@ -344,7 +340,6 @@ impl ClusterBuilder {
                             dir.join(format!("shard-{s}")),
                             self.osd_count,
                             s,
-                            self.payload == PayloadMode::Stored,
                             faults.clone(),
                         )
                         .map_err(|e| RadosError::Io(format!("open shard {s}: {e}")))?;
@@ -366,7 +361,6 @@ impl ClusterBuilder {
             .map_or(workers, |forced| forced.min(self.shard_count));
         let control = Arc::new(ControlPlane {
             placement,
-            payload: self.payload,
             shard_count: self.shard_count,
             meta_cache_bytes: self.meta_cache_bytes,
             crypto_lanes: self.crypto_lanes,

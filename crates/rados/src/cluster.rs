@@ -81,9 +81,13 @@ pub struct ExecStats {
     /// 1 mean async use *or* multi-threaded sync use.
     pub queue_depth_peak: u64,
     /// Sectors whose IV/metadata round trip was skipped because a
-    /// client-side metadata cache held their entry (reported via
-    /// [`Cluster::record_meta_cache`] by the encryption layer's cache;
-    /// always zero when no cache is layered above).
+    /// client-side metadata cache held their entry.
+    ///
+    /// This and the other three `meta_cache_*` fields are per-op
+    /// deltas the encryption layer sets on the `ExecStats` it returns
+    /// with each op; the store keeps no cache and
+    /// [`Cluster::exec_stats`] leaves all four 0. An image's totals
+    /// come from `vdisk_core::EncryptedImage::meta_cache_stats`.
     pub meta_cache_hits: u64,
     /// Sectors whose IV/metadata had to be fetched from the store
     /// despite a client-side metadata cache being enabled.
@@ -587,23 +591,6 @@ impl Cluster {
             self.shards.push(&self.control.stats, shard, hold);
         }
         ShardHold { gate, released }
-    }
-
-    /// Observability hook for client-side metadata caches layered
-    /// above the store (the encryption layer's IV cache): accumulates
-    /// the given deltas into [`ExecStats::meta_cache_hits`] /
-    /// [`ExecStats::meta_cache_misses`] /
-    /// [`ExecStats::meta_cache_invalidations`].
-    pub fn record_meta_cache(&self, hits: u64, misses: u64, invalidations: u64) {
-        self.control
-            .stats
-            .record_meta_cache(hits, misses, invalidations);
-    }
-
-    /// Observability hook for write-through cache fills (see
-    /// [`ExecStats::meta_cache_write_fills`]).
-    pub fn record_meta_cache_write_fills(&self, fills: u64) {
-        self.control.stats.record_meta_cache_write_fills(fills);
     }
 
     /// The current snapshot sequence.

@@ -12,7 +12,7 @@
 
 use super::{ResourceHandles, Testbed, TestbedProfile};
 use crate::backend::BackendKind;
-use crate::cluster::{Cluster, PayloadMode};
+use crate::cluster::Cluster;
 use crate::object::PHYS_BLOCK;
 use crate::placement::OsdId;
 use crate::receipt::OpEffect;
@@ -174,14 +174,9 @@ fn apply_inline(cluster: &Cluster, testbed: &Testbed, tx: &Transaction) -> Plan 
     let mut work: Vec<OsdWork> = Vec::with_capacity(acting.len());
     for osd in &acting {
         let mut osd_work = OsdWork::default();
-        state.store.apply_ops(
-            osd.0,
-            cp.payload == PayloadMode::Stored,
-            &applied,
-            |effect| {
-                charge(testbed, &mut osd_work, effect);
-            },
-        );
+        state.store.apply_ops(osd.0, &applied, |effect| {
+            charge(testbed, &mut osd_work, effect);
+        });
         work.push(osd_work);
     }
     write_plan(

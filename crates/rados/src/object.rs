@@ -36,43 +36,35 @@ pub struct ExtentProfile {
 /// One version of an object's content: data, OMAP and xattrs.
 #[derive(Debug, Clone)]
 pub(crate) struct ObjectContent {
-    /// Payload bytes; empty and ignored when `store_payload` is false.
+    /// Payload bytes; their length is the object's logical size.
     data: Vec<u8>,
-    /// Logical size (tracked even when the payload is discarded).
-    size: u64,
     /// Per-object key-value metadata (Ceph's OMAP, RocksDB-backed).
     pub(crate) omap: LsmStore,
     /// Extended attributes.
     pub(crate) xattrs: BTreeMap<String, Vec<u8>>,
-    store_payload: bool,
 }
 
 impl ObjectContent {
-    pub(crate) fn new(store_payload: bool) -> Self {
+    pub(crate) fn new() -> Self {
         ObjectContent {
             data: Vec::new(),
-            size: 0,
             omap: LsmStore::new(LsmConfig::default()),
             xattrs: BTreeMap::new(),
-            store_payload,
         }
     }
 
     pub(crate) fn size(&self) -> u64 {
-        self.size
+        self.data.len() as u64
     }
 
     /// Applies a write and returns the physical-disk profile it incurs.
     pub(crate) fn write(&mut self, offset: u64, data: &[u8]) -> ExtentProfile {
         let profile = self.write_profile(offset, data.len() as u64);
-        let end = offset + data.len() as u64;
-        if self.store_payload {
-            if self.data.len() < end as usize {
-                self.data.resize(end as usize, 0);
-            }
-            self.data[offset as usize..end as usize].copy_from_slice(data);
+        let end = offset as usize + data.len();
+        if self.data.len() < end {
+            self.data.resize(end, 0);
         }
-        self.size = self.size.max(end);
+        self.data[offset as usize..end].copy_from_slice(data);
         profile
     }
 
@@ -91,12 +83,12 @@ impl ObjectContent {
         let mut rmw_read_bytes = 0u64;
         let head_partial = !offset.is_multiple_of(PHYS_BLOCK);
         let tail_partial = !(offset + len).is_multiple_of(PHYS_BLOCK);
-        let head_exists = head_partial && start_block * PHYS_BLOCK < self.size;
+        let size = self.size();
+        let head_exists = head_partial && start_block * PHYS_BLOCK < size;
         // The tail block only needs a read if it exists and is not the
         // same block as an already-read head.
-        let tail_exists = tail_partial
-            && (end_block - 1) * PHYS_BLOCK < self.size
-            && (end_block - 1) != start_block;
+        let tail_exists =
+            tail_partial && (end_block - 1) * PHYS_BLOCK < size && (end_block - 1) != start_block;
         if head_exists {
             rmw_read_ops += 1;
             rmw_read_bytes += PHYS_BLOCK;
@@ -106,7 +98,7 @@ impl ObjectContent {
             rmw_read_bytes += PHYS_BLOCK;
         } else if tail_partial && !head_exists && (end_block - 1) == start_block {
             // Single partial block that already exists.
-            if start_block * PHYS_BLOCK < self.size && !head_partial {
+            if start_block * PHYS_BLOCK < size && !head_partial {
                 rmw_read_ops += 1;
                 rmw_read_bytes += PHYS_BLOCK;
             }
@@ -121,7 +113,7 @@ impl ObjectContent {
     /// Reads `len` bytes at `offset`, zero-filling unwritten space.
     pub(crate) fn read(&self, offset: u64, len: u64) -> Vec<u8> {
         let mut out = vec![0u8; len as usize];
-        if self.store_payload && offset < self.data.len() as u64 {
+        if offset < self.data.len() as u64 {
             let available = (self.data.len() as u64 - offset).min(len) as usize;
             out[..available]
                 .copy_from_slice(&self.data[offset as usize..offset as usize + available]);
@@ -129,23 +121,20 @@ impl ObjectContent {
         out
     }
 
-    /// The stored payload bytes (empty when the payload is discarded).
+    /// The stored payload bytes.
     pub(crate) fn payload(&self) -> &[u8] {
         &self.data
     }
 
     pub(crate) fn truncate(&mut self, size: u64) {
-        if self.store_payload {
-            self.data.resize(size as usize, 0);
-        }
-        self.size = size;
+        self.data.resize(size as usize, 0);
     }
 
     /// Fingerprint for scrubbing (replicas must agree).
     pub(crate) fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.size.hash(&mut h);
+        self.size().hash(&mut h);
         self.data.hash(&mut h);
         for (k, v) in &self.xattrs {
             k.hash(&mut h);
@@ -157,9 +146,9 @@ impl ObjectContent {
     }
 
     /// Fault-injection hook: silently corrupts one byte (no-op when
-    /// the payload is discarded or out of range).
+    /// out of range).
     pub(crate) fn poke(&mut self, offset: usize, byte: u8) {
-        if self.store_payload && offset < self.data.len() {
+        if offset < self.data.len() {
             self.data[offset] = byte;
         }
     }
@@ -174,11 +163,13 @@ impl ObjectContent {
     }
 
     /// The fixed-size start of an encoded content version: payload
-    /// flag, logical size, payload length.
+    /// flag, logical size, payload length. The flag is always 1 and the
+    /// size always equals the length; both stay so the file format
+    /// does not change.
     fn encode_header(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(self.store_payload));
-        out.extend_from_slice(&self.size.to_le_bytes());
-        out.extend_from_slice(&(self.data.len() as u64).to_le_bytes());
+        out.push(1);
+        out.extend_from_slice(&self.size().to_le_bytes());
+        out.extend_from_slice(&self.size().to_le_bytes());
     }
 
     /// Everything after [`ObjectContent::encode_header`]: the payload
@@ -201,13 +192,14 @@ impl ObjectContent {
     /// Rebuilds a content version from [`ObjectContent::encode`] bytes.
     /// The OMAP is replayed as one batch into a fresh LSM, so reads see
     /// identical entries (internal run layout may differ — deliberately
-    /// not durable state).
+    /// not durable state). A payload flag other than 1, or a size that
+    /// differs from the payload length, marks the object corrupt.
     fn decode(r: &mut Cursor<'_>) -> Option<Self> {
-        let store_payload = r.u8()? != 0;
-        let size = r.u64()?;
-        let data = r.bytes()?;
-        let mut content = ObjectContent::new(store_payload);
-        content.size = size;
+        let (flag, size, data) = (r.u8()?, r.u64()?, r.bytes()?);
+        if flag != 1 || size != data.len() as u64 {
+            return None;
+        }
+        let mut content = ObjectContent::new();
         content.data = data;
         for _ in 0..r.u32()? {
             let k = String::from_utf8(r.bytes()?).ok()?;
@@ -249,9 +241,9 @@ pub(crate) struct Object {
 }
 
 impl Object {
-    pub(crate) fn new(store_payload: bool, seq: SnapId) -> Self {
+    pub(crate) fn new(seq: SnapId) -> Self {
         Object {
-            head: ObjectContent::new(store_payload),
+            head: ObjectContent::new(),
             snap_seq: seq.0,
             clones: Vec::new(),
             born_at: seq.0,
@@ -370,23 +362,15 @@ mod tests {
 
     #[test]
     fn read_zero_fills_sparse_objects() {
-        let mut c = ObjectContent::new(true);
+        let mut c = ObjectContent::new();
         c.write(10, b"abc");
         assert_eq!(c.read(0, 14), b"\0\0\0\0\0\0\0\0\0\0abc\0");
         assert_eq!(c.size(), 13);
     }
 
     #[test]
-    fn discarded_payload_tracks_size_only() {
-        let mut c = ObjectContent::new(false);
-        c.write(0, b"hello");
-        assert_eq!(c.size(), 5);
-        assert_eq!(c.read(0, 5), vec![0; 5], "payload discarded");
-    }
-
-    #[test]
     fn aligned_write_needs_no_rmw() {
-        let mut c = ObjectContent::new(true);
+        let mut c = ObjectContent::new();
         let p = c.write(0, &[7u8; 8192]);
         assert_eq!(p.rmw_read_ops, 0);
         assert_eq!(p.write_bytes, 8192);
@@ -394,7 +378,7 @@ mod tests {
 
     #[test]
     fn unaligned_overwrite_needs_rmw() {
-        let mut c = ObjectContent::new(true);
+        let mut c = ObjectContent::new();
         c.write(0, &vec![1u8; 16384]); // pre-existing data
                                        // Overwrite 4112 bytes at offset 4112: partial head and tail.
                                        // [4112, 8224) spans physical blocks 1 and 2, both partially.
@@ -406,7 +390,7 @@ mod tests {
 
     #[test]
     fn unaligned_append_past_eof_needs_no_read() {
-        let c = ObjectContent::new(true);
+        let c = ObjectContent::new();
         let p = c.write_profile(100, 50);
         assert_eq!(p.rmw_read_ops, 0, "nothing on disk to preserve");
         assert_eq!(p.write_bytes, PHYS_BLOCK);
@@ -414,7 +398,7 @@ mod tests {
 
     #[test]
     fn small_overwrite_inside_existing_block() {
-        let mut c = ObjectContent::new(true);
+        let mut c = ObjectContent::new();
         c.write(0, &[9u8; 4096]);
         let p = c.write_profile(128, 16);
         assert_eq!(p.rmw_read_ops, 1, "one partial block to read back");
@@ -423,7 +407,7 @@ mod tests {
 
     #[test]
     fn snapshots_cow_and_resolve() {
-        let mut obj = Object::new(true, snapc(0));
+        let mut obj = Object::new(snapc(0));
         obj.head.write(0, b"version-1");
         // Snapshot 1 taken; next write must clone.
         let cloned = obj.prepare_write(snapc(1));
@@ -446,7 +430,7 @@ mod tests {
 
     #[test]
     fn multiple_snaps_between_writes_share_one_clone() {
-        let mut obj = Object::new(true, snapc(0));
+        let mut obj = Object::new(snapc(0));
         obj.head.write(0, b"v1");
         // Snaps 1, 2, 3 all taken before the next write.
         obj.prepare_write(snapc(3));
@@ -463,7 +447,7 @@ mod tests {
 
     #[test]
     fn snapshot_after_last_write_reads_head() {
-        let mut obj = Object::new(true, snapc(0));
+        let mut obj = Object::new(snapc(0));
         obj.head.write(0, b"data");
         // Snap 5 taken, but no write after it: head is the snapshot.
         assert_eq!(obj.content_at(Some(SnapId(5))).unwrap().read(0, 4), b"data");
@@ -471,7 +455,7 @@ mod tests {
 
     #[test]
     fn object_born_after_snapshot_is_absent_there() {
-        let obj = Object::new(true, snapc(3));
+        let obj = Object::new(snapc(3));
         assert!(obj.content_at(Some(SnapId(2))).is_none());
         assert!(
             obj.content_at(Some(SnapId(3))).is_none(),
@@ -482,7 +466,7 @@ mod tests {
 
     #[test]
     fn no_cow_without_new_snapshot() {
-        let mut obj = Object::new(true, snapc(0));
+        let mut obj = Object::new(snapc(0));
         obj.head.write(0, b"a");
         assert_eq!(obj.prepare_write(snapc(0)), 0);
         obj.head.write(0, b"b");
@@ -491,8 +475,8 @@ mod tests {
 
     #[test]
     fn fingerprint_reflects_every_facet() {
-        let mut a = ObjectContent::new(true);
-        let mut b = ObjectContent::new(true);
+        let mut a = ObjectContent::new();
+        let mut b = ObjectContent::new();
         assert_eq!(a.fingerprint(), b.fingerprint());
         a.write(0, b"x");
         assert_ne!(a.fingerprint(), b.fingerprint());
@@ -508,7 +492,7 @@ mod tests {
 
     #[test]
     fn codec_roundtrips_every_facet() {
-        let mut obj = Object::new(true, snapc(2));
+        let mut obj = Object::new(snapc(2));
         obj.head.write(0, b"version-1");
         obj.head.omap.put(b"iv:0".to_vec(), vec![7; 16]);
         obj.head.omap.put(vec![0xFF; 24], b"edge".to_vec());
@@ -534,7 +518,7 @@ mod tests {
 
     #[test]
     fn payload_sits_at_the_fixed_offset_after_the_prefix() {
-        let mut obj = Object::new(true, snapc(3));
+        let mut obj = Object::new(snapc(3));
         obj.head.write(5, b"payload bytes");
         obj.head.xattrs.insert("x".into(), vec![1]);
         let encoded = obj.encode();
@@ -546,20 +530,42 @@ mod tests {
         assert_eq!(&encoded[Object::PAYLOAD_OFFSET..][..payload.len()], payload);
     }
 
+    /// The payload flag byte and the size field that precede the
+    /// payload length in an encoded head.
+    const FLAG_AT: usize = Object::PAYLOAD_OFFSET - 17;
+    const SIZE_AT: usize = Object::PAYLOAD_OFFSET - 16;
+
     #[test]
-    fn codec_roundtrips_discarded_payload() {
-        let mut obj = Object::new(false, snapc(0));
+    fn codec_rejects_a_payload_flag_other_than_stored() {
+        let mut obj = Object::new(snapc(0));
         obj.head.write(0, &[1u8; 4096]);
-        let back = Object::decode(&obj.encode()).expect("roundtrip");
-        assert_eq!(back.head.size(), 4096);
-        assert_eq!(back.head.read(0, 8), vec![0; 8], "payload stays discarded");
+        let good = obj.encode();
+        assert_eq!(good[FLAG_AT], 1);
+        for flag in [0u8, 2, 0xFF] {
+            let mut bytes = good.clone();
+            bytes[FLAG_AT] = flag;
+            assert!(Object::decode(&bytes).is_none(), "flag {flag}");
+        }
+    }
+
+    #[test]
+    fn codec_rejects_a_size_that_differs_from_the_payload_length() {
+        let mut obj = Object::new(snapc(0));
+        obj.head.write(0, &[1u8; 4096]);
+        let good = obj.encode();
+        assert_eq!(good[SIZE_AT..SIZE_AT + 8], 4096u64.to_le_bytes());
+        for size in [0u64, 4095, 4097, 1 << 40] {
+            let mut bytes = good.clone();
+            bytes[SIZE_AT..SIZE_AT + 8].copy_from_slice(&size.to_le_bytes());
+            assert!(Object::decode(&bytes).is_none(), "size {size}");
+        }
     }
 
     #[test]
     fn codec_rejects_garbage_and_truncation() {
         assert!(Object::decode(b"").is_none());
         assert!(Object::decode(b"not an object file").is_none());
-        let good = Object::new(true, snapc(0)).encode();
+        let good = Object::new(snapc(0)).encode();
         assert!(Object::decode(&good[..good.len() - 1]).is_none());
         let mut wrong_version = good;
         wrong_version[4] = 0xEE;
@@ -568,7 +574,7 @@ mod tests {
 
     #[test]
     fn truncate_shrinks() {
-        let mut c = ObjectContent::new(true);
+        let mut c = ObjectContent::new();
         c.write(0, &[1u8; 100]);
         c.truncate(10);
         assert_eq!(c.size(), 10);

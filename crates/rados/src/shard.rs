@@ -139,7 +139,6 @@ impl ShardState {
             }
         }
 
-        let store_payload = cp.payload == crate::cluster::PayloadMode::Stored;
         let applied = AppliedTx {
             object: &tx.object,
             snap_seq,
@@ -148,10 +147,9 @@ impl ShardState {
         };
         let mut effects = Vec::with_capacity(acting.len() * tx.ops.len());
         for &osd in &acting {
-            self.store
-                .apply_ops(osd.0, store_payload, &applied, |effect| {
-                    effects.push((osd, effect));
-                });
+            self.store.apply_ops(osd.0, &applied, |effect| {
+                effects.push((osd, effect));
+            });
         }
         // The durability point: a file-backed shard logs and syncs the
         // transaction before it is acknowledged.

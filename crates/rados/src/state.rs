@@ -8,7 +8,7 @@
 //! atomic. Everything that *does* need mutual exclusion (the objects
 //! themselves) lives in the per-placement [`crate::shard::Shard`]s.
 
-use crate::cluster::{ExecStats, PayloadMode};
+use crate::cluster::ExecStats;
 use crate::fault::{FaultPlane, RetryPolicy};
 use crate::placement::PlacementMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +19,6 @@ use std::sync::Arc;
 /// shard worker.
 pub struct ControlPlane {
     pub(crate) placement: PlacementMap,
-    pub(crate) payload: PayloadMode,
     pub(crate) shard_count: usize,
     /// Suggested client-side metadata cache size in bytes (see
     /// [`crate::ClusterBuilder::meta_cache_bytes`]); advisory for upper
@@ -112,10 +111,6 @@ pub(crate) struct StatCounters {
     /// cluster-lifetime maximum.
     queue_depth_window_peak: AtomicU64,
     open_submissions: AtomicU64,
-    meta_cache_hits: AtomicU64,
-    meta_cache_misses: AtomicU64,
-    meta_cache_invalidations: AtomicU64,
-    meta_cache_write_fills: AtomicU64,
     /// Attempts replayed in the shard workers after a retryable
     /// injected fault (see [`crate::fault::RetryPolicy`]).
     retries: AtomicU64,
@@ -184,14 +179,6 @@ impl StatCounters {
         peak.max(now)
     }
 
-    /// Accumulates client-side metadata-cache observations (see
-    /// [`crate::Cluster::record_meta_cache`]).
-    pub(crate) fn record_meta_cache(&self, hits: u64, misses: u64, invalidations: u64) {
-        add(&self.meta_cache_hits, hits);
-        add(&self.meta_cache_misses, misses);
-        add(&self.meta_cache_invalidations, invalidations);
-    }
-
     /// Accumulates attempts replayed after a retryable injected fault.
     pub(crate) fn record_retries(&self, n: u64) {
         add(&self.retries, n);
@@ -202,12 +189,6 @@ impl StatCounters {
         self.worker_wakes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Accumulates write-through cache fills (see
-    /// [`crate::Cluster::record_meta_cache_write_fills`]).
-    pub(crate) fn record_meta_cache_write_fills(&self, fills: u64) {
-        add(&self.meta_cache_write_fills, fills);
-    }
-
     pub(crate) fn snapshot(&self) -> ExecStats {
         ExecStats {
             transactions: self.transactions.load(Ordering::Relaxed),
@@ -216,12 +197,9 @@ impl StatCounters {
             shard_fanout_max: self.shard_fanout_max.load(Ordering::Relaxed),
             shard_concurrency_peak: self.shard_concurrency_peak.load(Ordering::SeqCst),
             queue_depth_peak: self.queue_depth_peak.load(Ordering::SeqCst),
-            meta_cache_hits: self.meta_cache_hits.load(Ordering::Relaxed),
-            meta_cache_misses: self.meta_cache_misses.load(Ordering::Relaxed),
-            meta_cache_invalidations: self.meta_cache_invalidations.load(Ordering::Relaxed),
-            meta_cache_write_fills: self.meta_cache_write_fills.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             worker_wakes: self.worker_wakes.load(Ordering::Relaxed),
+            ..ExecStats::default()
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use vdisk::core::{Cipher, CryptError, EncryptedImage, EncryptionConfig, MetaLayout};
 use vdisk::crypto::rng::SeededIvSource;
-use vdisk::rados::{Cluster, PayloadMode, Transaction};
+use vdisk::rados::{Cluster, Transaction};
 use vdisk::rbd::Image;
 
 fn make_disk(config: &EncryptionConfig, size: u64) -> (Cluster, EncryptedImage) {
@@ -163,36 +163,27 @@ fn mac_catches_whole_stack_tampering() {
 }
 
 #[test]
-fn discarded_payload_mode_produces_identical_plans() {
-    // The bench harness depends on this: the receipt of an IO — and so
-    // its priced plan — must not depend on whether payload bytes are
-    // materialized.
-    let receipts = [PayloadMode::Stored, PayloadMode::Discarded].map(|mode| {
-        let cluster = Cluster::builder().payload_mode(mode).build();
-        let image = Image::create(&cluster, "plans", 8 << 20).unwrap();
-        let mut disk = EncryptedImage::format_with_iv_source(
-            image,
-            &EncryptionConfig::random_iv_object_end(),
-            b"pw",
-            Box::new(SeededIvSource::new(1)),
-        )
-        .unwrap();
-        let mut buf = vec![0u8; 16384];
-        let write = disk.write(0, &vec![1; 16384]).unwrap();
-        let read = disk.read(0, &mut buf).unwrap();
-        // 3 replicas × (1 full data write + 1 deferred meta write).
-        let testbed = vdisk::bench::testbed::simulated(&cluster);
-        let plan = testbed.plan_of(&write);
-        let disk_ops: usize = testbed
-            .handles()
-            .osd_disk
-            .iter()
-            .map(|&r| plan.op_count_on(r))
-            .sum();
-        assert_eq!(disk_ops, 6, "mode {mode:?}");
-        (write, read)
-    });
-    assert_eq!(receipts[0], receipts[1]);
+fn object_end_write_prices_one_data_and_one_meta_write_per_replica() {
+    let cluster = Cluster::builder().build();
+    let image = Image::create(&cluster, "plans", 8 << 20).unwrap();
+    let mut disk = EncryptedImage::format_with_iv_source(
+        image,
+        &EncryptionConfig::random_iv_object_end(),
+        b"pw",
+        Box::new(SeededIvSource::new(1)),
+    )
+    .unwrap();
+    let write = disk.write(0, &vec![1; 16384]).unwrap();
+    // 3 replicas × (1 full data write + 1 deferred meta write).
+    let testbed = vdisk::bench::testbed::simulated(&cluster);
+    let plan = testbed.plan_of(&write);
+    let disk_ops: usize = testbed
+        .handles()
+        .osd_disk
+        .iter()
+        .map(|&r| plan.op_count_on(r))
+        .sum();
+    assert_eq!(disk_ops, 6);
 }
 
 #[test]
