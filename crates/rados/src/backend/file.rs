@@ -20,26 +20,33 @@
 //! whenever the log is empty — which is how [`crate::Cluster::flush`]
 //! leaves the directory.
 //!
-//! # Commit: one append, one sync
+//! # Commit: one positional write, one sync
 //!
 //! A transaction has been applied to the mirror on every OSD of its
 //! acting set when [`FileStore::commit`] runs. Commit frames one
 //! record — object name, resolved snapshot seq, acting set, the ops
-//! ([`crate::transaction::AppliedTx::encode`]) behind a length and a
-//! CRC-32 — appends it to `shard.log` and `fdatasync`s. **That sync
-//! returning is the acknowledgement point.** One record covers all
-//! replicas, so a crash can no longer leave some replicas a transaction
-//! ahead of others, and a sector and its IV reach the disk in one
-//! checksummed unit: all of the transaction survives or none of it.
+//! ([`crate::transaction::AppliedTx::encode`]) behind a length, a
+//! CRC-32 and the log's generation — writes it at the log's tail and
+//! `fdatasync`s. **That sync returning is the acknowledgement point.**
+//! One record covers all replicas, so a crash can no longer leave some
+//! replicas a transaction ahead of others, and a sector and its IV
+//! reach the disk in one checksummed unit: all of the transaction
+//! survives or none of it. Once the log has been recycled (below), the
+//! tail lies inside the file, so the sync flushes the record's data
+//! blocks and no filesystem metadata.
 //!
 //! # Checkpoint: fold the log into the files, then empty it
 //!
 //! A checkpoint writes every object the log touched back to its
-//! replica files and truncates the log to zero. It runs synchronously,
-//! in whichever thread holds the shard (no background thread), at
-//! exactly four points:
+//! replica files and then empties the log. It runs synchronously, in
+//! whichever thread holds the shard (no background thread), at exactly
+//! four points:
 //!
-//! 1. after the append that carries the log to [`LOG_CAP`] bytes;
+//! 1. after the append that carries the log to [`LOG_CAP`] bytes —
+//!    the steady state, and the only checkpoint that **recycles** the
+//!    log: with no IO of its own, it restarts appends at offset 0
+//!    under a fresh, unpredictable generation, keeping the file's
+//!    blocks (see `log.rs`);
 //! 2. on [`crate::Cluster::flush`];
 //! 3. inside [`FileStore::persist`] — a mutation that bypassed the
 //!    log (`damage_replica`, `repair`) is made durable by checkpointing
@@ -50,6 +57,11 @@
 //!    earlier records (wrapped keyslots) would otherwise sit readable
 //!    in `shard.log` until some later checkpoint. With it, a delete is
 //!    as final on return as the `unlink` it replaced.
+//!
+//! The last three, and open, **truncate** the log to zero bytes,
+//! recycled or not: no stale frame outlives a flush, a shred or a
+//! process, and after a flush the directory holds object files and
+//! empty logs only.
 //!
 //! Always *after* the append, never before: only then does the mirror
 //! equal the logged state, and a checkpoint must not write bytes of a
@@ -70,7 +82,7 @@
 //! objects per shard; rewriting every dirty object would multiply it
 //! by objects × object size ÷ log cap.
 //!
-//! A torn in-place patch is harmless: the log is truncated only after
+//! A torn in-place patch is harmless: the log is emptied only after
 //! every file is synced, so a crash mid-checkpoint replays the same
 //! writes over the half-patched file.
 //!
@@ -80,7 +92,8 @@
 //! rename), loads every object file into the mirror, replays the
 //! log's intact records through [`MemStore::apply_ops`] — the same routine that
 //! applied them live — and checkpoints. A short or bad-checksum tail is
-//! a transaction that was never acknowledged; the log cuts it off.
+//! a transaction that was never acknowledged, and frames of another
+//! generation behind it are stale; the log cuts both off.
 //!
 //! Replay may run over files that already contain some or all of the
 //! logged changes (the crash hit mid-checkpoint, after some renames or
@@ -120,6 +133,15 @@ const OBJ_SUFFIX: &str = ".obj";
 /// throughput figure always contains steady-state checkpoint cost.
 const LOG_CAP: u64 = 2 << 20;
 
+/// How a checkpoint empties the log once the files hold everything.
+#[derive(Debug, Clone, Copy)]
+enum Reset {
+    /// Reuse the file in place under a fresh generation.
+    Recycle,
+    /// Cut the file to zero bytes, stale frames included.
+    Truncate,
+}
+
 /// What the log holds for one object beyond what its files hold.
 #[derive(Debug)]
 struct Dirty {
@@ -152,6 +174,8 @@ struct IoCount {
     rewritten: u64,
     /// Checkpoints that wrote something.
     checkpoints: u64,
+    /// Checkpoints that recycled the log instead of truncating it.
+    recycled: u64,
 }
 
 /// One shard's durability half: a redo log for commits, one file per
@@ -174,6 +198,9 @@ pub(crate) struct FileStore {
     /// checkpoints crash at the configured point, and everything fails
     /// fast afterwards.
     faults: Option<Arc<FaultPlane>>,
+    /// Off for the oracle: every checkpoint truncates the log.
+    #[cfg(test)]
+    recycles: bool,
 }
 
 impl FileStore {
@@ -229,6 +256,8 @@ impl FileStore {
             io: IoCount::default(),
             shard,
             faults: None,
+            #[cfg(test)]
+            recycles: true,
         };
         for (i, payload) in records.iter().enumerate() {
             let record = TxRecord::decode(payload)
@@ -241,7 +270,7 @@ impl FileStore {
             store.note(&tx);
         }
         store
-            .checkpoint(&mem)
+            .checkpoint(&mem, Reset::Truncate)
             .map_err(|e| io::Error::other(format!("recovery of shard {shard}: {e}")))?;
         store.faults = faults;
         Ok((mem, store))
@@ -293,15 +322,17 @@ impl FileStore {
     }
 
     /// Folds the log into the object files — copied from `mem`, which
-    /// holds everything the log does — and empties it (see the
-    /// [module docs](self)). A no-op when the log is empty and nothing
-    /// is marked dirty.
-    fn checkpoint(&mut self, mem: &MemStore) -> Result<()> {
-        if self.dirty.is_empty() && self.log.len() == 0 {
+    /// holds everything the log does — and empties it as `reset` says
+    /// (see the [module docs](self)). A no-op when the log file is
+    /// empty and nothing is marked dirty; a recycled log with no
+    /// records still holds stale frames, and a truncating checkpoint
+    /// cuts them off.
+    fn checkpoint(&mut self, mem: &MemStore, reset: Reset) -> Result<()> {
+        if self.dirty.is_empty() && self.log.file_len() == 0 {
             return Ok(());
         }
         let dirty = std::mem::take(&mut self.dirty);
-        match self.write_back(mem, &dirty) {
+        match self.write_back(mem, &dirty, reset) {
             Ok(true) => {
                 self.io.checkpoints += 1;
                 Ok(())
@@ -319,8 +350,13 @@ impl FileStore {
     /// The body of a checkpoint. `Ok(false)` means the fault plane
     /// crashed it: either inside a rewrite (temp file synced, rename
     /// never issued) or at the end — every file written and synced,
-    /// the log not yet truncated.
-    fn write_back(&mut self, mem: &MemStore, dirty: &BTreeMap<String, Dirty>) -> io::Result<bool> {
+    /// the log not yet emptied.
+    fn write_back(
+        &mut self,
+        mem: &MemStore,
+        dirty: &BTreeMap<String, Dirty>,
+        reset: Reset,
+    ) -> io::Result<bool> {
         let faults = self.faults.clone();
         for (name, entry) in dirty {
             let patch = match &entry.change {
@@ -350,8 +386,16 @@ impl FileStore {
         if faults.as_deref().is_some_and(FaultPlane::commit_crashes) {
             return Ok(false);
         }
-        self.log.clear()?;
-        self.io.syncs += 1;
+        match reset {
+            Reset::Recycle => {
+                self.log.recycle();
+                self.io.recycled += 1;
+            }
+            Reset::Truncate => {
+                self.log.clear()?;
+                self.io.syncs += 1;
+            }
+        }
         Ok(true)
     }
 }
@@ -375,7 +419,9 @@ impl FileStore {
         }
         // Built afresh and dropped before any checkpoint: a record can
         // be as large as an object, and so can a checkpoint's encoding.
-        let frame = ShardLog::frame(|out| tx.encode(out))
+        let frame = self
+            .log
+            .frame(|out| tx.encode(out))
             .map_err(|e| RadosError::Io(format!("commit of {}: {e}", tx.object)))?;
         if self
             .faults
@@ -399,10 +445,23 @@ impl FileStore {
             return Err(RadosError::Io(format!("commit of {}: {e}", tx.object)));
         }
         self.note(tx);
-        if self.log.len() >= LOG_CAP || tx.ops.iter().any(|op| matches!(op, TxOp::Delete)) {
-            self.checkpoint(mem)?;
+        // A delete truncates: no byte of a shredded object may outlive
+        // it, not even as a stale frame.
+        if tx.ops.iter().any(|op| matches!(op, TxOp::Delete)) {
+            self.checkpoint(mem, Reset::Truncate)?;
+        } else if self.log.len() >= LOG_CAP {
+            self.checkpoint(mem, self.steady_reset())?;
         }
         Ok(())
+    }
+
+    /// How a checkpoint at [`LOG_CAP`] empties the log.
+    fn steady_reset(&self) -> Reset {
+        #[cfg(test)]
+        if !self.recycles {
+            return Reset::Truncate;
+        }
+        Reset::Recycle
     }
 
     /// Persists `mem`'s current copy of `name` on the given OSDs after
@@ -418,11 +477,11 @@ impl FileStore {
             return Err(self.crash_error());
         }
         self.dirty(name, osds).change = Change::Rewrite;
-        self.checkpoint(mem)
+        self.checkpoint(mem, Reset::Truncate)
     }
 
     /// The whole-shard durability point behind [`crate::Cluster::flush`]:
-    /// checkpoints the log into the object files.
+    /// checkpoints the log into the object files and truncates it.
     ///
     /// # Errors
     ///
@@ -433,7 +492,7 @@ impl FileStore {
         if self.crashed() {
             return Ok(());
         }
-        if let Err(e) = self.checkpoint(mem) {
+        if let Err(e) = self.checkpoint(mem, Reset::Truncate) {
             // Crashed mid-flush is crashed all the same.
             return if self.crashed() { Ok(()) } else { Err(e) };
         }
@@ -970,13 +1029,22 @@ pub(crate) mod tests {
                 &write_tx(&format!("obj.{obj}"), offset, data),
             );
         }
+        let steady = store.disk.io;
         store.flush();
         let io = store.disk.io;
+        assert_eq!(log_len(&dir), 0, "a flush truncates a recycled log");
 
         assert_eq!(
             io.rewritten, before.rewritten,
             "in-range overwrites must never re-encode an object"
         );
+        let recycled = steady.recycled - before.recycled;
+        assert_eq!(
+            recycled,
+            steady.checkpoints - before.checkpoints,
+            "every checkpoint the log cap triggers recycles the log"
+        );
+        assert!(recycled >= OPS * IO / LOG_CAP, "only {recycled} recycles");
         let cycles = io.checkpoints - before.checkpoints;
         assert!(cycles >= OPS * IO / LOG_CAP, "only {cycles} checkpoints");
         assert!(io.patched - before.patched >= cycles * ACTING.len() as u64);
@@ -989,6 +1057,101 @@ pub(crate) mod tests {
         mirror.sort();
         assert_eq!(files(&store), mirror, "patched files equal re-encoded ones");
         fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Recycling the log must be invisible. One seeded commit sequence
+    /// crosses several [`LOG_CAP`] cycles, with a drop without flush and
+    /// a reopen at seeded points and right after some recycles, through
+    /// a store that recycles and through one that truncates at every
+    /// checkpoint. At every reopen both logs replay the same records —
+    /// except right after a recycle, where the recycled log still
+    /// replays the generation its files already hold — and both stores
+    /// always hold the same mirror and the same object files.
+    #[test]
+    fn recycling_the_log_matches_truncating_it() {
+        const OBJECTS: u64 = 6;
+        const OPS: u64 = 400;
+        let dirs = [scratch("recycle"), scratch("truncate")];
+        let reopen = || {
+            dirs.each_ref().map(|dir| {
+                let mut store = open(dir);
+                store.disk.recycles = dir == &dirs[0];
+                store
+            })
+        };
+        let logged = |dir: &Path| {
+            let bytes = fs::read(dir.join("shard.log")).unwrap();
+            let (_, records, _) = crate::backend::log::replay(&bytes);
+            records.into_iter().map(<[u8]>::to_vec).collect::<Vec<_>>()
+        };
+        let mut stores = reopen();
+        let (mut recycled, mut stale_reopens, mut fresh_reopens) = (0, 0, 0);
+        for op in 0..OPS {
+            let draw = crate::fault::splitmix64(op ^ 0x5EED);
+            let name = format!("obj.{}", draw % OBJECTS);
+            let mut tx = Transaction::new(&name);
+            match (draw >> 8) % 256 {
+                0 => {
+                    tx.delete();
+                }
+                1..=3 => {
+                    tx.truncate((draw >> 16) % (256 << 10));
+                }
+                4..=7 => {
+                    tx.omap_set(vec![(vec![op as u8 % 4], vec![op as u8; 16])])
+                        .set_xattr("tag", vec![op as u8]);
+                }
+                // Equal-sized records: a new generation's frames line
+                // up with the stale ones they overwrite.
+                _ => {
+                    tx.write((draw >> 16) % (256 << 10), vec![op as u8; 96 << 10]);
+                }
+            }
+            let before = stores[0].disk.io.recycled;
+            for store in &mut stores {
+                run(store, 0, &tx);
+            }
+            if tx.ops.iter().any(|op| matches!(op, TxOp::Delete)) {
+                assert_eq!(log_len(&dirs[0]), 0, "op {op}: a delete truncates");
+            }
+            let just_recycled = stores[0].disk.io.recycled > before;
+            if (draw >> 52).is_multiple_of(48) || (just_recycled && (draw >> 40) & 1 == 0) {
+                recycled += stores[0].disk.io.recycled;
+                assert_eq!(stores[1].disk.io.recycled, 0);
+                let log = &stores[0].disk.log;
+                stale_reopens += u32::from(log.file_len() > log.len());
+                drop(stores);
+                let (ours, oracle) = (logged(&dirs[0]), logged(&dirs[1]));
+                if just_recycled {
+                    fresh_reopens += 1;
+                    assert!(oracle.is_empty() && !ours.is_empty(), "op {op}");
+                } else {
+                    assert!(
+                        ours == oracle,
+                        "op {op}: the recycled log replays {} records, the truncated one {}",
+                        ours.len(),
+                        oracle.len()
+                    );
+                }
+                stores = reopen();
+                assert_eq!(image(&stores[0]), image(&stores[1]), "op {op}: reopen");
+                assert_eq!(files(&stores[0]), files(&stores[1]), "op {op}: files");
+            }
+        }
+        recycled += stores[0].disk.io.recycled;
+        assert!(recycled >= 3, "only {recycled} recycles");
+        assert!(
+            stale_reopens >= 2 && fresh_reopens >= 1,
+            "only {stale_reopens} reopens over stale frames, {fresh_reopens} right after a recycle"
+        );
+        for store in &mut stores {
+            store.flush();
+        }
+        assert_eq!(image(&stores[0]), image(&stores[1]));
+        assert_eq!(files(&stores[0]), files(&stores[1]));
+        for dir in dirs {
+            fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     #[test]

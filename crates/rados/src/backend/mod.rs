@@ -10,12 +10,13 @@
 //! [`FileStore`] beside the mirror: one redo log plus one directory per
 //! OSD holding one file per object (data + xattrs + OMAP in a single
 //! codec blob — see `Object::encode`). A transaction is acknowledged
-//! once its record — one record for the whole acting set — is appended
-//! to the shard's log and `fsync`ed; checkpoints fold the log into the
-//! object files (patching payload bytes in place where nothing else
-//! changed) and truncate it. The whole cluster reopens from its
-//! directory across process restarts: load the files, replay the log.
-//! `file.rs` has the protocol in full.
+//! once its record — one record for the whole acting set — is written
+//! at the tail of the shard's log and `fdatasync`ed; checkpoints fold
+//! the log into the object files (patching payload bytes in place
+//! where nothing else changed) and empty it, reusing the file in place
+//! at the size cap and truncating it otherwise. The whole cluster
+//! reopens from its directory across process restarts: load the files,
+//! replay the log. `file.rs` has the protocol in full.
 //!
 //! There is no trait between the two: [`crate::shard::ShardState`] owns
 //! the mirror and an `Option<FileStore>`. It mutates the mirror through

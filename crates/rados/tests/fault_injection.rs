@@ -360,8 +360,9 @@ enum Step {
 /// A seeded mixed workload: in-range overwrites, growth, OMAP and
 /// xattr updates, truncates, one snapshot mid-way, one delete (and a
 /// later re-creation), and enough bulk to carry a shard's log past its
-/// checkpoint threshold — so the sweep crosses every kind of commit
-/// point: appends, both checkpoint branches, and the truncation.
+/// checkpoint threshold more than once — so the sweep crosses every
+/// kind of commit point: appends to a fresh and to a recycled log,
+/// both checkpoint branches, and the log's reset.
 fn sweep_workload(seed: u64) -> Vec<Step> {
     let mut state = seed;
     let mut next = move |n: u64| {
@@ -406,8 +407,11 @@ fn sweep_workload(seed: u64) -> Vec<Step> {
         }
         steps.push(Step::Tx(tx));
     }
-    // Bulk: five 512 KiB writes to one object pass the 2 MiB log cap.
-    for i in 0..5u64 {
+    // Bulk: 512 KiB writes to one object. The first few carry its
+    // shard's log past the 2 MiB cap, which recycles the log; the rest
+    // take it round again, so every later append lands on a recycled
+    // log, lined up over whole stale frames of the same length.
+    for i in 0..12u64 {
         let mut tx = Transaction::new("sweep.0");
         tx.write(0, vec![0xB0 + i as u8; 512 << 10]);
         steps.push(Step::Tx(tx));
@@ -434,7 +438,7 @@ fn drive(cluster: &Cluster, steps: &[Step]) -> (usize, Vec<SnapId>) {
 
 /// Crash at **every** commit point of the mixed workload — each log
 /// append, each whole-object rewrite inside a checkpoint, each
-/// "files patched, log not yet truncated" — then reopen the directory
+/// "files patched, log not yet emptied" — then reopen the directory
 /// and compare what a client sees with an in-memory cluster that ran
 /// exactly the acknowledged prefix. The transaction in flight at the
 /// crash may have reached the log whole (a crash inside the checkpoint
