@@ -1,10 +1,10 @@
 //! The client-side encrypting IO path over an RBD image.
 
 use crate::audit::SectorObservation;
-use crate::batch::{IoBatch, SectorExtent};
-use crate::config::{EncryptionConfig, MetaLayout};
+use crate::batch::IoBatch;
+use crate::config::EncryptionConfig;
 use crate::keychain::{EpochMap, KeyChain};
-use crate::layout::Geometry;
+use crate::layout::{Geometry, Placement};
 use crate::luks::{DerivedKeys, LuksHeader, RekeyState, WindowIntent};
 use crate::meta_cache::MetaCache;
 use crate::rekey::RekeyDriver;
@@ -50,7 +50,7 @@ pub struct EncryptedImage {
     /// retired chain at rekey completion. Zeroized on drop.
     masters: BTreeMap<u32, SecretBytes>,
     iv_source: Box<dyn IvSource>,
-    geometry: Geometry,
+    placement: Placement,
     /// Client-side cache of persisted per-sector metadata entries for
     /// head reads. Interior-mutable: reads fill and hit it through
     /// `&self`, writes invalidate through `&mut self`.
@@ -117,21 +117,17 @@ struct WriteFill {
 
 /// How one extent of a read span obtains its per-sector metadata.
 enum ExtentMeta {
-    /// No separate metadata fetch exists for this layout: the baseline
-    /// stores none, the unaligned layout interleaves it into the data
-    /// extent. Nothing to cache, nothing to save.
-    Inline,
     /// Every sector's entry was resident in the IV/metadata cache at
     /// submit: the metadata op was skipped and these packed bytes
     /// decrypt the extent at reap.
     Cached(Vec<u8>),
-    /// The metadata is fetched from the store alongside the data.
-    /// `fill` is `Some((shard, epoch))` when the fetched entries are
-    /// eligible to enter the cache at reap — a head read with the
-    /// cache enabled — carrying the extent's shard index and its
-    /// write-submission epoch captured **before** the read was
-    /// submitted. The fill happens only if the epoch is unchanged at
-    /// reap (see [`vdisk_rados::Cluster::shard_write_seq`]).
+    /// The metadata (if the layout stores any) is fetched from the
+    /// store with the data. `fill` is `Some((shard, epoch))` when the
+    /// fetched entries are eligible to enter the cache at reap — a
+    /// head read with the cache enabled — carrying the extent's shard
+    /// index and its write-submission epoch captured **before** the
+    /// read was submitted. The fill happens only if the epoch is
+    /// unchanged at reap (see [`vdisk_rados::Cluster::shard_write_seq`]).
     Fetched { fill: Option<(usize, u64)> },
 }
 
@@ -212,21 +208,13 @@ impl EncryptedImage {
         mut iv_source: Box<dyn IvSource>,
     ) -> Result<EncryptedImage> {
         config.validate()?;
-        if u64::from(config.sector_size) > image.object_size() {
-            return Err(CryptError::UnsupportedConfig(
-                "sector size exceeds object size".into(),
-            ));
-        }
+        let placement = Placement::for_image(config, image.object_size())
+            .map_err(CryptError::UnsupportedConfig)?;
         Self::check_sector_multiple(&image, u64::from(config.sector_size))?;
         let (mut header, master) = LuksHeader::format(config, passphrase, iv_source.as_mut())?;
         let keys = DerivedKeys::derive(&master, config.cipher);
         let codec = SectorCodec::new(config, &keys, 0)?;
-        let geometry = Geometry::new(
-            image.object_size(),
-            u64::from(config.sector_size),
-            u64::from(config.meta_entry_len()),
-        );
-        let meta_cache = Self::build_meta_cache(&image, config);
+        let meta_cache = Self::build_meta_cache(&image, placement);
 
         // First persist: the generation xattr must not exist yet, so
         // two concurrent formats cannot both win.
@@ -251,7 +239,7 @@ impl EncryptedImage {
             chain: KeyChain::new(0, codec),
             masters,
             iv_source,
-            geometry,
+            placement,
             meta_cache,
             snap_epochs: Mutex::new(BTreeMap::new()),
             armed_markers: HashMap::new(),
@@ -299,6 +287,8 @@ impl EncryptedImage {
         )?;
         let header = LuksHeader::decode(results[0].as_data())?;
         let config = header.config().clone();
+        let placement = Placement::for_image(&config, image.object_size())
+            .map_err(CryptError::HeaderCorrupt)?;
         Self::check_sector_multiple(&image, u64::from(config.sector_size))?;
 
         // Unlock every epoch this passphrase reaches: the current one
@@ -346,19 +336,14 @@ impl EncryptedImage {
             })
             .collect();
 
-        let geometry = Geometry::new(
-            image.object_size(),
-            u64::from(config.sector_size),
-            u64::from(config.meta_entry_len()),
-        );
-        let meta_cache = Self::build_meta_cache(&image, &config);
+        let meta_cache = Self::build_meta_cache(&image, placement);
         Ok(EncryptedImage {
             image,
             header,
             chain,
             masters,
             iv_source,
-            geometry,
+            placement,
             meta_cache,
             snap_epochs: Mutex::new(snap_epochs),
             armed_markers: HashMap::new(),
@@ -407,19 +392,14 @@ impl EncryptedImage {
     }
 
     /// Builds the image's IV/metadata cache from the cluster's budget.
-    /// Only layouts whose metadata costs a **separate** fetch benefit:
-    /// object-end adds a second read extent, OMAP a key-value lookup.
-    /// The baseline stores nothing and the unaligned layout interleaves
-    /// metadata into the data extent, so the cache stays disabled
-    /// there (no round trip to save).
-    fn build_meta_cache(image: &Image, config: &EncryptionConfig) -> MetaCache {
+    /// Only layouts whose metadata costs a **separate** fetch benefit
+    /// ([`Placement::fetches_meta_separately`]); elsewhere the cache
+    /// stays disabled (no round trip to save).
+    fn build_meta_cache(image: &Image, placement: Placement) -> MetaCache {
         MetaCache::new(
             image.cluster().meta_cache_bytes(),
-            config.meta_entry_len() as usize,
-            matches!(
-                config.layout,
-                Some(MetaLayout::ObjectEnd | MetaLayout::Omap)
-            ),
+            placement.geometry().meta_entry as usize,
+            placement.fetches_meta_separately(),
         )
     }
 
@@ -611,19 +591,25 @@ impl EncryptedImage {
     /// The object geometry in force.
     #[must_use]
     pub fn geometry(&self) -> Geometry {
-        self.geometry
+        self.placement.geometry()
+    }
+
+    /// Where this image's ciphertext and metadata live.
+    #[must_use]
+    pub fn placement(&self) -> Placement {
+        self.placement
     }
 
     /// Encryption sector size in bytes.
     #[must_use]
     pub fn sector_size(&self) -> u64 {
-        self.geometry.sector_size
+        self.geometry().sector_size
     }
 
     /// Logical sectors in the image.
     #[must_use]
     pub fn total_sectors(&self) -> u64 {
-        self.image.size() / self.geometry.sector_size
+        self.image.size() / self.sector_size()
     }
 
     /// The key epoch new head writes encrypt under.
@@ -639,12 +625,6 @@ impl EncryptedImage {
             current: self.header.current_epoch(),
             pending: self.header.rekey().map(|s| (s.from, s.watermark)),
         }
-    }
-
-    /// Whether the layout tags each sector's entry with its epoch
-    /// (every layout with stored metadata does; the baseline cannot).
-    fn tagged_layout(&self) -> bool {
-        self.config().layout.is_some()
     }
 
     /// Driver-only: advances the in-memory rekey watermark so the
@@ -773,7 +753,7 @@ impl EncryptedImage {
     pub fn snap_create(&self, name: &str) -> Result<SnapId> {
         let snap = self.image.snap_create(name)?;
         self.meta_cache.invalidate_all();
-        if !self.tagged_layout() {
+        if !self.placement.stores_meta() {
             // The baseline layout has no per-sector epoch tags, so a
             // snapshot must remember which sectors carried which key
             // when it froze (the head's map keeps moving as rekeys
@@ -970,7 +950,7 @@ impl EncryptedImage {
     }
 
     fn is_sector_aligned(&self, offset: u64, len: u64) -> bool {
-        let ss = self.geometry.sector_size;
+        let ss = self.sector_size();
         offset.is_multiple_of(ss) && len.is_multiple_of(ss)
     }
 
@@ -981,7 +961,7 @@ impl EncryptedImage {
     /// (`check_sector_multiple` guarantees the span cannot round past
     /// the image end.)
     fn rmw_span(&mut self, offset: u64, data: &[u8]) -> Result<(u64, Vec<u8>, RmwReads)> {
-        let ss = self.geometry.sector_size;
+        let ss = self.sector_size();
         let first_sector = offset / ss;
         let end = offset + data.len() as u64;
         let end_sector = end.div_ceil(ss);
@@ -1058,10 +1038,8 @@ impl EncryptedImage {
     /// **in place in the submitted buffer** (plus one packed metadata
     /// run — no per-sector allocations), and each object extent's
     /// transaction is built from **slice views** of those two
-    /// allocations: no full-request clone, no per-extent copies. (The
-    /// unaligned layout is the exception — interleaving ciphertext and
-    /// metadata into one on-disk extent inherently materializes a new
-    /// run; OMAP entries are per-sector key-value pairs by contract.)
+    /// allocations: no full-request clone, no per-extent copies (see
+    /// [`Placement::write_extent`] for the layouts that copy).
     /// This is also the write path's cache hook: every cached
     /// IV/metadata entry the write overwrites is invalidated here, at
     /// submit time — before the write's transactions can dispatch, so
@@ -1073,17 +1051,16 @@ impl EncryptedImage {
         offset: u64,
         mut data: Vec<u8>,
     ) -> Result<(Vec<Transaction>, usize, u64, Vec<(u64, SharedBuf, usize)>)> {
-        let ss = self.geometry.sector_size as usize;
-        let me = self.geometry.meta_entry as usize;
-        let layout = self.config().layout;
+        let geometry = self.geometry();
+        let ss = geometry.sector_size as usize;
+        let me = geometry.meta_entry as usize;
         let write_seq = self.image.cluster().snap_seq().0;
         let epochs = self.head_epoch_map();
-        let tagged = self.tagged_layout();
         let len = data.len();
         if len == 0 {
             return Ok((Vec::new(), 0, 0, Vec::new()));
         }
-        let batch = IoBatch::plan(self.image.striper(), &self.geometry, offset, len as u64);
+        let batch = IoBatch::plan(self.image.striper(), &geometry, offset, len as u64);
         let mut invalidated = 0;
         for extent in &batch.extents {
             invalidated += self
@@ -1099,13 +1076,12 @@ impl EncryptedImage {
         // on the submitting thread whatever its size.
         let mut metas = Vec::with_capacity(batch.sector_count() as usize * me);
         self.chain.encrypt_sectors(
-            offset / self.geometry.sector_size,
+            offset / geometry.sector_size,
             write_seq,
             &mut data,
             &mut metas,
             self.iv_source.as_mut(),
             epochs,
-            tagged,
         )?;
         let cipher = SharedBuf::from_vec(data);
         let metas = SharedBuf::from_vec(metas);
@@ -1119,11 +1095,10 @@ impl EncryptedImage {
         let mut txs = Vec::with_capacity(batch.object_count());
         let mut fills = Vec::new();
         for extent in &batch.extents {
-            let first = extent.first_sector;
-            let count = extent.sector_count;
             let sectors = cipher.slice(extent.buf_start..extent.buf_end);
             let meta_start = extent.buf_start / ss * me;
-            let extent_metas = metas.slice(meta_start..meta_start + count as usize * me);
+            let extent_metas =
+                metas.slice(meta_start..meta_start + extent.sector_count as usize * me);
             let object = self.image.object_name(extent.object_no);
             if fillable {
                 fills.push((
@@ -1134,36 +1109,8 @@ impl EncryptedImage {
             }
 
             let mut tx = Transaction::new(object);
-            let (off, _) = self.geometry.data_extent(layout, first, count);
-            match layout {
-                None => {
-                    tx.write(off, sectors);
-                }
-                Some(MetaLayout::Unaligned) => {
-                    tx.write(
-                        off,
-                        self.geometry
-                            .interleave_unaligned_run(&sectors, &extent_metas),
-                    );
-                }
-                Some(MetaLayout::ObjectEnd) => {
-                    tx.write(off, sectors);
-                    let (meta_off, _) = self
-                        .geometry
-                        .meta_extent(layout, first, count)
-                        .expect("object-end has a meta extent");
-                    tx.write(meta_off, extent_metas);
-                }
-                Some(MetaLayout::Omap) => {
-                    tx.write(off, sectors);
-                    let entries: Vec<(Vec<u8>, Vec<u8>)> = extent_metas
-                        .chunks_exact(me)
-                        .enumerate()
-                        .map(|(s, meta)| (Geometry::omap_key(first + s as u64), meta.to_vec()))
-                        .collect();
-                    tx.omap_set(entries);
-                }
-            }
+            self.placement
+                .write_extent(&mut tx, extent.first_sector, sectors, extent_metas);
             txs.push(tx);
         }
         Ok((txs, len, invalidated, fills))
@@ -1312,16 +1259,16 @@ impl EncryptedImage {
                 },
             ));
         }
-        let ss = self.geometry.sector_size;
+        let geometry = self.geometry();
+        let ss = geometry.sector_size;
         let first_sector = offset / ss;
         let end_sector = (offset + len).div_ceil(ss);
         let batch = IoBatch::plan(
             self.image.striper(),
-            &self.geometry,
+            &geometry,
             first_sector * ss,
             (end_sector - first_sector) * ss,
         );
-        let layout = self.config().layout;
         let cacheable = snap.is_none() && self.meta_cache.enabled();
         let mut meta = Vec::with_capacity(batch.extents.len());
         let mut hits = 0;
@@ -1331,25 +1278,15 @@ impl EncryptedImage {
             .iter()
             .map(|extent| {
                 let object = self.image.object_name(extent.object_no);
-                let separate_meta =
-                    matches!(layout, Some(MetaLayout::ObjectEnd | MetaLayout::Omap));
-                let (ops, source) = if !separate_meta {
-                    (
-                        self.extent_read_ops(layout, extent, false),
-                        ExtentMeta::Inline,
-                    )
-                } else if let Some(packed) = cacheable
+                let cached = cacheable
                     .then(|| {
                         self.meta_cache
                             .lookup_extent(extent.base_lba, extent.sector_count)
                     })
-                    .flatten()
-                {
+                    .flatten();
+                let source = if let Some(packed) = cached {
                     hits += extent.sector_count;
-                    (
-                        self.extent_read_ops(layout, extent, true),
-                        ExtentMeta::Cached(packed),
-                    )
+                    ExtentMeta::Cached(packed)
                 } else {
                     let fill = cacheable.then(|| {
                         let shard = self.image.cluster().placement_shard(&object);
@@ -1358,11 +1295,13 @@ impl EncryptedImage {
                     if cacheable {
                         misses += extent.sector_count;
                     }
-                    (
-                        self.extent_read_ops(layout, extent, false),
-                        ExtentMeta::Fetched { fill },
-                    )
+                    ExtentMeta::Fetched { fill }
                 };
+                let ops = self.placement.read_ops(
+                    extent.first_sector,
+                    extent.sector_count,
+                    matches!(source, ExtentMeta::Fetched { .. }),
+                );
                 meta.push(source);
                 ObjectReads::new(object, ops)
             })
@@ -1396,7 +1335,7 @@ impl EncryptedImage {
         seq_limit: Option<u64>,
         out: &mut [u8],
     ) -> Result<()> {
-        let layout = self.config().layout;
+        let me = self.geometry().meta_entry as usize;
         for (idx, result) in results.iter().enumerate() {
             let extent = &span.batch.extents[idx];
             let dest = &mut out[extent.buf_start..extent.buf_end];
@@ -1404,127 +1343,26 @@ impl EncryptedImage {
                 dest.fill(0);
                 continue;
             };
-            let base_lba = extent.base_lba;
-            match &span.meta[idx] {
-                ExtentMeta::Inline => match layout {
-                    None => {
-                        dest.copy_from_slice(results[0].as_data());
-                        self.chain
-                            .decrypt_sectors(base_lba, seq_limit, dest, &[], span.epochs)?;
-                    }
-                    Some(MetaLayout::Unaligned) => {
-                        let metas = self
-                            .geometry
-                            .deinterleave_unaligned_run(results[0].as_data(), dest);
-                        self.chain.decrypt_sectors(
-                            base_lba,
-                            seq_limit,
-                            dest,
-                            &metas,
-                            span.epochs,
-                        )?;
-                    }
-                    Some(MetaLayout::ObjectEnd | MetaLayout::Omap) => {
-                        unreachable!("separate-metadata layouts are never planned as inline")
-                    }
-                },
-                ExtentMeta::Cached(packed) => {
-                    dest.copy_from_slice(results[0].as_data());
-                    self.chain
-                        .decrypt_sectors(base_lba, seq_limit, dest, packed, span.epochs)?;
-                }
-                ExtentMeta::Fetched { fill } => {
-                    dest.copy_from_slice(results[0].as_data());
-                    let packed: Cow<'_, [u8]> = match layout {
-                        Some(MetaLayout::ObjectEnd) => Cow::Borrowed(results[1].as_data()),
-                        Some(MetaLayout::Omap) => {
-                            Cow::Owned(self.pack_omap_metas(extent, results)?)
-                        }
-                        None | Some(MetaLayout::Unaligned) => {
-                            unreachable!("inline layouts are never planned as fetched")
-                        }
-                    };
-                    self.chain
-                        .decrypt_sectors(base_lba, seq_limit, dest, &packed, span.epochs)?;
-                    if let Some((shard, epoch)) = fill {
-                        if self.image.cluster().shard_write_seq(*shard) == *epoch {
-                            self.meta_cache.fill(base_lba, &packed, span.generation);
-                        }
-                    }
+            let fetched = self.placement.unpack(extent.first_sector, results, dest)?;
+            let (packed, fill) = match &span.meta[idx] {
+                ExtentMeta::Cached(packed) => (Cow::Borrowed(packed.as_slice()), None),
+                // No stored entry decrypts as never written.
+                ExtentMeta::Fetched { fill } => (
+                    fetched
+                        .unwrap_or_else(|| Cow::Owned(vec![0; extent.sector_count as usize * me])),
+                    *fill,
+                ),
+            };
+            self.chain
+                .decrypt_sectors(extent.base_lba, seq_limit, dest, &packed, span.epochs)?;
+            if let Some((shard, epoch)) = fill {
+                if self.image.cluster().shard_write_seq(shard) == epoch {
+                    self.meta_cache
+                        .fill(extent.base_lba, &packed, span.generation);
                 }
             }
         }
         Ok(())
-    }
-
-    /// The read operations fetching one extent's ciphertext and
-    /// (unless served from the cache) its metadata.
-    fn extent_read_ops(
-        &self,
-        layout: Option<MetaLayout>,
-        extent: &SectorExtent,
-        meta_cached: bool,
-    ) -> Vec<ReadOp> {
-        let first = extent.first_sector;
-        let count = extent.sector_count;
-        let (off, len) = self.geometry.data_extent(layout, first, count);
-        let data_op = ReadOp::Read { offset: off, len };
-        if meta_cached {
-            // The saved round trip: ciphertext only, no metadata op.
-            return vec![data_op];
-        }
-        match layout {
-            // Baseline has no metadata; unaligned carries it inside
-            // the data extent.
-            None | Some(MetaLayout::Unaligned) => vec![data_op],
-            Some(MetaLayout::ObjectEnd) => {
-                let (meta_off, meta_len) = self
-                    .geometry
-                    .meta_extent(layout, first, count)
-                    .expect("object-end has a meta extent");
-                vec![
-                    data_op,
-                    ReadOp::Read {
-                        offset: meta_off,
-                        len: meta_len,
-                    },
-                ]
-            }
-            Some(MetaLayout::Omap) => vec![
-                data_op,
-                ReadOp::OmapGetRange {
-                    start: Geometry::omap_key(first),
-                    end: Geometry::omap_key(first + count),
-                },
-            ],
-        }
-    }
-
-    /// Packs one extent's fetched OMAP entries into a contiguous run
-    /// in sector order; absent keys stay all-zero, which the codec
-    /// reads as "never written" and zero-fills.
-    fn pack_omap_metas(&self, extent: &SectorExtent, results: &[ReadResult]) -> Result<Vec<u8>> {
-        let me = self.geometry.meta_entry as usize;
-        let first = extent.first_sector;
-        let count = extent.sector_count as usize;
-        let mut metas = vec![0u8; count * me];
-        for (key, value) in results[1].as_omap() {
-            let Some(sector) = Geometry::sector_from_omap_key(key) else {
-                continue;
-            };
-            if sector < first || sector >= first + count as u64 {
-                continue;
-            }
-            if value.len() != me {
-                return Err(CryptError::HeaderCorrupt(format!(
-                    "metadata entry is {} bytes, expected {me}",
-                    value.len()
-                )));
-            }
-            let idx = (sector - first) as usize;
-            metas[idx * me..(idx + 1) * me].copy_from_slice(value);
-        }
-        Ok(metas)
     }
 
     /// The adversary's view of one sector: raw ciphertext and raw
@@ -1535,46 +1373,17 @@ impl EncryptedImage {
     ///
     /// Returns [`CryptError::Rbd`] if the sector's object is absent.
     pub fn observe_sector(&self, lba: u64, snap: Option<SnapId>) -> Result<SectorObservation> {
-        let spo = self.geometry.sectors_per_object;
-        let object_no = lba / spo;
+        let geometry = self.geometry();
+        let spo = geometry.sectors_per_object;
+        let object = self.image.object_name(lba / spo);
         let k = lba % spo;
-        let object = self.image.object_name(object_no);
-        let layout = self.config().layout;
-
-        let (offset, len) = self.geometry.data_extent(layout, k, 1);
-        let mut ops = vec![ReadOp::Read { offset, len }];
-        match layout {
-            Some(MetaLayout::ObjectEnd) => {
-                let (off, len) = self
-                    .geometry
-                    .meta_extent(layout, k, 1)
-                    .expect("object-end meta extent");
-                ops.push(ReadOp::Read { offset: off, len });
-            }
-            Some(MetaLayout::Omap) => {
-                ops.push(ReadOp::OmapGetKeys(vec![Geometry::omap_key(k)]));
-            }
-            _ => {}
-        }
-
+        let ops = self.placement.read_ops(k, 1, true);
         let (results, _) = self.image.cluster().read(&object, snap, &ops)?;
-        let ss = self.geometry.sector_size as usize;
-        let (ciphertext, meta) = match layout {
-            None => (results[0].as_data().to_vec(), None),
-            Some(MetaLayout::Unaligned) => {
-                let raw = results[0].as_data();
-                (raw[..ss].to_vec(), Some(raw[ss..].to_vec()))
-            }
-            Some(MetaLayout::ObjectEnd) => (
-                results[0].as_data().to_vec(),
-                Some(results[1].as_data().to_vec()),
-            ),
-            Some(MetaLayout::Omap) => {
-                let entries = results[1].as_omap();
-                let meta = entries.first().map(|(_, v)| v.clone());
-                (results[0].as_data().to_vec(), meta)
-            }
-        };
+        let mut ciphertext = vec![0u8; geometry.sector_size as usize];
+        let meta = self
+            .placement
+            .unpack(k, &results, &mut ciphertext)?
+            .map(Cow::into_owned);
         Ok(SectorObservation {
             lba,
             ciphertext,
@@ -1626,6 +1435,7 @@ fn decode_epoch_map(bytes: &[u8]) -> Option<EpochMap> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MetaLayout;
     use vdisk_crypto::rng::SeededIvSource;
     use vdisk_rados::{Cluster, Testbed, TestbedProfile, TxOp};
 

@@ -134,13 +134,10 @@ impl KeyChain {
 
     /// Encrypts a contiguous run of sectors in place, appending each
     /// sector's metadata entry (epoch-tagged) to `metas`. `epochs`
-    /// picks the key per sector: tagged layouts always encrypt under
-    /// `epochs.current`; the baseline splits at the rekey watermark so
-    /// sectors the driver has not reached yet stay readable under the
-    /// watermark rule.
-    // One parameter per routing input; bundling them would only
-    // obscure the epoch rule.
-    #[allow(clippy::too_many_arguments)]
+    /// picks the key per sector: tagged layouts (those storing an
+    /// entry) always encrypt under `epochs.current`; the baseline
+    /// splits at the rekey watermark so sectors the driver has not
+    /// reached yet stay readable under the watermark rule.
     pub(crate) fn encrypt_sectors(
         &self,
         base_lba: u64,
@@ -149,14 +146,14 @@ impl KeyChain {
         metas: &mut Vec<u8>,
         iv_source: &mut dyn IvSource,
         epochs: EpochMap,
-        tagged_layout: bool,
     ) -> Result<()> {
         let ss = sector_size(self);
+        let me = self.meta_entry_len();
         debug_assert_eq!(data.len() % ss, 0, "whole sectors only");
-        metas.reserve(data.len() / ss * self.meta_entry_len());
+        metas.reserve(data.len() / ss * me);
         for (i, sector) in data.chunks_exact_mut(ss).enumerate() {
             let lba = base_lba + i as u64;
-            let epoch = if tagged_layout {
+            let epoch = if me > 0 {
                 epochs.current
             } else {
                 epochs.epoch_at(lba)
@@ -300,28 +297,12 @@ mod tests {
         let mut old = vec![0xAA; ss];
         let mut metas = Vec::new();
         chain
-            .encrypt_sectors(
-                7,
-                0,
-                &mut old,
-                &mut metas,
-                &mut rng,
-                EpochMap::uniform(0),
-                true,
-            )
+            .encrypt_sectors(7, 0, &mut old, &mut metas, &mut rng, EpochMap::uniform(0))
             .unwrap();
         chain.set_current(1);
         let mut new = vec![0xBB; ss];
         chain
-            .encrypt_sectors(
-                8,
-                0,
-                &mut new,
-                &mut metas,
-                &mut rng,
-                EpochMap::uniform(1),
-                true,
-            )
+            .encrypt_sectors(8, 0, &mut new, &mut metas, &mut rng, EpochMap::uniform(1))
             .unwrap();
         assert_eq!(entry_epoch(&metas[..chain.meta_entry_len()]), Some(0));
         assert_eq!(entry_epoch(&metas[chain.meta_entry_len()..]), Some(1));
@@ -344,16 +325,8 @@ mod tests {
         let ss = config.sector_size as usize;
         let mut data = vec![0x55; ss];
         let mut metas = Vec::new();
-        full.encrypt_sectors(
-            3,
-            0,
-            &mut data,
-            &mut metas,
-            &mut rng,
-            EpochMap::uniform(0),
-            true,
-        )
-        .unwrap();
+        full.encrypt_sectors(3, 0, &mut data, &mut metas, &mut rng, EpochMap::uniform(0))
+            .unwrap();
         assert!(matches!(
             short.decrypt_sectors(3, None, &mut data, &metas, EpochMap::uniform(1)),
             Err(CryptError::UnknownKeyEpoch { lba: 3, epoch: 0 })
@@ -376,7 +349,7 @@ mod tests {
         let mut run = vec![0x77; 2 * ss];
         let mut metas = Vec::new();
         chain
-            .encrypt_sectors(4, 0, &mut run, &mut metas, &mut rng, map, false)
+            .encrypt_sectors(4, 0, &mut run, &mut metas, &mut rng, map)
             .unwrap();
         assert!(metas.is_empty(), "baseline stores no metadata");
         chain.decrypt_sectors(4, None, &mut run, &[], map).unwrap();
@@ -387,7 +360,7 @@ mod tests {
         let mut reencrypted = vec![0x77; 2 * ss];
         let mut metas = Vec::new();
         chain
-            .encrypt_sectors(4, 0, &mut reencrypted, &mut metas, &mut rng, map, false)
+            .encrypt_sectors(4, 0, &mut reencrypted, &mut metas, &mut rng, map)
             .unwrap();
         chain
             .decrypt_sectors(4, None, &mut reencrypted, &[], EpochMap::uniform(1))

@@ -1,10 +1,13 @@
-//! Byte-level placement of data and per-sector metadata inside 4 MB
-//! objects — the exact arithmetic of the paper's Fig. 2.
+//! Where an encrypted image's bytes live. [`Placement`] owns every
+//! per-layout decision: the paper's three metadata placements (Fig. 2)
+//! and the length-preserving LUKS2 baseline.
 //!
-//! All three layouts keep the *logical* geometry identical (an object
-//! holds `object_size / sector_size` sectors); they differ only in
-//! where the ciphertext and the metadata physically live:
+//! All four keep the *logical* geometry identical (an object holds
+//! `object_size / sector_size` sectors); they differ only in where the
+//! ciphertext and the per-sector metadata physically live:
 //!
+//! - **Baseline** (LUKS2): sector k occupies `[k·ss, (k+1)·ss)`; no
+//!   metadata is stored.
 //! - **Unaligned** (Fig. 2a): sector k occupies
 //!   `[k·(ss+me), k·(ss+me)+ss)` and its metadata follows immediately.
 //!   One contiguous extent per IO, but almost every sector straddles a
@@ -14,8 +17,20 @@
 //!   neighbors at the object tail.
 //! - **OMAP** (Fig. 2c): data stays at `k·ss`; metadata is the value of
 //!   key `big_endian(k)` in the object's key-value database.
+//!
+//! An image builds its placement once, when it is formatted or opened.
+//! The write path asks it how an extent's ciphertext and packed
+//! metadata run join the extent's transaction
+//! ([`Placement::write_extent`]); the read path asks which ops fetch an
+//! extent ([`Placement::read_ops`]) and how their results unpack
+//! ([`Placement::unpack`]); the IV cache asks whether metadata costs a
+//! fetch of its own ([`Placement::fetches_meta_separately`]). The IO
+//! path itself never matches on a layout.
 
-use crate::config::MetaLayout;
+use crate::config::{EncryptionConfig, MetaLayout};
+use crate::{CryptError, Result};
+use std::borrow::Cow;
+use vdisk_rados::{ReadOp, ReadResult, SharedBuf, Transaction};
 
 /// Geometry of one encrypted object: sector size, metadata entry size,
 /// sectors per object.
@@ -46,68 +61,6 @@ impl Geometry {
             meta_entry,
             sectors_per_object: object_size / sector_size,
         }
-    }
-
-    /// Physical extent of the *data* of sectors `[first, first+count)`
-    /// under a layout: `(offset, len)` within the object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sector range exceeds the object.
-    #[must_use]
-    pub fn data_extent(&self, layout: Option<MetaLayout>, first: u64, count: u64) -> (u64, u64) {
-        assert!(
-            first + count <= self.sectors_per_object,
-            "sector range beyond object"
-        );
-        match layout {
-            // Baseline, object-end and OMAP all keep data at k·ss.
-            None | Some(MetaLayout::ObjectEnd) | Some(MetaLayout::Omap) => {
-                (first * self.sector_size, count * self.sector_size)
-            }
-            Some(MetaLayout::Unaligned) => {
-                let stride = self.sector_size + self.meta_entry;
-                (first * stride, count * stride)
-            }
-        }
-    }
-
-    /// Physical extent of the *metadata* of sectors
-    /// `[first, first+count)`; `None` when the layout stores no
-    /// separate metadata extent (baseline, unaligned-interleaved,
-    /// OMAP).
-    #[must_use]
-    pub fn meta_extent(
-        &self,
-        layout: Option<MetaLayout>,
-        first: u64,
-        count: u64,
-    ) -> Option<(u64, u64)> {
-        match layout {
-            Some(MetaLayout::ObjectEnd) => {
-                let base = self.sectors_per_object * self.sector_size;
-                Some((base + first * self.meta_entry, count * self.meta_entry))
-            }
-            _ => None,
-        }
-    }
-
-    /// OMAP key for a sector's metadata (big-endian, so range queries
-    /// iterate sectors in order).
-    #[must_use]
-    pub fn omap_key(sector_in_object: u64) -> Vec<u8> {
-        sector_in_object.to_be_bytes().to_vec()
-    }
-
-    /// Inverse of [`Geometry::omap_key`].
-    #[must_use]
-    pub fn sector_from_omap_key(key: &[u8]) -> Option<u64> {
-        if key.len() != 8 {
-            return None;
-        }
-        let mut b = [0u8; 8];
-        b.copy_from_slice(key);
-        Some(u64::from_be_bytes(b))
     }
 
     /// Interleaves a contiguous ciphertext run and its packed metadata
@@ -158,21 +111,270 @@ impl Geometry {
         metas
     }
 
-    /// Physical bytes occupied by a full object under a layout
-    /// (the paper: unaligned and object-end objects grow slightly
-    /// beyond 4 MB).
+    /// The object-end layout's metadata extent of sectors
+    /// `[first, first+count)`: past the data region, `me` bytes each.
+    fn tail_meta_extent(&self, first: u64, count: u64) -> (u64, u64) {
+        let base = self.sectors_per_object * self.sector_size;
+        (base + first * self.meta_entry, count * self.meta_entry)
+    }
+}
+
+/// OMAP key for a sector's metadata (big-endian, so range queries
+/// iterate sectors in order).
+fn omap_key(sector_in_object: u64) -> Vec<u8> {
+    sector_in_object.to_be_bytes().to_vec()
+}
+
+/// Inverse of [`omap_key`].
+fn sector_from_omap_key(key: &[u8]) -> Option<u64> {
+    Some(u64::from_be_bytes(key.try_into().ok()?))
+}
+
+/// Where an image's ciphertext and per-sector metadata live: one
+/// variant per layout, each holding the object [`Geometry`]. Every
+/// per-layout decision of the IO path is one method here (see the
+/// [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// The length-preserving LUKS2 baseline: no metadata.
+    Baseline(Geometry),
+    /// Each sector's metadata right after its data (Fig. 2a).
+    Unaligned(Geometry),
+    /// All metadata of an object after its data region (Fig. 2b).
+    ObjectEnd(Geometry),
+    /// Metadata in the object's key-value database (Fig. 2c).
+    Omap(Geometry),
+}
+
+impl Placement {
+    /// Places `geometry` under `layout` (`None` is the baseline).
     #[must_use]
-    pub fn object_footprint(&self, layout: Option<MetaLayout>) -> u64 {
-        let data = self.sectors_per_object * self.sector_size;
+    pub fn new(layout: Option<MetaLayout>, geometry: Geometry) -> Placement {
         match layout {
-            None => data,
-            Some(MetaLayout::Unaligned) | Some(MetaLayout::ObjectEnd) => {
-                data + self.sectors_per_object * self.meta_entry
-            }
-            // OMAP metadata lives in the KV store, not the object.
-            Some(MetaLayout::Omap) => data,
+            None => Placement::Baseline(geometry),
+            Some(MetaLayout::Unaligned) => Placement::Unaligned(geometry),
+            Some(MetaLayout::ObjectEnd) => Placement::ObjectEnd(geometry),
+            Some(MetaLayout::Omap) => Placement::Omap(geometry),
         }
     }
+
+    /// The placement of an image with `object_size`-byte objects under
+    /// a validated `config`, or why its objects cannot hold whole
+    /// sectors.
+    pub(crate) fn for_image(
+        config: &EncryptionConfig,
+        object_size: u64,
+    ) -> std::result::Result<Placement, String> {
+        let ss = u64::from(config.sector_size);
+        if object_size < ss || !object_size.is_multiple_of(ss) {
+            return Err(format!(
+                "object size {object_size} is not a whole number of {ss}-byte sectors"
+            ));
+        }
+        let geometry = Geometry::new(object_size, ss, u64::from(config.meta_entry_len()));
+        Ok(Placement::new(config.layout, geometry))
+    }
+
+    /// The object geometry.
+    #[must_use]
+    pub fn geometry(&self) -> Geometry {
+        match *self {
+            Placement::Baseline(g)
+            | Placement::Unaligned(g)
+            | Placement::ObjectEnd(g)
+            | Placement::Omap(g) => g,
+        }
+    }
+
+    /// Whether each sector stores a metadata entry — and with it the
+    /// key-epoch tag that routes it during a rekey. Every layout does;
+    /// the baseline cannot.
+    #[must_use]
+    pub fn stores_meta(&self) -> bool {
+        !matches!(self, Placement::Baseline(_))
+    }
+
+    /// Whether metadata costs a fetch of its own beside the data: a
+    /// second extent at the object end, a range lookup in the OMAP.
+    /// Only then can the client-side IV cache save a round trip; the
+    /// unaligned layout reads its metadata inside the data extent.
+    #[must_use]
+    pub fn fetches_meta_separately(&self) -> bool {
+        matches!(self, Placement::ObjectEnd(_) | Placement::Omap(_))
+    }
+
+    /// Physical extent of the *data* of sectors `[first, first+count)`:
+    /// `(offset, len)` within the object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sector range exceeds the object.
+    #[must_use]
+    pub fn data_extent(&self, first: u64, count: u64) -> (u64, u64) {
+        let g = self.geometry();
+        assert!(
+            first + count <= g.sectors_per_object,
+            "sector range beyond object"
+        );
+        let stride = match self {
+            Placement::Unaligned(_) => g.sector_size + g.meta_entry,
+            _ => g.sector_size,
+        };
+        (first * stride, count * stride)
+    }
+
+    /// Physical extent of the *metadata* of sectors
+    /// `[first, first+count)`; `None` unless the layout stores it in an
+    /// extent of its own (object end).
+    #[must_use]
+    pub fn meta_extent(&self, first: u64, count: u64) -> Option<(u64, u64)> {
+        match self {
+            Placement::ObjectEnd(g) => Some(g.tail_meta_extent(first, count)),
+            _ => None,
+        }
+    }
+
+    /// Physical bytes occupied by a full object (the paper: unaligned
+    /// and object-end objects grow slightly beyond 4 MB; OMAP metadata
+    /// lives in the key-value store, not the object).
+    #[must_use]
+    pub fn object_footprint(&self) -> u64 {
+        let g = self.geometry();
+        let data = g.sectors_per_object * g.sector_size;
+        match self {
+            Placement::Unaligned(_) | Placement::ObjectEnd(_) => {
+                data + g.sectors_per_object * g.meta_entry
+            }
+            Placement::Baseline(_) | Placement::Omap(_) => data,
+        }
+    }
+
+    /// Adds one extent to its object's transaction: the ciphertext of
+    /// sectors `[first, ..)` and their packed metadata run. The
+    /// transaction takes views of both buffers, except where the layout
+    /// needs new bytes: the unaligned layout interleaves the two runs,
+    /// and OMAP stores one key-value pair per sector.
+    pub fn write_extent(
+        &self,
+        tx: &mut Transaction,
+        first: u64,
+        sectors: SharedBuf,
+        metas: SharedBuf,
+    ) {
+        let g = self.geometry();
+        let count = sectors.len() as u64 / g.sector_size;
+        let (offset, _) = self.data_extent(first, count);
+        match self {
+            Placement::Baseline(_) => {
+                tx.write(offset, sectors);
+            }
+            Placement::Unaligned(_) => {
+                tx.write(offset, g.interleave_unaligned_run(&sectors, &metas));
+            }
+            Placement::ObjectEnd(_) => {
+                tx.write(offset, sectors);
+                tx.write(g.tail_meta_extent(first, count).0, metas);
+            }
+            Placement::Omap(_) => {
+                tx.write(offset, sectors);
+                let me = g.meta_entry as usize;
+                let entries = metas
+                    .chunks_exact(me)
+                    .zip(first..)
+                    .map(|(meta, sector)| (omap_key(sector), meta.to_vec()))
+                    .collect();
+                tx.omap_set(entries);
+            }
+        }
+    }
+
+    /// The read ops fetching the ciphertext of sectors
+    /// `[first, first+count)` and, `with_meta`, their metadata. The
+    /// unaligned layout's data extent carries the metadata either way.
+    #[must_use]
+    pub fn read_ops(&self, first: u64, count: u64, with_meta: bool) -> Vec<ReadOp> {
+        let (offset, len) = self.data_extent(first, count);
+        let data = ReadOp::Read { offset, len };
+        match self {
+            Placement::ObjectEnd(g) if with_meta => {
+                let (offset, len) = g.tail_meta_extent(first, count);
+                vec![data, ReadOp::Read { offset, len }]
+            }
+            Placement::Omap(_) if with_meta => vec![
+                data,
+                ReadOp::OmapGetRange {
+                    start: omap_key(first),
+                    end: omap_key(first + count),
+                },
+            ],
+            _ => vec![data],
+        }
+    }
+
+    /// Unpacks the results of [`Placement::read_ops`] for sectors
+    /// `[first, ..)`: the ciphertext into `dest` (which holds exactly
+    /// those sectors), and the packed metadata run, returned. `None`
+    /// when the results carry no stored entry: the baseline stores
+    /// none, the ops left the metadata out, or an OMAP range held no
+    /// key (OMAP keys absent inside a range stay all-zero, which the
+    /// codec reads as "never written").
+    ///
+    /// # Errors
+    ///
+    /// [`CryptError::HeaderCorrupt`] if an OMAP value is not one
+    /// metadata entry long.
+    pub fn unpack<'r>(
+        &self,
+        first: u64,
+        results: &'r [ReadResult],
+        dest: &mut [u8],
+    ) -> Result<Option<Cow<'r, [u8]>>> {
+        let data = results[0].as_data();
+        if let Placement::Unaligned(g) = self {
+            return Ok(Some(Cow::Owned(g.deinterleave_unaligned_run(data, dest))));
+        }
+        dest.copy_from_slice(data);
+        match (self, results.get(1)) {
+            (Placement::ObjectEnd(_), Some(meta)) => Ok(Some(Cow::Borrowed(meta.as_data()))),
+            (Placement::Omap(g), Some(meta)) => {
+                let count = dest.len() as u64 / g.sector_size;
+                Ok(pack_omap_metas(g, first, count, meta.as_omap())?.map(Cow::Owned))
+            }
+            _ => Ok(None),
+        }
+    }
+}
+
+/// Packs one extent's fetched OMAP entries into a contiguous run in
+/// sector order; `None` when the range held no key at all.
+fn pack_omap_metas(
+    g: &Geometry,
+    first: u64,
+    count: u64,
+    entries: &[(Vec<u8>, Vec<u8>)],
+) -> Result<Option<Vec<u8>>> {
+    if entries.is_empty() {
+        return Ok(None);
+    }
+    let me = g.meta_entry as usize;
+    let mut metas = vec![0u8; count as usize * me];
+    for (key, value) in entries {
+        let Some(sector) = sector_from_omap_key(key) else {
+            continue;
+        };
+        if sector < first || sector >= first + count {
+            continue;
+        }
+        if value.len() != me {
+            return Err(CryptError::HeaderCorrupt(format!(
+                "metadata entry is {} bytes, expected {me}",
+                value.len()
+            )));
+        }
+        let idx = (sector - first) as usize;
+        metas[idx * me..(idx + 1) * me].copy_from_slice(value);
+    }
+    Ok(Some(metas))
 }
 
 #[cfg(test)]
@@ -185,6 +387,10 @@ mod tests {
         Geometry::new(MB4, 4096, 16)
     }
 
+    fn placed(layout: Option<MetaLayout>) -> Placement {
+        Placement::new(layout, geo())
+    }
+
     #[test]
     fn sectors_per_object_default() {
         assert_eq!(geo().sectors_per_object, 1024);
@@ -193,45 +399,36 @@ mod tests {
 
     #[test]
     fn baseline_data_extent_is_identity() {
-        let g = geo();
-        assert_eq!(g.data_extent(None, 0, 1), (0, 4096));
-        assert_eq!(g.data_extent(None, 10, 4), (40960, 16384));
-        assert_eq!(g.meta_extent(None, 0, 1), None);
+        let p = placed(None);
+        assert_eq!(p.data_extent(0, 1), (0, 4096));
+        assert_eq!(p.data_extent(10, 4), (40960, 16384));
+        assert_eq!(p.meta_extent(0, 1), None);
     }
 
     #[test]
     fn unaligned_stride_is_ss_plus_me() {
-        let g = geo();
+        let p = placed(Some(MetaLayout::Unaligned));
         // The paper's example: each IV stored at the end of its block.
-        assert_eq!(g.data_extent(Some(MetaLayout::Unaligned), 0, 1), (0, 4112));
-        assert_eq!(
-            g.data_extent(Some(MetaLayout::Unaligned), 3, 2),
-            (3 * 4112, 2 * 4112)
-        );
+        assert_eq!(p.data_extent(0, 1), (0, 4112));
+        assert_eq!(p.data_extent(3, 2), (3 * 4112, 2 * 4112));
         // Sector 1's start (4112) is NOT 4 KB aligned — the RMW source.
         assert_ne!(4112 % 4096, 0);
     }
 
     #[test]
     fn object_end_batches_meta_at_tail() {
-        let g = geo();
-        assert_eq!(
-            g.data_extent(Some(MetaLayout::ObjectEnd), 5, 3),
-            (5 * 4096, 3 * 4096)
-        );
-        assert_eq!(
-            g.meta_extent(Some(MetaLayout::ObjectEnd), 5, 3),
-            Some((MB4 + 5 * 16, 48))
-        );
+        let p = placed(Some(MetaLayout::ObjectEnd));
+        assert_eq!(p.data_extent(5, 3), (5 * 4096, 3 * 4096));
+        assert_eq!(p.meta_extent(5, 3), Some((MB4 + 5 * 16, 48)));
     }
 
     #[test]
     fn omap_keys_order_like_sectors() {
-        let k5 = Geometry::omap_key(5);
-        let k100 = Geometry::omap_key(100);
+        let k5 = omap_key(5);
+        let k100 = omap_key(100);
         assert!(k5 < k100, "BE keys must sort numerically");
-        assert_eq!(Geometry::sector_from_omap_key(&k5), Some(5));
-        assert_eq!(Geometry::sector_from_omap_key(b"short"), None);
+        assert_eq!(sector_from_omap_key(&k5), Some(5));
+        assert_eq!(sector_from_omap_key(b"short"), None);
     }
 
     #[test]
@@ -252,17 +449,16 @@ mod tests {
 
     #[test]
     fn footprints_match_paper_description() {
-        let g = geo();
-        assert_eq!(g.object_footprint(None), MB4);
+        assert_eq!(placed(None).object_footprint(), MB4);
         assert_eq!(
-            g.object_footprint(Some(MetaLayout::ObjectEnd)),
+            placed(Some(MetaLayout::ObjectEnd)).object_footprint(),
             MB4 + 1024 * 16
         );
         assert_eq!(
-            g.object_footprint(Some(MetaLayout::Unaligned)),
+            placed(Some(MetaLayout::Unaligned)).object_footprint(),
             MB4 + 1024 * 16
         );
-        assert_eq!(g.object_footprint(Some(MetaLayout::Omap)), MB4);
+        assert_eq!(placed(Some(MetaLayout::Omap)).object_footprint(), MB4);
     }
 
     #[test]
@@ -271,8 +467,7 @@ mod tests {
         // 0 and its length (1024 × 4112) is a multiple of 4096, so the
         // *large-IO* unaligned overhead shrinks — matching the paper's
         // converging curves.
-        let g = geo();
-        let (off, len) = g.data_extent(Some(MetaLayout::Unaligned), 0, 1024);
+        let (off, len) = placed(Some(MetaLayout::Unaligned)).data_extent(0, 1024);
         assert_eq!(off, 0);
         assert_eq!(len % 4096, 0);
     }
@@ -280,6 +475,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond object")]
     fn data_extent_bounds_checked() {
-        let _ = geo().data_extent(None, 1020, 10);
+        let _ = placed(None).data_extent(1020, 10);
     }
 }

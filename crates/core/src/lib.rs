@@ -24,7 +24,11 @@
 //!   ([`EncryptedImage::rekey_begin`] online rekey via [`RekeyDriver`],
 //!   [`EncryptedImage::rotate_passphrase`],
 //!   [`EncryptedImage::secure_erase`] crypto-shredding).
-//! - [`layout`]: the exact byte arithmetic of each metadata placement.
+//! - [`layout`]: [`layout::Placement`] owns every per-layout decision —
+//!   where data and metadata live, how a write's metadata joins its
+//!   transaction, which ops fetch an extent and how their results
+//!   unpack, and whether metadata costs a fetch of its own. Built once
+//!   per image; the IO path calls it and never matches on a layout.
 //! - [`EncryptedImage`]: the client-side encrypting IO path — every
 //!   data+metadata update rides a single atomic RADOS transaction, as
 //!   in §3.1 — with a client-side **IV/metadata cache** that skips the

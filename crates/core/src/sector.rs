@@ -213,49 +213,48 @@ impl SectorCodec {
     ) -> Result<SectorState> {
         debug_assert_eq!(data.len() as u32, self.config.sector_size);
         let expected = self.meta_entry_len();
-        if expected == 0 {
-            // Baseline: nothing stored; decrypt deterministically.
-            return self
-                .decrypt_baseline(lba, data)
-                .map(|()| SectorState::Written);
-        }
-        if meta.len() != expected {
-            return Err(CryptError::HeaderCorrupt(format!(
-                "metadata entry is {} bytes, expected {expected}",
-                meta.len()
-            )));
-        }
-        // All-zero entry ⇔ never written (a real random IV is zero
-        // with probability 2^-128).
-        if meta.iter().all(|&b| b == 0) {
-            data.fill(0);
-            return Ok(SectorState::Unwritten);
-        }
-
-        // Strip the key-epoch tag; `KeyChain` already routed this
-        // entry to the codec of its epoch.
-        let (meta, tag) = meta.split_at(meta.len() - KEY_EPOCH_TAG_LEN as usize);
-        debug_assert_eq!(
-            u32::from_le_bytes(tag.try_into().expect("4-byte epoch tag")),
-            self.epoch,
-            "entry routed to the wrong epoch's codec"
-        );
-
-        let (entry, seq) = if self.config.snapshot_binding {
-            let (body, seq_bytes) = meta.split_at(meta.len() - 8);
-            let mut b = [0u8; 8];
-            b.copy_from_slice(seq_bytes);
-            (body, u64::from_le_bytes(b))
+        let (entry, seq) = if expected == 0 {
+            // Baseline: nothing stored, so no IV, no MAC and sequence
+            // 0 — the arms below decrypt deterministically. Decided
+            // ahead of the all-zero check, which the empty entry would
+            // pass: baseline sectors are never zero-filled.
+            (meta, 0)
         } else {
-            (meta, 0u64)
-        };
-        if self.config.snapshot_binding {
-            if let Some(limit) = read_seq_limit {
-                if seq > limit {
+            if meta.len() != expected {
+                return Err(CryptError::HeaderCorrupt(format!(
+                    "metadata entry is {} bytes, expected {expected}",
+                    meta.len()
+                )));
+            }
+            // All-zero entry ⇔ never written (a real random IV is zero
+            // with probability 2^-128).
+            if meta.iter().all(|&b| b == 0) {
+                data.fill(0);
+                return Ok(SectorState::Unwritten);
+            }
+
+            // Strip the key-epoch tag; `KeyChain` already routed this
+            // entry to the codec of its epoch.
+            let (meta, tag) = meta.split_at(meta.len() - KEY_EPOCH_TAG_LEN as usize);
+            debug_assert_eq!(
+                u32::from_le_bytes(tag.try_into().expect("4-byte epoch tag")),
+                self.epoch,
+                "entry routed to the wrong epoch's codec"
+            );
+
+            if self.config.snapshot_binding {
+                let (body, seq_bytes) = meta.split_at(meta.len() - 8);
+                let mut b = [0u8; 8];
+                b.copy_from_slice(seq_bytes);
+                let seq = u64::from_le_bytes(b);
+                if read_seq_limit.is_some_and(|limit| seq > limit) {
                     return Err(CryptError::ReplayDetected { lba });
                 }
+                (body, seq)
+            } else {
+                (meta, 0)
             }
-        }
+        };
 
         match &self.instance {
             CipherInstance::Xts(xts) => {
@@ -281,34 +280,17 @@ impl SectorCodec {
                 cbc.decrypt_sector(lba, data)?;
             }
             CipherInstance::Gcm(gcm) => {
-                let nonce = &entry[..12];
-                let tag = &entry[16..32];
+                let (Some(nonce), Some(tag)) = (entry.get(..12), entry.get(16..32)) else {
+                    return Err(CryptError::HeaderCorrupt(
+                        "GCM entry shorter than its nonce and tag".into(),
+                    ));
+                };
                 let aad = self.gcm_aad(lba, seq);
                 gcm.decrypt(nonce, &aad, data, tag)
                     .map_err(|_| CryptError::IntegrityViolation { lba })?;
             }
         }
         Ok(SectorState::Written)
-    }
-
-    fn decrypt_baseline(&self, lba: u64, data: &mut [u8]) -> Result<()> {
-        match &self.instance {
-            CipherInstance::Xts(xts) => {
-                let tweak = self.tweak(lba, None, 0);
-                xts.decrypt_sector(&tweak, data)?;
-            }
-            CipherInstance::Eme2(eme) => {
-                let tweak = self.tweak(lba, None, 0);
-                eme.decrypt_sector(&tweak, data)?;
-            }
-            CipherInstance::Cbc(cbc) => {
-                cbc.decrypt_sector(lba, data)?;
-            }
-            CipherInstance::Gcm(_) => {
-                unreachable!("validation forbids GCM without metadata")
-            }
-        }
-        Ok(())
     }
 
     fn random_iv(&self, iv_source: &mut dyn IvSource) -> Option<[u8; 16]> {

@@ -2,7 +2,7 @@
 //! bijections, header robustness, and end-to-end IO identities.
 
 use proptest::prelude::*;
-use vdisk_core::layout::Geometry;
+use vdisk_core::layout::{Geometry, Placement};
 use vdisk_core::luks::LuksHeader;
 use vdisk_core::{EncryptedImage, EncryptionConfig, MetaLayout};
 use vdisk_crypto::rng::SeededIvSource;
@@ -46,8 +46,9 @@ proptest! {
         prop_assume!(a + len_a <= b || b + len_b <= a); // disjoint sector ranges
         let geometry = Geometry::new(4 << 20, 4096, 16);
         for layout in [None, Some(MetaLayout::Unaligned), Some(MetaLayout::ObjectEnd), Some(MetaLayout::Omap)] {
-            let (off_a, sz_a) = geometry.data_extent(layout, a, len_a);
-            let (off_b, sz_b) = geometry.data_extent(layout, b, len_b);
+            let placement = Placement::new(layout, geometry);
+            let (off_a, sz_a) = placement.data_extent(a, len_a);
+            let (off_b, sz_b) = placement.data_extent(b, len_b);
             prop_assert!(
                 off_a + sz_a <= off_b || off_b + sz_b <= off_a,
                 "layout {:?}: [{},{}) overlaps [{},{})",
@@ -61,12 +62,10 @@ proptest! {
     #[test]
     fn object_end_meta_extent_in_bounds(first in 0u64..1024, count in 1u64..64) {
         prop_assume!(first + count <= 1024);
-        let geometry = Geometry::new(4 << 20, 4096, 16);
-        let (off, len) = geometry
-            .meta_extent(Some(MetaLayout::ObjectEnd), first, count)
-            .unwrap();
+        let placement = Placement::ObjectEnd(Geometry::new(4 << 20, 4096, 16));
+        let (off, len) = placement.meta_extent(first, count).unwrap();
         prop_assert!(off >= 4 << 20);
-        prop_assert!(off + len <= geometry.object_footprint(Some(MetaLayout::ObjectEnd)));
+        prop_assert!(off + len <= placement.object_footprint());
     }
 
     /// Header decode never panics on arbitrary mutations; it either

@@ -8,7 +8,9 @@
 //!    about to be fully overwritten;
 //! 3. out-of-bounds errors report the true requested end;
 //! 4. a queued scatter read whose lengths overflow `u64` is refused at
-//!    submit instead of wrapping past the bounds check.
+//!    submit instead of wrapping past the bounds check;
+//! 5. an object size that is not a whole number of sectors is an error
+//!    at format and at open (it used to panic building the geometry).
 
 use vdisk_core::{CryptError, EncryptedImage, EncryptionConfig, IoOp, MetaLayout};
 use vdisk_crypto::rng::SeededIvSource;
@@ -117,7 +119,7 @@ fn rmw_skips_interior_sectors_even_when_tampered() {
 
     // Corrupt sector 3's ciphertext directly in the object store.
     let object = disk.image().object_name(0);
-    let (data_off, _) = disk.geometry().data_extent(config.layout, 3, 1);
+    let (data_off, _) = disk.placement().data_extent(3, 1);
     let mut tx = Transaction::new(&object);
     tx.write(data_off, vec![0xFF; SS as usize]);
     cluster.execute(tx).unwrap();
@@ -199,4 +201,58 @@ fn zero_length_io_is_a_noop_anywhere_in_bounds() {
     assert_eq!(disk.write(size, &[]).unwrap(), Receipt::default());
     let mut empty = [0u8; 0];
     assert_eq!(disk.read(size, &mut empty).unwrap(), Receipt::default());
+}
+
+#[test]
+fn object_size_not_a_sector_multiple_is_rejected_at_format() {
+    // 6144-byte objects hold 1.5 sectors of 4096 bytes: formatting used
+    // to panic building the geometry instead of returning an error.
+    let cluster = Cluster::builder().build();
+    let image = Image::create_with_object_size(&cluster, "odd", 8 * 6144, 6144).unwrap();
+    let err = EncryptedImage::format(
+        image,
+        &EncryptionConfig::random_iv(MetaLayout::ObjectEnd),
+        b"pw",
+    )
+    .unwrap_err();
+    let CryptError::UnsupportedConfig(why) = err else {
+        panic!("expected UnsupportedConfig, got {err:?}");
+    };
+    assert!(
+        why.contains("whole number"),
+        "error must say what is wrong: {why}"
+    );
+
+    // The same objects hold whole 512-byte sectors.
+    let image = Image::create_with_object_size(&cluster, "odd-512", 8 * 6144, 6144).unwrap();
+    let config = EncryptionConfig::random_iv(MetaLayout::ObjectEnd).with_sector_size(512);
+    let mut disk = EncryptedImage::format(image, &config, b"pw").unwrap();
+    disk.write(6144 - 700, &[0x5A; 1400]).unwrap();
+    let mut buf = vec![0u8; 1400];
+    disk.read(6144 - 700, &mut buf).unwrap();
+    assert_eq!(buf, vec![0x5A; 1400]);
+}
+
+#[test]
+fn object_size_not_a_sector_multiple_is_rejected_at_open() {
+    // `open` reads the object size back from the image header; a
+    // mismatch with the encryption header is corruption, not a panic.
+    let cluster = Cluster::builder().build();
+    let image = Image::create_with_object_size(&cluster, "shrunk", 6 * 8192, 8192).unwrap();
+    EncryptedImage::format(
+        image,
+        &EncryptionConfig::random_iv(MetaLayout::ObjectEnd),
+        b"pw",
+    )
+    .unwrap();
+    let mut tx = Transaction::new("rbd_header.shrunk");
+    tx.set_xattr("rbd.object_size", 6144u64.to_le_bytes().to_vec());
+    cluster.execute(tx).unwrap();
+
+    let image = Image::open(&cluster, "shrunk").unwrap();
+    let err = EncryptedImage::open(image, b"pw").unwrap_err();
+    assert!(
+        matches!(err, CryptError::HeaderCorrupt(_)),
+        "expected HeaderCorrupt, got {err:?}"
+    );
 }

@@ -144,7 +144,7 @@ fn batched_and_per_sector_paths_store_identical_bytes() {
             legacy_disk.write(offset + i as u64 * 4096, sector).unwrap();
         }
 
-        let footprint = batched_disk.geometry().object_footprint(config.layout);
+        let footprint = batched_disk.placement().object_footprint();
         let mut objects = batched_cluster.list_objects();
         objects.retain(|o| o.starts_with("rbd_data."));
         assert_eq!(objects.len(), 3, "write spans three objects");

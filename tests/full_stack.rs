@@ -223,12 +223,10 @@ fn cross_lba_ciphertext_replay_decrypts_to_garbage() {
     disk.write(0, &secret).unwrap();
     let obs = disk.observe_sector(0, None).unwrap();
     let object = disk.image().object_name(0);
-    let geometry = disk.geometry();
+    let placement = disk.placement();
     let mut tx = Transaction::new(object);
-    let (data_off, _) = geometry.data_extent(Some(MetaLayout::ObjectEnd), 1, 1);
-    let (meta_off, _) = geometry
-        .meta_extent(Some(MetaLayout::ObjectEnd), 1, 1)
-        .unwrap();
+    let (data_off, _) = placement.data_extent(1, 1);
+    let (meta_off, _) = placement.meta_extent(1, 1).unwrap();
     tx.write(data_off, obs.ciphertext.clone());
     tx.write(meta_off, obs.meta.clone().unwrap());
     cluster.execute(tx).unwrap();
