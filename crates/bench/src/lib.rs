@@ -13,7 +13,7 @@
 //!
 //! Bandwidth numbers are **simulated time** (the cost model of
 //! `vdisk-rados::TestbedProfile`, calibrated to the paper's 3-node
-//! NVMe cluster); the encryption, layouts, LSM and object store all do
+//! NVMe cluster); the encryption, layouts, OMAP and object store all do
 //! their real work.
 //!
 //! # Example

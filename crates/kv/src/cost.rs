@@ -17,19 +17,10 @@ use vdisk_sim::SimDuration;
 pub struct CostProfile {
     /// Fixed cost of entering the DB for one operation (batch or read).
     pub per_op: SimDuration,
-    /// CPU cost per key written (memtable insert + comparator work).
+    /// CPU cost per key written (insert + comparator work).
     pub per_key_write: SimDuration,
     /// CPU cost per key examined on reads.
     pub per_key_read: SimDuration,
-    /// WAL append bandwidth in bytes/second.
-    pub wal_bytes_per_sec: f64,
-    /// Flush/compaction rewrite bandwidth in bytes/second (charged on
-    /// the op that triggered the background work — amortization shows
-    /// up as occasional spikes, as in a real LSM).
-    pub rewrite_bytes_per_sec: f64,
-    /// Cost per sorted run probed on a point read (binary search +
-    /// block cache lookup).
-    pub per_run_probe: SimDuration,
 }
 
 impl Default for CostProfile {
@@ -38,9 +29,6 @@ impl Default for CostProfile {
             per_op: SimDuration::from_micros(12),
             per_key_write: SimDuration::from_nanos(4_000),
             per_key_read: SimDuration::from_nanos(600),
-            wal_bytes_per_sec: 400.0e6,
-            rewrite_bytes_per_sec: 900.0e6,
-            per_run_probe: SimDuration::from_micros(2),
         }
     }
 }
@@ -53,22 +41,13 @@ impl CostProfile {
     /// `vdisk-rados`'s cost model); this is the CPU/engine time only.
     #[must_use]
     pub fn write_time(&self, receipt: &WriteReceipt) -> SimDuration {
-        let mut t = self.per_op;
-        t += per_each(self.per_key_write, receipt.keys_written);
-        let rewrite = receipt.flush_bytes + receipt.compaction_bytes;
-        if rewrite > 0 {
-            t += SimDuration::from_secs_f64(rewrite as f64 / self.rewrite_bytes_per_sec);
-        }
-        t
+        self.per_op + per_each(self.per_key_write, receipt.keys_written)
     }
 
     /// Simulated service time of a read described by `receipt`.
     #[must_use]
     pub fn read_time(&self, receipt: &ReadReceipt) -> SimDuration {
-        let mut t = self.per_op;
-        t += per_each(self.per_key_read, receipt.keys_examined);
-        t += per_each(self.per_run_probe, receipt.runs_probed);
-        t
+        self.per_op + per_each(self.per_key_read, receipt.keys_examined)
     }
 }
 
@@ -86,12 +65,10 @@ mod tests {
         let one_key = WriteReceipt {
             keys_written: 1,
             wal_bytes: 40,
-            ..WriteReceipt::default()
         };
         let kilo_keys = WriteReceipt {
             keys_written: 1024,
             wal_bytes: 40 * 1024,
-            ..WriteReceipt::default()
         };
         let t1 = profile.write_time(&one_key);
         let t1024 = profile.write_time(&kilo_keys);
@@ -112,29 +89,12 @@ mod tests {
         let profile = CostProfile::default();
         let point = ReadReceipt {
             keys_examined: 2,
-            runs_probed: 1,
             bytes_returned: 16,
         };
         let scan = ReadReceipt {
             keys_examined: 1024,
-            runs_probed: 3,
             bytes_returned: 16 * 1024,
         };
         assert!(profile.read_time(&scan) > profile.read_time(&point));
-    }
-
-    #[test]
-    fn flush_spike_is_charged() {
-        let profile = CostProfile::default();
-        let quiet = WriteReceipt {
-            keys_written: 1,
-            wal_bytes: 40,
-            ..WriteReceipt::default()
-        };
-        let flushing = WriteReceipt {
-            flush_bytes: 8 << 20,
-            ..quiet
-        };
-        assert!(profile.write_time(&flushing) > profile.write_time(&quiet));
     }
 }

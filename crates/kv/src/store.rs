@@ -1,32 +1,19 @@
-//! The LSM store: memtable + WAL + sorted runs + compaction, with
-//! work receipts for the cost model.
+//! The OMAP store: one ordered map, with work receipts for the cost
+//! model.
 
-use crate::memtable::Memtable;
-use crate::sst::SortedRun;
-use crate::wal::{WalBatch, WriteAheadLog};
+use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Key-value pairs returned by range queries.
 pub type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
 
-/// Tuning knobs for the LSM.
-#[derive(Debug, Clone)]
-pub struct LsmConfig {
-    /// Flush the memtable to a sorted run once it buffers this many
-    /// bytes. RocksDB's default write buffer is 64 MB; OMAP workloads
-    /// are small, so the default here is scaled down.
-    pub memtable_flush_bytes: usize,
-    /// Compact all runs into one once more than this many runs exist.
-    pub max_runs: usize,
-}
-
-impl Default for LsmConfig {
-    fn default() -> Self {
-        LsmConfig {
-            memtable_flush_bytes: 4 << 20,
-            max_runs: 6,
-        }
-    }
-}
+/// Configuration of an [`LsmStore`]. It has no knobs: see the
+/// [crate docs](crate) for why a per-object store never needs one.
+/// It stays, with [`LsmStore::new`], because the wall-clock
+/// benchmark's kv rungs name both; [`LsmStore::default`] is the same
+/// store.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LsmConfig;
 
 /// Physical work caused by a write operation — the input to the
 /// cost model.
@@ -34,261 +21,98 @@ impl Default for LsmConfig {
 pub struct WriteReceipt {
     /// Keys inserted/deleted by this op.
     pub keys_written: u64,
-    /// Bytes appended to the WAL (including batch framing).
+    /// Bytes the op's write-ahead-log record takes: a 16-byte batch
+    /// header plus, per entry, an 8-byte length prefix and the key and
+    /// value bytes (a delete carries its key only).
     pub wal_bytes: u64,
-    /// Bytes written out by a memtable flush this op triggered (0 if
-    /// none).
-    pub flush_bytes: u64,
-    /// Bytes rewritten by a compaction this op triggered (0 if none).
-    pub compaction_bytes: u64,
 }
 
 /// Physical work caused by a read operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadReceipt {
-    /// Keys examined across memtable and runs (incl. shadowed
-    /// versions).
+    /// Keys examined.
     pub keys_examined: u64,
-    /// Sorted runs probed.
-    pub runs_probed: u64,
-    /// Value bytes returned.
+    /// Bytes returned: the value of a point read, keys and values of a
+    /// range.
     pub bytes_returned: u64,
 }
 
-/// Aggregate state statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LsmStats {
-    /// Bytes buffered in the memtable.
-    pub memtable_bytes: usize,
-    /// Number of sorted runs.
-    pub runs: usize,
-    /// Entries across all runs (tombstones included).
-    pub run_entries: usize,
-    /// Current WAL size in bytes.
-    pub wal_bytes: u64,
-    /// Lifetime flush count.
-    pub flushes: u64,
-    /// Lifetime compaction count.
-    pub compactions: u64,
-}
-
-/// The LSM key-value store. See the [crate docs](crate) for the role it
+/// One object's OMAP. See the [crate docs](crate) for the role it
 /// plays in the reproduction.
 #[derive(Debug, Default, Clone)]
 pub struct LsmStore {
-    config: LsmConfig,
-    memtable: Memtable,
-    wal: WriteAheadLog,
-    /// Newest first.
-    runs: Vec<SortedRun>,
-    flushes: u64,
-    compactions: u64,
+    entries: BTreeMap<Vec<u8>, Vec<u8>>,
 }
 
 impl LsmStore {
     /// Creates an empty store.
     #[must_use]
-    pub fn new(config: LsmConfig) -> Self {
-        LsmStore {
-            config,
-            memtable: Memtable::new(),
-            wal: WriteAheadLog::new(),
-            runs: Vec::new(),
-            flushes: 0,
-            compactions: 0,
-        }
+    pub fn new(_config: LsmConfig) -> Self {
+        Self::default()
     }
 
-    /// Rebuilds a store from durable state: the sorted runs plus a WAL
-    /// to replay (volatile memtable contents are reconstructed batch by
-    /// batch). Used by crash-recovery tests.
-    #[must_use]
-    pub fn recover(config: LsmConfig, runs: Vec<SortedRun>, wal: &WriteAheadLog) -> Self {
-        let mut store = LsmStore {
-            config,
-            memtable: Memtable::new(),
-            // The replayed batches are still volatile (only the runs
-            // are durable), so the recovered store must carry the WAL
-            // forward until the next flush truncates it — otherwise a
-            // second crash would lose them.
-            wal: wal.clone(),
-            runs,
-            flushes: 0,
-            compactions: 0,
-        };
-        for batch in wal.replay() {
-            store.apply_batch_internal(batch.clone());
-        }
-        store
-    }
-
-    /// Inserts one key/value pair.
+    /// Inserts one key/value pair, replacing any older value.
     pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) -> WriteReceipt {
         self.write_batch(vec![(key, Some(value))])
     }
 
-    /// Deletes one key (writes a tombstone).
-    pub fn delete(&mut self, key: Vec<u8>) -> WriteReceipt {
-        self.write_batch(vec![(key, None)])
-    }
-
-    /// Applies a batch of writes atomically (RocksDB `WriteBatch`
-    /// semantics): the batch hits the WAL as one record and is applied
-    /// to the memtable as a unit.
+    /// Applies a batch of writes in order (RocksDB `WriteBatch`
+    /// semantics: one log record, priced once); `None` deletes.
     pub fn write_batch(&mut self, entries: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> WriteReceipt {
-        let batch = WalBatch { entries };
-        let keys = batch.entries.len() as u64;
-        let wal_bytes = self.wal.append(batch.clone());
-        self.apply_batch_internal(batch);
-
         let mut receipt = WriteReceipt {
-            keys_written: keys,
-            wal_bytes,
-            ..WriteReceipt::default()
+            keys_written: entries.len() as u64,
+            wal_bytes: 16,
         };
-        if self.memtable.approx_bytes() >= self.config.memtable_flush_bytes {
-            receipt.flush_bytes = self.flush();
-            if self.runs.len() > self.config.max_runs {
-                receipt.compaction_bytes = self.compact();
-            }
+        for (key, value) in entries {
+            receipt.wal_bytes += 8 + (key.len() + value.as_ref().map_or(0, Vec::len)) as u64;
+            match value {
+                Some(value) => self.entries.insert(key, value),
+                None => self.entries.remove(&key),
+            };
         }
         receipt
-    }
-
-    fn apply_batch_internal(&mut self, batch: WalBatch) {
-        for (key, value) in batch.entries {
-            match value {
-                Some(v) => {
-                    self.memtable.put(key, v);
-                }
-                None => self.memtable.delete(key),
-            }
-        }
-    }
-
-    /// Forces a memtable flush; returns the bytes written to the new
-    /// run.
-    pub fn flush(&mut self) -> u64 {
-        if self.memtable.is_empty() {
-            return 0;
-        }
-        let run = SortedRun::from_sorted(self.memtable.drain_sorted());
-        let bytes = run.bytes() as u64;
-        self.runs.insert(0, run);
-        self.wal.truncate();
-        self.flushes += 1;
-        bytes
-    }
-
-    /// Forces a full compaction; returns the bytes rewritten.
-    pub fn compact(&mut self) -> u64 {
-        if self.runs.len() <= 1 {
-            return 0;
-        }
-        let refs: Vec<&SortedRun> = self.runs.iter().collect();
-        let read_bytes: u64 = refs.iter().map(|r| r.bytes() as u64).sum();
-        let merged = SortedRun::merge(&refs, true);
-        let written = merged.bytes() as u64;
-        self.runs = if merged.is_empty() {
-            Vec::new()
-        } else {
-            vec![merged]
-        };
-        self.compactions += 1;
-        read_bytes + written
     }
 
     /// Point lookup.
     #[must_use]
     pub fn get(&self, key: &[u8]) -> (Option<Vec<u8>>, ReadReceipt) {
-        let mut receipt = ReadReceipt::default();
-        receipt.keys_examined += 1;
-        if let Some(hit) = self.memtable.get(key) {
-            let value = hit.map(<[u8]>::to_vec);
-            receipt.bytes_returned = value.as_ref().map_or(0, Vec::len) as u64;
-            return (value, receipt);
-        }
-        for run in &self.runs {
-            receipt.runs_probed += 1;
-            receipt.keys_examined += 1;
-            if let Some(hit) = run.get(key) {
-                let value = hit.map(<[u8]>::to_vec);
-                receipt.bytes_returned = value.as_ref().map_or(0, Vec::len) as u64;
-                return (value, receipt);
-            }
-        }
-        (None, receipt)
+        let value = self.entries.get(key).cloned();
+        let receipt = ReadReceipt {
+            keys_examined: 1,
+            bytes_returned: value.as_ref().map_or(0, Vec::len) as u64,
+        };
+        (value, receipt)
     }
 
-    /// Returns all live entries with keys in `[start, end)`, newest
-    /// version winning, tombstones suppressed.
+    /// Returns every entry with a key in `[start, end)`, in key order.
+    /// A range with `start >= end` is empty: the bounds arrive in a
+    /// client's read op, and `BTreeMap::range` panics on inverted ones.
     #[must_use]
     pub fn range(&self, start: &[u8], end: &[u8]) -> (KvPairs, ReadReceipt) {
-        use std::collections::BTreeMap;
-        let mut receipt = ReadReceipt::default();
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        // Oldest runs first, memtable last, so newer versions overwrite.
-        for run in self.runs.iter().rev() {
-            receipt.runs_probed += 1;
-            for (k, v) in run.range(start, end) {
-                receipt.keys_examined += 1;
-                merged.insert(k.to_vec(), v.map(<[u8]>::to_vec));
-            }
+        if start >= end {
+            return (KvPairs::new(), ReadReceipt::default());
         }
-        for (k, v) in self.memtable.range(start, end) {
-            receipt.keys_examined += 1;
-            merged.insert(k.to_vec(), v.map(<[u8]>::to_vec));
-        }
-        let out: Vec<(Vec<u8>, Vec<u8>)> = merged
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
+        let out: KvPairs = self
+            .entries
+            .range::<[u8], _>((Bound::Included(start), Bound::Excluded(end)))
+            .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
-        receipt.bytes_returned = out.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
+        let receipt = ReadReceipt {
+            keys_examined: out.len() as u64,
+            bytes_returned: out.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum(),
+        };
         (out, receipt)
     }
 
-    /// Every live entry in key order, newest version winning and
-    /// tombstones suppressed — a full dump with **no** work receipt.
-    /// This is the serialization surface for durable object-store
-    /// backends, not a modeled read: it must not perturb the cost
-    /// model, so it bypasses receipts entirely.
+    /// Every entry in key order, with **no** work receipt. This is the
+    /// serialization and scrub surface of the object store, not a
+    /// modeled read: it must not perturb the cost model.
     #[must_use]
     pub fn entries(&self) -> KvPairs {
-        use std::collections::BTreeMap;
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        // Oldest runs first, memtable last, so newer versions overwrite.
-        for run in self.runs.iter().rev() {
-            for (k, v) in run.iter_all() {
-                merged.insert(k.to_vec(), v.map(<[u8]>::to_vec));
-            }
-        }
-        for (k, v) in self.memtable.iter_all() {
-            merged.insert(k.to_vec(), v.map(<[u8]>::to_vec));
-        }
-        merged
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
+        self.entries
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
-    }
-
-    /// Aggregate statistics.
-    #[must_use]
-    pub fn stats(&self) -> LsmStats {
-        LsmStats {
-            memtable_bytes: self.memtable.approx_bytes(),
-            runs: self.runs.len(),
-            run_entries: self.runs.iter().map(SortedRun::len).sum(),
-            wal_bytes: self.wal.bytes(),
-            flushes: self.flushes,
-            compactions: self.compactions,
-        }
-    }
-
-    /// Clones the durable state (runs + WAL) — what would survive a
-    /// crash. Used by fault-injection tests.
-    #[must_use]
-    pub fn durable_snapshot(&self) -> (Vec<SortedRun>, WriteAheadLog) {
-        (self.runs.clone(), self.wal.clone())
     }
 }
 
@@ -296,76 +120,60 @@ impl LsmStore {
 mod tests {
     use super::*;
 
-    fn small_config() -> LsmConfig {
-        LsmConfig {
-            memtable_flush_bytes: 256,
-            max_runs: 2,
-        }
-    }
-
     #[test]
     fn put_get_roundtrip() {
-        let mut s = LsmStore::new(LsmConfig::default());
+        let mut s = LsmStore::default();
         s.put(b"k".to_vec(), b"v".to_vec());
         assert_eq!(s.get(b"k").0.as_deref(), Some(&b"v"[..]));
         assert_eq!(s.get(b"missing").0, None);
     }
 
     #[test]
+    fn put_get_delete() {
+        let mut s = LsmStore::default();
+        s.put(b"a".to_vec(), b"1".to_vec());
+        assert_eq!(s.get(b"a").0.as_deref(), Some(&b"1"[..]));
+        s.write_batch(vec![(b"a".to_vec(), None)]);
+        assert_eq!(s.get(b"a").0, None);
+        assert_eq!(s.get(b"b").0, None, "absent key is None");
+        assert!(s.entries().is_empty(), "a delete leaves nothing behind");
+    }
+
+    /// A delete hides every earlier write of its key, and later writes of
+    /// other keys do not bring it back.
+    #[test]
     fn delete_shadows_older_runs() {
-        let mut s = LsmStore::new(small_config());
-        s.put(b"k".to_vec(), b"v".to_vec());
-        s.flush();
-        s.delete(b"k".to_vec());
+        let mut s = LsmStore::default();
+        s.put(b"k".to_vec(), b"v1".to_vec());
+        s.put(b"k".to_vec(), b"v2".to_vec());
+        s.write_batch(vec![(b"k".to_vec(), None)]);
         assert_eq!(s.get(b"k").0, None);
-        s.flush();
-        assert_eq!(s.get(b"k").0, None, "tombstone in run still shadows");
+        s.put(b"j".to_vec(), b"x".to_vec());
+        assert_eq!(s.get(b"k").0, None, "the delete still shadows");
+        assert_eq!(s.range(b"a", b"z").0, vec![(b"j".to_vec(), b"x".to_vec())]);
     }
 
     #[test]
-    fn flush_triggered_by_size() {
-        let mut s = LsmStore::new(small_config());
-        let mut flushed = false;
-        for i in 0..100u32 {
-            let r = s.put(i.to_be_bytes().to_vec(), vec![0xAA; 32]);
-            if r.flush_bytes > 0 {
-                flushed = true;
-            }
+    fn range_is_sorted_and_half_open() {
+        let mut s = LsmStore::default();
+        for k in [b"d", b"a", b"c", b"b"] {
+            s.put(k.to_vec(), k.to_vec());
         }
-        assert!(flushed, "writes beyond the buffer size must flush");
-        assert!(s.stats().flushes > 0);
-        // All keys still readable after flushes.
-        for i in 0..100u32 {
-            assert!(s.get(&i.to_be_bytes()).0.is_some(), "key {i} lost");
-        }
-    }
-
-    #[test]
-    fn compaction_bounds_run_count() {
-        let mut s = LsmStore::new(small_config());
-        for i in 0..2000u32 {
-            s.put(i.to_be_bytes().to_vec(), vec![1; 16]);
-        }
-        assert!(
-            s.stats().runs <= small_config().max_runs + 1,
-            "runs = {}",
-            s.stats().runs
-        );
-        assert!(s.stats().compactions > 0);
-        for i in (0..2000u32).step_by(97) {
-            assert!(s.get(&i.to_be_bytes()).0.is_some(), "key {i} lost");
+        let keys: Vec<Vec<u8>> = s.range(b"a", b"c").0.into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec()]);
+        for (start, end) in [(b"c", b"c"), (b"c", b"a")] {
+            assert_eq!(s.range(start, end), (Vec::new(), ReadReceipt::default()));
         }
     }
 
     #[test]
     fn range_merges_all_layers_newest_wins() {
-        let mut s = LsmStore::new(small_config());
+        let mut s = LsmStore::default();
         s.put(b"a".to_vec(), b"old".to_vec());
         s.put(b"b".to_vec(), b"1".to_vec());
-        s.flush();
         s.put(b"a".to_vec(), b"new".to_vec());
         s.put(b"c".to_vec(), b"2".to_vec());
-        s.delete(b"b".to_vec());
+        s.write_batch(vec![(b"b".to_vec(), None)]);
         let (entries, receipt) = s.range(b"a", b"z");
         assert_eq!(
             entries,
@@ -374,23 +182,21 @@ mod tests {
                 (b"c".to_vec(), b"2".to_vec()),
             ]
         );
-        assert!(receipt.keys_examined >= 4);
-        assert!(receipt.bytes_returned > 0);
+        assert_eq!(receipt.keys_examined, 2);
+        assert_eq!(receipt.bytes_returned, 1 + 3 + 1 + 1);
     }
 
     #[test]
     fn entries_dumps_all_layers_without_receipts() {
-        let mut s = LsmStore::new(small_config());
+        let mut s = LsmStore::default();
         s.put(b"a".to_vec(), b"old".to_vec());
         s.put(b"b".to_vec(), b"1".to_vec());
-        s.flush();
         s.put(b"a".to_vec(), b"new".to_vec());
-        s.delete(b"b".to_vec());
-        // A key past the 16-byte fingerprint horizon must still dump.
+        s.write_batch(vec![(b"b".to_vec(), None)]);
+        // A key past any fixed-length range bound must still dump.
         s.put(vec![0xFF; 24], b"edge".to_vec());
-        let entries = s.entries();
         assert_eq!(
-            entries,
+            s.entries(),
             vec![
                 (b"a".to_vec(), b"new".to_vec()),
                 (vec![0xFF; 24], b"edge".to_vec()),
@@ -400,50 +206,30 @@ mod tests {
 
     #[test]
     fn write_batch_is_atomic_in_wal() {
-        let mut s = LsmStore::new(LsmConfig::default());
+        let mut s = LsmStore::default();
         let receipt = s.write_batch(vec![
             (b"x".to_vec(), Some(b"1".to_vec())),
             (b"y".to_vec(), Some(b"2".to_vec())),
+            (b"z".to_vec(), None),
         ]);
-        assert_eq!(receipt.keys_written, 2);
-        assert!(receipt.wal_bytes > 0);
-        let (_, wal) = s.durable_snapshot();
-        assert_eq!(wal.len(), 1, "one batch, one WAL record");
-    }
-
-    #[test]
-    fn recovery_replays_wal_over_runs() {
-        let mut s = LsmStore::new(small_config());
-        for i in 0..50u32 {
-            s.put(i.to_be_bytes().to_vec(), i.to_le_bytes().to_vec());
-        }
-        s.put(b"volatile".to_vec(), b"yes".to_vec());
-        s.delete(49u32.to_be_bytes().to_vec());
-
-        let (runs, wal) = s.durable_snapshot();
-        let recovered = LsmStore::recover(small_config(), runs, &wal);
-
-        for i in 0..49u32 {
-            assert_eq!(
-                recovered.get(&i.to_be_bytes()).0,
-                s.get(&i.to_be_bytes()).0,
-                "key {i} diverged after recovery"
-            );
-        }
-        assert_eq!(recovered.get(b"volatile").0.as_deref(), Some(&b"yes"[..]));
-        assert_eq!(recovered.get(&49u32.to_be_bytes()).0, None);
+        assert_eq!(receipt.keys_written, 3);
+        // One record: one 16-byte header for the whole batch.
+        assert_eq!(receipt.wal_bytes, 16 + (8 + 2) * 2 + (8 + 1));
+        assert_eq!(s.get(b"y").0.as_deref(), Some(&b"2"[..]));
     }
 
     #[test]
     fn receipts_count_work() {
-        let mut s = LsmStore::new(LsmConfig::default());
+        let mut s = LsmStore::default();
         let w = s.put(b"key1".to_vec(), vec![0; 16]);
         assert_eq!(w.keys_written, 1);
         assert_eq!(w.wal_bytes, 16 + 8 + 4 + 16);
-        s.flush();
+        let w = s.write_batch(vec![(b"key1".to_vec(), None)]);
+        assert_eq!(w.wal_bytes, 16 + 8 + 4, "a delete logs its key only");
+        s.put(b"key1".to_vec(), vec![0; 16]);
         let (_, r) = s.get(b"key1");
-        assert_eq!(r.runs_probed, 1);
+        assert_eq!((r.keys_examined, r.bytes_returned), (1, 16));
         let (_, r) = s.get(b"absent");
-        assert_eq!(r.runs_probed, 1, "miss probes every run");
+        assert_eq!((r.keys_examined, r.bytes_returned), (1, 0));
     }
 }

@@ -1,19 +1,16 @@
-//! Model-based property test: the LSM must agree with a plain
+//! Model-based property test: the store must agree with a plain
 //! `BTreeMap` under arbitrary interleavings of puts, deletes, batches,
-//! flushes, compactions and crash-recoveries.
+//! point reads and range reads.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use vdisk_kv::{LsmConfig, LsmStore};
+use vdisk_kv::LsmStore;
 
 #[derive(Debug, Clone)]
 enum Op {
     Put(u16, Vec<u8>),
     Delete(u16),
     Batch(Vec<(u16, Option<Vec<u8>>)>),
-    Flush,
-    Compact,
-    CrashRecover,
     CheckGet(u16),
     CheckRange(u16, u16),
 }
@@ -31,9 +28,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
             1..6
         )
         .prop_map(|entries| Op::Batch(entries.into_iter().map(|(k, v)| (k % 64, v)).collect())),
-        Just(Op::Flush),
-        Just(Op::Compact),
-        Just(Op::CrashRecover),
         any::<u16>().prop_map(|k| Op::CheckGet(k % 64)),
         (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Op::CheckRange(a % 64, b % 64)),
     ]
@@ -43,19 +37,12 @@ fn key_bytes(k: u16) -> Vec<u8> {
     k.to_be_bytes().to_vec()
 }
 
-fn tight_config() -> LsmConfig {
-    LsmConfig {
-        memtable_flush_bytes: 128, // force frequent flushes
-        max_runs: 3,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn lsm_matches_btreemap_model(ops in proptest::collection::vec(arb_op(), 1..120)) {
-        let mut store = LsmStore::new(tight_config());
+        let mut store = LsmStore::default();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 
         for op in ops {
@@ -65,7 +52,7 @@ proptest! {
                     model.insert(key_bytes(k), v);
                 }
                 Op::Delete(k) => {
-                    store.delete(key_bytes(k));
+                    store.write_batch(vec![(key_bytes(k), None)]);
                     model.remove(&key_bytes(k));
                 }
                 Op::Batch(entries) => {
@@ -84,17 +71,6 @@ proptest! {
                             }
                         }
                     }
-                }
-                Op::Flush => {
-                    store.flush();
-                }
-                Op::Compact => {
-                    store.compact();
-                }
-                Op::CrashRecover => {
-                    // The WAL + runs must reconstruct everything.
-                    let (runs, wal) = store.durable_snapshot();
-                    store = LsmStore::recover(tight_config(), runs, &wal);
                 }
                 Op::CheckGet(k) => {
                     let (got, _) = store.get(&key_bytes(k));

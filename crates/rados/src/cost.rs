@@ -563,7 +563,6 @@ mod tests {
         let omap = OpEffect::Omap(vdisk_kv::WriteReceipt {
             keys_written: 1,
             wal_bytes: 64,
-            ..vdisk_kv::WriteReceipt::default()
         });
         let plan = testbed.plan_of(&tx(64, &[2], &[omap]));
         assert_eq!(plan.op_count_on(testbed.handles().osd_kv[2]), 1);

@@ -6,7 +6,7 @@
 //!
 //! - **Objects** ([`object`]): byte-addressable sparse data (backed by
 //!   4 KB physical blocks with read-modify-write on unaligned writes),
-//!   per-object **OMAP** key-value metadata (a real mini-LSM from
+//!   per-object **OMAP** key-value metadata (an ordered map from
 //!   `vdisk-kv`, Ceph's RocksDB analog), and xattrs.
 //! - **Placement** ([`placement`]): a deterministic CRUSH-like mapping
 //!   of objects to a primary + replica set.

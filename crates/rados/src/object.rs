@@ -4,7 +4,7 @@
 use crate::codec::{put_bytes, Cursor};
 use crate::SnapId;
 use std::collections::BTreeMap;
-use vdisk_kv::{LsmConfig, LsmStore};
+use vdisk_kv::LsmStore;
 
 /// The physical block size of the simulated NVMe backend. Writes that
 /// are not aligned to this granularity trigger read-modify-write, the
@@ -48,7 +48,7 @@ impl ObjectContent {
     pub(crate) fn new() -> Self {
         ObjectContent {
             data: Vec::new(),
-            omap: LsmStore::new(LsmConfig::default()),
+            omap: LsmStore::default(),
             xattrs: BTreeMap::new(),
         }
     }
@@ -140,8 +140,7 @@ impl ObjectContent {
             k.hash(&mut h);
             v.hash(&mut h);
         }
-        let (entries, _) = self.omap.range(&[], &[0xFF; 16]);
-        entries.hash(&mut h);
+        self.omap.entries().hash(&mut h);
         h.finish()
     }
 
@@ -154,9 +153,7 @@ impl ObjectContent {
     }
 
     /// Serializes this content version for a durable backend: payload,
-    /// logical size, xattrs, and the OMAP's live entries (the LSM's
-    /// internal layering is an in-memory cost-model artifact, not
-    /// durable state).
+    /// logical size, xattrs, and the OMAP's entries in key order.
     fn encode(&self, out: &mut Vec<u8>) {
         self.encode_header(out);
         self.encode_body(out);
@@ -190,10 +187,8 @@ impl ObjectContent {
     }
 
     /// Rebuilds a content version from [`ObjectContent::encode`] bytes.
-    /// The OMAP is replayed as one batch into a fresh LSM, so reads see
-    /// identical entries (internal run layout may differ — deliberately
-    /// not durable state). A payload flag other than 1, or a size that
-    /// differs from the payload length, marks the object corrupt.
+    /// A payload flag other than 1, or a size that differs from the
+    /// payload length, marks the object corrupt.
     fn decode(r: &mut Cursor<'_>) -> Option<Self> {
         let (flag, size, data) = (r.u8()?, r.u64()?, r.bytes()?);
         if flag != 1 || size != data.len() as u64 {
@@ -206,15 +201,10 @@ impl ObjectContent {
             let v = r.bytes()?;
             content.xattrs.insert(k, v);
         }
-        let omap_entries = r.u32()?;
-        let mut batch = Vec::with_capacity(omap_entries as usize);
-        for _ in 0..omap_entries {
+        for _ in 0..r.u32()? {
             let k = r.bytes()?;
             let v = r.bytes()?;
-            batch.push((k, Some(v)));
-        }
-        if !batch.is_empty() {
-            content.omap.write_batch(batch);
+            content.omap.put(k, v);
         }
         Some(content)
     }
@@ -488,6 +478,17 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         a.xattrs.insert("attr".into(), vec![1]);
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_covers_omap_keys_of_any_length() {
+        let base = ObjectContent::new();
+        let mut with_key = ObjectContent::new();
+        with_key.omap.put(vec![0xFF; 24], b"edge".to_vec());
+        let mut other_value = ObjectContent::new();
+        other_value.omap.put(vec![0xFF; 24], b"edgf".to_vec());
+        assert_ne!(with_key.fingerprint(), base.fingerprint());
+        assert_ne!(with_key.fingerprint(), other_value.fingerprint());
     }
 
     #[test]

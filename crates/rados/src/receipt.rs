@@ -2,7 +2,7 @@
 //!
 //! Serving a submission records, per transaction, what every applied
 //! op did on every replica of the acting set (a payload write with its
-//! block profile, or an OMAP batch with its LSM receipt) and, per
+//! block profile, or an OMAP batch with its `vdisk-kv` receipt) and, per
 //! object read, the blocks read, the OMAP lookups and the bytes
 //! returned. The layers above pass the record up and the encryption
 //! layer adds its cipher work and the boundary reads of an unaligned

@@ -296,7 +296,7 @@ impl Image {
             self.check_bounds(offset, 0)?;
             return Ok(Receipt::default());
         }
-        let txs = self.write_txs(offset, data)?;
+        let txs = self.write_txs(offset, vec![data])?;
         Ok(self.cluster.execute_batch(txs)?)
     }
 
@@ -308,31 +308,43 @@ impl Image {
     ///
     /// Returns [`RbdError::OutOfBounds`] if the write exceeds the image.
     pub fn submit_write(&self, offset: u64, data: Vec<u8>) -> Result<ApplyTicket> {
-        let txs = self.write_txs(offset, data)?;
+        let txs = self.write_txs(offset, vec![data])?;
         Ok(self.cluster.submit_batch(txs)?)
     }
 
-    /// Builds the striped transactions of an owned-buffer write: one
-    /// per touched object, each holding a slice view of the one shared
-    /// request allocation.
-    fn write_txs(&self, offset: u64, data: Vec<u8>) -> Result<Vec<Transaction>> {
-        self.check_bounds(offset, data.len() as u64)?;
-        let shared = SharedBuf::from_vec(data);
-        Ok(self
-            .striper
-            .map(offset, shared.len() as u64)
-            .into_iter()
-            .map(|extent| {
-                let mut tx = Transaction::new(self.object_name(extent.object_no));
-                tx.write(
-                    extent.offset,
-                    shared.slice(
-                        extent.buf_offset as usize..(extent.buf_offset + extent.len) as usize,
-                    ),
-                );
-                tx
-            })
-            .collect())
+    /// Builds the striped transactions of a gather write of `buffers`
+    /// laid end to end at `offset`: one per touched object, in
+    /// ascending object order, each holding slice views of the source
+    /// buffers in place (zero copies). An object spanning two buffers
+    /// gets two write ops in its single, atomic transaction; a single
+    /// buffer is a one-element gather.
+    pub(crate) fn write_txs(&self, offset: u64, buffers: Vec<Vec<u8>>) -> Result<Vec<Transaction>> {
+        let total: u64 = buffers.iter().map(|b| b.len() as u64).sum();
+        self.check_bounds(offset, total)?;
+        // The buffers are consecutive, so their extents arrive in
+        // ascending object order: an object's ops are adjacent.
+        let mut txs: Vec<Transaction> = Vec::new();
+        let mut last_object = None;
+        let mut cursor = offset;
+        for buffer in buffers {
+            let shared = SharedBuf::from_vec(buffer);
+            for extent in self.striper.map(cursor, shared.len() as u64) {
+                if last_object != Some(extent.object_no) {
+                    last_object = Some(extent.object_no);
+                    txs.push(Transaction::new(self.object_name(extent.object_no)));
+                }
+                if let Some(tx) = txs.last_mut() {
+                    tx.write(
+                        extent.offset,
+                        shared.slice(
+                            extent.buf_offset as usize..(extent.buf_offset + extent.len) as usize,
+                        ),
+                    );
+                }
+            }
+            cursor += shared.len() as u64;
+        }
+        Ok(txs)
     }
 
     /// Reads raw bytes from the image head into `buf`; unwritten space

@@ -52,9 +52,9 @@
 use crate::image::Image;
 use crate::striping::ObjectExtent;
 use crate::{RbdError, Result};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
-use vdisk_rados::{ApplyTicket, Doorbell, ExecStats, ReadTicket, Receipt, SharedBuf, Transaction};
+use vdisk_rados::{ApplyTicket, Doorbell, ExecStats, ReadTicket, Receipt};
 
 /// One submitted operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -629,33 +629,7 @@ impl QueueBackend for Image {
     /// buffer in place — an object spanning two buffers gets two write
     /// ops in its (single, atomic) transaction.
     fn queue_writev(&mut self, offset: u64, buffers: Vec<Vec<u8>>) -> Result<ImagePending> {
-        let total: u64 = buffers.iter().map(|b| b.len() as u64).sum();
-        self.check_bounds(offset, total)?;
-        let striper = self.striper();
-        let mut writes: BTreeMap<u64, Vec<(u64, SharedBuf)>> = BTreeMap::new();
-        let mut cursor = offset;
-        for buffer in buffers {
-            let shared = SharedBuf::from_vec(buffer);
-            for extent in striper.map(cursor, shared.len() as u64) {
-                writes.entry(extent.object_no).or_default().push((
-                    extent.offset,
-                    shared.slice(
-                        extent.buf_offset as usize..(extent.buf_offset + extent.len) as usize,
-                    ),
-                ));
-            }
-            cursor += shared.len() as u64;
-        }
-        let txs: Vec<Transaction> = writes
-            .into_iter()
-            .map(|(object_no, ops)| {
-                let mut tx = Transaction::new(self.object_name(object_no));
-                for (object_offset, slice) in ops {
-                    tx.write(object_offset, slice);
-                }
-                tx
-            })
-            .collect();
+        let txs = self.write_txs(offset, buffers)?;
         Ok(ImagePending::Write(self.cluster().submit_batch(txs)?))
     }
 

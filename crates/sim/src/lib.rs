@@ -1,7 +1,7 @@
 //! A small discrete-event **cost simulator** for storage stacks.
 //!
 //! The reproduction separates *function* from *time*: the object store,
-//! the LSM and the encryption layer all operate on real bytes, while
+//! the OMAP store and the encryption layer all operate on real bytes, while
 //! the time each operation would take on the paper's testbed is
 //! computed here. An IO is described as a [`Plan`] — a fork/join DAG of
 //! resource usages (`Seq`/`Par`/`Op`/`Delay`) — and executed against

@@ -20,7 +20,7 @@ pub enum Plan {
     },
     /// Occupy one server of `resource` for an explicit duration
     /// (used when the service time is computed elsewhere, e.g. from an
-    /// LSM work receipt).
+    /// OMAP work receipt).
     Busy {
         /// Which resource the op runs on.
         resource: ResourceId,

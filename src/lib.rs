@@ -6,7 +6,7 @@
 //!
 //! - [`crypto`]: AES, XTS, GCM, CBC-ESSIV, EME2, SHA-256, HMAC, KDFs
 //! - [`sim`]: the discrete-event cost simulator
-//! - [`kv`]: the mini-LSM store backing OMAP
+//! - [`kv`]: the per-object ordered key-value store backing OMAP
 //! - [`rados`]: the Ceph-like replicated object store
 //! - [`rbd`]: the virtual-disk (RBD-like) layer
 //! - [`core`]: the paper's contribution — per-sector-metadata encryption
