@@ -11,9 +11,7 @@
 //! produce bandwidth numbers.
 
 use crate::testbed;
-use vdisk_core::{
-    CryptError, EncryptedImage, IoOp, Result, Runtime, RuntimeError, TenantSpec, TenantStats,
-};
+use vdisk_core::{EncryptedImage, IoOp, Result, Runtime, TenantSpec, TenantStats};
 use vdisk_crypto::rng::SeededRng;
 use vdisk_rados::Receipt;
 use vdisk_sim::ClosedLoopStats;
@@ -242,13 +240,6 @@ pub struct MultiTenantOutcome {
     pub combined: ClosedLoopStats,
 }
 
-fn flatten(e: RuntimeError<CryptError>) -> CryptError {
-    match e {
-        RuntimeError::Queue(e) => e,
-        other => CryptError::RuntimeStalled(other.to_string()),
-    }
-}
-
 /// Drives `jobs[i]` against `disks[i]` — every image on the same
 /// cluster — through one shared [`Runtime`]: per-tenant admission at
 /// submit, weighted fair scheduling into the shared shard queues. The
@@ -263,8 +254,8 @@ fn flatten(e: RuntimeError<CryptError>) -> CryptError {
 ///
 /// # Errors
 ///
-/// Propagates any IO-path error; scheduling dead-ends surface as
-/// [`CryptError::RuntimeStalled`].
+/// Propagates any IO-path error; an admission denial surfaces as
+/// [`vdisk_core::CryptError::RuntimeStalled`].
 ///
 /// # Panics
 ///
@@ -306,9 +297,9 @@ pub fn run_multi_tenant(
         let mut all_drained = true;
         for ((queue, job), (gen, done)) in queues.iter_mut().zip(jobs).zip(&mut gens) {
             while !stopped && gen.issued < job.spec.ops && queue.backlog() < job.qd_cap.max(1) {
-                queue.submit(gen.next_op(&job.spec)).map_err(flatten)?;
+                queue.submit(gen.next_op(&job.spec))?;
             }
-            for result in queue.poll().map_err(flatten)? {
+            for result in queue.poll()? {
                 done.push((result.completion.id(), result.plan));
                 total_completed += 1;
             }

@@ -175,7 +175,6 @@ fn background_rekey_tenant_yields_under_client_saturation() {
         .expect("rekey begin")
         .with_chunk_sectors(4)
         .with_queue_depth(DEFAULT_QUEUE_DEPTH)
-        .with_pressure_threshold(4)
         .with_runtime_tenant(tenant);
 
     // Settle the pressure window: setup traffic is not client load.

@@ -98,8 +98,8 @@ pub use rekey::{
     DEFAULT_QUEUE_DEPTH,
 };
 pub use runtime::{
-    RateLimit, Runtime, RuntimeError, RuntimeSnapshot, TenantHandle, TenantId, TenantQueue,
-    TenantSpec, TenantStats,
+    Runtime, RuntimeError, RuntimeSnapshot, TenantHandle, TenantId, TenantQueue, TenantSpec,
+    TenantStats,
 };
 pub use sector::SectorState;
 // The op/completion vocabulary is shared with the raw queue.
@@ -150,9 +150,8 @@ pub enum CryptError {
     /// handle's read and write (the generation CAS lost). The
     /// in-memory header view is stale; reopen the image and retry.
     HeaderContended,
-    /// The multi-tenant runtime reported that a driver's tenant can
-    /// make no progress (admission stalled or starved of rate-limit
-    /// tokens with nothing in flight).
+    /// The multi-tenant runtime refused a driver's submission
+    /// (admission denied at the tenant's backlog cap).
     RuntimeStalled(String),
     /// An error from the image layer.
     Rbd(vdisk_rbd::RbdError),

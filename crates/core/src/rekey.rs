@@ -22,6 +22,13 @@
 //!    (a CASed header update), making the progress visible to
 //!    concurrent opens.
 //!
+//! The window's depth adapts to client load: it halves (down to one
+//! chunk) while the client pressure sampled before a step exceeds
+//! [`DEFAULT_PRESSURE_THRESHOLD`] open submissions, and doubles back
+//! toward the configured depth once the samples are quiet. Tenant
+//! queue errors reach the caller as [`CryptError`]s through its
+//! `From<RuntimeError<CryptError>>` conversion.
+//!
 //! Between steps the driver owns nothing: the caller is free to run
 //! arbitrary queued IO against the image — reads and writes select
 //! keys by sector epoch (entry tags, or the watermark for the
@@ -55,7 +62,7 @@
 
 use crate::encrypted_image::EncryptedImage;
 use crate::luks::WindowIntent;
-use crate::runtime::{Runtime, RuntimeError, TenantHandle, TenantSpec};
+use crate::runtime::{Runtime, TenantHandle, TenantSpec};
 use crate::{CryptError, IoOp, IoPayload, Result};
 use std::collections::HashMap;
 
@@ -63,9 +70,10 @@ use std::collections::HashMap;
 pub const DEFAULT_CHUNK_SECTORS: u64 = 16;
 /// Default chunks in flight per step.
 pub const DEFAULT_QUEUE_DEPTH: usize = 8;
-/// Default client-pressure threshold: a sampled queue-depth peak above
-/// this many open submissions makes the driver halve its window (see
-/// [`RekeyDriver::with_pressure_threshold`]).
+/// Client-pressure threshold: a sampled queue-depth peak above this
+/// many open submissions makes the driver halve its window.
+/// Synchronous wrappers hold one open submission each, so this ignores
+/// light sync traffic and reacts to genuinely queued client IO.
 pub const DEFAULT_PRESSURE_THRESHOLD: u64 = 4;
 
 /// Progress of an in-flight rekey.
@@ -102,7 +110,6 @@ pub struct RekeyDriver {
     /// sampled client pressure exceeds the threshold, doubled back
     /// toward `queue_depth` when pressure subsides.
     effective_depth: usize,
-    pressure_threshold: u64,
     /// Client queue-depth peak sampled before the last window.
     last_pressure: u64,
     /// When set, window IO flows through this tenant of a
@@ -120,7 +127,6 @@ impl RekeyDriver {
             chunk_sectors: DEFAULT_CHUNK_SECTORS,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             effective_depth: DEFAULT_QUEUE_DEPTH,
-            pressure_threshold: DEFAULT_PRESSURE_THRESHOLD,
             last_pressure: 0,
             tenant: None,
         }
@@ -151,17 +157,6 @@ impl RekeyDriver {
         self
     }
 
-    /// Overrides the client-pressure threshold (open submissions in
-    /// the sampled queue-depth peak) above which a step halves its
-    /// window. Synchronous wrappers hold one open submission each, so
-    /// the default of [`DEFAULT_PRESSURE_THRESHOLD`] ignores light
-    /// sync traffic and reacts to genuinely queued client IO.
-    #[must_use]
-    pub fn with_pressure_threshold(mut self, peak: u64) -> Self {
-        self.pressure_threshold = peak;
-        self
-    }
-
     /// Routes every window's reads and rewrites through `tenant` —
     /// registered on a [`crate::runtime::Runtime`] shared with client
     /// tenants, typically at low weight, so the fair scheduler damps
@@ -174,8 +169,8 @@ impl RekeyDriver {
 
     /// The queue depth the next window will use: `queue_depth` when
     /// the cluster was quiet, smaller (down to 1) while sampled client
-    /// pressure exceeds the threshold. The observable signal that the
-    /// rekey yields: window submissions drop with it.
+    /// pressure exceeds [`DEFAULT_PRESSURE_THRESHOLD`]. The observable
+    /// signal that the rekey yields: window submissions drop with it.
     #[must_use]
     pub fn effective_queue_depth(&self) -> usize {
         self.effective_depth
@@ -234,9 +229,9 @@ impl RekeyDriver {
     /// ([`crate::runtime::Runtime::take_demand_peak_excluding`]), a
     /// signal that keeps client-tenant bursts landing *during* a
     /// window visible even though the shared cluster window is reset
-    /// after each window. A peak above the pressure threshold means
-    /// client IO was queuing — the window halves (down to one chunk);
-    /// quiet samples double it back toward the configured depth.
+    /// after each window. A peak above [`DEFAULT_PRESSURE_THRESHOLD`]
+    /// means client IO was queuing — the window halves (down to one
+    /// chunk); quiet samples double it back toward the configured depth.
     /// Background rekey thereby yields to foreground tenants instead
     /// of competing at full depth.
     ///
@@ -283,7 +278,7 @@ impl RekeyDriver {
             }
             None => cluster_peak,
         };
-        self.effective_depth = if self.last_pressure > self.pressure_threshold {
+        self.effective_depth = if self.last_pressure > DEFAULT_PRESSURE_THRESHOLD {
             (self.effective_depth / 2).max(1)
         } else {
             (self.effective_depth * 2).min(self.queue_depth)
@@ -404,9 +399,7 @@ impl RekeyDriver {
         // at the tenant's backlog cap rather than failing.
         let mut chunk_offsets: HashMap<u64, u64> = HashMap::new();
         for (offset, len) in chunks {
-            let completion = queue
-                .submit_blocking(IoOp::Read { offset, len })
-                .map_err(flatten)?;
+            let completion = queue.submit_blocking(IoOp::Read { offset, len })?;
             chunk_offsets.insert(completion.id(), offset);
         }
         // Phase 2: every read must *dispatch* (capturing the
@@ -415,7 +408,7 @@ impl RekeyDriver {
         // read still queued when the epoch advanced would decrypt with
         // the wrong keys. From here the window's rewrites encrypt
         // under the new epoch.
-        queue.dispatch_backlog().map_err(flatten)?;
+        queue.dispatch_backlog()?;
         queue
             .inner_mut()
             .backend_mut()
@@ -424,7 +417,7 @@ impl RekeyDriver {
         // first; writes drain alongside the remaining reads, paced by
         // the scheduler's grants.
         while !chunk_offsets.is_empty() || queue.backlog() > 0 || queue.in_flight() > 0 {
-            for result in queue.wait_any().map_err(flatten)? {
+            for result in queue.wait_any()? {
                 let Some(offset) = chunk_offsets.remove(&result.completion.id()) else {
                     continue; // a rewrite completing
                 };
@@ -441,12 +434,10 @@ impl RekeyDriver {
                     .inner_mut()
                     .backend_mut()
                     .arm_rekey_marker(offset, plaintext.len());
-                queue
-                    .submit_blocking(IoOp::Write {
-                        offset,
-                        data: plaintext,
-                    })
-                    .map_err(flatten)?;
+                queue.submit_blocking(IoOp::Write {
+                    offset,
+                    data: plaintext,
+                })?;
             }
         }
         Ok(())
@@ -474,15 +465,5 @@ impl RekeyDriver {
     /// [`CryptError::HeaderContended`] on a concurrent header update.
     pub fn finish(self, disk: &mut EncryptedImage) -> Result<()> {
         disk.rekey_finish(self.from, self.to)
-    }
-}
-
-/// Maps a tenant-queue error back into the crypto error space: queue
-/// errors pass through, scheduling dead-ends become
-/// [`CryptError::RuntimeStalled`].
-fn flatten(e: RuntimeError<CryptError>) -> CryptError {
-    match e {
-        RuntimeError::Queue(e) => e,
-        other => CryptError::RuntimeStalled(other.to_string()),
     }
 }

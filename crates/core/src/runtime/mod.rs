@@ -7,11 +7,11 @@
 //! [`EncryptedIoQueue`](crate::EncryptedIoQueue) per image with no
 //! arbitration lets a single image at QD 64 starve every other image
 //! sharing the shard workers. This module inserts the missing layer: a
-//! [`Runtime`] owns tenant registration (weight, QD cap, backlog cap,
-//! optional byte-rate token bucket), admission control at submit, and
-//! a weighted-fair allocation of a shared in-flight budget — so
-//! hundreds of queues share the cluster with proportional fairness
-//! instead of free-for-all.
+//! [`Runtime`] owns tenant registration (weight, QD cap, backlog cap),
+//! admission control at submit, every tenant's backlog, and a
+//! weighted-fair allocation of a shared in-flight budget — so hundreds
+//! of queues share the cluster with proportional fairness instead of
+//! free-for-all.
 //!
 //! # The model
 //!
@@ -19,15 +19,16 @@
 //!   [`TenantSpec`]. Weights set proportional share under contention;
 //!   the QD cap bounds a tenant's own in-flight ops; the backlog cap
 //!   is the admission bound ([`RuntimeError::AdmissionDenied`] past
-//!   it); a [`RateLimit`] adds token-bucket pacing in bytes.
+//!   it).
 //! - **Queue**: a tenant attaches a concrete queue (the raw
 //!   [`vdisk_rbd::IoQueue`] or the encrypted
 //!   [`EncryptedIoQueue`](crate::EncryptedIoQueue)) with
 //!   [`TenantHandle::attach`], yielding a [`TenantQueue`] with the
-//!   same submit/poll/wait/fence surface. Submissions queue locally;
-//!   dispatch happens only when the arbiter grants slots — always on
-//!   the owning thread, never from a central dispatcher, so the
-//!   borrow-based queue types need no lifetime contortions.
+//!   same submit/poll/wait/fence surface. Submissions queue in the
+//!   arbiter's per-tenant backlog (the only copy); dispatch happens
+//!   only when the arbiter grants slots — always on the owning thread,
+//!   never from a central dispatcher, so the borrow-based queue types
+//!   need no lifetime contortions.
 //! - **Fairness**: a virtual-time weighted-fair scheduler (see
 //!   `sched.rs`): each tenant's clock advances by `bytes / weight` per
 //!   dispatched op and free slots go to the smallest clock first. The
@@ -39,6 +40,15 @@
 //! contract: ops of one tenant dispatch in submission order, so the
 //! interleaving ≡ sequential-replay property holds through the
 //! scheduler (see `core/tests/runtime_properties.rs`).
+//!
+//! # Waking
+//!
+//! Every blocking call runs one loop: snapshot the queue's doorbell,
+//! dispatch what the arbiter grants, reap, and park on the doorbell
+//! only if nothing was reaped. Two rings end a park: a shard worker's,
+//! when one of the tenant's own ops completes, and the arbiter's,
+//! when another tenant's completion or refund frees slots while this
+//! tenant has backlog. There is no timed wait.
 //!
 //! # Example
 //!
@@ -62,15 +72,17 @@
 //! # }
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 use vdisk_rados::{Doorbell, ExecStats};
 use vdisk_rbd::{Completion, IoOp, IoResult, Queue, QueueBackend};
 
+use crate::CryptError;
+
 mod sched;
 
-use sched::{Arbiter, ParkHint};
+use sched::{Arbiter, Queued};
 
 /// Identifies a registered tenant within its [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -82,18 +94,6 @@ impl fmt::Display for TenantId {
     }
 }
 
-/// Byte-rate pacing for one tenant: a token bucket holding up to
-/// `burst_bytes`, refilled at `bytes_per_sec`. A zero rate never
-/// refills — the burst is the tenant's total allowance (deterministic
-/// tests use this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RateLimit {
-    /// Sustained refill rate in bytes per second (0 = never refills).
-    pub bytes_per_sec: u64,
-    /// Bucket capacity in bytes; also the initial fill.
-    pub burst_bytes: u64,
-}
-
 /// Registration-time description of a tenant.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
@@ -101,12 +101,10 @@ pub struct TenantSpec {
     weight: u32,
     qd_cap: usize,
     backlog_cap: usize,
-    rate: Option<RateLimit>,
 }
 
 impl TenantSpec {
-    /// A tenant with weight 1, QD cap 16, backlog cap 64 and no rate
-    /// limit.
+    /// A tenant with weight 1, QD cap 16 and backlog cap 64.
     #[must_use]
     pub fn new(name: impl Into<String>) -> TenantSpec {
         TenantSpec {
@@ -114,7 +112,6 @@ impl TenantSpec {
             weight: 1,
             qd_cap: 16,
             backlog_cap: 64,
-            rate: None,
         }
     }
 
@@ -138,13 +135,6 @@ impl TenantSpec {
     #[must_use]
     pub fn backlog_cap(mut self, backlog_cap: usize) -> TenantSpec {
         self.backlog_cap = backlog_cap;
-        self
-    }
-
-    /// Adds token-bucket pacing in bytes.
-    #[must_use]
-    pub fn rate_limit(mut self, rate: RateLimit) -> TenantSpec {
-        self.rate = Some(rate);
         self
     }
 }
@@ -206,13 +196,6 @@ pub enum RuntimeError<E> {
         /// The configured cap.
         cap: usize,
     },
-    /// A blocking reap would never return: the tenant has queued work
-    /// gated on a zero-rate token bucket with too few tokens, and
-    /// nothing in flight to wait for.
-    Starved {
-        /// The stalled tenant.
-        tenant: TenantId,
-    },
     /// The underlying queue failed.
     Queue(E),
 }
@@ -225,10 +208,6 @@ impl<E: fmt::Display> fmt::Display for RuntimeError<E> {
                 backlog,
                 cap,
             } => write!(f, "{tenant} backlog full ({backlog}/{cap})"),
-            RuntimeError::Starved { tenant } => write!(
-                f,
-                "{tenant} is out of tokens with no refill and nothing in flight"
-            ),
             RuntimeError::Queue(e) => write!(f, "queue error: {e}"),
         }
     }
@@ -246,6 +225,18 @@ impl<E: std::error::Error + 'static> std::error::Error for RuntimeError<E> {
 impl<E> From<E> for RuntimeError<E> {
     fn from(e: E) -> Self {
         RuntimeError::Queue(e)
+    }
+}
+
+/// Maps a tenant-queue error back into the crypto error space: queue
+/// errors pass through, admission denials become
+/// [`CryptError::RuntimeStalled`].
+impl From<RuntimeError<CryptError>> for CryptError {
+    fn from(e: RuntimeError<CryptError>) -> Self {
+        match e {
+            RuntimeError::Queue(e) => e,
+            other => CryptError::RuntimeStalled(other.to_string()),
+        }
     }
 }
 
@@ -442,7 +433,6 @@ impl TenantHandle {
             id: self.id,
             inner,
             bell,
-            backlog: VecDeque::new(),
             dispatched: HashMap::new(),
             staged: Vec::new(),
             next_outer: 0,
@@ -454,20 +444,6 @@ impl fmt::Debug for TenantHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "TenantHandle({})", self.id)
     }
-}
-
-/// The payload cost of an op in bytes (min 1, so zero-length ops
-/// still advance the fairness clock). Only a scheduling weight: a
-/// scatter read whose lengths overflow `u64` saturates here, and its
-/// dispatch then reports it out of bounds.
-fn op_cost(op: &IoOp) -> u64 {
-    let bytes = match op {
-        IoOp::Write { data, .. } => data.len() as u64,
-        IoOp::Writev { buffers, .. } => buffers.iter().map(|b| b.len() as u64).sum(),
-        IoOp::Read { len, .. } => *len,
-        IoOp::Readv { lens, .. } => lens.iter().fold(0u64, |sum, &len| sum.saturating_add(len)),
-    };
-    bytes.max(1)
 }
 
 /// A tenant-arbitrated queue: same submit/poll/wait/fence surface as
@@ -484,8 +460,6 @@ pub struct TenantQueue<Q: ArbitratedQueue> {
     id: TenantId,
     inner: Q,
     bell: Arc<Doorbell>,
-    /// Admitted, undispatched ops with their wrapper completion ids.
-    backlog: VecDeque<(u64, IoOp)>,
     /// Inner completion id → (wrapper completion id, cost bytes).
     dispatched: HashMap<u64, (u64, u64)>,
     /// Reaped results not yet delivered to the caller (a dispatch
@@ -495,12 +469,6 @@ pub struct TenantQueue<Q: ArbitratedQueue> {
 }
 
 impl<Q: ArbitratedQueue> TenantQueue<Q> {
-    /// The wrapped queue.
-    #[must_use]
-    pub fn inner(&self) -> &Q {
-        &self.inner
-    }
-
     /// Mutable access to the wrapped queue — for drivers that need
     /// queue-type-specific calls between submissions (the rekey driver
     /// advances the key-epoch boundary mid-window). Submitting to the
@@ -510,16 +478,10 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
         &mut self.inner
     }
 
-    /// This queue's tenant.
-    #[must_use]
-    pub fn tenant(&self) -> TenantId {
-        self.id
-    }
-
     /// Ops admitted and not yet dispatched.
     #[must_use]
     pub fn backlog(&self) -> usize {
-        self.backlog.len()
+        self.runtime.lock().backlog_len(self.id)
     }
 
     /// Ops dispatched and not yet reaped.
@@ -541,29 +503,25 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     /// un-admitted again — an error return never leaves behind an
     /// admitted op whose completion token the caller did not receive.
     pub fn submit(&mut self, op: IoOp) -> Result<Completion, RuntimeError<Q::Error>> {
-        let cost = op_cost(&op);
+        let outer = self.next_outer;
         self.runtime
             .lock()
-            .try_admit(self.id, cost)
+            .try_admit(self.id, outer, op)
             .map_err(|(backlog, cap)| RuntimeError::AdmissionDenied {
                 tenant: self.id,
                 backlog,
                 cap,
             })?;
-        let outer = self.next_outer;
         self.next_outer += 1;
-        self.backlog.push_back((outer, op));
         if let Err(e) = self.pump() {
             // Dispatch is FIFO and aborts on the first failure, so if
             // the op queued above is still the newest backlog entry
             // the error was an earlier op's: revoke the fresh
-            // admission (and its token) instead of stranding it. If
-            // the failing op *was* this one, pump already refunded it
-            // everywhere and the error speaks for itself.
-            if self.backlog.back().is_some_and(|&(id, _)| id == outer) {
-                self.backlog.pop_back();
+            // admission (and its completion id) instead of stranding
+            // it. If the failing op *was* this one, pump already
+            // refunded it and the error speaks for itself.
+            if self.runtime.lock().unadmit_newest(self.id, outer) {
                 self.next_outer = outer;
-                self.runtime.lock().unadmit_newest(self.id);
             }
             return Err(e);
         }
@@ -581,57 +539,32 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     /// As [`TenantQueue::wait_any`] — never
     /// [`RuntimeError::AdmissionDenied`].
     pub fn submit_blocking(&mut self, op: IoOp) -> Result<Completion, RuntimeError<Q::Error>> {
-        loop {
-            let seen = self.bell.generation();
-            let hint = self.pump()?;
-            if !self.runtime.lock().backlog_full(self.id) {
-                break;
-            }
-            let reaped = self.reap_into_staged()?;
-            if !self.runtime.lock().backlog_full(self.id) {
-                break;
-            }
-            if reaped > 0 {
-                // The reap freed slots; re-pump before parking.
-                continue;
-            }
-            self.park(seen, hint)?;
-        }
+        self.drive_until(|q| !q.runtime.lock().backlog_full(q.id))?;
         self.submit(op)
     }
 
-    /// Dispatches whatever the scheduler currently grants; returns the
-    /// park hint of the final (empty) claim.
-    fn pump(&mut self) -> Result<ParkHint, RuntimeError<Q::Error>> {
+    /// Dispatches whatever the scheduler currently grants.
+    fn pump(&mut self) -> Result<(), RuntimeError<Q::Error>> {
         loop {
-            let (granted, hint) = self.runtime.lock().claim(self.id);
-            if granted == 0 {
-                return Ok(hint);
+            let granted = self.runtime.lock().claim(self.id);
+            if granted.is_empty() {
+                return Ok(());
             }
-            for done in 0..granted {
-                // vdisk-lint: allow(hot-path-panic) reason="the arbiter granted against this wrapper's own backlog mirror under the runtime lock"
-                let (outer, op) = self.backlog.pop_front().expect("granted within backlog");
-                let cost = op_cost(&op);
+            let mut granted = granted.into_iter();
+            while let Some(Queued { outer, cost, op }) = granted.next() {
                 match self.inner.submit_direct(op) {
                     Ok(completion) => {
                         self.dispatched.insert(completion.id(), (outer, cost));
                     }
                     Err(e) => {
                         // The failing op's slot is refunded outright;
-                        // the rest of this grant — still at the front
-                        // of `self.backlog` — goes back to the
-                        // arbiter's backlog mirror, or those ops would
-                        // count in flight forever while no longer
-                        // being tracked for dispatch.
-                        let leftover: Vec<u64> = self
-                            .backlog
-                            .iter()
-                            .take(granted - done - 1)
-                            .map(|(_, op)| op_cost(op))
-                            .collect();
-                        let mut arbiter = self.runtime.lock();
-                        arbiter.dispatch_failed(self.id, cost);
-                        arbiter.dispatch_aborted(self.id, &leftover);
+                        // the rest of this grant goes back to the
+                        // front of the backlog, or those ops would
+                        // count in flight forever while never
+                        // dispatching.
+                        self.runtime
+                            .lock()
+                            .dispatch_aborted(self.id, granted.collect());
                         return Err(RuntimeError::Queue(e));
                     }
                 }
@@ -639,12 +572,38 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
         }
     }
 
+    /// The one blocking loop behind every waiting call: each round
+    /// snapshots the doorbell, pumps dispatch, checks `done`, reaps
+    /// into the staging buffer, checks `done` again, and parks past
+    /// the snapshot only if the reap came back empty. A positive reap
+    /// freed scheduler slots, so the round repeats instead (the
+    /// runtime rings *other* tenants on completions — never the
+    /// reaping thread, which is already awake).
+    fn drive_until(&mut self, done: impl Fn(&Self) -> bool) -> Result<(), RuntimeError<Q::Error>> {
+        loop {
+            let seen = self.bell.generation();
+            self.pump()?;
+            if done(self) {
+                return Ok(());
+            }
+            let reaped = self.reap_into_staged()?;
+            if done(self) {
+                return Ok(());
+            }
+            if reaped == 0 {
+                self.bell.wait_past(seen);
+            }
+        }
+    }
+
+    /// Whether the tenant has nothing queued and nothing in flight.
+    fn is_idle(&self) -> bool {
+        self.backlog() == 0 && self.inner.in_flight() == 0
+    }
+
     /// Reaps the inner queue into the staging buffer, rewriting
     /// completion tokens and reporting per-tenant totals. Returns the
-    /// number of ops reaped: a positive count frees scheduler slots,
-    /// so callers must re-pump before parking (the runtime rings
-    /// *other* tenants on completions — never the reaping thread,
-    /// which is already awake).
+    /// number of ops reaped.
     fn reap_into_staged(&mut self) -> Result<usize, RuntimeError<Q::Error>> {
         let results = match self.inner.poll_direct() {
             Ok(results) => results,
@@ -703,51 +662,16 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     }
 
     /// Blocks until at least one completion is available (parking on
-    /// the doorbell, never spinning), then reaps everything finished.
-    /// Returns empty only when the tenant has nothing queued and
-    /// nothing in flight.
+    /// the doorbell, never spinning), then returns every result
+    /// staged so far. Returns empty only when the tenant has nothing
+    /// queued and nothing in flight.
     ///
     /// # Errors
     ///
-    /// As [`TenantQueue::poll`], plus [`RuntimeError::Starved`] when
-    /// queued work can never dispatch (zero-rate bucket out of
-    /// tokens) and nothing is in flight to wait for.
+    /// As [`TenantQueue::poll`].
     pub fn wait_any(&mut self) -> Result<Vec<IoResult>, RuntimeError<Q::Error>> {
-        loop {
-            let seen = self.bell.generation();
-            let hint = self.pump()?;
-            self.reap_into_staged()?;
-            if !self.staged.is_empty() {
-                return Ok(self.take_staged());
-            }
-            if self.backlog.is_empty() && self.inner.in_flight() == 0 {
-                return Ok(Vec::new());
-            }
-            self.park(seen, hint)?;
-        }
-    }
-
-    /// Parks on the doorbell until something changes: a completion
-    /// (shard workers ring per finished submission), a scheduling
-    /// change (the runtime rings on freed slots), or — for token-gated
-    /// backlogs — the refill ETA.
-    fn park(&mut self, seen: u64, hint: ParkHint) -> Result<(), RuntimeError<Q::Error>> {
-        if self.inner.in_flight() > 0 {
-            self.bell.wait_past(seen);
-            return Ok(());
-        }
-        match hint {
-            ParkHint::Tokens(eta) => {
-                self.bell.wait_past_for(seen, eta.max(MIN_TOKEN_PARK));
-            }
-            ParkHint::Starved => {
-                return Err(RuntimeError::Starved { tenant: self.id });
-            }
-            _ => {
-                self.bell.wait_past(seen);
-            }
-        }
-        Ok(())
+        self.drive_until(|q| !q.staged.is_empty() || q.is_idle())?;
+        Ok(self.take_staged())
     }
 
     /// Parks until every queued op has *dispatched* (not completed).
@@ -760,21 +684,7 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     ///
     /// As [`TenantQueue::wait_any`].
     pub fn dispatch_backlog(&mut self) -> Result<(), RuntimeError<Q::Error>> {
-        loop {
-            let seen = self.bell.generation();
-            let hint = self.pump()?;
-            if self.backlog.is_empty() {
-                return Ok(());
-            }
-            let reaped = self.reap_into_staged()?;
-            if self.backlog.is_empty() {
-                return Ok(());
-            }
-            if reaped > 0 {
-                continue;
-            }
-            self.park(seen, hint)?;
-        }
+        self.drive_until(|q| q.backlog() == 0)
     }
 
     /// Full barrier: dispatches and completes everything queued, then
@@ -784,26 +694,12 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     ///
     /// As [`TenantQueue::wait_any`].
     pub fn fence(&mut self) -> Result<Vec<IoResult>, RuntimeError<Q::Error>> {
-        loop {
-            let seen = self.bell.generation();
-            let hint = self.pump()?;
-            let reaped = self.reap_into_staged()?;
-            if self.backlog.is_empty() && self.inner.in_flight() == 0 {
-                let mut results = self.take_staged();
-                results.sort_by_key(|r| r.completion.id());
-                return Ok(results);
-            }
-            if reaped > 0 {
-                continue;
-            }
-            self.park(seen, hint)?;
-        }
+        self.drive_until(Self::is_idle)?;
+        let mut results = self.take_staged();
+        results.sort_by_key(|r| r.completion.id());
+        Ok(results)
     }
 }
-
-/// Floor for timed token parks: sub-millisecond ETAs would make the
-/// park a near-spin.
-const MIN_TOKEN_PARK: std::time::Duration = std::time::Duration::from_millis(1);
 
 impl<Q: ArbitratedQueue> Drop for TenantQueue<Q> {
     fn drop(&mut self) {
@@ -817,7 +713,7 @@ impl<Q: ArbitratedQueue> fmt::Debug for TenantQueue<Q> {
             f,
             "TenantQueue({}, {} queued, {} in flight)",
             self.id,
-            self.backlog.len(),
+            self.backlog(),
             self.inner.in_flight()
         )
     }

@@ -1,6 +1,6 @@
 //! The arbiter: weighted fair scheduling over a shared in-flight
-//! budget, per-tenant token buckets, and the bookkeeping behind the
-//! runtime's stats snapshots.
+//! budget, the only copy of every tenant's backlog, and the
+//! bookkeeping behind the runtime's stats snapshots.
 //!
 //! The scheduler is a classic virtual-time WFQ. Every tenant carries a
 //! virtual clock that advances by `cost / weight` per dispatched op
@@ -13,75 +13,45 @@
 //! one.
 //!
 //! Everything here runs under the runtime's single mutex; physical
-//! dispatch never happens here. A tenant claims grants and then
-//! submits on its own thread, which is what lets hundreds of queues
-//! share one arbiter without the arbiter owning any queue.
+//! dispatch never happens here. A tenant's admitted ops wait in its
+//! backlog below; a claim hands the granted ones to the tenant, which
+//! submits them on its own thread — what lets hundreds of queues share
+//! one arbiter without the arbiter owning any queue.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use vdisk_rados::{Doorbell, ExecStats};
+use vdisk_rbd::IoOp;
 
-use super::{RateLimit, TenantId, TenantSpec, TenantStats};
+use super::{TenantId, TenantSpec, TenantStats};
 
 /// Sub-byte precision for the virtual clocks: costs are scaled up
 /// before dividing by the weight so small ops under large weights
 /// still advance the clock.
 const VTIME_SHIFT: u32 = 16;
 
-/// Why a claim came back empty — tells the owning thread how to park.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ParkHint {
-    /// Nothing queued: the tenant is idle.
-    Idle,
-    /// Blocked on slots (budget, QD cap, or fair-share reservation):
-    /// a completion will ring the doorbell.
-    Completions,
-    /// Blocked on token refill: re-claim after roughly this long.
-    Tokens(Duration),
-    /// Blocked on tokens that will never refill (zero-rate bucket):
-    /// waiting is hopeless unless something is already in flight.
-    Starved,
+/// The payload cost of an op in bytes (min 1, so zero-length ops
+/// still advance the fairness clock). Only a scheduling weight: a
+/// scatter read whose lengths overflow `u64` saturates here, and its
+/// dispatch then reports it out of bounds.
+fn op_cost(op: &IoOp) -> u64 {
+    let bytes = match op {
+        IoOp::Write { data, .. } => data.len() as u64,
+        IoOp::Writev { buffers, .. } => buffers.iter().map(|b| b.len() as u64).sum(),
+        IoOp::Read { len, .. } => *len,
+        IoOp::Readv { lens, .. } => lens.iter().fold(0u64, |sum, &len| sum.saturating_add(len)),
+    };
+    bytes.max(1)
 }
 
-/// Token bucket in bytes. `rate == 0` means no refill — the burst is
-/// all the tenant ever gets (deterministic tests rely on this).
-struct TokenBucket {
-    tokens: f64,
-    burst: f64,
-    rate: f64,
-    last: Instant,
-}
-
-impl TokenBucket {
-    fn new(limit: &RateLimit) -> TokenBucket {
-        let burst = limit.burst_bytes as f64;
-        TokenBucket {
-            tokens: burst,
-            burst,
-            rate: limit.bytes_per_sec as f64,
-            last: Instant::now(),
-        }
-    }
-
-    fn refill(&mut self) {
-        if self.rate > 0.0 {
-            let now = Instant::now();
-            let dt = now.duration_since(self.last).as_secs_f64();
-            self.tokens = (self.tokens + dt * self.rate).min(self.burst);
-            self.last = now;
-        }
-    }
-
-    /// Time until `need` tokens will have accumulated, or `None` for a
-    /// zero-rate bucket.
-    fn time_until(&self, need: f64) -> Option<Duration> {
-        if self.rate <= 0.0 {
-            return None;
-        }
-        let deficit = (need - self.tokens).max(0.0);
-        Some(Duration::from_secs_f64(deficit / self.rate))
-    }
+/// One admitted, undispatched op.
+pub(crate) struct Queued {
+    /// The tenant queue's completion id for the op.
+    pub(crate) outer: u64,
+    /// Its scheduling cost ([`op_cost`]).
+    pub(crate) cost: u64,
+    /// The op itself, handed to the tenant's queue when granted.
+    pub(crate) op: IoOp,
 }
 
 /// Running per-tenant totals behind [`TenantStats`].
@@ -101,11 +71,8 @@ struct TenantState {
     weight: u32,
     qd_cap: usize,
     backlog_cap: usize,
-    bucket: Option<TokenBucket>,
-    /// Cost (bytes, min 1) of each admitted-but-undispatched op, in
-    /// submission order — the arbiter-side mirror of the tenant
-    /// queue's backlog.
-    backlog: VecDeque<u64>,
+    /// Admitted-but-undispatched ops, in submission order.
+    backlog: VecDeque<Queued>,
     in_flight: usize,
     vtime: u128,
     /// Highest open-op count (backlog + in flight) since the last
@@ -193,7 +160,6 @@ impl Arbiter {
             weight: spec.weight,
             qd_cap: spec.qd_cap,
             backlog_cap: spec.backlog_cap,
-            bucket: spec.rate.as_ref().map(TokenBucket::new),
             backlog: VecDeque::new(),
             in_flight: 0,
             vtime: 0,
@@ -229,9 +195,15 @@ impl Arbiter {
         self.ring_backlogged(Some(id));
     }
 
-    /// Admission control at submit: rejects when the tenant's backlog
-    /// cap is reached, otherwise queues the op's cost.
-    pub(crate) fn try_admit(&mut self, id: TenantId, cost: u64) -> Result<(), (usize, usize)> {
+    /// Admission control at submit: rejects with `(backlog, cap)` when
+    /// the tenant's backlog cap is reached, otherwise queues `op` under
+    /// the tenant queue's completion id `outer`.
+    pub(crate) fn try_admit(
+        &mut self,
+        id: TenantId,
+        outer: u64,
+        op: IoOp,
+    ) -> Result<(), (usize, usize)> {
         // The virtual clock floor must be read before the borrow below.
         let floor = self.active_vtime_floor(id);
         let state = self.tenant_mut(id);
@@ -246,21 +218,32 @@ impl Arbiter {
                 state.vtime = state.vtime.max(floor);
             }
         }
-        state.backlog.push_back(cost.max(1));
+        let cost = op_cost(&op);
+        state.backlog.push_back(Queued { outer, cost, op });
         state.totals.admitted_ops += 1;
         state.note_demand();
         Ok(())
     }
 
-    /// Revokes the most recent admission for `id`: the tenant queue's
-    /// `submit` un-admits the op it just queued when pumping an
-    /// *earlier* op's dispatch fails, so an error return never strands
-    /// an admitted op whose completion token the caller never saw.
-    pub(crate) fn unadmit_newest(&mut self, id: TenantId) {
+    /// Revokes the admission of `outer` if it is still the tenant's
+    /// newest backlog entry, and says whether it did: the tenant
+    /// queue's `submit` un-admits the op it just queued when pumping
+    /// an *earlier* op's dispatch fails, so an error return never
+    /// strands an admitted op whose completion token the caller never
+    /// saw.
+    pub(crate) fn unadmit_newest(&mut self, id: TenantId, outer: u64) -> bool {
         let state = self.tenant_mut(id);
-        // vdisk-lint: allow(hot-path-panic) reason="called only by submit immediately after its own try_admit succeeded, under the same runtime lock"
-        state.backlog.pop_back().expect("an admitted op to revoke");
+        if state.backlog.back().map(|newest| newest.outer) != Some(outer) {
+            return false;
+        }
+        state.backlog.pop_back();
         state.totals.admitted_ops -= 1;
+        true
+    }
+
+    /// Ops admitted for `id` and not yet granted.
+    pub(crate) fn backlog_len(&self, id: TenantId) -> usize {
+        self.tenant(id).backlog.len()
     }
 
     /// Whether a submit for `id` would be rejected right now.
@@ -280,37 +263,33 @@ impl Arbiter {
 
     /// Allocates the free budget over every backlogged tenant in
     /// virtual-time order and realizes the claiming tenant's share:
-    /// its granted ops leave the backlog mirror and count in flight.
-    /// Other tenants' shares are reservations — they realize them on
-    /// their own claims.
-    pub(crate) fn claim(&mut self, id: TenantId) -> (usize, ParkHint) {
-        for tenant in &mut self.tenants {
-            if let Some(bucket) = tenant.bucket.as_mut() {
-                bucket.refill();
-            }
-        }
+    /// its granted ops leave the backlog, count in flight and are
+    /// returned in submission order for the caller to dispatch. Other
+    /// tenants' shares are reservations — they realize them on their
+    /// own claims.
+    pub(crate) fn claim(&mut self, id: TenantId) -> Vec<Queued> {
         let free = self.budget - self.in_flight_total;
         let me = id.0 as usize;
 
         // Scratch view of every backlogged tenant for the simulation.
-        struct Scratch {
+        struct Scratch<'a> {
             idx: usize,
+            state: &'a TenantState,
             vtime: u128,
             pos: usize,
             in_flight: usize,
-            tokens: Option<f64>,
         }
-        let mut scratch: Vec<Scratch> = self
+        let mut scratch: Vec<Scratch<'_>> = self
             .tenants
             .iter()
             .enumerate()
             .filter(|(_, t)| !t.backlog.is_empty())
-            .map(|(idx, t)| Scratch {
+            .map(|(idx, state)| Scratch {
                 idx,
-                vtime: t.vtime,
+                state,
+                vtime: state.vtime,
                 pos: 0,
-                in_flight: t.in_flight,
-                tokens: t.bucket.as_ref().map(|b| b.tokens),
+                in_flight: state.in_flight,
             })
             .collect();
 
@@ -318,110 +297,50 @@ impl Arbiter {
         for _ in 0..free {
             let next = scratch
                 .iter_mut()
-                .filter(|s| {
-                    // vdisk-lint: allow(hot-path-index) reason="s.idx comes from enumerate() over this same tenants vec"
-                    let t = &self.tenants[s.idx];
-                    s.pos < t.backlog.len()
-                        && s.in_flight < t.qd_cap
-                        && s.tokens
-                            // vdisk-lint: allow(hot-path-index) reason="guarded by the s.pos < backlog.len() conjunct on the line above"
-                            .is_none_or(|tokens| tokens >= t.backlog[s.pos] as f64)
+                .filter(|s| s.in_flight < s.state.qd_cap)
+                .filter_map(|s| {
+                    let cost = s.state.backlog.get(s.pos)?.cost;
+                    Some((s, cost))
                 })
-                .min_by_key(|s| (s.vtime, s.idx));
-            let Some(next) = next else { break };
-            // vdisk-lint: allow(hot-path-index) reason="next.idx comes from enumerate() over this same tenants vec"
-            let tenant = &self.tenants[next.idx];
-            // vdisk-lint: allow(hot-path-index) reason="next passed the s.pos < backlog.len() filter this iteration"
-            let cost = tenant.backlog[next.pos];
-            next.vtime += tenant.vtime_step(cost);
+                .min_by_key(|(s, _)| (s.vtime, s.idx));
+            let Some((next, cost)) = next else { break };
+            next.vtime += next.state.vtime_step(cost);
             next.pos += 1;
             next.in_flight += 1;
-            if let Some(tokens) = next.tokens.as_mut() {
-                *tokens -= cost as f64;
-            }
             if next.idx == me {
                 granted += 1;
             }
         }
 
         // Realize the claimer's share.
-        // vdisk-lint: allow(hot-path-index) reason="me is the claimer's own enumerate() index into this vec"
-        let state = &mut self.tenants[me];
-        for _ in 0..granted {
-            // vdisk-lint: allow(hot-path-panic) reason="granted was counted against this backlog under the same lock a few lines up"
-            let cost = state.backlog.pop_front().expect("granted within backlog");
-            state.vtime += state.vtime_step(cost);
-            state.in_flight += 1;
-            state.totals.dispatched_ops += 1;
-            if let Some(bucket) = state.bucket.as_mut() {
-                bucket.tokens -= cost as f64;
-            }
+        let state = self.tenant_mut(id);
+        let ops: Vec<Queued> = state.backlog.drain(..granted).collect();
+        for op in &ops {
+            state.vtime += state.vtime_step(op.cost);
         }
+        state.in_flight += granted;
+        state.totals.dispatched_ops += granted as u64;
         self.in_flight_total += granted;
-
-        let hint = self.park_hint(me, granted);
-        (granted, hint)
+        ops
     }
 
-    fn park_hint(&self, me: usize, granted: usize) -> ParkHint {
-        // vdisk-lint: allow(hot-path-index) reason="me is the claimer's own enumerate() index into this vec"
-        let state = &self.tenants[me];
-        let Some(&head_cost) = state.backlog.front() else {
-            return ParkHint::Idle;
-        };
-        if granted > 0 {
-            // Progress was made; the caller will re-claim, not park.
-            return ParkHint::Completions;
-        }
-        let head = head_cost as f64;
-        if let Some(bucket) = state.bucket.as_ref() {
-            if bucket.tokens < head && state.in_flight < state.qd_cap {
-                return match bucket.time_until(head) {
-                    Some(eta) => ParkHint::Tokens(eta),
-                    None => ParkHint::Starved,
-                };
-            }
-        }
-        ParkHint::Completions
-    }
-
-    /// Records a dispatch the inner queue rejected synchronously (out
-    /// of bounds): the slot returns to the pool and the tokens are
-    /// refunded.
-    pub(crate) fn dispatch_failed(&mut self, id: TenantId, cost: u64) {
+    /// Refunds a claim whose dispatch failed synchronously (out of
+    /// bounds): the failing op's slot returns to the pool, and `rest`,
+    /// the granted ops never handed to the inner queue, goes back to
+    /// the *front* of the backlog in submission order with its slots
+    /// and clock advance refunded, so it dispatches on a later pump
+    /// instead of leaking shared budget forever.
+    pub(crate) fn dispatch_aborted(&mut self, id: TenantId, rest: Vec<Queued>) {
+        let undone = rest.len() + 1;
         let state = self.tenant_mut(id);
-        state.in_flight -= 1;
-        state.totals.dispatched_ops -= 1;
-        if let Some(bucket) = state.bucket.as_mut() {
-            bucket.tokens = (bucket.tokens + cost.max(1) as f64).min(bucket.burst);
-        }
-        self.in_flight_total -= 1;
-        self.ring_backlogged(Some(id));
-    }
-
-    /// Returns a claim's granted-but-undispatched remainder after a
-    /// dispatch failure aborted it mid-grant: each cost goes back to
-    /// the *front* of the backlog mirror in submission order (the ops
-    /// are still the oldest entries of the wrapper's backlog), and the
-    /// realized slots, clock advance and tokens are all refunded —
-    /// leaving wrapper and arbiter state in sync so the ops dispatch
-    /// on a later pump instead of leaking shared budget forever.
-    pub(crate) fn dispatch_aborted(&mut self, id: TenantId, costs: &[u64]) {
-        if costs.is_empty() {
-            return;
-        }
-        let state = self.tenant_mut(id);
-        for &cost in costs.iter().rev() {
-            let step = state.vtime_step(cost);
-            state.backlog.push_front(cost);
+        for queued in rest.into_iter().rev() {
+            let step = state.vtime_step(queued.cost);
             state.vtime = state.vtime.saturating_sub(step);
-            if let Some(bucket) = state.bucket.as_mut() {
-                bucket.tokens = (bucket.tokens + cost as f64).min(bucket.burst);
-            }
+            state.backlog.push_front(queued);
         }
-        state.in_flight -= costs.len();
-        state.totals.dispatched_ops -= costs.len() as u64;
-        self.in_flight_total -= costs.len();
+        state.in_flight -= undone;
+        state.totals.dispatched_ops -= undone as u64;
+        self.in_flight_total -= undone;
         self.ring_backlogged(Some(id));
     }
 
@@ -460,8 +379,7 @@ impl Arbiter {
     /// their slots free up exactly like completions (freeing the
     /// shared budget and ringing other backlogged tenants), but the
     /// ops count as failed — no bytes, no exec stats, nothing
-    /// finished. Tokens stay spent: the op really dispatched and
-    /// consumed cluster work before dying.
+    /// finished.
     pub(crate) fn fail(&mut self, id: TenantId, ops: usize) {
         if ops == 0 {
             return;
@@ -475,6 +393,8 @@ impl Arbiter {
 
     /// Rings the doorbell of every attached tenant with queued work,
     /// optionally skipping one (the caller's own thread is awake).
+    /// With no timed wait anywhere in the runtime, this ring is the
+    /// only thing that wakes a tenant parked on backlog alone.
     fn ring_backlogged(&self, except: Option<TenantId>) {
         for (idx, tenant) in self.tenants.iter().enumerate() {
             if except.is_some_and(|id| id.0 as usize == idx) {
@@ -517,6 +437,10 @@ impl Arbiter {
 mod tests {
     use super::*;
 
+    fn read(len: u64) -> IoOp {
+        IoOp::Read { offset: 0, len }
+    }
+
     fn spec(name: &str, weight: u32) -> TenantSpec {
         TenantSpec::new(name)
             .weight(weight)
@@ -539,10 +463,9 @@ mod tests {
         for _ in 0..rounds {
             for &id in &ids {
                 while arb.tenant_stats(id).backlog_ops < 8 {
-                    arb.try_admit(id, 4096).unwrap();
+                    arb.try_admit(id, 0, read(4096)).unwrap();
                 }
-                let (granted, _) = arb.claim(id);
-                for _ in 0..granted {
+                for _ in arb.claim(id) {
                     fifo.push_back(id);
                 }
             }
@@ -583,19 +506,18 @@ mod tests {
         let b = arb.register(&spec("b", 1));
         // A runs alone for a while, advancing its clock.
         for _ in 0..64 {
-            arb.try_admit(a, 4096).unwrap();
-            let (granted, _) = arb.claim(a);
-            assert_eq!(granted, 1);
+            arb.try_admit(a, 0, read(4096)).unwrap();
+            assert_eq!(arb.claim(a).len(), 1);
             arb.complete(a, 1, 4096, &ExecStats::default());
         }
         // B wakes up: its zero clock must be lifted to A's, not let it
         // monopolize the budget for 64 ops of "catch-up".
         for _ in 0..8 {
-            arb.try_admit(a, 4096).unwrap();
-            arb.try_admit(b, 4096).unwrap();
+            arb.try_admit(a, 0, read(4096)).unwrap();
+            arb.try_admit(b, 0, read(4096)).unwrap();
         }
-        let (granted_b, _) = arb.claim(b);
-        let (granted_a, _) = arb.claim(a);
+        let granted_b = arb.claim(b).len();
+        let granted_a = arb.claim(a).len();
         assert_eq!(granted_b, 1, "B gets its fair half of the budget");
         assert_eq!(granted_a, 1, "A keeps its half despite B's backlog");
     }
@@ -605,46 +527,24 @@ mod tests {
         let mut arb = Arbiter::new(16);
         let a = arb.register(&TenantSpec::new("capped").qd_cap(2).backlog_cap(64));
         for _ in 0..8 {
-            arb.try_admit(a, 512).unwrap();
+            arb.try_admit(a, 0, read(512)).unwrap();
         }
-        let (granted, hint) = arb.claim(a);
-        assert_eq!(granted, 2, "QD cap must bind before the global budget");
-        assert_eq!(hint, ParkHint::Completions);
-        arb.complete(a, 2, 1024, &ExecStats::default());
-        let (granted, _) = arb.claim(a);
-        assert_eq!(granted, 2);
-    }
-
-    #[test]
-    fn zero_rate_bucket_grants_burst_then_starves() {
-        let mut arb = Arbiter::new(16);
-        let a = arb.register(
-            &TenantSpec::new("throttled")
-                .backlog_cap(64)
-                .qd_cap(16)
-                .rate_limit(RateLimit {
-                    bytes_per_sec: 0,
-                    burst_bytes: 8192,
-                }),
+        assert_eq!(
+            arb.claim(a).len(),
+            2,
+            "QD cap must bind before the global budget"
         );
-        for _ in 0..4 {
-            arb.try_admit(a, 4096).unwrap();
-        }
-        let (granted, hint) = arb.claim(a);
-        assert_eq!(granted, 2, "the burst covers exactly two 4 KiB ops");
-        assert_eq!(hint, ParkHint::Completions, "grants made this claim");
-        let (granted, hint) = arb.claim(a);
-        assert_eq!(granted, 0);
-        assert_eq!(hint, ParkHint::Starved, "no refill will ever come");
+        arb.complete(a, 2, 1024, &ExecStats::default());
+        assert_eq!(arb.claim(a).len(), 2);
     }
 
     #[test]
     fn admission_rejects_past_the_backlog_cap() {
         let mut arb = Arbiter::new(4);
         let a = arb.register(&TenantSpec::new("small").backlog_cap(2));
-        arb.try_admit(a, 1).unwrap();
-        arb.try_admit(a, 1).unwrap();
-        assert_eq!(arb.try_admit(a, 1), Err((2, 2)));
+        arb.try_admit(a, 0, read(1)).unwrap();
+        arb.try_admit(a, 1, read(1)).unwrap();
+        assert_eq!(arb.try_admit(a, 2, read(1)), Err((2, 2)));
         let stats = arb.tenant_stats(a);
         assert_eq!(stats.admitted_ops, 2);
         assert_eq!(stats.rejected_ops, 1);
@@ -654,37 +554,38 @@ mod tests {
     fn aborted_grants_return_to_the_backlog_mirror() {
         let mut arb = Arbiter::new(4);
         let a = arb.register(&spec("a", 1));
-        for _ in 0..3 {
-            arb.try_admit(a, 4096).unwrap();
+        for outer in 0..3 {
+            arb.try_admit(a, outer, read(4096)).unwrap();
         }
-        let (granted, _) = arb.claim(a);
-        assert_eq!(granted, 3);
+        let granted = arb.claim(a);
+        assert_eq!(granted.len(), 3);
         // The first dispatch failed synchronously; the two remaining
         // grants were never handed to the inner queue.
-        arb.dispatch_failed(a, 4096);
-        arb.dispatch_aborted(a, &[4096, 4096]);
+        arb.dispatch_aborted(a, granted.into_iter().skip(1).collect());
         assert_eq!(arb.in_flight_total(), 0, "aborted grants leaked budget");
         let stats = arb.tenant_stats(a);
         assert_eq!(stats.in_flight_ops, 0);
-        assert_eq!(stats.backlog_ops, 2, "aborted grants left the mirror");
+        assert_eq!(stats.backlog_ops, 2, "aborted grants left the backlog");
         assert_eq!(stats.dispatched_ops, 0);
-        // The refunded ops are claimable again.
-        let (granted, _) = arb.claim(a);
-        assert_eq!(granted, 2);
+        // The refunded ops are claimable again, still in order.
+        let outers: Vec<u64> = arb.claim(a).iter().map(|q| q.outer).collect();
+        assert_eq!(outers, [1, 2]);
     }
 
     #[test]
     fn unadmit_newest_revokes_the_last_admission() {
         let mut arb = Arbiter::new(4);
         let a = arb.register(&spec("a", 1));
-        arb.try_admit(a, 4096).unwrap();
-        arb.try_admit(a, 8192).unwrap();
-        arb.unadmit_newest(a);
+        arb.try_admit(a, 0, read(4096)).unwrap();
+        arb.try_admit(a, 1, read(8192)).unwrap();
+        assert!(!arb.unadmit_newest(a, 0), "only the newest id is revoked");
+        assert!(arb.unadmit_newest(a, 1));
+        assert!(!arb.unadmit_newest(a, 1), "a revoked id is gone");
         let stats = arb.tenant_stats(a);
         assert_eq!(stats.admitted_ops, 1);
         assert_eq!(stats.backlog_ops, 1);
-        let (granted, _) = arb.claim(a);
-        assert_eq!(granted, 1);
+        let outers: Vec<u64> = arb.claim(a).iter().map(|q| q.outer).collect();
+        assert_eq!(outers, [0]);
     }
 
     #[test]
@@ -693,17 +594,16 @@ mod tests {
         let rekey = arb.register(&spec("rekey", 1));
         let client = arb.register(&spec("client", 1));
         for _ in 0..4 {
-            arb.try_admit(client, 4096).unwrap();
+            arb.try_admit(client, 0, read(4096)).unwrap();
         }
         for _ in 0..6 {
-            arb.try_admit(rekey, 4096).unwrap();
+            arb.try_admit(rekey, 0, read(4096)).unwrap();
         }
         // The sampler's own demand never counts toward its reading.
         assert_eq!(arb.take_demand_peak_excluding(client), 6);
         assert_eq!(arb.take_demand_peak_excluding(rekey), 4);
         // Still-open demand survives the window restart…
-        let (granted, _) = arb.claim(client);
-        assert_eq!(granted, 4);
+        assert_eq!(arb.claim(client).len(), 4);
         arb.complete(client, 4, 4 * 4096, &ExecStats::default());
         assert_eq!(arb.take_demand_peak_excluding(rekey), 4);
         // …and a fully drained tenant finally samples as quiet.
@@ -718,15 +618,14 @@ mod tests {
         let hog = arb.register(&spec("hog", 1));
         let victim = arb.register(&spec("victim", 1));
         for _ in 0..8 {
-            arb.try_admit(hog, 4096).unwrap();
+            arb.try_admit(hog, 0, read(4096)).unwrap();
         }
-        arb.try_admit(victim, 4096).unwrap();
-        let (hog_granted, _) = arb.claim(hog);
+        arb.try_admit(victim, 0, read(4096)).unwrap();
         assert_eq!(
-            hog_granted, 1,
+            arb.claim(hog).len(),
+            1,
             "the victim's reserved slot must not go to the hog"
         );
-        let (victim_granted, _) = arb.claim(victim);
-        assert_eq!(victim_granted, 1);
+        assert_eq!(arb.claim(victim).len(), 1);
     }
 }

@@ -16,9 +16,10 @@
 //!    completes with data intact.
 
 use proptest::prelude::*;
+use std::time::Duration;
 use vdisk_core::runtime::ArbitratedQueue;
 use vdisk_core::{
-    CryptError, EncryptedImage, EncryptionConfig, IoOp, IoPayload, MetaLayout, RateLimit, Runtime,
+    CryptError, EncryptedImage, EncryptionConfig, IoOp, IoPayload, MetaLayout, Runtime,
     RuntimeError, TenantSpec,
 };
 use vdisk_crypto::rng::SeededIvSource;
@@ -295,7 +296,7 @@ fn qd1_tenant_is_not_starved_by_a_qd64_hog() {
 }
 
 // ---------------------------------------------------------------------
-// Admission control and rate limits at the API surface
+// Admission control and waking at the API surface
 // ---------------------------------------------------------------------
 
 /// Past the backlog cap `submit` refuses with the observed depth, and
@@ -521,41 +522,62 @@ fn tenant_readv_lengths_that_overflow_u64_are_out_of_bounds() {
     });
 }
 
-/// A zero-rate bucket grants its burst and then starves: waiting on
-/// work that can never dispatch is an error, not a hang.
+/// The wake rule for a tenant with backlog and nothing of its own in
+/// flight: it parks on its doorbell, and the arbiter rings that bell
+/// when another tenant's completion frees the slot it waits for.
 #[test]
-fn zero_rate_bucket_starves_deterministically() {
+fn a_tenant_parked_on_backlog_alone_is_woken_by_another_tenants_completion() {
     let cluster = workers_on();
-    let mut disk = encrypted_disk(&cluster, "rate", 6);
-    let runtime = Runtime::new(4);
-    let tenant = runtime.register(TenantSpec::new("rate").rate_limit(RateLimit {
-        bytes_per_sec: 0,
-        burst_bytes: SECTOR,
-    }));
-    let id = tenant.id();
-    let mut queue = tenant.attach(disk.io_queue());
+    let image_a = Image::create(&cluster, "wake-a", 1 << 20).unwrap();
+    let image_b = Image::create(&cluster, "wake-b", 1 << 20).unwrap();
+    let runtime = Runtime::new(1);
+    let a = runtime.register(TenantSpec::new("a"));
+    let b = runtime.register(TenantSpec::new("b"));
+    let write = |fill: u8| IoOp::Write {
+        offset: 0,
+        data: vec![fill; SECTOR as usize],
+    };
 
-    // First sector-sized write fits the burst exactly.
-    queue
-        .submit(IoOp::Write {
-            offset: 0,
-            data: vec![3; SECTOR as usize],
-        })
-        .unwrap();
-    let first = queue.wait_any().unwrap();
-    assert_eq!(first.len(), 1);
+    // A takes the whole budget with an op the held workers keep in
+    // flight.
+    let holds: Vec<_> = (0..cluster.shard_count())
+        .map(|shard| cluster.hold_shard(shard))
+        .collect();
+    let mut a_q = a.attach(vdisk_rbd::IoQueue::new(&image_a));
+    a_q.submit(write(1)).unwrap();
+    assert_eq!(a_q.in_flight(), 1);
 
-    // The second can never earn tokens.
-    queue
-        .submit(IoOp::Write {
-            offset: SECTOR,
-            data: vec![4; SECTOR as usize],
-        })
-        .unwrap();
-    match queue.wait_any() {
-        Err(RuntimeError::Starved { tenant }) => assert_eq!(tenant, id),
-        other => panic!("expected Starved, got {other:?}"),
-    }
+    // B queues behind it and waits with nothing of its own in flight.
+    let (queued_tx, queued_rx) = std::sync::mpsc::channel();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let b_thread = std::thread::spawn(move || {
+        let mut b_q = b.attach(vdisk_rbd::IoQueue::new(&image_b));
+        let token = b_q.submit(write(2)).unwrap();
+        queued_tx.send((b_q.backlog(), b_q.in_flight())).unwrap();
+        let results = b_q.wait_any().unwrap();
+        done_tx.send((token, results)).unwrap();
+    });
+    let timeout = Duration::from_secs(30);
+    assert_eq!(queued_rx.recv_timeout(timeout).unwrap(), (1, 0));
+    // Give B time to park; the outcome must not depend on it. Until a
+    // slot frees, B cannot have returned.
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(
+        done_rx.try_recv().is_err(),
+        "B returned before any slot freed"
+    );
+
+    // Release A's op and let A reap: that completion alone must wake
+    // B, which then dispatches, completes and returns its result.
+    drop(holds);
+    assert_eq!(a_q.wait_any().unwrap().len(), 1);
+    let (token, results) = done_rx
+        .recv_timeout(timeout)
+        .expect("B was never woken by A's completion");
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].completion.id(), token.id());
+    b_thread.join().unwrap();
+    assert_eq!(runtime.in_flight(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -579,8 +601,7 @@ fn rekey_driver_yields_under_client_pressure_and_recovers() {
         .rekey_begin_with_iterations(OLD_PASS, NEW_PASS, 25)
         .unwrap()
         .with_chunk_sectors(4)
-        .with_queue_depth(8)
-        .with_pressure_threshold(4);
+        .with_queue_depth(8);
 
     // Settle the pressure window: formatting and the pattern write
     // are not client load the driver should react to.
@@ -660,7 +681,6 @@ fn tenant_rekey_sees_client_bursts_hidden_by_its_own_window_reset() {
         .unwrap()
         .with_chunk_sectors(4)
         .with_queue_depth(8)
-        .with_pressure_threshold(4)
         .with_runtime_tenant(rekey_tenant);
 
     // Settle the cluster window: setup traffic is not client load.

@@ -519,8 +519,8 @@ pub struct Doorbell {
 
 struct Bell {
     generation: u64,
-    /// Threads parked in `wait_past`/`wait_past_for`; a ring with none
-    /// skips the notify.
+    /// Threads parked in `wait_past`; a ring with none skips the
+    /// notify.
     waiters: usize,
 }
 
@@ -568,34 +568,6 @@ impl Doorbell {
         while bell.generation == seen {
             bell.waiters += 1;
             bell = self.cv.wait(bell).unwrap_or_else(PoisonError::into_inner);
-            bell.waiters -= 1;
-        }
-        bell.generation
-    }
-
-    /// [`Doorbell::wait_past`] with a deadline: parks until the
-    /// generation moves past `seen` **or** `timeout` elapses. The
-    /// escape hatch for waiters whose readiness can change without
-    /// anyone ringing — a token-bucket refill is a function of wall
-    /// time, so a rate-limited tenant parks with the time-to-next-token
-    /// as its deadline. Returns the generation observed on wakeup.
-    pub fn wait_past_for(&self, seen: u64, timeout: std::time::Duration) -> u64 {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut bell = self.lock();
-        while bell.generation == seen {
-            let now = std::time::Instant::now();
-            let Some(left) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            bell.waiters += 1;
-            let (guard, _timed_out) = self
-                .cv
-                .wait_timeout(bell, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            bell = guard;
             bell.waiters -= 1;
         }
         bell.generation
@@ -1094,10 +1066,6 @@ pub(crate) mod tests {
             seen + 1,
             "a later wait_past(seen) returns at once"
         );
-        assert_eq!(
-            bell.wait_past_for(seen, std::time::Duration::from_secs(60)),
-            seen + 1
-        );
     }
 
     #[test]
@@ -1114,21 +1082,6 @@ pub(crate) mod tests {
         bell.ring();
         assert_eq!(waiter.join().unwrap(), seen + 1);
         assert_eq!(bell.lock().waiters, 0, "the woken waiter left the count");
-    }
-
-    #[test]
-    fn a_parked_timed_doorbell_waiter_is_woken() {
-        let bell = Doorbell::new();
-        let seen = bell.generation();
-        let waiter = {
-            let bell = Arc::clone(&bell);
-            std::thread::spawn(move || bell.wait_past_for(seen, std::time::Duration::from_secs(60)))
-        };
-        while bell.lock().waiters == 0 {
-            std::thread::yield_now();
-        }
-        bell.ring();
-        assert_eq!(waiter.join().unwrap(), seen + 1);
     }
 
     #[test]
