@@ -73,8 +73,6 @@ impl std::fmt::Display for MetaLayout {
 /// The sector cipher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Cipher {
-    /// AES-128-XTS (two 128-bit keys).
-    Aes128Xts,
     /// AES-256-XTS (two 256-bit keys) — the LUKS2 default.
     #[default]
     Aes256Xts,
@@ -83,29 +81,22 @@ pub enum Cipher {
     Aes256Gcm,
     /// EME2-style wide-block AES-256 (§2.2's mitigation).
     Eme2Aes256,
-    /// AES-256-CBC with ESSIV — the pre-XTS legacy mode (§1 fn. 1).
-    /// Deterministic-IV only.
-    CbcEssiv256,
 }
 
 impl Cipher {
     pub(crate) fn to_wire(self) -> u8 {
         match self {
-            Cipher::Aes128Xts => 1,
             Cipher::Aes256Xts => 2,
             Cipher::Aes256Gcm => 3,
             Cipher::Eme2Aes256 => 4,
-            Cipher::CbcEssiv256 => 5,
         }
     }
 
     pub(crate) fn from_wire(b: u8) -> Option<Cipher> {
         match b {
-            1 => Some(Cipher::Aes128Xts),
             2 => Some(Cipher::Aes256Xts),
             3 => Some(Cipher::Aes256Gcm),
             4 => Some(Cipher::Eme2Aes256),
-            5 => Some(Cipher::CbcEssiv256),
             _ => None,
         }
     }
@@ -114,11 +105,9 @@ impl Cipher {
     #[must_use]
     pub fn spec(self) -> &'static str {
         match self {
-            Cipher::Aes128Xts => "aes-xts-plain64-128",
             Cipher::Aes256Xts => "aes-xts-plain64-256",
             Cipher::Aes256Gcm => "aes-gcm-random-256",
             Cipher::Eme2Aes256 => "aes-eme2-256",
-            Cipher::CbcEssiv256 => "aes-cbc-essiv:sha256-256",
         }
     }
 }
@@ -126,8 +115,8 @@ impl Cipher {
 /// Complete encryption configuration of an image.
 ///
 /// Use the constructors; then [`EncryptionConfig::validate`] enforces
-/// the cross-field rules (GCM needs metadata, CBC-ESSIV cannot take a
-/// random IV, integrity needs metadata space, ...).
+/// the cross-field rules (GCM needs metadata with random IVs, integrity
+/// needs metadata space, ...).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncryptionConfig {
     /// Sector cipher.
@@ -264,27 +253,19 @@ impl EncryptionConfig {
                 self.sector_size
             )));
         }
-        match self.cipher {
-            Cipher::Aes256Gcm => {
-                if self.layout.is_none() || !self.random_iv {
-                    return Err(CryptError::UnsupportedConfig(
-                        "AES-GCM requires a metadata layout with random IVs \
-                         (nonce reuse is catastrophic, §2.1)"
-                            .into(),
-                    ));
-                }
-                if self.mac {
-                    return Err(CryptError::UnsupportedConfig(
-                        "AES-GCM already authenticates; drop the extra MAC".into(),
-                    ));
-                }
-            }
-            Cipher::CbcEssiv256 if self.random_iv => {
+        if self.cipher == Cipher::Aes256Gcm {
+            if self.layout.is_none() || !self.random_iv {
                 return Err(CryptError::UnsupportedConfig(
-                    "CBC-ESSIV derives its IV from the sector number".into(),
+                    "AES-GCM requires a metadata layout with random IVs \
+                     (nonce reuse is catastrophic, §2.1)"
+                        .into(),
                 ));
             }
-            _ => {}
+            if self.mac {
+                return Err(CryptError::UnsupportedConfig(
+                    "AES-GCM already authenticates; drop the extra MAC".into(),
+                ));
+            }
         }
         if self.random_iv && self.layout.is_none() {
             return Err(CryptError::UnsupportedConfig(
@@ -377,12 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn cbc_with_random_iv_rejected() {
-        let c = EncryptionConfig::random_iv(MetaLayout::ObjectEnd).with_cipher(Cipher::CbcEssiv256);
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
     fn mac_only_layout_is_legal() {
         // Deterministic IV + MAC: authentication without random IVs,
         // the "authentication alone" option of §2.2.
@@ -412,16 +387,12 @@ mod tests {
 
     #[test]
     fn wire_round_trips() {
-        for cipher in [
-            Cipher::Aes128Xts,
-            Cipher::Aes256Xts,
-            Cipher::Aes256Gcm,
-            Cipher::Eme2Aes256,
-            Cipher::CbcEssiv256,
-        ] {
+        for cipher in [Cipher::Aes256Xts, Cipher::Aes256Gcm, Cipher::Eme2Aes256] {
             assert_eq!(Cipher::from_wire(cipher.to_wire()), Some(cipher));
         }
-        assert_eq!(Cipher::from_wire(0), None);
+        for retired in [0, 1, 5] {
+            assert_eq!(Cipher::from_wire(retired), None);
+        }
         for layout in MetaLayout::ALL {
             assert_eq!(MetaLayout::from_wire(layout.to_wire()), Some(Some(layout)));
         }

@@ -5,7 +5,7 @@ use crate::batch::IoBatch;
 use crate::config::EncryptionConfig;
 use crate::keychain::{EpochMap, KeyChain};
 use crate::layout::{Geometry, Placement};
-use crate::luks::{DerivedKeys, LuksHeader, RekeyState, WindowIntent};
+use crate::luks::{LuksHeader, RekeyState, WindowIntent};
 use crate::meta_cache::MetaCache;
 use crate::rekey::RekeyDriver;
 use crate::sector::SectorCodec;
@@ -212,8 +212,7 @@ impl EncryptedImage {
             .map_err(CryptError::UnsupportedConfig)?;
         Self::check_sector_multiple(&image, u64::from(config.sector_size))?;
         let (mut header, master) = LuksHeader::format(config, passphrase, iv_source.as_mut())?;
-        let keys = DerivedKeys::derive(&master, config.cipher);
-        let codec = SectorCodec::new(config, &keys, 0)?;
+        let codec = SectorCodec::new(config, &master, 0)?;
         let meta_cache = Self::build_meta_cache(&image, placement);
 
         // First persist: the generation xattr must not exist yet, so
@@ -314,8 +313,7 @@ impl EncryptedImage {
 
         let mut chain: Option<KeyChain> = None;
         for (&epoch, master) in &masters {
-            let keys = DerivedKeys::derive(master, config.cipher);
-            let codec = SectorCodec::new(&config, &keys, epoch)?;
+            let codec = SectorCodec::new(&config, master, epoch)?;
             match chain.as_mut() {
                 None => chain = Some(KeyChain::new(epoch, codec)),
                 Some(chain) => chain.install(epoch, codec),
@@ -493,8 +491,7 @@ impl EncryptedImage {
                 .begin_rekey(existing, new_pass, iterations, self.iv_source.as_mut())?;
         let state = self.header.rekey().expect("just begun");
         let config = self.config().clone();
-        let keys = DerivedKeys::derive(&to_master, config.cipher);
-        let codec = SectorCodec::new(&config, &keys, state.to)?;
+        let codec = SectorCodec::new(&config, &to_master, state.to)?;
         self.chain.install(state.to, codec);
         self.chain.set_current(state.to);
         self.masters.insert(state.from, from_master);

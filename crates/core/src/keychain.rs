@@ -255,7 +255,6 @@ pub(crate) fn entry_epoch(entry: &[u8]) -> Option<u32> {
 mod tests {
     use super::*;
     use crate::config::{EncryptionConfig, MetaLayout};
-    use crate::luks::DerivedKeys;
     use vdisk_crypto::mem::SecretBytes;
     use vdisk_crypto::rng::SeededIvSource;
 
@@ -263,8 +262,7 @@ mod tests {
         let mut chain: Option<KeyChain> = None;
         for &epoch in epochs {
             let master = SecretBytes::from(vec![0x10 + epoch as u8; 64]);
-            let keys = DerivedKeys::derive(&master, config.cipher);
-            let codec = SectorCodec::new(config, &keys, epoch).unwrap();
+            let codec = SectorCodec::new(config, &master, epoch).unwrap();
             match chain.as_mut() {
                 None => chain = Some(KeyChain::new(epoch, codec)),
                 Some(chain) => chain.install(epoch, codec),

@@ -11,9 +11,9 @@
 //! This crate implements that design over the `vdisk-rbd`/`vdisk-rados`
 //! stack:
 //!
-//! - [`EncryptionConfig`]: cipher (AES-XTS 128/256, AES-GCM, EME2
-//!   wide-block, legacy CBC-ESSIV), IV scheme (LBA-derived baseline or
-//!   random-persisted), and the paper's three metadata layouts
+//! - [`EncryptionConfig`]: cipher (AES-256-XTS, AES-256-GCM or EME2
+//!   wide-block), IV scheme (LBA-derived baseline or random-persisted),
+//!   and the paper's three metadata layouts
 //!   ([`MetaLayout::Unaligned`], [`MetaLayout::ObjectEnd`],
 //!   [`MetaLayout::Omap`] — Fig. 2a/2b/2c), plus the integrity (MAC)
 //!   and snapshot-binding extensions (§2.2, footnote 3).

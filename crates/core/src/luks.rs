@@ -857,46 +857,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Derives the per-purpose subkeys the IO path needs from the master
-/// key (HKDF-SHA256 with distinct info strings, so no two uses share
-/// key material). Each key epoch derives its own independent set.
-// vdisk-lint: allow(secret-derive) reason="every field is a SecretBytes whose Debug prints only the length"
-#[derive(Debug)]
-pub struct DerivedKeys {
-    /// XTS data key (32 or 64 bytes depending on the cipher).
-    pub xts: SecretBytes,
-    /// GCM key (32 bytes).
-    pub gcm: SecretBytes,
-    /// EME2 key (32 bytes).
-    pub eme2: SecretBytes,
-    /// CBC-ESSIV key (32 bytes).
-    pub cbc: SecretBytes,
-    /// Per-sector MAC key (32 bytes).
-    pub mac: SecretBytes,
-}
-
-impl DerivedKeys {
-    /// Derives all subkeys.
-    #[must_use]
-    pub fn derive(master: &SecretBytes, cipher: Cipher) -> DerivedKeys {
-        let expand = |info: &[u8], len: usize| -> SecretBytes {
-            let prk = hkdf_extract(b"vdisk-subkeys", master.expose());
-            hkdf_expand(&prk, info, len)
-        };
-        let xts_len = match cipher {
-            Cipher::Aes128Xts => 32,
-            _ => 64,
-        };
-        DerivedKeys {
-            xts: expand(b"xts-data", xts_len),
-            gcm: expand(b"gcm-data", 32),
-            eme2: expand(b"eme2-data", 32),
-            cbc: expand(b"cbc-data", 32),
-            mac: expand(b"sector-mac", 32),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -959,6 +919,26 @@ mod tests {
         let mut bad_cipher = bytes.clone();
         bad_cipher[8] = 0xEE;
         assert!(LuksHeader::decode(&bad_cipher).is_err());
+    }
+
+    /// Codes 1 (AES-128-XTS) and 5 (CBC-ESSIV) named ciphers this
+    /// format no longer carries: a header naming one is corrupt.
+    #[test]
+    fn decode_rejects_retired_cipher_codes() {
+        let (header, _) = format_default();
+        let bytes = header.encode();
+        assert_eq!(&bytes[..8], &MAGIC, "the cipher byte follows the magic");
+        for code in [1, 5] {
+            let mut retired = bytes.clone();
+            retired[8] = code;
+            assert!(
+                matches!(
+                    LuksHeader::decode(&retired),
+                    Err(CryptError::HeaderCorrupt(_))
+                ),
+                "cipher code {code}"
+            );
+        }
     }
 
     #[test]
@@ -1156,20 +1136,6 @@ mod tests {
             bytes[FIXED_HEAD..].iter().all(|&b| b == 0),
             "shredded header must encode to all-zero key regions"
         );
-    }
-
-    #[test]
-    fn derived_keys_are_distinct_and_deterministic() {
-        let master = SecretBytes::from(vec![0x42; MASTER_KEY_LEN]);
-        let a = DerivedKeys::derive(&master, Cipher::Aes256Xts);
-        let b = DerivedKeys::derive(&master, Cipher::Aes256Xts);
-        assert_eq!(a.xts.expose(), b.xts.expose());
-        assert_ne!(a.xts.expose(), a.gcm.expose());
-        assert_ne!(a.gcm.expose(), a.mac.expose());
-        assert_ne!(a.eme2.expose(), a.cbc.expose());
-        assert_eq!(a.xts.len(), 64);
-        let c = DerivedKeys::derive(&master, Cipher::Aes128Xts);
-        assert_eq!(c.xts.len(), 32);
     }
 
     #[test]

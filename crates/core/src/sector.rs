@@ -2,13 +2,12 @@
 //! entry packing, and verified decryption.
 
 use crate::config::{Cipher, EncryptionConfig, KEY_EPOCH_TAG_LEN};
-use crate::luks::DerivedKeys;
 use crate::{CryptError, Result};
-use vdisk_crypto::cbc::CbcEssiv;
 use vdisk_crypto::eme2::Eme2;
 use vdisk_crypto::gcm::AesGcm;
 use vdisk_crypto::hmac::HmacSha256;
-use vdisk_crypto::mem::{ct_eq, zeroize};
+use vdisk_crypto::kdf::{hkdf_expand, hkdf_extract};
+use vdisk_crypto::mem::{ct_eq, zeroize, SecretBytes};
 use vdisk_crypto::rng::IvSource;
 use vdisk_crypto::xts::XtsCipher;
 
@@ -27,7 +26,6 @@ enum CipherInstance {
     Xts(XtsCipher),
     Gcm(AesGcm),
     Eme2(Eme2),
-    Cbc(CbcEssiv),
 }
 
 /// Encrypts/decrypts one sector and packs/unpacks its metadata entry,
@@ -37,7 +35,8 @@ enum CipherInstance {
 pub(crate) struct SectorCodec {
     config: EncryptionConfig,
     instance: CipherInstance,
-    mac_key: Vec<u8>,
+    /// The per-sector MAC subkey; `Some` exactly when the config MACs.
+    mac_key: Option<SecretBytes>,
     /// The key epoch these subkeys belong to.
     epoch: u32,
 }
@@ -47,35 +46,39 @@ impl std::fmt::Debug for SectorCodec {
         f.debug_struct("SectorCodec")
             .field("cipher", &self.config.cipher)
             .field("epoch", &self.epoch)
-            .field("mac_key", &"(32 bytes)")
+            .field("mac", &self.mac_key.is_some())
             .finish()
     }
 }
 
-impl Drop for SectorCodec {
-    fn drop(&mut self) {
-        // The raw MAC subkey is the one field here that is not already
-        // a self-zeroizing type; wipe it so a dropped codec (epoch
-        // uninstall, rekey rollback) leaves no key bytes behind.
-        zeroize(&mut self.mac_key);
-    }
-}
-
 impl SectorCodec {
-    pub(crate) fn new(config: &EncryptionConfig, keys: &DerivedKeys, epoch: u32) -> Result<Self> {
+    /// Builds the codec of key epoch `epoch` from its master key.
+    ///
+    /// One HKDF-SHA256 extract, then one expand per subkey the config
+    /// uses: the cipher's data key and, only when it MACs, the MAC key.
+    /// The salt, info strings and lengths are part of the on-disk
+    /// format: changing one makes every existing image unreadable.
+    pub(crate) fn new(config: &EncryptionConfig, master: &SecretBytes, epoch: u32) -> Result<Self> {
         config.validate()?;
+        let mut prk = hkdf_extract(b"vdisk-subkeys", master.expose());
+        let expand = |info: &[u8], len| hkdf_expand(&prk, info, len);
         let instance = match config.cipher {
-            Cipher::Aes128Xts | Cipher::Aes256Xts => {
-                CipherInstance::Xts(XtsCipher::new(keys.xts.expose())?)
+            Cipher::Aes256Xts => {
+                XtsCipher::new(expand(b"xts-data", 64).expose()).map(CipherInstance::Xts)
             }
-            Cipher::Aes256Gcm => CipherInstance::Gcm(AesGcm::new(keys.gcm.expose())?),
-            Cipher::Eme2Aes256 => CipherInstance::Eme2(Eme2::new(keys.eme2.expose())?),
-            Cipher::CbcEssiv256 => CipherInstance::Cbc(CbcEssiv::new(keys.cbc.expose())?),
+            Cipher::Aes256Gcm => {
+                AesGcm::new(expand(b"gcm-data", 32).expose()).map(CipherInstance::Gcm)
+            }
+            Cipher::Eme2Aes256 => {
+                Eme2::new(expand(b"eme2-data", 32).expose()).map(CipherInstance::Eme2)
+            }
         };
+        let mac_key = config.mac.then(|| expand(b"sector-mac", 32));
+        zeroize(&mut prk);
         Ok(SectorCodec {
             config: config.clone(),
-            instance,
-            mac_key: keys.mac.expose().to_vec(),
+            instance: instance?,
+            mac_key,
             epoch,
         })
     }
@@ -149,8 +152,8 @@ impl SectorCodec {
                 if let Some(iv) = iv {
                     entry.extend_from_slice(&iv);
                 }
-                if self.config.mac {
-                    entry.extend_from_slice(&self.mac(lba, write_seq, iv.as_ref(), data));
+                if let Some(key) = &self.mac_key {
+                    entry.extend_from_slice(&self.mac(key, lba, write_seq, iv.as_ref(), data));
                 }
             }
             CipherInstance::Eme2(eme) => {
@@ -160,14 +163,8 @@ impl SectorCodec {
                 if let Some(iv) = iv {
                     entry.extend_from_slice(&iv);
                 }
-                if self.config.mac {
-                    entry.extend_from_slice(&self.mac(lba, write_seq, iv.as_ref(), data));
-                }
-            }
-            CipherInstance::Cbc(cbc) => {
-                cbc.encrypt_sector(lba, data)?;
-                if self.config.mac {
-                    entry.extend_from_slice(&self.mac(lba, write_seq, None, data));
+                if let Some(key) = &self.mac_key {
+                    entry.extend_from_slice(&self.mac(key, lba, write_seq, iv.as_ref(), data));
                 }
             }
             CipherInstance::Gcm(gcm) => {
@@ -259,25 +256,19 @@ impl SectorCodec {
         match &self.instance {
             CipherInstance::Xts(xts) => {
                 let (iv, rest) = self.split_iv(entry);
-                if self.config.mac {
-                    self.verify_mac(lba, seq, iv.as_ref(), data, rest)?;
+                if let Some(key) = &self.mac_key {
+                    self.verify_mac(key, lba, seq, iv.as_ref(), data, rest)?;
                 }
                 let tweak = self.tweak(lba, iv.as_ref(), seq);
                 xts.decrypt_sector(&tweak, data)?;
             }
             CipherInstance::Eme2(eme) => {
                 let (iv, rest) = self.split_iv(entry);
-                if self.config.mac {
-                    self.verify_mac(lba, seq, iv.as_ref(), data, rest)?;
+                if let Some(key) = &self.mac_key {
+                    self.verify_mac(key, lba, seq, iv.as_ref(), data, rest)?;
                 }
                 let tweak = self.tweak(lba, iv.as_ref(), seq);
                 eme.decrypt_sector(&tweak, data)?;
-            }
-            CipherInstance::Cbc(cbc) => {
-                if self.config.mac {
-                    self.verify_mac(lba, seq, None, data, entry)?;
-                }
-                cbc.decrypt_sector(lba, data)?;
             }
             CipherInstance::Gcm(gcm) => {
                 let (Some(nonce), Some(tag)) = (entry.get(..12), entry.get(16..32)) else {
@@ -311,8 +302,15 @@ impl SectorCodec {
         }
     }
 
-    fn mac(&self, lba: u64, seq: u64, iv: Option<&[u8; 16]>, ciphertext: &[u8]) -> [u8; 16] {
-        let mut mac = HmacSha256::new(&self.mac_key);
+    fn mac(
+        &self,
+        key: &SecretBytes,
+        lba: u64,
+        seq: u64,
+        iv: Option<&[u8; 16]>,
+        ciphertext: &[u8],
+    ) -> [u8; 16] {
+        let mut mac = HmacSha256::new(key.expose());
         mac.update(ciphertext);
         mac.update(&lba.to_le_bytes());
         if self.config.snapshot_binding {
@@ -329,13 +327,14 @@ impl SectorCodec {
 
     fn verify_mac(
         &self,
+        key: &SecretBytes,
         lba: u64,
         seq: u64,
         iv: Option<&[u8; 16]>,
         ciphertext: &[u8],
         stored: &[u8],
     ) -> Result<()> {
-        let expected = self.mac(lba, seq, iv, ciphertext);
+        let expected = self.mac(key, lba, seq, iv, ciphertext);
         if !ct_eq(&expected, stored) {
             return Err(CryptError::IntegrityViolation { lba });
         }
@@ -355,13 +354,11 @@ impl SectorCodec {
 mod tests {
     use super::*;
     use crate::config::MetaLayout;
-    use vdisk_crypto::mem::SecretBytes;
     use vdisk_crypto::rng::SeededIvSource;
 
     fn codec(config: EncryptionConfig) -> SectorCodec {
         let master = SecretBytes::from(vec![0x5A; 64]);
-        let keys = DerivedKeys::derive(&master, config.cipher);
-        SectorCodec::new(&config, &keys, 0).unwrap()
+        SectorCodec::new(&config, &master, 0).unwrap()
     }
 
     fn sector(fill: u8) -> Vec<u8> {
@@ -531,15 +528,66 @@ mod tests {
         assert_eq!(data, sector(0x77));
     }
 
+    /// The subkey `SectorCodec::new` must derive for `info`: computed
+    /// here independently, so a change to the derivation shows.
+    fn subkey(master: &SecretBytes, info: &[u8], len: usize) -> SecretBytes {
+        hkdf_expand(&hkdf_extract(b"vdisk-subkeys", master.expose()), info, len)
+    }
+
     #[test]
-    fn cbc_legacy_round_trip() {
-        let cfg = EncryptionConfig::luks2_baseline().with_cipher(Cipher::CbcEssiv256);
-        let c = codec(cfg);
-        let mut rng = SeededIvSource::new(11);
-        let mut data = sector(0x88);
-        c.encrypt(2, 0, &mut data, &mut rng).unwrap();
-        c.decrypt(2, None, &mut data, &[]).unwrap();
-        assert_eq!(data, sector(0x88));
+    fn subkeys_are_deterministic_and_distinct() {
+        let master = SecretBytes::from(vec![0x42; 64]);
+        let cfg = EncryptionConfig::random_iv(MetaLayout::ObjectEnd).with_mac();
+        let a = SectorCodec::new(&cfg, &master, 0).unwrap();
+        let b = SectorCodec::new(&cfg, &master, 0).unwrap();
+        let (mut x, mut y) = (sector(0x99), sector(0x99));
+        let ex = a
+            .encrypt(6, 0, &mut x, &mut SeededIvSource::new(12))
+            .unwrap();
+        let ey = b
+            .encrypt(6, 0, &mut y, &mut SeededIvSource::new(12))
+            .unwrap();
+        assert_eq!((&x, &ex), (&y, &ey), "same master key, same ciphertext");
+
+        // The codec encrypts under the `xts-data` subkey and MACs
+        // under `sector-mac`, which differs from every data key.
+        let data_key = subkey(&master, b"xts-data", 64);
+        let tweak = a.tweak(6, Some(ex[..16].try_into().unwrap()), 0);
+        let mut expected = sector(0x99);
+        XtsCipher::new(data_key.expose())
+            .unwrap()
+            .encrypt_sector(&tweak, &mut expected)
+            .unwrap();
+        assert_eq!(x, expected);
+        let mac_key = a.mac_key.as_ref().expect("a MACing config holds its key");
+        assert_eq!(
+            mac_key.expose(),
+            subkey(&master, b"sector-mac", 32).expose()
+        );
+        for cipher_key in [
+            data_key,
+            subkey(&master, b"gcm-data", 32),
+            subkey(&master, b"eme2-data", 32),
+        ] {
+            assert!(cipher_key
+                .expose()
+                .chunks(32)
+                .all(|k| k != mac_key.expose()));
+        }
+    }
+
+    #[test]
+    fn a_config_without_mac_holds_no_mac_key() {
+        for cfg in [
+            EncryptionConfig::luks2_baseline(),
+            EncryptionConfig::random_iv(MetaLayout::Omap),
+            EncryptionConfig::random_iv(MetaLayout::ObjectEnd).with_cipher(Cipher::Aes256Gcm),
+            EncryptionConfig::luks2_baseline().with_cipher(Cipher::Eme2Aes256),
+        ] {
+            assert!(codec(cfg).mac_key.is_none());
+        }
+        let macced = codec(EncryptionConfig::random_iv(MetaLayout::Unaligned).with_mac());
+        assert_eq!(macced.mac_key.map(|k| k.len()), Some(32));
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! `c`, the FIPS byte order).
 //!
 //! This is the path every *serial* caller takes — the XTS tweak
-//! block and stealing tail, the CBC encryption chain, GCM's `H` and
-//! `E(J0)`, EME2's middle block — and what the key schedule's SubWord
-//! runs on. ShiftRows and the MixColumns row rotations are shifts and
-//! masks on lane positions here; only the S-box is shared with the
-//! wide path.
+//! block and stealing tail, GCM's `H` and `E(J0)`, EME2's middle
+//! block — and what the key schedule's SubWord runs on. ShiftRows and
+//! the MixColumns row rotations are shifts and masks on lane positions
+//! here; only the S-box is shared with the wide path.
 
 use super::circuit::{inv_sub, sub};
 

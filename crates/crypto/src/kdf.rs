@@ -3,7 +3,7 @@
 //!
 //! PBKDF2 backs the LUKS2-style passphrase keyslots of the encryption
 //! header (`vdisk-core::luks`); HKDF derives independent subkeys (data
-//! key, MAC key, ESSIV key, EME2 masks) from one master key.
+//! key, MAC key) from one master key.
 
 use crate::hmac::{hmac_sha256, HmacSha256};
 use crate::mem::SecretBytes;

@@ -11,8 +11,6 @@
 //!   (IEEE 1619, NIST SP 800-38E), including ciphertext stealing,
 //! - [`gcm`]: AES-GCM authenticated encryption (NIST SP 800-38D) for the
 //!   paper's "alternative cipher" discussion (§3.1),
-//! - [`cbc`]: AES-CBC with ESSIV, the historical dm-crypt mode the paper
-//!   mentions was replaced by XTS (§1, footnote 1),
 //! - [`eme2`]: an EME\*-style **wide-block** cipher, the mitigation the
 //!   paper discusses in §2.2 (IEEE 1619.2 family),
 //! - [`sha256`] / [`hmac`] / [`kdf`]: hashing, MACs and key derivation
@@ -61,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod aes;
-pub mod cbc;
 pub mod ctr;
 pub mod eme2;
 pub mod gcm;

@@ -6,7 +6,6 @@
 
 use proptest::prelude::*;
 use vdisk_crypto::aes::Aes;
-use vdisk_crypto::cbc::CbcEssiv;
 use vdisk_crypto::eme2::Eme2;
 use vdisk_crypto::gcm::AesGcm;
 use vdisk_crypto::hmac::hmac_sha256;
@@ -160,20 +159,6 @@ proptest! {
             bad[idx] ^= bit;
             prop_assert!(gcm.decrypt(&nonce, &aad, &mut bad, &tag).is_err());
         }
-    }
-
-    #[test]
-    fn cbc_round_trip(
-        key in arb_key32(),
-        sector in any::<u64>(),
-        blocks in 1usize..32,
-    ) {
-        let cbc = CbcEssiv::new(&key).unwrap();
-        let data: Vec<u8> = (0..blocks * 16).map(|i| i as u8).collect();
-        let mut buf = data.clone();
-        cbc.encrypt_sector(sector, &mut buf).unwrap();
-        cbc.decrypt_sector(sector, &mut buf).unwrap();
-        prop_assert_eq!(buf, data);
     }
 
     #[test]

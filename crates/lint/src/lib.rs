@@ -85,7 +85,6 @@ impl Default for Config {
                 "EpochRecord".into(),
                 "RetiredKey".into(),
                 "LuksHeader".into(),
-                "DerivedKeys".into(),
                 "KeyChain".into(),
                 "SectorCodec".into(),
                 "Aes".into(),
@@ -93,7 +92,6 @@ impl Default for Config {
                 "XtsCipher".into(),
                 "AesGcm".into(),
                 "Eme2".into(),
-                "CbcEssiv".into(),
             ],
             expose_methods: vec!["expose".into(), "expose_mut".into()],
         }

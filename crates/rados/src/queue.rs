@@ -588,9 +588,10 @@ struct ProgressState<T> {
     /// Threads parked in [`Progress::wait`]; completion notifies only
     /// when there is one.
     waiters: usize,
-    /// Bells rung once, when the last slot completes (or on poison),
-    /// so reapers parked on a [`Doorbell`] wake per finished submission.
-    subscribers: Vec<Arc<Doorbell>>,
+    /// The bell rung once, when the last slot completes (or on
+    /// poison), so the reaper parked on a [`Doorbell`] wakes per
+    /// finished submission. A submission has one reaper, hence one bell.
+    subscriber: Option<Arc<Doorbell>>,
 }
 
 impl<T> Progress<T> {
@@ -601,7 +602,7 @@ impl<T> Progress<T> {
                 remaining: items,
                 poisoned: false,
                 waiters: 0,
-                subscribers: Vec::new(),
+                subscriber: None,
             }),
             cv: Condvar::new(),
         }
@@ -612,7 +613,7 @@ impl<T> Progress<T> {
     }
 
     /// Fills completed slots; when the last slot lands, signals waiters
-    /// and rings every subscribed doorbell — once per submission, since
+    /// and rings the subscribed doorbell — once per submission, since
     /// completion is all a reaper can act on.
     pub(crate) fn complete(&self, items: Vec<(usize, T)>) {
         let mut guard = self.lock();
@@ -630,9 +631,9 @@ impl<T> Progress<T> {
         if guard.waiters > 0 {
             self.cv.notify_all();
         }
-        let bells = std::mem::take(&mut guard.subscribers);
+        let bell = guard.subscriber.take();
         drop(guard);
-        for bell in bells {
+        if let Some(bell) = bell {
             bell.ring();
         }
     }
@@ -644,23 +645,24 @@ impl<T> Progress<T> {
         if guard.waiters > 0 {
             self.cv.notify_all();
         }
-        let bells = std::mem::take(&mut guard.subscribers);
+        let bell = guard.subscriber.take();
         drop(guard);
-        for bell in bells {
+        if let Some(bell) = bell {
             bell.ring();
         }
     }
 
-    /// Registers a bell to ring when the submission completes. Rings it
-    /// immediately if the submission is already done, so a reaper
+    /// Registers the bell to ring when the submission completes. Rings
+    /// it immediately if the submission is already done, so a reaper
     /// subscribing late never parks past a finished op.
     pub(crate) fn ring_when_done(&self, bell: &Arc<Doorbell>) {
         let mut guard = self.lock();
+        debug_assert!(guard.subscriber.is_none(), "a submission takes one bell");
         if guard.remaining == 0 || guard.poisoned {
             drop(guard);
             bell.ring();
         } else {
-            guard.subscribers.push(Arc::clone(bell));
+            guard.subscriber = Some(Arc::clone(bell));
         }
     }
 
@@ -764,7 +766,8 @@ impl<K: Kind> Ticket<K> {
     /// Registers `bell` to be rung once, when the last shard finishes
     /// its part of this submission (immediately if it is already
     /// complete), so a reaper can park on the bell instead of polling
-    /// [`Ticket::is_complete`].
+    /// [`Ticket::is_complete`]. A submission takes one bell: subscribe
+    /// each ticket once.
     pub fn subscribe(&self, bell: &Arc<Doorbell>) {
         self.shared.progress.ring_when_done(bell);
     }

@@ -4,7 +4,7 @@
 //! This facade re-exports the whole stack so examples and downstream
 //! users need a single dependency:
 //!
-//! - [`crypto`]: AES, XTS, GCM, CBC-ESSIV, EME2, SHA-256, HMAC, KDFs
+//! - [`crypto`]: AES, XTS, GCM, EME2, SHA-256, HMAC, KDFs
 //! - [`sim`]: the discrete-event cost simulator
 //! - [`kv`]: the per-object ordered key-value store backing OMAP
 //! - [`rados`]: the Ceph-like replicated object store

@@ -31,8 +31,6 @@ fn all_variants() -> Vec<EncryptionConfig> {
             .with_snapshot_binding(),
         EncryptionConfig::random_iv(MetaLayout::ObjectEnd).with_cipher(Cipher::Aes256Gcm),
         EncryptionConfig::luks2_baseline().with_cipher(Cipher::Eme2Aes256),
-        EncryptionConfig::luks2_baseline().with_cipher(Cipher::CbcEssiv256),
-        EncryptionConfig::random_iv(MetaLayout::ObjectEnd).with_cipher(Cipher::Aes128Xts),
     ]
 }
 
