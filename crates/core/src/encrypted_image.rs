@@ -5,30 +5,17 @@ use crate::batch::IoBatch;
 use crate::config::EncryptionConfig;
 use crate::keychain::{EpochMap, KeyChain};
 use crate::layout::{Geometry, Placement};
-use crate::luks::{LuksHeader, RekeyState, WindowIntent};
+use crate::luks::RekeyState;
 use crate::meta_cache::MetaCache;
 use crate::rekey::RekeyDriver;
-use crate::sector::SectorCodec;
 use crate::{CryptError, Result};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Mutex, PoisonError};
-use vdisk_crypto::mem::SecretBytes;
 use vdisk_crypto::rng::{IvSource, OsIvSource};
 use vdisk_rados::{
-    ApplyTicket, ExecStats, ObjectReads, RadosError, ReadOp, ReadResult, ReadTicket, Receipt,
-    SharedBuf, SnapId, Transaction,
+    ApplyTicket, ExecStats, ObjectReads, ReadResult, ReadTicket, Receipt, SharedBuf, SnapId,
+    Transaction,
 };
 use vdisk_rbd::{Image, RbdError};
-
-/// Xattr on the crypt-header object carrying the header generation —
-/// the CAS token serializing concurrent header updates.
-const GEN_XATTR: &str = "luks.gen";
-
-/// OMAP key prefix (on the crypt-header object) recording each
-/// snapshot's epoch map — how baseline-layout snapshot reads know
-/// which sectors carried which key epoch when the snapshot froze.
-const SNAP_EPOCH_PREFIX: &str = "snapepoch.";
 
 /// An encrypted virtual disk: every write encrypts client-side and
 /// persists per-sector metadata (when configured) in the same atomic
@@ -42,38 +29,22 @@ const SNAP_EPOCH_PREFIX: &str = "snapepoch.";
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct EncryptedImage {
     image: Image,
-    header: LuksHeader,
-    /// Every loaded key epoch's codec (current, the retiring epoch of
-    /// an in-flight rekey, and retired epochs for snapshot reads).
-    chain: KeyChain,
-    /// Master keys by epoch — needed to wrap the outgoing key into the
-    /// retired chain at rekey completion. Zeroized on drop.
-    masters: BTreeMap<u32, SecretBytes>,
+    /// The key lifecycle: header, per-epoch codecs, snapshot epoch
+    /// maps, armed rekey markers, and master keys mid-rekey only.
+    keys: KeyChain,
     iv_source: Box<dyn IvSource>,
     placement: Placement,
     /// Client-side cache of persisted per-sector metadata entries for
     /// head reads. Interior-mutable: reads fill and hit it through
     /// `&self`, writes invalidate through `&mut self`.
     meta_cache: MetaCache,
-    /// Baseline-layout snapshots' epoch maps (snap id → map at
-    /// creation), mirrored from the crypt-header object's OMAP.
-    /// Interior-mutable: `snap_create` records through `&self`.
-    snap_epochs: Mutex<BTreeMap<u64, EpochMap>>,
-    /// Rekey-migration proof markers armed by [`crate::RekeyDriver`]:
-    /// the next write matching `(offset, len)` stamps the named xattr
-    /// onto its (single) transaction, so the chunk's data and its
-    /// migrated-proof land atomically. Keyed by the submitted request
-    /// shape because the tenant runtime may defer a driver write into
-    /// its backlog — arming at actual submission time, not driver
-    /// dispatch time, keeps the marker glued to the right write.
-    armed_markers: HashMap<(u64, usize), String>,
 }
 
 impl std::fmt::Debug for EncryptedImage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EncryptedImage")
             .field("image", &self.image.name())
-            .field("config", self.header.config())
+            .field("config", self.keys.config())
             .finish_non_exhaustive()
     }
 }
@@ -175,10 +146,6 @@ pub struct ReadSpan {
 }
 
 impl EncryptedImage {
-    fn crypt_header_object(image_name: &str) -> String {
-        format!("rbd_header.{image_name}.luks")
-    }
-
     /// Formats an image for encryption: generates a master key, writes
     /// the LUKS-style header, and returns the opened device. IVs come
     /// from the OS CSPRNG.
@@ -211,37 +178,14 @@ impl EncryptedImage {
         let placement = Placement::for_image(config, image.object_size())
             .map_err(CryptError::UnsupportedConfig)?;
         Self::check_sector_multiple(&image, u64::from(config.sector_size))?;
-        let (mut header, master) = LuksHeader::format(config, passphrase, iv_source.as_mut())?;
-        let codec = SectorCodec::new(config, &master, 0)?;
+        let keys = KeyChain::format(&image, config, passphrase, iv_source.as_mut())?;
         let meta_cache = Self::build_meta_cache(&image, placement);
-
-        // First persist: the generation xattr must not exist yet, so
-        // two concurrent formats cannot both win.
-        let generation = header.bump_generation();
-        let mut tx = Transaction::new(Self::crypt_header_object(image.name()));
-        tx.compare_xattr(GEN_XATTR, None);
-        let bytes = header.encode();
-        let len = bytes.len() as u64;
-        tx.write(0, bytes);
-        tx.truncate(len);
-        tx.set_xattr(GEN_XATTR, generation.to_le_bytes().to_vec());
-        image
-            .cluster()
-            .execute(tx)
-            .map_err(Self::map_header_contention)?;
-
-        let mut masters = BTreeMap::new();
-        masters.insert(0, master);
         Ok(EncryptedImage {
             image,
-            header,
-            chain: KeyChain::new(0, codec),
-            masters,
+            keys,
             iv_source,
             placement,
             meta_cache,
-            snap_epochs: Mutex::new(BTreeMap::new()),
-            armed_markers: HashMap::new(),
         })
     }
 
@@ -265,128 +209,18 @@ impl EncryptedImage {
         passphrase: &[u8],
         iv_source: Box<dyn IvSource>,
     ) -> Result<EncryptedImage> {
-        let header_object = Self::crypt_header_object(image.name());
-        let cluster = image.cluster().clone();
-        let stat = cluster
-            .stat(&header_object)
-            .map_err(|_| CryptError::HeaderCorrupt("missing encryption header".into()))?;
-        let (results, _) = cluster.read(
-            &header_object,
-            None,
-            &[
-                ReadOp::Read {
-                    offset: 0,
-                    len: stat.size,
-                },
-                ReadOp::OmapGetRange {
-                    start: SNAP_EPOCH_PREFIX.as_bytes().to_vec(),
-                    end: format!("{SNAP_EPOCH_PREFIX}\u{ff}").into_bytes(),
-                },
-            ],
-        )?;
-        let header = LuksHeader::decode(results[0].as_data())?;
-        let config = header.config().clone();
-        let placement = Placement::for_image(&config, image.object_size())
+        let keys = KeyChain::open(&image, passphrase)?;
+        let placement = Placement::for_image(keys.config(), image.object_size())
             .map_err(CryptError::HeaderCorrupt)?;
-        Self::check_sector_multiple(&image, u64::from(config.sector_size))?;
-
-        // Unlock every epoch this passphrase reaches: the current one
-        // (mandatory), the retiring one mid-rekey (through the bridge
-        // slot), and every retired epoch through the wrap chain.
-        let unlocked = header.unlock_all(passphrase);
-        let current = header.current_epoch();
-        let current_master = unlocked
-            .iter()
-            .find_map(|(epoch, master)| (*epoch == current).then(|| master.clone()))
-            .ok_or(CryptError::WrongPassphrase)?;
-        let mut masters: BTreeMap<u32, SecretBytes> = unlocked.into_iter().collect();
-        for (epoch, master) in header.unwrap_retired(&current_master) {
-            masters.entry(epoch).or_insert(master);
-        }
-        if let Some(state) = header.rekey() {
-            if !masters.contains_key(&state.from) {
-                return Err(CryptError::HeaderCorrupt(
-                    "rekey in flight but the retiring epoch is locked".into(),
-                ));
-            }
-        }
-
-        let mut chain: Option<KeyChain> = None;
-        for (&epoch, master) in &masters {
-            let codec = SectorCodec::new(&config, master, epoch)?;
-            match chain.as_mut() {
-                None => chain = Some(KeyChain::new(epoch, codec)),
-                Some(chain) => chain.install(epoch, codec),
-            }
-        }
-        let mut chain = chain.expect("current epoch always unlocked");
-        chain.set_current(current);
-
-        let snap_epochs = results[1]
-            .as_omap()
-            .iter()
-            .filter_map(|(key, value)| {
-                let snap = std::str::from_utf8(&key[SNAP_EPOCH_PREFIX.len()..])
-                    .ok()?
-                    .parse()
-                    .ok()?;
-                Some((snap, decode_epoch_map(value)?))
-            })
-            .collect();
-
+        Self::check_sector_multiple(&image, u64::from(keys.config().sector_size))?;
         let meta_cache = Self::build_meta_cache(&image, placement);
         Ok(EncryptedImage {
             image,
-            header,
-            chain,
-            masters,
+            keys,
             iv_source,
             placement,
             meta_cache,
-            snap_epochs: Mutex::new(snap_epochs),
-            armed_markers: HashMap::new(),
         })
-    }
-
-    /// Persists the in-memory header, CASed on the generation it last
-    /// read: concurrent updates from other handles lose with
-    /// [`CryptError::HeaderContended`] instead of tearing the header.
-    /// On success the in-memory generation has advanced; on contention
-    /// this handle's header view is stale — reopen the image.
-    fn persist_header(&mut self) -> Result<()> {
-        let old = self.header.generation();
-        let new = self.header.bump_generation();
-        let mut tx = Transaction::new(Self::crypt_header_object(self.image.name()));
-        tx.compare_xattr(GEN_XATTR, Some(old.to_le_bytes().to_vec()));
-        let bytes = self.header.encode();
-        let len = bytes.len() as u64;
-        tx.write(0, bytes);
-        tx.truncate(len);
-        tx.set_xattr(GEN_XATTR, new.to_le_bytes().to_vec());
-        self.image
-            .cluster()
-            .execute(tx)
-            .map_err(Self::map_header_contention)?;
-        Ok(())
-    }
-
-    fn map_header_contention(e: RadosError) -> CryptError {
-        match e {
-            RadosError::CompareFailed { .. } => CryptError::HeaderContended,
-            other => other.into(),
-        }
-    }
-
-    /// Persists the header; on failure restores `saved`, so the
-    /// in-memory view never drifts ahead of the store on a lost CAS.
-    fn persist_header_or_restore(&mut self, saved: LuksHeader) -> Result<()> {
-        match self.persist_header() {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.header = saved;
-                Err(e)
-            }
-        }
     }
 
     /// Builds the image's IV/metadata cache from the cluster's budget.
@@ -411,13 +245,8 @@ impl EncryptedImage {
     /// taken, or [`CryptError::HeaderContended`] if another handle
     /// updated the header concurrently.
     pub fn add_passphrase(&mut self, existing: &[u8], new: &[u8]) -> Result<usize> {
-        let saved = self.header.clone();
-        let master = self.header.unlock(existing)?;
-        let idx = self
-            .header
-            .add_keyslot(new, &master, self.iv_source.as_mut())?;
-        self.persist_header_or_restore(saved)?;
-        Ok(idx)
+        self.keys
+            .add_passphrase(existing, new, self.iv_source.as_mut())
     }
 
     /// Rotates a passphrase: every keyslot `existing` unlocks is
@@ -431,12 +260,8 @@ impl EncryptedImage {
     /// nothing, or [`CryptError::HeaderContended`] on a concurrent
     /// header update.
     pub fn rotate_passphrase(&mut self, existing: &[u8], new: &[u8]) -> Result<usize> {
-        let saved = self.header.clone();
-        let rotated = self
-            .header
-            .rotate_passphrase(existing, new, self.iv_source.as_mut())?;
-        self.persist_header_or_restore(saved)?;
-        Ok(rotated.len())
+        self.keys
+            .rotate_passphrase(existing, new, self.iv_source.as_mut())
     }
 
     /// Starts an **online rekey**: installs a fresh master key as the
@@ -479,31 +304,13 @@ impl EncryptedImage {
         new_pass: &[u8],
         iterations: u32,
     ) -> Result<RekeyDriver> {
-        // Stage everything against a saved header so a lost CAS leaves
-        // this handle exactly as it was: without the rollback, a
-        // contended handle would keep encrypting new writes under an
-        // epoch the store never recorded — permanently unreadable the
-        // moment this handle closes.
-        let saved = self.header.clone();
-        let old_epoch = self.chain.current();
-        let (from_master, to_master) =
-            self.header
+        // A lost CAS leaves this handle exactly as it was: a contended
+        // handle must not encrypt new writes under an epoch the store
+        // never recorded — permanently unreadable once it closes.
+        let (from, to) =
+            self.keys
                 .begin_rekey(existing, new_pass, iterations, self.iv_source.as_mut())?;
-        let state = self.header.rekey().expect("just begun");
-        let config = self.config().clone();
-        let codec = SectorCodec::new(&config, &to_master, state.to)?;
-        self.chain.install(state.to, codec);
-        self.chain.set_current(state.to);
-        self.masters.insert(state.from, from_master);
-        self.masters.insert(state.to, to_master);
-        if let Err(e) = self.persist_header() {
-            self.header = saved;
-            self.chain.set_current(old_epoch);
-            self.chain.uninstall(state.to);
-            self.masters.remove(&state.to);
-            return Err(e);
-        }
-        Ok(RekeyDriver::new(state.from, state.to))
+        Ok(RekeyDriver::new(from, to))
     }
 
     /// Resumes driving an already-started rekey (e.g. after reopening
@@ -511,7 +318,7 @@ impl EncryptedImage {
     /// rekey is in flight.
     #[must_use]
     pub fn rekey_resume(&self) -> Option<RekeyDriver> {
-        self.header
+        self.keys
             .rekey()
             .map(|state| RekeyDriver::new(state.from, state.to))
     }
@@ -519,35 +326,18 @@ impl EncryptedImage {
     /// The in-flight rekey state (epochs and watermark), if any.
     #[must_use]
     pub fn rekey_status(&self) -> Option<RekeyState> {
-        self.header.rekey()
+        self.keys.rekey()
     }
 
-    /// Completes a rekey once the driver has migrated every sector:
-    /// retires the old epoch's master key into the header's wrap chain
-    /// (snapshot reads still reach it through the new passphrase),
-    /// drops the bridge keyslots, and persists the header. Called by
-    /// [`RekeyDriver::finish`].
-    pub(crate) fn rekey_finish(&mut self, from: u32, to: u32) -> Result<()> {
-        let state = self.header.rekey().ok_or(CryptError::NoRekeyInProgress)?;
-        if state.from != from || state.to != to {
-            return Err(CryptError::UnsupportedConfig(
-                "rekey driver does not match the in-flight rekey".into(),
-            ));
-        }
-        if state.watermark < self.total_sectors() {
-            return Err(CryptError::RekeyInProgress);
-        }
-        let from_master = self.masters[&from].clone();
-        let to_master = self.masters[&to].clone();
-        let saved = self.header.clone();
-        self.header.finish_rekey(&from_master, &to_master)?;
-        self.persist_header_or_restore(saved)
+    /// The key lifecycle's state, for the rekey driver.
+    pub(crate) fn keys_mut(&mut self) -> &mut KeyChain {
+        &mut self.keys
     }
 
     /// **Crypto-shreds** the image: zeroizes every keyslot, epoch
-    /// digest, and retired-key wrap in memory
-    /// ([`LuksHeader::shred`]), overwrites the stored header object
-    /// with zeros, and deletes it — one atomic transaction. The data
+    /// digest, and retired-key wrap in memory (see [`crate::luks`]),
+    /// overwrites the stored header object with zeros, and deletes
+    /// it — one atomic transaction. The data
     /// objects are left in place *by design*: without any wrapped
     /// master key they are undecryptable noise, which is the paper's
     /// secure-deletion story (destroy the key, not the data). Every
@@ -559,18 +349,8 @@ impl EncryptedImage {
     /// Returns [`CryptError::Rbd`] on store failures; the in-memory
     /// key material is shredded regardless.
     pub fn secure_erase(mut self) -> Result<()> {
-        let object = Self::crypt_header_object(self.image.name());
-        let stat = self.image.cluster().stat(&object)?;
-        self.header.shred();
-        let mut tx = Transaction::new(object);
-        // Overwrite-then-delete: the scrub pass models clearing the
-        // physical extents before dropping the object, so even the
-        // (already key-less) wrapped blobs are gone from the store.
-        tx.write(0, vec![0u8; stat.size as usize]);
-        tx.delete();
-        self.image.cluster().execute(tx)?;
-        // `self` drops here: SecretBytes masters zeroize themselves.
-        Ok(())
+        // `self` drops after: the codecs' subkeys zeroize themselves.
+        self.keys.erase()
     }
 
     /// The underlying image.
@@ -582,7 +362,7 @@ impl EncryptedImage {
     /// The encryption configuration in force.
     #[must_use]
     pub fn config(&self) -> &EncryptionConfig {
-        self.header.config()
+        self.keys.config()
     }
 
     /// The object geometry in force.
@@ -612,131 +392,7 @@ impl EncryptedImage {
     /// The key epoch new head writes encrypt under.
     #[must_use]
     pub fn current_key_epoch(&self) -> u32 {
-        self.header.current_epoch()
-    }
-
-    /// The head's epoch map right now: current epoch, plus the
-    /// watermark split while a rekey is migrating.
-    pub(crate) fn head_epoch_map(&self) -> EpochMap {
-        EpochMap {
-            current: self.header.current_epoch(),
-            pending: self.header.rekey().map(|s| (s.from, s.watermark)),
-        }
-    }
-
-    /// Driver-only: advances the in-memory rekey watermark so the
-    /// window the driver is rewriting encrypts under the new epoch.
-    /// Persist with [`EncryptedImage::persist_rekey_watermark`] after
-    /// the window's writes complete.
-    pub(crate) fn advance_rekey_boundary(&mut self, watermark: u64) {
-        self.header.set_rekey_watermark(watermark);
-    }
-
-    /// Driver-only: rolls the in-memory watermark back to `watermark`
-    /// (the last fully-migrated prefix) after a window failed
-    /// mid-flight, so a retried step re-migrates the window instead of
-    /// skipping it.
-    pub(crate) fn rollback_rekey_boundary(&mut self, watermark: u64) {
-        self.header.rollback_rekey_watermark(watermark);
-    }
-
-    /// Driver-only: persists the advanced watermark (CASed like every
-    /// header update). A persisted window intent is cleared in the
-    /// *same* header update: the watermark covering the window is the
-    /// proof the window landed, so the two must move atomically. On
-    /// failure the in-memory header (watermark *and* intent) is
-    /// restored, so a retried or resumed rekey still sees the
-    /// uncommitted window as in doubt.
-    pub(crate) fn persist_rekey_watermark(&mut self) -> Result<()> {
-        let saved = self.header.clone();
-        if self.header.rekey().is_some_and(|s| s.intent.is_some()) {
-            self.header.clear_rekey_intent();
-        }
-        self.persist_header_or_restore(saved)
-    }
-
-    /// The crashed (persisted-but-uncleared) rekey window intent, if
-    /// any: evidence that a prior handle started migrating this window
-    /// but never proved it complete. [`crate::RekeyDriver`] recovers
-    /// it chunk by chunk before migrating anything new.
-    pub(crate) fn rekey_window_intent(&self) -> Option<WindowIntent> {
-        self.header.rekey().and_then(|state| state.intent)
-    }
-
-    /// Driver-only: durably records the window the driver is *about*
-    /// to migrate, before any chunk of it is rewritten. Crash-safety
-    /// contract: once this persists, a reopened image either finds the
-    /// watermark advanced past the window (it landed) or finds this
-    /// intent and re-proves each chunk individually.
-    pub(crate) fn persist_rekey_intent(&mut self, intent: WindowIntent) -> Result<()> {
-        let saved = self.header.clone();
-        self.header.set_rekey_intent(intent);
-        self.persist_header_or_restore(saved)
-    }
-
-    fn rekey_marker_name(to: u32, chunk_offset: u64) -> String {
-        format!("rekey.mark.{to}.{chunk_offset}")
-    }
-
-    /// Driver-only: arms a migration-proof marker for the chunk write
-    /// the driver is about to submit at `(offset, len)`. When that
-    /// exact write — queued or synchronous — reaches
-    /// [`EncryptedImage::prepare_write`] it stamps the marker xattr
-    /// into the same transaction as the chunk data — the driver clamps
-    /// chunks to object boundaries, so the
-    /// chunk is one transaction and marker + ciphertext commit (or
-    /// tear) together. The marker name is epoch-keyed, so stale
-    /// markers from an earlier rekey can never vouch for this one.
-    pub(crate) fn arm_rekey_marker(&mut self, offset: u64, len: usize) {
-        let to = self
-            .header
-            .rekey()
-            .expect("rekey markers are only armed mid-rekey")
-            .to;
-        self.armed_markers
-            .insert((offset, len), Self::rekey_marker_name(to, offset));
-    }
-
-    /// Driver-only: drops every armed-but-unconsumed marker after a
-    /// window fails mid-flight. Without this, a later *client* write
-    /// that happens to match an armed `(offset, len)` would get
-    /// stamped as migration proof for data it never migrated.
-    pub(crate) fn clear_rekey_markers(&mut self) {
-        self.armed_markers.clear();
-    }
-
-    /// Whether the chunk starting at byte `chunk_offset` carries the
-    /// migration-proof marker for epoch `to` — i.e. whether its
-    /// rewrite under the new key durably landed before a crash. A
-    /// missing object proves nothing landed there (`false`), which is
-    /// still safe: re-migration is idempotent.
-    pub(crate) fn rekey_chunk_proven(&self, to: u32, chunk_offset: u64) -> Result<bool> {
-        let object = self
-            .image
-            .object_name(chunk_offset / self.image.object_size());
-        let marker = Self::rekey_marker_name(to, chunk_offset);
-        match self
-            .image
-            .cluster()
-            .read(&object, None, &[ReadOp::GetXattr(marker)])
-        {
-            Ok((results, _)) => Ok(matches!(&results[0], ReadResult::Xattr(Some(_)))),
-            Err(RadosError::NoSuchObject(_)) => Ok(false),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// The epoch map governing a snapshot's ciphertext (recorded at
-    /// [`EncryptedImage::snap_create`]); falls back to the head map
-    /// for snapshots taken outside this API.
-    fn snap_epoch_map(&self, snap: SnapId) -> EpochMap {
-        let recorded = self
-            .snap_epochs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&snap.0)
-            .copied();
-        recorded.unwrap_or_else(|| self.head_epoch_map())
+        self.keys.head_map().current
     }
 
     /// Takes an image snapshot (see [`Image::snap_create`]) and drops
@@ -751,22 +407,9 @@ impl EncryptedImage {
         let snap = self.image.snap_create(name)?;
         self.meta_cache.invalidate_all();
         if !self.placement.stores_meta() {
-            // The baseline layout has no per-sector epoch tags, so a
-            // snapshot must remember which sectors carried which key
-            // when it froze (the head's map keeps moving as rekeys
-            // migrate). Persisted next to the header, mirrored in
-            // memory.
-            let map = self.head_epoch_map();
-            let mut tx = Transaction::new(Self::crypt_header_object(self.image.name()));
-            tx.omap_set(vec![(
-                format!("{SNAP_EPOCH_PREFIX}{}", snap.0).into_bytes(),
-                encode_epoch_map(map),
-            )]);
-            self.image.cluster().execute(tx)?;
-            self.snap_epochs
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(snap.0, map);
+            // Tagged entries route themselves; the baseline's snapshot
+            // needs its epoch map recorded.
+            self.keys.record_snap(snap)?;
         }
         Ok(snap)
     }
@@ -894,7 +537,7 @@ impl EncryptedImage {
         data: Cow<'_, [u8]>,
     ) -> Result<(Vec<Transaction>, PreparedWrite)> {
         self.check_bounds(offset, data.len() as u64)?;
-        let armed_marker = self.armed_markers.remove(&(offset, data.len()));
+        let armed_marker = self.keys.take_marker(offset, data.len());
         let (aligned_off, owned, rmw) =
             if data.is_empty() || self.is_sector_aligned(offset, data.len() as u64) {
                 (offset, data.into_owned(), RmwReads::default())
@@ -1052,7 +695,7 @@ impl EncryptedImage {
         let ss = geometry.sector_size as usize;
         let me = geometry.meta_entry as usize;
         let write_seq = self.image.cluster().snap_seq().0;
-        let epochs = self.head_epoch_map();
+        let epochs = self.keys.head_map();
         let len = data.len();
         if len == 0 {
             return Ok((Vec::new(), 0, 0, Vec::new()));
@@ -1072,7 +715,7 @@ impl EncryptedImage {
         // The span is one contiguous LBA run (extents abut), encrypted
         // on the submitting thread whatever its size.
         let mut metas = Vec::with_capacity(batch.sector_count() as usize * me);
-        self.chain.encrypt_sectors(
+        self.keys.codecs().encrypt_sectors(
             offset / geometry.sector_size,
             write_seq,
             &mut data,
@@ -1234,8 +877,8 @@ impl EncryptedImage {
         // exactly right at reap — however far the rekey watermark has
         // moved in between.
         let epochs = match snap {
-            None => self.head_epoch_map(),
-            Some(snap) => self.snap_epoch_map(snap),
+            None => self.keys.head_map(),
+            Some(snap) => self.keys.snap_map(snap),
         };
         if len == 0 {
             // Match the synchronous path's no-op: no sector is fetched
@@ -1350,8 +993,13 @@ impl EncryptedImage {
                     *fill,
                 ),
             };
-            self.chain
-                .decrypt_sectors(extent.base_lba, seq_limit, dest, &packed, span.epochs)?;
+            self.keys.codecs().decrypt_sectors(
+                extent.base_lba,
+                seq_limit,
+                dest,
+                &packed,
+                span.epochs,
+            )?;
             if let Some((shard, epoch)) = fill {
                 if self.image.cluster().shard_write_seq(shard) == epoch {
                     self.meta_cache
@@ -1387,46 +1035,6 @@ impl EncryptedImage {
             meta,
         })
     }
-}
-
-impl Drop for EncryptedImage {
-    fn drop(&mut self) {
-        // Defense in depth: the master keys (SecretBytes) wipe
-        // themselves, and the header's wrapped blobs are zeroized too
-        // so no passphrase-derivable material lingers on the heap.
-        self.header.shred();
-    }
-}
-
-/// Wire form of an [`EpochMap`] (the `snapepoch.*` OMAP values):
-/// `current u32 ‖ pending flag u8 ‖ from u32 ‖ watermark u64`, LE.
-fn encode_epoch_map(map: EpochMap) -> Vec<u8> {
-    let mut out = Vec::with_capacity(17);
-    out.extend_from_slice(&map.current.to_le_bytes());
-    match map.pending {
-        None => out.extend_from_slice(&[0u8; 13]),
-        Some((from, watermark)) => {
-            out.push(1);
-            out.extend_from_slice(&from.to_le_bytes());
-            out.extend_from_slice(&watermark.to_le_bytes());
-        }
-    }
-    out
-}
-
-fn decode_epoch_map(bytes: &[u8]) -> Option<EpochMap> {
-    if bytes.len() != 17 {
-        return None;
-    }
-    let current = u32::from_le_bytes(bytes[..4].try_into().ok()?);
-    let pending = match bytes[4] {
-        0 => None,
-        _ => Some((
-            u32::from_le_bytes(bytes[5..9].try_into().ok()?),
-            u64::from_le_bytes(bytes[9..17].try_into().ok()?),
-        )),
-    };
-    Some(EpochMap { current, pending })
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
-//! The key chain: per-epoch sector codecs and the epoch-routing rules
-//! of the key-lifecycle subsystem.
+//! The key chain: the one owner of an image's key-lifecycle state —
+//! the encryption header, every key epoch's sector codec, the
+//! baseline snapshots' epoch maps, the rekey driver's armed migration
+//! markers and, only while a rekey is in flight, its master-key pair.
 //!
 //! An image's master key is versioned by **key epochs** (see
 //! [`crate::luks`]): epoch 0 is the format-time key, every online
@@ -20,14 +22,40 @@
 //!   [`EpochMap`] snapshots that rule at submit time, which — combined
 //!   with the store's per-shard FIFO ordering — pins the right key to
 //!   the right bytes even with IO and rekey in flight concurrently.
+//!
+//! Every header change goes through [`KeyChain::commit`]: it stages
+//! the change on a copy, persists the copy CASed on the `luks.gen`
+//! xattr, and only then adopts it and installs whatever keys the change
+//! brings — a lost CAS leaves the chain exactly as it was.
+//!
+//! **Key residency.** The codecs hold the derived subkeys of every
+//! epoch this handle can reach (the current one, the retiring one
+//! mid-rekey, and every retired one snapshots may need). Master keys
+//! are held only while a rekey is in flight — its `(from, to)` pair,
+//! which the finish needs to wrap the outgoing key under its successor
+//! — and are wiped when the finish persists. An idle handle holds none.
 
-use crate::config::KEY_EPOCH_TAG_LEN;
+use crate::config::{EncryptionConfig, KEY_EPOCH_TAG_LEN};
+use crate::luks::{LuksHeader, RekeyState, WindowIntent};
 use crate::sector::SectorCodec;
 #[cfg(test)]
 use crate::sector::SectorState;
 use crate::{CryptError, Result};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, PoisonError};
+use vdisk_crypto::mem::SecretBytes;
 use vdisk_crypto::rng::IvSource;
+use vdisk_rados::{Cluster, RadosError, ReadOp, SnapId, Transaction};
+use vdisk_rbd::Image;
+
+/// Xattr on the crypt-header object carrying the header generation —
+/// the CAS token serializing concurrent header updates.
+const GEN_XATTR: &str = "luks.gen";
+
+/// OMAP key prefix (on the crypt-header object) recording each
+/// snapshot's epoch map — how baseline-layout snapshot reads know
+/// which sectors carried which key epoch when the snapshot froze.
+const SNAP_EPOCH_PREFIX: &str = "snapepoch.";
 
 /// Which key epoch governs each sector — captured at **submit** time,
 /// so a queued IO decrypts (or encrypted) with the epochs that were
@@ -63,73 +91,415 @@ impl EpochMap {
     }
 }
 
-/// Every key epoch's [`SectorCodec`], plus the current write epoch:
-/// the decrypt side routes each sector to the epoch that encrypted it,
-/// the encrypt side stamps the epoch chosen by the caller's
-/// [`EpochMap`].
-pub(crate) struct KeyChain {
-    codecs: BTreeMap<u32, SectorCodec>,
-    current: u32,
+/// An in-flight rekey's `(from, to)` master keys.
+type MasterPair = (SecretBytes, SecretBytes);
+
+/// What a committed header change brings into use.
+enum KeyChange {
+    /// Keyslots, the watermark or the window intent only.
+    None,
+    /// A rekey began: the new (now current) epoch's codec, and the
+    /// master keys its finish will need.
+    Begin(SectorCodec, MasterPair),
+    /// The rekey finished: its master keys are no longer needed.
+    Finish,
 }
 
-impl std::fmt::Debug for KeyChain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The installed epochs and the write epoch are the routing
-        // state worth printing; the codecs hold live subkeys.
-        f.debug_struct("KeyChain")
-            .field("epochs", &self.codecs.keys().collect::<Vec<_>>())
-            .field("current", &self.current)
-            .finish()
-    }
+/// See the [module docs](self).
+pub(crate) struct KeyChain {
+    header: LuksHeader,
+    codecs: Codecs,
+    /// `None` when no rekey is in flight.
+    rekey_pair: Option<MasterPair>,
+    /// Baseline-layout snapshots' epoch maps (snap id → map at
+    /// creation), mirrored from the crypt-header object's OMAP.
+    /// Interior-mutable: `snap_create` records through `&self`.
+    snap_epochs: Mutex<BTreeMap<u64, EpochMap>>,
+    /// Migration-proof markers armed by [`crate::RekeyDriver`]: the
+    /// next write matching `(offset, len)` stamps the named xattr onto
+    /// its (single) transaction, so the chunk's data and its
+    /// migrated-proof land atomically. Keyed by the submitted request
+    /// shape because the tenant runtime may defer a driver write into
+    /// its backlog — arming at actual submission time, not driver
+    /// dispatch time, keeps the marker glued to the right write.
+    armed_markers: HashMap<(u64, usize), String>,
+    cluster: Cluster,
+    /// The crypt-header object.
+    object: String,
 }
 
 impl KeyChain {
-    /// A chain holding one epoch's codec, as the write epoch.
-    pub(crate) fn new(epoch: u32, codec: SectorCodec) -> KeyChain {
+    fn header_object(image: &Image) -> String {
+        format!("rbd_header.{}.luks", image.name())
+    }
+
+    /// Generates epoch 0's master key, persists a fresh header for
+    /// `image` and returns the chain holding its codec (and no master
+    /// key).
+    pub(crate) fn format(
+        image: &Image,
+        config: &EncryptionConfig,
+        passphrase: &[u8],
+        iv_source: &mut dyn IvSource,
+    ) -> Result<KeyChain> {
+        let (header, master) = LuksHeader::format(config, passphrase, iv_source)?;
+        let codec = SectorCodec::new(config, &master, 0)?;
+        let mut chain = KeyChain {
+            header,
+            codecs: Codecs(BTreeMap::from([(0, codec)])),
+            rekey_pair: None,
+            snap_epochs: Mutex::new(BTreeMap::new()),
+            armed_markers: HashMap::new(),
+            cluster: image.cluster().clone(),
+            object: Self::header_object(image),
+        };
+        // The fresh header is generation 0, so this first commit
+        // requires the generation xattr to be absent: two concurrent
+        // formats cannot both win.
+        chain.commit(|_, _| Ok(((), KeyChange::None)))?;
+        Ok(chain)
+    }
+
+    /// Reads `image`'s header and snapshot epoch maps and unlocks
+    /// every epoch `passphrase` reaches: the current one (mandatory),
+    /// the retiring one mid-rekey (through the bridge slot), and every
+    /// retired epoch through the wrap chain. Each gets a codec; only an
+    /// in-flight rekey's pair of master keys stays resident.
+    pub(crate) fn open(image: &Image, passphrase: &[u8]) -> Result<KeyChain> {
+        let object = Self::header_object(image);
+        let cluster = image.cluster().clone();
+        let stat = cluster
+            .stat(&object)
+            .map_err(|_| CryptError::HeaderCorrupt("missing encryption header".into()))?;
+        let (results, _) = cluster.read(
+            &object,
+            None,
+            &[
+                ReadOp::Read {
+                    offset: 0,
+                    len: stat.size,
+                },
+                ReadOp::OmapGetRange {
+                    start: SNAP_EPOCH_PREFIX.as_bytes().to_vec(),
+                    end: format!("{SNAP_EPOCH_PREFIX}\u{ff}").into_bytes(),
+                },
+            ],
+        )?;
+        let header = LuksHeader::decode(results[0].as_data())?;
+
+        let mut masters: BTreeMap<u32, SecretBytes> =
+            header.unlock_all(passphrase).into_iter().collect();
+        let current = masters
+            .get(&header.current_epoch())
+            .ok_or(CryptError::WrongPassphrase)?;
+        for (epoch, master) in header.unwrap_retired(current) {
+            masters.entry(epoch).or_insert(master);
+        }
         let mut codecs = BTreeMap::new();
-        codecs.insert(epoch, codec);
-        KeyChain {
-            codecs,
-            current: epoch,
+        for (&epoch, master) in &masters {
+            codecs.insert(epoch, SectorCodec::new(header.config(), master, epoch)?);
+        }
+        let rekey_pair = match header.rekey() {
+            None => None,
+            Some(state) => Some(
+                masters
+                    .remove(&state.from)
+                    .zip(masters.remove(&state.to))
+                    .ok_or_else(|| {
+                        CryptError::HeaderCorrupt(
+                            "rekey in flight but the retiring epoch is locked".into(),
+                        )
+                    })?,
+            ),
+        };
+        // Every other master key is wiped as `masters` drops: the
+        // codecs keep what decrypting needs.
+
+        let snap_epochs = results[1]
+            .as_omap()
+            .iter()
+            .filter_map(|(key, value)| {
+                let snap = std::str::from_utf8(&key[SNAP_EPOCH_PREFIX.len()..])
+                    .ok()?
+                    .parse()
+                    .ok()?;
+                Some((snap, decode_epoch_map(value)?))
+            })
+            .collect();
+        Ok(KeyChain {
+            header,
+            codecs: Codecs(codecs),
+            rekey_pair,
+            snap_epochs: Mutex::new(snap_epochs),
+            armed_markers: HashMap::new(),
+            cluster,
+            object,
+        })
+    }
+
+    /// The one header-update path: stages a change on a copy of the
+    /// header, persists the copy CASed on the generation this handle
+    /// last persisted (or read), and only then adopts it and installs
+    /// the keys the change brings. On any failure — the staging
+    /// itself, or a lost CAS ([`CryptError::HeaderContended`]) — the
+    /// header, codecs and master keys are exactly as they were, so a
+    /// contended handle never writes under an epoch the store never
+    /// recorded.
+    fn commit<T>(
+        &mut self,
+        stage: impl FnOnce(&mut LuksHeader, Option<&MasterPair>) -> Result<(T, KeyChange)>,
+    ) -> Result<T> {
+        let mut staged = self.header.clone();
+        let (out, change) = stage(&mut staged, self.rekey_pair.as_ref())?;
+        let old = staged.generation();
+        let new = staged.bump_generation();
+        let mut tx = Transaction::new(self.object.clone());
+        // Generation 0 was never persisted: the xattr must be absent.
+        tx.compare_xattr(GEN_XATTR, (old > 0).then(|| old.to_le_bytes().to_vec()));
+        let bytes = staged.encode();
+        let len = bytes.len() as u64;
+        tx.write(0, bytes);
+        tx.truncate(len);
+        tx.set_xattr(GEN_XATTR, new.to_le_bytes().to_vec());
+        self.cluster.execute(tx).map_err(|e| match e {
+            RadosError::CompareFailed { .. } => CryptError::HeaderContended,
+            other => other.into(),
+        })?;
+        self.header = staged;
+        match change {
+            KeyChange::None => {}
+            KeyChange::Begin(codec, pair) => {
+                self.codecs.0.insert(self.header.current_epoch(), codec);
+                self.rekey_pair = Some(pair);
+            }
+            KeyChange::Finish => self.rekey_pair = None,
+        }
+        Ok(out)
+    }
+
+    /// The encryption configuration the header carries.
+    pub(crate) fn config(&self) -> &EncryptionConfig {
+        self.header.config()
+    }
+
+    /// The in-flight rekey, if any.
+    pub(crate) fn rekey(&self) -> Option<RekeyState> {
+        self.header.rekey()
+    }
+
+    /// Every reachable epoch's codec.
+    pub(crate) fn codecs(&self) -> &Codecs {
+        &self.codecs
+    }
+
+    /// The head's epoch map right now: current epoch, plus the
+    /// watermark split while a rekey is migrating.
+    pub(crate) fn head_map(&self) -> EpochMap {
+        EpochMap {
+            current: self.header.current_epoch(),
+            pending: self.header.rekey().map(|s| (s.from, s.watermark)),
         }
     }
 
-    /// Installs (or replaces) an epoch's codec.
-    pub(crate) fn install(&mut self, epoch: u32, codec: SectorCodec) {
-        self.codecs.insert(epoch, codec);
+    /// The epoch map governing a snapshot's ciphertext (recorded by
+    /// [`KeyChain::record_snap`]); falls back to the head map for
+    /// snapshots with none recorded.
+    pub(crate) fn snap_map(&self, snap: SnapId) -> EpochMap {
+        let recorded = self
+            .snap_epochs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&snap.0)
+            .copied();
+        recorded.unwrap_or_else(|| self.head_map())
     }
 
-    /// Removes an epoch's codec (rollback of a failed install; must
-    /// not be the current write epoch).
-    pub(crate) fn uninstall(&mut self, epoch: u32) {
-        assert_ne!(epoch, self.current, "cannot uninstall the write epoch");
-        self.codecs.remove(&epoch);
+    /// Records the head's epoch map as `snap`'s: the baseline layout
+    /// has no per-sector epoch tags, so a snapshot must remember which
+    /// sectors carried which key when it froze (the head's map keeps
+    /// moving as rekeys migrate). Persisted next to the header,
+    /// mirrored in memory.
+    pub(crate) fn record_snap(&self, snap: SnapId) -> Result<()> {
+        let map = self.head_map();
+        let mut tx = Transaction::new(self.object.clone());
+        tx.omap_set(vec![(
+            format!("{SNAP_EPOCH_PREFIX}{}", snap.0).into_bytes(),
+            encode_epoch_map(map),
+        )]);
+        self.cluster.execute(tx)?;
+        self.snap_epochs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(snap.0, map);
+        Ok(())
     }
 
-    /// The current write epoch.
-    pub(crate) fn current(&self) -> u32 {
-        self.current
+    /// Adds a passphrase (authorized by `existing`) for the current
+    /// epoch; returns its keyslot.
+    pub(crate) fn add_passphrase(
+        &mut self,
+        existing: &[u8],
+        new: &[u8],
+        iv_source: &mut dyn IvSource,
+    ) -> Result<usize> {
+        self.commit(|header, _| {
+            let master = header.unlock(existing)?;
+            let slot = header.add_keyslot(new, &master, iv_source)?;
+            Ok((slot, KeyChange::None))
+        })
     }
 
-    /// Switches the write epoch (the codec must be installed).
-    pub(crate) fn set_current(&mut self, epoch: u32) {
-        assert!(self.codecs.contains_key(&epoch), "unknown write epoch");
-        self.current = epoch;
+    /// Re-wraps every keyslot `existing` unlocks under `new`; returns
+    /// how many.
+    pub(crate) fn rotate_passphrase(
+        &mut self,
+        existing: &[u8],
+        new: &[u8],
+        iv_source: &mut dyn IvSource,
+    ) -> Result<usize> {
+        self.commit(|header, _| {
+            let rotated = header.rotate_passphrase(existing, new, iv_source)?;
+            Ok((rotated.len(), KeyChange::None))
+        })
     }
 
+    /// Starts a rekey: installs the next epoch (its codec becomes the
+    /// write epoch's once the header persists) and holds the
+    /// `(from, to)` master keys until the finish. Returns the pair of
+    /// epochs.
+    pub(crate) fn begin_rekey(
+        &mut self,
+        existing: &[u8],
+        new_pass: &[u8],
+        iterations: u32,
+        iv_source: &mut dyn IvSource,
+    ) -> Result<(u32, u32)> {
+        self.commit(|header, _| {
+            let from = header.current_epoch();
+            let pair = header.begin_rekey(existing, new_pass, iterations, iv_source)?;
+            let to = header.current_epoch();
+            let codec = SectorCodec::new(header.config(), &pair.1, to)?;
+            Ok(((from, to), KeyChange::Begin(codec, pair)))
+        })
+    }
+
+    /// Completes the in-flight rekey (the driver has migrated every
+    /// sector): retires the old master key into the header's wrap
+    /// chain (snapshot reads keep its codec), drops the bridge
+    /// keyslots, and — once that persists — wipes the pair.
+    pub(crate) fn finish_rekey(&mut self) -> Result<()> {
+        self.commit(|header, pair| {
+            let (from, to) = pair.ok_or(CryptError::NoRekeyInProgress)?;
+            header.finish_rekey(from, to)?;
+            Ok(((), KeyChange::Finish))
+        })
+    }
+
+    /// Driver-only: advances the in-memory rekey watermark so the
+    /// window the driver is rewriting encrypts under the new epoch.
+    /// [`KeyChain::publish_watermark`] persists it once the window's
+    /// writes complete.
+    pub(crate) fn advance_watermark(&mut self, watermark: u64) {
+        self.header.set_rekey_watermark(watermark);
+    }
+
+    /// Driver-only: abandons a window — the in-memory watermark goes
+    /// back to `start` (the last fully-migrated prefix), so a retried
+    /// step re-migrates the window instead of skipping it, and every
+    /// armed-but-unconsumed marker is dropped, so a later *client*
+    /// write matching an armed `(offset, len)` is not stamped as
+    /// migration proof for data it never migrated.
+    pub(crate) fn rewind_window(&mut self, start: u64) {
+        self.header.rollback_rekey_watermark(start);
+        self.armed_markers.clear();
+    }
+
+    /// Driver-only: durably records the window the driver is *about*
+    /// to migrate, before any chunk of it is rewritten. Crash-safety
+    /// contract: once this persists, a reopened image either finds the
+    /// watermark advanced past the window (it landed) or finds this
+    /// intent and re-proves each chunk individually.
+    pub(crate) fn record_intent(&mut self, intent: WindowIntent) -> Result<()> {
+        self.commit(|header, _| {
+            header.set_rekey_intent(intent);
+            Ok(((), KeyChange::None))
+        })
+    }
+
+    /// Driver-only: persists the advanced watermark. A persisted
+    /// window intent is cleared in the *same* header update: the
+    /// watermark covering the window is the proof the window landed,
+    /// so the two must move atomically. On failure the in-memory
+    /// header (watermark *and* intent) is unchanged, so a retried or
+    /// resumed rekey still sees the uncommitted window as in doubt.
+    pub(crate) fn publish_watermark(&mut self) -> Result<()> {
+        self.commit(|header, _| {
+            if header.rekey().is_some_and(|s| s.intent.is_some()) {
+                header.clear_rekey_intent();
+            }
+            Ok(((), KeyChange::None))
+        })
+    }
+
+    /// Driver-only: arms migration-proof marker `name` for the chunk
+    /// write the driver is about to submit at `(offset, len)` (see
+    /// [`KeyChain::take_marker`]).
+    pub(crate) fn arm_marker(&mut self, offset: u64, len: usize, name: String) {
+        self.armed_markers.insert((offset, len), name);
+    }
+
+    /// The marker armed for a write of `(offset, len)`, if any — taken,
+    /// so it stamps exactly one write.
+    pub(crate) fn take_marker(&mut self, offset: u64, len: usize) -> Option<String> {
+        self.armed_markers.remove(&(offset, len))
+    }
+
+    /// Crypto-shreds the header: zeroizes every keyslot, epoch digest
+    /// and retired-key wrap in memory, then overwrites the stored
+    /// header object with zeros and deletes it in one transaction.
+    pub(crate) fn erase(&mut self) -> Result<()> {
+        let stat = self.cluster.stat(&self.object)?;
+        self.header.shred();
+        let mut tx = Transaction::new(self.object.clone());
+        // Overwrite-then-delete: the scrub pass models clearing the
+        // physical extents before dropping the object, so even the
+        // (already key-less) wrapped blobs are gone from the store.
+        tx.write(0, vec![0u8; stat.size as usize]);
+        tx.delete();
+        self.cluster.execute(tx)?;
+        Ok(())
+    }
+
+    /// Master keys this chain holds: the in-flight rekey's pair, or
+    /// none.
+    #[cfg(test)]
+    pub(crate) fn master_keys_held(&self) -> usize {
+        self.rekey_pair.as_ref().map_or(0, |_| 2)
+    }
+}
+
+/// Every reachable key epoch's [`SectorCodec`]: the decrypt side
+/// routes each sector to the epoch that encrypted it, the encrypt side
+/// stamps the epoch chosen by the caller's [`EpochMap`].
+pub(crate) struct Codecs(BTreeMap<u32, SectorCodec>);
+
+impl Codecs {
     fn codec(&self, epoch: u32, lba: u64) -> Result<&SectorCodec> {
-        self.codecs
+        self.0
             .get(&epoch)
             .ok_or(CryptError::UnknownKeyEpoch { lba, epoch })
     }
 
-    /// Metadata entry length in bytes (uniform across epochs).
-    pub(crate) fn meta_entry_len(&self) -> usize {
-        self.codecs
+    fn any(&self) -> &SectorCodec {
+        self.0
             .values()
             .next()
-            .expect("chain is never empty")
-            .meta_entry_len()
+            .expect("a chain holds at least one codec")
+    }
+
+    /// Metadata entry length in bytes (uniform across epochs).
+    fn meta_entry_len(&self) -> usize {
+        self.any().meta_entry_len()
     }
 
     /// Encrypts a contiguous run of sectors in place, appending each
@@ -147,7 +517,7 @@ impl KeyChain {
         iv_source: &mut dyn IvSource,
         epochs: EpochMap,
     ) -> Result<()> {
-        let ss = sector_size(self);
+        let ss = self.any().sector_size();
         let me = self.meta_entry_len();
         debug_assert_eq!(data.len() % ss, 0, "whole sectors only");
         metas.reserve(data.len() / ss * me);
@@ -165,9 +535,10 @@ impl KeyChain {
     }
 
     /// Decrypts a contiguous run of sectors in place. Tagged layouts
-    /// route each sector by the epoch tag closing its stored entry;
-    /// the baseline (empty `metas`) routes by `epochs` — the map
-    /// captured when the read was submitted.
+    /// route each sector by the epoch tag closing its stored entry
+    /// (an unwritten all-zero entry by `epochs.current`: any codec
+    /// zero-fills it); the baseline (empty `metas`) routes by `epochs`
+    /// — the map captured when the read was submitted.
     ///
     /// # Errors
     ///
@@ -183,7 +554,7 @@ impl KeyChain {
         metas: &[u8],
         epochs: EpochMap,
     ) -> Result<()> {
-        let ss = sector_size(self);
+        let ss = self.any().sector_size();
         let me = self.meta_entry_len();
         debug_assert_eq!(data.len() % ss, 0, "whole sectors only");
         let count = data.len() / ss;
@@ -198,7 +569,7 @@ impl KeyChain {
             let lba = base_lba + i as u64;
             let meta = &metas[i * me..(i + 1) * me];
             let epoch = if me > 0 {
-                entry_epoch(meta).unwrap_or(self.current)
+                entry_epoch(meta).unwrap_or(epochs.current)
             } else {
                 epochs.epoch_at(lba)
             };
@@ -209,7 +580,7 @@ impl KeyChain {
     }
 
     /// Decrypts one sector (the single-sector convenience used by
-    /// tests); see [`KeyChain::decrypt_sectors`].
+    /// tests); see [`Codecs::decrypt_sectors`].
     #[cfg(test)]
     pub(crate) fn decrypt_one(
         &self,
@@ -222,26 +593,17 @@ impl KeyChain {
         let epoch = if meta.is_empty() {
             epochs.epoch_at(lba)
         } else {
-            entry_epoch(meta).unwrap_or(self.current)
+            entry_epoch(meta).unwrap_or(epochs.current)
         };
         self.codec(epoch, lba)?
             .decrypt(lba, read_seq_limit, data, meta)
     }
 }
 
-fn sector_size(chain: &KeyChain) -> usize {
-    chain
-        .codecs
-        .values()
-        .next()
-        .expect("chain is never empty")
-        .sector_size()
-}
-
 /// The epoch tag closing a stored entry, or `None` for the all-zero
 /// "never written" entry (which carries no meaningful tag — the codec
 /// zero-fills regardless of epoch, so any loaded codec may serve it).
-pub(crate) fn entry_epoch(entry: &[u8]) -> Option<u32> {
+fn entry_epoch(entry: &[u8]) -> Option<u32> {
     if entry.iter().all(|&b| b == 0) {
         return None;
     }
@@ -251,24 +613,54 @@ pub(crate) fn entry_epoch(entry: &[u8]) -> Option<u32> {
     Some(u32::from_le_bytes(tag))
 }
 
+/// Wire form of an [`EpochMap`] (the `snapepoch.*` OMAP values):
+/// `current u32 ‖ pending flag u8 ‖ from u32 ‖ watermark u64`, LE.
+fn encode_epoch_map(map: EpochMap) -> Vec<u8> {
+    let mut out = Vec::with_capacity(17);
+    out.extend_from_slice(&map.current.to_le_bytes());
+    match map.pending {
+        None => out.extend_from_slice(&[0u8; 13]),
+        Some((from, watermark)) => {
+            out.push(1);
+            out.extend_from_slice(&from.to_le_bytes());
+            out.extend_from_slice(&watermark.to_le_bytes());
+        }
+    }
+    out
+}
+
+fn decode_epoch_map(bytes: &[u8]) -> Option<EpochMap> {
+    if bytes.len() != 17 {
+        return None;
+    }
+    let current = u32::from_le_bytes(bytes[..4].try_into().ok()?);
+    let pending = match bytes[4] {
+        0 => None,
+        _ => Some((
+            u32::from_le_bytes(bytes[5..9].try_into().ok()?),
+            u64::from_le_bytes(bytes[9..17].try_into().ok()?),
+        )),
+    };
+    Some(EpochMap { current, pending })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{EncryptionConfig, MetaLayout};
-    use vdisk_crypto::mem::SecretBytes;
+    use crate::config::MetaLayout;
+    use crate::{EncryptedImage, RekeyDriver};
     use vdisk_crypto::rng::SeededIvSource;
 
-    fn chain_with(config: &EncryptionConfig, epochs: &[u32]) -> KeyChain {
-        let mut chain: Option<KeyChain> = None;
-        for &epoch in epochs {
-            let master = SecretBytes::from(vec![0x10 + epoch as u8; 64]);
-            let codec = SectorCodec::new(config, &master, epoch).unwrap();
-            match chain.as_mut() {
-                None => chain = Some(KeyChain::new(epoch, codec)),
-                Some(chain) => chain.install(epoch, codec),
-            }
-        }
-        chain.unwrap()
+    fn codecs_for(config: &EncryptionConfig, epochs: &[u32]) -> Codecs {
+        Codecs(
+            epochs
+                .iter()
+                .map(|&epoch| {
+                    let master = SecretBytes::from(vec![0x10 + epoch as u8; 64]);
+                    (epoch, SectorCodec::new(config, &master, epoch).unwrap())
+                })
+                .collect(),
+        )
     }
 
     #[test]
@@ -287,27 +679,26 @@ mod tests {
     #[test]
     fn tagged_entries_route_to_their_epoch() {
         let config = EncryptionConfig::random_iv(MetaLayout::ObjectEnd);
-        let mut chain = chain_with(&config, &[0, 1]);
+        let codecs = codecs_for(&config, &[0, 1]);
         let mut rng = SeededIvSource::new(3);
         let ss = config.sector_size as usize;
 
         // Encrypt one sector under epoch 0, another under epoch 1.
         let mut old = vec![0xAA; ss];
         let mut metas = Vec::new();
-        chain
+        codecs
             .encrypt_sectors(7, 0, &mut old, &mut metas, &mut rng, EpochMap::uniform(0))
             .unwrap();
-        chain.set_current(1);
         let mut new = vec![0xBB; ss];
-        chain
+        codecs
             .encrypt_sectors(8, 0, &mut new, &mut metas, &mut rng, EpochMap::uniform(1))
             .unwrap();
-        assert_eq!(entry_epoch(&metas[..chain.meta_entry_len()]), Some(0));
-        assert_eq!(entry_epoch(&metas[chain.meta_entry_len()..]), Some(1));
+        assert_eq!(entry_epoch(&metas[..codecs.meta_entry_len()]), Some(0));
+        assert_eq!(entry_epoch(&metas[codecs.meta_entry_len()..]), Some(1));
 
         // One mixed-epoch run decrypts sector-by-sector to the right key.
         let mut run = [old, new].concat();
-        chain
+        codecs
             .decrypt_sectors(7, None, &mut run, &metas, EpochMap::uniform(1))
             .unwrap();
         assert_eq!(&run[..ss], &vec![0xAA; ss][..]);
@@ -317,8 +708,8 @@ mod tests {
     #[test]
     fn missing_epoch_is_a_clear_error() {
         let config = EncryptionConfig::random_iv(MetaLayout::Omap);
-        let full = chain_with(&config, &[0, 1]);
-        let short = chain_with(&config, &[1]);
+        let full = codecs_for(&config, &[0, 1]);
+        let short = codecs_for(&config, &[1]);
         let mut rng = SeededIvSource::new(4);
         let ss = config.sector_size as usize;
         let mut data = vec![0x55; ss];
@@ -334,7 +725,7 @@ mod tests {
     #[test]
     fn baseline_routes_by_the_captured_map() {
         let config = EncryptionConfig::luks2_baseline();
-        let mut chain = chain_with(&config, &[0, 1]);
+        let codecs = codecs_for(&config, &[0, 1]);
         let mut rng = SeededIvSource::new(5);
         let ss = config.sector_size as usize;
         // Sector 4 encrypted under epoch 1 (below watermark 5), sector
@@ -343,24 +734,23 @@ mod tests {
             current: 1,
             pending: Some((0, 5)),
         };
-        chain.set_current(1);
         let mut run = vec![0x77; 2 * ss];
         let mut metas = Vec::new();
-        chain
+        codecs
             .encrypt_sectors(4, 0, &mut run, &mut metas, &mut rng, map)
             .unwrap();
         assert!(metas.is_empty(), "baseline stores no metadata");
-        chain.decrypt_sectors(4, None, &mut run, &[], map).unwrap();
+        codecs.decrypt_sectors(4, None, &mut run, &[], map).unwrap();
         assert_eq!(run, vec![0x77; 2 * ss]);
 
         // Decrypting with the wrong map (uniform new epoch) garbles the
         // not-yet-migrated sector but not the migrated one.
         let mut reencrypted = vec![0x77; 2 * ss];
         let mut metas = Vec::new();
-        chain
+        codecs
             .encrypt_sectors(4, 0, &mut reencrypted, &mut metas, &mut rng, map)
             .unwrap();
-        chain
+        codecs
             .decrypt_sectors(4, None, &mut reencrypted, &[], EpochMap::uniform(1))
             .unwrap();
         assert_eq!(&reencrypted[..ss], &vec![0x77; ss][..]);
@@ -372,16 +762,143 @@ mod tests {
         // An unwritten sector's all-zero entry has no meaningful epoch
         // tag; it must zero-fill even if its "tag" (0) were unknown.
         let config = EncryptionConfig::random_iv(MetaLayout::ObjectEnd);
-        let chain = chain_with(&config, &[2]);
-        let me = chain.meta_entry_len();
+        let codecs = codecs_for(&config, &[2]);
+        let me = codecs.meta_entry_len();
         let ss = config.sector_size as usize;
         let mut data = vec![0xFF; ss];
         assert_eq!(
-            chain
+            codecs
                 .decrypt_one(0, None, &mut data, &vec![0u8; me], EpochMap::uniform(2))
                 .unwrap(),
             SectorState::Unwritten
         );
         assert_eq!(data, vec![0u8; ss]);
+    }
+
+    // ------------------------------------------------- key residency
+
+    const OLD_PASS: &[u8] = b"old passphrase";
+    const NEW_PASS: &[u8] = b"new passphrase";
+    const IMAGE_SIZE: u64 = 1 << 20;
+    const OBJECT_SIZE: u64 = 256 << 10;
+
+    fn pattern(tag: u8) -> Vec<u8> {
+        (0..IMAGE_SIZE).map(|i| (i % 251) as u8 ^ tag).collect()
+    }
+
+    fn format(cluster: &vdisk_rados::Cluster, config: &EncryptionConfig) -> EncryptedImage {
+        let image =
+            Image::create_with_object_size(cluster, "keys", IMAGE_SIZE, OBJECT_SIZE).unwrap();
+        EncryptedImage::format_with_iv_source(
+            image,
+            config,
+            OLD_PASS,
+            Box::new(SeededIvSource::new(11)),
+        )
+        .unwrap()
+    }
+
+    fn reopen(cluster: &vdisk_rados::Cluster, passphrase: &[u8]) -> EncryptedImage {
+        EncryptedImage::open(Image::open(cluster, "keys").unwrap(), passphrase).unwrap()
+    }
+
+    fn migrate(disk: &mut EncryptedImage, driver: &mut RekeyDriver) {
+        while !driver.step(disk).unwrap().is_complete() {}
+    }
+
+    /// A handle holds master keys only while a rekey is in flight: none
+    /// after `format` or an idle `open`, the `(from, to)` pair from
+    /// `rekey_begin` — and again after a mid-rekey reopen — until
+    /// `finish` wipes it. The retired epoch's codec outlives its master
+    /// key, so a snapshot frozen under it still reads.
+    #[test]
+    fn master_keys_are_resident_only_mid_rekey() {
+        for config in [
+            EncryptionConfig::luks2_baseline(),
+            EncryptionConfig::random_iv(MetaLayout::ObjectEnd),
+        ] {
+            let cluster = vdisk_rados::Cluster::builder().build();
+            let mut disk = format(&cluster, &config);
+            assert_eq!(disk.keys_mut().master_keys_held(), 0, "{config:?}: format");
+            let frozen = pattern(0x3C);
+            disk.write(0, &frozen).unwrap();
+            let snap = disk.snap_create("epoch-0").unwrap();
+            disk.write(0, &pattern(0x5A)).unwrap();
+            drop(disk);
+
+            let mut disk = reopen(&cluster, OLD_PASS);
+            assert_eq!(
+                disk.keys_mut().master_keys_held(),
+                0,
+                "{config:?}: idle open"
+            );
+            let mut driver = disk
+                .rekey_begin_with_iterations(OLD_PASS, NEW_PASS, 25)
+                .unwrap()
+                .with_chunk_sectors(8);
+            assert_eq!(disk.keys_mut().master_keys_held(), 2, "{config:?}: begin");
+            assert!(!driver.step(&mut disk).unwrap().is_complete());
+            drop(disk);
+
+            let mut disk = reopen(&cluster, NEW_PASS);
+            let mut driver = disk.rekey_resume().expect("rekey in flight");
+            assert_eq!(disk.keys_mut().master_keys_held(), 2, "{config:?}: resume");
+            migrate(&mut disk, &mut driver);
+            driver.finish(&mut disk).unwrap();
+            assert_eq!(disk.keys_mut().master_keys_held(), 0, "{config:?}: finish");
+
+            let mut buf = vec![0u8; IMAGE_SIZE as usize];
+            disk.read_at_snap(snap, 0, &mut buf).unwrap();
+            assert!(buf == frozen, "{config:?}: retired-epoch snapshot diverged");
+            disk.read(0, &mut buf).unwrap();
+            assert!(buf == pattern(0x5A), "{config:?}: head diverged");
+        }
+    }
+
+    /// A `finish` that loses the header CAS keeps the rekey in flight
+    /// and its master keys resident — the pair is wiped only once the
+    /// retirement persists — so a reopened handle can still finish,
+    /// and the retired epoch's snapshot still reads.
+    #[test]
+    fn contended_finish_keeps_the_rekey_and_its_keys() {
+        let config = EncryptionConfig::random_iv(MetaLayout::ObjectEnd);
+        let cluster = vdisk_rados::Cluster::builder().build();
+        let mut disk = format(&cluster, &config);
+        let frozen = pattern(0x71);
+        disk.write(0, &frozen).unwrap();
+        let snap = disk.snap_create("epoch-0").unwrap();
+        let mut driver = disk
+            .rekey_begin_with_iterations(OLD_PASS, NEW_PASS, 25)
+            .unwrap();
+        migrate(&mut disk, &mut driver);
+
+        // Another handle's header update bumps the generation.
+        let mut other = reopen(&cluster, NEW_PASS);
+        other.add_passphrase(NEW_PASS, b"third").unwrap();
+        drop(other);
+
+        assert!(matches!(
+            driver.finish(&mut disk),
+            Err(CryptError::HeaderContended)
+        ));
+        assert!(
+            disk.rekey_status().is_some(),
+            "the loser's rekey is still in flight"
+        );
+        assert_eq!(
+            disk.keys_mut().master_keys_held(),
+            2,
+            "the loser keeps its pair"
+        );
+        drop(disk);
+
+        let mut disk = reopen(&cluster, NEW_PASS);
+        let driver = disk.rekey_resume().expect("rekey still in flight");
+        driver.finish(&mut disk).unwrap();
+        assert!(disk.rekey_status().is_none());
+        assert_eq!(disk.keys_mut().master_keys_held(), 0);
+        let mut buf = vec![0u8; IMAGE_SIZE as usize];
+        disk.read_at_snap(snap, 0, &mut buf).unwrap();
+        assert!(buf == frozen, "retired-epoch snapshot diverged");
     }
 }

@@ -182,6 +182,15 @@ pub struct LuksHeader {
     slots: Vec<Keyslot>,
 }
 
+impl Drop for LuksHeader {
+    fn drop(&mut self) {
+        // Every copy wipes its wrapped blobs — the live header, a
+        // staged update that lost its CAS, a replaced one — so no
+        // passphrase-derivable material lingers on the heap.
+        self.shred();
+    }
+}
+
 impl fmt::Debug for LuksHeader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Slot/epoch/retired entries redact their own key fields; the

@@ -65,6 +65,7 @@ use crate::luks::WindowIntent;
 use crate::runtime::{Runtime, TenantHandle, TenantSpec};
 use crate::{CryptError, IoOp, IoPayload, Result};
 use std::collections::HashMap;
+use vdisk_rados::{RadosError, ReadOp, ReadResult};
 
 /// Default sectors per migration chunk (64 KiB at 4 KiB sectors).
 pub const DEFAULT_CHUNK_SECTORS: u64 = 16;
@@ -139,6 +140,7 @@ impl RekeyDriver {
     /// Panics if `sectors` is 0.
     #[must_use]
     pub fn with_chunk_sectors(mut self, sectors: u64) -> Self {
+        // vdisk-lint: allow(hot-path-panic) reason="documented panic on caller input, at driver setup: a zero chunk would never advance the watermark"
         assert!(sectors > 0, "chunk must cover at least one sector");
         self.chunk_sectors = sectors;
         self
@@ -151,6 +153,7 @@ impl RekeyDriver {
     /// Panics if `depth` is 0.
     #[must_use]
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
+        // vdisk-lint: allow(hot-path-panic) reason="documented panic on caller input, at driver setup: a zero-depth window would never migrate a chunk"
         assert!(depth > 0, "queue depth must be at least 1");
         self.queue_depth = depth;
         self.effective_depth = depth;
@@ -251,15 +254,14 @@ impl RekeyDriver {
         // reopened after) started rewriting the window without proving
         // it landed. Recover it — skip chunks whose migration-proof
         // marker committed, re-migrate the rest — before any new work.
-        if let Some(intent) = disk.rekey_window_intent() {
+        if let Some(intent) = disk.rekey_status().and_then(|state| state.intent) {
             if let Err(e) = self.recover_window(disk, intent) {
-                disk.rollback_rekey_boundary(intent.start);
-                disk.clear_rekey_markers();
+                disk.keys_mut().rewind_window(intent.start);
                 return Err(e);
             }
             // Publishing the recovered watermark clears the intent in
             // the same header update.
-            disk.persist_rekey_watermark()?;
+            disk.keys_mut().publish_watermark()?;
             return self.progress(disk);
         }
         // Adapt to client pressure observed since the previous step.
@@ -291,7 +293,7 @@ impl RekeyDriver {
         // here until the watermark advance clears it, every chunk in
         // [start, window_end) is "in doubt" and a crash recovers it
         // through the marker protocol above.
-        disk.persist_rekey_intent(WindowIntent {
+        disk.keys_mut().record_intent(WindowIntent {
             start,
             end: window_end,
             chunk_sectors: self.chunk_sectors,
@@ -303,8 +305,7 @@ impl RekeyDriver {
         // retried step recovers the window through the proof markers
         // instead of silently skipping it.
         if let Err(e) = self.migrate_window(disk, start, window_end) {
-            disk.rollback_rekey_boundary(start);
-            disk.clear_rekey_markers();
+            disk.keys_mut().rewind_window(start);
             return Err(e);
         }
         // Our own window's submissions must not read as "pressure" in
@@ -313,7 +314,7 @@ impl RekeyDriver {
         // Publish the progress. On a persist failure the rewrites have
         // already landed, so the in-memory watermark (the truth for
         // this handle) stays advanced; the error still propagates.
-        disk.persist_rekey_watermark()?;
+        disk.keys_mut().publish_watermark()?;
         self.progress(disk)
     }
 
@@ -340,36 +341,56 @@ impl RekeyDriver {
         let spo = disk.geometry().sectors_per_object;
         // A watermark persist that failed *after* its window fully
         // migrated leaves this handle's in-memory boundary already at
-        // the window end while the intent survives in the restored
-        // header. Realign to the intent: every chunk of such a window
-        // is proven (each marker committed atomically with its
-        // rewrite), so the walk below re-advances without a single
-        // read and merely retries the publish.
-        if disk
-            .rekey_status()
-            .is_some_and(|s| s.watermark != intent.start)
-        {
-            disk.rollback_rekey_boundary(intent.start);
-        }
+        // the window end while the intent survives in the header.
+        // Realign to the intent: every chunk of such a window is
+        // proven (each marker committed atomically with its rewrite),
+        // so the walk below re-advances without a single read and
+        // merely retries the publish.
+        disk.keys_mut().rewind_window(intent.start);
         let mut chunk = intent.start;
         while chunk < intent.end {
             let sectors = Self::chunk_span(intent.chunk_sectors, spo, chunk, intent.end);
             let offset = chunk * ss;
             let len = (sectors * ss) as usize;
-            if disk.rekey_chunk_proven(self.to, offset)? {
+            if self.chunk_proven(disk, offset)? {
                 // The marker committed with the chunk's rewrite: it
                 // provably landed under the new epoch.
-                disk.advance_rekey_boundary(chunk + sectors);
+                disk.keys_mut().advance_watermark(chunk + sectors);
             } else {
                 let mut plaintext = vec![0u8; len];
                 disk.read(offset, &mut plaintext)?;
-                disk.advance_rekey_boundary(chunk + sectors);
-                disk.arm_rekey_marker(offset, len);
+                let keys = disk.keys_mut();
+                keys.advance_watermark(chunk + sectors);
+                keys.arm_marker(offset, len, self.marker(offset));
                 disk.write_owned(offset, plaintext)?;
             }
             chunk += sectors;
         }
         Ok(())
+    }
+
+    /// The migration-proof marker of the chunk at byte `offset`: an
+    /// xattr the chunk's rewrite stamps onto its own transaction (see
+    /// the crash-recovery notes in the [module docs](self)). Keyed by
+    /// the target epoch, so stale markers from an earlier rekey never
+    /// vouch for this one.
+    fn marker(&self, offset: u64) -> String {
+        format!("rekey.mark.{}.{offset}", self.to)
+    }
+
+    /// Whether the chunk at byte `offset` carries its migration-proof
+    /// marker — whether its rewrite under the new key durably landed
+    /// before a crash. A missing object proves nothing landed there
+    /// (`false`), which is still safe: re-migration is idempotent.
+    fn chunk_proven(&self, disk: &EncryptedImage, offset: u64) -> Result<bool> {
+        let image = disk.image();
+        let object = image.object_name(offset / image.object_size());
+        let probe = [ReadOp::GetXattr(self.marker(offset))];
+        match image.cluster().read(&object, None, &probe) {
+            Ok((results, _)) => Ok(matches!(results.first(), Some(ReadResult::Xattr(Some(_))))),
+            Err(RadosError::NoSuchObject(_)) => Ok(false),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Phases 1–3 of one [`RekeyDriver::step`] window, always through
@@ -412,7 +433,8 @@ impl RekeyDriver {
         queue
             .inner_mut()
             .backend_mut()
-            .advance_rekey_boundary(window_end);
+            .keys_mut()
+            .advance_watermark(window_end);
         // Phase 3: pipeline — whichever read lands first is rewritten
         // first; writes drain alongside the remaining reads, paced by
         // the scheduler's grants.
@@ -430,10 +452,11 @@ impl RekeyDriver {
                 // write's (offset, len): the arbiter may defer this
                 // write into the backlog, and the marker is consumed
                 // only when the write actually submits.
-                queue
-                    .inner_mut()
-                    .backend_mut()
-                    .arm_rekey_marker(offset, plaintext.len());
+                queue.inner_mut().backend_mut().keys_mut().arm_marker(
+                    offset,
+                    plaintext.len(),
+                    self.marker(offset),
+                );
                 queue.submit_blocking(IoOp::Write {
                     offset,
                     data: plaintext,
@@ -462,8 +485,13 @@ impl RekeyDriver {
     /// # Errors
     ///
     /// [`CryptError::RekeyInProgress`] if sectors remain unmigrated,
-    /// [`CryptError::HeaderContended`] on a concurrent header update.
+    /// [`CryptError::NoRekeyInProgress`] as [`RekeyDriver::progress`],
+    /// [`CryptError::HeaderContended`] on a concurrent header update
+    /// (the rekey stays in flight; reopen the image and finish there).
     pub fn finish(self, disk: &mut EncryptedImage) -> Result<()> {
-        disk.rekey_finish(self.from, self.to)
+        if !self.is_complete(disk)? {
+            return Err(CryptError::RekeyInProgress);
+        }
+        disk.keys_mut().finish_rekey()
     }
 }

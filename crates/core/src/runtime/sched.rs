@@ -116,6 +116,7 @@ pub(crate) struct Arbiter {
 
 impl Arbiter {
     pub(crate) fn new(budget: usize) -> Arbiter {
+        // vdisk-lint: allow(hot-path-panic) reason="documented panic of Runtime::new: a zero budget could never dispatch, so every tenant would hang instead"
         assert!(budget > 0, "runtime in-flight budget must be at least 1");
         Arbiter {
             budget,
@@ -147,11 +148,10 @@ impl Arbiter {
     }
 
     pub(crate) fn register(&mut self, spec: &TenantSpec) -> TenantId {
-        assert!(spec.weight >= 1, "tenant weight must be at least 1");
-        assert!(spec.qd_cap >= 1, "tenant QD cap must be at least 1");
+        // vdisk-lint: allow(hot-path-panic) reason="documented panic of Runtime::register on caller input, at setup: a zero cap never admits an op and a zero weight has no fair share"
         assert!(
-            spec.backlog_cap >= 1,
-            "tenant backlog cap must be at least 1"
+            spec.weight >= 1 && spec.qd_cap >= 1 && spec.backlog_cap >= 1,
+            "tenant weight, QD cap and backlog cap must each be at least 1"
         );
         // vdisk-lint: allow(hot-path-panic) reason="registration is setup-path; more than u32::MAX tenants is a configuration bug, not an IO fault"
         let id = TenantId(u32::try_from(self.tenants.len()).expect("tenant count fits u32"));
@@ -173,6 +173,7 @@ impl Arbiter {
 
     pub(crate) fn attach(&mut self, id: TenantId, bell: Arc<Doorbell>) {
         let state = self.tenant_mut(id);
+        // vdisk-lint: allow(hot-path-panic) reason="documented panic of TenantHandle::attach: a second queue would share the tenant's one bell and budget slots"
         assert!(
             !state.attached,
             "tenant {} already has an attached queue",

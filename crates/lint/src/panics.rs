@@ -7,21 +7,34 @@
 //!
 //! Denied inside hot-path modules (outside `#[cfg(test)]`):
 //! `.unwrap()`, `.expect(...)`, `panic!`, `unreachable!`, `todo!`,
-//! `unimplemented!` ([`Rule::HotPathPanic`]), direct slice/array
+//! `unimplemented!`, and the release asserts `assert!`, `assert_eq!`
+//! and `assert_ne!` ([`Rule::HotPathPanic`]), direct slice/array
 //! indexing ([`Rule::HotPathIndex`]), and any path through the
-//! `vdisk_sim` crate ([`Rule::HotPathSim`]).
+//! `vdisk_sim` crate ([`Rule::HotPathSim`]). A release assert is a
+//! panic site like any other: one that guards a real invariant keeps
+//! its allow, with the invariant as the reason.
 //!
 //! Explicitly **not** flagged: the workspace's poison-recovery idiom
 //! `lock().unwrap_or_else(PoisonError::into_inner)` (it is
 //! `unwrap_or_else`, a non-panicking total method), `unwrap_or`,
-//! `unwrap_or_default`, and `debug_assert!` (compiled out of release
-//! builds, which are what production runs).
+//! `unwrap_or_default`, and `debug_assert!` / `debug_assert_eq!` /
+//! `debug_assert_ne!` (compiled out of release builds, which are what
+//! production runs).
 
 use crate::lexer::{Token, TokenKind};
 use crate::{Finding, PreparedFile, Rule};
 
-/// Macro names that unconditionally panic when reached.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+/// Macro names that panic when reached (the asserts, when their
+/// condition fails). The `debug_*` asserts are other identifiers.
+const PANIC_MACROS: &[&str] = &[
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+];
 
 /// Runs the hot-path rules over one file (no-op unless the file is in
 /// the hot-path registry).

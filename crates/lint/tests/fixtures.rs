@@ -188,6 +188,30 @@ pub fn risky(v: &[u8]) -> u8 {
 }
 
 #[test]
+fn hot_path_release_asserts_flagged_but_not_debug_asserts() {
+    let src = "\
+pub fn check(a: u8, b: u8) {
+    assert!(a > 0, \"a\");
+    assert_eq!(a, b);
+    assert_ne!(a, 7);
+    debug_assert!(b > 0);
+    debug_assert_eq!(a, b);
+    debug_assert_ne!(b, 7);
+}
+";
+    let a = run(&[("crates/fix/src/hot.rs", src)], &fixture_config());
+    assert_eq!(
+        rules_and_lines(&a),
+        vec![
+            (Rule::HotPathPanic, 2),
+            (Rule::HotPathPanic, 3),
+            (Rule::HotPathPanic, 4),
+        ],
+        "release asserts flag, debug asserts do not"
+    );
+}
+
+#[test]
 fn hot_path_indexing_flagged() {
     let src = "\
 pub fn head(v: &[u8]) -> u8 {

@@ -33,12 +33,14 @@ pub enum PayloadMode {
 /// 1 GiB of hot data at a 4 KiB sector size).
 pub const DEFAULT_META_CACHE_BYTES: u64 = 4 << 20;
 
+/// Placement groups objects hash into (what `cluster.meta` records).
+const PG_COUNT: u64 = 128;
+
 /// Configures and builds a [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
     osd_count: usize,
     replicas: usize,
-    pg_count: u64,
     shard_count: usize,
     concurrent_apply: Option<bool>,
     meta_cache_bytes: u64,
@@ -62,7 +64,6 @@ impl Default for ClusterBuilder {
         ClusterBuilder {
             osd_count: 3,
             replicas: 3,
-            pg_count: 128,
             shard_count: 8,
             concurrent_apply: None,
             meta_cache_bytes: DEFAULT_META_CACHE_BYTES,
@@ -112,13 +113,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn replicas(mut self, n: usize) -> Self {
         self.replicas = n;
-        self
-    }
-
-    /// Placement-group count (default 128).
-    #[must_use]
-    pub fn pg_count(mut self, n: u64) -> Self {
-        self.pg_count = n;
         self
     }
 
@@ -194,7 +188,8 @@ impl ClusterBuilder {
     /// [`BackendKind::File`] makes every transaction commit durable
     /// (logged and `fsync`ed) under the given directory and reopens a
     /// directory formatted by an earlier cluster, provided the geometry
-    /// (`osd_count`, `replicas`, `pg_count`, `shard_count`) matches.
+    /// (`osd_count`, `replicas`, `shard_count`, and the placement-group
+    /// count `cluster.meta` records) matches.
     #[must_use]
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
@@ -254,7 +249,7 @@ impl ClusterBuilder {
     /// # Errors
     ///
     /// - [`RadosError::InvalidConfig`] if `osd_count`, `replicas`,
-    ///   `pg_count`, `shard_count` or `crypto_lanes` is zero, if
+    ///   `shard_count` or `crypto_lanes` is zero, if
     ///   `replicas > osd_count`, or if a file backend's directory was
     ///   formatted with a different geometry.
     /// - [`RadosError::Io`] if a file backend's directory cannot be
@@ -263,7 +258,6 @@ impl ClusterBuilder {
         for (knob, value) in [
             ("osd_count", self.osd_count as u64),
             ("replicas", self.replicas as u64),
-            ("pg_count", self.pg_count),
             ("shard_count", self.shard_count as u64),
             ("crypto_lanes", self.crypto_lanes as u64),
         ] {
@@ -280,7 +274,7 @@ impl ClusterBuilder {
             )));
         }
 
-        let placement = PlacementMap::new(self.osd_count, self.replicas, self.pg_count);
+        let placement = PlacementMap::new(self.osd_count, self.replicas, PG_COUNT);
 
         // A file backend roots itself before the shards open: the meta
         // file decides whether this is a format or a reopen, and a
@@ -291,7 +285,7 @@ impl ClusterBuilder {
                 let geometry = ClusterMeta {
                     osd_count: self.osd_count,
                     replicas: self.replicas,
-                    pg_count: self.pg_count,
+                    pg_count: PG_COUNT,
                     shard_count: self.shard_count,
                     snap_seq: 0,
                 };

@@ -581,6 +581,7 @@ impl Cluster {
     /// Panics if `shard >= shard_count()`.
     #[must_use]
     pub fn hold_shard(&self, shard: usize) -> ShardHold {
+        // vdisk-lint: allow(hot-path-panic) reason="documented panic of a test-and-bench hook on caller input; no IO path calls hold_shard"
         assert!(shard < self.shards.len(), "shard index out of range");
         let gate = Arc::new(Progress::new(1));
         let released = !self.workers_enabled();

@@ -54,15 +54,6 @@ fn try_build_rejects_zero_replicas() {
 }
 
 #[test]
-fn try_build_rejects_zero_pg_count() {
-    let err = Cluster::builder().pg_count(0).try_build().unwrap_err();
-    assert_eq!(
-        err,
-        RadosError::InvalidConfig("pg_count must be at least 1".into())
-    );
-}
-
-#[test]
 fn try_build_rejects_zero_shard_count() {
     let err = Cluster::builder().shard_count(0).try_build().unwrap_err();
     assert_eq!(

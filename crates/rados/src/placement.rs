@@ -6,8 +6,6 @@
 //! mapping with no directory lookup) and uniformity (objects spread
 //! evenly over PGs and OSDs).
 
-use std::hash::Hasher;
-
 /// Identifies an OSD (index into the cluster's OSD list).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OsdId(pub usize);
@@ -110,11 +108,6 @@ impl PlacementMap {
         self.osd_count
     }
 }
-
-// Silence the unused-import lint while keeping the std Hasher trait in
-// scope for future swap-in of other hash functions.
-#[allow(unused)]
-fn _assert_hasher_available<H: Hasher>(_: H) {}
 
 #[cfg(test)]
 mod tests {
