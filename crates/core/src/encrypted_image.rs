@@ -193,8 +193,10 @@ impl EncryptedImage {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptError::WrongPassphrase`] if no keyslot matches,
-    /// or [`CryptError::HeaderCorrupt`] if the header fails to parse.
+    /// Returns [`CryptError::WrongPassphrase`] if no keyslot of the
+    /// current epoch matches, [`CryptError::RekeyInProgress`] if one
+    /// does but, mid-rekey, none of the retiring epoch does, or
+    /// [`CryptError::HeaderCorrupt`] if the header fails to parse.
     pub fn open(image: Image, passphrase: &[u8]) -> Result<EncryptedImage> {
         Self::open_with_iv_source(image, passphrase, Box::new(OsIvSource::new()))
     }
@@ -236,7 +238,9 @@ impl EncryptedImage {
     }
 
     /// Adds a new passphrase (authorized by an existing one) and
-    /// persists the updated header.
+    /// persists the updated header. Mid-rekey the new passphrase is
+    /// bound to both epochs of the migration, like `rekey_begin`'s, so
+    /// it opens the image as fully as the passphrase that authorized it.
     ///
     /// # Errors
     ///
@@ -400,17 +404,26 @@ impl EncryptedImage {
     /// shard's write-submission epoch, so cache fills whose
     /// submit→reap window spans the snapshot are abandoned too.
     ///
+    /// On the baseline layout the snapshot's key epochs are the crypt
+    /// header's clone at the snapshot, so the stored header must be
+    /// the one the data obeys. It is, except while a rekey window's
+    /// intent is outstanding (a failed or crashed window, or a failed
+    /// watermark publish): its chunks are in doubt and this handle's
+    /// watermark may differ from the stored one. The next
+    /// [`RekeyDriver::step`] recovers the window and clears the intent.
+    ///
     /// # Errors
     ///
-    /// As [`Image::snap_create`].
+    /// As [`Image::snap_create`]; on the baseline layout
+    /// [`CryptError::RekeyInProgress`] while a window intent is
+    /// outstanding.
     pub fn snap_create(&self, name: &str) -> Result<SnapId> {
+        let window_in_doubt = self.keys.rekey().is_some_and(|s| s.intent.is_some());
+        if window_in_doubt && !self.placement.stores_meta() {
+            return Err(CryptError::RekeyInProgress);
+        }
         let snap = self.image.snap_create(name)?;
         self.meta_cache.invalidate_all();
-        if !self.placement.stores_meta() {
-            // Tagged entries route themselves; the baseline's snapshot
-            // needs its epoch map recorded.
-            self.keys.record_snap(snap)?;
-        }
         Ok(snap)
     }
 
@@ -873,12 +886,13 @@ impl EncryptedImage {
         // Capture the epoch map governing the data this read will
         // fetch: per-shard FIFO orders the fetch after every write
         // submitted before now and before any submitted later, so the
-        // submit-time map (head, or the snapshot's frozen map) is
-        // exactly right at reap — however far the rekey watermark has
-        // moved in between.
+        // submit-time map (head, or the baseline snapshot's frozen
+        // map) is exactly right at reap — however far the rekey
+        // watermark has moved in between. Tagged entries route
+        // themselves, so only a baseline snapshot reads its map.
         let epochs = match snap {
-            None => self.keys.head_map(),
-            Some(snap) => self.keys.snap_map(snap),
+            Some(snap) if !self.placement.stores_meta() => self.keys.snap_map(snap)?,
+            _ => self.keys.head_map(),
         };
         if len == 0 {
             // Match the synchronous path's no-op: no sector is fetched

@@ -1,7 +1,7 @@
 //! The key chain: the one owner of an image's key-lifecycle state —
-//! the encryption header, every key epoch's sector codec, the
-//! baseline snapshots' epoch maps, the rekey driver's armed migration
-//! markers and, only while a rekey is in flight, its master-key pair.
+//! the encryption header, every key epoch's sector codec, the rekey
+//! driver's armed migration markers and, only while a rekey is in
+//! flight, its master-key pair.
 //!
 //! An image's master key is versioned by **key epochs** (see
 //! [`crate::luks`]): epoch 0 is the format-time key, every online
@@ -21,7 +21,11 @@
 //!   epoch, sectors at or above still carry the old one. An
 //!   [`EpochMap`] snapshots that rule at submit time, which — combined
 //!   with the store's per-shard FIFO ordering — pins the right key to
-//!   the right bytes even with IO and rekey in flight concurrently.
+//!   the right bytes even with IO and rekey in flight concurrently. A
+//!   snapshot's map is the header *as of the snapshot*: snapshots are
+//!   cluster-wide, so the crypt-header object's clone at the snapshot
+//!   holds the epoch and watermark the snapshot froze under
+//!   ([`KeyChain::snap_map`]).
 //!
 //! Every header change goes through [`KeyChain::commit`]: it stages
 //! the change on a copy, persists the copy CASed on the `luks.gen`
@@ -36,26 +40,20 @@
 //! — and are wiped when the finish persists. An idle handle holds none.
 
 use crate::config::{EncryptionConfig, KEY_EPOCH_TAG_LEN};
-use crate::luks::{LuksHeader, RekeyState, WindowIntent};
+use crate::luks::{LuksHeader, RekeyState, WindowIntent, DEFAULT_ITERATIONS};
 use crate::sector::SectorCodec;
 #[cfg(test)]
 use crate::sector::SectorState;
 use crate::{CryptError, Result};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Mutex, PoisonError};
 use vdisk_crypto::mem::SecretBytes;
 use vdisk_crypto::rng::IvSource;
-use vdisk_rados::{Cluster, RadosError, ReadOp, SnapId, Transaction};
+use vdisk_rados::{Cluster, RadosError, ReadOp, ReadResult, SnapId, Transaction};
 use vdisk_rbd::Image;
 
 /// Xattr on the crypt-header object carrying the header generation —
 /// the CAS token serializing concurrent header updates.
 const GEN_XATTR: &str = "luks.gen";
-
-/// OMAP key prefix (on the crypt-header object) recording each
-/// snapshot's epoch map — how baseline-layout snapshot reads know
-/// which sectors carried which key epoch when the snapshot froze.
-const SNAP_EPOCH_PREFIX: &str = "snapepoch.";
 
 /// Which key epoch governs each sector — captured at **submit** time,
 /// so a queued IO decrypts (or encrypted) with the epochs that were
@@ -111,10 +109,6 @@ pub(crate) struct KeyChain {
     codecs: Codecs,
     /// `None` when no rekey is in flight.
     rekey_pair: Option<MasterPair>,
-    /// Baseline-layout snapshots' epoch maps (snap id → map at
-    /// creation), mirrored from the crypt-header object's OMAP.
-    /// Interior-mutable: `snap_create` records through `&self`.
-    snap_epochs: Mutex<BTreeMap<u64, EpochMap>>,
     /// Migration-proof markers armed by [`crate::RekeyDriver`]: the
     /// next write matching `(offset, len)` stamps the named xattr onto
     /// its (single) transaction, so the chunk's data and its
@@ -148,7 +142,6 @@ impl KeyChain {
             header,
             codecs: Codecs(BTreeMap::from([(0, codec)])),
             rekey_pair: None,
-            snap_epochs: Mutex::new(BTreeMap::new()),
             armed_markers: HashMap::new(),
             cluster: image.cluster().clone(),
             object: Self::header_object(image),
@@ -160,32 +153,26 @@ impl KeyChain {
         Ok(chain)
     }
 
-    /// Reads `image`'s header and snapshot epoch maps and unlocks
-    /// every epoch `passphrase` reaches: the current one (mandatory),
-    /// the retiring one mid-rekey (through the bridge slot), and every
-    /// retired epoch through the wrap chain. Each gets a codec; only an
-    /// in-flight rekey's pair of master keys stays resident.
+    /// Reads `image`'s header and unlocks every epoch `passphrase`
+    /// reaches: the current one (mandatory), the retiring one
+    /// mid-rekey (through the bridge slot), and every retired epoch
+    /// through the wrap chain. Each gets a codec; only an in-flight
+    /// rekey's pair of master keys stays resident.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptError::WrongPassphrase`] if `passphrase` does not unlock
+    /// the current epoch; [`CryptError::RekeyInProgress`] if it does
+    /// but, mid-rekey, does not also unlock the retiring one (a slot
+    /// bound to the new epoch alone — such a handle could neither read
+    /// the unmigrated half nor finish).
     pub(crate) fn open(image: &Image, passphrase: &[u8]) -> Result<KeyChain> {
         let object = Self::header_object(image);
         let cluster = image.cluster().clone();
         let stat = cluster
             .stat(&object)
             .map_err(|_| CryptError::HeaderCorrupt("missing encryption header".into()))?;
-        let (results, _) = cluster.read(
-            &object,
-            None,
-            &[
-                ReadOp::Read {
-                    offset: 0,
-                    len: stat.size,
-                },
-                ReadOp::OmapGetRange {
-                    start: SNAP_EPOCH_PREFIX.as_bytes().to_vec(),
-                    end: format!("{SNAP_EPOCH_PREFIX}\u{ff}").into_bytes(),
-                },
-            ],
-        )?;
-        let header = LuksHeader::decode(results[0].as_data())?;
+        let header = Self::read_header(&cluster, &object, None, stat.size)?;
 
         let mut masters: BTreeMap<u32, SecretBytes> =
             header.unlock_all(passphrase).into_iter().collect();
@@ -205,36 +192,31 @@ impl KeyChain {
                 masters
                     .remove(&state.from)
                     .zip(masters.remove(&state.to))
-                    .ok_or_else(|| {
-                        CryptError::HeaderCorrupt(
-                            "rekey in flight but the retiring epoch is locked".into(),
-                        )
-                    })?,
+                    .ok_or(CryptError::RekeyInProgress)?,
             ),
         };
         // Every other master key is wiped as `masters` drops: the
         // codecs keep what decrypting needs.
-
-        let snap_epochs = results[1]
-            .as_omap()
-            .iter()
-            .filter_map(|(key, value)| {
-                let snap = std::str::from_utf8(&key[SNAP_EPOCH_PREFIX.len()..])
-                    .ok()?
-                    .parse()
-                    .ok()?;
-                Some((snap, decode_epoch_map(value)?))
-            })
-            .collect();
         Ok(KeyChain {
             header,
             codecs: Codecs(codecs),
             rekey_pair,
-            snap_epochs: Mutex::new(snap_epochs),
             armed_markers: HashMap::new(),
             cluster,
             object,
         })
+    }
+
+    /// Reads and decodes the `len`-byte header stored on `object` —
+    /// the head's, or its clone as of `snap`.
+    fn read_header(
+        cluster: &Cluster,
+        object: &str,
+        snap: Option<SnapId>,
+        len: u64,
+    ) -> Result<LuksHeader> {
+        let (results, _) = cluster.read(object, snap, &[ReadOp::Read { offset: 0, len }])?;
+        LuksHeader::decode(results[0].as_data())
     }
 
     /// The one header-update path: stages a change on a copy of the
@@ -301,50 +283,61 @@ impl KeyChain {
         }
     }
 
-    /// The epoch map governing a snapshot's ciphertext (recorded by
-    /// [`KeyChain::record_snap`]); falls back to the head map for
-    /// snapshots with none recorded.
-    pub(crate) fn snap_map(&self, snap: SnapId) -> EpochMap {
-        let recorded = self
-            .snap_epochs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&snap.0)
-            .copied();
-        recorded.unwrap_or_else(|| self.head_map())
-    }
-
-    /// Records the head's epoch map as `snap`'s: the baseline layout
-    /// has no per-sector epoch tags, so a snapshot must remember which
-    /// sectors carried which key when it froze (the head's map keeps
-    /// moving as rekeys migrate). Persisted next to the header,
-    /// mirrored in memory.
-    pub(crate) fn record_snap(&self, snap: SnapId) -> Result<()> {
-        let map = self.head_map();
-        let mut tx = Transaction::new(self.object.clone());
-        tx.omap_set(vec![(
-            format!("{SNAP_EPOCH_PREFIX}{}", snap.0).into_bytes(),
-            encode_epoch_map(map),
-        )]);
-        self.cluster.execute(tx)?;
-        self.snap_epochs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(snap.0, map);
-        Ok(())
+    /// The epoch map governing a baseline snapshot's ciphertext: the
+    /// header as of `snap`. Snapshots are cluster-wide, so the
+    /// crypt-header object's clone at `snap` holds the epoch and
+    /// watermark the snapshot froze under — the same fact the data
+    /// objects' clones froze with, taken in the same instant. Only the
+    /// baseline needs it: tagged entries route themselves.
+    ///
+    /// Exact because the stored header equals [`KeyChain::head_map`]
+    /// whenever a snapshot can be taken: `snap_create` refuses the
+    /// baseline while a window intent is outstanding, the one state in
+    /// which this handle's watermark and the stored one may differ.
+    ///
+    /// # Errors
+    ///
+    /// A store error, or [`CryptError::HeaderCorrupt`] if the clone
+    /// does not decode.
+    pub(crate) fn snap_map(&self, snap: SnapId) -> Result<EpochMap> {
+        let (stat, _) = self
+            .cluster
+            .read(&self.object, Some(snap), &[ReadOp::Stat])?;
+        let len = match stat.first() {
+            Some(&ReadResult::Stat { size }) => size,
+            _ => 0,
+        };
+        let header = Self::read_header(&self.cluster, &self.object, Some(snap), len)?;
+        Ok(EpochMap {
+            current: header.current_epoch(),
+            pending: header.rekey().map(|s| (s.from, s.watermark)),
+        })
     }
 
     /// Adds a passphrase (authorized by `existing`) for the current
-    /// epoch; returns its keyslot.
+    /// epoch; returns its keyslot. Mid-rekey it also takes a bridge
+    /// slot for the retiring epoch, as `rekey_begin` binds the new
+    /// passphrase, so it opens the image fully (`finish` drops the
+    /// bridge).
     pub(crate) fn add_passphrase(
         &mut self,
         existing: &[u8],
         new: &[u8],
         iv_source: &mut dyn IvSource,
     ) -> Result<usize> {
-        self.commit(|header, _| {
+        self.commit(|header, pair| {
             let master = header.unlock(existing)?;
             let slot = header.add_keyslot(new, &master, iv_source)?;
+            // The chain holds the pair exactly while a rekey is in flight.
+            if let Some((state, (from_master, _))) = header.rekey().zip(pair) {
+                header.add_keyslot_with_iterations(
+                    new,
+                    state.from,
+                    from_master,
+                    DEFAULT_ITERATIONS,
+                    iv_source,
+                )?;
+            }
             Ok((slot, KeyChange::None))
         })
     }
@@ -613,37 +606,6 @@ fn entry_epoch(entry: &[u8]) -> Option<u32> {
     Some(u32::from_le_bytes(tag))
 }
 
-/// Wire form of an [`EpochMap`] (the `snapepoch.*` OMAP values):
-/// `current u32 ‖ pending flag u8 ‖ from u32 ‖ watermark u64`, LE.
-fn encode_epoch_map(map: EpochMap) -> Vec<u8> {
-    let mut out = Vec::with_capacity(17);
-    out.extend_from_slice(&map.current.to_le_bytes());
-    match map.pending {
-        None => out.extend_from_slice(&[0u8; 13]),
-        Some((from, watermark)) => {
-            out.push(1);
-            out.extend_from_slice(&from.to_le_bytes());
-            out.extend_from_slice(&watermark.to_le_bytes());
-        }
-    }
-    out
-}
-
-fn decode_epoch_map(bytes: &[u8]) -> Option<EpochMap> {
-    if bytes.len() != 17 {
-        return None;
-    }
-    let current = u32::from_le_bytes(bytes[..4].try_into().ok()?);
-    let pending = match bytes[4] {
-        0 => None,
-        _ => Some((
-            u32::from_le_bytes(bytes[5..9].try_into().ok()?),
-            u64::from_le_bytes(bytes[9..17].try_into().ok()?),
-        )),
-    };
-    Some(EpochMap { current, pending })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -900,5 +862,119 @@ mod tests {
         let mut buf = vec![0u8; IMAGE_SIZE as usize];
         disk.read_at_snap(snap, 0, &mut buf).unwrap();
         assert!(buf == frozen, "retired-epoch snapshot diverged");
+    }
+
+    // ------------------------------------------- passphrases mid-rekey
+
+    const PRE_PASS: &[u8] = b"added before the rekey";
+    const MID_PASS: &[u8] = b"added mid-rekey";
+    const PARTIAL_PASS: &[u8] = b"bound to the new epoch alone";
+
+    /// What `open` returns for each probed passphrase, by name.
+    fn open_outcomes(cluster: &vdisk_rados::Cluster) -> Vec<(&'static str, &'static str)> {
+        [
+            ("old", OLD_PASS),
+            ("new", NEW_PASS),
+            ("pre", PRE_PASS),
+            ("mid", MID_PASS),
+            ("partial", PARTIAL_PASS),
+        ]
+        .into_iter()
+        .map(|(name, passphrase)| {
+            let outcome =
+                match EncryptedImage::open(Image::open(cluster, "keys").unwrap(), passphrase) {
+                    Ok(_) => "opens",
+                    Err(CryptError::WrongPassphrase) => "wrong passphrase",
+                    Err(CryptError::RekeyInProgress) => "rekey in progress",
+                    Err(e) => panic!("{name}: unexpected open error: {e}"),
+                };
+            (name, outcome)
+        })
+        .collect()
+    }
+
+    /// A passphrase that opens an image opens it fully: one added
+    /// mid-rekey is bound to both epochs of the migration, so its
+    /// handle reads both halves and can finish. `open` reports a
+    /// passphrase that unlocks the new epoch but not the retiring one
+    /// (what an earlier `add_passphrase` left mid-rekey) as
+    /// `RekeyInProgress`, never as a corrupt header; once the rekey
+    /// finishes it opens like any other.
+    #[test]
+    fn every_passphrase_that_opens_opens_fully() {
+        let cluster = vdisk_rados::Cluster::builder().build();
+        let mut disk = format(&cluster, &EncryptionConfig::luks2_baseline());
+        let data = pattern(0x42);
+        disk.write(0, &data).unwrap();
+        disk.add_passphrase(OLD_PASS, PRE_PASS).unwrap();
+        let mut stages = vec![("idle", open_outcomes(&cluster))];
+
+        let mut driver = disk
+            .rekey_begin_with_iterations(OLD_PASS, NEW_PASS, 25)
+            .unwrap()
+            .with_chunk_sectors(8);
+        assert!(!driver.step(&mut disk).unwrap().is_complete());
+        disk.add_passphrase(NEW_PASS, MID_PASS).unwrap();
+        disk.keys_mut()
+            .commit(|header, _| {
+                let master = header.unlock(NEW_PASS)?;
+                header.add_keyslot(PARTIAL_PASS, &master, &mut SeededIvSource::new(12))?;
+                Ok(((), KeyChange::None))
+            })
+            .unwrap();
+        stages.push(("mid-rekey", open_outcomes(&cluster)));
+        drop(disk);
+
+        // The passphrase added mid-rekey reads both halves and drives
+        // the migration on.
+        let mut disk = reopen(&cluster, MID_PASS);
+        assert_eq!(disk.keys_mut().master_keys_held(), 2);
+        let mut buf = vec![0u8; IMAGE_SIZE as usize];
+        disk.read(0, &mut buf).unwrap();
+        assert!(buf == data, "a mid-rekey passphrase must read both epochs");
+        let mut driver = disk.rekey_resume().expect("rekey in flight");
+        assert!(!driver.step(&mut disk).unwrap().is_complete());
+        stages.push(("reopened mid-rekey", open_outcomes(&cluster)));
+
+        migrate(&mut disk, &mut driver);
+        driver.finish(&mut disk).unwrap();
+        disk.read(0, &mut buf).unwrap();
+        assert!(buf == data, "head diverged");
+        stages.push(("finished", open_outcomes(&cluster)));
+
+        let mid_rekey = vec![
+            ("old", "wrong passphrase"),
+            ("new", "opens"),
+            ("pre", "wrong passphrase"),
+            ("mid", "opens"),
+            ("partial", "rekey in progress"),
+        ];
+        assert_eq!(
+            stages,
+            vec![
+                (
+                    "idle",
+                    vec![
+                        ("old", "opens"),
+                        ("new", "wrong passphrase"),
+                        ("pre", "opens"),
+                        ("mid", "wrong passphrase"),
+                        ("partial", "wrong passphrase"),
+                    ]
+                ),
+                ("mid-rekey", mid_rekey.clone()),
+                ("reopened mid-rekey", mid_rekey),
+                (
+                    "finished",
+                    vec![
+                        ("old", "wrong passphrase"),
+                        ("new", "opens"),
+                        ("pre", "wrong passphrase"),
+                        ("mid", "opens"),
+                        ("partial", "opens"),
+                    ]
+                ),
+            ]
+        );
     }
 }

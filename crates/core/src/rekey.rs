@@ -54,11 +54,21 @@
 //! rewritten (idempotent — the crashed attempt never got its marker
 //! down, so for tagged layouts its data never left the old epoch's
 //! readable state, and for the baseline the watermark still maps it to
-//! the old key). Baseline caveat: the baseline layout cannot tag
-//! sectors, so *client* writes landing inside a crashed window between
-//! the crash and the recovery are re-migrated from their marker-less
-//! state — correct only if no such writes occurred (tagged layouts
-//! have no such window; their entries route by epoch).
+//! the old key).
+//!
+//! Baseline caveat: the baseline layout cannot tag sectors, so while a
+//! window's intent is outstanding its chunks that already landed under
+//! the new key sit above the watermark: in a handle opened after a
+//! crash or a failed publish (the persisted watermark is the window
+//! start), and in a handle whose step failed mid-window or
+//! mid-recovery (`KeyChain::rewind_window` puts its watermark back to
+//! the window start). Until the next [`RekeyDriver::step`] recovers
+//! the window, head reads of those chunks decrypt under the retiring
+//! key and return wrong plaintext with `Ok`, and client writes to them
+//! encrypt under the retiring key and are then skipped as proven.
+//! Tagged layouts have no such window: their entries route by epoch.
+//! [`EncryptedImage::snap_create`] refuses the baseline in this state,
+//! so no snapshot inherits it.
 
 use crate::encrypted_image::EncryptedImage;
 use crate::luks::WindowIntent;

@@ -16,7 +16,9 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use vdisk_core::{EncryptedImage, EncryptionConfig, IoOp, MetaLayout, Runtime, TenantSpec};
+use vdisk_core::{
+    CryptError, EncryptedImage, EncryptionConfig, IoOp, MetaLayout, Runtime, TenantSpec,
+};
 use vdisk_crypto::rng::SeededIvSource;
 use vdisk_rados::{BackendKind, Cluster, FaultConfig, FaultKind, RetryPolicy};
 use vdisk_rbd::Image;
@@ -416,4 +418,158 @@ fn retry_exhaustion_refunds_the_tenant_grant() {
         2,
         "both tenants stay registered after repeated failures"
     );
+}
+
+/// A baseline snapshot's key epochs are the crypt header's clone at
+/// the snapshot, so `snap_create` is one rbd transaction: a crash at
+/// any of its commit points leaves either no snapshot or one that
+/// reads byte-exact — even after the head is overwritten and rekeyed
+/// away from the epoch the snapshot froze under (the baseline has no
+/// MAC, so a wrong key would decrypt to garbage with `Ok`).
+#[test]
+fn baseline_snapshot_crash_at_every_commit_point_reads_exact() {
+    let config = EncryptionConfig::luks2_baseline();
+    let mirror = pattern();
+    let overwrite: Vec<u8> = mirror.iter().map(|b| b ^ 0x5A).collect();
+    for crash_at in 0..8 {
+        let dir = scratch("crash-snap");
+        {
+            let cluster = file_cluster(&dir, None);
+            let image =
+                Image::create_with_object_size(&cluster, "vm0", IMAGE_SIZE, OBJECT_SIZE).unwrap();
+            let mut disk = EncryptedImage::format_with_iv_source(
+                image,
+                &config,
+                OLD_PASS,
+                Box::new(SeededIvSource::new(51)),
+            )
+            .unwrap();
+            disk.write(0, &mirror).unwrap();
+            cluster.flush();
+        }
+        {
+            let cluster = file_cluster(&dir, Some(FaultConfig::new(1).crash_at_commit(crash_at)));
+            let disk =
+                EncryptedImage::open(Image::open(&cluster, "vm0").unwrap(), OLD_PASS).unwrap();
+            let _ = disk.snap_create("frozen");
+            cluster.flush(); // no-op once crashed; durable otherwise
+        }
+
+        let cluster = file_cluster(&dir, None);
+        let image = Image::open(&cluster, "vm0").unwrap();
+        let Some(snap) = image.snap_id("frozen").unwrap() else {
+            continue; // the crash tore the snapshot's only transaction
+        };
+        let mut disk =
+            EncryptedImage::open_with_iv_source(image, OLD_PASS, Box::new(SeededIvSource::new(52)))
+                .unwrap();
+        disk.write(0, &overwrite).unwrap();
+        disk.rekey_begin_with_iterations(OLD_PASS, NEW_PASS, 25)
+            .unwrap()
+            .with_chunk_sectors(16)
+            .drive_to_completion(&mut disk)
+            .unwrap();
+        let mut buf = vec![0u8; IMAGE_SIZE as usize];
+        disk.read_at_snap(snap, 0, &mut buf).unwrap();
+        assert!(
+            buf == mirror,
+            "crash at commit {crash_at}: the snapshot read the wrong key epochs"
+        );
+        disk.read(0, &mut buf).unwrap();
+        assert!(
+            buf == overwrite,
+            "crash at commit {crash_at}: head diverged"
+        );
+    }
+}
+
+/// Formats and fills `config`'s image on a file store in `dir`, then
+/// crashes a rekey in the middle of its first window (commit 0 is
+/// `rekey_begin`, 1 the window intent, 2 the first chunk's rewrite)
+/// and reopens the store under the new passphrase: the window's
+/// intent is outstanding and one of its chunks landed under the new
+/// key.
+fn reopen_after_mid_window_crash(dir: &Path, config: &EncryptionConfig) -> EncryptedImage {
+    {
+        let cluster = file_cluster(dir, None);
+        let image =
+            Image::create_with_object_size(&cluster, "vm0", IMAGE_SIZE, OBJECT_SIZE).unwrap();
+        let mut disk = EncryptedImage::format_with_iv_source(
+            image,
+            config,
+            OLD_PASS,
+            Box::new(SeededIvSource::new(61)),
+        )
+        .unwrap();
+        disk.write(0, &pattern()).unwrap();
+        cluster.flush();
+    }
+    {
+        let cluster = file_cluster(dir, Some(FaultConfig::new(1).crash_at_commit(3)));
+        let mut disk =
+            EncryptedImage::open(Image::open(&cluster, "vm0").unwrap(), OLD_PASS).unwrap();
+        let mut driver = disk
+            .rekey_begin_with_iterations(OLD_PASS, NEW_PASS, 25)
+            .unwrap()
+            .with_chunk_sectors(16)
+            .with_queue_depth(4);
+        assert!(driver.step(&mut disk).is_err(), "the window must crash");
+    }
+    let cluster = file_cluster(dir, None);
+    let disk = EncryptedImage::open_with_iv_source(
+        Image::open(&cluster, "vm0").unwrap(),
+        NEW_PASS,
+        Box::new(SeededIvSource::new(62)),
+    )
+    .unwrap();
+    assert!(
+        disk.rekey_status().and_then(|s| s.intent).is_some(),
+        "the crashed window's intent must be outstanding"
+    );
+    disk
+}
+
+/// While a rekey window's intent is outstanding the stored watermark
+/// may not be what the data obeys, so the baseline — whose snapshots
+/// read their key epochs from the crypt header's clone — refuses to
+/// snapshot until the next step recovers the window. Tagged layouts
+/// route every sector by its entry and snapshot regardless. Either
+/// way the snapshot, taken mid-rekey, reads byte-exact after the
+/// rekey finishes and the head is overwritten.
+#[test]
+fn baseline_snapshot_waits_for_the_window_in_doubt() {
+    let mirror = pattern();
+    let overwrite: Vec<u8> = mirror.iter().map(|b| b ^ 0xA5).collect();
+    for (config, refuses) in [
+        (EncryptionConfig::luks2_baseline(), true),
+        (EncryptionConfig::random_iv(MetaLayout::ObjectEnd), false),
+    ] {
+        let dir = scratch("snap-in-doubt");
+        let mut disk = reopen_after_mid_window_crash(&dir, &config);
+        let mut driver = disk
+            .rekey_resume()
+            .expect("rekey in flight")
+            .with_chunk_sectors(16)
+            .with_queue_depth(4);
+        if refuses {
+            assert!(matches!(
+                disk.snap_create("mid-rekey"),
+                Err(CryptError::RekeyInProgress)
+            ));
+            // The next step recovers the window and clears the intent.
+            assert!(!driver.step(&mut disk).unwrap().is_complete());
+            assert!(disk.rekey_status().and_then(|s| s.intent).is_none());
+        }
+        // One rbd transaction, and no write to the crypt header.
+        let before = disk.image().cluster().exec_stats().transactions;
+        let snap = disk.snap_create("mid-rekey").unwrap();
+        assert_eq!(disk.image().cluster().exec_stats().transactions - before, 1);
+        disk.write(0, &overwrite).unwrap();
+        driver.drive_to_completion(&mut disk).unwrap();
+        let mut buf = vec![0u8; IMAGE_SIZE as usize];
+        disk.read_at_snap(snap, 0, &mut buf).unwrap();
+        assert!(buf == mirror, "{config:?}: the mid-rekey snapshot diverged");
+        disk.read(0, &mut buf).unwrap();
+        assert!(buf == overwrite, "{config:?}: head diverged");
+    }
 }
