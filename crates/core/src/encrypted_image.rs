@@ -133,11 +133,12 @@ pub struct ReadSpan {
     /// against it so they never span a snapshot's wholesale
     /// invalidation.
     generation: u64,
-    /// Key-epoch map captured at submit (the baseline layout's only
-    /// epoch source; tagged layouts route by entry). Per-shard FIFO
-    /// pins the fetched data to the same submission point, so the
-    /// captured map matches the fetched ciphertext even while the
-    /// rekey driver advances the watermark in between.
+    /// Key-epoch map captured at submit from `KeyChain::epochs` (the
+    /// baseline layout's only epoch source; tagged layouts route by
+    /// entry). Per-shard FIFO pins the fetched data to the same
+    /// submission point, so the captured map matches the fetched
+    /// ciphertext even if the rekey driver publishes a window before
+    /// the read is reaped.
     epochs: EpochMap,
     /// Sectors whose metadata round trip the cache absorbed.
     pub(crate) hits: u64,
@@ -396,7 +397,7 @@ impl EncryptedImage {
     /// The key epoch new head writes encrypt under.
     #[must_use]
     pub fn current_key_epoch(&self) -> u32 {
-        self.keys.head_map().current
+        self.keys.current_epoch()
     }
 
     /// Takes an image snapshot (see [`Image::snap_create`]) and drops
@@ -408,8 +409,9 @@ impl EncryptedImage {
     /// header's clone at the snapshot, so the stored header must be
     /// the one the data obeys. It is, except while a rekey window's
     /// intent is outstanding (a failed or crashed window, or a failed
-    /// watermark publish): its chunks are in doubt and this handle's
-    /// watermark may differ from the stored one. The next
+    /// watermark publish): its chunks are in doubt, some perhaps
+    /// already under the new key above the watermark, and head reads
+    /// and writes overlapping them are refused alike. The next
     /// [`RekeyDriver::step`] recovers the window and clears the intent.
     ///
     /// # Errors
@@ -537,20 +539,19 @@ impl EncryptedImage {
 
     /// Everything a write does before its transactions dispatch — the
     /// one write-preparation path, shared by the sync wrappers and the
-    /// queue: bounds check; take the rekey migration-proof marker armed
-    /// for this `(offset, len)`, if any; read-modify-write the
-    /// partially-covered boundary sectors of an unaligned request
-    /// (synchronously — the reads ride the same shard FIFOs, so they
-    /// observe every previously queued write); encrypt
-    /// ([`EncryptedImage::encrypt_batch`]); stamp the marker; capture
-    /// the write-through fills' shard epochs.
+    /// queue: bounds check; read-modify-write the partially-covered
+    /// boundary sectors of an unaligned request (synchronously — the
+    /// reads ride the same shard FIFOs, so they observe every
+    /// previously queued write); encrypt
+    /// ([`EncryptedImage::encrypt_batch`]); take and stamp the rekey
+    /// migration-proof marker armed for the encrypted span, if any;
+    /// capture the write-through fills' shard epochs.
     fn prepare_write(
         &mut self,
         offset: u64,
         data: Cow<'_, [u8]>,
     ) -> Result<(Vec<Transaction>, PreparedWrite)> {
         self.check_bounds(offset, data.len() as u64)?;
-        let armed_marker = self.keys.take_marker(offset, data.len());
         let (aligned_off, owned, rmw) =
             if data.is_empty() || self.is_sector_aligned(offset, data.len() as u64) {
                 (offset, data.into_owned(), RmwReads::default())
@@ -558,7 +559,7 @@ impl EncryptedImage {
                 self.rmw_span(offset, &data)?
             };
         let (mut txs, len, invalidated, fills) = self.encrypt_batch(aligned_off, owned)?;
-        if let Some(marker) = armed_marker {
+        if let Some(marker) = self.keys.take_marker(aligned_off, len as u64) {
             // Rekey migration proof: ride the chunk's own transaction
             // (the driver clamps chunks to one object, so `txs` is a
             // single atomic commit of ciphertext + marker).
@@ -708,8 +709,8 @@ impl EncryptedImage {
         let ss = geometry.sector_size as usize;
         let me = geometry.meta_entry as usize;
         let write_seq = self.image.cluster().snap_seq().0;
-        let epochs = self.keys.head_map();
         let len = data.len();
+        let epochs = self.keys.epochs(None, offset, len as u64, true)?;
         if len == 0 {
             return Ok((Vec::new(), 0, 0, Vec::new()));
         }
@@ -886,14 +887,9 @@ impl EncryptedImage {
         // Capture the epoch map governing the data this read will
         // fetch: per-shard FIFO orders the fetch after every write
         // submitted before now and before any submitted later, so the
-        // submit-time map (head, or the baseline snapshot's frozen
-        // map) is exactly right at reap — however far the rekey
-        // watermark has moved in between. Tagged entries route
-        // themselves, so only a baseline snapshot reads its map.
-        let epochs = match snap {
-            Some(snap) if !self.placement.stores_meta() => self.keys.snap_map(snap)?,
-            _ => self.keys.head_map(),
-        };
+        // submit-time map is exactly right at reap, whatever the rekey
+        // publishes in between.
+        let epochs = self.keys.epochs(snap, offset, len, false)?;
         if len == 0 {
             // Match the synchronous path's no-op: no sector is fetched
             // or decrypted.

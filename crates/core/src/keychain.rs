@@ -71,12 +71,20 @@ pub(crate) struct EpochMap {
 }
 
 impl EpochMap {
-    /// A map with every sector on one epoch (no rekey in flight).
-    #[cfg(test)]
+    /// A map with every sector on one epoch.
     pub(crate) fn uniform(epoch: u32) -> EpochMap {
         EpochMap {
             current: epoch,
             pending: None,
+        }
+    }
+
+    /// The map `header` states: its current epoch, plus the watermark
+    /// split while a rekey is migrating.
+    fn of(header: &LuksHeader) -> EpochMap {
+        EpochMap {
+            current: header.current_epoch(),
+            pending: header.rekey().map(|s| (s.from, s.watermark)),
         }
     }
 
@@ -109,14 +117,14 @@ pub(crate) struct KeyChain {
     codecs: Codecs,
     /// `None` when no rekey is in flight.
     rekey_pair: Option<MasterPair>,
-    /// Migration-proof markers armed by [`crate::RekeyDriver`]: the
-    /// next write matching `(offset, len)` stamps the named xattr onto
-    /// its (single) transaction, so the chunk's data and its
-    /// migrated-proof land atomically. Keyed by the submitted request
-    /// shape because the tenant runtime may defer a driver write into
-    /// its backlog — arming at actual submission time, not driver
-    /// dispatch time, keeps the marker glued to the right write.
-    armed_markers: HashMap<(u64, usize), String>,
+    /// Migration-proof markers armed by [`crate::RekeyDriver`], keyed
+    /// by chunk `(offset, len)`: the chunk's read and rewrite route as
+    /// a driver chunk, and the rewrite stamps the named xattr onto its
+    /// (single) transaction, so the chunk's data and its proof land
+    /// atomically. Keyed by request shape because the tenant runtime
+    /// may defer the driver's IO into its backlog: the key is checked
+    /// when the IO actually dispatches.
+    armed_markers: HashMap<(u64, u64), String>,
     cluster: Cluster,
     /// The crypt-header object.
     object: String,
@@ -274,13 +282,58 @@ impl KeyChain {
         &self.codecs
     }
 
-    /// The head's epoch map right now: current epoch, plus the
-    /// watermark split while a rekey is migrating.
-    pub(crate) fn head_map(&self) -> EpochMap {
-        EpochMap {
-            current: self.header.current_epoch(),
-            pending: self.header.rekey().map(|s| (s.from, s.watermark)),
+    /// The key epoch new head writes encrypt under.
+    pub(crate) fn current_epoch(&self) -> u32 {
+        self.header.current_epoch()
+    }
+
+    /// The epoch map an IO of `len` bytes at byte `offset` runs under
+    /// — of the head, or of `snap` — and the one place that decides
+    /// it. Tagged layouts always get the head's map: their entries
+    /// route themselves, so they never refuse. On the baseline:
+    ///
+    /// - a snapshot's map is the header as of the snapshot
+    ///   ([`KeyChain::snap_map`]);
+    /// - a rekey driver chunk (an armed `(offset, len)`, see
+    ///   [`KeyChain::arm_marker`]) reads under the retiring epoch and
+    ///   its rewrite encrypts under the new one;
+    /// - any other head IO overlapping an outstanding window intent
+    ///   is refused: the window's chunks are in doubt, some already
+    ///   under the new key above the watermark, until the next
+    ///   [`crate::RekeyDriver::step`] recovers it;
+    /// - everything else splits at the watermark, which is the stored
+    ///   one ([`KeyChain::publish_watermark`] is the only way it
+    ///   moves).
+    ///
+    /// # Errors
+    ///
+    /// [`CryptError::RekeyInProgress`] for baseline head IO in a
+    /// window in doubt; as [`KeyChain::snap_map`] for a baseline
+    /// snapshot.
+    pub(crate) fn epochs(
+        &self,
+        snap: Option<SnapId>,
+        offset: u64,
+        len: u64,
+        write: bool,
+    ) -> Result<EpochMap> {
+        let tagged = || self.codecs.meta_entry_len() > 0;
+        if let Some(snap) = snap.filter(|_| !tagged()) {
+            return self.snap_map(snap);
         }
+        let map = EpochMap::of(&self.header);
+        let rekey = self.header.rekey().filter(|_| !tagged());
+        let Some((state, intent)) = rekey.and_then(|s| s.intent.map(|i| (s, i))) else {
+            return Ok(map);
+        };
+        if self.armed_markers.contains_key(&(offset, len)) {
+            return Ok(EpochMap::uniform(if write { state.to } else { state.from }));
+        }
+        let ss = u64::from(self.header.config().sector_size);
+        if offset / ss < intent.end && intent.start < (offset + len).div_ceil(ss) {
+            return Err(CryptError::RekeyInProgress);
+        }
+        Ok(map)
     }
 
     /// The epoch map governing a baseline snapshot's ciphertext: the
@@ -290,16 +343,17 @@ impl KeyChain {
     /// objects' clones froze with, taken in the same instant. Only the
     /// baseline needs it: tagged entries route themselves.
     ///
-    /// Exact because the stored header equals [`KeyChain::head_map`]
-    /// whenever a snapshot can be taken: `snap_create` refuses the
-    /// baseline while a window intent is outstanding, the one state in
-    /// which this handle's watermark and the stored one may differ.
+    /// Exact because the head's data obeys the stored header whenever
+    /// a snapshot can be taken: the handle's watermark is the stored
+    /// one, and `snap_create` refuses the baseline while a window
+    /// intent is outstanding, the one state in which chunks above the
+    /// watermark may already carry the new key.
     ///
     /// # Errors
     ///
     /// A store error, or [`CryptError::HeaderCorrupt`] if the clone
     /// does not decode.
-    pub(crate) fn snap_map(&self, snap: SnapId) -> Result<EpochMap> {
+    fn snap_map(&self, snap: SnapId) -> Result<EpochMap> {
         let (stat, _) = self
             .cluster
             .read(&self.object, Some(snap), &[ReadOp::Stat])?;
@@ -308,10 +362,7 @@ impl KeyChain {
             _ => 0,
         };
         let header = Self::read_header(&self.cluster, &self.object, Some(snap), len)?;
-        Ok(EpochMap {
-            current: header.current_epoch(),
-            pending: header.rekey().map(|s| (s.from, s.watermark)),
-        })
+        Ok(EpochMap::of(&header))
     }
 
     /// Adds a passphrase (authorized by `existing`) for the current
@@ -388,22 +439,11 @@ impl KeyChain {
         })
     }
 
-    /// Driver-only: advances the in-memory rekey watermark so the
-    /// window the driver is rewriting encrypts under the new epoch.
-    /// [`KeyChain::publish_watermark`] persists it once the window's
-    /// writes complete.
-    pub(crate) fn advance_watermark(&mut self, watermark: u64) {
-        self.header.set_rekey_watermark(watermark);
-    }
-
-    /// Driver-only: abandons a window — the in-memory watermark goes
-    /// back to `start` (the last fully-migrated prefix), so a retried
-    /// step re-migrates the window instead of skipping it, and every
-    /// armed-but-unconsumed marker is dropped, so a later *client*
-    /// write matching an armed `(offset, len)` is not stamped as
-    /// migration proof for data it never migrated.
-    pub(crate) fn rewind_window(&mut self, start: u64) {
-        self.header.rollback_rekey_watermark(start);
+    /// Driver-only: drops every armed-but-unconsumed marker after a
+    /// failed window, so a later *client* write matching an armed
+    /// `(offset, len)` is neither routed as a driver chunk nor stamped
+    /// as migration proof for data it never migrated.
+    pub(crate) fn disarm(&mut self) {
         self.armed_markers.clear();
     }
 
@@ -419,31 +459,31 @@ impl KeyChain {
         })
     }
 
-    /// Driver-only: persists the advanced watermark. A persisted
-    /// window intent is cleared in the *same* header update: the
-    /// watermark covering the window is the proof the window landed,
-    /// so the two must move atomically. On failure the in-memory
-    /// header (watermark *and* intent) is unchanged, so a retried or
-    /// resumed rekey still sees the uncommitted window as in doubt.
-    pub(crate) fn publish_watermark(&mut self) -> Result<()> {
+    /// Driver-only: publishes a migrated window — the watermark moves
+    /// to `end` and the window intent clears in one staged commit, so
+    /// "intent gone" and "watermark past the window" are one fact.
+    /// This is the only way the watermark moves, so the handle's
+    /// watermark is always the stored one: on failure neither changes,
+    /// and the window stays in doubt until a step recovers it.
+    pub(crate) fn publish_watermark(&mut self, end: u64) -> Result<()> {
         self.commit(|header, _| {
-            if header.rekey().is_some_and(|s| s.intent.is_some()) {
-                header.clear_rekey_intent();
-            }
+            header.set_rekey_watermark(end);
+            header.clear_rekey_intent();
             Ok(((), KeyChange::None))
         })
     }
 
     /// Driver-only: arms migration-proof marker `name` for the chunk
-    /// write the driver is about to submit at `(offset, len)` (see
-    /// [`KeyChain::take_marker`]).
-    pub(crate) fn arm_marker(&mut self, offset: u64, len: usize, name: String) {
+    /// at `(offset, len)`, before its read is submitted: the chunk's
+    /// IO then routes as a driver chunk ([`KeyChain::epochs`]) and its
+    /// rewrite takes the marker ([`KeyChain::take_marker`]).
+    pub(crate) fn arm_marker(&mut self, offset: u64, len: u64, name: String) {
         self.armed_markers.insert((offset, len), name);
     }
 
     /// The marker armed for a write of `(offset, len)`, if any — taken,
     /// so it stamps exactly one write.
-    pub(crate) fn take_marker(&mut self, offset: u64, len: usize) -> Option<String> {
+    pub(crate) fn take_marker(&mut self, offset: u64, len: u64) -> Option<String> {
         self.armed_markers.remove(&(offset, len))
     }
 

@@ -324,15 +324,6 @@ impl LuksHeader {
         state.watermark = watermark;
     }
 
-    /// Driver-internal rollback of a window whose rewrites failed:
-    /// unlike [`LuksHeader::set_rekey_watermark`], this may move the
-    /// watermark backwards (never below what was last persisted — the
-    /// rekey driver enforces that).
-    pub(crate) fn rollback_rekey_watermark(&mut self, watermark: u64) {
-        let state = self.rekey.as_mut().expect("no rekey in flight");
-        state.watermark = watermark;
-    }
-
     /// Records a window the driver is about to migrate (see
     /// [`WindowIntent`]); persisted before any of the window's
     /// rewrites are submitted.

@@ -8,19 +8,17 @@
 //! One [`RekeyDriver::step`] processes a bounded **window** of the
 //! image (`queue_depth × chunk_sectors` sectors past the watermark):
 //!
-//! 1. reads for every chunk in the window are submitted up front —
-//!    each captures the pre-step epoch map, and per-shard FIFO orders
-//!    it after every previously queued client write, so the reaped
-//!    plaintext is exact;
-//! 2. once every read has dispatched, the in-memory watermark advances
-//!    to the window end, so the rewrites encrypt under the new epoch;
-//! 3. completions are reaped with [`crate::TenantQueue::wait_any`]
+//! 1. every chunk's migration-proof marker is armed and its read
+//!    submitted up front — an armed chunk reads under the retiring
+//!    epoch and its rewrite encrypts under the new one, so the
+//!    watermark need not move mid-window;
+//! 2. completions are reaped with [`crate::TenantQueue::wait_any`]
 //!    — whichever chunk's read lands first is immediately resubmitted
 //!    as a write, keeping the pipeline full instead of head-of-line
 //!    blocking on the window's slowest chunk;
-//! 4. once the window is quiet, the advanced watermark is persisted
-//!    (a CASed header update), making the progress visible to
-//!    concurrent opens.
+//! 3. once the window is quiet, the watermark is published (a CASed
+//!    header update): the handle's watermark moves only here, so it is
+//!    always the stored one.
 //!
 //! The window's depth adapts to client load: it halves (down to one
 //! chunk) while the client pressure sampled before a step exceeds
@@ -41,34 +39,30 @@
 //!
 //! Two CASed header updates bracket every window: a **window intent**
 //! (`[start, end)` plus the chunk size) persists *before* any chunk is
-//! rewritten, and the watermark advance that *clears* it persists only
+//! rewritten, and the watermark publish that *clears* it persists only
 //! after the window is quiet — one atomic header update, so "intent
 //! gone" and "watermark past the window" are the same fact. Each
 //! chunk is clamped to one object and its rewrite transaction carries
 //! an epoch-keyed **migration-proof marker** xattr, committed (or torn)
-//! atomically with the chunk's ciphertext. A handle that reopens the
-//! image after a crash — or retries after a failed window — finds the
-//! uncleared intent via [`EncryptedImage::rekey_resume`] and replays
-//! the window chunk by chunk: a marked chunk provably landed and is
-//! skipped; an unmarked chunk is re-read under the old epoch and
-//! rewritten (idempotent — the crashed attempt never got its marker
-//! down, so for tagged layouts its data never left the old epoch's
-//! readable state, and for the baseline the watermark still maps it to
-//! the old key).
+//! atomically with the chunk's ciphertext. A step that finds an
+//! uncleared intent — left by this handle's failed window, or by a
+//! crashed handle this one reopened after — recovers the window
+//! before any new work, through the same pipeline: it migrates the
+//! intent's chunks whose marker did not commit, then publishes. A
+//! marked chunk provably landed and is skipped; an unmarked one still
+//! holds the old epoch's ciphertext, so re-migrating it is idempotent.
+//! Recovery IO goes through the tenant's admission control like any
+//! window's, and a crash during recovery leaves strictly more markers.
 //!
-//! Baseline caveat: the baseline layout cannot tag sectors, so while a
-//! window's intent is outstanding its chunks that already landed under
-//! the new key sit above the watermark: in a handle opened after a
-//! crash or a failed publish (the persisted watermark is the window
-//! start), and in a handle whose step failed mid-window or
-//! mid-recovery (`KeyChain::rewind_window` puts its watermark back to
-//! the window start). Until the next [`RekeyDriver::step`] recovers
-//! the window, head reads of those chunks decrypt under the retiring
-//! key and return wrong plaintext with `Ok`, and client writes to them
-//! encrypt under the retiring key and are then skipped as proven.
-//! Tagged layouts have no such window: their entries route by epoch.
-//! [`EncryptedImage::snap_create`] refuses the baseline in this state,
-//! so no snapshot inherits it.
+//! While a window's intent is outstanding, the baseline layout — which
+//! cannot tag sectors — refuses every head read and write overlapping
+//! the window with [`CryptError::RekeyInProgress`] (the driver's own
+//! armed chunks excepted): chunks that already landed under the new
+//! key sit above the watermark, and nothing records which. The next
+//! [`RekeyDriver::step`] recovers the window and lifts the refusal.
+//! [`EncryptedImage::snap_create`] refuses the baseline in that state
+//! too, so no snapshot inherits it. Tagged layouts never refuse:
+//! their entries route by epoch.
 
 use crate::encrypted_image::EncryptedImage;
 use crate::luks::WindowIntent;
@@ -230,9 +224,11 @@ impl RekeyDriver {
     }
 
     /// Migrates one window (up to `effective_queue_depth ×
-    /// chunk_sectors` sectors past the watermark) and persists the
-    /// advanced watermark. Returns the new progress; a no-op once
-    /// complete.
+    /// chunk_sectors` sectors past the watermark) and publishes the
+    /// watermark past it — or, if a window's intent is outstanding,
+    /// recovers that window instead: it migrates the chunks whose
+    /// migration-proof marker did not commit, through the same
+    /// pipeline. Returns the new progress; a no-op once complete.
     ///
     /// Before each window the driver samples the cluster's
     /// queue-depth peak since its previous step
@@ -251,9 +247,9 @@ impl RekeyDriver {
     /// # Errors
     ///
     /// [`CryptError::NoRekeyInProgress`] if the image carries no
-    /// matching rekey, plus any IO-path error (nothing of the window
-    /// is considered migrated then — the watermark only advances past
-    /// fully rewritten prefixes).
+    /// matching rekey, plus any IO-path error (the watermark stays
+    /// put then, and the window's intent stays outstanding for the
+    /// next step to recover).
     pub fn step(&mut self, disk: &mut EncryptedImage) -> Result<RekeyProgress> {
         let progress = self.progress(disk)?;
         if progress.is_complete() {
@@ -262,21 +258,46 @@ impl RekeyDriver {
         // A persisted-but-uncleared window intent means a prior attempt
         // (this handle's failed window, or a crashed handle this one
         // reopened after) started rewriting the window without proving
-        // it landed. Recover it — skip chunks whose migration-proof
-        // marker committed, re-migrate the rest — before any new work.
-        if let Some(intent) = disk.rekey_status().and_then(|state| state.intent) {
-            if let Err(e) = self.recover_window(disk, intent) {
-                disk.keys_mut().rewind_window(intent.start);
-                return Err(e);
+        // it landed. Recover it — migrate only the chunks whose
+        // migration-proof marker did not commit — before any new work.
+        let (intent, recovering) = match disk.rekey_status().and_then(|state| state.intent) {
+            Some(intent) => (intent, true),
+            None => (self.open_window(disk, progress)?, false),
+        };
+        let mut chunks = Vec::new();
+        for chunk in Self::chunks(disk, intent) {
+            if !recovering || !self.chunk_proven(disk, chunk.0)? {
+                chunks.push(chunk);
             }
-            // Publishing the recovered watermark clears the intent in
-            // the same header update.
-            disk.keys_mut().publish_watermark()?;
-            return self.progress(disk);
         }
-        // Adapt to client pressure observed since the previous step.
+        // A failed window leaves its intent persisted and the
+        // watermark where it was, so a retried step recovers the
+        // window through the proof markers instead of skipping it.
+        if let Err(e) = self.migrate_window(disk, chunks) {
+            disk.keys_mut().disarm();
+            return Err(e);
+        }
+        // Our own window's submissions must not read as "pressure" in
+        // the next step's sample.
+        let _ = disk.image().cluster().take_queue_depth_window_peak();
+        // Publishing the watermark clears the intent in the same
+        // header update.
+        disk.keys_mut().publish_watermark(intent.end)?;
+        self.progress(disk)
+    }
+
+    /// Sizes the next window from the client pressure observed since
+    /// the previous step and durably records its intent before any of
+    /// it is touched: from here until the watermark publish clears
+    /// it, every chunk of the window is "in doubt" and a crash
+    /// recovers it through the marker protocol.
+    fn open_window(
+        &mut self,
+        disk: &mut EncryptedImage,
+        progress: RekeyProgress,
+    ) -> Result<WindowIntent> {
         // The shared cluster window is reset after every window
-        // (below) so the driver's own submissions never read as
+        // (above) so the driver's own submissions never read as
         // pressure — at the cost of discarding client bursts that
         // landed *during* a window. In tenant mode the runtime's
         // per-tenant demand peaks restore that signal: they never
@@ -296,36 +317,14 @@ impl RekeyDriver {
             (self.effective_depth * 2).min(self.queue_depth)
         };
         let start = progress.migrated_sectors;
-        let window_end =
-            (start + self.chunk_sectors * self.effective_depth as u64).min(progress.total_sectors);
-
-        // Durably record the window before touching any of it: from
-        // here until the watermark advance clears it, every chunk in
-        // [start, window_end) is "in doubt" and a crash recovers it
-        // through the marker protocol above.
-        disk.keys_mut().record_intent(WindowIntent {
+        let intent = WindowIntent {
             start,
-            end: window_end,
+            end: (start + self.chunk_sectors * self.effective_depth as u64)
+                .min(progress.total_sectors),
             chunk_sectors: self.chunk_sectors,
-        })?;
-
-        // A window that fails mid-flight rolls the in-memory watermark
-        // back to the last fully-migrated prefix and drops any armed
-        // (not yet consumed) markers; the persisted intent stays, so a
-        // retried step recovers the window through the proof markers
-        // instead of silently skipping it.
-        if let Err(e) = self.migrate_window(disk, start, window_end) {
-            disk.keys_mut().rewind_window(start);
-            return Err(e);
-        }
-        // Our own window's submissions must not read as "pressure" in
-        // the next step's sample.
-        let _ = disk.image().cluster().take_queue_depth_window_peak();
-        // Publish the progress. On a persist failure the rewrites have
-        // already landed, so the in-memory watermark (the truth for
-        // this handle) stays advanced; the error still propagates.
-        disk.keys_mut().publish_watermark()?;
-        self.progress(disk)
+        };
+        disk.keys_mut().record_intent(intent)?;
+        Ok(intent)
     }
 
     /// Sectors the chunk at `chunk` may cover: the configured size,
@@ -334,49 +333,6 @@ impl RekeyDriver {
     /// ciphertext and its migration-proof marker commit atomically.
     fn chunk_span(chunk_sectors: u64, spo: u64, chunk: u64, end: u64) -> u64 {
         chunk_sectors.min(end - chunk).min(spo - (chunk % spo))
-    }
-
-    /// Replays a window a prior attempt left in doubt (its intent
-    /// persisted, its clearing watermark not): walk the window's
-    /// chunks **in order**, skipping each chunk whose migration-proof
-    /// marker committed and synchronously re-migrating the rest. The
-    /// in-memory watermark advances chunk by chunk, so at the moment
-    /// an unproven chunk is read the boundary sits exactly at its
-    /// first sector — the read decrypts under the retiring epoch even
-    /// on the baseline layout, and the rewrite (marker re-armed)
-    /// encrypts under the new one. Re-entrant: a crash *during*
-    /// recovery leaves strictly more markers for the next attempt.
-    fn recover_window(&self, disk: &mut EncryptedImage, intent: WindowIntent) -> Result<()> {
-        let ss = disk.sector_size();
-        let spo = disk.geometry().sectors_per_object;
-        // A watermark persist that failed *after* its window fully
-        // migrated leaves this handle's in-memory boundary already at
-        // the window end while the intent survives in the header.
-        // Realign to the intent: every chunk of such a window is
-        // proven (each marker committed atomically with its rewrite),
-        // so the walk below re-advances without a single read and
-        // merely retries the publish.
-        disk.keys_mut().rewind_window(intent.start);
-        let mut chunk = intent.start;
-        while chunk < intent.end {
-            let sectors = Self::chunk_span(intent.chunk_sectors, spo, chunk, intent.end);
-            let offset = chunk * ss;
-            let len = (sectors * ss) as usize;
-            if self.chunk_proven(disk, offset)? {
-                // The marker committed with the chunk's rewrite: it
-                // provably landed under the new epoch.
-                disk.keys_mut().advance_watermark(chunk + sectors);
-            } else {
-                let mut plaintext = vec![0u8; len];
-                disk.read(offset, &mut plaintext)?;
-                let keys = disk.keys_mut();
-                keys.advance_watermark(chunk + sectors);
-                keys.arm_marker(offset, len, self.marker(offset));
-                disk.write_owned(offset, plaintext)?;
-            }
-            chunk += sectors;
-        }
-        Ok(())
     }
 
     /// The migration-proof marker of the chunk at byte `offset`: an
@@ -403,26 +359,38 @@ impl RekeyDriver {
         }
     }
 
-    /// Phases 1–3 of one [`RekeyDriver::step`] window, always through
-    /// a [`crate::TenantQueue`]: submissions pass admission control and
-    /// dispatch only as the fair scheduler grants slots, so a
-    /// low-weight rekey tenant is damped exactly like any other tenant
-    /// while client queues are busy. With no tenant configured the
-    /// driver registers on a private runtime sized to the window —
-    /// every grant is immediate, and the pipeline below is still the
-    /// only one.
-    fn migrate_window(&self, disk: &mut EncryptedImage, start: u64, window_end: u64) -> Result<()> {
+    /// `intent`'s chunks as byte `(offset, len)` pairs, in order.
+    fn chunks(disk: &EncryptedImage, intent: WindowIntent) -> Vec<(u64, u64)> {
         let ss = disk.sector_size();
         let spo = disk.geometry().sectors_per_object;
-        let mut chunks: Vec<(u64, u64)> = Vec::new();
-        let mut chunk = start;
-        while chunk < window_end {
-            let sectors = Self::chunk_span(self.chunk_sectors, spo, chunk, window_end);
+        let mut chunks = Vec::new();
+        let mut chunk = intent.start;
+        while chunk < intent.end {
+            let sectors = Self::chunk_span(intent.chunk_sectors, spo, chunk, intent.end);
             chunks.push((chunk * ss, sectors * ss));
             chunk += sectors;
         }
+        chunks
+    }
+
+    /// Phases 1–2 of one [`RekeyDriver::step`] window (or of its
+    /// recovery), always through a [`crate::TenantQueue`]: submissions
+    /// pass admission control and dispatch only as the fair scheduler
+    /// grants slots, so a low-weight rekey tenant is damped exactly
+    /// like any other tenant while client queues are busy. With no
+    /// tenant configured the driver registers on a private runtime
+    /// sized to the window — every grant is immediate, and the
+    /// pipeline below is still the only one.
+    fn migrate_window(&self, disk: &mut EncryptedImage, chunks: Vec<(u64, u64)>) -> Result<()> {
+        // Arm every chunk before its read is submitted: the chunk then
+        // reads under the retiring epoch wherever the arbiter defers
+        // it, and its rewrite takes the marker and encrypts under the
+        // new one.
+        for &(offset, len) in &chunks {
+            disk.keys_mut().arm_marker(offset, len, self.marker(offset));
+        }
         let tenant = self.tenant.clone().unwrap_or_else(|| {
-            let depth = chunks.len();
+            let depth = chunks.len().max(1);
             Runtime::new(depth).register(TenantSpec::new("rekey").qd_cap(depth).backlog_cap(depth))
         });
         let mut queue = tenant.attach(disk.io_queue());
@@ -433,19 +401,7 @@ impl RekeyDriver {
             let completion = queue.submit_blocking(IoOp::Read { offset, len })?;
             chunk_offsets.insert(completion.id(), offset);
         }
-        // Phase 2: every read must *dispatch* (capturing the
-        // pre-advance epoch map at the inner queue; FIFO pins it to
-        // the right data) before the boundary moves — an arbitrated
-        // read still queued when the epoch advanced would decrypt with
-        // the wrong keys. From here the window's rewrites encrypt
-        // under the new epoch.
-        queue.dispatch_backlog()?;
-        queue
-            .inner_mut()
-            .backend_mut()
-            .keys_mut()
-            .advance_watermark(window_end);
-        // Phase 3: pipeline — whichever read lands first is rewritten
+        // Phase 2: pipeline — whichever read lands first is rewritten
         // first; writes drain alongside the remaining reads, paced by
         // the scheduler's grants.
         while !chunk_offsets.is_empty() || queue.backlog() > 0 || queue.in_flight() > 0 {
@@ -458,15 +414,6 @@ impl RekeyDriver {
                         "chunk read completed without a data payload".into(),
                     ));
                 };
-                // Arm the chunk's migration-proof marker keyed by the
-                // write's (offset, len): the arbiter may defer this
-                // write into the backlog, and the marker is consumed
-                // only when the write actually submits.
-                queue.inner_mut().backend_mut().keys_mut().arm_marker(
-                    offset,
-                    plaintext.len(),
-                    self.marker(offset),
-                );
                 queue.submit_blocking(IoOp::Write {
                     offset,
                     data: plaintext,

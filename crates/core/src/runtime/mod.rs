@@ -469,15 +469,6 @@ pub struct TenantQueue<Q: ArbitratedQueue> {
 }
 
 impl<Q: ArbitratedQueue> TenantQueue<Q> {
-    /// Mutable access to the wrapped queue — for drivers that need
-    /// queue-type-specific calls between submissions (the rekey driver
-    /// advances the key-epoch boundary mid-window). Submitting to the
-    /// inner queue directly bypasses arbitration; don't.
-    #[must_use]
-    pub fn inner_mut(&mut self) -> &mut Q {
-        &mut self.inner
-    }
-
     /// Ops admitted and not yet dispatched.
     #[must_use]
     pub fn backlog(&self) -> usize {
@@ -672,19 +663,6 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     pub fn wait_any(&mut self) -> Result<Vec<IoResult>, RuntimeError<Q::Error>> {
         self.drive_until(|q| !q.staged.is_empty() || q.is_idle())?;
         Ok(self.take_staged())
-    }
-
-    /// Parks until every queued op has *dispatched* (not completed).
-    /// Results reaped while waiting stay staged for the next reap
-    /// call. Drivers that must order a state change after all queued
-    /// submissions use this (the rekey driver's key-epoch boundary
-    /// advance).
-    ///
-    /// # Errors
-    ///
-    /// As [`TenantQueue::wait_any`].
-    pub fn dispatch_backlog(&mut self) -> Result<(), RuntimeError<Q::Error>> {
-        self.drive_until(|q| q.backlog() == 0)
     }
 
     /// Full barrier: dispatches and completes everything queued, then

@@ -573,3 +573,180 @@ fn baseline_snapshot_waits_for_the_window_in_doubt() {
         assert!(buf == overwrite, "{config:?}: head diverged");
     }
 }
+
+/// Retries `op` until it returns anything but an injected store error
+/// (a call that failed that way changed nothing).
+fn until_not_injected<T>(
+    attempts: &mut u32,
+    what: &str,
+    mut op: impl FnMut() -> Result<T, CryptError>,
+) -> Result<T, CryptError> {
+    loop {
+        match op() {
+            Err(e) if e.to_string().contains("injected") => bump(attempts, what),
+            outcome => return outcome,
+        }
+    }
+}
+
+/// One storm run of [`failed_windows_under_a_storm_leave_nothing_ambiguous`].
+fn storm_rekey_keeps_every_step_exact(config: &EncryptionConfig, seed: u64) {
+    let baseline = config.layout.is_none();
+    let cluster = Cluster::builder()
+        .concurrent_apply(true)
+        .fault_plane(FaultConfig::new(seed).transient_rate(0.15))
+        .retry_policy(RetryPolicy::none())
+        .build();
+    let mut attempts = 0u32;
+    let image = loop {
+        match Image::create_with_object_size(&cluster, "storm", IMAGE_SIZE, OBJECT_SIZE) {
+            Ok(image) => break image,
+            Err(_) => bump(&mut attempts, "image create"),
+        }
+    };
+    let mut disk = until_not_injected(&mut attempts, "format", || {
+        EncryptedImage::format_with_iv_source(
+            image.clone(),
+            config,
+            OLD_PASS,
+            Box::new(SeededIvSource::new(70 + seed)),
+        )
+    })
+    .unwrap();
+    let mut mirror = pattern();
+    until_not_injected(&mut attempts, "preconditioning", || disk.write(0, &mirror)).unwrap();
+    let mut driver = until_not_injected(&mut attempts, "rekey_begin", || {
+        disk.rekey_begin_with_iterations(OLD_PASS, NEW_PASS, 25)
+    })
+    .unwrap()
+    .with_chunk_sectors(16)
+    .with_queue_depth(4);
+
+    let mut buf = vec![0u8; IMAGE_SIZE as usize];
+    for step in 0u64.. {
+        assert!(step < 10_000, "seed {seed}: rekey made no progress");
+        let done = matches!(driver.step(&mut disk), Ok(progress) if progress.is_complete());
+        let what = format!("{config:?}, seed {seed}, step {step}");
+
+        // The live handle's rekey state is the stored one. (An
+        // injected fault in `Image::open` reads as a missing image.)
+        let fresh = loop {
+            match Image::open(&cluster, "storm").map(|image| EncryptedImage::open(image, NEW_PASS))
+            {
+                Ok(Ok(fresh)) => break fresh,
+                _ => bump(&mut attempts, "open"),
+            }
+        };
+        assert_eq!(fresh.rekey_status(), disk.rekey_status(), "{what}: status");
+        drop(fresh);
+
+        // A read is exact, or refused on the baseline only.
+        match until_not_injected(&mut attempts, "read", || disk.read(0, &mut buf)) {
+            Ok(_) => assert!(buf == mirror, "{what}: a full-image read diverged"),
+            Err(CryptError::RekeyInProgress) => {
+                assert!(baseline, "{what}: a tagged layout refused a read");
+            }
+            Err(e) => panic!("{what}: read failed: {e}"),
+        }
+
+        // A write that returns Ok is a write that landed.
+        let offset = (step * 7 + seed) % (IMAGE_SIZE / (16 << 10)) * (16 << 10);
+        let data = vec![0x80 | (step as u8 & 0x7F); 16 << 10];
+        if disk.write(offset, &data).is_ok() {
+            mirror[offset as usize..offset as usize + data.len()].copy_from_slice(&data);
+        }
+        if done {
+            break;
+        }
+    }
+    let mut finisher = Some(driver);
+    while let Some(d) = finisher.take() {
+        if d.finish(&mut disk).is_err() {
+            bump(&mut attempts, "finish");
+            finisher = disk.rekey_resume();
+        }
+    }
+    until_not_injected(&mut attempts, "final read", || disk.read(0, &mut buf)).unwrap();
+    assert!(buf == mirror, "{config:?}, seed {seed}: the image diverged");
+}
+
+/// Windows that fail under a transient storm (retries off) leave
+/// nothing ambiguous: after every step, `Ok` or `Err`, a freshly
+/// opened handle sees the live handle's rekey state, a full-image
+/// read is byte-exact (or, on the baseline, refused while a window is
+/// in doubt), and a client write that returns `Ok` landed — so the
+/// finished image equals the mirror of every accepted write.
+#[test]
+fn failed_windows_under_a_storm_leave_nothing_ambiguous() {
+    for config in [
+        EncryptionConfig::luks2_baseline(),
+        EncryptionConfig::random_iv(MetaLayout::ObjectEnd),
+    ] {
+        for seed in 1..=4 {
+            storm_rekey_keeps_every_step_exact(&config, seed);
+        }
+    }
+}
+
+/// A window left in doubt by a crash: on the baseline, head reads and
+/// writes overlapping it are refused until a step recovers it, while
+/// IO past it runs normally; tagged layouts read and write it as
+/// usual. The recovering step migrates the three unproven chunks
+/// through the rekey tenant — one read and one write each — and the
+/// image reads exact once the rekey finishes.
+#[test]
+fn a_window_in_doubt_is_refused_on_the_baseline_until_recovered() {
+    for config in [
+        EncryptionConfig::luks2_baseline(),
+        EncryptionConfig::random_iv(MetaLayout::ObjectEnd),
+    ] {
+        let baseline = config.layout.is_none();
+        let dir = scratch("window-in-doubt");
+        let mut disk = reopen_after_mid_window_crash(&dir, &config);
+        let mut mirror = pattern();
+        let intent = disk.rekey_status().and_then(|s| s.intent).unwrap();
+        let (start, end) = (
+            (intent.start * SECTOR) as usize,
+            (intent.end * SECTOR) as usize,
+        );
+
+        let mut sector = vec![0u8; SECTOR as usize];
+        let read = disk.read(start as u64, &mut sector);
+        let data = vec![0xE7; 4 * SECTOR as usize];
+        let write = disk.write(start as u64, &data);
+        if baseline {
+            assert!(matches!(read, Err(CryptError::RekeyInProgress)), "{read:?}");
+            assert!(
+                matches!(write, Err(CryptError::RekeyInProgress)),
+                "{write:?}"
+            );
+        } else {
+            read.unwrap();
+            assert!(sector[..] == mirror[start..start + sector.len()]);
+            write.unwrap();
+            mirror[start..start + data.len()].copy_from_slice(&data);
+        }
+        disk.read(end as u64, &mut sector).unwrap();
+        assert!(sector[..] == mirror[end..end + sector.len()], "{config:?}");
+
+        let runtime = Runtime::new(8);
+        let tenant = runtime.register(TenantSpec::new("rekey").qd_cap(4).backlog_cap(16));
+        let mut driver = disk
+            .rekey_resume()
+            .expect("rekey in flight")
+            .with_chunk_sectors(16)
+            .with_queue_depth(4)
+            .with_runtime_tenant(tenant.clone());
+        driver.step(&mut disk).unwrap();
+        assert!(disk.rekey_status().and_then(|s| s.intent).is_none());
+        assert_eq!(
+            tenant.stats().completed_ops,
+            6,
+            "{config:?}: recovery must be admitted"
+        );
+        driver.drive_to_completion(&mut disk).unwrap();
+        let mut buf = vec![0u8; IMAGE_SIZE as usize];
+        disk.read(0, &mut buf).unwrap();
+        assert!(buf == mirror, "{config:?}: the image diverged");
+    }
+}

@@ -352,14 +352,6 @@ impl<B: QueueBackend> Queue<B> {
         &self.backend
     }
 
-    /// Mutable access to the backend, for drivers that change backend
-    /// state between submissions. Ops already in flight keep whatever
-    /// they captured at submit.
-    #[must_use]
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-
     /// Operations submitted and not yet reaped.
     #[must_use]
     pub fn in_flight(&self) -> usize {
