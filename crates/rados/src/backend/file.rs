@@ -77,10 +77,11 @@
 //! `pwrite`n from the replica's mirror copy at
 //! [`Object::PAYLOAD_OFFSET`] and `fdatasync`ed. **Rewrite:** anything
 //! else re-encodes the object through [`write_durable`] (temp file,
-//! `fsync`, rename, directory `fsync`). The in-place branch is what
-//! keeps write amplification near 1 + replicas whatever the number of
-//! objects per shard; rewriting every dirty object would multiply it
-//! by objects × object size ÷ log cap.
+//! `fsync`, rename, directory `fsync`); replica files whose OSDs share
+//! one copy in the mirror take the bytes of one encoding. The in-place
+//! branch is what keeps write amplification near 1 + replicas whatever
+//! the number of objects per shard; rewriting every dirty object would
+//! multiply it by objects × object size ÷ log cap.
 //!
 //! A torn in-place patch is harmless: the log is emptied only after
 //! every file is synced, so a crash mid-checkpoint replays the same
@@ -89,11 +90,15 @@
 //! # Open: load, replay, checkpoint
 //!
 //! Open removes stray `*.tmp` files (a crash between temp write and
-//! rename), loads every object file into the mirror, replays the
-//! log's intact records through [`MemStore::apply_ops`] — the same routine that
-//! applied them live — and checkpoints. A short or bad-checksum tail is
-//! a transaction that was never acknowledged, and frames of another
-//! generation behind it are stale; the log cuts both off.
+//! rename) and loads every object file into the mirror. An object's
+//! replica files that hold equal bytes load as one copy their OSDs
+//! share, as a live transaction leaves them; a file that differs (a
+//! damaged replica) loads as its OSD's own copy. Open then replays the
+//! log's intact records, each once, through [`MemStore::apply_ops`] —
+//! the same routine that applied them live — and checkpoints. A short
+//! or bad-checksum tail is a transaction that was never acknowledged,
+//! and frames of another generation behind it are stale; the log cuts
+//! both off.
 //!
 //! Replay may run over files that already contain some or all of the
 //! logged changes (the crash hit mid-checkpoint, after some renames or
@@ -108,6 +113,7 @@
 //! holds the clone it cannot fire again.
 
 use super::log::ShardLog;
+use super::mem::OsdSet;
 use super::MemStore;
 use crate::fault::{FaultKind, FaultPlane};
 use crate::object::Object;
@@ -215,7 +221,8 @@ impl FileStore {
         shard: usize,
         faults: Option<Arc<FaultPlane>>,
     ) -> io::Result<(MemStore, Self)> {
-        let mut mem = MemStore::new(osd_count);
+        // Every replica file, by object name.
+        let mut files: BTreeMap<String, Vec<(usize, PathBuf)>> = BTreeMap::new();
         for osd in 0..osd_count {
             let osd_dir = dir.join(format!("osd-{osd}"));
             fs::create_dir_all(&osd_dir)?;
@@ -229,16 +236,30 @@ impl FileStore {
                     strays = true;
                     continue;
                 }
-                let Some(name) = object_name_of(&path) else {
-                    continue;
-                };
-                let bytes = fs::read(&path)?;
-                let object = Object::decode(&bytes)
-                    .ok_or_else(|| corrupt(format!("object file {}", path.display())))?;
-                mem.insert(osd, &name, object);
+                if let Some(name) = object_name_of(&path) {
+                    files.entry(name).or_default().push((osd, path));
+                }
             }
             if strays {
                 sync_dir(&osd_dir)?;
+            }
+        }
+        let mut mem = MemStore::default();
+        for (name, replicas) in files {
+            // Replica files with equal bytes load as one shared copy; a
+            // file that differs loads as its OSD's own.
+            let mut copies: Vec<(OsdSet, PathBuf, Vec<u8>)> = Vec::new();
+            for (osd, path) in replicas {
+                let bytes = fs::read(&path)?;
+                match copies.iter_mut().find(|(_, _, loaded)| *loaded == bytes) {
+                    Some((osds, _, _)) => *osds = osds.with(osd),
+                    None => copies.push((OsdSet::one(osd), path, bytes)),
+                }
+            }
+            for (osds, path, bytes) in copies {
+                let object = Object::decode(&bytes)
+                    .ok_or_else(|| corrupt(format!("object file {}", path.display())))?;
+                mem.insert(&name, osds, object);
             }
         }
         let (log, records) = ShardLog::open(&dir.join("shard.log"))?;
@@ -259,14 +280,14 @@ impl FileStore {
             #[cfg(test)]
             recycles: true,
         };
+        let mut effects = Vec::new();
         for (i, payload) in records.iter().enumerate() {
             let record = TxRecord::decode(payload)
                 .filter(|r| r.acting.iter().all(|osd| osd.0 < osd_count))
                 .ok_or_else(|| corrupt(format!("redo record {i} of shard {shard}")))?;
             let tx = record.as_applied();
-            for osd in tx.acting {
-                mem.apply_ops(osd.0, &tx, |_| {});
-            }
+            mem.apply_ops(&tx, &mut effects);
+            effects.clear();
             store.note(&tx);
         }
         store
@@ -363,6 +384,9 @@ impl FileStore {
                 Change::Extents(extents) => Some(merged(extents)),
                 Change::Rewrite => None,
             };
+            // Replica files that share one copy get the same bytes: the
+            // copy is encoded once.
+            let mut encoded: Option<(&Object, Vec<u8>)> = None;
             for &osd in &entry.osds {
                 let path = self.object_path(osd, name);
                 let Some(object) = mem.get(osd, name) else {
@@ -374,11 +398,14 @@ impl FileStore {
                         continue;
                     }
                 }
-                let bytes = object.encode();
+                let bytes = match &encoded {
+                    Some((copy, bytes)) if std::ptr::eq(*copy, object) => bytes,
+                    _ => &encoded.insert((object, object.encode())).1,
+                };
                 self.io.write_bytes += bytes.len() as u64;
                 self.io.syncs += 2;
                 self.io.rewritten += 1;
-                if !write_durable(&path, &bytes, faults.as_deref())? {
+                if !write_durable(&path, bytes, faults.as_deref())? {
                     return Ok(false);
                 }
             }
@@ -779,9 +806,7 @@ pub(crate) mod tests {
             acting: &ACTING,
             ops: &tx.ops,
         };
-        for osd in &ACTING {
-            store.mem.apply_ops(osd.0, &applied, |_| {});
-        }
+        store.mem.apply_ops(&applied, &mut Vec::new());
         store.disk.commit(&store.mem, &applied).unwrap();
     }
 
@@ -951,13 +976,55 @@ pub(crate) mod tests {
         {
             let mut store = open(&dir);
             run(&mut store, 0, &write_tx("obj", 0, vec![7; 64]));
-            store.mem.get_mut(2, "obj").unwrap().head.poke(3, 0xFF);
+            store.mem.diverge(2, "obj").unwrap().head.poke(3, 0xFF);
             store.disk.persist(&store.mem, "obj", &[OsdId(2)]).unwrap();
             assert_eq!(log_len(&dir), 0);
         }
         let store = open(&dir);
         assert_eq!(store.mem.get(2, "obj").unwrap().head.read(3, 1), vec![0xFF]);
         assert_eq!(store.mem.get(0, "obj").unwrap().head.read(3, 1), vec![7]);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn open_shares_equal_replica_files_and_keeps_a_differing_one_apart() {
+        let dir = scratch("share");
+        {
+            let mut store = open(&dir);
+            run(&mut store, 0, &write_tx("clean", 0, vec![1; 64]));
+            run(&mut store, 0, &write_tx("damaged", 0, vec![2; 64]));
+            store.mem.diverge(1, "damaged").unwrap().head.poke(0, 0xFF);
+            store
+                .disk
+                .persist(&store.mem, "damaged", &[OsdId(1)])
+                .unwrap();
+            store.flush();
+        }
+        let mut store = open(&dir);
+        assert_eq!(store.mem.copies("clean"), 1, "three equal files, one copy");
+        assert_eq!(store.mem.copies("damaged"), 2);
+        assert_eq!(
+            store.mem.get(1, "damaged").unwrap().head.read(0, 1),
+            vec![0xFF]
+        );
+        // A transaction applies to the shared copy and to the diverged one.
+        run(&mut store, 0, &write_tx("damaged", 8, vec![3; 8]));
+        assert_eq!(store.mem.copies("damaged"), 2);
+        for osd in 0..ACTING.len() {
+            assert_eq!(
+                store.mem.get(osd, "damaged").unwrap().head.read(8, 1),
+                vec![3]
+            );
+        }
+        let mut mirror = image(&store);
+        drop(store);
+        let store = open(&dir);
+        mirror.sort();
+        assert_eq!(
+            files(&store),
+            mirror,
+            "one encoding serves every file sharing it"
+        );
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -3,7 +3,7 @@
 //! store (`cluster.meta`: format-or-reopen, geometry check, snapshot
 //! sequence).
 
-use crate::backend::{BackendKind, ClusterMeta, FileStore, MemStore};
+use crate::backend::{BackendKind, ClusterMeta, FileStore, MemStore, MAX_OSDS};
 use crate::cluster::Cluster;
 use crate::fault::{FaultConfig, FaultPlane, RetryPolicy};
 use crate::placement::PlacementMap;
@@ -102,7 +102,7 @@ fn backend_from_env() -> (BackendKind, bool) {
 }
 
 impl ClusterBuilder {
-    /// Number of OSD nodes (default 3, as in the paper).
+    /// Number of OSD nodes (default 3, as in the paper; at most 64).
     #[must_use]
     pub fn osd_count(mut self, n: usize) -> Self {
         self.osd_count = n;
@@ -249,9 +249,9 @@ impl ClusterBuilder {
     /// # Errors
     ///
     /// - [`RadosError::InvalidConfig`] if `osd_count`, `replicas`,
-    ///   `shard_count` or `crypto_lanes` is zero, if
-    ///   `replicas > osd_count`, or if a file backend's directory was
-    ///   formatted with a different geometry.
+    ///   `shard_count` or `crypto_lanes` is zero, if `osd_count` is
+    ///   above 64 or `replicas > osd_count`, or if a file backend's
+    ///   directory was formatted with a different geometry.
     /// - [`RadosError::Io`] if a file backend's directory cannot be
     ///   created, read, or written.
     pub fn try_build(self) -> Result<Cluster> {
@@ -266,6 +266,12 @@ impl ClusterBuilder {
                     "{knob} must be at least 1"
                 )));
             }
+        }
+        if self.osd_count > MAX_OSDS {
+            return Err(RadosError::InvalidConfig(format!(
+                "osd_count ({}) cannot exceed {MAX_OSDS}",
+                self.osd_count
+            )));
         }
         if self.replicas > self.osd_count {
             return Err(RadosError::InvalidConfig(format!(
@@ -328,7 +334,7 @@ impl ClusterBuilder {
         let shards = (0..self.shard_count)
             .map(|s| -> Result<Shard> {
                 let (store, disk) = match &self.backend {
-                    BackendKind::Memory => (MemStore::new(self.osd_count), None),
+                    BackendKind::Memory => (MemStore::default(), None),
                     BackendKind::File { dir } => {
                         let (store, disk) = FileStore::open_faulted(
                             dir.join(format!("shard-{s}")),

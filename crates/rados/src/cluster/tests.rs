@@ -85,6 +85,20 @@ fn try_build_rejects_replicas_exceeding_osds() {
 }
 
 #[test]
+fn try_build_rejects_more_osds_than_a_replica_set_can_name() {
+    let err = Cluster::builder().osd_count(65).try_build().unwrap_err();
+    assert_eq!(
+        err,
+        RadosError::InvalidConfig("osd_count (65) cannot exceed 64".into())
+    );
+    let widest = Cluster::builder()
+        .backend(crate::BackendKind::Memory)
+        .osd_count(64)
+        .try_build();
+    assert!(widest.is_ok());
+}
+
+#[test]
 #[should_panic(expected = "invalid cluster configuration")]
 fn build_panics_on_invalid_knobs() {
     let _ = Cluster::builder().shard_count(0).build();

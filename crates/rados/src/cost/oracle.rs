@@ -170,15 +170,22 @@ fn apply_inline(cluster: &Cluster, testbed: &Testbed, tx: &Transaction) -> Plan 
         acting: &acting,
         ops: &tx.ops,
     };
-    let mut state = cluster.shard_for(&tx.object).lock();
-    let mut work: Vec<OsdWork> = Vec::with_capacity(acting.len());
-    for osd in &acting {
-        let mut osd_work = OsdWork::default();
-        state.store.apply_ops(osd.0, &applied, |effect| {
-            charge(testbed, &mut osd_work, effect);
-        });
-        work.push(osd_work);
-    }
+    let mut effects = Vec::new();
+    cluster
+        .shard_for(&tx.object)
+        .lock()
+        .store
+        .apply_ops(&applied, &mut effects);
+    let work: Vec<OsdWork> = acting
+        .iter()
+        .map(|osd| {
+            let mut osd_work = OsdWork::default();
+            for &(_, effect) in effects.iter().filter(|(on, _)| on == osd) {
+                charge(testbed, &mut osd_work, effect);
+            }
+            osd_work
+        })
+        .collect();
     write_plan(
         &testbed.handles,
         &testbed.profile,

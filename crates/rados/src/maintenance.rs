@@ -68,7 +68,7 @@ impl Cluster {
         let mut shard = self.shard_for(object).lock();
         let obj = shard
             .store
-            .get_mut(osd.0, object)
+            .diverge(osd.0, object)
             .ok_or_else(|| RadosError::NoSuchObject(object.to_string()))?;
         obj.head.poke(offset, 0xFF);
         // Make the corruption durable too, so a reopened cluster still
@@ -77,7 +77,9 @@ impl Cluster {
     }
 
     /// Repairs an object by re-replicating the primary's copy (Ceph's
-    /// `pg repair` policy: the primary is authoritative).
+    /// `pg repair` policy: the primary is authoritative). In memory the
+    /// replicas go back to sharing the primary's copy, and the copies
+    /// they had diverged to are dropped.
     ///
     /// # Errors
     ///
@@ -85,15 +87,11 @@ impl Cluster {
     /// such object.
     pub fn repair(&self, object: &str) -> Result<()> {
         let acting = self.control.placement.acting_set(object);
+        let missing = || RadosError::NoSuchObject(object.to_string());
+        let (primary, replicas) = acting.split_first().ok_or_else(missing)?;
         let mut shard = self.shard_for(object).lock();
-        let (primary_copy, replicas) = acting
-            .split_first()
-            .and_then(|(primary, replicas)| {
-                Some((shard.store.get(primary.0, object)?.clone(), replicas))
-            })
-            .ok_or_else(|| RadosError::NoSuchObject(object.to_string()))?;
-        for osd in replicas {
-            shard.store.insert(osd.0, object, primary_copy.clone());
+        if !shard.store.repair(object, primary.0, replicas) {
+            return Err(missing());
         }
         shard.durably(|disk, mirror| disk.persist(mirror, object, replicas))
     }

@@ -67,19 +67,26 @@ impl PlacementMap {
     /// highest lots win.
     #[must_use]
     pub fn acting_set(&self, object: &str) -> Vec<OsdId> {
-        let pg = self.pg_of(object);
-        let mut lots: Vec<(u64, usize)> = (0..self.osd_count)
-            .map(|osd| (stable_hash(&[&pg.to_le_bytes(), &osd.to_le_bytes()]), osd))
-            .collect();
+        let mut lots: Vec<(u64, usize)> = self.lots(object).collect();
         lots.sort_unstable_by(|a, b| b.cmp(a));
         lots.truncate(self.replicas);
         lots.into_iter().map(|(_, osd)| OsdId(osd)).collect()
     }
 
-    /// The primary OSD for an object.
+    /// The primary OSD for an object: the first of its acting set,
+    /// found without building the set.
     #[must_use]
     pub fn primary(&self, object: &str) -> OsdId {
-        self.acting_set(object)[0]
+        self.lots(object)
+            .max()
+            .map_or(OsdId(0), |(_, osd)| OsdId(osd))
+    }
+
+    /// Every OSD's `(lot, osd)` draw for an object's PG. The pairs are
+    /// distinct (the OSDs are), so ordering them is total.
+    fn lots(&self, object: &str) -> impl Iterator<Item = (u64, usize)> {
+        let pg = self.pg_of(object).to_le_bytes();
+        (0..self.osd_count).map(move |osd| (stable_hash(&[&pg, &osd.to_le_bytes()]), osd))
     }
 
     /// The state shard an object belongs to, for a cluster split into
@@ -142,6 +149,23 @@ mod tests {
         let mut osds: Vec<usize> = set.iter().map(|o| o.0).collect();
         osds.sort_unstable();
         assert_eq!(osds, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn primary_is_the_first_of_the_acting_set() {
+        for osds in 1..=8 {
+            for replicas in 1..=osds {
+                let p = PlacementMap::new(osds, replicas, 128);
+                for i in 0..500 {
+                    let name = format!("rbd_data.img.{i:016x}");
+                    assert_eq!(
+                        p.primary(&name),
+                        p.acting_set(&name)[0],
+                        "{osds}/{replicas} {name}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

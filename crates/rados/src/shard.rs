@@ -1,6 +1,6 @@
-//! One shard of cluster state: the per-OSD object maps for every
-//! object whose placement group lands in this shard, behind its own
-//! lock, with the admission counter of the work queued for it.
+//! One shard of cluster state: the objects whose placement group lands
+//! in this shard, each held once for its whole acting set, behind its
+//! own lock, with the admission counter of the work queued for it.
 //!
 //! A shard owns no thread and no queue: its jobs ride the FIFO of the
 //! worker that serves it (worker `s mod W`, see [`crate::queue`]), so
@@ -82,7 +82,7 @@ impl Shard {
 /// from and, on a file-backed cluster, the redo log and object files
 /// that make it durable (see [`crate::backend`]).
 pub struct ShardState {
-    /// This shard's objects, per OSD.
+    /// This shard's objects, one copy each unless a replica diverged.
     pub(crate) store: MemStore,
     /// `Some` on a file-backed cluster.
     disk: Option<FileStore>,
@@ -146,11 +146,7 @@ impl ShardState {
             ops: &tx.ops,
         };
         let mut effects = Vec::with_capacity(acting.len() * tx.ops.len());
-        for &osd in &acting {
-            self.store.apply_ops(osd.0, &applied, |effect| {
-                effects.push((osd, effect));
-            });
-        }
+        self.store.apply_ops(&applied, &mut effects);
         // The durability point: a file-backed shard logs and syncs the
         // transaction before it is acknowledged.
         self.durably(|disk, mirror| disk.commit(mirror, &applied))?;

@@ -121,16 +121,16 @@ struct Row {
 /// The budget. Lower a literal when a change lowers its count; never
 /// raise one.
 const BUDGET: [Row; 10] = [
-    row(RAW, Write, Call, 19, 5_768),
-    row(RAW, Read, Call, 17, 5_392),
-    row(OBJECT_END, Write, Call, 24, 6_088),
-    row(OBJECT_END, Read, Call, 20, 5_492),
-    row(OMAP, Write, Call, 36, 6_392),
-    row(OMAP, Read, Call, 20, 5_492),
-    row(UNALIGNED, Write, Call, 23, 9_864),
-    row(UNALIGNED, Read, Call, 20, 5_512),
-    row(OBJECT_END, Write, Queued, 23, 2_306),
-    row(OBJECT_END, Read, Queued, 22, 9_919),
+    row(RAW, Write, Call, 16, 5_672),
+    row(RAW, Read, Call, 16, 5_344),
+    row(OBJECT_END, Write, Call, 21, 5_992),
+    row(OBJECT_END, Read, Call, 19, 5_444),
+    row(OMAP, Write, Call, 27, 6_144),
+    row(OMAP, Read, Call, 19, 5_444),
+    row(UNALIGNED, Write, Call, 20, 9_768),
+    row(UNALIGNED, Read, Call, 19, 5_464),
+    row(OBJECT_END, Write, Queued, 20, 2_210),
+    row(OBJECT_END, Read, Queued, 21, 9_871),
 ];
 
 const fn row(target: Target, kind: Kind, via: Via, allocs_per_op: u64, bytes_per_op: u64) -> Row {
