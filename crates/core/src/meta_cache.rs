@@ -54,7 +54,7 @@
 //! [`vdisk_rados::ClusterBuilder::meta_cache_bytes`].
 
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use vdisk_rados::sync::{LockClass, OrderedGuard, OrderedMutex};
 use vdisk_rados::ExecStats;
 
 /// One resident sector's entry.
@@ -82,13 +82,17 @@ struct CacheInner {
     totals: ExecStats,
 }
 
+impl LockClass for CacheInner {
+    const NAME: &'static str = "MetaCache::inner";
+}
+
 /// A read-only, sector-granular cache of persisted IV/metadata entries
 /// for one encrypted image (see the [module docs](self) for the
 /// invalidation contract).
 pub(crate) struct MetaCache {
     /// `None` when disabled (zero budget, or a layout with no separate
     /// metadata round trip).
-    inner: Option<Mutex<CacheInner>>,
+    inner: Option<OrderedMutex<CacheInner>>,
     entry_len: usize,
     capacity: usize,
 }
@@ -105,7 +109,7 @@ impl MetaCache {
         };
         MetaCache {
             inner: (capacity > 0).then(|| {
-                Mutex::new(CacheInner {
+                OrderedMutex::new(CacheInner {
                     map: HashMap::new(),
                     slots: Vec::new(),
                     hand: 0,
@@ -128,10 +132,8 @@ impl MetaCache {
         self.capacity
     }
 
-    fn lock(&self) -> Option<MutexGuard<'_, CacheInner>> {
-        self.inner
-            .as_ref()
-            .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
+    fn lock(&self) -> Option<OrderedGuard<'_, CacheInner>> {
+        self.inner.as_ref().map(|m| m.lock())
     }
 
     /// The current generation; captured at read submit and re-checked

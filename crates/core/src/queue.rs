@@ -43,6 +43,10 @@
 //! # }
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::missing_panics_doc)]
+
 use crate::encrypted_image::{EncryptedImage, PreparedWrite, ReadSpan};
 use crate::{CryptError, Result};
 use std::sync::Arc;

@@ -64,6 +64,10 @@
 //! too, so no snapshot inherits it. Tagged layouts never refuse:
 //! their entries route by epoch.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::missing_panics_doc)]
+
 use crate::encrypted_image::EncryptedImage;
 use crate::luks::WindowIntent;
 use crate::runtime::{Runtime, TenantHandle, TenantSpec};
@@ -144,7 +148,6 @@ impl RekeyDriver {
     /// Panics if `sectors` is 0.
     #[must_use]
     pub fn with_chunk_sectors(mut self, sectors: u64) -> Self {
-        // vdisk-lint: allow(hot-path-panic) reason="documented panic on caller input, at driver setup: a zero chunk would never advance the watermark"
         assert!(sectors > 0, "chunk must cover at least one sector");
         self.chunk_sectors = sectors;
         self
@@ -157,7 +160,6 @@ impl RekeyDriver {
     /// Panics if `depth` is 0.
     #[must_use]
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        // vdisk-lint: allow(hot-path-panic) reason="documented panic on caller input, at driver setup: a zero-depth window would never migrate a chunk"
         assert!(depth > 0, "queue depth must be at least 1");
         self.queue_depth = depth;
         self.effective_depth = depth;

@@ -72,9 +72,14 @@
 //! # }
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::missing_panics_doc)]
+
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
+use vdisk_rados::sync::OrderedMutex;
 use vdisk_rados::{Doorbell, ExecStats};
 use vdisk_rbd::{Completion, IoOp, IoResult, Queue, QueueBackend};
 
@@ -303,7 +308,7 @@ impl<B: QueueBackend> ArbitratedQueue for Queue<B> {
 /// state. See the [module docs](self) for the model.
 #[derive(Clone)]
 pub struct Runtime {
-    inner: Arc<Mutex<Arbiter>>,
+    inner: Arc<OrderedMutex<Arbiter>>,
 }
 
 impl Runtime {
@@ -318,12 +323,8 @@ impl Runtime {
     #[must_use]
     pub fn new(inflight_budget: usize) -> Runtime {
         Runtime {
-            inner: Arc::new(Mutex::new(Arbiter::new(inflight_budget))),
+            inner: Arc::new(OrderedMutex::new(Arbiter::new(inflight_budget))),
         }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Arbiter> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registers a tenant.
@@ -333,7 +334,7 @@ impl Runtime {
     /// Panics if the spec's weight, QD cap or backlog cap is zero.
     #[must_use]
     pub fn register(&self, spec: TenantSpec) -> TenantHandle {
-        let id = self.lock().register(&spec);
+        let id = self.inner.lock().register(&spec);
         TenantHandle {
             runtime: self.clone(),
             id,
@@ -343,13 +344,13 @@ impl Runtime {
     /// One tenant's counters, point in time.
     #[must_use]
     pub fn tenant_stats(&self, id: TenantId) -> TenantStats {
-        self.lock().tenant_stats(id)
+        self.inner.lock().tenant_stats(id)
     }
 
     /// The whole runtime's counters, point in time.
     #[must_use]
     pub fn snapshot(&self) -> RuntimeSnapshot {
-        let arbiter = self.lock();
+        let arbiter = self.inner.lock();
         RuntimeSnapshot {
             inflight_budget: arbiter.budget(),
             in_flight_ops: arbiter.in_flight_total(),
@@ -360,7 +361,7 @@ impl Runtime {
     /// Ops in flight across all tenants, right now.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.lock().in_flight_total()
+        self.inner.lock().in_flight_total()
     }
 
     /// The highest open-op count (backlog + in flight) any tenant
@@ -371,13 +372,13 @@ impl Runtime {
     /// client pressure without counting their own tenant's
     /// submissions — the rekey driver's backoff signal in tenant mode.
     pub fn take_demand_peak_excluding(&self, excluding: TenantId) -> u64 {
-        self.lock().take_demand_peak_excluding(excluding)
+        self.inner.lock().take_demand_peak_excluding(excluding)
     }
 }
 
 impl fmt::Debug for Runtime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let arbiter = self.lock();
+        let arbiter = self.inner.lock();
         write!(
             f,
             "Runtime({} in flight / budget {})",
@@ -427,7 +428,7 @@ impl TenantHandle {
     #[must_use]
     pub fn attach<Q: ArbitratedQueue>(&self, inner: Q) -> TenantQueue<Q> {
         let bell = inner.doorbell();
-        self.runtime.lock().attach(self.id, Arc::clone(&bell));
+        self.runtime.inner.lock().attach(self.id, Arc::clone(&bell));
         TenantQueue {
             runtime: self.runtime.clone(),
             id: self.id,
@@ -472,7 +473,7 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     /// Ops admitted and not yet dispatched.
     #[must_use]
     pub fn backlog(&self) -> usize {
-        self.runtime.lock().backlog_len(self.id)
+        self.runtime.inner.lock().backlog_len(self.id)
     }
 
     /// Ops dispatched and not yet reaped.
@@ -496,6 +497,7 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     pub fn submit(&mut self, op: IoOp) -> Result<Completion, RuntimeError<Q::Error>> {
         let outer = self.next_outer;
         self.runtime
+            .inner
             .lock()
             .try_admit(self.id, outer, op)
             .map_err(|(backlog, cap)| RuntimeError::AdmissionDenied {
@@ -511,7 +513,7 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
             // admission (and its completion id) instead of stranding
             // it. If the failing op *was* this one, pump already
             // refunded it and the error speaks for itself.
-            if self.runtime.lock().unadmit_newest(self.id, outer) {
+            if self.runtime.inner.lock().unadmit_newest(self.id, outer) {
                 self.next_outer = outer;
             }
             return Err(e);
@@ -530,14 +532,14 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     /// As [`TenantQueue::wait_any`] — never
     /// [`RuntimeError::AdmissionDenied`].
     pub fn submit_blocking(&mut self, op: IoOp) -> Result<Completion, RuntimeError<Q::Error>> {
-        self.drive_until(|q| !q.runtime.lock().backlog_full(q.id))?;
+        self.drive_until(|q| !q.runtime.inner.lock().backlog_full(q.id))?;
         self.submit(op)
     }
 
     /// Dispatches whatever the scheduler currently grants.
     fn pump(&mut self) -> Result<(), RuntimeError<Q::Error>> {
         loop {
-            let granted = self.runtime.lock().claim(self.id);
+            let granted = self.runtime.inner.lock().claim(self.id);
             if granted.is_empty() {
                 return Ok(());
             }
@@ -554,6 +556,7 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
                         // count in flight forever while never
                         // dispatching.
                         self.runtime
+                            .inner
                             .lock()
                             .dispatch_aborted(self.id, granted.collect());
                         return Err(RuntimeError::Queue(e));
@@ -611,7 +614,7 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
                         ops += 1;
                     }
                 }
-                self.runtime.lock().fail(self.id, ops);
+                self.runtime.inner.lock().fail(self.id, ops);
                 return Err(RuntimeError::Queue(e));
             }
         };
@@ -622,10 +625,13 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
         let mut bytes = 0u64;
         let mut exec = ExecStats::default();
         for mut result in results {
+            #[expect(
+                clippy::expect_used,
+                reason = "the inner queue only completes ops this wrapper submitted; ids are recorded at dispatch"
+            )]
             let (outer, cost) = self
                 .dispatched
                 .remove(&result.completion.id())
-                // vdisk-lint: allow(hot-path-panic) reason="the inner queue only completes ops this wrapper submitted; ids are recorded at dispatch"
                 .expect("inner completion was dispatched by this wrapper");
             result.completion = Completion::from_id(outer);
             ops += 1;
@@ -633,7 +639,10 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
             exec.absorb(&result.stats);
             self.staged.push(result);
         }
-        self.runtime.lock().complete(self.id, ops, bytes, &exec);
+        self.runtime
+            .inner
+            .lock()
+            .complete(self.id, ops, bytes, &exec);
         Ok(ops)
     }
 
@@ -681,7 +690,7 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
 
 impl<Q: ArbitratedQueue> Drop for TenantQueue<Q> {
     fn drop(&mut self) {
-        self.runtime.lock().detach(self.id);
+        self.runtime.inner.lock().detach(self.id);
     }
 }
 

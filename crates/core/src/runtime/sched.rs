@@ -18,8 +18,13 @@
 //! submits them on its own thread — what lets hundreds of queues share
 //! one arbiter without the arbiter owning any queue.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::missing_panics_doc)]
+
 use std::collections::VecDeque;
 use std::sync::Arc;
+use vdisk_rados::sync::LockClass;
 use vdisk_rados::{Doorbell, ExecStats};
 use vdisk_rbd::IoOp;
 
@@ -114,9 +119,12 @@ pub(crate) struct Arbiter {
     tenants: Vec<TenantState>,
 }
 
+impl LockClass for Arbiter {
+    const NAME: &'static str = "Runtime::inner";
+}
+
 impl Arbiter {
     pub(crate) fn new(budget: usize) -> Arbiter {
-        // vdisk-lint: allow(hot-path-panic) reason="documented panic of Runtime::new: a zero budget could never dispatch, so every tenant would hang instead"
         assert!(budget > 0, "runtime in-flight budget must be at least 1");
         Arbiter {
             budget,
@@ -128,14 +136,20 @@ impl Arbiter {
     /// The state for a registered tenant. `TenantId`s are minted only
     /// by [`Arbiter::register`] and the tenant table is append-only,
     /// so the index is in range by construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "TenantId is minted by register() and the table is append-only; in range by construction"
+    )]
     fn tenant(&self, id: TenantId) -> &TenantState {
-        // vdisk-lint: allow(hot-path-index) reason="TenantId is minted by register() and the table is append-only; in range by construction"
         &self.tenants[id.0 as usize]
     }
 
     /// Mutable variant of [`Arbiter::tenant`]; same index invariant.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "TenantId is minted by register() and the table is append-only; in range by construction"
+    )]
     fn tenant_mut(&mut self, id: TenantId) -> &mut TenantState {
-        // vdisk-lint: allow(hot-path-index) reason="TenantId is minted by register() and the table is append-only; in range by construction"
         &mut self.tenants[id.0 as usize]
     }
 
@@ -148,12 +162,14 @@ impl Arbiter {
     }
 
     pub(crate) fn register(&mut self, spec: &TenantSpec) -> TenantId {
-        // vdisk-lint: allow(hot-path-panic) reason="documented panic of Runtime::register on caller input, at setup: a zero cap never admits an op and a zero weight has no fair share"
         assert!(
             spec.weight >= 1 && spec.qd_cap >= 1 && spec.backlog_cap >= 1,
             "tenant weight, QD cap and backlog cap must each be at least 1"
         );
-        // vdisk-lint: allow(hot-path-panic) reason="registration is setup-path; more than u32::MAX tenants is a configuration bug, not an IO fault"
+        #[expect(
+            clippy::expect_used,
+            reason = "registration is setup-path; more than u32::MAX tenants is a configuration bug, not an IO fault"
+        )]
         let id = TenantId(u32::try_from(self.tenants.len()).expect("tenant count fits u32"));
         self.tenants.push(TenantState {
             name: spec.name.clone(),
@@ -173,7 +189,6 @@ impl Arbiter {
 
     pub(crate) fn attach(&mut self, id: TenantId, bell: Arc<Doorbell>) {
         let state = self.tenant_mut(id);
-        // vdisk-lint: allow(hot-path-panic) reason="documented panic of TenantHandle::attach: a second queue would share the tenant's one bell and budget slots"
         assert!(
             !state.attached,
             "tenant {} already has an attached queue",

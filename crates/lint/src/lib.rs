@@ -1,6 +1,7 @@
-//! `vdisk-lint`: in-tree static analysis for the vdisk workspace.
+//! `vdisk-lint`: in-tree static analysis for the vdisk workspace, for
+//! what neither rustc nor clippy can check.
 //!
-//! Three analyses run over the workspace source, fed by a small
+//! Two analyses run over the workspace source, fed by a small
 //! hand-rolled lexer (no `syn`, no registry dependencies — the same
 //! offline discipline as the proptest shim):
 //!
@@ -8,19 +9,17 @@
 //!    types for which `#[derive(Debug)]`/`#[derive(Clone)]`,
 //!    format-macro interpolation, and missing `zeroize` coverage on
 //!    raw key-byte fields are violations.
-//! 2. **Hot-path rules** ([`panics`]): `.unwrap()`, `.expect(...)`,
-//!    `panic!`, `unreachable!`, `todo!`, `unimplemented!` and direct
-//!    slice indexing are denied inside the designated hot-path
-//!    modules (shard workers, queues, the rekey driver, the tenant
-//!    runtime), and so is any `vdisk_sim` path: the simulated clock
-//!    prices receipts after the fact and never rides the IO path.
-//!    `#[cfg(test)]` code is exempt; the
-//!    `unwrap_or_else(PoisonError::into_inner)` poison-recovery idiom
-//!    is recognized as safe (it is not an `unwrap`).
-//! 3. **Lock order** ([`locks`]): guard-acquisition sites per
-//!    function, an approximate intra-workspace call graph by name
-//!    resolution over the token stream, and cycle detection over the
-//!    resulting lock-order graph, reported with a DOT artifact.
+//! 2. **No simulator on the hot path** ([`Rule::HotPathSim`]): the
+//!    simulated clock prices receipts after the fact and never rides
+//!    the IO path, so a hot-path module may not name `vdisk_sim`. A
+//!    module is hot when it opens with `#![deny(clippy::indexing_slicing,
+//!    ..)]`, the attribute through which clippy keeps the same modules
+//!    panic-free, so the two checks share one list. `#[cfg(test)]`
+//!    code is exempt.
+//!
+//! Lock order is not checked here: `vdisk_rados::sync`'s mutex checks
+//! it at run time, in every debug test run. The run also counts code
+//! lines per crate (`loc.json`).
 //!
 //! Violations are suppressed inline with
 //! `// vdisk-lint: allow(<rule>) reason="..."` — a bare allow without
@@ -29,8 +28,6 @@
 #![forbid(unsafe_code)]
 
 pub mod lexer;
-pub mod locks;
-pub mod panics;
 pub mod parse;
 pub mod report;
 pub mod secrets;
@@ -39,7 +36,7 @@ use lexer::Lexed;
 use parse::FileShape;
 
 /// One source file handed to the analyses. Paths are workspace-relative
-/// with forward slashes; the hot-path registry matches on suffixes.
+/// with forward slashes.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Workspace-relative path (`crates/rados/src/queue.rs`).
@@ -53,9 +50,6 @@ pub struct SourceFile {
 /// with; fixtures construct their own.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Path fragments designating panic-free hot-path modules. A file
-    /// is hot when its path contains any of these.
-    pub hot_paths: Vec<String>,
     /// Type names whose values carry key material. Deriving
     /// `Debug`/`Clone` on them (or on structs embedding them) and
     /// interpolating them into format macros are violations.
@@ -68,17 +62,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Config {
         Config {
-            hot_paths: vec![
-                "rados/src/queue.rs".into(),
-                "rados/src/shard.rs".into(),
-                "rados/src/cluster.rs".into(),
-                "rados/src/builder.rs".into(),
-                "rados/src/maintenance.rs".into(),
-                "rbd/src/queue.rs".into(),
-                "core/src/queue.rs".into(),
-                "core/src/rekey.rs".into(),
-                "core/src/runtime/".into(),
-            ],
             secret_types: vec![
                 "SecretBytes".into(),
                 "Keyslot".into(),
@@ -108,14 +91,8 @@ pub enum Rule {
     /// A raw key-byte field with no `zeroize` coverage on any
     /// drop/shred path.
     SecretZeroize,
-    /// `.unwrap()`/`.expect()`/`panic!`-family in a hot-path module.
-    HotPathPanic,
-    /// Direct slice/array indexing in a hot-path module.
-    HotPathIndex,
     /// A `vdisk_sim` path in a hot-path module.
     HotPathSim,
-    /// A lock-order cycle (or a malformed lock annotation).
-    LockOrder,
     /// A malformed allow directive (no reason, or an unknown rule).
     LintAllow,
 }
@@ -127,10 +104,7 @@ impl Rule {
             Rule::SecretDerive => "secret-derive",
             Rule::SecretFormat => "secret-format",
             Rule::SecretZeroize => "secret-zeroize",
-            Rule::HotPathPanic => "hot-path-panic",
-            Rule::HotPathIndex => "hot-path-index",
             Rule::HotPathSim => "hot-path-sim",
-            Rule::LockOrder => "lock-order",
             Rule::LintAllow => "lint-allow",
         }
     }
@@ -141,10 +115,7 @@ impl Rule {
             "secret-derive" => Some(Rule::SecretDerive),
             "secret-format" => Some(Rule::SecretFormat),
             "secret-zeroize" => Some(Rule::SecretZeroize),
-            "hot-path-panic" => Some(Rule::HotPathPanic),
-            "hot-path-index" => Some(Rule::HotPathIndex),
             "hot-path-sim" => Some(Rule::HotPathSim),
-            "lock-order" => Some(Rule::LockOrder),
             "lint-allow" => Some(Rule::LintAllow),
             _ => None,
         }
@@ -181,9 +152,6 @@ pub struct Analysis {
     /// Surviving findings (allow-suppressed ones removed), sorted by
     /// file then line.
     pub findings: Vec<Finding>,
-    /// The lock-order graph (for DOT/report rendering even when
-    /// acyclic).
-    pub lock_graph: locks::LockGraph,
     /// Files scanned.
     pub files_scanned: usize,
     /// Findings suppressed by a reasoned allow directive, per rule —
@@ -207,7 +175,6 @@ pub struct PreparedFile {
     pub path: String,
     pub lexed: Lexed,
     pub shape: FileShape,
-    pub is_hot: bool,
 }
 
 /// Runs every analysis over `files` and applies allow directives.
@@ -217,12 +184,10 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
         .map(|f| {
             let lexed = lexer::lex(&f.text);
             let shape = parse::parse(&lexed.tokens);
-            let is_hot = cfg.hot_paths.iter().any(|h| f.path.contains(h.as_str()));
             PreparedFile {
                 path: f.path.clone(),
                 lexed,
                 shape,
-                is_hot,
             }
         })
         .collect();
@@ -244,32 +209,20 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
         pf.shape = parse::parse_as(&pf.lexed.tokens, true);
     }
 
-    // Directives are parsed first: `allow(lock-order)` sites must
-    // remove their edges from the lock graph *before* cycle
-    // detection, not merely hide a cycle finding after the fact.
     let mut directive_findings: Vec<Finding> = Vec::new();
-    let mut per_file: std::collections::HashMap<&str, Vec<AllowDirective>> =
-        std::collections::HashMap::new();
-    let mut lock_allowed: locks::AllowedSites = Default::default();
+    let mut per_file = std::collections::HashMap::new();
     for pf in &prepared {
-        let dirs = parse_directives(pf, &mut directive_findings);
-        for d in &dirs {
-            if d.has_reason && d.rules.contains(&Rule::LockOrder) {
-                for &line in &d.covered {
-                    lock_allowed.insert((pf.path.clone(), line));
-                }
-            }
-        }
-        per_file.insert(pf.path.as_str(), dirs);
+        per_file.insert(
+            pf.path.as_str(),
+            parse_directives(pf, &mut directive_findings),
+        );
     }
 
     let mut findings: Vec<Finding> = Vec::new();
     for pf in &prepared {
         findings.extend(secrets::check(pf, &prepared, cfg));
-        findings.extend(panics::check(pf));
+        findings.extend(hot_path_sim(pf));
     }
-    let lock_graph = locks::analyze(&prepared, &lock_allowed);
-    findings.extend(lock_graph.findings.clone());
 
     // Apply line-level suppression to the remaining findings.
     let mut allows_by_rule = std::collections::BTreeMap::new();
@@ -296,11 +249,38 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
     }
     Analysis {
         findings: kept,
-        lock_graph,
         files_scanned: prepared.len(),
         allows_by_rule,
         code_lines_by_crate,
     }
+}
+
+/// [`Rule::HotPathSim`]: every `vdisk_sim` token outside `cfg(test)` in
+/// a file whose inner attributes deny `clippy::indexing_slicing`.
+fn hot_path_sim(pf: &PreparedFile) -> Vec<Finding> {
+    let toks = &pf.lexed.tokens;
+    let is_hot = toks.windows(4).enumerate().any(|(i, w)| {
+        let inner_deny =
+            w[0].is_punct('#') && w[1].is_punct('!') && w[2].is_punct('[') && w[3].is_ident("deny");
+        inner_deny
+            && toks[i + 4..parse::matching(toks, i + 2, toks.len())]
+                .iter()
+                .any(|t| t.is_ident("indexing_slicing"))
+    });
+    if !is_hot {
+        return Vec::new();
+    }
+    toks.iter()
+        .filter(|t| t.is_ident("vdisk_sim") && !pf.shape.line_in_test(t.line))
+        .map(|t| Finding {
+            rule: Rule::HotPathSim,
+            file: pf.path.clone(),
+            line: t.line,
+            message: "`vdisk_sim` in a hot-path module — return a receipt and let \
+                      `vdisk_rados::Testbed` price it off the IO path"
+                .into(),
+        })
+        .collect()
 }
 
 /// The file `mod name;` declared in the file at `parent` names: beside
@@ -446,10 +426,7 @@ mod tests {
             Rule::SecretDerive,
             Rule::SecretFormat,
             Rule::SecretZeroize,
-            Rule::HotPathPanic,
-            Rule::HotPathIndex,
             Rule::HotPathSim,
-            Rule::LockOrder,
             Rule::LintAllow,
         ] {
             assert_eq!(Rule::parse(rule.as_str()), Some(rule));

@@ -11,9 +11,8 @@
 //! ```
 //!
 //! Artifacts land in `<out>/` (default `target/vdisk-lint/`):
-//! `findings.json` (machine-readable), `loc.json` (code lines per
-//! crate), `lock-order.dot` (graphviz), `lock-order.txt` (human lock
-//! report).
+//! `findings.json` (machine-readable) and `loc.json` (code lines per
+//! crate).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -121,8 +120,6 @@ fn run() -> Result<bool, String> {
     let artifacts = [
         ("findings.json", report::findings_json(&analysis)),
         ("loc.json", report::loc_json(&analysis)),
-        ("lock-order.dot", analysis.lock_graph.to_dot()),
-        ("lock-order.txt", analysis.lock_graph.report()),
     ];
     for (name, content) in artifacts {
         let path = args.out.join(name);

@@ -51,14 +51,7 @@ pub fn findings_json(analysis: &Analysis) -> String {
             json_escape(&f.message)
         ));
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"lock_classes\": {},\n  \"lock_edges\": {},\n  \"lock_cycles\": {}\n",
-        analysis.lock_graph.classes.len(),
-        analysis.lock_graph.edges.len(),
-        analysis.lock_graph.cycles.len()
-    ));
-    out.push_str("}\n");
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -99,13 +92,6 @@ pub fn summary(analysis: &Analysis) -> String {
     for (rule, n) in &analysis.allows_by_rule {
         out.push_str(&format!("  allow({}): {n}\n", rule.as_str()));
     }
-    out.push_str(&format!(
-        "lock-order: {} classes, {} edges, {} cycles ({} edges suppressed)\n",
-        analysis.lock_graph.classes.len(),
-        analysis.lock_graph.edges.len(),
-        analysis.lock_graph.cycles.len(),
-        analysis.lock_graph.suppressed_edges.len()
-    ));
     out.push_str("code lines (non-blank, non-comment, outside cfg(test)):\n");
     for (name, lines) in &analysis.code_lines_by_crate {
         out.push_str(&format!("  {name:<8} {lines:>6}\n"));

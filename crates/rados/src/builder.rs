@@ -3,6 +3,10 @@
 //! store (`cluster.meta`: format-or-reopen, geometry check, snapshot
 //! sequence).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::missing_panics_doc)]
+
 use crate::backend::{BackendKind, ClusterMeta, FileStore, MemStore, MAX_OSDS};
 use crate::cluster::Cluster;
 use crate::fault::{FaultConfig, FaultPlane, RetryPolicy};
@@ -228,9 +232,12 @@ impl ClusterBuilder {
     /// error (zero-valued knobs, replicas exceeding OSDs, or a file
     /// backend that cannot be opened).
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking constructor for literal-knob tests; fallible callers use try_build"
+    )]
     pub fn build(self) -> Cluster {
         self.try_build()
-            // vdisk-lint: allow(hot-path-panic) reason="documented panicking constructor for literal-knob tests; fallible callers use try_build"
             .unwrap_or_else(|e| panic!("invalid cluster configuration: {e}"))
     }
 

@@ -32,6 +32,10 @@
 //! rule: every job of a shard passes through one worker's FIFO, so ops
 //! touching the same object always apply in submission order.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::missing_panics_doc)]
+
 pub use crate::builder::{ClusterBuilder, PayloadMode, DEFAULT_META_CACHE_BYTES};
 pub use crate::maintenance::ScrubReport;
 
@@ -173,8 +177,11 @@ impl Cluster {
     }
 
     /// The shard holding `object`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "shard_of reduces the object hash modulo shards.len()"
+    )]
     pub(crate) fn shard_for(&self, object: &str) -> &Shard {
-        // vdisk-lint: allow(hot-path-index) reason="shard_of reduces the object hash modulo shards.len()"
         &self.shards[self.control.shard_of(object)]
     }
 
@@ -502,10 +509,14 @@ impl Cluster {
         barrier.wait();
         if self.durable.is_some() {
             for shard in self.shards.iter() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "documented panicking path: a failed directory sync voids the durability promise"
+                )]
                 shard
+                    .state
                     .lock()
                     .durably(|disk, mirror| disk.flush(mirror))
-                    // vdisk-lint: allow(hot-path-panic) reason="documented panicking path: a failed directory sync voids the durability promise"
                     .expect("backend flush failed");
             }
             self.persist_snap_seq(self.control.snap_seq());
@@ -530,7 +541,10 @@ impl Cluster {
     /// durable backend; no-op on the in-memory one.
     fn persist_snap_seq(&self, seq: u64) {
         if let Some(durable) = &self.durable {
-            // vdisk-lint: allow(hot-path-panic) reason="reopening with a stale snap seq silently corrupts clone visibility; failing loudly is the contract"
+            #[expect(
+                clippy::expect_used,
+                reason = "reopening with a stale snap seq silently corrupts clone visibility; failing loudly is the contract"
+            )]
             durable.persist(seq).expect("cluster.meta update failed");
         }
     }
@@ -581,7 +595,6 @@ impl Cluster {
     /// Panics if `shard >= shard_count()`.
     #[must_use]
     pub fn hold_shard(&self, shard: usize) -> ShardHold {
-        // vdisk-lint: allow(hot-path-panic) reason="documented panic of a test-and-bench hook on caller input; no IO path calls hold_shard"
         assert!(shard < self.shards.len(), "shard index out of range");
         let gate = Arc::new(Progress::new(1));
         let released = !self.workers_enabled();
@@ -604,7 +617,7 @@ impl Cluster {
     #[must_use]
     pub fn object_exists(&self, object: &str) -> bool {
         let primary = self.control.placement.primary(object);
-        let shard = self.shard_for(object).lock();
+        let shard = self.shard_for(object).state.lock();
         shard.store.get(primary.0, object).is_some()
     }
 
@@ -616,6 +629,7 @@ impl Cluster {
     pub fn stat(&self, object: &str) -> Result<crate::object::ObjectStat> {
         let primary = self.control.placement.primary(object);
         self.shard_for(object)
+            .state
             .lock()
             .store
             .get(primary.0, object)
@@ -628,7 +642,7 @@ impl Cluster {
     pub fn list_objects(&self) -> Vec<String> {
         let mut names: Vec<String> = Vec::new();
         for shard in self.shards.iter() {
-            names.extend(shard.lock().store.names());
+            names.extend(shard.state.lock().store.names());
         }
         names.sort_unstable();
         names
@@ -638,6 +652,7 @@ impl Cluster {
     #[cfg(test)]
     fn osd_holds(&self, osd: usize, object: &str) -> bool {
         self.shard_for(object)
+            .state
             .lock()
             .store
             .get(osd, object)

@@ -173,6 +173,7 @@ fn apply_inline(cluster: &Cluster, testbed: &Testbed, tx: &Transaction) -> Plan 
     let mut effects = Vec::new();
     cluster
         .shard_for(&tx.object)
+        .state
         .lock()
         .store
         .apply_ops(&applied, &mut effects);
@@ -205,7 +206,7 @@ fn read_inline(
 ) -> Plan {
     let (handles, profile) = (&testbed.handles, &testbed.profile);
     let primary = cluster.control.placement.primary(&request.object);
-    let state = cluster.shard_for(&request.object).lock();
+    let state = cluster.shard_for(&request.object).state.lock();
     let Some(content) = state
         .store
         .get(primary.0, &request.object)

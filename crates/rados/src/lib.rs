@@ -30,6 +30,9 @@
 //!   record of the physical work it did — per replica, the blocks
 //!   written and read-modify-written and the OMAP batches; per read,
 //!   the blocks and OMAP lookups and the bytes returned.
+//! - **Locks** ([`sync`]): the mutex and condvar every crate of the
+//!   workspace locks with; debug builds check their acquisition order
+//!   at run time.
 //! - **Cost model** ([`cost`]): a [`Testbed`] prices receipts into
 //!   `vdisk-sim` plans over the testbed's resources (client NIC,
 //!   per-OSD links, OSD CPUs, NVMe arrays, the OMAP KV engine),
@@ -74,6 +77,7 @@ mod queue;
 mod receipt;
 mod shard;
 mod state;
+pub mod sync;
 pub mod transaction;
 
 pub use backend::BackendKind;

@@ -1,6 +1,10 @@
 //! Replica maintenance: deep scrub, injected replica damage, and
 //! primary-authoritative repair.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::missing_panics_doc)]
+
 use crate::cluster::Cluster;
 use crate::{RadosError, Result};
 
@@ -28,7 +32,7 @@ impl Cluster {
     pub fn scrub(&self) -> ScrubReport {
         let mut report = ScrubReport::default();
         for shard in self.shards.iter() {
-            let guard = shard.lock();
+            let guard = shard.state.lock();
             for name in guard.store.names() {
                 report.objects_checked += 1;
                 let acting = self.control.placement.acting_set(&name);
@@ -65,7 +69,7 @@ impl Cluster {
                 acting.len()
             )));
         };
-        let mut shard = self.shard_for(object).lock();
+        let mut shard = self.shard_for(object).state.lock();
         let obj = shard
             .store
             .diverge(osd.0, object)
@@ -89,7 +93,7 @@ impl Cluster {
         let acting = self.control.placement.acting_set(object);
         let missing = || RadosError::NoSuchObject(object.to_string());
         let (primary, replicas) = acting.split_first().ok_or_else(missing)?;
-        let mut shard = self.shard_for(object).lock();
+        let mut shard = self.shard_for(object).state.lock();
         if !shard.store.repair(object, primary.0, replicas) {
             return Err(missing());
         }

@@ -41,16 +41,21 @@
 //! waiters the same way, so a completion nobody waits for signals
 //! nobody.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::missing_panics_doc)]
+
 use crate::cluster::ExecStats;
 use crate::receipt::{ReadWork, Receipt, TxWork};
 use crate::shard::{Shard, ShardState};
 use crate::state::{ControlPlane, StatCounters};
+use crate::sync::{LockClass, OrderedCondvar, OrderedMutex};
 use crate::transaction::{ObjectReads, ReadResult, Transaction};
 use crate::{RadosError, SnapId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// What a submission is made of. Implemented by [`Apply`] and [`Read`]
@@ -218,7 +223,7 @@ impl<K: Kind> Part<K> {
         }
         let shared = &self.shared;
         let served = {
-            let mut state = shard.lock();
+            let mut state = shard.state.lock();
             catch_unwind(AssertUnwindSafe(|| {
                 self.slots
                     .iter()
@@ -336,8 +341,8 @@ impl Job {
 /// A FIFO job queue with blocking pop — one per worker thread, each
 /// entry tagged with the shard it is for.
 pub(crate) struct WorkerQueue {
-    inner: Mutex<QueueInner>,
-    cv: Condvar,
+    inner: OrderedMutex<QueueInner>,
+    cv: OrderedCondvar,
 }
 
 struct QueueInner {
@@ -348,20 +353,20 @@ struct QueueInner {
     parked: bool,
 }
 
+impl LockClass for QueueInner {
+    const NAME: &'static str = "WorkerQueue::inner";
+}
+
 impl WorkerQueue {
     pub(crate) fn new() -> Self {
         WorkerQueue {
-            inner: Mutex::new(QueueInner {
+            inner: OrderedMutex::new(QueueInner {
                 jobs: VecDeque::new(),
                 closed: false,
                 parked: false,
             }),
-            cv: Condvar::new(),
+            cv: OrderedCondvar::new(),
         }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Appends `job` for shard `shard`. Notifies the worker only if it
@@ -369,7 +374,7 @@ impl WorkerQueue {
     /// so pushes landing before the woken worker runs do not notify
     /// again: it drains everything queued once it holds the lock.
     pub(crate) fn push(&self, shard: usize, job: Job) -> bool {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.jobs.push_back((shard, job));
         let parked = std::mem::take(&mut inner.parked);
         drop(inner);
@@ -383,7 +388,7 @@ impl WorkerQueue {
     /// closed **and** drained, so in-flight work always completes
     /// before a worker exits.
     fn pop(&self) -> Option<(usize, Job)> {
-        let mut guard = self.lock();
+        let mut guard = self.inner.lock();
         loop {
             if let Some(entry) = guard.jobs.pop_front() {
                 return Some(entry);
@@ -392,7 +397,7 @@ impl WorkerQueue {
                 return None;
             }
             guard.parked = true;
-            guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            guard = self.cv.wait(guard);
             // A spurious wakeup must not leave the flag set for a
             // worker that is about to run.
             guard.parked = false;
@@ -400,7 +405,7 @@ impl WorkerQueue {
     }
 
     fn close(&self) {
-        self.lock().closed = true;
+        self.inner.lock().closed = true;
         self.cv.notify_all();
     }
 }
@@ -458,7 +463,7 @@ impl Shards {
     /// Whether worker `worker` is parked on its empty FIFO.
     #[cfg(test)]
     pub(crate) fn worker_parked(&self, worker: usize) -> bool {
-        self.queues[worker].lock().parked
+        self.queues[worker].inner.lock().parked
     }
 
     /// Number of worker threads (`0` in inline mode).
@@ -513,8 +518,8 @@ impl Drop for Shards {
 /// bumps the generation, so the reaper can never sleep through a
 /// completion (no lost wakeups) — and never spins while idle.
 pub struct Doorbell {
-    state: Mutex<Bell>,
-    cv: Condvar,
+    state: OrderedMutex<Bell>,
+    cv: OrderedCondvar,
 }
 
 struct Bell {
@@ -524,16 +529,20 @@ struct Bell {
     waiters: usize,
 }
 
+impl LockClass for Bell {
+    const NAME: &'static str = "Doorbell::state";
+}
+
 impl Doorbell {
     /// A fresh, shareable bell at generation zero.
     #[must_use]
     pub fn new() -> Arc<Doorbell> {
         Arc::new(Doorbell {
-            state: Mutex::new(Bell {
+            state: OrderedMutex::new(Bell {
                 generation: 0,
                 waiters: 0,
             }),
-            cv: Condvar::new(),
+            cv: OrderedCondvar::new(),
         })
     }
 
@@ -541,17 +550,13 @@ impl Doorbell {
     /// completed work, then hand it to [`Doorbell::wait_past`].
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.lock().generation
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Bell> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        self.state.lock().generation
     }
 
     /// Rings the bell: bumps the generation and wakes every parked
     /// waiter, if there is one.
     pub fn ring(&self) {
-        let mut bell = self.lock();
+        let mut bell = self.state.lock();
         bell.generation += 1;
         let parked = bell.waiters > 0;
         drop(bell);
@@ -564,10 +569,10 @@ impl Doorbell {
     /// immediately if it already has. Returns the generation observed
     /// on wakeup.
     pub fn wait_past(&self, seen: u64) -> u64 {
-        let mut bell = self.lock();
+        let mut bell = self.state.lock();
         while bell.generation == seen {
             bell.waiters += 1;
-            bell = self.cv.wait(bell).unwrap_or_else(PoisonError::into_inner);
+            bell = self.cv.wait(bell);
             bell.waiters -= 1;
         }
         bell.generation
@@ -577,8 +582,8 @@ impl Doorbell {
 /// Completion state shared between a submission's jobs and its ticket:
 /// one slot per submitted item, a remaining count, and a condvar.
 pub struct Progress<T> {
-    state: Mutex<ProgressState<T>>,
-    cv: Condvar,
+    state: OrderedMutex<ProgressState<T>>,
+    cv: OrderedCondvar,
 }
 
 struct ProgressState<T> {
@@ -594,29 +599,29 @@ struct ProgressState<T> {
     subscriber: Option<Arc<Doorbell>>,
 }
 
+impl<T> LockClass for ProgressState<T> {
+    const NAME: &'static str = "Progress::state";
+}
+
 impl<T> Progress<T> {
     pub(crate) fn new(items: usize) -> Self {
         Progress {
-            state: Mutex::new(ProgressState {
+            state: OrderedMutex::new(ProgressState {
                 slots: (0..items).map(|_| None).collect(),
                 remaining: items,
                 poisoned: false,
                 waiters: 0,
                 subscriber: None,
             }),
-            cv: Condvar::new(),
+            cv: OrderedCondvar::new(),
         }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, ProgressState<T>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Fills completed slots; when the last slot lands, signals waiters
     /// and rings the subscribed doorbell — once per submission, since
     /// completion is all a reaper can act on.
     pub(crate) fn complete(&self, items: Vec<(usize, T)>) {
-        let mut guard = self.lock();
+        let mut guard = self.state.lock();
         let state = &mut *guard;
         for (i, item) in items {
             if let Some(slot) = state.slots.get_mut(i) {
@@ -640,7 +645,7 @@ impl<T> Progress<T> {
 
     /// Marks the submission failed by a panicking worker.
     fn poison(&self) {
-        let mut guard = self.lock();
+        let mut guard = self.state.lock();
         guard.poisoned = true;
         if guard.waiters > 0 {
             self.cv.notify_all();
@@ -656,7 +661,7 @@ impl<T> Progress<T> {
     /// it immediately if the submission is already done, so a reaper
     /// subscribing late never parks past a finished op.
     pub(crate) fn ring_when_done(&self, bell: &Arc<Doorbell>) {
-        let mut guard = self.lock();
+        let mut guard = self.state.lock();
         debug_assert!(guard.subscriber.is_none(), "a submission takes one bell");
         if guard.remaining == 0 || guard.poisoned {
             drop(guard);
@@ -668,7 +673,7 @@ impl<T> Progress<T> {
 
     /// True once every slot has completed.
     pub(crate) fn is_done(&self) -> bool {
-        let guard = self.lock();
+        let guard = self.state.lock();
         guard.remaining == 0 || guard.poisoned
     }
 
@@ -679,19 +684,21 @@ impl<T> Progress<T> {
     ///
     /// Panics if a shard worker panicked while serving this submission
     /// (mirroring the panic propagation of the old scoped-thread path).
+    #[expect(
+        clippy::expect_used,
+        reason = "wait returns only once remaining == 0, and every decrement filled its slot under this lock"
+    )]
     pub(crate) fn wait(&self) -> Vec<T> {
-        let mut guard = self.lock();
+        let mut guard = self.state.lock();
         while guard.remaining > 0 && !guard.poisoned {
             guard.waiters += 1;
-            guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            guard = self.cv.wait(guard);
             guard.waiters -= 1;
         }
-        // vdisk-lint: allow(hot-path-panic) reason="fail-stop: a worker panicked mid-submission, so its slots are unfilled; returning would hand back short or misattributed results"
         assert!(!guard.poisoned, "shard worker panicked");
         guard
             .slots
             .iter_mut()
-            // vdisk-lint: allow(hot-path-panic) reason="wait returns only once remaining == 0, and every decrement filled its slot under this lock"
             .map(|slot| slot.take().expect("every slot completed"))
             .collect()
     }
@@ -1039,7 +1046,7 @@ pub(crate) mod tests {
             })
         };
         // Wait until the consumer has parked on the empty queue.
-        while !q.lock().parked {
+        while !q.inner.lock().parked {
             std::thread::yield_now();
         }
         let gates: Vec<Arc<Progress<()>>> = (0..3).map(|_| Arc::new(Progress::new(1))).collect();
@@ -1064,7 +1071,7 @@ pub(crate) mod tests {
         let bell = Doorbell::new();
         let seen = bell.generation();
         bell.ring();
-        assert_eq!(bell.lock().waiters, 0);
+        assert_eq!(bell.state.lock().waiters, 0);
         assert_eq!(
             bell.wait_past(seen),
             seen + 1,
@@ -1080,12 +1087,16 @@ pub(crate) mod tests {
             let bell = Arc::clone(&bell);
             std::thread::spawn(move || bell.wait_past(seen))
         };
-        while bell.lock().waiters == 0 {
+        while bell.state.lock().waiters == 0 {
             std::thread::yield_now();
         }
         bell.ring();
         assert_eq!(waiter.join().unwrap(), seen + 1);
-        assert_eq!(bell.lock().waiters, 0, "the woken waiter left the count");
+        assert_eq!(
+            bell.state.lock().waiters,
+            0,
+            "the woken waiter left the count"
+        );
     }
 
     #[test]
@@ -1095,7 +1106,7 @@ pub(crate) mod tests {
             let p = Arc::clone(&p);
             std::thread::spawn(move || p.wait())
         };
-        while p.lock().waiters == 0 {
+        while p.state.lock().waiters == 0 {
             std::thread::yield_now();
         }
         p.complete(vec![(1, 10)]);

@@ -13,14 +13,18 @@
 //! single-shard operations, and lets [`crate::Cluster::execute_batch`]
 //! apply disjoint shard groups genuinely concurrently.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::missing_panics_doc)]
+
 use crate::backend::{FileStore, MemStore};
 use crate::object::PHYS_BLOCK;
 use crate::receipt::{ReadEffect, ReadWork, TxWork};
 use crate::state::ControlPlane;
 use crate::state::StatCounters;
+use crate::sync::{LockClass, OrderedMutex};
 use crate::transaction::{AppliedTx, ReadOp, ReadResult, Transaction, TxOp};
 use crate::{RadosError, Result, SnapId};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A shard: one lock over one placement-disjoint slice of the object
 /// space and the admission counter of its queued work.
@@ -28,29 +32,32 @@ pub(crate) struct Shard {
     /// This shard's position in the cluster's shard table — the key
     /// fault schedules, write epochs and injected errors name it by.
     pub(crate) index: usize,
-    state: Mutex<ShardState>,
+    /// The shard's objects. A panic while holding the lock only poisons
+    /// functional state, so the lock recovers rather than propagates.
+    pub(crate) state: OrderedMutex<ShardState>,
     /// Jobs admitted to this shard (enqueued or applying) and not yet
     /// complete. The 0↔1 transitions drive the cluster-wide
     /// shard-concurrency high-water mark; the global update happens
     /// *under this lock* so one shard's enter/exit strictly alternate
     /// — which is what makes `shard_concurrency_peak <= shard_count` a
     /// structural invariant rather than a race-prone approximation.
-    pending: Mutex<usize>,
+    pending: OrderedMutex<Pending>,
+}
+
+/// A shard's count of admitted, unfinished jobs.
+struct Pending(usize);
+
+impl LockClass for Pending {
+    const NAME: &'static str = "Shard::pending";
 }
 
 impl Shard {
     pub(crate) fn new(index: usize, store: MemStore, disk: Option<FileStore>) -> Self {
         Shard {
             index,
-            state: Mutex::new(ShardState { store, disk }),
-            pending: Mutex::new(0),
+            state: OrderedMutex::new(ShardState { store, disk }),
+            pending: OrderedMutex::new(Pending(0)),
         }
-    }
-
-    /// Acquires the shard; a panic while holding the lock only poisons
-    /// functional state, so recover rather than propagate.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, ShardState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Records a job admitted to this shard, bumping the cluster-wide
@@ -58,9 +65,9 @@ impl Shard {
     /// the shard was idle (no enqueued or running job) — the
     /// linearization point for the sync wrappers' inline fast path.
     pub(crate) fn job_admitted(&self, stats: &StatCounters) -> bool {
-        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        *pending += 1;
-        let was_idle = *pending == 1;
+        let mut pending = self.pending.lock();
+        pending.0 += 1;
+        let was_idle = pending.0 == 1;
         if was_idle {
             stats.enter_shard_apply();
         }
@@ -70,9 +77,9 @@ impl Shard {
     /// Records a job finished on this shard, dropping the busy-shard
     /// counter on the busy→idle transition.
     pub(crate) fn job_done(&self, stats: &StatCounters) {
-        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        *pending -= 1;
-        if *pending == 0 {
+        let mut pending = self.pending.lock();
+        pending.0 -= 1;
+        if pending.0 == 0 {
             stats.exit_shard_apply();
         }
     }
@@ -86,6 +93,10 @@ pub struct ShardState {
     pub(crate) store: MemStore,
     /// `Some` on a file-backed cluster.
     disk: Option<FileStore>,
+}
+
+impl LockClass for ShardState {
+    const NAME: &'static str = "Shard::state";
 }
 
 impl ShardState {

@@ -3,7 +3,8 @@
 use crate::striping::{ObjectExtent, Striper};
 use crate::{RbdError, Result, DEFAULT_OBJECT_SIZE};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
+use vdisk_rados::sync::{LockClass, OrderedMutex};
 use vdisk_rados::{
     ApplyTicket, Cluster, ObjectReads, ReadOp, ReadTicket, Receipt, SharedBuf, SnapId, Transaction,
 };
@@ -41,7 +42,15 @@ pub struct Image {
     /// Memoized shard-aware object names: a pure function of the image
     /// name, object number and cluster placement config, so the salt
     /// search runs once per object, not once per IO extent.
-    object_names: Arc<Mutex<HashMap<u64, String>>>,
+    object_names: Arc<OrderedMutex<ObjectNames>>,
+}
+
+/// [`Image::object_name`]'s memo, by object number.
+#[derive(Debug, Default)]
+struct ObjectNames(HashMap<u64, String>);
+
+impl LockClass for ObjectNames {
+    const NAME: &'static str = "Image::object_names";
 }
 
 impl Image {
@@ -60,15 +69,12 @@ impl Image {
     /// shard workers deterministically.
     #[must_use]
     pub fn object_name(&self, object_no: u64) -> String {
-        let mut cache = self
-            .object_names
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(name) = cache.get(&object_no) {
+        let mut cache = self.object_names.lock();
+        if let Some(name) = cache.0.get(&object_no) {
             return name.clone();
         }
         let name = self.compute_object_name(object_no);
-        cache.insert(object_no, name.clone());
+        cache.0.insert(object_no, name.clone());
         name
     }
 
@@ -128,7 +134,7 @@ impl Image {
             name: name.to_string(),
             size,
             striper: Striper::new(object_size),
-            object_names: Arc::new(Mutex::new(HashMap::new())),
+            object_names: Arc::new(OrderedMutex::new(ObjectNames::default())),
         })
     }
 
@@ -167,7 +173,7 @@ impl Image {
             name: name.to_string(),
             size,
             striper: Striper::new(object_size),
-            object_names: Arc::new(Mutex::new(HashMap::new())),
+            object_names: Arc::new(OrderedMutex::new(ObjectNames::default())),
         })
     }
 

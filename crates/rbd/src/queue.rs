@@ -49,6 +49,10 @@
 //! # }
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::missing_panics_doc)]
+
 use crate::image::Image;
 use crate::striping::ObjectExtent;
 use crate::{RbdError, Result};
@@ -136,7 +140,10 @@ impl IoPayload {
     pub fn data(&self) -> &[u8] {
         match self {
             IoPayload::Data(d) => d,
-            // vdisk-lint: allow(hot-path-panic) reason="documented panicking accessor; callers match the payload kind to the op they submitted"
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking accessor; callers match the payload kind to the op they submitted"
+            )]
             other => panic!("expected data payload, got {other:?}"),
         }
     }
@@ -151,7 +158,10 @@ impl IoPayload {
         let mut segments = Vec::with_capacity(lens.len());
         let mut cursor = 0usize;
         for &len in lens {
-            // vdisk-lint: allow(hot-path-index) reason="the engine read exactly lens.iter().sum() bytes for this op; a shorter payload is a backend bug"
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the engine read exactly lens.iter().sum() bytes for this op; a shorter payload is a backend bug"
+            )]
             segments.push(data[cursor..cursor + len as usize].to_vec());
             cursor += len as usize;
         }
@@ -167,7 +177,10 @@ impl IoPayload {
     pub fn segments(&self) -> &[Vec<u8>] {
         match self {
             IoPayload::Segments(s) => s,
-            // vdisk-lint: allow(hot-path-panic) reason="documented panicking accessor; callers match the payload kind to the op they submitted"
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking accessor; callers match the payload kind to the op they submitted"
+            )]
             other => panic!("expected segments payload, got {other:?}"),
         }
     }
