@@ -249,9 +249,10 @@ fn run_groups() -> BTreeMap<String, u64> {
     // Rekey churn: the same 70/30 mix while a background online rekey
     // drains the image between job slices — the key-lifecycle hot
     // path, regression-gated from day one. Deterministic: inline-mode
-    // cluster, seeded offsets, fixed driver window; the metric is the
-    // client IO's simulated ns/op under migration pressure (driver
-    // IO contends for the same shards and churns the cache).
+    // cluster, seeded offsets, and a driver window of a fixed 8 × 32
+    // sectors; the metric is the client IO's simulated ns/op while a
+    // migration is in flight (driver IO contends for the same shards
+    // and churns the cache).
     let mut disk = testbed::cached_bench_disk(&object_end, IMAGE, 29);
     fio::precondition(&mut disk).expect("precondition");
     let mut driver = disk

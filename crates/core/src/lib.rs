@@ -93,10 +93,7 @@ pub use config::{Cipher, EncryptionConfig, MetaLayout, KEY_EPOCH_TAG_LEN};
 pub use encrypted_image::EncryptedImage;
 pub use luks::{RekeyState, WindowIntent};
 pub use queue::EncryptedIoQueue;
-pub use rekey::{
-    RekeyDriver, RekeyProgress, DEFAULT_CHUNK_SECTORS, DEFAULT_PRESSURE_THRESHOLD,
-    DEFAULT_QUEUE_DEPTH,
-};
+pub use rekey::{RekeyDriver, RekeyProgress, DEFAULT_CHUNK_SECTORS, DEFAULT_QUEUE_DEPTH};
 pub use runtime::{
     Runtime, RuntimeError, RuntimeSnapshot, TenantHandle, TenantId, TenantQueue, TenantSpec,
     TenantStats,

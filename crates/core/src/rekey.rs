@@ -20,12 +20,12 @@
 //!    header update): the handle's watermark moves only here, so it is
 //!    always the stored one.
 //!
-//! The window's depth adapts to client load: it halves (down to one
-//! chunk) while the client pressure sampled before a step exceeds
-//! [`DEFAULT_PRESSURE_THRESHOLD`] open submissions, and doubles back
-//! toward the configured depth once the samples are quiet. Tenant
-//! queue errors reach the caller as [`CryptError`]s through its
-//! `From<RuntimeError<CryptError>>` conversion.
+//! Every window has the same size, clamped at the image end: the
+//! driver does not watch client load. Its IO is paced by the runtime
+//! alone — as a low-weight tenant of a runtime shared with client
+//! tenants, the fair scheduler grants it slots in proportion to its
+//! weight. Tenant queue errors reach the caller as [`CryptError`]s
+//! through its `From<RuntimeError<CryptError>>` conversion.
 //!
 //! Between steps the driver owns nothing: the caller is free to run
 //! arbitrary queued IO against the image — reads and writes select
@@ -79,11 +79,6 @@ use vdisk_rados::{RadosError, ReadOp, ReadResult};
 pub const DEFAULT_CHUNK_SECTORS: u64 = 16;
 /// Default chunks in flight per step.
 pub const DEFAULT_QUEUE_DEPTH: usize = 8;
-/// Client-pressure threshold: a sampled queue-depth peak above this
-/// many open submissions makes the driver halve its window.
-/// Synchronous wrappers hold one open submission each, so this ignores
-/// light sync traffic and reacts to genuinely queued client IO.
-pub const DEFAULT_PRESSURE_THRESHOLD: u64 = 4;
 
 /// Progress of an in-flight rekey.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,12 +110,6 @@ pub struct RekeyDriver {
     to: u32,
     chunk_sectors: u64,
     queue_depth: usize,
-    /// Queue depth the next window will actually use: halved while
-    /// sampled client pressure exceeds the threshold, doubled back
-    /// toward `queue_depth` when pressure subsides.
-    effective_depth: usize,
-    /// Client queue-depth peak sampled before the last window.
-    last_pressure: u64,
     /// When set, window IO flows through this tenant of a
     /// multi-tenant [`crate::runtime::Runtime`] — background rekey
     /// becomes an ordinary (typically low-weight) tenant competing
@@ -135,8 +124,6 @@ impl RekeyDriver {
             to,
             chunk_sectors: DEFAULT_CHUNK_SECTORS,
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            effective_depth: DEFAULT_QUEUE_DEPTH,
-            last_pressure: 0,
             tenant: None,
         }
     }
@@ -162,7 +149,6 @@ impl RekeyDriver {
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         assert!(depth > 0, "queue depth must be at least 1");
         self.queue_depth = depth;
-        self.effective_depth = depth;
         self
     }
 
@@ -174,21 +160,6 @@ impl RekeyDriver {
     pub fn with_runtime_tenant(mut self, tenant: TenantHandle) -> Self {
         self.tenant = Some(tenant);
         self
-    }
-
-    /// The queue depth the next window will use: `queue_depth` when
-    /// the cluster was quiet, smaller (down to 1) while sampled client
-    /// pressure exceeds [`DEFAULT_PRESSURE_THRESHOLD`]. The observable
-    /// signal that the rekey yields: window submissions drop with it.
-    #[must_use]
-    pub fn effective_queue_depth(&self) -> usize {
-        self.effective_depth
-    }
-
-    /// The client queue-depth peak sampled before the last window.
-    #[must_use]
-    pub fn last_pressure(&self) -> u64 {
-        self.last_pressure
     }
 
     /// The epoch pair this driver migrates.
@@ -225,26 +196,12 @@ impl RekeyDriver {
         Ok(self.progress(disk)?.is_complete())
     }
 
-    /// Migrates one window (up to `effective_queue_depth ×
-    /// chunk_sectors` sectors past the watermark) and publishes the
+    /// Migrates one window (`queue_depth × chunk_sectors` sectors past
+    /// the watermark, clamped at the image end) and publishes the
     /// watermark past it — or, if a window's intent is outstanding,
     /// recovers that window instead: it migrates the chunks whose
     /// migration-proof marker did not commit, through the same
     /// pipeline. Returns the new progress; a no-op once complete.
-    ///
-    /// Before each window the driver samples the cluster's
-    /// queue-depth peak since its previous step
-    /// ([`vdisk_rados::Cluster::take_queue_depth_window_peak`]); in
-    /// tenant mode it additionally samples the runtime's per-tenant
-    /// demand peaks excluding its own tenant
-    /// ([`crate::runtime::Runtime::take_demand_peak_excluding`]), a
-    /// signal that keeps client-tenant bursts landing *during* a
-    /// window visible even though the shared cluster window is reset
-    /// after each window. A peak above [`DEFAULT_PRESSURE_THRESHOLD`]
-    /// means client IO was queuing — the window halves (down to one
-    /// chunk); quiet samples double it back toward the configured depth.
-    /// Background rekey thereby yields to foreground tenants instead
-    /// of competing at full depth.
     ///
     /// # Errors
     ///
@@ -279,50 +236,25 @@ impl RekeyDriver {
             disk.keys_mut().disarm();
             return Err(e);
         }
-        // Our own window's submissions must not read as "pressure" in
-        // the next step's sample.
-        let _ = disk.image().cluster().take_queue_depth_window_peak();
         // Publishing the watermark clears the intent in the same
         // header update.
         disk.keys_mut().publish_watermark(intent.end)?;
         self.progress(disk)
     }
 
-    /// Sizes the next window from the client pressure observed since
-    /// the previous step and durably records its intent before any of
-    /// it is touched: from here until the watermark publish clears
-    /// it, every chunk of the window is "in doubt" and a crash
-    /// recovers it through the marker protocol.
+    /// Durably records the next window's intent before any of it is
+    /// touched: from here until the watermark publish clears it, every
+    /// chunk of the window is "in doubt" and a crash recovers it
+    /// through the marker protocol.
     fn open_window(
-        &mut self,
+        &self,
         disk: &mut EncryptedImage,
         progress: RekeyProgress,
     ) -> Result<WindowIntent> {
-        // The shared cluster window is reset after every window
-        // (above) so the driver's own submissions never read as
-        // pressure — at the cost of discarding client bursts that
-        // landed *during* a window. In tenant mode the runtime's
-        // per-tenant demand peaks restore that signal: they never
-        // include this driver's own tenant, so they survive the reset
-        // and keep mid-window foreground bursts visible to the
-        // backoff.
-        let cluster_peak = disk.image().cluster().take_queue_depth_window_peak();
-        self.last_pressure = match &self.tenant {
-            Some(tenant) => {
-                cluster_peak.max(tenant.runtime().take_demand_peak_excluding(tenant.id()))
-            }
-            None => cluster_peak,
-        };
-        self.effective_depth = if self.last_pressure > DEFAULT_PRESSURE_THRESHOLD {
-            (self.effective_depth / 2).max(1)
-        } else {
-            (self.effective_depth * 2).min(self.queue_depth)
-        };
         let start = progress.migrated_sectors;
         let intent = WindowIntent {
             start,
-            end: (start + self.chunk_sectors * self.effective_depth as u64)
-                .min(progress.total_sectors),
+            end: (start + self.chunk_sectors * self.queue_depth as u64).min(progress.total_sectors),
             chunk_sectors: self.chunk_sectors,
         };
         disk.keys_mut().record_intent(intent)?;

@@ -34,7 +34,15 @@
 //!   dispatched op and free slots go to the smallest clock first. The
 //!   allocation simulates all backlogged tenants at once, so slots a
 //!   quieter tenant is entitled to are *reserved* — a deep-QD hog
-//!   cannot claim them in between the quiet tenant's submissions.
+//!   cannot claim them in between the quiet tenant's submissions. A
+//!   blocking call whose tenant has backlog and nothing in flight takes
+//!   one free slot before it parks, reserved or not, so its own
+//!   completion can wake it.
+//! - **Background work** is a tenant like any other: the online rekey
+//!   driver ([`crate::RekeyDriver::with_runtime_tenant`]) submits
+//!   fixed-size windows through a (typically low-weight) tenant, and
+//!   the weights alone decide how much of the budget it gets while
+//!   clients are busy.
 //!
 //! Per-tenant FIFO dispatch preserves the queue layers' ordering
 //! contract: ops of one tenant dispatch in submission order, so the
@@ -49,6 +57,10 @@
 //! when one of the tenant's own ops completes, and the arbiter's,
 //! when another tenant's completion or refund frees slots while this
 //! tenant has backlog. There is no timed wait.
+//!
+//! Slots return to the budget only when their ops are reaped. A thread
+//! that owns several queues of one runtime must therefore reap every
+//! other one before it blocks on one (see [`TenantQueue`]).
 //!
 //! # Example
 //!
@@ -363,17 +375,6 @@ impl Runtime {
     pub fn in_flight(&self) -> usize {
         self.inner.lock().in_flight_total()
     }
-
-    /// The highest open-op count (backlog + in flight) any tenant
-    /// other than `excluding` has reached since the previous call,
-    /// restarting the sampling window (each tenant's window restarts
-    /// at its current open count, so still-open pressure remains
-    /// visible). Background drivers use this to sense foreground
-    /// client pressure without counting their own tenant's
-    /// submissions — the rekey driver's backoff signal in tenant mode.
-    pub fn take_demand_peak_excluding(&self, excluding: TenantId) -> u64 {
-        self.inner.lock().take_demand_peak_excluding(excluding)
-    }
 }
 
 impl fmt::Debug for Runtime {
@@ -456,6 +457,14 @@ impl fmt::Debug for TenantHandle {
 /// Ops whose dispatch the inner queue rejects synchronously (e.g. out
 /// of bounds) surface that error from whichever pumping call performs
 /// the dispatch — not necessarily the `submit` that queued them.
+///
+/// A thread that owns several queues of one runtime must reap (poll
+/// or fence) every other one before it blocks in
+/// [`TenantQueue::wait_any`], [`TenantQueue::fence`] or
+/// [`TenantQueue::submit_blocking`] on one. A slot returns to the
+/// budget only when its op is reaped, so if the other queues hold the
+/// whole budget in completed but unreaped ops, the blocked queue never
+/// gets a slot and the call never returns.
 pub struct TenantQueue<Q: ArbitratedQueue> {
     runtime: Runtime,
     id: TenantId,
@@ -506,7 +515,7 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
                 cap,
             })?;
         self.next_outer += 1;
-        if let Err(e) = self.pump() {
+        if let Err(e) = self.pump(false) {
             // Dispatch is FIFO and aborts on the first failure, so if
             // the op queued above is still the newest backlog entry
             // the error was an earlier op's: revoke the fresh
@@ -536,18 +545,22 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
         self.submit(op)
     }
 
-    /// Dispatches whatever the scheduler currently grants.
-    fn pump(&mut self) -> Result<(), RuntimeError<Q::Error>> {
+    /// Dispatches whatever the scheduler currently grants (see
+    /// `Arbiter::claim` for `parking`) and returns how many ops it
+    /// dispatched.
+    fn pump(&mut self, parking: bool) -> Result<usize, RuntimeError<Q::Error>> {
+        let mut dispatched = 0;
         loop {
-            let granted = self.runtime.inner.lock().claim(self.id);
+            let granted = self.runtime.inner.lock().claim(self.id, parking);
             if granted.is_empty() {
-                return Ok(());
+                return Ok(dispatched);
             }
             let mut granted = granted.into_iter();
             while let Some(Queued { outer, cost, op }) = granted.next() {
                 match self.inner.submit_direct(op) {
                     Ok(completion) => {
                         self.dispatched.insert(completion.id(), (outer, cost));
+                        dispatched += 1;
                     }
                     Err(e) => {
                         // The failing op's slot is refunded outright;
@@ -569,14 +582,15 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     /// The one blocking loop behind every waiting call: each round
     /// snapshots the doorbell, pumps dispatch, checks `done`, reaps
     /// into the staging buffer, checks `done` again, and parks past
-    /// the snapshot only if the reap came back empty. A positive reap
-    /// freed scheduler slots, so the round repeats instead (the
-    /// runtime rings *other* tenants on completions — never the
-    /// reaping thread, which is already awake).
+    /// the snapshot only if the reap came back empty and a parking
+    /// claim dispatched nothing. A positive reap freed scheduler
+    /// slots, so the round repeats instead (the runtime rings *other*
+    /// tenants on completions — never the reaping thread, which is
+    /// already awake).
     fn drive_until(&mut self, done: impl Fn(&Self) -> bool) -> Result<(), RuntimeError<Q::Error>> {
         loop {
             let seen = self.bell.generation();
-            self.pump()?;
+            self.pump(false)?;
             if done(self) {
                 return Ok(());
             }
@@ -584,7 +598,7 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
             if done(self) {
                 return Ok(());
             }
-            if reaped == 0 {
+            if reaped == 0 && self.pump(true)? == 0 {
                 self.bell.wait_past(seen);
             }
         }
@@ -656,7 +670,7 @@ impl<Q: ArbitratedQueue> TenantQueue<Q> {
     ///
     /// Dispatch and reap errors of the inner queue.
     pub fn poll(&mut self) -> Result<Vec<IoResult>, RuntimeError<Q::Error>> {
-        self.pump()?;
+        self.pump(false)?;
         self.reap_into_staged()?;
         Ok(self.take_staged())
     }

@@ -80,11 +80,6 @@ struct TenantState {
     backlog: VecDeque<Queued>,
     in_flight: usize,
     vtime: u128,
-    /// Highest open-op count (backlog + in flight) since the last
-    /// [`Arbiter::take_demand_peak_excluding`] sample — the runtime's
-    /// own pressure signal, per tenant, so a background driver can
-    /// sense foreground demand without counting its own submissions.
-    demand_peak: u64,
     /// Whether a `TenantQueue` currently owns this tenant's dispatch.
     attached: bool,
     /// The attached queue's doorbell, rung on grant-affecting changes.
@@ -101,15 +96,6 @@ impl TenantState {
 
     fn vtime_step(&self, cost: u64) -> u128 {
         (u128::from(cost) << VTIME_SHIFT) / u128::from(self.weight.max(1))
-    }
-
-    /// Folds the current open-op count into the demand-peak window.
-    /// Demand only grows at admission (dispatch moves an op from
-    /// backlog to in-flight without changing the sum), so this is
-    /// called from `try_admit` alone.
-    fn note_demand(&mut self) {
-        let demand = (self.backlog.len() + self.in_flight) as u64;
-        self.demand_peak = self.demand_peak.max(demand);
     }
 }
 
@@ -179,7 +165,6 @@ impl Arbiter {
             backlog: VecDeque::new(),
             in_flight: 0,
             vtime: 0,
-            demand_peak: 0,
             attached: false,
             bell: None,
             totals: Totals::default(),
@@ -237,7 +222,6 @@ impl Arbiter {
         let cost = op_cost(&op);
         state.backlog.push_back(Queued { outer, cost, op });
         state.totals.admitted_ops += 1;
-        state.note_demand();
         Ok(())
     }
 
@@ -283,7 +267,15 @@ impl Arbiter {
     /// returned in submission order for the caller to dispatch. Other
     /// tenants' shares are reservations — they realize them on their
     /// own claims.
-    pub(crate) fn claim(&mut self, id: TenantId) -> Vec<Queued> {
+    ///
+    /// `parking` says the claimer is about to block. A parking claimer
+    /// with a backlog and nothing in flight gets one free slot even if
+    /// every free slot is reserved: with no op of its own in flight, no
+    /// completion of its own would wake it, and the tenants holding the
+    /// reservations may be queues of the same thread that nobody pumps
+    /// while it sleeps. Non-blocking claims never take this slot, so it
+    /// does not dilute the weights of a driver that polls.
+    pub(crate) fn claim(&mut self, id: TenantId, parking: bool) -> Vec<Queued> {
         let free = self.budget - self.in_flight_total;
         let me = id.0 as usize;
 
@@ -330,6 +322,10 @@ impl Arbiter {
 
         // Realize the claimer's share.
         let state = self.tenant_mut(id);
+        if parking && granted == 0 && free > 0 && state.in_flight == 0 && !state.backlog.is_empty()
+        {
+            granted = 1;
+        }
         let ops: Vec<Queued> = state.backlog.drain(..granted).collect();
         for op in &ops {
             state.vtime += state.vtime_step(op.cost);
@@ -358,23 +354,6 @@ impl Arbiter {
         state.totals.dispatched_ops -= undone as u64;
         self.in_flight_total -= undone;
         self.ring_backlogged(Some(id));
-    }
-
-    /// The highest open-op count (backlog + in flight) any tenant
-    /// other than `excluding` reached since its window last restarted,
-    /// maxed across those tenants; every sampled window then restarts
-    /// at the tenant's current open count, so still-open pressure
-    /// stays visible to the next sample.
-    pub(crate) fn take_demand_peak_excluding(&mut self, excluding: TenantId) -> u64 {
-        let mut peak = 0;
-        for (idx, tenant) in self.tenants.iter_mut().enumerate() {
-            if idx == excluding.0 as usize {
-                continue;
-            }
-            peak = peak.max(tenant.demand_peak);
-            tenant.demand_peak = (tenant.backlog.len() + tenant.in_flight) as u64;
-        }
-        peak
     }
 
     /// Folds reaped completions back in: slots free up, per-tenant
@@ -481,7 +460,7 @@ mod tests {
                 while arb.tenant_stats(id).backlog_ops < 8 {
                     arb.try_admit(id, 0, read(4096)).unwrap();
                 }
-                for _ in arb.claim(id) {
+                for _ in arb.claim(id, false) {
                     fifo.push_back(id);
                 }
             }
@@ -523,7 +502,7 @@ mod tests {
         // A runs alone for a while, advancing its clock.
         for _ in 0..64 {
             arb.try_admit(a, 0, read(4096)).unwrap();
-            assert_eq!(arb.claim(a).len(), 1);
+            assert_eq!(arb.claim(a, false).len(), 1);
             arb.complete(a, 1, 4096, &ExecStats::default());
         }
         // B wakes up: its zero clock must be lifted to A's, not let it
@@ -532,8 +511,8 @@ mod tests {
             arb.try_admit(a, 0, read(4096)).unwrap();
             arb.try_admit(b, 0, read(4096)).unwrap();
         }
-        let granted_b = arb.claim(b).len();
-        let granted_a = arb.claim(a).len();
+        let granted_b = arb.claim(b, false).len();
+        let granted_a = arb.claim(a, false).len();
         assert_eq!(granted_b, 1, "B gets its fair half of the budget");
         assert_eq!(granted_a, 1, "A keeps its half despite B's backlog");
     }
@@ -546,12 +525,12 @@ mod tests {
             arb.try_admit(a, 0, read(512)).unwrap();
         }
         assert_eq!(
-            arb.claim(a).len(),
+            arb.claim(a, false).len(),
             2,
             "QD cap must bind before the global budget"
         );
         arb.complete(a, 2, 1024, &ExecStats::default());
-        assert_eq!(arb.claim(a).len(), 2);
+        assert_eq!(arb.claim(a, false).len(), 2);
     }
 
     #[test]
@@ -573,7 +552,7 @@ mod tests {
         for outer in 0..3 {
             arb.try_admit(a, outer, read(4096)).unwrap();
         }
-        let granted = arb.claim(a);
+        let granted = arb.claim(a, false);
         assert_eq!(granted.len(), 3);
         // The first dispatch failed synchronously; the two remaining
         // grants were never handed to the inner queue.
@@ -584,7 +563,7 @@ mod tests {
         assert_eq!(stats.backlog_ops, 2, "aborted grants left the backlog");
         assert_eq!(stats.dispatched_ops, 0);
         // The refunded ops are claimable again, still in order.
-        let outers: Vec<u64> = arb.claim(a).iter().map(|q| q.outer).collect();
+        let outers: Vec<u64> = arb.claim(a, false).iter().map(|q| q.outer).collect();
         assert_eq!(outers, [1, 2]);
     }
 
@@ -600,30 +579,30 @@ mod tests {
         let stats = arb.tenant_stats(a);
         assert_eq!(stats.admitted_ops, 1);
         assert_eq!(stats.backlog_ops, 1);
-        let outers: Vec<u64> = arb.claim(a).iter().map(|q| q.outer).collect();
+        let outers: Vec<u64> = arb.claim(a, false).iter().map(|q| q.outer).collect();
         assert_eq!(outers, [0]);
     }
 
     #[test]
-    fn demand_peak_excludes_the_sampler_and_restarts_at_open_demand() {
-        let mut arb = Arbiter::new(8);
-        let rekey = arb.register(&spec("rekey", 1));
-        let client = arb.register(&spec("client", 1));
+    fn a_parking_claimer_with_nothing_in_flight_takes_a_reserved_slot() {
+        let mut arb = Arbiter::new(2);
+        let a = arb.register(&spec("a", 1));
+        let b = arb.register(&spec("b", 1));
+        // A runs ahead of B's clock, then both queue work.
         for _ in 0..4 {
-            arb.try_admit(client, 0, read(4096)).unwrap();
+            arb.try_admit(a, 0, read(4096)).unwrap();
+            assert_eq!(arb.claim(a, false).len(), 1);
+            arb.complete(a, 1, 4096, &ExecStats::default());
         }
-        for _ in 0..6 {
-            arb.try_admit(rekey, 0, read(4096)).unwrap();
-        }
-        // The sampler's own demand never counts toward its reading.
-        assert_eq!(arb.take_demand_peak_excluding(client), 6);
-        assert_eq!(arb.take_demand_peak_excluding(rekey), 4);
-        // Still-open demand survives the window restart…
-        assert_eq!(arb.claim(client).len(), 4);
-        arb.complete(client, 4, 4 * 4096, &ExecStats::default());
-        assert_eq!(arb.take_demand_peak_excluding(rekey), 4);
-        // …and a fully drained tenant finally samples as quiet.
-        assert_eq!(arb.take_demand_peak_excluding(rekey), 0);
+        arb.try_admit(b, 0, read(4096)).unwrap();
+        arb.try_admit(b, 0, read(4096)).unwrap();
+        arb.try_admit(a, 0, read(4096)).unwrap();
+        // Both free slots are B's by the clock…
+        assert!(arb.claim(a, false).is_empty());
+        // …but A, about to park with nothing in flight, takes one.
+        assert_eq!(arb.claim(a, true).len(), 1);
+        assert!(arb.claim(a, true).is_empty(), "one op in flight wakes A");
+        assert_eq!(arb.claim(b, false).len(), 1);
     }
 
     #[test]
@@ -638,10 +617,10 @@ mod tests {
         }
         arb.try_admit(victim, 0, read(4096)).unwrap();
         assert_eq!(
-            arb.claim(hog).len(),
+            arb.claim(hog, false).len(),
             1,
             "the victim's reserved slot must not go to the hog"
         );
-        assert_eq!(arb.claim(victim).len(), 1);
+        assert_eq!(arb.claim(victim, false).len(), 1);
     }
 }

@@ -9,11 +9,12 @@
 //! 2. **Fairness**: two tenants with weights `w1:w2` driving identical
 //!    randwrite loads complete ops within a 2x band of `w1:w2`.
 //! 3. **No starvation**: a QD-64 hog cannot delay a QD-1 tenant's
-//!    single op beyond a fixed bound of interleaved completions.
-//! 4. **Rekey yields**: the rekey driver's window shrinks (fewer
-//!    submissions) when sampled client pressure spikes and recovers
-//!    when the cluster goes quiet; run as a runtime tenant it
-//!    completes with data intact.
+//!    single op beyond a fixed bound of interleaved completions, and
+//!    one thread driving two tenants can fence either of them.
+//! 4. **Rekey windows are fixed**: every rekey window migrates
+//!    `queue_depth × chunk_sectors` sectors whatever client load came
+//!    before it; run as a runtime tenant the driver completes with
+//!    data intact.
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -580,18 +581,62 @@ fn a_tenant_parked_on_backlog_alone_is_woken_by_another_tenants_completion() {
     assert_eq!(runtime.in_flight(), 0);
 }
 
+/// One thread drives two tenants of one runtime: `a` writes, `b`
+/// reads, and only `a` is waited on. As `a` completes, its clock
+/// passes `b`'s, and the fair allocation reserves every freed slot for
+/// the backlogged `b` — whose queue nobody pumps while `a` waits. The
+/// arbiter must still give `a`, backlogged with nothing in flight, a
+/// slot of its own before it parks, or `a.fence()` parks forever.
+#[test]
+fn one_thread_fencing_one_of_two_tenants_makes_progress() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let cluster = workers_on();
+        let mut disk_a = encrypted_disk(&cluster, "live-a", 11);
+        let mut disk_b = encrypted_disk(&cluster, "live-b", 12);
+        let runtime = Runtime::new(2);
+        let mut a = runtime
+            .register(TenantSpec::new("a"))
+            .attach(disk_a.io_queue());
+        let mut b = runtime
+            .register(TenantSpec::new("b"))
+            .attach(disk_b.io_queue());
+        for i in 0..8u64 {
+            a.submit(IoOp::Write {
+                offset: i * SECTOR,
+                data: vec![0xA5; SECTOR as usize],
+            })
+            .unwrap();
+        }
+        for i in 0..4u64 {
+            b.submit(IoOp::Read {
+                offset: i * SECTOR,
+                len: SECTOR,
+            })
+            .unwrap();
+        }
+        let a_done = a.fence().unwrap().len();
+        let b_done = b.fence().unwrap().len();
+        done_tx.send((a_done, b_done)).unwrap();
+    });
+    let done = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a.fence() never returned");
+    assert_eq!(done, (8, 4));
+}
+
 // ---------------------------------------------------------------------
-// 4. Rekey pressure backoff and tenant-mode completion
+// 4. Rekey windows are fixed; tenant-mode completion
 // ---------------------------------------------------------------------
 
 const OLD_PASS: &[u8] = b"property";
 const NEW_PASS: &[u8] = b"rotated";
 
-/// The driver's window halves when the sampled client queue-depth
-/// peak crosses the threshold — fewer submissions per window, the
-/// measurable "rekey yields" signal — and doubles back once quiet.
+/// Every window migrates `queue_depth × chunk_sectors` sectors: a
+/// client burst between steps does not shrink the next one. Pacing
+/// against clients is the runtime's job, not the driver's.
 #[test]
-fn rekey_driver_yields_under_client_pressure_and_recovers() {
+fn rekey_window_stays_fixed_after_a_client_burst() {
     let cluster = workers_on();
     let mut disk = encrypted_disk(&cluster, "rekey", 7);
     let pattern: Vec<u8> = (0..IMAGE_SIZE).map(|i| (i % 251) as u8).collect();
@@ -602,21 +647,10 @@ fn rekey_driver_yields_under_client_pressure_and_recovers() {
         .unwrap()
         .with_chunk_sectors(4)
         .with_queue_depth(8);
+    assert_eq!(driver.step(&mut disk).unwrap().migrated_sectors, 32);
 
-    // Settle the pressure window: formatting and the pattern write
-    // are not client load the driver should react to.
-    let _ = cluster.take_queue_depth_window_peak();
-
-    // Quiet step: full window (4 sectors × depth 8 = 32).
-    let before = driver.progress(&disk).unwrap().migrated_sectors;
-    let after = driver.step(&mut disk).unwrap().migrated_sectors;
-    assert!(driver.last_pressure() <= 4, "quiet cluster sampled as busy");
-    assert_eq!(driver.effective_queue_depth(), 8);
-    assert_eq!(after - before, 32);
-
-    // A client bursts 16 queued writes on another image of the same
-    // cluster. Each holds its submission-depth bracket until reaped,
-    // so the window peak deterministically records the full burst.
+    // A client holds 16 queued writes open at once on another image of
+    // the same cluster, then drains them.
     let noise = Image::create(&cluster, "noise", 1 << 20).unwrap();
     let mut noise_q = vdisk_rbd::IoQueue::new(&noise);
     for i in 0..16u64 {
@@ -627,109 +661,15 @@ fn rekey_driver_yields_under_client_pressure_and_recovers() {
             })
             .unwrap();
     }
-    let drained = noise_q.fence().unwrap();
-    assert_eq!(drained.len(), 16);
+    assert_eq!(noise_q.fence().unwrap().len(), 16);
+    assert_eq!(cluster.exec_stats().queue_depth_peak, 16);
 
-    // Pressured step: the driver sees the spike and halves its window.
-    let before = driver.progress(&disk).unwrap().migrated_sectors;
-    let after = driver.step(&mut disk).unwrap().migrated_sectors;
-    assert!(
-        driver.last_pressure() >= 16,
-        "burst peak not observed: {}",
-        driver.last_pressure()
-    );
-    assert_eq!(driver.effective_queue_depth(), 4);
-    assert_eq!(after - before, 16, "window submissions did not drop");
+    // The next window is as large as the first: depth 8 × chunk 4.
+    assert_eq!(driver.step(&mut disk).unwrap().migrated_sectors, 64);
 
-    // Quiet again: the window doubles back to the configured depth.
-    // The driver discards its own window's contribution to the peak,
-    // so its own 4-deep window never reads as client pressure.
-    let before = after;
-    let after = driver.step(&mut disk).unwrap().migrated_sectors;
-    assert_eq!(driver.effective_queue_depth(), 8);
-    assert_eq!(after - before, 32);
-
-    // Migrated data stays intact along the way.
     let mut readback = vec![0u8; 64 * SECTOR as usize];
     disk.read(0, &mut readback).unwrap();
     assert_eq!(readback[..], pattern[..64 * SECTOR as usize]);
-}
-
-/// Client-tenant pressure that lands while a rekey window is open is
-/// wiped from the shared cluster window by the driver's own
-/// post-window reset; the runtime's per-tenant demand peaks must
-/// carry it into the next sample anyway.
-#[test]
-fn tenant_rekey_sees_client_bursts_hidden_by_its_own_window_reset() {
-    let cluster = workers_on();
-    let mut disk = encrypted_disk(&cluster, "rekey-press", 9);
-    let pattern: Vec<u8> = (0..IMAGE_SIZE).map(|i| (i % 233) as u8).collect();
-    disk.write(0, &pattern).unwrap();
-
-    let runtime = Runtime::new(16);
-    let rekey_tenant =
-        runtime.register(TenantSpec::new("rekey").weight(1).qd_cap(8).backlog_cap(16));
-    let client_tenant = runtime.register(
-        TenantSpec::new("client")
-            .weight(3)
-            .qd_cap(8)
-            .backlog_cap(16),
-    );
-
-    let mut driver = disk
-        .rekey_begin_with_iterations(OLD_PASS, NEW_PASS, 25)
-        .unwrap()
-        .with_chunk_sectors(4)
-        .with_queue_depth(8)
-        .with_runtime_tenant(rekey_tenant);
-
-    // Settle the cluster window: setup traffic is not client load.
-    let _ = cluster.take_queue_depth_window_peak();
-
-    // Quiet step: the full configured window.
-    let before = driver.progress(&disk).unwrap().migrated_sectors;
-    let after = driver.step(&mut disk).unwrap().migrated_sectors;
-    assert!(
-        driver.last_pressure() <= 4,
-        "quiet runtime sampled as busy: {}",
-        driver.last_pressure()
-    );
-    assert_eq!(after - before, 32);
-
-    // A client tenant bursts eight queued writes on another image and
-    // fully drains them…
-    let mut client_disk = encrypted_disk(&cluster, "client-press", 10);
-    let mut client_q = client_tenant.attach(client_disk.io_queue());
-    for i in 0..8u64 {
-        client_q
-            .submit(IoOp::Write {
-                offset: i * SECTOR,
-                data: vec![0xCC; SECTOR as usize],
-            })
-            .unwrap();
-    }
-    assert_eq!(client_q.fence().unwrap().len(), 8);
-
-    // …and the cluster-wide window is then reset, exactly as the tail
-    // of a rekey window does — the burst is gone from that signal.
-    let _ = cluster.take_queue_depth_window_peak();
-
-    // The next step must still see the burst through the runtime's
-    // per-tenant demand peaks and halve its window.
-    let before = after;
-    let after = driver.step(&mut disk).unwrap().migrated_sectors;
-    assert!(
-        driver.last_pressure() >= 8,
-        "client-tenant burst lost to the window reset: {}",
-        driver.last_pressure()
-    );
-    assert_eq!(driver.effective_queue_depth(), 4);
-    assert_eq!(after - before, 16);
-
-    // Data stays intact through the pressured window.
-    let mut readback = vec![0u8; 48 * SECTOR as usize];
-    disk.read(0, &mut readback).unwrap();
-    assert_eq!(readback[..], pattern[..48 * SECTOR as usize]);
 }
 
 /// Rekey as an ordinary low-weight runtime tenant: drives to

@@ -237,35 +237,6 @@ impl IvSource for SeededIvSource {
     }
 }
 
-/// An IV source that counts how many IVs were drawn — used by tests to
-/// assert that exactly one fresh IV is consumed per sector write.
-#[derive(Debug)]
-pub struct CountingIvSource<S> {
-    inner: S,
-    count: u64,
-}
-
-impl<S: IvSource> CountingIvSource<S> {
-    /// Wraps another source.
-    #[must_use]
-    pub fn new(inner: S) -> Self {
-        CountingIvSource { inner, count: 0 }
-    }
-
-    /// Number of `fill` calls so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl<S: IvSource> IvSource for CountingIvSource<S> {
-    fn fill(&mut self, buf: &mut [u8]) {
-        self.count += 1;
-        self.inner.fill(buf);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,14 +299,6 @@ mod tests {
     fn from_state_rejects_the_all_zero_state() {
         let mut rng = SeededRng::from_state([0; 4]);
         assert_ne!(rng.next_u64(), 0);
-    }
-
-    #[test]
-    fn counting_wrapper_counts() {
-        let mut src = CountingIvSource::new(SeededIvSource::new(1));
-        let _ = src.next_iv16();
-        let _ = src.next_nonce12();
-        assert_eq!(src.count(), 2);
     }
 
     #[test]

@@ -348,27 +348,6 @@ impl Cluster {
         self.control.faults.as_deref()
     }
 
-    /// Submissions currently issued and not yet reaped, cluster-wide —
-    /// the *instantaneous* client queue depth (the peak is in
-    /// [`ExecStats::queue_depth_peak`]). Advisory: the value is racy
-    /// by nature and meaningful as a pressure signal, not a precise
-    /// accounting.
-    #[must_use]
-    pub fn queue_depth(&self) -> u64 {
-        self.control.stats.open_submissions()
-    }
-
-    /// Returns the queue-depth high water observed since the previous
-    /// call and resets the window (to the current depth — open
-    /// submissions remain observed). Background services use this to
-    /// sample *recent* client pressure: the rekey driver takes the
-    /// window before each migration window and shrinks its own
-    /// submission depth when foreground tenants were queuing.
-    #[must_use]
-    pub fn take_queue_depth_window_peak(&self) -> u64 {
-        self.control.stats.take_queue_depth_window_peak()
-    }
-
     /// Number of state shards batches fan out over.
     #[must_use]
     pub fn shard_count(&self) -> usize {

@@ -104,12 +104,6 @@ pub(crate) struct StatCounters {
     shard_concurrency_peak: AtomicU64,
     in_flight_shards: AtomicU64,
     queue_depth_peak: AtomicU64,
-    /// Queue-depth high water since the last
-    /// [`StatCounters::take_queue_depth_window_peak`] — a resettable
-    /// twin of `queue_depth_peak` so background services (the rekey
-    /// driver) can observe *recent* client pressure, not the
-    /// cluster-lifetime maximum.
-    queue_depth_window_peak: AtomicU64,
     open_submissions: AtomicU64,
     /// Attempts replayed in the shard workers after a retryable
     /// injected fault (see [`crate::fault::RetryPolicy`]).
@@ -151,32 +145,15 @@ impl StatCounters {
     }
 
     /// Marks one submission issued (not yet reaped) and updates the
-    /// queue-depth high-water marks (lifetime and current window).
+    /// queue-depth high-water mark.
     pub(crate) fn enter_submission(&self) {
         let now = self.open_submissions.fetch_add(1, Ordering::SeqCst) + 1;
         self.queue_depth_peak.fetch_max(now, Ordering::SeqCst);
-        self.queue_depth_window_peak
-            .fetch_max(now, Ordering::SeqCst);
     }
 
     /// Marks one submission reaped (or abandoned).
     pub(crate) fn exit_submission(&self) {
         self.open_submissions.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Submissions currently issued and not yet reaped.
-    pub(crate) fn open_submissions(&self) -> u64 {
-        self.open_submissions.load(Ordering::SeqCst)
-    }
-
-    /// Returns the queue-depth high water observed since the previous
-    /// call and restarts the window at the *current* depth (open
-    /// submissions are still open, so the new window must not start
-    /// below them).
-    pub(crate) fn take_queue_depth_window_peak(&self) -> u64 {
-        let now = self.open_submissions.load(Ordering::SeqCst);
-        let peak = self.queue_depth_window_peak.swap(now, Ordering::SeqCst);
-        peak.max(now)
     }
 
     /// Accumulates attempts replayed after a retryable injected fault.
